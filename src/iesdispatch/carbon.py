@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp_ir import EQ, GE, LE, LinearExpression, MilpModel, as_expression, quad_value
-
-
-class EncodingError(Exception):
-    """The MILP cost encoding cannot derive a required static bound."""
+from .milp_ir import GE, LinearExpression, MilpModel, as_expression, quad_value
 
 
 @dataclass(frozen=True)
@@ -157,55 +153,44 @@ def encode_carbon_cost(
     policy,
     actual_expr,
     quota_expr,
-    m_actual: float,
-    m_quota: float,
     name: str = "carbon",
 ) -> LinearExpression:
     """Add the trading-cost structure for affine emission expressions.
 
-    `m_actual` / `m_quota` are static upper bounds on the actual and quota
-    totals derived from device capacities; they close the open top segment
-    and floor the subsidy side (a system cannot sell more than its quota,
-    so the share is bounded below by -m_quota and the actual total is kept
-    non-negative).
+    The actual total is kept non-negative (a system can only sell surplus
+    quota).  traditional: lambda * share, no variables.  none: zero.
 
-    tiered: one binary and one segment-local share variable per price
-    segment; exactly one segment is active and carries the whole share, so
-    the returned expression equals tier_cost(share) at every feasible point.
-    traditional: lambda * share, no variables.  none: zero.
+    tiered: the ladder is lambda * share plus, for every knee k = 1..K-1, a
+    further lambda * alpha per kilogram beyond k * interval_d, i.e.
+
+        tier_cost(share) = lambda * share + lambda * alpha * sum_k max(0, share - k * d)
+
+    for every share, negative shares and the open top segment included.
+    Each max term becomes an epigraph variable s_k >= 0, s_k >= share - k * d
+    (Vielma, "Mixed Integer Linear Programming Formulation Techniques", SIAM
+    Review 2015).  With lambda, alpha >= 0 the weights are non-negative, so a
+    minimising objective drives every s_k down to its max term and the
+    returned expression equals tier_cost(share) at the optimum; no binaries
+    are added.  The objective is the expression's only user.
     """
     actual_expr = as_expression(actual_expr)
     quota_expr = as_expression(quota_expr)
     if policy.mechanism == "none":
         return LinearExpression()
-    if not (math.isfinite(m_actual) and math.isfinite(m_quota)):
-        raise EncodingError(
-            f"cannot bound the trading share: m_actual={m_actual}, m_quota={m_quota}"
-        )
     share = actual_expr - quota_expr
     model.add_constraint(actual_expr, GE, 0.0, f"{name}_actual_floor")
     if policy.mechanism == "traditional":
         return policy.lambda_base * share
 
-    K = n_tiers(policy)
-    d = policy.interval_d
-    lo0 = min(-m_quota, 0.0)
-    hi_top = max(m_actual, (K - 1) * d + d)
-    cost = LinearExpression()
-    pick = LinearExpression()
-    total = LinearExpression()
-    for k in range(K):
-        lo = lo0 if k == 0 else k * d
-        hi = (k + 1) * d if k < K - 1 else hi_top
-        z = model.add_binary(f"{name}_z{k}")
-        e = model.add_continuous(min(lo, 0.0), max(hi, 0.0), f"{name}_e{k}")
-        # e_k lives in [lo, hi] when its segment is picked, else at 0
-        model.add_constraint(e - lo * z, GE, 0.0, f"{name}_e{k}_lo")
-        model.add_constraint(e - hi * z, LE, 0.0, f"{name}_e{k}_hi")
-        pick = pick + z
-        total = total + e
-        cost = cost + (tier_knee(policy, k) - tier_slope(policy, k) * k * d) * z
-        cost = cost + tier_slope(policy, k) * e
-    model.add_constraint(pick, EQ, 1.0, f"{name}_pick")
-    model.add_constraint(total - share, EQ, 0.0, f"{name}_share")
+    lam, alpha, d = policy.lambda_base, policy.alpha_growth, policy.interval_d
+    if lam < 0.0 or alpha < 0.0:
+        raise ValueError(
+            f"tiered cost needs lambda_base >= 0 and alpha_growth >= 0 to be convex "
+            f"(got {lam}, {alpha})"
+        )
+    cost = lam * share
+    for k in range(1, n_tiers(policy)):
+        s = model.add_continuous(0.0, math.inf, f"{name}_s{k}")
+        model.add_constraint(s - share, GE, -k * d, f"{name}_s{k}_knee")
+        cost = cost + (lam * alpha) * s
     return cost

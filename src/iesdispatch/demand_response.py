@@ -3,10 +3,15 @@
 Each load profile splits into fixed, shiftable, and substitutable parts.
 Reshaping moves flexible energy between periods (shift: net-zero over the
 horizon per carrier) or between carriers (substitution: energy-equivalent
-across carriers per period).  Every per-period adjustment is decomposed
-into non-negative inflow/outflow magnitudes gated by a binary pair, so the
-absolute deviation is available as a linear expression; the deviations feed
-a consumer-satisfaction floor and a per-kWh compensation cost.
+across carriers per period).  Every per-period adjustment is split into
+non-negative inflow/outflow magnitudes whose sum stands in for the absolute
+deviation; the deviations feed a consumer-satisfaction floor and a per-kWh
+compensation cost.  No binaries are needed: the sum only appears where a
+smaller value is never worse (a compensation weight mu >= 0 and the
+satisfaction floor), and |P_in - P_out| <= P_in + P_out, so any point with
+both magnitudes positive can lower both by their minimum without losing
+feasibility or raising the cost (the absolute-value LP reformulation, Boyd &
+Vandenberghe, Convex Optimization, sections 4.1 and 6.1).
 
 Powers are kW, energies kWh, compensation coefficients currency per kWh.
 """
@@ -99,8 +104,6 @@ class DrVarMap:
 
     p_in: dict[tuple[str, str], list[Variable]] = field(default_factory=dict)
     p_out: dict[tuple[str, str], list[Variable]] = field(default_factory=dict)
-    v_in: dict[tuple[str, str], list[Variable]] = field(default_factory=dict)
-    v_out: dict[tuple[str, str], list[Variable]] = field(default_factory=dict)
     delta: dict[tuple[str, str], list[LinearExpression]] = field(default_factory=dict)
     adjusted: dict[str, list[LinearExpression]] = field(default_factory=dict)
     deviation: dict[str, list[LinearExpression]] = field(default_factory=dict)
@@ -132,10 +135,12 @@ def _adjustment_window(
 def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
     """Add reshaping variables and constraints; return the handle map.
 
-    Per enabled (carrier, type, period): magnitudes P_in, P_out >= 0 gated
-    by binaries with v_in + v_out = 1 and P_in <= M v_in, P_out <= M v_out,
-    so the signed adjustment is P_in - P_out and its absolute value the sum
-    P_in + P_out.  Shift adjustments cancel over the horizon per carrier;
+    Per enabled (carrier, type, period): continuous magnitudes P_in, P_out
+    >= 0 bounded by the adjustment window, so the signed adjustment is
+    P_in - P_out and the deviation the sum P_in + P_out.  The sum equals
+    |P_in - P_out| at every optimum because it is only ever penalised (mu
+    >= 0) or bounded from above (satisfaction floor); the blocks add no
+    binaries.  Shift adjustments cancel over the horizon per carrier;
     substitution adjustments cancel across carriers per period under the
     configured energy-equivalence weights (dr.literal_eq2 switches to the
     per-carrier net-zero reading instead).  The satisfaction floor bounds
@@ -161,33 +166,26 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
         base = dec.shiftable_base[carrier] if dtype == SHIFT else dec.substitutable_base[carrier]
         override = dr.shift_bounds.get(carrier) if dtype == SHIFT else None
         lows, highs = _adjustment_window(base, override, f"{dtype} {carrier}")
-        # one gate magnitude per (carrier, type): any window value is reachable
-        big_m = max(max((-lo for lo in lows), default=0.0), max(highs, default=0.0), 0.0)
         mu = dr.mu_shift if dtype == SHIFT else dr.mu_subst
-        p_in, p_out, v_in, v_out, deltas = [], [], [], [], []
+        if mu < 0.0:
+            raise ValueError(
+                f"{dtype} compensation mu={mu} must be >= 0 for P_in + P_out to be exact"
+            )
+        p_in, p_out, deltas = [], [], []
         for t in range(periods):
             tag = f"dr_{dtype}_{carrier}_t{t:02d}"
             pi = model.add_continuous(0.0, max(highs[t], 0.0), f"{tag}_in")
             po = model.add_continuous(0.0, max(-lows[t], 0.0), f"{tag}_out")
-            vi = model.add_binary(f"{tag}_vin")
-            vo = model.add_binary(f"{tag}_vout")
-            model.add_constraint(pi - big_m * vi, LE, 0.0, f"{tag}_in_link")
-            model.add_constraint(po - big_m * vo, LE, 0.0, f"{tag}_out_link")
-            model.add_constraint(vi + vo, EQ, 1.0, f"{tag}_pick")
             if lows[t] > 0.0:
                 # forced minimum inflow: the variable bounds alone cannot carry it
                 model.add_constraint(pi - po, GE, lows[t], f"{tag}_floor")
             p_in.append(pi)
             p_out.append(po)
-            v_in.append(vi)
-            v_out.append(vo)
             deltas.append(pi - po)
             comp = comp + (mu * dt) * (pi + po)
         key = (carrier, dtype)
         vm.p_in[key] = p_in
         vm.p_out[key] = p_out
-        vm.v_in[key] = v_in
-        vm.v_out[key] = v_out
         vm.delta[key] = deltas
         if dtype == SHIFT or dr.literal_eq2:
             net = LinearExpression()

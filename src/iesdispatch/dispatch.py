@@ -145,7 +145,6 @@ class DispatchOptions:
     time_limit: float | None = None
     backend: str = "embedded"  # embedded | scipy-milp | external
     lp_core: str = "scipy"  # LP relaxation core for the embedded branch and bound
-    dive: bool = True
 
     def milp_options(self) -> MilpOptions:
         return MilpOptions(
@@ -154,7 +153,6 @@ class DispatchOptions:
             node_limit=self.node_limit,
             time_limit=self.time_limit,
             lp_core=self.lp_core,
-            dive=self.dive,
         )
 
 
@@ -421,7 +419,7 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     if scenario.carbon_in_objective:
         policy = replace(case.carbon, mechanism=scenario.mechanism)
         vm.carbon_cost, vm.actual_expr, vm.quota_expr, vm.pwl_bound_kg = _encode_carbon(
-            case, scenario, options, model, vm, policy
+            case, options, model, vm, policy
         )
         objective = objective + vm.carbon_cost
     model.set_objective(objective)
@@ -437,19 +435,7 @@ def _gas_unit_heat_rate_max(case: CaseData) -> float:
     return eps_e * gt_cap + gt_heat_max + gb_heat_max
 
 
-def _adjusted_gas_max(case: CaseData, scenario: ScenarioSpec, dec, t: int) -> float:
-    """Upper bound on the reshaped gas load in one period."""
-    inflow = 0.0
-    if scenario.dr_shift and GAS in case.dr.shift_carriers:
-        override = case.dr.shift_bounds.get(GAS)
-        hi = dec.shiftable_base[GAS][t] if override is None else override[1]
-        inflow += max(0.0, hi)
-    if scenario.dr_substitute and GAS in case.dr.subst_carriers:
-        inflow += dec.substitutable_base[GAS][t]
-    return case.loads[GAS].values[t] + inflow
-
-
-def _encode_carbon(case, scenario, options, model, vm, policy):
+def _encode_carbon(case, options, model, vm, policy):
     """Emission accounting expressions plus the trading-cost encoding.
 
     Actual emissions are quadratic in purchased power and in the combined
@@ -460,7 +446,6 @@ def _encode_carbon(case, scenario, options, model, vm, policy):
     """
     periods = case.horizon.periods
     dt = case.horizon.step_hours
-    dec = decompose_loads(case)
     cap_e = case.purchase_caps[0]
     q_max = _gas_unit_heat_rate_max(case)
     n = options.pwl_segments
@@ -493,27 +478,7 @@ def _encode_carbon(case, scenario, options, model, vm, policy):
         )
     actual = _sum_exprs(actual_terms)
     quota = _sum_exprs(quota_terms)
-
-    m_actual = 0.0
-    m_quota = 0.0
-    gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
-    gt_heat_max = min(eps_h * gt_cap, whb_cap) if whb else 0.0
-    gb = case.converter("GB")
-    gb_heat_max = gb.efficiencies.get("heat", 0.0) * gb.capacity_kw if gb else 0.0
-    for t in range(periods):
-        g_hi = _adjusted_gas_max(case, scenario, dec, t)
-        m_actual += dt * (
-            quad_value(policy.coal_quad, cap_e)
-            + quad_value(policy.gas_quad, q_max)
-            + policy.delta_gasload * g_hi
-        )
-        m_quota += dt * (
-            policy.sigma_e * cap_e
-            + policy.sigma_h * (policy.sigma_eh * eps_e * gt_cap + gt_heat_max)
-            + policy.sigma_h * gb_heat_max
-            + policy.sigma_gload * g_hi
-        )
-    cost = carbon_mod.encode_carbon_cost(model, policy, actual, quota, m_actual, m_quota)
+    cost = carbon_mod.encode_carbon_cost(model, policy, actual, quota)
     return cost, actual, quota, bound
 
 

@@ -4,9 +4,8 @@ A ``MilpModel`` is a plain container of variables, linear constraints and a
 minimization objective.  It knows nothing about solving; the ``solver``
 package consumes the dense arrays produced by :meth:`MilpModel.to_dense`.
 
-The module also carries the linearization toolkit used by the dispatch
-model: epigraph cuts for convex quadratics, an exact incremental piecewise
-formulation for general curves, and big-M indicator links.
+The module also carries the linearization the dispatch model uses:
+epigraph (tangent) cuts for convex quadratics.
 """
 
 from __future__ import annotations
@@ -46,18 +45,6 @@ class TriviallyInfeasibleError(ModelError):
 
 class ConvexityError(ModelError):
     """pwl_convex was asked to linearize a concave quadratic."""
-
-
-class PwlRangeError(ModelError):
-    """The argument variable can leave the breakpoint span."""
-
-
-class BigMError(ModelError):
-    """The big-M constant would cut feasible space."""
-
-
-class FrozenModelError(ModelError):
-    """Attempted to mutate a finalized model."""
 
 
 @dataclass(frozen=True)
@@ -167,7 +154,7 @@ class Constraint:
 
 
 class MilpModel:
-    """Mutable model builder; freeze() renders it immutable for sharing."""
+    """Model builder: variables, constraints and objective are added in place."""
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -176,16 +163,10 @@ class MilpModel:
         self.objective = LinearExpression()
         self._var_by_name: dict[str, int] = {}
         self._con_by_name: dict[str, int] = {}
-        self._frozen = False
 
     # -- construction ------------------------------------------------------
 
-    def _check_mutable(self):
-        if self._frozen:
-            raise FrozenModelError("model is frozen")
-
     def add_variable(self, kind: str, lower: float, upper: float, name: str) -> Variable:
-        self._check_mutable()
         if kind not in (CONTINUOUS, BINARY):
             raise ModelError(f"unknown variable kind {kind!r}")
         if name in self._var_by_name:
@@ -211,7 +192,6 @@ class MilpModel:
         return self.add_variable(BINARY, 0.0, 1.0, name)
 
     def add_constraint(self, expr, relation: str, rhs: float, name: str | None = None) -> int:
-        self._check_mutable()
         if relation not in _RELATIONS:
             raise ModelError(f"unknown relation {relation!r}")
         expr = as_expression(expr)
@@ -243,7 +223,6 @@ class MilpModel:
 
     def set_objective(self, expr) -> None:
         """Set the minimization objective."""
-        self._check_mutable()
         expr = as_expression(expr)
         for vid, c in expr.coeffs.items():
             if not math.isfinite(c):
@@ -251,10 +230,6 @@ class MilpModel:
             if vid >= len(self.variables):
                 raise ModelError(f"objective references unknown variable {vid}")
         self.objective = expr
-
-    def freeze(self) -> "MilpModel":
-        self._frozen = True
-        return self
 
     # -- introspection -----------------------------------------------------
 
@@ -353,7 +328,7 @@ def pwl_convex(model: MilpModel, x, quad, x_max: float, segments: int,
     """
     a, b, c = (float(v) for v in quad)
     if c < 0.0:
-        raise ConvexityError(f"pwl_convex requires c >= 0, got {c} (use pwl_general)")
+        raise ConvexityError(f"pwl_convex requires c >= 0, got {c}")
     if segments < 1:
         raise ModelError("segments must be >= 1")
     if x_max <= 0.0:
@@ -372,51 +347,3 @@ def pwl_convex(model: MilpModel, x, quad, x_max: float, segments: int,
         # y >= fi + slope*(x - xi)
         model.add_constraint(y - slope * xe, GE, fi - slope * xi, f"{name}_cut{i}")
     return y
-
-
-def pwl_general(model: MilpModel, x: Variable, breakpoints, values,
-                name: str) -> Variable:
-    """Exact piecewise-linear y = interp(x) via the incremental formulation.
-
-    n breakpoints yield n-1 segment-fill variables and n-2 ordering binaries;
-    two breakpoints reduce to an affine relation with no binaries.
-    """
-    bp = [float(v) for v in breakpoints]
-    vals = [float(v) for v in values]
-    if len(bp) < 2 or len(bp) != len(vals):
-        raise ModelError("need >= 2 breakpoints with matching values")
-    if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-        raise ModelError("breakpoints must be strictly increasing")
-    if x.lower < bp[0] - 1e-9 or x.upper > bp[-1] + 1e-9:
-        raise PwlRangeError(
-            f"variable {x.name!r} bounds [{x.lower}, {x.upper}] exceed "
-            f"breakpoint span [{bp[0]}, {bp[-1]}]"
-        )
-    nseg = len(bp) - 1
-    y = model.add_continuous(min(vals), max(vals), name)
-    deltas = [model.add_continuous(0.0, 1.0, f"{name}_d{i}") for i in range(nseg)]
-    # x = bp0 + sum_i delta_i * width_i ; y likewise over value increments
-    x_expr = LinearExpression({d.id: bp[i + 1] - bp[i] for i, d in enumerate(deltas)}, bp[0])
-    y_expr = LinearExpression({d.id: vals[i + 1] - vals[i] for i, d in enumerate(deltas)}, vals[0])
-    model.add_constraint(x - x_expr, EQ, 0.0, f"{name}_x")
-    model.add_constraint(y - y_expr, EQ, 0.0, f"{name}_y")
-    # fill order: segment i+1 may open only once segment i is full
-    for i in range(nseg - 1):
-        z = model.add_binary(f"{name}_z{i}")
-        model.add_constraint(deltas[i + 1] - z, LE, 0.0, f"{name}_ord_lo{i}")
-        model.add_constraint(z - deltas[i], LE, 0.0, f"{name}_ord_hi{i}")
-    return y
-
-
-def bigm_indicator(model: MilpModel, flag: Variable, x: Variable, big_m: float) -> None:
-    """Add x <= big_m * flag, forcing x to 0 when the binary flag is off."""
-    if flag.kind != BINARY:
-        raise ModelError(f"flag {flag.name!r} must be binary")
-    if not math.isfinite(big_m) or not math.isfinite(x.upper):
-        raise BigMError(f"big-M link for {x.name!r} needs finite M and x upper bound")
-    if big_m < x.upper - 1e-12:
-        raise BigMError(
-            f"big-M {big_m} smaller than upper bound {x.upper} of {x.name!r}; "
-            "would silently cut feasible space"
-        )
-    model.add_constraint(x - big_m * flag, LE, 0.0, f"{x.name}_le_M_{flag.name}")

@@ -2,11 +2,13 @@
 
 The LP relaxation at each node is solved by a pluggable core: the package's
 own simplex (``lp_core="embedded"``, warm-started from the parent basis) or
-scipy's HiGHS wrapper (``lp_core="scipy"``, faster on large models).  After
-the root relaxation an optional diving pass repeatedly fixes the most
-integral fractional binary to its rounded value to find an early incumbent,
-then the best-first loop closes the gap.  Branching picks the binary closest
-to 0.5 with lowest-index tie-breaks, so runs are deterministic.
+scipy's HiGHS wrapper (``lp_core="scipy"``, faster on large models).  The
+search starts from the root relaxation and always expands the open node with
+the lowest bound.  The dispatch models branch only on storage gates: their
+convex cost terms (demand-response deviation and the tiered carbon ladder)
+are exact LPs, so the relaxations are tight and best-first order finds the
+incumbent without a separate depth-first phase.  Branching picks the binary
+closest to 0.5 with lowest-index tie-breaks, so runs are deterministic.
 
 A node whose relaxation is integral is "polished" by re-solving with all
 binaries fixed to their rounded values, which makes incumbent binaries
@@ -38,7 +40,6 @@ class MilpOptions:
     node_limit: int = 200_000
     time_limit: float | None = None
     lp_core: str = "embedded"  # "embedded" | "scipy"
-    dive: bool = True
 
 
 @dataclass
@@ -182,28 +183,6 @@ class _Search:
 
     # -- phases ----------------------------------------------------------------
 
-    def dive(self, root: LpSolution):
-        """Depth-first plunge: fix the most integral fractional binary each step."""
-        fixes: dict[int, int] = {}
-        res = root
-        while not self.out_of_budget():
-            frac = self.fractional(res.x)
-            if frac.size == 0:
-                self.try_incumbent(res.x, res.basis)
-                return
-            scores = np.abs(res.x[frac] - 0.5)
-            j = int(frac[np.argmax(scores)])
-            val = int(round(res.x[j]))
-            trial = dict(fixes)
-            trial[j] = val
-            nxt = self.solve_node(trial, res.basis)
-            if nxt.status != OPTIMAL:
-                trial[j] = 1 - val
-                nxt = self.solve_node(trial, res.basis)
-                if nxt.status != OPTIMAL:
-                    return  # both directions dead: abandon the dive
-            fixes, res = trial, nxt
-
     def run(self) -> MilpSolution:
         root = self.solve_node({})
         if root.status == INFEASIBLE:
@@ -216,8 +195,6 @@ class _Search:
             self.inc_x, self.inc_obj = root.x.copy(), root.objective
             self.best_bound = root.objective
             return self.finish(MILP_OPTIMAL)
-        if self.opts.dive:
-            self.dive(root)
         seq = 0
         heap: list[tuple[float, int, dict[int, int], object]] = []
         heapq.heappush(heap, (root.objective, seq, {}, root.basis))

@@ -151,23 +151,27 @@ def test_step_hours_scales_energy(policy):
 
 def _encoded_cost(act_val, quo_val, policy):
     m = MilpModel()
-    act = m.add_continuous(-20_000, 20_000, "act")
-    quo = m.add_continuous(-20_000, 20_000, "quo")
+    act = m.add_continuous(-50_000, 50_000, "act")
+    quo = m.add_continuous(-50_000, 50_000, "quo")
     m.add_constraint(as_expression(act), EQ, act_val, "pin_a")
     m.add_constraint(as_expression(quo), EQ, quo_val, "pin_q")
-    cost = encode_carbon_cost(
-        m, policy, as_expression(act), as_expression(quo), 20_000.0, 20_000.0
-    )
+    cost = encode_carbon_cost(m, policy, as_expression(act), as_expression(quo))
+    assert m.binary_ids() == []
     m.set_objective(cost)
     res = solve_milp(m)
     return res.status, res.objective
 
 
 def test_encoding_matches_tier_cost(policy):
-    for share in (5000.0, 3141.5, 0.0, 123.4):
-        status, obj = _encoded_cost(share, 0.0, policy)
+    top = n_tiers(policy) * policy.interval_d
+    wider = replace(policy, extra_tiers=2)
+    cases = [(share, 0.0, policy) for share in (5000.0, 3141.5, 0.0, 123.4, top + 2500.0)]
+    cases += [(500.0, 1500.0, policy)]  # negative share: surplus quota is sold
+    cases += [(share, 0.0, wider) for share in (top + 2500.0, n_tiers(wider) * wider.interval_d + 700.0)]
+    for act, quo, pol in cases:
+        status, obj = _encoded_cost(act, quo, pol)
         assert status == "optimal"
-        assert obj == pytest.approx(tier_cost(share, policy), abs=1e-7)
+        assert obj == pytest.approx(tier_cost(act - quo, pol), abs=1e-7)
 
 
 def test_encoding_matches_at_knees(policy):
@@ -199,5 +203,14 @@ def test_encoding_traditional_and_none(policy):
     none = replace(policy, mechanism=MECHANISM_NONE)
     m = MilpModel()
     act = m.add_continuous(0, 10, "act")
-    expr = encode_carbon_cost(m, none, as_expression(act), as_expression(0.0), 10.0, 0.0)
+    expr = encode_carbon_cost(m, none, as_expression(act), as_expression(0.0))
     assert not expr.coeffs and expr.constant == 0.0
+
+
+@pytest.mark.parametrize("field", ["alpha_growth", "lambda_base"])
+def test_encoding_rejects_nonconvex_ladder(policy, field):
+    # the epigraph form is exact only for a convex ladder
+    m = MilpModel()
+    act = m.add_continuous(0, 10, "act")
+    with pytest.raises(ValueError, match="convex"):
+        encode_carbon_cost(m, replace(policy, **{field: -0.1}), as_expression(act), as_expression(0.0))

@@ -150,8 +150,9 @@ def test_blocks_shift_only_for_shift_carriers(case):
     vm = build_dr_blocks(case, as_scenario("S4"), model)
     assert not vm.empty
     assert set(vm.p_in) == {("electric", SHIFT), ("heat", SHIFT)}
-    # in/out/gate pair per carrier per period
-    assert model.num_variables == 4 * case.horizon.periods * 2
+    # one in/out magnitude pair per carrier per period, no gate binaries
+    assert model.num_variables == 2 * case.horizon.periods * 2
+    assert model.binary_ids() == []
 
 
 def test_blocks_substitution_adds_all_carriers(case):
@@ -180,6 +181,13 @@ def test_blocks_reject_empty_window(case):
         dr=replace(case.dr, shift_bounds={"electric": (5.0, 1.0), "gas": None, "heat": None}),
     )
     with pytest.raises(DrBoundError, match="empty adjustment window"):
+        build_dr_blocks(bad, as_scenario("S4"), MilpModel())
+
+
+def test_blocks_reject_negative_compensation(case):
+    # P_in + P_out is the absolute deviation only under a non-negative weight
+    bad = replace(case, dr=replace(case.dr, mu_shift=-0.1))
+    with pytest.raises(ValueError, match="compensation"):
         build_dr_blocks(bad, as_scenario("S4"), MilpModel())
 
 

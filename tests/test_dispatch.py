@@ -4,6 +4,8 @@ import dataclasses
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iesdispatch.dispatch import (
     SCENARIO_IDS,
@@ -11,13 +13,14 @@ from iesdispatch.dispatch import (
     DispatchOptions,
     StaticInfeasibleError,
     as_scenario,
+    build_model,
     run_all_scenarios,
     run_scenario,
     sweep_interval,
     sweep_lambda,
     verify_solution,
 )
-from iesdispatch.model_core import default_case_path, load_case, reduce_case
+from iesdispatch.model_core import default_case_path, load_case, reduce_case, scale_profiles
 
 
 def tiny_case(T, elec, gas, heat, wind, price=None, storages=None):
@@ -41,8 +44,13 @@ def tiny_case(T, elec, gas, heat, wind, price=None, storages=None):
 
 
 @pytest.fixture(scope="module")
-def reduced_case():
-    return reduce_case(load_case(default_case_path()), 2)
+def bundled_case():
+    return load_case(default_case_path())
+
+
+@pytest.fixture(scope="module")
+def reduced_case(bundled_case):
+    return reduce_case(bundled_case, 2)
 
 
 @pytest.fixture(scope="module")
@@ -282,3 +290,54 @@ def test_single_point_interval_sweep_matches_run(reduced_case, reduced_options):
     points = sweep_interval(reduced_case, "S5", [2000.0], reduced_options)
     assert len(points) == 1
     assert points[0].total_cost == pytest.approx(base.costs.total, rel=1e-9)
+
+
+# -- exact LP forms of the convex cost terms ------------------------------------------
+
+# Bundled full-case optima of the earlier formulation, which gated every
+# demand-response adjustment and every carbon tier with binaries.
+GATED_OBJECTIVES = {
+    "S1": 15526.090437,
+    "S2": 16172.746708,
+    "S3": 16206.576735,
+    "S4": 16079.695285,
+    "S5": 16073.368256,
+}
+
+
+def test_only_storage_gates_are_binary(bundled_case):
+    for sid in SCENARIO_IDS:
+        model, vm = build_model(bundled_case, sid)
+        gates = sorted(u.id for blk in vm.storage.values() for u in blk.gate)
+        assert model.binary_ids() == gates, sid
+
+
+def test_full_case_optima_match_the_gated_formulation(bundled_case):
+    options = DispatchOptions()
+    report = run_all_scenarios(bundled_case, options)
+    for row in report.rows:
+        want = GATED_OBJECTIVES[row.scenario_id]
+        assert row.status == "optimal", (row.scenario_id, row.error)
+        assert abs(row.objective - want) <= options.gap_tol * abs(want), (row.scenario_id, row.objective)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    scenario=st.sampled_from(("S3", "S4", "S5")),
+    reduced=st.booleans(),
+    factors=st.fixed_dictionaries(
+        {k: st.floats(min_value=0.9, max_value=1.1) for k in ("electric", "gas", "heat", "wind")}
+    ),
+)
+def test_embedded_search_agrees_with_scipy_milp(bundled_case, scenario, reduced, factors):
+    case = scale_profiles(bundled_case, factors)
+    options = DispatchOptions()
+    if reduced:
+        case, options = reduce_case(case, 2), DispatchOptions(pwl_segments=4)
+    # run_scenario raises unless the solution verifies
+    mine = run_scenario(case, scenario, options)
+    ref = run_scenario(case, scenario, replace(options, backend="scipy-milp"))
+    assert mine.verification.passed and ref.verification.passed
+    # both are incumbents within gap_tol above the same optimum
+    scale = max(1.0, abs(mine.objective), abs(ref.objective))
+    assert abs(mine.objective - ref.objective) <= options.gap_tol * scale, (mine.objective, ref.objective)

@@ -10,23 +10,19 @@ from iesdispatch.milp_ir import (
     EQ,
     GE,
     LE,
-    BigMError,
     BoundError,
     ConvexityError,
     DuplicateNameError,
-    FrozenModelError,
     LinearExpression,
     MilpModel,
     TriviallyInfeasibleError,
     as_expression,
-    bigm_indicator,
     pwl_convex,
     pwl_convex_error_bound,
     pwl_convex_value,
-    pwl_general,
     quad_value,
 )
-from iesdispatch.solver import solve_lp, solve_milp
+from iesdispatch.solver import solve_lp
 
 
 def test_expression_arithmetic():
@@ -87,14 +83,6 @@ def test_constant_row_redundant_ok():
     m.add_continuous(0, 1, "x")
     m.add_constraint(LinearExpression(constant=1.0), LE, 2.0, "slack")  # 0 <= 1
     assert m.num_constraints == 1
-
-
-def test_freeze_blocks_mutation():
-    m = MilpModel()
-    m.add_continuous(0, 1, "x")
-    m.freeze()
-    with pytest.raises(FrozenModelError):
-        m.add_continuous(0, 1, "y")
 
 
 def test_check_solution_reports_violations():
@@ -179,54 +167,6 @@ def test_pwl_convex_rejects_concave():
     x = m.add_continuous(0, 1, "x")
     with pytest.raises(ConvexityError):
         pwl_convex(m, x, (0.0, 0.0, -1.0), 1.0, 2, "y")
-
-
-def test_pwl_general_interpolates():
-    m = MilpModel()
-    x = m.add_continuous(0.0, 2.0, "x")
-    y = pwl_general(m, x, (0.0, 1.0, 2.0), (0.0, 1.0, 0.0), "tent")
-    m.add_constraint(as_expression(x), EQ, 1.5, "pin")
-    m.set_objective(as_expression(y))
-    res = solve_milp(m)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(0.5, abs=1e-9)
-
-
-def test_pwl_general_two_breakpoints_no_binaries():
-    m = MilpModel()
-    x = m.add_continuous(0.0, 1.0, "x")
-    pwl_general(m, x, (0.0, 1.0), (2.0, 4.0), "line")
-    assert m.binary_ids() == []
-
-
-def test_pwl_general_exact_at_breakpoints():
-    for x_fix, want in ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)):
-        m = MilpModel()
-        x = m.add_continuous(0.0, 2.0, "x")
-        y = pwl_general(m, x, (0.0, 1.0, 2.0), (0.0, 1.0, 0.0), "tent")
-        m.add_constraint(as_expression(x), EQ, x_fix, "pin")
-        m.set_objective(as_expression(y))
-        res = solve_milp(m)
-        assert res.objective == pytest.approx(want, abs=1e-9)
-
-
-def test_bigm_indicator_forces_zero():
-    m = MilpModel()
-    flag = m.add_binary("flag")
-    x = m.add_continuous(0.0, 5.0, "x")
-    bigm_indicator(m, flag, x, 5.0)
-    m.add_constraint(as_expression(flag), EQ, 0.0, "off")
-    m.set_objective(-1.0 * x)
-    res = solve_milp(m)
-    assert res.objective == pytest.approx(0.0, abs=1e-9)
-
-
-def test_bigm_indicator_rejects_small_m():
-    m = MilpModel()
-    flag = m.add_binary("flag")
-    x = m.add_continuous(0.0, 5.0, "x")
-    with pytest.raises(BigMError):
-        bigm_indicator(m, flag, x, 2.5)
 
 
 def test_to_dense_shapes():
