@@ -1,14 +1,19 @@
 """Best-first branch-and-bound over binary variables.
 
 The LP relaxation at each node is solved by a pluggable core: the package's
-own simplex (``lp_core="embedded"``, warm-started from the parent basis) or
-scipy's HiGHS wrapper (``lp_core="scipy"``, faster on large models).  The
-search starts from the root relaxation and always expands the open node with
-the lowest bound.  The dispatch models branch only on storage gates: their
-convex cost terms (demand-response deviation and the tiered carbon ladder)
-are exact LPs, so the relaxations are tight and best-first order finds the
-incumbent without a separate depth-first phase.  Branching picks the binary
-closest to 0.5 with lowest-index tie-breaks, so runs are deterministic.
+own simplex (``lp_core="embedded"``), or HiGHS through scipy's bindings
+(``lp_core="scipy"``).  The HiGHS core loads the model once per solve with
+presolve off; a node only changes column bounds and restarts the dual
+simplex from its parent's basis, which after one fixed binary takes a few
+pivots instead of a cold solve.  Both cores get the parent's basis token, so
+every node warm-starts from its own parent whatever order nodes are popped
+in.  The search starts from the root relaxation and always expands the open
+node with the lowest bound.  The dispatch models branch only on storage
+gates: their convex cost terms (demand-response deviation and the tiered
+carbon ladder) are exact LPs, so the relaxations are tight and best-first
+order finds the incumbent without a separate depth-first phase.  Branching
+picks the binary closest to 0.5 with lowest-index tie-breaks, so runs are
+deterministic.
 
 A node whose relaxation is integral is "polished" by re-solving with all
 binaries fixed to their rounded values, which makes incumbent binaries
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..milp_ir import EQ, GE, LE, MilpModel
+from ..milp_ir import GE, LE, MilpModel
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, solve_lp_arrays
 
 MILP_OPTIMAL = "optimal"
@@ -75,42 +80,92 @@ class _EmbeddedCore:
 
 
 class _ScipyCore:
-    def __init__(self, c, c0, A, relations, rhs):
-        from scipy.optimize import linprog  # deferred so embedded path has no dep
+    """One HiGHS instance per solve; a node changes only column bounds.
 
-        self._linprog = linprog
-        self.c, self.c0 = c, c0
-        le = [i for i, r in enumerate(relations) if r == LE]
-        ge = [i for i, r in enumerate(relations) if r == GE]
-        eq = [i for i, r in enumerate(relations) if r == EQ]
-        rhs = np.asarray(rhs, dtype=float)
-        ub_rows = [A[i] for i in le] + [-A[i] for i in ge]
-        self.A_ub = np.array(ub_rows) if ub_rows else None
-        self.b_ub = (
-            np.concatenate([rhs[le], -rhs[ge]]) if ub_rows else None
+    The model is loaded once with presolve off, so the simplex basis lives
+    on between runs.  A node given its parent's basis restarts the dual
+    simplex from it; a node without one (the root) starts cold.
+    """
+
+    def __init__(self, c, c0, A, relations, rhs):
+        # deferred so the embedded path has no scipy dependency
+        from scipy.optimize._highspy._core import (
+            HighsLp,
+            HighsModelStatus,
+            HighsStatus,
+            MatrixFormat,
+            _Highs,
         )
-        self.A_eq = A[eq] if eq else None
-        self.b_eq = rhs[eq] if eq else None
+        from scipy.sparse import csc_array
+
+        self._status = HighsModelStatus
+        self.c0 = c0
+        n, m = len(c), len(relations)
+        self._cols = np.arange(n, dtype=np.int32)
+        self._cost = np.asarray(c, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        rel = np.asarray(relations, dtype=object)
+        lp = HighsLp()
+        lp.num_col_, lp.num_row_ = n, m
+        lp.col_cost_ = self._cost
+        lp.col_lower_, lp.col_upper_ = np.zeros(n), np.zeros(n)  # set per node
+        lp.row_lower_ = np.where(rel == LE, -np.inf, rhs)
+        lp.row_upper_ = np.where(rel == GE, np.inf, rhs)
+        csc = csc_array(A)
+        mat = lp.a_matrix_
+        mat.format_ = MatrixFormat.kColwise
+        mat.num_col_, mat.num_row_ = n, m
+        mat.start_, mat.index_, mat.value_ = csc.indptr, csc.indices, csc.data
+        self._highs = _Highs()
+        self._highs.setOptionValue("output_flag", False)
+        self._highs.setOptionValue("presolve", "off")
+        if self._highs.passModel(lp) == HighsStatus.kError:
+            raise RuntimeError("LP core failed: HiGHS rejected the model")
+
+    def _run(self) -> int:
+        self._highs.run()
+        return self._highs.getInfo().simplex_iteration_count
+
+    def _resolve_unbounded_or_infeasible(self) -> tuple[str, int]:
+        """Decide feasibility by re-running with a zero objective."""
+        h, n = self._highs, len(self._cols)
+        h.changeColsCost(n, self._cols, np.zeros(n))
+        h.clearSolver()
+        iterations = self._run()
+        model_status = h.getModelStatus()
+        h.changeColsCost(n, self._cols, self._cost)
+        # the first run found the dual infeasible, so a feasible primal is unbounded
+        if model_status == self._status.kOptimal:
+            return UNBOUNDED, iterations
+        if model_status == self._status.kInfeasible:
+            return INFEASIBLE, iterations
+        raise RuntimeError(f"LP core failed: {h.modelStatusToString(model_status)}")
 
     def solve(self, lb, ub, start=None) -> LpSolution:
-        res = self._linprog(
-            self.c,
-            A_ub=self.A_ub,
-            b_ub=self.b_ub,
-            A_eq=self.A_eq,
-            b_eq=self.b_eq,
-            bounds=list(zip(lb, ub)),
-            method="highs",
-        )
-        if res.status == 0:
+        h, status = self._highs, self._status
+        h.changeColsBounds(len(self._cols), self._cols, lb, ub)
+        if start is None:
+            h.clearSolver()
+        else:
+            h.setBasis(start)
+        iterations = self._run()
+        model_status = h.getModelStatus()
+        if model_status == status.kOptimal:
             return LpSolution(
-                status=OPTIMAL, objective=float(res.fun) + self.c0, x=np.asarray(res.x)
+                status=OPTIMAL,
+                objective=h.getInfo().objective_function_value + self.c0,
+                x=np.array(h.getSolution().col_value),
+                iterations=iterations,
+                basis=h.getBasis(),
             )
-        if res.status == 2:
-            return LpSolution(status=INFEASIBLE)
-        if res.status == 3:
-            return LpSolution(status=UNBOUNDED)
-        raise RuntimeError(f"LP core failed: {res.message}")
+        if model_status == status.kInfeasible:
+            return LpSolution(status=INFEASIBLE, iterations=iterations)
+        if model_status == status.kUnbounded:
+            return LpSolution(status=UNBOUNDED, iterations=iterations)
+        if model_status == status.kUnboundedOrInfeasible:
+            verdict, more = self._resolve_unbounded_or_infeasible()
+            return LpSolution(status=verdict, iterations=iterations + more)
+        raise RuntimeError(f"LP core failed: {h.modelStatusToString(model_status)}")
 
 
 def _make_core(name, c, c0, A, relations, rhs):

@@ -40,7 +40,7 @@ class NumericalFailure(Exception):
 
 @dataclass
 class LpSolution:
-    """LP outcome; `basis` is an opaque warm-start token for re-solves."""
+    """LP outcome; `basis` is an opaque, core-specific warm-start token."""
 
     status: str
     objective: float | None = None
@@ -50,7 +50,7 @@ class LpSolution:
     iterations: int = 0
     infeasibility: float = 0.0
     farkas: np.ndarray | None = None
-    basis: tuple[np.ndarray, np.ndarray] | None = None
+    basis: object = None
 
 
 class _Simplex:

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from iesdispatch.milp_ir import EQ, GE, LE, INF, MilpModel, as_expression
+from iesdispatch.solver.branch_bound import _ScipyCore
 from iesdispatch.solver import (
     MilpOptions,
     available_backends,
@@ -323,6 +324,121 @@ def test_lp_cores_agree():
         assert a.status == b.status
         if a.status == "optimal":
             assert a.objective == pytest.approx(b.objective, abs=1e-6, rel=1e-6)
+
+
+def _status_case(kind: str) -> MilpModel:
+    m = MilpModel()
+    x = m.add_binary("x")
+    y = m.add_continuous(0, INF if kind == "unbounded root" else 1, "y")
+    if kind == "infeasible node":  # root relaxation x = 0.5, both children fail
+        m.add_constraint(2 * x, EQ, 1.0, "half")
+    elif kind == "infeasible root":
+        m.add_constraint(x + y, GE, 3.0, "too_much")
+    m.set_objective(x - y)
+    return m
+
+
+@pytest.mark.parametrize(
+    "kind, status, branched",
+    [("infeasible node", "infeasible", True), ("infeasible root", "infeasible", False),
+     ("unbounded root", "unbounded", False)],
+)
+def test_scipy_core_milp_statuses(kind, status, branched):
+    res = solve_milp(_status_case(kind), MilpOptions(lp_core="scipy"))
+    assert (res.status, res.x) == (status, None)
+    assert (res.nodes > 1) == branched
+
+
+@pytest.mark.parametrize(
+    "lp, status",
+    [
+        # x + y >= 1 and x + y <= 0, descent ray (1, -1): primal and dual infeasible
+        (([-1, 1], [[1, 1], [1, 1]], [GE, LE], [1, 0], [-INF, -INF], [INF, INF]), "infeasible"),
+        # x + y <= 3 with x, y <= 5: x falls without limit and pays +1 per unit
+        (([1, -1], [[1, 1]], [LE], [3], [-INF, -INF], [5, 5]), "unbounded"),
+    ],
+)
+def test_scipy_core_resolves_unbounded_or_infeasible(lp, status):
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    c, A, relations, rhs, lb, ub = lp
+    core = _ScipyCore(np.array(c, float), 0.0, np.array(A, float), relations, rhs)
+    lb, ub = np.array(lb, float), np.array(ub, float)
+    core._highs.setOptionValue("allow_unbounded_or_infeasible", True)
+    core._highs.changeColsBounds(len(lb), np.arange(len(lb), dtype=np.int32), lb, ub)
+    core._highs.run()
+    assert core._highs.getModelStatus() == HighsModelStatus.kUnboundedOrInfeasible
+    assert core.solve(lb, ub).status == status
+    assert core.solve(lb, ub).status == status  # the objective is restored
+
+
+def test_highs_private_api_is_importable():
+    # _ScipyCore drives HiGHS through scipy's private bindings; a scipy
+    # release that moves them must fail here, not deep inside a solve.
+    from scipy.optimize._highspy._core import (  # noqa: F401
+        HighsLp,
+        HighsModelStatus,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+    )
+
+    for method in ("passModel", "changeColsBounds", "changeColsCost", "clearSolver",
+                   "setBasis", "getBasis", "getInfo", "getSolution", "getModelStatus"):
+        assert callable(getattr(_Highs, method))
+    assert HighsModelStatus.kUnboundedOrInfeasible != HighsModelStatus.kUnbounded
+
+
+@pytest.fixture(scope="module")
+def s5_dense():
+    from iesdispatch.dispatch import build_model
+    from iesdispatch.model_core import default_case_path, load_case
+
+    model, _ = build_model(load_case(default_case_path()), "S5")
+    c, c0, A, relations, rhs, lb, ub, is_binary = model.to_dense()
+    return (c, c0, A, relations, rhs), lb, ub, np.flatnonzero(is_binary)
+
+
+def _fixed(lb, ub, fixes):
+    lb, ub = lb.copy(), ub.copy()
+    for j, v in fixes.items():
+        lb[j] = ub[j] = float(v)
+    return lb, ub
+
+
+def test_warm_start_from_parent_basis_saves_simplex_iterations(s5_dense):
+    arrays, lb, ub, gates = s5_dense
+    root = _ScipyCore(*arrays).solve(lb, ub)
+    j = int(gates[np.argmin(np.abs(root.x[gates] - 0.5))])
+    child_lb, child_ub = _fixed(lb, ub, {j: 1 - round(root.x[j])})
+    # fresh cores, so only the basis passed in can carry the root's work
+    warm = _ScipyCore(*arrays).solve(child_lb, child_ub, root.basis)
+    cold = _ScipyCore(*arrays).solve(child_lb, child_ub)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert root.iterations > 100
+    assert warm.iterations < cold.iterations
+
+
+def test_persistent_core_matches_cold_solves(s5_dense):
+    arrays, lb, ub, gates = s5_dense
+    rng = random.Random(11)
+    core = _ScipyCore(*arrays)
+    solved = [({}, core.solve(lb, ub))]
+    statuses = set()
+    for _ in range(20):
+        fixes, parent = rng.choice(solved)
+        j = int(rng.choice(gates))
+        child = {**fixes, j: 1 - round(parent.x[j])}  # moves the parent's optimum
+        bounds = _fixed(lb, ub, child)
+        warm = core.solve(*bounds, parent.basis)
+        cold = _ScipyCore(*arrays).solve(*bounds)
+        assert warm.status == cold.status
+        statuses.add(warm.status)
+        if warm.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-7, abs=0.0)
+            solved.append((child, warm))
+    assert "optimal" in statuses
 
 
 def test_backend_registry():
