@@ -11,8 +11,8 @@ Every artifact set is accompanied by a meta.json recording the case hash,
 scenario, solver options, and code version.  Outputs are deterministic:
 fixed six-decimal formatting, UTF-8, LF line endings, no timestamps.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure, 3 infeasible,
-4 solver limit or unverifiable result.
+Exit codes: 0 success, 1 usage error or unavailable backend, 2 validation
+failure, 3 infeasible, 4 solver limit or unverifiable result.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .model_core import (
     reduce_case,
     validate_case,
 )
+from .solver import BackendUnavailableError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -265,7 +266,6 @@ def _options_from_args(args) -> DispatchOptions:
         node_limit=args.node_limit,
         time_limit=args.time_limit,
         backend=args.backend,
-        lp_core=args.lp_core,
     )
     if args.reduced:
         opts = DispatchOptions(**{**asdict(opts), "pwl_segments": REDUCED_SEGMENTS})
@@ -406,8 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
         p.add_argument("--backend", default="embedded",
                        choices=("embedded", "scipy-milp", "external"))
-        p.add_argument("--lp-core", default="scipy", choices=("embedded", "scipy"),
-                       help="LP relaxation solver inside branch and bound")
         p.add_argument("--reduced", action="store_true",
                        help="halve the horizon and use 4 segments (fast CI mode)")
         if scenario_default is not None:
@@ -454,6 +452,9 @@ def main(argv=None) -> int:
     except CaseError as exc:
         print(f"case error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BackendUnavailableError as exc:
+        print(f"backend error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

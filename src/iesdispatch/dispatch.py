@@ -144,7 +144,6 @@ class DispatchOptions:
     node_limit: int = 200_000
     time_limit: float | None = None
     backend: str = "embedded"  # embedded | scipy-milp | external
-    lp_core: str = "scipy"  # LP relaxation core for the embedded branch and bound
 
     def milp_options(self) -> MilpOptions:
         return MilpOptions(
@@ -152,7 +151,6 @@ class DispatchOptions:
             int_tol=self.int_tol,
             node_limit=self.node_limit,
             time_limit=self.time_limit,
-            lp_core=self.lp_core,
         )
 
 
@@ -1011,7 +1009,7 @@ def _scenario_task(args):
 
 def _run_tasks(tasks, jobs: int):
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_scenario_task, tasks))
     return [_scenario_task(t) for t in tasks]
 

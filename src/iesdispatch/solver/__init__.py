@@ -1,11 +1,6 @@
-"""Exact MILP solving: simplex LP core, branch-and-bound, backend registry."""
+"""Exact MILP solving: reference simplex, branch-and-bound, backend registry."""
 
-from .simplex import (
-    LpSolution,
-    NumericalFailure,
-    solve_lp,
-    solve_lp_arrays,
-)
+from .simplex import LpSolution, NumericalFailure, solve_lp
 from .branch_bound import MilpOptions, MilpSolution, solve_milp
 from .backends import (
     Backend,
@@ -18,7 +13,6 @@ __all__ = [
     "LpSolution",
     "NumericalFailure",
     "solve_lp",
-    "solve_lp_arrays",
     "MilpOptions",
     "MilpSolution",
     "solve_milp",

@@ -1,19 +1,21 @@
 """Solver backends behind a single contract: solve(model, options) -> MilpSolution.
 
-- "embedded": this package's branch-and-bound (LP core chosen by
-  MilpOptions.lp_core).
+- "embedded": this package's branch-and-bound, with HiGHS node LPs.
 - "scipy-milp": scipy.optimize.milp (HiGHS branch-and-cut), used as an
   independent cross-check.
 - "external": runs a user-supplied command on the LP-format export.  The
   command comes from the IESDISPATCH_EXTERNAL_SOLVER environment variable and
-  receives the LP path and the solution path as arguments.  The solution file
-  is plain ``key=value`` lines: a ``status=`` line, an ``objective=`` line,
-  then one ``<variable>=<value>`` line per variable (LP-sanitized names).
+  receives the LP path and the solution path as arguments.  It is split by
+  shell rules (``shlex``), so a path with spaces works when quoted.  The
+  solution file is plain ``key=value`` lines: a ``status=`` line, an
+  ``objective=`` line, then one ``<variable>=<value>`` line per variable
+  (LP-sanitized names).
 """
 
 from __future__ import annotations
 
 import os
+import shlex
 import subprocess
 import tempfile
 
@@ -132,7 +134,7 @@ class ExternalBackend(Backend):
             sol_path = os.path.join(tmp, "model.sol")
             with open(lp_path, "w", encoding="utf-8") as fh:
                 fh.write(write_lp(model))
-            argv = self.command.split() + [lp_path, sol_path]
+            argv = shlex.split(self.command) + [lp_path, sol_path]
             proc = subprocess.run(argv, capture_output=True, text=True)
             if proc.returncode != 0:
                 raise BackendUnavailableError(

@@ -1,19 +1,17 @@
 """Best-first branch-and-bound over binary variables.
 
-The LP relaxation at each node is solved by a pluggable core: the package's
-own simplex (``lp_core="embedded"``), or HiGHS through scipy's bindings
-(``lp_core="scipy"``).  The HiGHS core loads the model once per solve with
-presolve off; a node only changes column bounds and restarts the dual
-simplex from its parent's basis, which after one fixed binary takes a few
-pivots instead of a cold solve.  Both cores get the parent's basis token, so
-every node warm-starts from its own parent whatever order nodes are popped
-in.  The search starts from the root relaxation and always expands the open
-node with the lowest bound.  The dispatch models branch only on storage
-gates: their convex cost terms (demand-response deviation and the tiered
-carbon ladder) are exact LPs, so the relaxations are tight and best-first
-order finds the incumbent without a separate depth-first phase.  Branching
-picks the binary closest to 0.5 with lowest-index tie-breaks, so runs are
-deterministic.
+Node LP relaxations are solved by HiGHS through scipy's bindings.  One HiGHS
+instance is loaded per solve with presolve off; a node only changes column
+bounds and restarts the dual simplex from its parent's basis, which after
+one fixed binary takes a few pivots instead of a cold solve.  Every node
+gets its parent's basis, so it warm-starts from its own parent whatever
+order nodes are popped in.  The search starts at the root relaxation, the
+first node popped, and always expands the open node with the lowest bound.
+The dispatch models branch only on storage gates: their convex cost terms
+(demand-response deviation and the tiered carbon ladder) are exact LPs, so
+the relaxations are tight and best-first order finds the incumbent without a
+separate depth-first phase.  Branching picks the binary closest to 0.5 with
+lowest-index tie-breaks, so runs are deterministic.
 
 A node whose relaxation is integral is "polished" by re-solving with all
 binaries fixed to their rounded values, which makes incumbent binaries
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..milp_ir import GE, LE, MilpModel
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, solve_lp_arrays
+from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
 
 MILP_OPTIMAL = "optimal"
 MILP_FEASIBLE = "feasible"
@@ -44,7 +42,6 @@ class MilpOptions:
     int_tol: float = 1e-6
     node_limit: int = 200_000
     time_limit: float | None = None
-    lp_core: str = "embedded"  # "embedded" | "scipy"
 
 
 @dataclass
@@ -68,17 +65,6 @@ class MilpSolution:
     trace: list[tuple[int, float, float]] = field(default_factory=list)
 
 
-class _EmbeddedCore:
-    def __init__(self, c, c0, A, relations, rhs):
-        self.c, self.c0, self.A = c, c0, A
-        self.relations, self.rhs = relations, rhs
-
-    def solve(self, lb, ub, start=None) -> LpSolution:
-        return solve_lp_arrays(
-            self.c, self.c0, self.A, self.relations, self.rhs, lb, ub, start=start
-        )
-
-
 class _ScipyCore:
     """One HiGHS instance per solve; a node changes only column bounds.
 
@@ -88,7 +74,7 @@ class _ScipyCore:
     """
 
     def __init__(self, c, c0, A, relations, rhs):
-        # deferred so the embedded path has no scipy dependency
+        # deferred so that importing the package does not load scipy
         from scipy.optimize._highspy._core import (
             HighsLp,
             HighsModelStatus,
@@ -168,20 +154,12 @@ class _ScipyCore:
         raise RuntimeError(f"LP core failed: {h.modelStatusToString(model_status)}")
 
 
-def _make_core(name, c, c0, A, relations, rhs):
-    if name == "embedded":
-        return _EmbeddedCore(c, c0, A, relations, rhs)
-    if name == "scipy":
-        return _ScipyCore(c, c0, A, relations, rhs)
-    raise ValueError(f"unknown lp_core {name!r} (choose 'embedded' or 'scipy')")
-
-
 class _Search:
     def __init__(self, model: MilpModel, opts: MilpOptions):
         self.opts = opts
         (c, c0, A, relations, rhs, self.lb0, self.ub0, is_binary) = model.to_dense()
         self.bin_idx = np.flatnonzero(is_binary)
-        self.core = _make_core(opts.lp_core, c, c0, A, relations, rhs)
+        self.core = _ScipyCore(c, c0, A, relations, rhs)
         self.t0 = time.perf_counter()
         self.nodes = 0
         self.inc_x: np.ndarray | None = None
@@ -239,30 +217,30 @@ class _Search:
     # -- phases ----------------------------------------------------------------
 
     def run(self) -> MilpSolution:
-        root = self.solve_node({})
-        if root.status == INFEASIBLE:
-            return self.finish(MILP_INFEASIBLE)
-        if root.status == UNBOUNDED:
-            return self.finish(MILP_UNBOUNDED)
-        self.best_bound = root.objective
-        self.record()
-        if self.bin_idx.size == 0:
-            self.inc_x, self.inc_obj = root.x.copy(), root.objective
-            self.best_bound = root.objective
-            return self.finish(MILP_OPTIMAL)
         seq = 0
-        heap: list[tuple[float, int, dict[int, int], object]] = []
-        heapq.heappush(heap, (root.objective, seq, {}, root.basis))
+        # the root: no fixings and no basis, so it starts cold
+        heap: list[tuple[float, int, dict[int, int], object]] = [(-np.inf, seq, {}, None)]
         while heap:
             bound = heap[0][0]
             self.best_bound = max(self.best_bound, min(bound, self.inc_obj))
             if self.inc_x is not None and self.gap_closed(bound):
                 return self.finish(MILP_OPTIMAL)
-            if self.out_of_budget():
+            # the root is always solved, so a limited run still has its bound
+            if self.nodes and self.out_of_budget():
                 return self.finish(None)
             _, _, fixes, basis = heapq.heappop(heap)
             res = self.solve_node(fixes, basis)
-            if res.status != OPTIMAL:
+            if not fixes:  # the root decides infeasible and unbounded models
+                if res.status == INFEASIBLE:
+                    return self.finish(MILP_INFEASIBLE)
+                if res.status == UNBOUNDED:
+                    return self.finish(MILP_UNBOUNDED)
+                self.best_bound = res.objective
+                self.record()
+                if self.bin_idx.size == 0:
+                    self.inc_x, self.inc_obj = res.x.copy(), res.objective
+                    return self.finish(MILP_OPTIMAL)
+            elif res.status != OPTIMAL:
                 continue
             if res.objective >= self.inc_obj - 1e-12:
                 continue

@@ -40,7 +40,7 @@ class NumericalFailure(Exception):
 
 @dataclass
 class LpSolution:
-    """LP outcome; `basis` is an opaque, core-specific warm-start token."""
+    """LP outcome; `basis` is the HiGHS core's warm-start token."""
 
     status: str
     objective: float | None = None
@@ -54,7 +54,7 @@ class LpSolution:
 
 
 class _Simplex:
-    def __init__(self, c, c0, A, relations, rhs, lb, ub, start=None, max_iter=None):
+    def __init__(self, c, c0, A, relations, rhs, lb, ub):
         self.m, self.n = A.shape
         m, n = self.m, self.n
         self.N = n + m
@@ -91,7 +91,7 @@ class _Simplex:
         )
         self.btol = 1e-9 * (1.0 + absb)
         self.snapped = False
-        self.max_iter = max_iter if max_iter is not None else 200 * (m + self.N) + 5000
+        self.max_iter = 200 * (m + self.N) + 5000
 
         self.stat = np.empty(self.N, dtype=np.int8)
         for j in range(self.N):
@@ -101,41 +101,14 @@ class _Simplex:
                 self.stat[j] = _AT_UPPER
             else:
                 self.stat[j] = _FREE
-        if start is not None and self._try_warm_start(start):
-            pass
-        else:
-            self.basis = np.arange(n, n + m)
-            for j in range(n, self.N):
-                self.stat[j] = _BASIC
-            self._refactor()
+        self.basis = np.arange(n, n + m)
+        self.stat[n:] = _BASIC
+        self._refactor()
         self.iterations = 0
         self.degenerate_run = 0
         self.updates_since_refactor = 0
 
     # -- basis maintenance ---------------------------------------------------
-
-    def _try_warm_start(self, start) -> bool:
-        basis, stat = start
-        basis = np.asarray(basis, dtype=int)
-        if basis.shape != (self.m,) or len(np.unique(basis)) != self.m:
-            return False
-        if basis.min(initial=0) < 0 or basis.max(initial=0) >= self.N:
-            return False
-        self.basis = basis.copy()
-        self.stat = np.asarray(stat, dtype=np.int8).copy()
-        # nonbasic statuses must point at finite bounds of the *current* model
-        for j in range(self.N):
-            if self.stat[j] == _BASIC:
-                continue
-            if self.stat[j] == _AT_LOWER and not np.isfinite(self.lb[j]):
-                self.stat[j] = _AT_UPPER if np.isfinite(self.ub[j]) else _FREE
-            elif self.stat[j] == _AT_UPPER and not np.isfinite(self.ub[j]):
-                self.stat[j] = _AT_LOWER if np.isfinite(self.lb[j]) else _FREE
-        try:
-            self._refactor()
-        except np.linalg.LinAlgError:
-            return False
-        return True
 
     def _nonbasic_values(self) -> np.ndarray:
         v = np.zeros(self.N)
@@ -284,7 +257,6 @@ class _Simplex:
                             iterations=self.iterations,
                             infeasibility=inf,
                             farkas=-y,
-                            basis=(self.basis.copy(), self.stat.copy()),
                         )
                     # feasible within certification tolerance: snap and go on
                     self.xB = np.clip(self.xB, self.lb[self.basis], self.ub[self.basis])
@@ -301,11 +273,7 @@ class _Simplex:
                         final_checks += 1
                         continue
                     raise NumericalFailure("phase-1 descent unbounded (numerical)")
-                return LpSolution(
-                    status=UNBOUNDED,
-                    iterations=self.iterations,
-                    basis=(self.basis.copy(), self.stat.copy()),
-                )
+                return LpSolution(status=UNBOUNDED, iterations=self.iterations)
             self.degenerate_run = self.degenerate_run + 1 if t <= self.ftol else 0
             if t > 0.0:
                 self.xB -= direction * t * alpha
@@ -339,22 +307,12 @@ class _Simplex:
             duals=y.copy(),
             reduced_costs=r[: self.n].copy(),
             iterations=self.iterations,
-            basis=(self.basis.copy(), self.stat.copy()),
         )
 
 
-def solve_lp_arrays(
-    c, c0, A, relations, rhs, lb, ub, *, start=None, max_iter=None
-) -> LpSolution:
-    """Solve min c·x + c0 s.t. A x (relations) rhs, lb <= x <= ub."""
-    c = np.asarray(c, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        A = A.reshape(0, c.size)
-    if np.any(lb > ub):
-        return LpSolution(status=INFEASIBLE, infeasibility=float(np.max(lb - ub)))
+def solve_lp(model: MilpModel) -> LpSolution:
+    """Solve the LP relaxation of a model (binaries relaxed to their bounds)."""
+    c, c0, A, relations, rhs, lb, ub, _ = model.to_dense()
     if A.shape[0] == 0:
         # pure box problem: each variable sits at its cost-minimizing bound
         x = np.empty_like(c)
@@ -376,10 +334,4 @@ def solve_lp_arrays(
             duals=np.zeros(0),
             reduced_costs=c.copy(),
         )
-    return _Simplex(c, c0, A, list(relations), rhs, lb, ub, start, max_iter).solve()
-
-
-def solve_lp(model: MilpModel, *, start=None, max_iter=None) -> LpSolution:
-    """Solve the LP relaxation of a model (binaries relaxed to their bounds)."""
-    c, c0, A, relations, rhs, lb, ub, _ = model.to_dense()
-    return solve_lp_arrays(c, c0, A, relations, rhs, lb, ub, start=start, max_iter=max_iter)
+    return _Simplex(c, c0, A, relations, rhs, lb, ub).solve()

@@ -220,6 +220,16 @@ def test_bad_grid_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["solve", "scenarios"])
+def test_unavailable_backend_exit_1(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("IESDISPATCH_EXTERNAL_SOLVER", raising=False)
+    rc = run_cli(command, "--reduced", "--backend", "external", "--out", str(tmp_path))
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "backend error:" in err
+    assert "IESDISPATCH_EXTERNAL_SOLVER is not set" in err
+
+
 def test_case_dir_env_lookup(tmp_path, monkeypatch, capsys):
     shutil.copy(default_case_path(), tmp_path / "mycase.json")
     monkeypatch.setenv(cli.CASE_DIR_ENV, str(tmp_path))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iesdispatch import dispatch
 from iesdispatch.dispatch import (
     SCENARIO_IDS,
     SCENARIOS,
@@ -221,6 +222,28 @@ def test_jobs_parallel_matches_serial(reduced_case, reduced_options, reduced_rep
         assert par_row.total_cost == pytest.approx(serial_row.total_cost, rel=1e-9)
         assert par_row.emissions_kg == pytest.approx(serial_row.emissions_kg, rel=1e-9)
         assert par_row.objective == pytest.approx(serial_row.objective, rel=1e-9)
+
+
+def test_jobs_never_start_more_workers_than_tasks(reduced_case, reduced_options, monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(dispatch, "ProcessPoolExecutor", SerialPool)
+    report = run_all_scenarios(reduced_case, reduced_options, scenario_ids=("S1", "S2"), jobs=500)
+    assert started == [2]
+    assert [r.scenario_id for r in report.rows] == ["S1", "S2"]
 
 
 # -- tamper detection ---------------------------------------------------------------

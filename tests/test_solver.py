@@ -1,7 +1,8 @@
-"""Embedded LP/MILP solver: oracle equivalence, duality, determinism."""
+"""LP cores and branch and bound: oracle equivalence, duality, determinism."""
 
 import itertools
 import random
+import shlex
 import sys
 
 import numpy as np
@@ -64,12 +65,12 @@ def test_lp_unbounded():
 # -- random LP cross-check against scipy ----------------------------------------
 
 
-def _random_lp(rng: random.Random):
+def _random_lp(rng: random.Random, lbs=(0.0, -2.0), ubs=(1.0, 5.0, 20.0)):
     n = rng.randint(2, 6)
     mrows = rng.randint(1, 6)
     c = [rng.uniform(-3, 3) for _ in range(n)]
-    lb = [rng.choice([0.0, -2.0]) for _ in range(n)]
-    ub = [rng.choice([1.0, 5.0, 20.0]) for _ in range(n)]
+    lb = [rng.choice(lbs) for _ in range(n)]
+    ub = [rng.choice(ubs) for _ in range(n)]
     A = [[rng.choice([0.0, 0.0, -1.5, 1.0, 2.0]) for _ in range(n)] for _ in range(mrows)]
     rel = [rng.choice([LE, GE, EQ]) for _ in range(mrows)]
     rhs = [rng.uniform(-3, 6) for _ in range(mrows)]
@@ -315,15 +316,22 @@ def test_milp_node_limit_reports_limit_or_feasible():
         assert res.bound <= res.objective + 1e-9
 
 
-def test_lp_cores_agree():
-    rng = random.Random(321)
-    for _ in range(10):
-        m = _random_milp(rng, max_binaries=6)
-        a = solve_milp(m, MilpOptions(lp_core="embedded"))
-        b = solve_milp(m, MilpOptions(lp_core="scipy"))
-        assert a.status == b.status
-        if a.status == "optimal":
-            assert a.objective == pytest.approx(b.objective, abs=1e-6, rel=1e-6)
+def test_scipy_core_matches_reference_simplex():
+    # the branch-and-bound LP core against the package's own simplex; open
+    # bounds make all three statuses occur, the constant checks the offset
+    rng = random.Random(4321)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(300):
+        m = _random_lp(rng, lbs=(0.0, -2.0, -INF), ubs=(1.0, 5.0, INF))
+        m.set_objective(m.objective + rng.uniform(-1, 1))
+        c, c0, A, relations, rhs, lb, ub, _ = m.to_dense()
+        core = _ScipyCore(c, c0, A, relations, rhs).solve(lb, ub)
+        ref = solve_lp(m)
+        assert core.status == ref.status
+        seen[ref.status] += 1
+        if ref.status == "optimal":
+            assert core.objective == pytest.approx(ref.objective, rel=1e-7, abs=1e-7)
+    assert min(seen.values()) >= 30, seen
 
 
 def _status_case(kind: str) -> MilpModel:
@@ -339,14 +347,14 @@ def _status_case(kind: str) -> MilpModel:
 
 
 @pytest.mark.parametrize(
-    "kind, status, branched",
-    [("infeasible node", "infeasible", True), ("infeasible root", "infeasible", False),
-     ("unbounded root", "unbounded", False)],
+    "kind, status, nodes",
+    [("infeasible node", "infeasible", 3), ("infeasible root", "infeasible", 1),
+     ("unbounded root", "unbounded", 1)],
 )
-def test_scipy_core_milp_statuses(kind, status, branched):
-    res = solve_milp(_status_case(kind), MilpOptions(lp_core="scipy"))
-    assert (res.status, res.x) == (status, None)
-    assert (res.nodes > 1) == branched
+def test_scipy_core_milp_statuses(kind, status, nodes):
+    # the root is solved once: an infeasible node costs the root and two children
+    res = solve_milp(_status_case(kind))
+    assert (res.status, res.x, res.nodes) == (status, None, nodes)
 
 
 @pytest.mark.parametrize(
@@ -477,10 +485,12 @@ with open(sol_path, "w", encoding="utf-8") as fh:
 '''
 
 
-def test_external_backend_round_trip(tmp_path, monkeypatch):
-    script = tmp_path / "extsolve.py"
+def _external_round_trip(monkeypatch, script_dir):
+    script_dir.mkdir(exist_ok=True)
+    script = script_dir / "extsolve.py"
     script.write_text(EXTERNAL_SOLVER, encoding="utf-8")
-    monkeypatch.setenv("IESDISPATCH_EXTERNAL_SOLVER", f"{sys.executable} {script}")
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    monkeypatch.setenv("IESDISPATCH_EXTERNAL_SOLVER", command)
     assert "external" in available_backends()
 
     m = MilpModel()
@@ -493,6 +503,14 @@ def test_external_backend_round_trip(tmp_path, monkeypatch):
     assert res.objective == pytest.approx(1.5, abs=1e-9)
     assert res.x[x.id] == pytest.approx(0.0, abs=1e-9)
     assert res.x[y.id] == pytest.approx(1.5, abs=1e-9)
+
+
+def test_external_backend_round_trip(tmp_path, monkeypatch):
+    _external_round_trip(monkeypatch, tmp_path)
+
+
+def test_external_backend_command_quotes_a_path_with_spaces(tmp_path, monkeypatch):
+    _external_round_trip(monkeypatch, tmp_path / "solver dir")
 
 
 def test_external_backend_unset_env(monkeypatch):
