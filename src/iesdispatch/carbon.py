@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp_ir import GE, LinearExpression, MilpModel, as_expression, quad_value
+from .milp_ir import GE, LinearExpression, MilpModel, as_expression, quad_value, sum_expressions
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,9 @@ def encode_carbon_cost(
             f"tiered cost needs lambda_base >= 0 and alpha_growth >= 0 to be convex "
             f"(got {lam}, {alpha})"
         )
-    cost = lam * share
+    terms = [lam * share]
     for k in range(1, n_tiers(policy)):
         s = model.add_continuous(0.0, math.inf, f"{name}_s{k}")
         model.add_constraint(s - share, GE, -k * d, f"{name}_s{k}_knee")
-        cost = cost + (lam * alpha) * s
-    return cost
+        terms.append((lam * alpha) * s)
+    return sum_expressions(terms)

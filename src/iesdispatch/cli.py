@@ -260,6 +260,9 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _options_from_args(args) -> DispatchOptions:
+    # checked even when --reduced replaces the value: a bad flag is an error
+    if args.segments < 1:
+        raise UsageError(f"--segments {args.segments}: need at least 1 segment")
     opts = DispatchOptions(
         pwl_segments=args.segments,
         gap_tol=args.gap,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .milp_ir import EQ, GE, LE, LinearExpression, MilpModel, Variable
+from .milp_ir import EQ, GE, LE, LinearExpression, MilpModel, Variable, sum_expressions
 from .model_core import CARRIERS, CaseData
 
 SHIFT = "shift"
@@ -161,7 +161,7 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
     if scenario.dr_substitute:
         enabled += [(k, SUBSTITUTE) for k in CARRIERS if k in dr.subst_carriers]
 
-    comp = LinearExpression()
+    comp_terms = []
     for carrier, dtype in enabled:
         base = dec.shiftable_base[carrier] if dtype == SHIFT else dec.substitutable_base[carrier]
         override = dr.shift_bounds.get(carrier) if dtype == SHIFT else None
@@ -182,24 +182,22 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
             p_in.append(pi)
             p_out.append(po)
             deltas.append(pi - po)
-            comp = comp + (mu * dt) * (pi + po)
+            comp_terms.append((mu * dt) * (pi + po))
         key = (carrier, dtype)
         vm.p_in[key] = p_in
         vm.p_out[key] = p_out
         vm.delta[key] = deltas
         if dtype == SHIFT or dr.literal_eq2:
-            net = LinearExpression()
-            for d in deltas:
-                net = net + d
-            model.add_constraint(net, EQ, 0.0, f"dr_{dtype}_{carrier}_net")
-    vm.compensation = comp
+            model.add_constraint(sum_expressions(deltas), EQ, 0.0, f"dr_{dtype}_{carrier}_net")
+    vm.compensation = sum_expressions(comp_terms)
 
     subst_keys = [k for k in vm.delta if k[1] == SUBSTITUTE]
     if subst_keys and not dr.literal_eq2:
         for t in range(periods):
-            row = LinearExpression()
-            for carrier, dtype in subst_keys:
-                row = row + dr.subst_conversion.get(carrier, 1.0) * vm.delta[(carrier, dtype)][t]
+            row = sum_expressions(
+                dr.subst_conversion.get(carrier, 1.0) * vm.delta[(carrier, dtype)][t]
+                for carrier, dtype in subst_keys
+            )
             model.add_constraint(row, EQ, 0.0, f"dr_subst_couple_t{t:02d}")
 
     for carrier in CARRIERS:
@@ -222,9 +220,7 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
         total = LinearExpression()
         for carrier in CARRIERS:
             energy = float(sum(case.loads[carrier].values))
-            dev_sum = LinearExpression()
-            for d in vm.deviation[carrier]:
-                dev_sum = dev_sum + d
+            dev_sum = sum_expressions(vm.deviation[carrier])
             if energy > 0.0:
                 total = total + (1.0 / energy) * dev_sum
             elif dev_sum.coeffs:

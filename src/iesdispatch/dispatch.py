@@ -47,6 +47,7 @@ from .milp_ir import (
     pwl_convex_error_bound,
     pwl_convex_value,
     quad_value,
+    sum_expressions,
 )
 from .model_core import (
     CARRIERS,
@@ -155,17 +156,6 @@ class DispatchOptions:
 
 
 # -- model assembly --------------------------------------------------------------
-
-
-def _sum_exprs(terms) -> LinearExpression:
-    coeffs: dict[int, float] = {}
-    const = 0.0
-    for term in terms:
-        e = as_expression(term)
-        const += e.constant
-        for vid, c in e.coeffs.items():
-            coeffs[vid] = coeffs.get(vid, 0.0) + c
-    return LinearExpression(coeffs, const)
 
 
 _ZERO = LinearExpression()
@@ -393,7 +383,7 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         )
 
     tariffs = case.tariffs
-    vm.cost_buy = _sum_exprs(
+    vm.cost_buy = sum_expressions(
         dt * (tariffs.electricity_price[t] * vm.p_e_buy[t] + tariffs.gas_price[t] * vm.p_g_buy[t])
         for t in range(periods)
     )
@@ -411,7 +401,7 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         for k, blk in vm.storage.items():
             term = term + omega.get(f"storage_{k}", 0.0) * (blk.charge[t] + blk.discharge[t])
         maint_terms.append(dt * term)
-    vm.cost_maint = _sum_exprs(maint_terms)
+    vm.cost_maint = sum_expressions(maint_terms)
 
     objective = vm.cost_buy + vm.cost_dr + vm.cost_maint
     if scenario.carbon_in_objective:
@@ -474,8 +464,8 @@ def _encode_carbon(case, options, model, vm, policy):
                   + policy.sigma_h * vm.p_gb_h[t]
                   + policy.sigma_gload * gas_load)
         )
-    actual = _sum_exprs(actual_terms)
-    quota = _sum_exprs(quota_terms)
+    actual = sum_expressions(actual_terms)
+    quota = sum_expressions(quota_terms)
     cost = carbon_mod.encode_carbon_cost(model, policy, actual, quota)
     return cost, actual, quota, bound
 

@@ -2,7 +2,15 @@
 
 A ``MilpModel`` is a plain container of variables, linear constraints and a
 minimization objective.  It knows nothing about solving; the ``solver``
-package consumes the dense arrays produced by :meth:`MilpModel.to_dense`.
+package consumes the arrays compiled by :meth:`MilpModel.to_sparse`, whose
+constraint matrix is a scipy CSC array.  :meth:`MilpModel.to_dense` gives the
+same arrays with ``A`` dense, for the reference simplex and tests.
+
+Expression arithmetic trusts its operands: ``+``, ``-`` and ``*`` build
+results without re-checking every coefficient, and only a non-finite scalar
+factor is rejected on the spot.  Finiteness is checked once, where an
+expression enters the model (``add_constraint`` and ``set_objective``), so an
+overflowed coefficient cannot reach a row or the objective.
 
 The module also carries the linearization the dispatch model uses:
 epigraph (tangent) cuts for convex quadratics.
@@ -12,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -58,27 +67,40 @@ class Variable:
     name: str
 
     def __mul__(self, scalar):
-        return LinearExpression({self.id: float(scalar)})
+        scalar = _finite_scalar(scalar)
+        return LinearExpression._trusted({self.id: scalar} if scalar else {}, 0.0)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return LinearExpression({self.id: 1.0}) + other
+        return LinearExpression._as_expr(self) + other
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return LinearExpression({self.id: 1.0}) - other
+        return LinearExpression._as_expr(self) - other
 
     def __rsub__(self, other):
-        return (-1.0 * self) + other
+        return LinearExpression._as_expr(other) - self
 
     def __neg__(self):
-        return LinearExpression({self.id: -1.0})
+        return LinearExpression._trusted({self.id: -1.0}, 0.0)
+
+
+def _finite_scalar(scalar) -> float:
+    scalar = float(scalar)
+    if not math.isfinite(scalar):
+        raise ModelError(f"non-finite scalar factor {scalar}")
+    return scalar
 
 
 class LinearExpression:
-    """Sparse affine expression: sum of coefficient*variable plus a constant."""
+    """Sparse affine expression: sum of coefficient*variable plus a constant.
+
+    No coefficient is ever stored as zero.  The constructor validates its
+    input; the operators build results with ``_trusted`` and keep the key
+    order of their left operand followed by new keys of the right one.
+    """
 
     __slots__ = ("coeffs", "constant")
 
@@ -93,35 +115,58 @@ class LinearExpression:
                     self.coeffs[vid] = c
         self.constant = float(constant)
 
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, float], constant: float) -> "LinearExpression":
+        """Wrap float coefficients, none of them zero, without checking them."""
+        expr = cls.__new__(cls)
+        expr.coeffs = coeffs
+        expr.constant = constant
+        return expr
+
     @staticmethod
     def _as_expr(other) -> "LinearExpression":
         if isinstance(other, LinearExpression):
             return other
         if isinstance(other, Variable):
-            return LinearExpression({other.id: 1.0})
-        return LinearExpression(constant=float(other))
+            return LinearExpression._trusted({other.id: 1.0}, 0.0)
+        return LinearExpression._trusted({}, float(other))
 
-    def __add__(self, other):
+    def _combine(self, other, sign: float) -> "LinearExpression":
+        """self + sign * other for sign in (1, -1).
+
+        Negation is exact, so ``a - b`` gives the same bits as ``a + (-1 * b)``.
+        """
+        if not isinstance(other, (LinearExpression, Variable)):
+            return LinearExpression._trusted(dict(self.coeffs), self.constant + sign * float(other))
         other = self._as_expr(other)
         coeffs = dict(self.coeffs)
         for vid, c in other.coeffs.items():
-            coeffs[vid] = coeffs.get(vid, 0.0) + c
-        return LinearExpression(coeffs, self.constant + other.constant)
+            total = coeffs.get(vid, 0.0) + sign * c
+            if total != 0.0:
+                coeffs[vid] = total
+            else:
+                coeffs.pop(vid, None)
+        return LinearExpression._trusted(coeffs, self.constant + sign * other.constant)
+
+    def __add__(self, other):
+        return self._combine(other, 1.0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (self._as_expr(other) * -1.0)
+        return self._combine(other, -1.0)
 
     def __rsub__(self, other):
-        return self._as_expr(other) + (self * -1.0)
+        return self._as_expr(other)._combine(self, -1.0)
 
     def __mul__(self, scalar):
-        scalar = float(scalar)
-        return LinearExpression(
-            {vid: c * scalar for vid, c in self.coeffs.items()},
-            self.constant * scalar,
-        )
+        scalar = _finite_scalar(scalar)
+        coeffs = {}
+        for vid, c in self.coeffs.items():
+            c *= scalar
+            if c != 0.0:
+                coeffs[vid] = c
+        return LinearExpression._trusted(coeffs, self.constant * scalar)
 
     __rmul__ = __mul__
 
@@ -140,6 +185,27 @@ class LinearExpression:
 def as_expression(term) -> LinearExpression:
     """Coerce a Variable, number, or expression to a LinearExpression."""
     return LinearExpression._as_expr(term)
+
+
+def sum_expressions(terms) -> LinearExpression:
+    """Sum Variables, numbers and expressions in one pass.
+
+    Gives the coefficients and constant that adding the terms left to right
+    with ``+`` gives, keys in order of first appearance, but copies no
+    intermediate dictionary: a sum of n terms costs O(total terms), not O(n^2).
+    """
+    coeffs: dict[int, float] = {}
+    const = 0.0
+    for term in terms:
+        if isinstance(term, LinearExpression):
+            const += term.constant
+            for vid, c in term.coeffs.items():
+                coeffs[vid] = coeffs.get(vid, 0.0) + c
+        elif isinstance(term, Variable):
+            coeffs[term.id] = coeffs.get(term.id, 0.0) + 1.0
+        else:
+            const += float(term)
+    return LinearExpression._trusted({v: c for v, c in coeffs.items() if c != 0.0}, const)
 
 
 @dataclass(frozen=True)
@@ -203,9 +269,12 @@ class MilpModel:
             name = f"c{cid}"
         if name in self._con_by_name:
             raise DuplicateNameError(f"constraint name {name!r} already used")
-        for vid in expr.coeffs:
-            if vid >= len(self.variables):
+        n = len(self.variables)
+        for vid, c in expr.coeffs.items():
+            if vid >= n:
                 raise ModelError(f"constraint {name!r} references unknown variable {vid}")
+            if not math.isfinite(c):
+                raise ModelError(f"constraint {name!r}: non-finite coefficient for variable {vid}")
         if not expr.coeffs:
             ok = (
                 (relation == LE and 0.0 <= rhs + 1e-12)
@@ -224,6 +293,8 @@ class MilpModel:
     def set_objective(self, expr) -> None:
         """Set the minimization objective."""
         expr = as_expression(expr)
+        if not math.isfinite(expr.constant):
+            raise ModelError("objective constant not finite")
         for vid, c in expr.coeffs.items():
             if not math.isfinite(c):
                 raise ModelError(f"objective coefficient for variable {vid} not finite")
@@ -247,29 +318,44 @@ class MilpModel:
     def binary_ids(self) -> list[int]:
         return [v.id for v in self.variables if v.kind == BINARY]
 
-    def to_dense(self):
-        """Dense arrays (c, c0, A, relations, rhs, lb, ub, is_binary).
+    def to_sparse(self):
+        """Arrays (c, c0, A, relations, rhs, lb, ub, is_binary) with A as CSC.
 
-        A has one row per constraint in registration order.  Intended for
-        the embedded solver and the scipy adapter; fine at dispatch scale.
+        A is a ``scipy.sparse.csc_array`` with one row per constraint in
+        registration order, sorted row indices and no stored zeros.  This is
+        the form the solvers consume; it is compiled straight from the row
+        dictionaries, without a dense intermediate.
         """
+        # deferred so that importing the package does not load scipy
+        from scipy.sparse import csr_array
+
         n = len(self.variables)
         m = len(self.constraints)
         c = np.zeros(n)
         for vid, coef in self.objective.coeffs.items():
             c[vid] = coef
-        A = np.zeros((m, n))
-        rhs = np.zeros(m)
-        relations = []
-        for i, con in enumerate(self.constraints):
-            for vid, coef in con.coeffs.items():
-                A[i, vid] = coef
-            rhs[i] = con.rhs
-            relations.append(con.relation)
-        lb = np.array([v.lower for v in self.variables])
-        ub = np.array([v.upper for v in self.variables])
-        is_binary = np.array([v.kind == BINARY for v in self.variables])
+        rows = [con.coeffs for con in self.constraints]
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum([len(r) for r in rows], out=indptr[1:])
+        nnz = int(indptr[-1])
+        cols = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=nnz)
+        vals = np.fromiter(chain.from_iterable(r.values() for r in rows), dtype=float, count=nnz)
+        A = csr_array((vals, cols, indptr), shape=(m, n)).tocsc()
+        rhs = np.array([con.rhs for con in self.constraints], dtype=float)
+        relations = [con.relation for con in self.constraints]
+        lb = np.array([v.lower for v in self.variables], dtype=float)
+        ub = np.array([v.upper for v in self.variables], dtype=float)
+        is_binary = np.array([v.kind == BINARY for v in self.variables], dtype=bool)
         return c, self.objective.constant, A, relations, rhs, lb, ub, is_binary
+
+    def to_dense(self):
+        """:meth:`to_sparse` with A as a dense ndarray.
+
+        For the embedded reference simplex and tests; the branch-and-bound
+        core and the scipy-milp backend take the sparse form.
+        """
+        c, c0, A, relations, rhs, lb, ub, is_binary = self.to_sparse()
+        return c, c0, A.toarray(), relations, rhs, lb, ub, is_binary
 
     def check_solution(self, x, tol: float = 1e-6) -> list[str]:
         """Names of constraints/bounds violated by x beyond tol."""

@@ -67,7 +67,7 @@ class ScipyMilpBackend(Backend):
             raise BackendUnavailableError(self.name, str(exc))
         import time
 
-        c, c0, A, relations, rhs, lb, ub, is_binary = model.to_dense()
+        c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
         lo = np.where([r == LE for r in relations], -np.inf, rhs)
         hi = np.where([r == GE for r in relations], np.inf, rhs)
         kw = {"mip_rel_gap": options.gap_tol, "node_limit": options.node_limit}

@@ -1,12 +1,14 @@
 """Best-first branch-and-bound over binary variables.
 
-Node LP relaxations are solved by HiGHS through scipy's bindings.  One HiGHS
-instance is loaded per solve with presolve off; a node only changes column
-bounds and restarts the dual simplex from its parent's basis, which after
-one fixed binary takes a few pivots instead of a cold solve.  Every node
-gets its parent's basis, so it warm-starts from its own parent whatever
-order nodes are popped in.  The search starts at the root relaxation, the
-first node popped, and always expands the open node with the lowest bound.
+Node LP relaxations are solved by HiGHS through scipy's bindings.  The model
+is compiled once per solve by ``MilpModel.to_sparse`` and its CSC matrix is
+loaded into one HiGHS instance with presolve off; a node only changes the
+column bounds that differ from the last LP solved and restarts the dual
+simplex from its parent's basis, which after one fixed binary takes a few
+pivots instead of a cold solve.  Every node gets its parent's basis, so it
+warm-starts from its own parent whatever order nodes are popped in.  The
+search starts at the root relaxation, the first node popped, and always
+expands the open node with the lowest bound.
 The dispatch models branch only on storage gates: their convex cost terms
 (demand-response deviation and the tiered carbon ladder) are exact LPs, so
 the relaxations are tight and best-first order finds the incumbent without a
@@ -89,6 +91,7 @@ class _ScipyCore:
         n, m = len(c), len(relations)
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
+        self._lb = self._ub = None  # bounds of the last LP, None before the first
         rhs = np.asarray(rhs, dtype=float)
         rel = np.asarray(relations, dtype=object)
         lp = HighsLp()
@@ -97,7 +100,7 @@ class _ScipyCore:
         lp.col_lower_, lp.col_upper_ = np.zeros(n), np.zeros(n)  # set per node
         lp.row_lower_ = np.where(rel == LE, -np.inf, rhs)
         lp.row_upper_ = np.where(rel == GE, np.inf, rhs)
-        csc = csc_array(A)
+        csc = csc_array(A)  # the compiled sparse A, or a dense one
         mat = lp.a_matrix_
         mat.format_ = MatrixFormat.kColwise
         mat.num_col_, mat.num_row_ = n, m
@@ -127,9 +130,20 @@ class _ScipyCore:
             return INFEASIBLE, iterations
         raise RuntimeError(f"LP core failed: {h.modelStatusToString(model_status)}")
 
+    def _set_bounds(self, lb, ub) -> None:
+        """Pass HiGHS only the columns whose bounds differ from the last LP."""
+        lb, ub = np.array(lb, dtype=float), np.array(ub, dtype=float)
+        if self._lb is None:
+            cols = self._cols
+        else:
+            cols = self._cols[(lb != self._lb) | (ub != self._ub)]
+        if cols.size:
+            self._highs.changeColsBounds(cols.size, cols, lb[cols], ub[cols])
+        self._lb, self._ub = lb, ub
+
     def solve(self, lb, ub, start=None) -> LpSolution:
         h, status = self._highs, self._status
-        h.changeColsBounds(len(self._cols), self._cols, lb, ub)
+        self._set_bounds(lb, ub)
         if start is None:
             h.clearSolver()
         else:
@@ -157,7 +171,7 @@ class _ScipyCore:
 class _Search:
     def __init__(self, model: MilpModel, opts: MilpOptions):
         self.opts = opts
-        (c, c0, A, relations, rhs, self.lb0, self.ub0, is_binary) = model.to_dense()
+        (c, c0, A, relations, rhs, self.lb0, self.ub0, is_binary) = model.to_sparse()
         self.bin_idx = np.flatnonzero(is_binary)
         self.core = _ScipyCore(c, c0, A, relations, rhs)
         self.t0 = time.perf_counter()

@@ -230,6 +230,20 @@ def test_unavailable_backend_exit_1(command, tmp_path, monkeypatch, capsys):
     assert "IESDISPATCH_EXTERNAL_SOLVER is not set" in err
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("solve", []), ("scenarios", []), ("solve", ["--reduced"]), ("scenarios", ["--reduced"])],
+    ids=["solve", "scenarios", "solve-reduced", "scenarios-reduced"],
+)
+def test_segments_below_one_exit_1(command, extra, tmp_path, capsys):
+    # --reduced replaces the segment count, but the bad flag is still an error
+    out = tmp_path / "out"
+    rc = run_cli(command, "--segments", "0", *extra, "--out", str(out))
+    assert rc == cli.EXIT_USAGE
+    assert "usage error: --segments 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_case_dir_env_lookup(tmp_path, monkeypatch, capsys):
     shutil.copy(default_case_path(), tmp_path / "mycase.json")
     monkeypatch.setenv(cli.CASE_DIR_ENV, str(tmp_path))

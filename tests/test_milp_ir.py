@@ -15,12 +15,14 @@ from iesdispatch.milp_ir import (
     DuplicateNameError,
     LinearExpression,
     MilpModel,
+    ModelError,
     TriviallyInfeasibleError,
     as_expression,
     pwl_convex,
     pwl_convex_error_bound,
     pwl_convex_value,
     quad_value,
+    sum_expressions,
 )
 from iesdispatch.solver import solve_lp
 
@@ -41,6 +43,125 @@ def test_expression_drops_zero_coefficients():
     e = x - x + 4.0
     assert e.coeffs == {}
     assert as_expression(e).constant == 4.0
+
+
+def test_non_finite_scalar_factor_rejected_at_once():
+    m = MilpModel()
+    x = m.add_continuous(0, 1, "x")
+    e = 2.0 * x + 1.0
+    with pytest.raises(ModelError):
+        x * math.inf
+    with pytest.raises(ModelError):
+        e * math.nan
+    with pytest.raises(ModelError):
+        -math.inf * e
+
+
+def test_overflowed_coefficient_rejected_at_the_model_boundary():
+    # the operators trust their operands; the model does not
+    m = MilpModel()
+    x = m.add_continuous(0, 1, "x")
+    huge = (1e300 * x) * 1e300
+    assert huge.coeffs == {x.id: math.inf}
+    with pytest.raises(ModelError, match="non-finite coefficient"):
+        m.add_constraint(huge + 1.0, LE, 2.0, "row")
+    with pytest.raises(ModelError, match="not finite"):
+        m.set_objective(huge)
+    with pytest.raises(ModelError, match="not finite"):
+        m.set_objective(x + math.inf)
+    assert m.num_constraints == 0 and m.objective.coeffs == {}
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ModelError):
+        LinearExpression({0: math.inf})
+    with pytest.raises(ModelError):
+        LinearExpression({0: math.nan})
+    assert LinearExpression({0: 0.0, 1: 2}).coeffs == {1: 2.0}
+
+
+# -- operators against a plain-dict reference ------------------------------------
+
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5, 3.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+_LEAVES = st.one_of(
+    st.tuples(st.just("var"), st.integers(0, 3)),
+    st.tuples(st.just("num"), _NUMBERS),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub"]), kids, kids),
+        st.tuples(st.sampled_from(["mul", "rmul"]), kids, _NUMBERS),
+        st.tuples(st.just("neg"), kids),
+        st.tuples(st.just("sum"), st.lists(kids, max_size=5)),
+    ),
+    max_leaves=24,
+)
+
+
+def _ref_add(a, b, sign=1.0):
+    coeffs = dict(a[0])
+    for vid, c in b[0].items():
+        coeffs[vid] = coeffs.get(vid, 0.0) + c * sign
+    return {v: c for v, c in coeffs.items() if c != 0.0}, a[1] + b[1] * sign
+
+
+def _ref_mul(a, k):
+    return {v: c * k for v, c in a[0].items() if c * k != 0.0}, a[1] * k
+
+
+def _reference(tree):
+    """(coeffs, constant) of a tree, evaluated on plain dictionaries."""
+    op = tree[0]
+    if op == "var":
+        return {tree[1]: 1.0}, 0.0
+    if op == "num":
+        return {}, tree[1]
+    if op in ("add", "sub"):
+        return _ref_add(_reference(tree[1]), _reference(tree[2]), 1.0 if op == "add" else -1.0)
+    if op in ("mul", "rmul"):
+        return _ref_mul(_reference(tree[1]), tree[2])
+    if op == "neg":
+        return _ref_mul(_reference(tree[1]), -1.0)
+    acc = ({}, 0.0)
+    for kid in tree[1]:
+        acc = _ref_add(acc, _reference(kid))
+    return acc
+
+
+def _evaluate(tree, xs):
+    """The same tree through Variables, LinearExpression and numbers."""
+    op = tree[0]
+    if op == "var":
+        return xs[tree[1]]
+    if op == "num":
+        return tree[1]
+    if op == "add":
+        return _evaluate(tree[1], xs) + _evaluate(tree[2], xs)
+    if op == "sub":
+        return _evaluate(tree[1], xs) - _evaluate(tree[2], xs)
+    if op == "mul":
+        return _evaluate(tree[1], xs) * tree[2]
+    if op == "rmul":
+        return tree[2] * _evaluate(tree[1], xs)
+    if op == "neg":
+        return -_evaluate(tree[1], xs)
+    return sum_expressions([_evaluate(kid, xs) for kid in tree[1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_TREES)
+def test_operators_match_plain_dict_reference(tree):
+    m = MilpModel()
+    xs = [m.add_continuous(-1, 1, f"x{i}") for i in range(4)]
+    got = as_expression(_evaluate(tree, xs))
+    coeffs, constant = _reference(tree)
+    assert got.coeffs == coeffs
+    assert all(c != 0.0 for c in got.coeffs.values())
+    assert got.constant == constant
 
 
 def test_variable_ids_dense():

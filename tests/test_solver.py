@@ -324,7 +324,7 @@ def test_scipy_core_matches_reference_simplex():
     for _ in range(300):
         m = _random_lp(rng, lbs=(0.0, -2.0, -INF), ubs=(1.0, 5.0, INF))
         m.set_objective(m.objective + rng.uniform(-1, 1))
-        c, c0, A, relations, rhs, lb, ub, _ = m.to_dense()
+        c, c0, A, relations, rhs, lb, ub, _ = m.to_sparse()
         core = _ScipyCore(c, c0, A, relations, rhs).solve(lb, ub)
         ref = solve_lp(m)
         assert core.status == ref.status
@@ -370,6 +370,7 @@ def test_scipy_core_resolves_unbounded_or_infeasible(lp, status):
     from scipy.optimize._highspy._core import HighsModelStatus
 
     c, A, relations, rhs, lb, ub = lp
+    # the core also takes a dense A
     core = _ScipyCore(np.array(c, float), 0.0, np.array(A, float), relations, rhs)
     lb, ub = np.array(lb, float), np.array(ub, float)
     core._highs.setOptionValue("allow_unbounded_or_infeasible", True)
@@ -398,12 +399,12 @@ def test_highs_private_api_is_importable():
 
 
 @pytest.fixture(scope="module")
-def s5_dense():
+def s5_compiled():
     from iesdispatch.dispatch import build_model
     from iesdispatch.model_core import default_case_path, load_case
 
     model, _ = build_model(load_case(default_case_path()), "S5")
-    c, c0, A, relations, rhs, lb, ub, is_binary = model.to_dense()
+    c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
     return (c, c0, A, relations, rhs), lb, ub, np.flatnonzero(is_binary)
 
 
@@ -414,8 +415,8 @@ def _fixed(lb, ub, fixes):
     return lb, ub
 
 
-def test_warm_start_from_parent_basis_saves_simplex_iterations(s5_dense):
-    arrays, lb, ub, gates = s5_dense
+def test_warm_start_from_parent_basis_saves_simplex_iterations(s5_compiled):
+    arrays, lb, ub, gates = s5_compiled
     root = _ScipyCore(*arrays).solve(lb, ub)
     j = int(gates[np.argmin(np.abs(root.x[gates] - 0.5))])
     child_lb, child_ub = _fixed(lb, ub, {j: 1 - round(root.x[j])})
@@ -428,16 +429,22 @@ def test_warm_start_from_parent_basis_saves_simplex_iterations(s5_dense):
     assert warm.iterations < cold.iterations
 
 
-def test_persistent_core_matches_cold_solves(s5_dense):
-    arrays, lb, ub, gates = s5_dense
+def test_persistent_core_matches_cold_solves(s5_compiled):
+    # one core walks the tree the way a search does: down a branch, across to
+    # other branches and back to the root, so consecutive solves both fix
+    # columns and restore them to their original bounds
+    arrays, lb, ub, gates = s5_compiled
     rng = random.Random(11)
     core = _ScipyCore(*arrays)
-    solved = [({}, core.solve(lb, ub))]
-    statuses = set()
-    for _ in range(20):
-        fixes, parent = rng.choice(solved)
+    root = core.solve(lb, ub)
+    solved = [({}, root)]
+    previous, restored, statuses = {}, 0, set()
+    for step in range(24):
+        fixes, parent = solved[-1] if step % 2 == 0 else rng.choice(solved)
         j = int(rng.choice(gates))
         child = {**fixes, j: 1 - round(parent.x[j])}  # moves the parent's optimum
+        restored += bool(previous.keys() - child.keys())
+        previous = child
         bounds = _fixed(lb, ub, child)
         warm = core.solve(*bounds, parent.basis)
         cold = _ScipyCore(*arrays).solve(*bounds)
@@ -447,6 +454,65 @@ def test_persistent_core_matches_cold_solves(s5_dense):
             assert warm.objective == pytest.approx(cold.objective, rel=1e-7, abs=0.0)
             solved.append((child, warm))
     assert "optimal" in statuses
+    assert restored >= 5
+    # every gate back at its original bounds
+    again = core.solve(lb, ub, root.basis)
+    assert again.objective == pytest.approx(root.objective, rel=1e-9, abs=0.0)
+
+
+def _dense_reference(model: MilpModel):
+    """The compile as a plain loop over the row dictionaries."""
+    n, m = model.num_variables, model.num_constraints
+    c = np.zeros(n)
+    for vid, coef in model.objective.coeffs.items():
+        c[vid] = coef
+    A = np.zeros((m, n))
+    rhs = np.zeros(m)
+    for i, con in enumerate(model.constraints):
+        for vid, coef in con.coeffs.items():
+            A[i, vid] = coef
+        rhs[i] = con.rhs
+    lb = np.array([v.lower for v in model.variables], dtype=float)
+    ub = np.array([v.upper for v in model.variables], dtype=float)
+    is_binary = np.array([v.kind == "binary" for v in model.variables], dtype=bool)
+    relations = [con.relation for con in model.constraints]
+    return c, model.objective.constant, A, relations, rhs, lb, ub, is_binary
+
+
+def _bit_equal(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _compiled_models():
+    from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, build_model
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+
+    case = load_case(default_case_path())
+    for data, segments in ((case, 8), (reduce_case(case, 2), 4)):
+        for sid in SCENARIO_IDS:
+            yield build_model(data, sid, DispatchOptions(pwl_segments=segments))[0]
+    rng = random.Random(99)
+    for _ in range(200):
+        yield _random_lp(rng, lbs=(0.0, -2.0, -INF), ubs=(1.0, 5.0, INF))
+
+
+def test_sparse_compile_matches_dense_loop():
+    from scipy.sparse import csc_array
+
+    for model in _compiled_models():
+        ref = _dense_reference(model)
+        sparse, dense = model.to_sparse(), model.to_dense()
+        A = sparse[2]
+        assert A.format == "csc" and A.has_sorted_indices and np.all(A.data != 0.0)
+        assert _bit_equal(A.toarray(), ref[2]) and _bit_equal(dense[2], ref[2])
+        # the arrays HiGHS is given are those a CSC conversion of dense A gives
+        expected = csc_array(ref[2])
+        for part in ("indptr", "indices", "data"):
+            assert _bit_equal(getattr(A, part), getattr(expected, part))
+        for k in (0, 4, 5, 6, 7):
+            assert _bit_equal(sparse[k], ref[k]) and _bit_equal(dense[k], ref[k])
+        assert sparse[1] == dense[1] == ref[1]
+        assert sparse[3] == dense[3] == ref[3]
 
 
 def test_backend_registry():
