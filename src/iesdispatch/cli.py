@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -263,6 +264,15 @@ def _options_from_args(args) -> DispatchOptions:
     # checked even when --reduced replaces the value: a bad flag is an error
     if args.segments < 1:
         raise UsageError(f"--segments {args.segments}: need at least 1 segment")
+    # a NaN gap never closes, and negative limits end every solve at once
+    if not (math.isfinite(args.gap) and args.gap >= 0):
+        raise UsageError(f"--gap {args.gap:g}: need a finite gap >= 0")
+    if args.node_limit < 1:
+        raise UsageError(f"--node-limit {args.node_limit}: need at least 1 node")
+    if args.time_limit is not None and not args.time_limit > 0:
+        raise UsageError(f"--time-limit {args.time_limit:g}: need a positive number of seconds")
+    if getattr(args, "jobs", 1) < 1:
+        raise UsageError(f"--jobs {args.jobs}: need at least 1 job")
     opts = DispatchOptions(
         pwl_segments=args.segments,
         gap_tol=args.gap,

@@ -357,22 +357,6 @@ class MilpModel:
         c, c0, A, relations, rhs, lb, ub, is_binary = self.to_sparse()
         return c, c0, A.toarray(), relations, rhs, lb, ub, is_binary
 
-    def check_solution(self, x, tol: float = 1e-6) -> list[str]:
-        """Names of constraints/bounds violated by x beyond tol."""
-        bad = []
-        for v in self.variables:
-            if x[v.id] < v.lower - tol or x[v.id] > v.upper + tol:
-                bad.append(f"bound:{v.name}")
-        for con in self.constraints:
-            lhs = sum(c * x[vid] for vid, c in con.coeffs.items())
-            if con.relation == LE and lhs > con.rhs + tol:
-                bad.append(con.name)
-            elif con.relation == GE and lhs < con.rhs - tol:
-                bad.append(con.name)
-            elif con.relation == EQ and abs(lhs - con.rhs) > tol:
-                bad.append(con.name)
-        return bad
-
 
 # -- linearization toolkit ---------------------------------------------------
 

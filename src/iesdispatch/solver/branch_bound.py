@@ -11,13 +11,22 @@ search starts at the root relaxation, the first node popped, and always
 expands the open node with the lowest bound.
 The dispatch models branch only on storage gates: their convex cost terms
 (demand-response deviation and the tiered carbon ladder) are exact LPs, so
-the relaxations are tight and best-first order finds the incumbent without a
-separate depth-first phase.  Branching picks the binary closest to 0.5 with
+the relaxations are tight.  Branching picks the binary closest to 0.5 with
 lowest-index tie-breaks, so runs are deterministic.
 
-A node whose relaxation is integral is "polished" by re-solving with all
-binaries fixed to their rounded values, which makes incumbent binaries
-exactly 0/1 instead of within tolerance.
+Incumbents come from "polish" LPs, which re-solve with every binary fixed
+to 0 or 1, so incumbent binaries are exact.  A node whose relaxation is
+integral is polished at its rounded values.  Before any other node branches,
+its fractional binaries are rounded with locks (simple rounding, Achterberg,
+*Constraint Integer Programming*, 2007, ch. 9): in index order each takes
+its nearer value if every row of its column stays within its bounds at the
+node LP's row activities, and otherwise the other value.  If every binary
+rounds, the point is polished; if neither value fits a binary, or the polish
+LP is infeasible, the node just branches.  The node's children carry its LP
+bound, so when the polished incumbent closes the gap the search stops at the
+loop top with that bound, not the incumbent's value.  On the dispatch models
+the root LP rounds to an incumbent within the gap, so every bundled scenario
+is solved by the root and one polish LP.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ MILP_FEASIBLE = "feasible"
 MILP_INFEASIBLE = "infeasible"
 MILP_UNBOUNDED = "unbounded"
 MILP_LIMIT = "limit"
+
+_ROW_TOL = 1e-6  # relative row slack when judging a rounded point
 
 
 @dataclass
@@ -94,13 +105,14 @@ class _ScipyCore:
         self._lb = self._ub = None  # bounds of the last LP, None before the first
         rhs = np.asarray(rhs, dtype=float)
         rel = np.asarray(relations, dtype=object)
+        self.row_lower = np.where(rel == LE, -np.inf, rhs)
+        self.row_upper = np.where(rel == GE, np.inf, rhs)
+        self.A = csc = csc_array(A)  # the compiled sparse A, or a dense one
         lp = HighsLp()
         lp.num_col_, lp.num_row_ = n, m
         lp.col_cost_ = self._cost
         lp.col_lower_, lp.col_upper_ = np.zeros(n), np.zeros(n)  # set per node
-        lp.row_lower_ = np.where(rel == LE, -np.inf, rhs)
-        lp.row_upper_ = np.where(rel == GE, np.inf, rhs)
-        csc = csc_array(A)  # the compiled sparse A, or a dense one
+        lp.row_lower_, lp.row_upper_ = self.row_lower, self.row_upper
         mat = lp.a_matrix_
         mat.format_ = MatrixFormat.kColwise
         mat.num_col_, mat.num_row_ = n, m
@@ -174,6 +186,10 @@ class _Search:
         (c, c0, A, relations, rhs, self.lb0, self.ub0, is_binary) = model.to_sparse()
         self.bin_idx = np.flatnonzero(is_binary)
         self.core = _ScipyCore(c, c0, A, relations, rhs)
+        # row bounds widened by the feasibility slack the rounding test allows
+        slack = _ROW_TOL * np.maximum(1.0, np.abs(rhs))
+        self.row_floor = self.core.row_lower - slack
+        self.row_ceil = self.core.row_upper + slack
         self.t0 = time.perf_counter()
         self.nodes = 0
         self.inc_x: np.ndarray | None = None
@@ -225,6 +241,31 @@ class _Search:
             self.record()
         return True
 
+    def round_with_locks(self, x: np.ndarray, frac: np.ndarray) -> np.ndarray | None:
+        """Round the fractional binaries of x so that every row still holds.
+
+        In index order, each binary takes its nearer 0/1 value if every row
+        of its column stays within its bounds at the current row activities,
+        and otherwise the other value; the activities follow each rounding.
+        Returns None when neither value fits.  Continuous columns keep their
+        LP values, so a returned point satisfies every row to the slack.
+        """
+        A = self.core.A
+        act = A @ x
+        xr = x.copy()
+        for j in frac:
+            col = slice(A.indptr[j], A.indptr[j + 1])
+            rows, coef = A.indices[col], A.data[col]
+            near = 1.0 if x[j] > 0.5 else 0.0
+            for v in (near, 1.0 - near):
+                moved = act[rows] + coef * (v - x[j])
+                if np.all(moved >= self.row_floor[rows]) and np.all(moved <= self.row_ceil[rows]):
+                    act[rows], xr[j] = moved, v
+                    break
+            else:
+                return None
+        return xr
+
     def gap_closed(self, bound: float) -> bool:
         return self.inc_obj - bound <= self.opts.gap_tol * max(1.0, abs(self.inc_obj)) + 1e-12
 
@@ -267,6 +308,12 @@ class _Search:
                 frac = self.bin_idx[
                     np.argsort(np.abs(res.x[self.bin_idx] - 0.5))[:1]
                 ]
+            else:
+                # the node still branches: if the polished rounding closes the
+                # gap, the loop top stops at this node's bound, its children's
+                rounded = self.round_with_locks(res.x, frac)
+                if rounded is not None:
+                    self.try_incumbent(rounded, res.basis)
             scores = np.abs(res.x[frac] - 0.5)
             j = int(frac[np.argmin(scores)])
             for val in (0, 1):

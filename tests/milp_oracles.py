@@ -1,8 +1,10 @@
-"""Shared brute-force MILP oracle used by the acceptance gate.
+"""Exhaustive MILP oracles used by the acceptance gate and the solver tests.
 
-The reference optimum enumerates every binary assignment and solves the
-remaining LP with an independent solver (scipy HiGHS), so agreement is a
-genuine cross-check rather than a self-comparison.
+Both enumerate every binary assignment.  ``vertex_milp`` solves all the leaf
+LPs at once in numpy by enumerating their vertices, with no LP solver, so
+agreement with the product is a genuine cross-check rather than a
+self-comparison.  ``brute_force_milp`` solves each leaf LP with scipy HiGHS;
+it is slower and serves as a cross-check of the vertex oracle.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import random
 import numpy as np
 from scipy.optimize import linprog
 
-from iesdispatch.milp_ir import GE, LE, MilpModel, as_expression
+from iesdispatch.milp_ir import EQ, GE, LE, MilpModel, as_expression
 
 
 def random_milp(rng: random.Random, n_binaries: int) -> MilpModel:
@@ -31,6 +33,23 @@ def random_milp(rng: random.Random, n_binaries: int) -> MilpModel:
         obj = obj + rng.uniform(-3, 3) * v
     m.set_objective(obj)
     return m
+
+
+def check_solution(model: MilpModel, x, tol: float = 1e-6) -> list[str]:
+    """Names of the model's constraints and bounds that x violates beyond tol."""
+    bad = []
+    for v in model.variables:
+        if x[v.id] < v.lower - tol or x[v.id] > v.upper + tol:
+            bad.append(f"bound:{v.name}")
+    for con in model.constraints:
+        lhs = sum(c * x[vid] for vid, c in con.coeffs.items())
+        if con.relation == LE and lhs > con.rhs + tol:
+            bad.append(con.name)
+        elif con.relation == GE and lhs < con.rhs - tol:
+            bad.append(con.name)
+        elif con.relation == EQ and abs(lhs - con.rhs) > tol:
+            bad.append(con.name)
+    return bad
 
 
 def brute_force_milp(model: MilpModel):
@@ -77,3 +96,44 @@ def brute_force_milp(model: MilpModel):
     if not feasible:
         return "infeasible", None
     return "optimal", best + c0
+
+
+def vertex_milp(model: MilpModel, tol: float = 1e-9):
+    """(status, objective) via binary enumeration + vertex enumeration per leaf.
+
+    Every continuous column must have finite bounds, so each leaf LP (the
+    binaries fixed) is bounded and, when feasible, attains its optimum at a
+    vertex: the solution of n linearly independent active rows or column
+    bounds, n the number of continuous columns.  The n x n system of an
+    active set does not depend on the binary assignment, only its right-hand
+    side does, so one solve per active set serves all 2^nb assignments.
+    """
+    c, c0, A, relations, rhs, lb, ub, is_binary = model.to_dense()
+    bins, cont = np.flatnonzero(is_binary), np.flatnonzero(~is_binary)
+    lb_c, ub_c = lb[cont][:, None], ub[cont][:, None]
+    if not (np.isfinite(lb_c).all() and np.isfinite(ub_c).all()):
+        raise ValueError("vertex_milp needs finite bounds on every continuous column")
+    rel = np.array(relations, dtype=object)
+    lo = np.where(rel == LE, -np.inf, rhs)[:, None]
+    hi = np.where(rel == GE, np.inf, rhs)[:, None]
+    bits = np.array(list(itertools.product((0.0, 1.0), repeat=len(bins))), dtype=float).T
+    n, k = len(cont), bits.shape[1]
+    A_c = A[:, cont]
+    fixed = A[:, bins] @ bits  # row activity of the binaries, one column per assignment
+    # candidate active constraints: every row at its rhs, every column at either bound
+    eq_lhs = np.vstack([A_c, np.eye(n), np.eye(n)])
+    eq_rhs = np.vstack([rhs[:, None] - fixed, np.repeat(lb_c, k, 1), np.repeat(ub_c, k, 1)])
+    bin_cost = c[bins] @ bits
+    best = np.full(k, np.inf)
+    for active in map(list, itertools.combinations(range(len(eq_lhs)), n)):
+        if n and abs(np.linalg.det(eq_lhs[active])) < 1e-9:
+            continue
+        X = np.linalg.solve(eq_lhs[active], eq_rhs[active]) if n else np.zeros((0, k))
+        act = A_c @ X + fixed
+        ok = ((X >= lb_c - tol) & (X <= ub_c + tol)).all(0)
+        ok &= ((act >= lo - tol) & (act <= hi + tol)).all(0)
+        obj = c[cont] @ X + bin_cost
+        best = np.where(ok & (obj < best), obj, best)
+    if np.isinf(best).all():
+        return "infeasible", None
+    return "optimal", float(best.min()) + c0

@@ -244,6 +244,31 @@ def test_segments_below_one_exit_1(command, extra, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--gap", "-1"], "--gap -1"),
+        (["scenarios", "--gap", "nan"], "--gap nan"),
+        (["sweep", "--gap", "inf"], "--gap inf"),
+        (["solve", "--node-limit", "-5"], "--node-limit -5"),
+        (["scenarios", "--time-limit", "-1"], "--time-limit -1"),
+        (["sweep", "--time-limit", "nan"], "--time-limit nan"),
+        (["scenarios", "--jobs", "0"], "--jobs 0"),
+        (["sweep", "--jobs", "0"], "--jobs 0"),
+    ],
+    ids=["gap-negative", "gap-nan", "gap-inf", "node-limit", "time-limit",
+         "time-limit-nan", "jobs-scenarios", "jobs-sweep"],
+)
+def test_invalid_solver_option_exit_1(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    if argv[0] == "sweep":
+        argv = argv + ["--param", "lambda", "--grid", "0.3"]
+    rc = run_cli(*argv, "--reduced", "--out", str(out))
+    assert rc == cli.EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_case_dir_env_lookup(tmp_path, monkeypatch, capsys):
     shutil.copy(default_case_path(), tmp_path / "mycase.json")
     monkeypatch.setenv(cli.CASE_DIR_ENV, str(tmp_path))

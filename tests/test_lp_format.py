@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from iesdispatch.lp_format import LpParseError, read_lp, sanitized_names, write_lp
+from lp_reader import LpParseError, read_lp
+from iesdispatch.lp_format import sanitized_names, write_lp
 from iesdispatch.milp_ir import EQ, GE, LE, INF, MilpModel, as_expression
 from iesdispatch.solver import solve_milp
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milp_oracles import check_solution
 from iesdispatch.milp_ir import (
     EQ,
     GE,
@@ -210,8 +211,8 @@ def test_check_solution_reports_violations():
     m = MilpModel()
     x = m.add_continuous(0, 1, "x")
     m.add_constraint(as_expression(x), GE, 0.5, "half")
-    assert m.check_solution([0.7]) == []
-    bad = m.check_solution([0.2])
+    assert check_solution(m, [0.7]) == []
+    bad = check_solution(m, [0.2])
     assert any("half" in msg for msg in bad)
 
 

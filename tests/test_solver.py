@@ -4,11 +4,13 @@ import itertools
 import random
 import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from milp_oracles import brute_force_milp, check_solution, random_milp, vertex_milp
 from iesdispatch.milp_ir import EQ, GE, LE, INF, MilpModel, as_expression
 from iesdispatch.solver.branch_bound import _ScipyCore
 from iesdispatch.solver import (
@@ -133,7 +135,7 @@ def test_lp_matches_scipy_on_random_models():
         assert mine.status == ref_status
         if ref_status == "optimal":
             assert mine.objective == pytest.approx(ref_obj, abs=1e-7, rel=1e-7)
-            assert m.check_solution(mine.x, tol=1e-6) == []
+            assert check_solution(m, mine.x, tol=1e-6) == []
             agreements += 1
     assert agreements >= 100
 
@@ -159,67 +161,11 @@ def test_lp_duality_gap():
     assert checked >= 50
 
 
-# -- MILP against brute force ----------------------------------------------------
-
-
-def _brute_force(model: MilpModel):
-    """Enumerate binary assignments; LP per leaf via scipy."""
-    bids = model.binary_ids()
-    best = None
-    feasible = False
-    c, c0, A, relations, rhs, lb, ub, _ = model.to_dense()
-    for bits in itertools.product((0.0, 1.0), repeat=len(bids)):
-        lo, hi = lb.copy(), ub.copy()
-        for j, bit in zip(bids, bits):
-            lo[j] = hi[j] = bit
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for row, rel, b in zip(A, relations, rhs):
-            if rel == LE:
-                A_ub.append(row)
-                b_ub.append(b)
-            elif rel == GE:
-                A_ub.append(-row)
-                b_ub.append(-b)
-            else:
-                A_eq.append(row)
-                b_eq.append(b)
-        res = linprog(
-            c,
-            A_ub=np.array(A_ub) if A_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(A_eq) if A_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=list(zip(lo, hi)),
-            method="highs",
-        )
-        if res.status == 0:
-            feasible = True
-            if best is None or res.fun < best:
-                best = res.fun
-        elif res.status == 3:
-            return "unbounded", None
-    if not feasible:
-        return "infeasible", None
-    return "optimal", best + c0
+# -- MILP against exhaustive enumeration --------------------------------------------
 
 
 def _random_milp(rng: random.Random, max_binaries: int = 8) -> MilpModel:
-    m = MilpModel()
-    nb = rng.randint(1, max_binaries)
-    nc = rng.randint(1, 4)
-    xs = [m.add_binary(f"b{i}") for i in range(nb)]
-    xs += [m.add_continuous(0.0, rng.choice([1.0, 10.0]), f"x{i}") for i in range(nc)]
-    for j in range(rng.randint(1, 6)):
-        expr = as_expression(0.0)
-        for v in rng.sample(xs, rng.randint(1, len(xs))):
-            expr = expr + rng.choice([-2.0, -1.0, 1.0, 3.0]) * v
-        if expr.coeffs:
-            m.add_constraint(expr, rng.choice([LE, GE]), rng.uniform(-2, 5), f"r{j}")
-    obj = as_expression(0.0)
-    for v in xs:
-        obj = obj + rng.uniform(-3, 3) * v
-    m.set_objective(obj)
-    return m
+    return random_milp(rng, rng.randint(1, max_binaries))
 
 
 def test_milp_example_pair():
@@ -276,11 +222,11 @@ def test_milp_oracle_equivalence_sample():
     for _ in range(25):
         m = _random_milp(rng)
         mine = solve_milp(m)
-        ref_status, ref_obj = _brute_force(m)
+        ref_status, ref_obj = vertex_milp(m)
         assert mine.status == ref_status, m.name
         if ref_status == "optimal":
             assert mine.objective == pytest.approx(ref_obj, abs=1e-6, rel=1e-6)
-            assert m.check_solution(mine.x) == []
+            assert check_solution(m, mine.x) == []
             solved += 1
     assert solved >= 10
 
@@ -314,6 +260,98 @@ def test_milp_node_limit_reports_limit_or_feasible():
     if res.status == "feasible":
         assert res.x is not None
         assert res.bound <= res.objective + 1e-9
+
+
+def test_vertex_oracle_matches_linprog_enumeration():
+    # criterion 2 uses the vertex oracle; the leaf-by-leaf linprog oracle
+    # checks it on models small enough to enumerate that way
+    rng = random.Random(20_240_818)
+    seen = {"optimal": 0, "infeasible": 0}
+    for _ in range(40):
+        m = random_milp(rng, rng.randint(1, 5))
+        status, obj = vertex_milp(m)
+        ref_status, ref_obj = brute_force_milp(m)
+        assert status == ref_status
+        seen[status] += 1
+        if status == "optimal":
+            assert obj == pytest.approx(ref_obj, rel=1e-7, abs=1e-7)
+    assert min(seen.values()) >= 5, seen
+
+
+# -- lock rounding -------------------------------------------------------------------
+
+
+def _rounding_case(blocked: bool) -> MilpModel:
+    # min -y - 0.001 z with y + z <= 1.6: the root relaxation is y = 1,
+    # z = 0.6, and z's nearer value 1 breaks that row at y = 1.  With
+    # y >= 0.9 no polish can repair it.  "blocked" relaxes y >= 0 and adds
+    # y + 2 z >= 2.1, which z = 0 breaks, so neither value fits.
+    m = MilpModel()
+    z = m.add_binary("z")
+    y = m.add_continuous(0.0 if blocked else 0.9, 1.0, "y")
+    m.add_constraint(y + z, LE, 1.6, "cap")
+    if blocked:
+        m.add_constraint(y + 2 * z, GE, 2.1, "floor")
+    m.set_objective(-1.0 * y - 0.001 * z)
+    return m
+
+
+def test_lock_rounding_takes_the_value_the_rows_allow():
+    m = _rounding_case(blocked=False)
+    res = solve_milp(m, MilpOptions(gap_tol=1e-3))
+    # the root and one polish LP: z rounds down, the value every row allows
+    assert (res.status, res.nodes) == ("optimal", 2)
+    assert res.x[0] == 0.0
+    ref_status, ref_obj = brute_force_milp(m)
+    assert ref_status == "optimal"
+    assert res.objective == pytest.approx(ref_obj, abs=1e-9)
+
+
+def test_lock_rounding_branches_when_neither_value_fits():
+    m = _rounding_case(blocked=True)
+    res = solve_milp(m, MilpOptions(gap_tol=1e-3))
+    ref_status, ref_obj = brute_force_milp(m)
+    assert res.status == ref_status == "optimal"
+    assert res.objective == pytest.approx(ref_obj, abs=1e-9)
+    # the root, its two children and the polish of the integral z = 1 child
+    assert res.nodes == 4
+
+
+def test_rounded_incumbent_within_gap_reports_the_lp_bound():
+    # the polished rounding (-1) sits above the root LP (-1.0006) but within
+    # gap_tol, so the search stops at the root and reports the LP bound
+    res = solve_milp(_rounding_case(blocked=False), MilpOptions(gap_tol=1e-3))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-1.0, abs=1e-9)
+    assert res.bound == pytest.approx(-1.0006, abs=1e-9)
+    assert res.gap == pytest.approx(6e-4, rel=1e-6)
+
+
+# Bundled optima before lock rounding: the gated formulation's full-case
+# values and the reduced case's (half horizon, 4 segments), to 6 decimals
+BUNDLED_OPTIMA = {
+    "full": {"S1": 15526.090437, "S2": 16172.746708, "S3": 16206.576735,
+             "S4": 16079.695285, "S5": 16073.368256},
+    "reduced": {"S1": 15613.919869, "S2": 16232.517428, "S3": 16259.160792,
+                "S4": 16133.294773, "S5": 16128.341735},
+}
+
+
+def test_bundled_scenarios_solve_at_the_root():
+    from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, run_scenario
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+
+    case = load_case(default_case_path())
+    runs = (("full", case, DispatchOptions()),
+            ("reduced", reduce_case(case, 2), DispatchOptions(pwl_segments=4)))
+    for name, data, options in runs:
+        for sid in SCENARIO_IDS:
+            sol = run_scenario(data, sid, options)  # raises unless it verifies
+            want = BUNDLED_OPTIMA[name][sid]
+            # the root and one polish LP
+            assert sol.nodes == 2, (name, sid)
+            assert sol.verification.passed
+            assert sol.objective <= want + options.gap_tol * abs(want), (name, sid, sol.objective)
 
 
 def test_scipy_core_matches_reference_simplex():
@@ -534,10 +572,12 @@ def test_backend_registry():
 EXTERNAL_SOLVER = '''\
 import sys
 
-from iesdispatch.lp_format import read_lp, sanitized_names
+tests_dir, lp_path, sol_path = sys.argv[1:4]
+sys.path.insert(0, tests_dir)  # for lp_reader
+from lp_reader import read_lp
+from iesdispatch.lp_format import sanitized_names
 from iesdispatch.solver import solve_milp
 
-lp_path, sol_path = sys.argv[1], sys.argv[2]
 with open(lp_path, encoding="utf-8") as fh:
     model = read_lp(fh.read())
 res = solve_milp(model)
@@ -555,7 +595,8 @@ def _external_round_trip(monkeypatch, script_dir):
     script_dir.mkdir(exist_ok=True)
     script = script_dir / "extsolve.py"
     script.write_text(EXTERNAL_SOLVER, encoding="utf-8")
-    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    tests_dir = Path(__file__).resolve().parent
+    command = " ".join(shlex.quote(str(p)) for p in (sys.executable, script, tests_dir))
     monkeypatch.setenv("IESDISPATCH_EXTERNAL_SOLVER", command)
     assert "external" in available_backends()
 
