@@ -108,7 +108,6 @@ class DrVarMap:
     adjusted: dict[str, list[LinearExpression]] = field(default_factory=dict)
     deviation: dict[str, list[LinearExpression]] = field(default_factory=dict)
     compensation: LinearExpression = field(default_factory=LinearExpression)
-    decomposition: LoadDecomposition | None = None
 
     @property
     def empty(self) -> bool:
@@ -153,7 +152,7 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
     periods = case.horizon.periods
     dt = case.horizon.step_hours
     dec = decompose_loads(case)
-    vm = DrVarMap(decomposition=dec)
+    vm = DrVarMap()
 
     enabled: list[tuple[str, str]] = []
     if scenario.dr_shift:

@@ -146,6 +146,9 @@ class DispatchOptions:
     time_limit: float | None = None
     backend: str = "embedded"  # embedded | scipy-milp | external
 
+    def __post_init__(self):
+        self.milp_options()  # rejects a bad gap_tol at construction
+
     def milp_options(self) -> MilpOptions:
         return MilpOptions(
             gap_tol=self.gap_tol,
@@ -622,12 +625,6 @@ class VerificationReport:
     passed: bool
     checks: list[tuple[str, float, float]]
     failures: list[str]
-
-    def residual(self, name: str) -> float:
-        for check_name, res, _tol in self.checks:
-            if check_name == name:
-                return res
-        raise KeyError(name)
 
 
 def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> VerificationReport:

@@ -312,9 +312,6 @@ class MilpModel:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    def variable(self, name: str) -> Variable:
-        return self.variables[self._var_by_name[name]]
-
     def binary_ids(self) -> list[int]:
         return [v.id for v in self.variables if v.kind == BINARY]
 

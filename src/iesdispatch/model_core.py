@@ -1,10 +1,14 @@
 """Domain data model, case-file ingestion, and validation.
 
-A case is a single UTF-8 JSON document.  Required top-level keys: `loads`,
-`wind`, `tariffs`.  Optional keys (documented defaults applied when absent):
-`horizon`, `converters`, `storages`, `carbon`, `dr`, `purchase_caps`,
-`maintenance`, `chp`, `gas_kwh_per_m3`, `sources`.  Unknown keys are an
-error so typos cannot silently change a study.
+A case is a single UTF-8 JSON document, and the dataclasses below are its
+schema: each section's keys are a dataclass's field names, and a key left
+out takes the default held on the dataclass (or, for devices and upkeep
+prices, in the `DEFAULT_*` tables).  Required top-level keys: `loads`,
+`wind`, `tariffs`; these three are laid out unlike their fields (see
+`case_to_dict`).  Optional keys: `horizon`, `converters`, `storages`,
+`carbon`, `dr`, `purchase_caps` (1.5x each carrier's peak load when absent),
+`maintenance`, `chp`, `gas_kwh_per_m3`, `sources`.  Unknown keys are an error
+so typos cannot silently change a study.
 
 All powers are kW (gas as kW-equivalent thermal; `gas_kwh_per_m3` is the
 conversion constant for callers holding volumetric data), energies kWh,
@@ -21,7 +25,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 CARRIERS = ("electric", "gas", "heat")
 CONVERTER_NAMES = ("P2G", "GT", "WHB", "GB")
@@ -214,7 +218,7 @@ def default_case_path() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "default_case.json")
 
 
-# -- ingestion helpers ---------------------------------------------------------
+# -- reading and writing case documents ---------------------------------------------
 
 
 def _require(obj: dict, key: str, path: str):
@@ -223,10 +227,15 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str):
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise SchemaError(f"unknown keys {unknown}", path or "top level")
+def _object(value, path: str, allowed=None) -> dict:
+    """`value` must be a JSON object whose keys, if `allowed` is given, are among them."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"expected an object, got {type(value).__name__}", path or "top level")
+    if allowed is not None:
+        unknown = sorted(set(value) - set(allowed))
+        if unknown:
+            raise SchemaError(f"unknown keys {unknown}", path or "top level")
+    return value
 
 
 def _number(value, path: str) -> float:
@@ -235,326 +244,195 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _array(value, path: str) -> list[float]:
+def _floats(value, path: str, length: int | None = None) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise SchemaError(f"expected an array, got {type(value).__name__}", path)
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    numbers = tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    if length is not None and len(numbers) != length:
+        raise SchemaError(f"expected {length} numbers", path)
+    return numbers
 
 
-def _per_carrier(value, path: str, default: dict[str, float]) -> dict[str, float]:
-    """Accept one scalar for all carriers or a per-carrier map."""
-    if value is None:
-        return dict(default)
+def _scalar(value, path: str, default):
+    """Read a JSON scalar as the type of the field's default."""
+    name = path.rsplit(".", 1)[-1]
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise SchemaError(f"{name} must be a boolean", path)
+    elif isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{name} must be an integer", path)
+    elif isinstance(default, str):
+        if not isinstance(value, str):
+            raise SchemaError(f"{name} must be a string", path)
+    else:
+        return _number(value, path)
+    return value
+
+
+def _map(value, path: str, keys, base: dict, read) -> dict:
+    """A JSON object over `keys`, each entry read by `read` and laid over `base`."""
+    _object(value, path, keys)
+    return {**base, **{k: read(v, f"{path}.{k}") for k, v in value.items()}}
+
+
+def _per_carrier(value, path: str, base: dict) -> dict[str, float]:
+    """One number for every carrier, or a per-carrier map."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return {k: float(value) for k in CARRIERS}
-    if isinstance(value, dict):
-        _check_keys(value, set(CARRIERS), path)
-        out = dict(default)
-        for k, v in value.items():
-            out[k] = _number(v, f"{path}.{k}")
-        return out
-    raise SchemaError("expected a number or per-carrier map", path)
+    if not isinstance(value, dict):
+        raise SchemaError("expected a number or per-carrier map", path)
+    return _map(value, path, CARRIERS, base, _number)
 
 
-def _parse_horizon(doc) -> Horizon:
-    if doc is None:
-        return Horizon()
-    _check_keys(doc, {"periods", "step_hours"}, "horizon")
-    periods = doc.get("periods", 24)
-    if isinstance(periods, bool) or not isinstance(periods, int):
-        raise SchemaError("periods must be an integer", "horizon.periods")
-    return Horizon(periods, _number(doc.get("step_hours", 1.0), "horizon.step_hours"))
+def _bound_pair(value, path: str) -> tuple[float, float] | None:
+    return None if value is None else _floats(value, path, 2)
 
 
-def _parse_loads(doc) -> dict[str, CarrierProfile]:
-    if not isinstance(doc, dict):
-        raise SchemaError("loads must map carrier to array", "loads")
-    _check_keys(doc, set(CARRIERS), "loads")
-    loads = {}
-    for k in CARRIERS:
-        loads[k] = CarrierProfile(k, tuple(_array(_require(doc, k, "loads"), f"loads.{k}")))
-    return loads
+def _carriers(value, path: str, base) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(c in CARRIERS for c in value):
+        raise SchemaError(f"expected a subset of {list(CARRIERS)}", path)
+    return tuple(value)
 
 
-def _parse_converters(doc) -> tuple[ConverterParams, ...]:
-    if doc is None:
-        return DEFAULT_CONVERTERS
-    if not isinstance(doc, list):
-        raise SchemaError("converters must be an array of objects", "converters")
-    by_name = {c.name: c for c in DEFAULT_CONVERTERS}
-    seen = []
-    for i, item in enumerate(doc):
-        path = f"converters[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError("expected an object", path)
-        name = _require(item, "name", path)
-        path = f"converters[{name}]"
-        _check_keys(
-            item,
-            {"name", "capacity_kw", "efficiencies", "ramp_fraction", "min_output_kw"},
-            path,
-        )
-        base = by_name.get(name)
-        if base is None:
-            raise SchemaError(f"unknown converter {name!r} (known: {CONVERTER_NAMES})", path)
-        eff = item.get("efficiencies")
-        if eff is not None:
-            if not isinstance(eff, dict):
-                raise SchemaError("efficiencies must map carrier to fraction", f"{path}.efficiencies")
-            _check_keys(eff, set(CARRIERS), f"{path}.efficiencies")
-            eff = {k: _number(v, f"{path}.efficiencies.{k}") for k, v in eff.items()}
-        by_name[name] = ConverterParams(
-            name=name,
-            capacity_kw=_number(item.get("capacity_kw", base.capacity_kw), f"{path}.capacity_kw"),
-            efficiencies=eff if eff is not None else dict(base.efficiencies),
-            ramp_fraction=_number(item.get("ramp_fraction", base.ramp_fraction), f"{path}.ramp_fraction"),
-            min_output_kw=_number(item.get("min_output_kw", base.min_output_kw), f"{path}.min_output_kw"),
-        )
-        seen.append(name)
-    if len(seen) != len(set(seen)):
-        raise SchemaError("duplicate converter entries", "converters")
+def _mechanism(value, path: str, base) -> str:
+    if value not in (MECHANISM_NONE, MECHANISM_TRADITIONAL, MECHANISM_TIERED):
+        raise SchemaError(f"unknown mechanism {value!r}", path)
+    return value
+
+
+def _sources(value, path: str, base) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+    ):
+        raise SchemaError("sources must map field to provenance string", path)
+    return dict(value)
+
+
+def _items(cls, key: str, value, path: str, base_for) -> list:
+    """A JSON array of `cls` records, each read over `base_for(name, locator)`
+    where `name` is the record's string `key` field."""
+    if not isinstance(value, list):
+        raise SchemaError(f"expected an array, got {type(value).__name__}", path)
+    out = []
+    for i, item in enumerate(value):
+        where = f"{path}[{i}]"
+        name = _require(_object(item, where), key, where)
+        if not isinstance(name, str):
+            raise SchemaError(f"{key} must be a string", f"{where}.{key}")
+        where = f"{path}[{name}]"
+        out.append(_record(cls, item, where, base_for(name, where)))
+    return out
+
+
+def _converters(value, path: str, base) -> tuple[ConverterParams, ...]:
+    """Entries override the default converter of their name; all four are kept."""
+    by_name = {c.name: c for c in base}
+
+    def base_for(name, where):
+        if name not in by_name:
+            raise SchemaError(f"unknown converter {name!r} (known: {CONVERTER_NAMES})", where)
+        return by_name[name]
+
+    read = _items(ConverterParams, "name", value, path, base_for)
+    if len({c.name for c in read}) != len(read):
+        raise SchemaError("duplicate converter entries", path)
+    by_name.update((c.name, c) for c in read)
     return tuple(by_name[n] for n in CONVERTER_NAMES)
 
 
-def _parse_storages(doc) -> tuple[StorageParams, ...]:
-    if doc is None:
-        return DEFAULT_STORAGES
-    if not isinstance(doc, list):
-        raise SchemaError("storages must be an array of objects", "storages")
-    defaults = {s.carrier: s for s in DEFAULT_STORAGES}
-    out = []
-    for i, item in enumerate(doc):
-        path = f"storages[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError("expected an object", path)
-        carrier = _require(item, "carrier", path)
-        path = f"storages[{carrier}]"
-        fields = {
-            "carrier",
-            "capacity_kwh",
-            "soc_min_frac",
-            "soc_max_frac",
-            "power_limit_fraction",
-            "charge_eff",
-            "discharge_eff",
-            "soc_initial_frac",
-        }
-        _check_keys(item, fields, path)
-        base = defaults.get(carrier, StorageParams(str(carrier), 0.0))
-        kwargs = {"carrier": carrier}
-        for f in fields - {"carrier"}:
-            kwargs[f] = _number(item.get(f, getattr(base, f)), f"{path}.{f}")
-        out.append(StorageParams(**kwargs))
-    return tuple(out)
+def _storages(value, path: str, base) -> tuple[StorageParams, ...]:
+    """The listed storages only; a carrier without a default starts at 0 kWh."""
+    by_carrier = {s.carrier: s for s in base}
+
+    def base_for(carrier, where):
+        return by_carrier.get(carrier, StorageParams(carrier, 0.0))
+
+    return tuple(_items(StorageParams, "carrier", value, path, base_for))
 
 
-def _parse_carbon(doc) -> CarbonPolicy:
-    if doc is None:
-        return CarbonPolicy()
-    fields = {
-        "mechanism",
-        "sigma_e",
-        "sigma_h",
-        "sigma_gload",
-        "sigma_eh",
-        "lambda_base",
-        "alpha_growth",
-        "interval_d",
-        "coal_quad",
-        "gas_quad",
-        "delta_gasload",
-        "theta_p2g",
-        "extra_tiers",
-    }
-    _check_keys(doc, fields, "carbon")
-    base = CarbonPolicy()
-    kwargs = {}
-    mech = doc.get("mechanism", base.mechanism)
-    if mech not in (MECHANISM_NONE, MECHANISM_TRADITIONAL, MECHANISM_TIERED):
-        raise SchemaError(f"unknown mechanism {mech!r}", "carbon.mechanism")
-    kwargs["mechanism"] = mech
-    for f in ("sigma_e", "sigma_h", "sigma_gload", "sigma_eh", "lambda_base",
-              "alpha_growth", "interval_d", "delta_gasload", "theta_p2g"):
-        kwargs[f] = _number(doc.get(f, getattr(base, f)), f"carbon.{f}")
-    for f in ("coal_quad", "gas_quad"):
-        raw = doc.get(f)
-        if raw is None:
-            kwargs[f] = getattr(base, f)
-        else:
-            arr = _array(raw, f"carbon.{f}")
-            if len(arr) != 3:
-                raise SchemaError("quadratic needs exactly 3 coefficients", f"carbon.{f}")
-            kwargs[f] = tuple(arr)
-    extra = doc.get("extra_tiers", base.extra_tiers)
-    if isinstance(extra, bool) or not isinstance(extra, int):
-        raise SchemaError("extra_tiers must be an integer", "carbon.extra_tiers")
-    kwargs["extra_tiers"] = extra
-    return CarbonPolicy(**kwargs)
-
-
-def _parse_dr(doc) -> DrPolicy:
-    if doc is None:
-        return DrPolicy()
-    fields = {
-        "shiftable_fraction",
-        "substitutable_fraction",
-        "mu_shift",
-        "mu_subst",
-        "satisfaction_min",
-        "shift_bounds",
-        "subst_conversion",
-        "literal_eq2",
-        "shift_carriers",
-        "subst_carriers",
-    }
-    _check_keys(doc, fields, "dr")
-    base = DrPolicy()
-    shift_bounds: dict[str, tuple[float, float] | None] = {k: None for k in CARRIERS}
-    raw_bounds = doc.get("shift_bounds")
-    if raw_bounds is not None:
-        if not isinstance(raw_bounds, dict):
-            raise SchemaError("shift_bounds must map carrier to [min, max]", "dr.shift_bounds")
-        _check_keys(raw_bounds, set(CARRIERS), "dr.shift_bounds")
-        for k, v in raw_bounds.items():
-            if v is None:
-                continue
-            pair = _array(v, f"dr.shift_bounds.{k}")
-            if len(pair) != 2:
-                raise SchemaError("expected [min, max]", f"dr.shift_bounds.{k}")
-            shift_bounds[k] = (pair[0], pair[1])
-
-    def carrier_list(key, default):
-        raw = doc.get(key)
-        if raw is None:
-            return default
-        if not isinstance(raw, list) or not all(c in CARRIERS for c in raw):
-            raise SchemaError(f"expected a subset of {list(CARRIERS)}", f"dr.{key}")
-        return tuple(raw)
-
-    literal = doc.get("literal_eq2", base.literal_eq2)
-    if not isinstance(literal, bool):
-        raise SchemaError("literal_eq2 must be a boolean", "dr.literal_eq2")
-    return DrPolicy(
-        shiftable_fraction=_per_carrier(
-            doc.get("shiftable_fraction"), "dr.shiftable_fraction", base.shiftable_fraction
-        ),
-        substitutable_fraction=_per_carrier(
-            doc.get("substitutable_fraction"),
-            "dr.substitutable_fraction",
-            base.substitutable_fraction,
-        ),
-        mu_shift=_number(doc.get("mu_shift", base.mu_shift), "dr.mu_shift"),
-        mu_subst=_number(doc.get("mu_subst", base.mu_subst), "dr.mu_subst"),
-        satisfaction_min=_number(
-            doc.get("satisfaction_min", base.satisfaction_min), "dr.satisfaction_min"
-        ),
-        shift_bounds=shift_bounds,
-        subst_conversion=_per_carrier(
-            doc.get("subst_conversion"), "dr.subst_conversion", base.subst_conversion
-        ),
-        literal_eq2=literal,
-        shift_carriers=carrier_list("shift_carriers", base.shift_carriers),
-        subst_carriers=carrier_list("subst_carriers", base.subst_carriers),
-    )
-
-
-def _parse_chp(doc) -> ChpOptions:
-    if doc is None:
-        return ChpOptions()
-    _check_keys(doc, {"extraction_mode", "ratio_min", "ratio_max"}, "chp")
-    mode = doc.get("extraction_mode", False)
-    if not isinstance(mode, bool):
-        raise SchemaError("extraction_mode must be a boolean", "chp.extraction_mode")
-    return ChpOptions(
-        extraction_mode=mode,
-        ratio_min=_number(doc.get("ratio_min", 2.0), "chp.ratio_min"),
-        ratio_max=_number(doc.get("ratio_max", 3.0), "chp.ratio_max"),
-    )
-
-
-_TOP_KEYS = {
-    "horizon",
-    "loads",
-    "wind",
-    "tariffs",
-    "converters",
-    "storages",
-    "carbon",
-    "dr",
-    "purchase_caps",
-    "maintenance",
-    "chp",
-    "gas_kwh_per_m3",
-    "sources",
+# Fields that are not a scalar or a nested record, read as (value, locator, base value).
+_FIELD_READERS = {
+    (CaseData, "converters"): _converters,
+    (CaseData, "storages"): _storages,
+    (CaseData, "purchase_caps"): lambda v, path, base: _floats(v, path, 2),
+    (CaseData, "maintenance"): lambda v, path, base: _map(v, path, base, base, _number),
+    (CaseData, "sources"): _sources,
+    (ConverterParams, "efficiencies"): lambda v, path, base: _map(v, path, CARRIERS, {}, _number),
+    (CarbonPolicy, "mechanism"): _mechanism,
+    (CarbonPolicy, "coal_quad"): lambda v, path, base: _floats(v, path, 3),
+    (CarbonPolicy, "gas_quad"): lambda v, path, base: _floats(v, path, 3),
+    (DrPolicy, "shiftable_fraction"): _per_carrier,
+    (DrPolicy, "substitutable_fraction"): _per_carrier,
+    (DrPolicy, "subst_conversion"): _per_carrier,
+    (DrPolicy, "shift_bounds"): lambda v, path, base: _map(v, path, CARRIERS, base, _bound_pair),
+    (DrPolicy, "shift_carriers"): _carriers,
+    (DrPolicy, "subst_carriers"): _carriers,
 }
+
+
+def _record(cls, doc, path: str, base):
+    """Read a `cls` dataclass from a JSON object laid over the record `base`.
+
+    The keys are the field names.  An absent key keeps `base`'s value, and so
+    does `null` for a field that is not a scalar.  Scalars are read as the
+    type of `base`'s value, nested records by `_record` and the rest by
+    `_FIELD_READERS`.
+    """
+    _object(doc, path, [f.name for f in fields(cls)])
+    values = {}
+    for name, value in doc.items():
+        default = getattr(base, name)
+        if value is None and not isinstance(default, (int, float, str)):
+            continue
+        where = f"{path}.{name}" if path else name
+        if (cls, name) in _FIELD_READERS:
+            values[name] = _FIELD_READERS[cls, name](value, where, default)
+        elif is_dataclass(default):
+            values[name] = _record(type(default), value, where, default)
+        else:
+            values[name] = _scalar(value, where, default)
+    return replace(base, **values)
+
+
+# The document's layout differs from CaseData's in three sections: `loads`
+# maps carrier to its values, `wind` holds `profile` and `max_kw`, and
+# `tariffs` names its arrays `electricity` and `gas`.
+_DOC_KEYS = {f.name for f in fields(CaseData)} - {"wind_profile", "wind_max_kw"} | {"wind"}
 
 
 def case_from_dict(doc: dict) -> CaseData:
     """Build a CaseData from a parsed JSON document, applying defaults."""
-    if not isinstance(doc, dict):
-        raise SchemaError("case document must be a JSON object", "top level")
-    _check_keys(doc, _TOP_KEYS, "")
-    horizon = _parse_horizon(doc.get("horizon"))
-    loads = _parse_loads(_require(doc, "loads", ""))
-
-    wind = _require(doc, "wind", "")
-    if not isinstance(wind, dict):
-        raise SchemaError("wind must be an object", "wind")
-    _check_keys(wind, {"profile", "max_kw"}, "wind")
-    wind_profile = tuple(_array(_require(wind, "profile", "wind"), "wind.profile"))
-    wind_max = _number(_require(wind, "max_kw", "wind"), "wind.max_kw")
-
-    tariffs_doc = _require(doc, "tariffs", "")
-    if not isinstance(tariffs_doc, dict):
-        raise SchemaError("tariffs must be an object", "tariffs")
-    _check_keys(tariffs_doc, {"electricity", "gas"}, "tariffs")
-    tariffs = TariffProfile(
-        tuple(_array(_require(tariffs_doc, "electricity", "tariffs"), "tariffs.electricity")),
-        tuple(_array(_require(tariffs_doc, "gas", "tariffs"), "tariffs.gas")),
-    )
-
-    caps_doc = doc.get("purchase_caps")
-    if caps_doc is None:
-        peak_e = max(loads["electric"].values, default=0.0)
-        peak_g = max(loads["gas"].values, default=0.0)
-        caps = (1.5 * peak_e, 1.5 * peak_g)
-    else:
-        pair = _array(caps_doc, "purchase_caps")
-        if len(pair) != 2:
-            raise SchemaError("expected [electric_cap, gas_cap]", "purchase_caps")
-        caps = (pair[0], pair[1])
-
-    maint = dict(DEFAULT_MAINTENANCE)
-    maint_doc = doc.get("maintenance")
-    if maint_doc is not None:
-        if not isinstance(maint_doc, dict):
-            raise SchemaError("maintenance must map device to price", "maintenance")
-        _check_keys(maint_doc, set(DEFAULT_MAINTENANCE), "maintenance")
-        for k, v in maint_doc.items():
-            maint[k] = _number(v, f"maintenance.{k}")
-
-    sources = doc.get("sources", {})
-    if not isinstance(sources, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in sources.items()
-    ):
-        raise SchemaError("sources must map field to provenance string", "sources")
-
-    return CaseData(
-        horizon=horizon,
+    _object(doc, "", _DOC_KEYS)
+    loads_doc = _object(_require(doc, "loads", ""), "loads", CARRIERS)
+    loads = {
+        k: CarrierProfile(k, _floats(_require(loads_doc, k, "loads"), f"loads.{k}"))
+        for k in CARRIERS
+    }
+    wind = _object(_require(doc, "wind", ""), "wind", ("profile", "max_kw"))
+    tariffs = _object(_require(doc, "tariffs", ""), "tariffs", ("electricity", "gas"))
+    base = CaseData(
+        horizon=Horizon(),
         loads=loads,
-        wind_profile=wind_profile,
-        wind_max_kw=wind_max,
-        tariffs=tariffs,
-        converters=_parse_converters(doc.get("converters")),
-        storages=_parse_storages(doc.get("storages")),
-        carbon=_parse_carbon(doc.get("carbon")),
-        dr=_parse_dr(doc.get("dr")),
-        purchase_caps=caps,
-        maintenance=maint,
-        chp=_parse_chp(doc.get("chp")),
-        gas_kwh_per_m3=_number(doc.get("gas_kwh_per_m3", 10.0), "gas_kwh_per_m3"),
-        sources=dict(sources),
+        wind_profile=_floats(_require(wind, "profile", "wind"), "wind.profile"),
+        wind_max_kw=_number(_require(wind, "max_kw", "wind"), "wind.max_kw"),
+        tariffs=TariffProfile(
+            _floats(_require(tariffs, "electricity", "tariffs"), "tariffs.electricity"),
+            _floats(_require(tariffs, "gas", "tariffs"), "tariffs.gas"),
+        ),
+        converters=DEFAULT_CONVERTERS,
+        storages=DEFAULT_STORAGES,
+        carbon=CarbonPolicy(),
+        dr=DrPolicy(),
+        # without caps, each carrier may import 1.5x its peak load
+        purchase_caps=(
+            1.5 * max(loads["electric"].values, default=0.0),
+            1.5 * max(loads["gas"].values, default=0.0),
+        ),
+        maintenance=dict(DEFAULT_MAINTENANCE),
     )
+    rest = {k: v for k, v in doc.items() if k not in ("loads", "wind", "tariffs")}
+    return _record(CaseData, rest, "", base)
 
 
 def load_case(path: str) -> CaseData:
@@ -572,78 +450,27 @@ def load_case(path: str) -> CaseData:
     return case
 
 
+def _plain(value):
+    """`value` as JSON holds it: records as objects, tuples as arrays."""
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return list(map(_plain, value))
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return _plain(vars(value))  # a case dataclass
+
+
 def case_to_dict(case: CaseData) -> dict:
-    """Inverse of case_from_dict (field-for-field)."""
-    return {
-        "horizon": {"periods": case.horizon.periods, "step_hours": case.horizon.step_hours},
-        "loads": {k: list(case.loads[k].values) for k in CARRIERS},
-        "wind": {"profile": list(case.wind_profile), "max_kw": case.wind_max_kw},
-        "tariffs": {
-            "electricity": list(case.tariffs.electricity_price),
-            "gas": list(case.tariffs.gas_price),
-        },
-        "converters": [
-            {
-                "name": c.name,
-                "capacity_kw": c.capacity_kw,
-                "efficiencies": dict(c.efficiencies),
-                "ramp_fraction": c.ramp_fraction,
-                "min_output_kw": c.min_output_kw,
-            }
-            for c in case.converters
-        ],
-        "storages": [asdict(s) for s in case.storages],
-        "carbon": {
-            **{
-                f: getattr(case.carbon, f)
-                for f in (
-                    "mechanism",
-                    "sigma_e",
-                    "sigma_h",
-                    "sigma_gload",
-                    "sigma_eh",
-                    "lambda_base",
-                    "alpha_growth",
-                    "interval_d",
-                    "delta_gasload",
-                    "theta_p2g",
-                    "extra_tiers",
-                )
-            },
-            "coal_quad": list(case.carbon.coal_quad),
-            "gas_quad": list(case.carbon.gas_quad),
-        },
-        "dr": {
-            "shiftable_fraction": dict(case.dr.shiftable_fraction),
-            "substitutable_fraction": dict(case.dr.substitutable_fraction),
-            "mu_shift": case.dr.mu_shift,
-            "mu_subst": case.dr.mu_subst,
-            "satisfaction_min": case.dr.satisfaction_min,
-            "shift_bounds": {
-                k: (list(v) if v is not None else None)
-                for k, v in case.dr.shift_bounds.items()
-            },
-            "subst_conversion": dict(case.dr.subst_conversion),
-            "literal_eq2": case.dr.literal_eq2,
-            "shift_carriers": list(case.dr.shift_carriers),
-            "subst_carriers": list(case.dr.subst_carriers),
-        },
-        "purchase_caps": list(case.purchase_caps),
-        "maintenance": dict(case.maintenance),
-        "chp": {
-            "extraction_mode": case.chp.extraction_mode,
-            "ratio_min": case.chp.ratio_min,
-            "ratio_max": case.chp.ratio_max,
-        },
-        "gas_kwh_per_m3": case.gas_kwh_per_m3,
-        "sources": dict(case.sources),
+    """Inverse of case_from_dict: every field, in the document's layout."""
+    doc = _plain(case)
+    doc["loads"] = {k: profile["values"] for k, profile in doc["loads"].items()}
+    doc["wind"] = {"profile": doc.pop("wind_profile"), "max_kw": doc.pop("wind_max_kw")}
+    doc["tariffs"] = {
+        "electricity": doc["tariffs"]["electricity_price"],
+        "gas": doc["tariffs"]["gas_price"],
     }
-
-
-def save_case(case: CaseData, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(case_to_dict(case), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return doc
 
 
 def case_hash(case: CaseData) -> str:

@@ -5,7 +5,6 @@ from .branch_bound import MilpOptions, MilpSolution, solve_milp
 from .backends import (
     Backend,
     BackendUnavailableError,
-    available_backends,
     get_backend,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "solve_milp",
     "Backend",
     "BackendUnavailableError",
-    "available_backends",
     "get_backend",
 ]

@@ -1,6 +1,8 @@
 """Solver backends behind a single contract: solve(model, options) -> MilpSolution.
 
-- "embedded": this package's branch-and-bound, with HiGHS node LPs.
+The embedded branch-and-bound is not one of them: `run_scenario` calls
+`solve_milp` directly for the default backend "embedded".
+
 - "scipy-milp": scipy.optimize.milp (HiGHS branch-and-cut), used as an
   independent cross-check.
 - "external": runs a user-supplied command on the LP-format export.  The
@@ -31,7 +33,6 @@ from .branch_bound import (
     MILP_UNBOUNDED,
     MilpOptions,
     MilpSolution,
-    solve_milp,
 )
 
 ENV_EXTERNAL = "IESDISPATCH_EXTERNAL_SOLVER"
@@ -48,13 +49,6 @@ class Backend:
 
     def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
         raise NotImplementedError
-
-
-class EmbeddedBackend(Backend):
-    name = "embedded"
-
-    def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
-        return solve_milp(model, options)
 
 
 class ScipyMilpBackend(Backend):
@@ -170,7 +164,6 @@ class ExternalBackend(Backend):
 
 
 _BACKENDS = {
-    EmbeddedBackend.name: EmbeddedBackend,
     ScipyMilpBackend.name: ScipyMilpBackend,
     ExternalBackend.name: ExternalBackend,
 }
@@ -180,10 +173,3 @@ def get_backend(name: str) -> Backend:
     if name not in _BACKENDS:
         raise BackendUnavailableError(name, f"unknown backend; known: {sorted(_BACKENDS)}")
     return _BACKENDS[name]()
-
-
-def available_backends() -> list[str]:
-    names = ["embedded", "scipy-milp"]
-    if os.environ.get(ENV_EXTERNAL):
-        names.append("external")
-    return names

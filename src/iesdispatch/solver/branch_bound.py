@@ -2,13 +2,13 @@
 
 Node LP relaxations are solved by HiGHS through scipy's bindings.  The model
 is compiled once per solve by ``MilpModel.to_sparse`` and its CSC matrix is
-loaded into one HiGHS instance with presolve off; a node only changes the
-column bounds that differ from the last LP solved and restarts the dual
-simplex from its parent's basis, which after one fixed binary takes a few
-pivots instead of a cold solve.  Every node gets its parent's basis, so it
-warm-starts from its own parent whatever order nodes are popped in.  The
-search starts at the root relaxation, the first node popped, and always
-expands the open node with the lowest bound.
+loaded into one HiGHS instance with presolve off; each node LP sets every
+column's bounds and restarts the dual simplex from its parent's basis,
+which after one fixed binary takes a few pivots instead of a cold solve.
+Every node gets its parent's basis, so it warm-starts from its own parent
+whatever order nodes are popped in.  The search starts at the root
+relaxation, the first node popped, and always expands the open node with the
+lowest bound.
 The dispatch models branch only on storage gates: their convex cost terms
 (demand-response deviation and the tiered carbon ladder) are exact LPs, so
 the relaxations are tight.  Branching picks the binary closest to 0.5 with
@@ -32,6 +32,7 @@ is solved by the root and one polish LP.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -55,6 +56,11 @@ class MilpOptions:
     int_tol: float = 1e-6
     node_limit: int = 200_000
     time_limit: float | None = None
+
+    def __post_init__(self):
+        # a NaN gap never closes, so the search would have to prove optimality exactly
+        if not (math.isfinite(self.gap_tol) and self.gap_tol >= 0):
+            raise ValueError(f"gap_tol {self.gap_tol!r}: need a finite gap >= 0")
 
 
 @dataclass
@@ -102,7 +108,6 @@ class _ScipyCore:
         n, m = len(c), len(relations)
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
-        self._lb = self._ub = None  # bounds of the last LP, None before the first
         rhs = np.asarray(rhs, dtype=float)
         rel = np.asarray(relations, dtype=object)
         self.row_lower = np.where(rel == LE, -np.inf, rhs)
@@ -142,20 +147,10 @@ class _ScipyCore:
             return INFEASIBLE, iterations
         raise RuntimeError(f"LP core failed: {h.modelStatusToString(model_status)}")
 
-    def _set_bounds(self, lb, ub) -> None:
-        """Pass HiGHS only the columns whose bounds differ from the last LP."""
-        lb, ub = np.array(lb, dtype=float), np.array(ub, dtype=float)
-        if self._lb is None:
-            cols = self._cols
-        else:
-            cols = self._cols[(lb != self._lb) | (ub != self._ub)]
-        if cols.size:
-            self._highs.changeColsBounds(cols.size, cols, lb[cols], ub[cols])
-        self._lb, self._ub = lb, ub
-
     def solve(self, lb, ub, start=None) -> LpSolution:
         h, status = self._highs, self._status
-        self._set_bounds(lb, ub)
+        lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+        h.changeColsBounds(self._cols.size, self._cols, lb, ub)
         if start is None:
             h.clearSolver()
         else:

@@ -85,6 +85,26 @@ def test_validate_unreadable_file_exit_2(tmp_path, capsys):
     assert "invalid" in (captured.out + captured.err).lower()
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize(
+    "section, value",
+    [("horizon", 5), ("carbon", 3), ("converters", [{"name": ["GT"]}])],
+    ids=["horizon-number", "carbon-number", "converter-name-array"],
+)
+def test_malformed_case_exit_2(command, section, value, tmp_path, capsys):
+    doc = case_to_dict(load_case(default_case_path()))
+    doc[section] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, "--case", str(path)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert section in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 # -- solve -------------------------------------------------------------------------
 
 

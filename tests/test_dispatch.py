@@ -79,6 +79,12 @@ def test_scenario_catalog():
         as_scenario("S9")
 
 
+@pytest.mark.parametrize("gap", [float("nan"), float("inf"), -1.0])
+def test_dispatch_options_reject_a_bad_gap_at_construction(gap):
+    with pytest.raises(ValueError, match="gap_tol"):
+        DispatchOptions(gap_tol=gap)
+
+
 # -- single-period oracles ----------------------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 import copy
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -10,7 +10,16 @@ from iesdispatch.model_core import (
     CARRIERS,
     CaseError,
     CaseData,
+    CarbonPolicy,
+    CarrierProfile,
+    ChpOptions,
+    ConverterParams,
+    DEFAULT_CONVERTERS,
+    DrPolicy,
+    Horizon,
     MECHANISM_TIERED,
+    StorageParams,
+    TariffProfile,
     SchemaError,
     UnitError,
     case_from_dict,
@@ -19,10 +28,15 @@ from iesdispatch.model_core import (
     default_case_path,
     load_case,
     reduce_case,
-    save_case,
     scale_profiles,
     validate_case,
 )
+
+
+def save_case(case: CaseData, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(case_to_dict(case), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +147,441 @@ def test_load_case_rejects_invalid_payload(tmp_path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(UnitError):
         load_case(str(path))
+
+
+# -- characterization: the document schema ------------------------------------------
+#
+# Each accepted document is the bundled case file with a few edits; it must
+# parse to the expected CaseData and hash to the pinned value.  Each rejected
+# document must raise SchemaError at the pinned locator.
+
+_DROP = object()
+
+
+def _edited(doc, edits):
+    doc = copy.deepcopy(doc)
+    for path, value in edits:
+        if not path:
+            return copy.deepcopy(value)
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = copy.deepcopy(value)
+    return doc
+
+
+def _sub(case, section, **changes):
+    return replace(case, **{section: replace(getattr(case, section), **changes)})
+
+
+@pytest.fixture(scope="module")
+def raw_doc() -> dict:
+    with open(default_case_path(), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+ACCEPTED = [
+    ("bundled", [], lambda c: c, "5dec2cf0ee11e088"),
+    ("horizon-absent", [(("horizon",), _DROP)], lambda c: c, "5dec2cf0ee11e088"),
+    ("horizon-empty", [(("horizon",), {})], lambda c: c, "5dec2cf0ee11e088"),
+    ("horizon-null", [(("horizon",), None)], lambda c: c, "5dec2cf0ee11e088"),
+    ("horizon-int-step", [(("horizon",), {"step_hours": 2})],
+     lambda c: replace(c, horizon=Horizon(24, 2.0)), "3e6d26490cb005f3"),
+    ("horizon-periods", [(("horizon", "periods"), 12)],
+     lambda c: replace(c, horizon=Horizon(12, 1.0)), "f40324fb903384fd"),
+    ("loads-ints", [(("loads", "heat"), [700] * 24)],
+     lambda c: replace(c, loads={**c.loads, "heat": CarrierProfile("heat", (700.0,) * 24)}),
+     "ab93b762cd6adf19"),
+    ("wind-max", [(("wind", "max_kw"), 900.5)], lambda c: replace(c, wind_max_kw=900.5), "90b8ead54348555d"),
+    ("tariff-gas", [(("tariffs", "gas"), [0.4] * 24)],
+     lambda c: _sub(c, "tariffs", gas_price=(0.4,) * 24), "60fb10294f5fb3e8"),
+    ("carbon-empty", [(("carbon",), {})], lambda c: c, "5dec2cf0ee11e088"),
+    ("carbon-int-sigma", [(("carbon",), {"sigma_e": 1})],
+     lambda c: _sub(c, "carbon", sigma_e=1.0), "59fad1fa29f6a4f5"),
+    ("carbon-mixed",
+     [(("carbon",), {"mechanism": "traditional", "extra_tiers": 2,
+                     "coal_quad": [1, 2, 0.5], "gas_quad": None})],
+     lambda c: _sub(c, "carbon", mechanism="traditional", extra_tiers=2,
+                    coal_quad=(1.0, 2.0, 0.5)),
+     "35ec6c7773a95a01"),
+    ("carbon-none", [(("carbon",), {"mechanism": "none", "interval_d": 1500})],
+     lambda c: _sub(c, "carbon", mechanism="none", interval_d=1500.0), "8055a50da6e797b6"),
+    ("dr-null", [(("dr",), None)], lambda c: replace(c, dr=DrPolicy()), "dd902f99b13aa8e1"),
+    ("dr-absent", [(("dr",), _DROP)], lambda c: replace(c, dr=DrPolicy()), "dd902f99b13aa8e1"),
+    ("dr-fractions",
+     [(("dr", "shiftable_fraction"), 0), (("dr", "substitutable_fraction"), {"heat": 0.1}),
+      (("dr", "subst_conversion"), {"gas": 2})],
+     lambda c: _sub(c, "dr", shiftable_fraction={k: 0.0 for k in CARRIERS},
+                    substitutable_fraction={"electric": 0.05, "gas": 0.05, "heat": 0.1},
+                    subst_conversion={"electric": 1.0, "gas": 2.0, "heat": 1.0}),
+     "114ff3c3affe669d"),
+    ("dr-bounds",
+     [(("dr", "shift_bounds"), {"heat": [-50, 50], "gas": None}),
+      (("dr", "literal_eq2"), True), (("dr", "subst_carriers"), [])],
+     lambda c: _sub(c, "dr", shift_bounds={"electric": None, "gas": None, "heat": (-50.0, 50.0)},
+                    literal_eq2=True, subst_carriers=()),
+     "747978c5f17f15c8"),
+    ("dr-nulls",
+     [(("dr", "shift_bounds"), None), (("dr", "shift_carriers"), None),
+      (("dr", "shiftable_fraction"), None)],
+     lambda c: _sub(c, "dr", shift_carriers=CARRIERS), "50b08d535e2b97a3"),
+    ("chp", [(("chp",), {"extraction_mode": True, "ratio_min": 1})],
+     lambda c: replace(c, chp=ChpOptions(True, 1.0, 3.0)), "c92310914681bada"),
+    ("chp-null", [(("chp",), None)], lambda c: c, "5dec2cf0ee11e088"),
+    ("converters-empty", [(("converters",), [])], lambda c: c, "5dec2cf0ee11e088"),
+    ("converters-null", [(("converters",), None)], lambda c: c, "5dec2cf0ee11e088"),
+    ("converters-edit",
+     [(("converters",), [{"name": "GT", "capacity_kw": 900},
+                         {"name": "GB", "efficiencies": {"heat": 0.9}, "min_output_kw": 10}])],
+     lambda c: replace(c, converters=(
+         c.converters[0],
+         replace(c.converters[1], capacity_kw=900.0),
+         c.converters[2],
+         replace(c.converters[3], efficiencies={"heat": 0.9}, min_output_kw=10.0),
+     )),
+     "8c589d2c8e549537"),
+    ("converters-null-eff",
+     [(("converters",), [{"name": "P2G", "efficiencies": None, "ramp_fraction": 1}])],
+     lambda c: replace(c, converters=(replace(c.converters[0], ramp_fraction=1.0),)
+                       + c.converters[1:]),
+     "f850e136b012f7d6"),
+    ("storages-empty", [(("storages",), [])], lambda c: replace(c, storages=()), "197e67d36a4903f6"),
+    ("storages-null", [(("storages",), None)], lambda c: c, "5dec2cf0ee11e088"),
+    ("storages-one", [(("storages",), [{"carrier": "heat", "capacity_kwh": 100}])],
+     lambda c: replace(c, storages=(StorageParams("heat", 100.0),)), "11942c7615e4a6ce"),
+    ("storages-unknown-carrier", [(("storages",), [{"carrier": "steam"}])],
+     lambda c: replace(c, storages=(StorageParams("steam", 0.0),)), "bc8d54cef25d997f"),
+    ("caps-derived", [(("purchase_caps",), _DROP)],
+     lambda c: replace(c, purchase_caps=(1.5 * 1064.0, 1.5 * 500.0)), "93d4f04714941d1f"),
+    ("caps-null", [(("purchase_caps",), None)],
+     lambda c: replace(c, purchase_caps=(1.5 * 1064.0, 1.5 * 500.0)), "93d4f04714941d1f"),
+    ("caps", [(("purchase_caps",), [1000, 2000.5])],
+     lambda c: replace(c, purchase_caps=(1000.0, 2000.5)), "88a37d6be0173f50"),
+    ("maintenance", [(("maintenance",), {"GT": 0.05, "storage_heat": 0})],
+     lambda c: replace(c, maintenance={**c.maintenance, "GT": 0.05, "storage_heat": 0.0}),
+     "566e2406376ae52b"),
+    ("maintenance-null", [(("maintenance",), None)], lambda c: c, "5dec2cf0ee11e088"),
+    ("gas-kwh", [(("gas_kwh_per_m3",), 9)], lambda c: replace(c, gas_kwh_per_m3=9.0), "9e8cfabb9a5b23c7"),
+    ("sources-empty", [(("sources",), {})], lambda c: replace(c, sources={}), "ec816a32674760e1"),
+    ("sources-absent", [(("sources",), _DROP)], lambda c: replace(c, sources={}), "ec816a32674760e1"),
+]
+
+
+@pytest.mark.parametrize("edits, expect, pinned", [a[1:] for a in ACCEPTED],
+                         ids=[a[0] for a in ACCEPTED])
+def test_accepted_document(raw_doc, case, edits, expect, pinned):
+    parsed = case_from_dict(_edited(raw_doc, edits))
+    assert parsed == expect(case)
+    assert case_hash(parsed) == pinned
+
+
+REJECTED = [
+    ("not-an-object", [((), [])], "top level", None),
+    ("unknown-top-key", [(("mystery",), 1)], "top level", "mystery"),
+    ("field-name-not-document-key", [(("wind_max_kw",), 850)], "top level", "wind_max_kw"),
+    ("loads-missing", [(("loads",), _DROP)], "loads", "missing required field"),
+    ("wind-missing", [(("wind",), _DROP)], "wind", "missing required field"),
+    ("tariffs-missing", [(("tariffs",), _DROP)], "tariffs", "missing required field"),
+    ("loads-array", [(("loads",), [])], "loads", None),
+    ("loads-null", [(("loads",), None)], "loads", None),
+    ("loads-carrier-missing", [(("loads", "heat"), _DROP)], "loads.heat", None),
+    ("loads-unknown-carrier", [(("loads", "steam"), [1] * 24)], "loads", "steam"),
+    ("loads-not-array", [(("loads", "electric"), "x")], "loads.electric", "expected an array"),
+    ("loads-string-value", [(("loads", "electric", 3), "x")], "loads.electric[3]",
+     "expected a number, got str"),
+    ("loads-bool-value", [(("loads", "gas", 0), True)], "loads.gas[0]", "got bool"),
+    ("wind-number", [(("wind",), 5)], "wind", None),
+    ("wind-profile-missing", [(("wind", "profile"), _DROP)], "wind.profile", None),
+    ("wind-max-string", [(("wind", "max_kw"), "850")], "wind.max_kw", None),
+    ("wind-unknown-key", [(("wind", "gust"), 1)], "wind", "gust"),
+    ("wind-null-value", [(("wind", "profile", 0), None)], "wind.profile[0]", None),
+    ("tariffs-array", [(("tariffs",), [])], "tariffs", None),
+    ("tariffs-gas-missing", [(("tariffs", "gas"), _DROP)], "tariffs.gas", None),
+    ("tariffs-string-value", [(("tariffs", "electricity", 2), "x")], "tariffs.electricity[2]", None),
+    ("tariffs-unknown-key", [(("tariffs", "peak"), [])], "tariffs", "peak"),
+    ("horizon-unknown-key", [(("horizon", "days"), 1)], "horizon", "days"),
+    ("horizon-float-periods", [(("horizon", "periods"), 24.0)], "horizon.periods",
+     "periods must be an integer"),
+    ("horizon-bool-periods", [(("horizon", "periods"), True)], "horizon.periods", None),
+    ("horizon-null-periods", [(("horizon", "periods"), None)], "horizon.periods", None),
+    ("horizon-string-step", [(("horizon", "step_hours"), "1")], "horizon.step_hours",
+     "expected a number, got str"),
+    ("converters-object", [(("converters",), {})], "converters", None),
+    ("converters-item-number", [(("converters",), [5])], "converters[0]", None),
+    ("converters-item-null", [(("converters",), [None])], "converters[0]", None),
+    ("converters-name-missing", [(("converters",), [{}])], "converters[0].name", None),
+    ("converters-unknown-name", [(("converters",), [{"name": "XX"}])], "converters[XX]", None),
+    ("converters-unknown-key", [(("converters",), [{"name": "GT", "cap": 1}])], "converters[GT]",
+     "cap"),
+    ("converters-eff-array", [(("converters",), [{"name": "GT", "efficiencies": [0.2]}])],
+     "converters[GT].efficiencies", None),
+    ("converters-eff-carrier", [(("converters",), [{"name": "GT", "efficiencies": {"steam": 1}}])],
+     "converters[GT].efficiencies", "steam"),
+    ("converters-eff-string", [(("converters",), [{"name": "GT", "efficiencies": {"heat": "x"}}])],
+     "converters[GT].efficiencies.heat", None),
+    ("converters-capacity-string", [(("converters",), [{"name": "GT", "capacity_kw": "big"}])],
+     "converters[GT].capacity_kw", None),
+    ("converters-ramp-null", [(("converters",), [{"name": "GT", "ramp_fraction": None}])],
+     "converters[GT].ramp_fraction", None),
+    ("converters-duplicate", [(("converters",), [{"name": "GT"}, {"name": "GT"}])],
+     "converters", "duplicate"),
+    ("storages-object", [(("storages",), {})], "storages", None),
+    ("storages-item-null", [(("storages",), [None])], "storages[0]", None),
+    ("storages-carrier-missing", [(("storages",), [{}])], "storages[0].carrier", None),
+    ("storages-unknown-key", [(("storages",), [{"carrier": "heat", "size": 1}])],
+     "storages[heat]", "size"),
+    ("storages-bool-value", [(("storages",), [{"carrier": "heat", "soc_min_frac": True}])],
+     "storages[heat].soc_min_frac", None),
+    ("carbon-string", [(("carbon",), "x")], "carbon", None),
+    ("carbon-unknown-key", [(("carbon",), {"bogus": 1})], "carbon", "bogus"),
+    ("carbon-mechanism", [(("carbon",), {"mechanism": "cap"})], "carbon.mechanism",
+     "unknown mechanism"),
+    ("carbon-mechanism-null", [(("carbon",), {"mechanism": None})], "carbon.mechanism", None),
+    ("carbon-sigma-string", [(("carbon",), {"sigma_e": "x"})], "carbon.sigma_e", None),
+    ("carbon-sigma-bool", [(("carbon",), {"sigma_h": True})], "carbon.sigma_h", None),
+    ("carbon-quad-short", [(("carbon",), {"coal_quad": [1, 2]})], "carbon.coal_quad", None),
+    ("carbon-quad-number", [(("carbon",), {"coal_quad": 5})], "carbon.coal_quad", None),
+    ("carbon-quad-string", [(("carbon",), {"gas_quad": [0, "x", 1]})], "carbon.gas_quad[1]", None),
+    ("carbon-tiers-float", [(("carbon",), {"extra_tiers": 1.5})], "carbon.extra_tiers",
+     "extra_tiers must be an integer"),
+    ("carbon-tiers-bool", [(("carbon",), {"extra_tiers": True})], "carbon.extra_tiers", None),
+    ("dr-string", [(("dr",), "x")], "dr", None),
+    ("dr-unknown-key", [(("dr", "bogus"), 1)], "dr", "bogus"),
+    ("dr-fraction-string", [(("dr", "shiftable_fraction"), "x")], "dr.shiftable_fraction", None),
+    ("dr-fraction-bool", [(("dr", "shiftable_fraction"), True)], "dr.shiftable_fraction", None),
+    ("dr-fraction-carrier", [(("dr", "shiftable_fraction"), {"steam": 0.1})],
+     "dr.shiftable_fraction", "steam"),
+    ("dr-fraction-value", [(("dr", "substitutable_fraction"), {"heat": "x"})],
+     "dr.substitutable_fraction.heat", None),
+    ("dr-conversion-array", [(("dr", "subst_conversion"), [1])], "dr.subst_conversion", None),
+    ("dr-bounds-array", [(("dr", "shift_bounds"), [])], "dr.shift_bounds", None),
+    ("dr-bounds-carrier", [(("dr", "shift_bounds"), {"steam": [0, 1]})], "dr.shift_bounds",
+     "steam"),
+    ("dr-bounds-short", [(("dr", "shift_bounds"), {"heat": [1]})], "dr.shift_bounds.heat", None),
+    ("dr-bounds-number", [(("dr", "shift_bounds"), {"heat": 5})], "dr.shift_bounds.heat", None),
+    ("dr-bounds-string", [(("dr", "shift_bounds"), {"heat": [0, "x"]})],
+     "dr.shift_bounds.heat[1]", None),
+    ("dr-carriers-unknown", [(("dr", "shift_carriers"), ["steam"])], "dr.shift_carriers",
+     "expected a subset"),
+    ("dr-carriers-string", [(("dr", "shift_carriers"), "electric")], "dr.shift_carriers", None),
+    ("dr-carriers-number", [(("dr", "subst_carriers"), [1])], "dr.subst_carriers", None),
+    ("dr-literal-int", [(("dr", "literal_eq2"), 1)], "dr.literal_eq2",
+     "literal_eq2 must be a boolean"),
+    ("dr-mu-null", [(("dr", "mu_shift"), None)], "dr.mu_shift", None),
+    ("dr-satisfaction-string", [(("dr", "satisfaction_min"), "x")], "dr.satisfaction_min", None),
+    ("chp-string", [(("chp",), "x")], "chp", None),
+    ("chp-unknown-key", [(("chp",), {"bogus": 1})], "chp", "bogus"),
+    ("chp-mode-string", [(("chp",), {"extraction_mode": "yes"})], "chp.extraction_mode",
+     "extraction_mode must be a boolean"),
+    ("chp-ratio-null", [(("chp",), {"ratio_min": None})], "chp.ratio_min", None),
+    ("caps-short", [(("purchase_caps",), [1])], "purchase_caps", None),
+    ("caps-number", [(("purchase_caps",), 5)], "purchase_caps", None),
+    ("caps-string-value", [(("purchase_caps",), [1, "x"])], "purchase_caps[1]", None),
+    ("maintenance-array", [(("maintenance",), [])], "maintenance", None),
+    ("maintenance-unknown", [(("maintenance",), {"XX": 1})], "maintenance", "XX"),
+    ("maintenance-string", [(("maintenance",), {"GT": "x"})], "maintenance.GT", None),
+    ("sources-array", [(("sources",), [])], "sources", None),
+    ("sources-number-value", [(("sources",), {"a": 1})], "sources", None),
+    ("gas-kwh-string", [(("gas_kwh_per_m3",), "10")], "gas_kwh_per_m3", None),
+    ("gas-kwh-null", [(("gas_kwh_per_m3",), None)], "gas_kwh_per_m3", None),
+]
+
+
+@pytest.mark.parametrize("edits, locator, message", [r[1:] for r in REJECTED],
+                         ids=[r[0] for r in REJECTED])
+def test_rejected_document(raw_doc, edits, locator, message):
+    with pytest.raises(SchemaError) as info:
+        case_from_dict(_edited(raw_doc, edits))
+    assert info.value.locator == locator
+    if message is not None:
+        assert message in str(info.value)
+
+
+# Each of these escaped the reader as a TypeError or AttributeError once.
+@pytest.mark.parametrize(
+    "edits, locator",
+    [
+        ([(("horizon",), 5)], "horizon"),
+        ([(("carbon",), 3)], "carbon"),
+        ([(("carbon",), [])], "carbon"),
+        ([(("dr",), 2.5)], "dr"),
+        ([(("chp",), True)], "chp"),
+        ([(("converters",), [{"name": ["GT"]}])], "converters[0].name"),
+        ([(("converters",), [{"name": 5}])], "converters[0].name"),
+        ([(("storages",), [{"carrier": ["heat"]}])], "storages[0].carrier"),
+        ([(("storages",), [{"carrier": 5}])], "storages[0].carrier"),
+    ],
+    ids=["horizon-number", "carbon-number", "carbon-array", "dr-number", "chp-bool",
+         "converter-name-array", "converter-name-number", "storage-carrier-array",
+         "storage-carrier-number"],
+)
+def test_malformed_section_is_a_schema_error(raw_doc, edits, locator):
+    with pytest.raises(SchemaError) as info:
+        case_from_dict(_edited(raw_doc, edits))
+    assert info.value.locator == locator
+
+
+# -- schema coverage ------------------------------------------------------------------
+#
+# One entry per field of every dataclass a case holds: edits to the
+# `case_to_dict` form that give the field a value other than the bundled
+# case's, where to read it back, and the value expected there.
+
+_P24 = [7.5] * 24
+
+COVERAGE = {
+    (Horizon, "periods"): ([(("horizon", "periods"), 12)], lambda c: c.horizon.periods, 12),
+    (Horizon, "step_hours"): (
+        [(("horizon", "step_hours"), 0.5)], lambda c: c.horizon.step_hours, 0.5),
+    # a profile's carrier is its key in `loads`
+    (CarrierProfile, "carrier"): (
+        [(("loads", "gas"), _P24)], lambda c: c.loads["gas"], CarrierProfile("gas", (7.5,) * 24)),
+    (CarrierProfile, "values"): (
+        [(("loads", "heat"), _P24)], lambda c: c.loads["heat"].values, (7.5,) * 24),
+    (TariffProfile, "electricity_price"): (
+        [(("tariffs", "electricity"), _P24)], lambda c: c.tariffs.electricity_price, (7.5,) * 24),
+    (TariffProfile, "gas_price"): (
+        [(("tariffs", "gas"), _P24)], lambda c: c.tariffs.gas_price, (7.5,) * 24),
+    # an entry's name picks the converter it sets
+    (ConverterParams, "name"): (
+        [(("converters", 0, "name"), "GT"), (("converters", 1, "name"), "P2G")],
+        lambda c: c.converter("GT"), ConverterParams("GT", 500.0, {"gas": 0.60})),
+    (ConverterParams, "capacity_kw"): (
+        [(("converters", 1, "capacity_kw"), 900.0)], lambda c: c.converter("GT").capacity_kw, 900.0),
+    (ConverterParams, "efficiencies"): (
+        [(("converters", 3, "efficiencies"), {"heat": 0.9})],
+        lambda c: c.converter("GB").efficiencies, {"heat": 0.9}),
+    (ConverterParams, "ramp_fraction"): (
+        [(("converters", 2, "ramp_fraction"), 0.5)], lambda c: c.converter("WHB").ramp_fraction, 0.5),
+    (ConverterParams, "min_output_kw"): (
+        [(("converters", 1, "min_output_kw"), 50.0)], lambda c: c.converter("GT").min_output_kw, 50.0),
+    (StorageParams, "carrier"): (
+        [(("storages", 2, "carrier"), "steam")], lambda c: c.storages[2].carrier, "steam"),
+    (StorageParams, "capacity_kwh"): (
+        [(("storages", 0, "capacity_kwh"), 100.0)], lambda c: c.storages[0].capacity_kwh, 100.0),
+    (StorageParams, "soc_min_frac"): (
+        [(("storages", 0, "soc_min_frac"), 0.2)], lambda c: c.storages[0].soc_min_frac, 0.2),
+    (StorageParams, "soc_max_frac"): (
+        [(("storages", 0, "soc_max_frac"), 0.8)], lambda c: c.storages[0].soc_max_frac, 0.8),
+    (StorageParams, "power_limit_fraction"): (
+        [(("storages", 1, "power_limit_fraction"), 0.3)],
+        lambda c: c.storages[1].power_limit_fraction, 0.3),
+    (StorageParams, "charge_eff"): (
+        [(("storages", 1, "charge_eff"), 0.9)], lambda c: c.storages[1].charge_eff, 0.9),
+    (StorageParams, "discharge_eff"): (
+        [(("storages", 1, "discharge_eff"), 0.9)], lambda c: c.storages[1].discharge_eff, 0.9),
+    (StorageParams, "soc_initial_frac"): (
+        [(("storages", 2, "soc_initial_frac"), 0.4)], lambda c: c.storages[2].soc_initial_frac, 0.4),
+    (CarbonPolicy, "mechanism"): (
+        [(("carbon", "mechanism"), "traditional")], lambda c: c.carbon.mechanism, "traditional"),
+    (CarbonPolicy, "sigma_e"): ([(("carbon", "sigma_e"), 0.7)], lambda c: c.carbon.sigma_e, 0.7),
+    (CarbonPolicy, "sigma_h"): ([(("carbon", "sigma_h"), 0.3)], lambda c: c.carbon.sigma_h, 0.3),
+    (CarbonPolicy, "sigma_gload"): (
+        [(("carbon", "sigma_gload"), 0.2)], lambda c: c.carbon.sigma_gload, 0.2),
+    (CarbonPolicy, "sigma_eh"): ([(("carbon", "sigma_eh"), 1.5)], lambda c: c.carbon.sigma_eh, 1.5),
+    (CarbonPolicy, "lambda_base"): (
+        [(("carbon", "lambda_base"), 0.3)], lambda c: c.carbon.lambda_base, 0.3),
+    (CarbonPolicy, "alpha_growth"): (
+        [(("carbon", "alpha_growth"), 0.5)], lambda c: c.carbon.alpha_growth, 0.5),
+    (CarbonPolicy, "interval_d"): (
+        [(("carbon", "interval_d"), 1500.0)], lambda c: c.carbon.interval_d, 1500.0),
+    (CarbonPolicy, "coal_quad"): (
+        [(("carbon", "coal_quad"), [1.0, 0.8, 0.0])], lambda c: c.carbon.coal_quad, (1.0, 0.8, 0.0)),
+    (CarbonPolicy, "gas_quad"): (
+        [(("carbon", "gas_quad"), [1.0, 0.4, 0.0])], lambda c: c.carbon.gas_quad, (1.0, 0.4, 0.0)),
+    (CarbonPolicy, "delta_gasload"): (
+        [(("carbon", "delta_gasload"), 0.3)], lambda c: c.carbon.delta_gasload, 0.3),
+    (CarbonPolicy, "theta_p2g"): (
+        [(("carbon", "theta_p2g"), 0.4)], lambda c: c.carbon.theta_p2g, 0.4),
+    (CarbonPolicy, "extra_tiers"): (
+        [(("carbon", "extra_tiers"), 2)], lambda c: c.carbon.extra_tiers, 2),
+    (DrPolicy, "shiftable_fraction"): (
+        [(("dr", "shiftable_fraction", "gas"), 0.2)],
+        lambda c: c.dr.shiftable_fraction, {"electric": 0.1, "gas": 0.2, "heat": 0.1}),
+    (DrPolicy, "substitutable_fraction"): (
+        [(("dr", "substitutable_fraction"), 0.2)],
+        lambda c: c.dr.substitutable_fraction, {k: 0.2 for k in CARRIERS}),
+    (DrPolicy, "mu_shift"): ([(("dr", "mu_shift"), 0.5)], lambda c: c.dr.mu_shift, 0.5),
+    (DrPolicy, "mu_subst"): ([(("dr", "mu_subst"), 0.5)], lambda c: c.dr.mu_subst, 0.5),
+    (DrPolicy, "satisfaction_min"): (
+        [(("dr", "satisfaction_min"), 0.9)], lambda c: c.dr.satisfaction_min, 0.9),
+    (DrPolicy, "shift_bounds"): (
+        [(("dr", "shift_bounds", "heat"), [-40.0, 60.0])],
+        lambda c: c.dr.shift_bounds, {"electric": None, "gas": None, "heat": (-40.0, 60.0)}),
+    (DrPolicy, "subst_conversion"): (
+        [(("dr", "subst_conversion", "heat"), 0.8)],
+        lambda c: c.dr.subst_conversion, {"electric": 1.0, "gas": 1.0, "heat": 0.8}),
+    (DrPolicy, "literal_eq2"): ([(("dr", "literal_eq2"), True)], lambda c: c.dr.literal_eq2, True),
+    (DrPolicy, "shift_carriers"): (
+        [(("dr", "shift_carriers"), ["gas"])], lambda c: c.dr.shift_carriers, ("gas",)),
+    (DrPolicy, "subst_carriers"): (
+        [(("dr", "subst_carriers"), ["heat"])], lambda c: c.dr.subst_carriers, ("heat",)),
+    (ChpOptions, "extraction_mode"): (
+        [(("chp", "extraction_mode"), True)], lambda c: c.chp.extraction_mode, True),
+    (ChpOptions, "ratio_min"): ([(("chp", "ratio_min"), 1.5)], lambda c: c.chp.ratio_min, 1.5),
+    (ChpOptions, "ratio_max"): ([(("chp", "ratio_max"), 3.5)], lambda c: c.chp.ratio_max, 3.5),
+    (CaseData, "horizon"): (
+        [(("horizon",), {"periods": 12, "step_hours": 2.0})], lambda c: c.horizon, Horizon(12, 2.0)),
+    (CaseData, "loads"): (
+        [(("loads",), {k: _P24 for k in CARRIERS})],
+        lambda c: c.loads, {k: CarrierProfile(k, (7.5,) * 24) for k in CARRIERS}),
+    (CaseData, "wind_profile"): ([(("wind", "profile"), _P24)], lambda c: c.wind_profile, (7.5,) * 24),
+    (CaseData, "wind_max_kw"): ([(("wind", "max_kw"), 900.0)], lambda c: c.wind_max_kw, 900.0),
+    (CaseData, "tariffs"): (
+        [(("tariffs",), {"electricity": _P24, "gas": _P24})],
+        lambda c: c.tariffs, TariffProfile((7.5,) * 24, (7.5,) * 24)),
+    (CaseData, "converters"): (
+        [(("converters",), [{"name": "WHB", "capacity_kw": 700.0}])], lambda c: c.converters,
+        tuple(replace(d, capacity_kw=700.0) if d.name == "WHB" else d for d in DEFAULT_CONVERTERS)),
+    (CaseData, "storages"): ([(("storages",), [])], lambda c: c.storages, ()),
+    (CaseData, "carbon"): (
+        [(("carbon",), {"mechanism": "none"})], lambda c: c.carbon, CarbonPolicy(mechanism="none")),
+    (CaseData, "dr"): ([(("dr",), {})], lambda c: c.dr, DrPolicy()),
+    (CaseData, "purchase_caps"): (
+        [(("purchase_caps",), [1000.0, 2000.0])], lambda c: c.purchase_caps, (1000.0, 2000.0)),
+    (CaseData, "maintenance"): (
+        [(("maintenance", "wind"), 0.05)], lambda c: c.maintenance["wind"], 0.05),
+    (CaseData, "chp"): (
+        [(("chp",), {"extraction_mode": True})], lambda c: c.chp, ChpOptions(extraction_mode=True)),
+    (CaseData, "gas_kwh_per_m3"): (
+        [(("gas_kwh_per_m3",), 9.5)], lambda c: c.gas_kwh_per_m3, 9.5),
+    (CaseData, "sources"): ([(("sources",), {"loads": "metered"})], lambda c: c.sources,
+                            {"loads": "metered"}),
+}
+
+
+def _record_types(value, found):
+    """Every dataclass type reachable from `value`."""
+    if is_dataclass(value):
+        found.add(type(value))
+        for f in fields(value):
+            _record_types(getattr(value, f.name), found)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _record_types(item, found)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _record_types(item, found)
+    return found
+
+
+def test_coverage_lists_every_case_field(case):
+    want = {(cls, f.name) for cls in _record_types(case, set()) for f in fields(cls)}
+    assert set(COVERAGE) == want
+
+
+@pytest.mark.parametrize("key", list(COVERAGE), ids=[f"{c.__name__}.{f}" for c, f in COVERAGE])
+def test_every_field_is_read_written_and_hashed(case, doc, key):
+    edits, read_back, expected = COVERAGE[key]
+    parsed = case_from_dict(_edited(doc, edits))
+    assert read_back(parsed) == expected
+    again = case_from_dict(case_to_dict(parsed))
+    assert again == parsed
+    assert case_hash(again) == case_hash(parsed) != case_hash(case)
 
 
 # -- transforms ------------------------------------------------------------------
