@@ -21,7 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp_ir import GE, LinearExpression, MilpModel, as_expression, quad_value, sum_expressions
+from .milp_ir import (
+    CONTINUOUS,
+    GE,
+    LinearExpression,
+    MilpModel,
+    as_expression,
+    block_expressions,
+    quad_value,
+    sum_expressions,
+)
 
 
 @dataclass(frozen=True)
@@ -188,9 +197,17 @@ def encode_carbon_cost(
             f"tiered cost needs lambda_base >= 0 and alpha_growth >= 0 to be convex "
             f"(got {lam}, {alpha})"
         )
-    terms = [lam * share]
-    for k in range(1, n_tiers(policy)):
-        s = model.add_continuous(0.0, math.inf, f"{name}_s{k}")
-        model.add_constraint(s - share, GE, -k * d, f"{name}_s{k}_knee")
-        terms.append((lam * alpha) * s)
-    return sum_expressions(terms)
+    # one knee row s_k - share >= -k*d per tier, as one block; the rhs folds
+    # in share's constant as add_constraint(s_k - share, ...) would
+    knees = range(1, n_tiers(policy))
+    s = model.add_variables(CONTINUOUS, 0.0, math.inf, [f"{name}_s{k}" for k in knees])
+    share_ids = np.fromiter(share.coeffs, dtype=np.int64, count=len(share.coeffs))
+    share_coeffs = np.fromiter(share.coeffs.values(), dtype=float, count=len(share.coeffs))
+    model.add_rows(
+        np.column_stack([s, np.tile(share_ids, (len(s), 1))]),
+        np.concatenate([[1.0], -share_coeffs]),
+        GE,
+        [-k * d - (0.0 - share.constant) for k in knees],
+        [f"{name}_s{k}_knee" for k in knees],
+    )
+    return sum_expressions([lam * share, *block_expressions(s[:, None], lam * alpha)])

@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .milp_ir import EQ, GE, LE, LinearExpression, MilpModel, Variable, sum_expressions
+import numpy as np
+
+from .milp_ir import CONTINUOUS, EQ, GE, LE, LinearExpression, MilpModel, block_expressions
 from .model_core import CARRIERS, CaseData
 
 SHIFT = "shift"
@@ -96,17 +98,17 @@ class DrVarMap:
     """Model handles for the reshaping blocks of one scenario build.
 
     Keys of the per-type maps are (carrier, type) with type in DR_TYPES.
-    `adjusted` holds the reshaped load expression per carrier and period
-    (the input load plus all enabled adjustments); `deviation` the matching
-    absolute-deviation expressions; `compensation` the total compensation
-    cost in currency (already scaled by the period length).
+    `p_in` / `p_out` hold the column ids of the magnitudes per period and
+    `delta` the signed adjustment expressions.  `adjusted` holds the
+    reshaped load expression per carrier and period (the input load plus
+    all enabled adjustments); `compensation` the total compensation cost in
+    currency (already scaled by the period length).
     """
 
-    p_in: dict[tuple[str, str], list[Variable]] = field(default_factory=dict)
-    p_out: dict[tuple[str, str], list[Variable]] = field(default_factory=dict)
+    p_in: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    p_out: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     delta: dict[tuple[str, str], list[LinearExpression]] = field(default_factory=dict)
     adjusted: dict[str, list[LinearExpression]] = field(default_factory=dict)
-    deviation: dict[str, list[LinearExpression]] = field(default_factory=dict)
     compensation: LinearExpression = field(default_factory=LinearExpression)
 
     @property
@@ -131,7 +133,8 @@ def _adjustment_window(
     return lows, highs
 
 
-def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
+def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
+                    dec: LoadDecomposition | None = None) -> DrVarMap:
     """Add reshaping variables and constraints; return the handle map.
 
     Per enabled (carrier, type, period): continuous magnitudes P_in, P_out
@@ -147,11 +150,12 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
 
     The scenario only contributes its dr_shift / dr_substitute flags;
     carriers are filtered by the case's dr.shift_carriers / subst_carriers.
+    ``dec`` is the case's load split when the caller has it already.
     """
     dr = case.dr
     periods = case.horizon.periods
     dt = case.horizon.step_hours
-    dec = decompose_loads(case)
+    dec = decompose_loads(case) if dec is None else dec
     vm = DrVarMap()
 
     enabled: list[tuple[str, str]] = []
@@ -160,7 +164,8 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
     if scenario.dr_substitute:
         enabled += [(k, SUBSTITUTE) for k in CARRIERS if k in dr.subst_carriers]
 
-    comp_terms = []
+    tags = [f"t{t:02d}" for t in range(periods)]
+    windows, mu_dt, upper, names = [], [], [], []
     for carrier, dtype in enabled:
         base = dec.shiftable_base[carrier] if dtype == SHIFT else dec.substitutable_base[carrier]
         override = dr.shift_bounds.get(carrier) if dtype == SHIFT else None
@@ -170,64 +175,58 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
             raise ValueError(
                 f"{dtype} compensation mu={mu} must be >= 0 for P_in + P_out to be exact"
             )
-        p_in, p_out, deltas = [], [], []
-        for t in range(periods):
-            tag = f"dr_{dtype}_{carrier}_t{t:02d}"
-            pi = model.add_continuous(0.0, max(highs[t], 0.0), f"{tag}_in")
-            po = model.add_continuous(0.0, max(-lows[t], 0.0), f"{tag}_out")
-            if lows[t] > 0.0:
-                # forced minimum inflow: the variable bounds alone cannot carry it
-                model.add_constraint(pi - po, GE, lows[t], f"{tag}_floor")
-            p_in.append(pi)
-            p_out.append(po)
-            deltas.append(pi - po)
-            comp_terms.append((mu * dt) * (pi + po))
-        key = (carrier, dtype)
-        vm.p_in[key] = p_in
-        vm.p_out[key] = p_out
-        vm.delta[key] = deltas
+        windows.append(lows)
+        mu_dt.append(mu * dt)
+        # one (P_in, P_out) column pair per period; the adjustment is P_in - P_out
+        upper += [max(b, 0.0) for lo, hi in zip(lows, highs) for b in (hi, -lo)]
+        names += [f"dr_{dtype}_{carrier}_{tag}_{side}" for tag in tags for side in ("in", "out")]
+    ids = model.add_variables(CONTINUOUS, 0.0, upper, names).reshape(len(enabled), periods, 2)
+    deltas = block_expressions(ids.reshape(-1, 2), (1.0, -1.0))
+    pairs = {}
+    for j, (key, lows) in enumerate(zip(enabled, windows)):
+        carrier, dtype = key
+        name = f"dr_{dtype}_{carrier}"
+        # forced minimum inflow: the variable bounds alone cannot carry it
+        floor = [t for t in range(periods) if lows[t] > 0.0]
+        if floor:
+            model.add_rows(ids[j, floor], (1.0, -1.0), GE, [lows[t] for t in floor],
+                           [f"{name}_{tags[t]}_floor" for t in floor])
         if dtype == SHIFT or dr.literal_eq2:
-            model.add_constraint(sum_expressions(deltas), EQ, 0.0, f"dr_{dtype}_{carrier}_net")
-    vm.compensation = sum_expressions(comp_terms)
+            model.add_rows(ids[j].reshape(1, -1), (1.0, -1.0) * periods, EQ, 0.0, [f"{name}_net"])
+        pairs[key] = ids[j]
+        vm.p_in[key], vm.p_out[key] = ids[j, :, 0], ids[j, :, 1]
+        vm.delta[key] = deltas[j * periods:(j + 1) * periods]
+    (vm.compensation,) = block_expressions(ids.reshape(1, -1), np.repeat(mu_dt, 2 * periods)[None, :])
 
     subst_keys = [k for k in vm.delta if k[1] == SUBSTITUTE]
     if subst_keys and not dr.literal_eq2:
-        for t in range(periods):
-            row = sum_expressions(
-                dr.subst_conversion.get(carrier, 1.0) * vm.delta[(carrier, dtype)][t]
-                for carrier, dtype in subst_keys
-            )
-            model.add_constraint(row, EQ, 0.0, f"dr_subst_couple_t{t:02d}")
+        weights = [dr.subst_conversion.get(carrier, 1.0) for carrier, _ in subst_keys]
+        model.add_rows(np.hstack([pairs[k] for k in subst_keys]),
+                       [w * s for w in weights for s in (1.0, -1.0)], EQ, 0.0,
+                       [f"dr_subst_couple_{tag}" for tag in tags])
 
+    carrier_cols = {}
     for carrier in CARRIERS:
-        load = case.loads[carrier].values
-        adj, dev = [], []
-        for t in range(periods):
-            expr = LinearExpression(constant=load[t])
-            dv = LinearExpression()
-            for dtype in DR_TYPES:
-                key = (carrier, dtype)
-                if key in vm.delta:
-                    expr = expr + vm.delta[key][t]
-                    dv = dv + vm.p_in[key][t] + vm.p_out[key][t]
-            adj.append(expr)
-            dev.append(dv)
-        vm.adjusted[carrier] = adj
-        vm.deviation[carrier] = dev
+        keys = [(carrier, dtype) for dtype in DR_TYPES if (carrier, dtype) in pairs]
+        cols = np.hstack([np.zeros((periods, 0), dtype=np.int64), *(pairs[k] for k in keys)])
+        vm.adjusted[carrier] = block_expressions(cols, (1.0, -1.0) * len(keys), case.loads[carrier].values)
+        carrier_cols[carrier] = cols.ravel()
 
     if enabled:
-        total = LinearExpression()
+        sat_cols, sat_coeffs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for carrier in CARRIERS:
             energy = float(sum(case.loads[carrier].values))
-            dev_sum = sum_expressions(vm.deviation[carrier])
+            cols = carrier_cols[carrier]
             if energy > 0.0:
-                total = total + (1.0 / energy) * dev_sum
-            elif dev_sum.coeffs:
+                sat_cols.append(cols)
+                sat_coeffs.append(np.full(cols.size, 1.0 / energy))
+            elif cols.size:
                 # a zero-energy carrier cannot deviate without destroying
                 # satisfaction, so pin its deviation instead of dividing
-                model.add_constraint(dev_sum, LE, 0.0, f"dr_nodev_{carrier}")
+                model.add_rows(cols[None, :], 1.0, LE, 0.0, [f"dr_nodev_{carrier}"])
         slack = len(CARRIERS) * (1.0 - dr.satisfaction_min)
-        model.add_constraint(total, LE, slack, "dr_satisfaction")
+        model.add_rows(np.concatenate(sat_cols)[None, :], np.concatenate(sat_coeffs)[None, :], LE, slack,
+                       ["dr_satisfaction"])
     return vm
 
 

@@ -22,13 +22,15 @@ Powers are kW, energies kWh, emissions kg, money in currency units.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from . import carbon as carbon_mod
 from .carbon import FlowSchedule, emission_account
 from .demand_response import (
+    DR_TYPES,
     SHIFT,
     SUBSTITUTE,
     DrVarMap,
@@ -37,12 +39,13 @@ from .demand_response import (
     satisfaction_index,
 )
 from .milp_ir import (
+    BINARY,
+    CONTINUOUS,
     EQ,
-    GE,
     LE,
     LinearExpression,
     MilpModel,
-    as_expression,
+    block_expressions,
     pwl_convex,
     pwl_convex_error_bound,
     pwl_convex_value,
@@ -147,7 +150,7 @@ class DispatchOptions:
     backend: str = "embedded"  # embedded | scipy-milp | external
 
     def __post_init__(self):
-        self.milp_options()  # rejects a bad gap_tol at construction
+        self.milp_options()  # rejects a bad gap_tol or limit at construction
 
     def milp_options(self) -> MilpOptions:
         return MilpOptions(
@@ -166,30 +169,28 @@ _ZERO = LinearExpression()
 
 @dataclass
 class StorageBlock:
+    """Column ids of one storage unit, one per period."""
+
     params: StorageParams
-    charge: list
-    discharge: list
-    soc: list
-    gate: list
+    charge: np.ndarray
+    discharge: np.ndarray
+    soc: np.ndarray
+    gate: np.ndarray
 
 
 @dataclass
 class VarMap:
-    """Handles into the built model, per period unless noted."""
+    """Handles into the built model.
+
+    ``flows`` maps each per-period flow of DispatchSolution (``p_e_buy``,
+    ``p_gt_h``, ...) to ``(ids, coeff)``, worth ``coeff * x[ids[t]]`` in
+    period t, or to None for an absent device.
+    """
 
     scenario: ScenarioSpec
     options: DispatchOptions
     wind_available: tuple[float, ...]
-    p_e_buy: list = field(default_factory=list)
-    p_g_buy: list = field(default_factory=list)
-    p_dg: list = field(default_factory=list)
-    p_p2g_e: list = field(default_factory=list)
-    p_p2g_g: list = field(default_factory=list)
-    p_g_gt: list = field(default_factory=list)
-    p_gt_e: list = field(default_factory=list)
-    p_gt_h: list = field(default_factory=list)
-    p_g_gb: list = field(default_factory=list)
-    p_gb_h: list = field(default_factory=list)
+    flows: dict = field(default_factory=dict)
     storage: dict[str, StorageBlock] = field(default_factory=dict)
     dr: DrVarMap | None = None
     cost_buy: LinearExpression = _ZERO
@@ -226,9 +227,8 @@ def _dr_outflow(case: CaseData, scenario: ScenarioSpec, carrier: str, t: int,
     return out
 
 
-def _screen(case: CaseData, scenario: ScenarioSpec):
+def _screen(case: CaseData, scenario: ScenarioSpec, dec):
     """Reject loads no combination of devices could ever serve."""
-    dec = decompose_loads(case)
     gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
     gb = case.converter("GB")
     p2g = case.converter("P2G")
@@ -258,163 +258,242 @@ def _screen(case: CaseData, scenario: ScenarioSpec):
                 )
 
 
+# A per-period flow is (ids, coeff): coeff * x[ids[t]] in period t, or None
+# for an absent device.  Flows on a shared column are added in list order,
+# and every coefficient is formed in the order the expression operators
+# would form it, so the rows are bit-identical to an expression-built model.
+
+
+def _scaled(flow, k: float):
+    return None if flow is None else (flow[0], flow[1] * k)
+
+
+def _merged(*flows):
+    """The flows with the coefficients of a shared column added, absent ones dropped."""
+    out = []
+    for flow in filter(None, flows):
+        same = [i for i, (ids, _) in enumerate(out) if ids is flow[0]]
+        if same:
+            out[same[0]] = (flow[0], out[same[0]][1] + flow[1])
+        else:
+            out.append(flow)
+    return out
+
+
+def _flow_sum(flows, periods: int, scale: float, constant: float = 0.0) -> LinearExpression:
+    """``constant + scale * sum_t sum_f coeff_f * x[ids_f[t]]``, keys in (period, flow) order.
+
+    The coefficients are those of summing the scaled per-period expressions
+    one by one.
+    """
+    cols, coeffs = _flow_block([flows], periods)
+    return block_expressions(cols.reshape(1, -1), (coeffs * scale).reshape(1, -1), constant)[0]
+
+
+def _per_period(values, periods: int) -> np.ndarray:
+    """One value per (period, family), each family's value a scalar or per period."""
+    out = np.empty((periods, len(values)))
+    for f, value in enumerate(values):
+        out[:, f] = value
+    return out.ravel()
+
+
+def _add_columns(model: MilpModel, tags, *families) -> np.ndarray:
+    """Columns interleaved by period, one per family ``(name prefix, kind, lower, upper)``.
+
+    Bounds are scalars or per period; returns the ids shaped (periods, families).
+    """
+    prefixes = [f[0] for f in families]
+    names = [prefix + tag for tag in tags for prefix in prefixes]
+    kinds = [kind for _, kind, _, _ in families]
+    kinds = kinds[0] if len(set(kinds)) == 1 else kinds * len(tags)
+    lower, upper = (_per_period([f[j] for f in families], len(tags)) for j in (2, 3))
+    return model.add_variables(kinds, lower, upper, names).reshape(len(tags), len(families))
+
+
+def _flow_block(flow_lists, periods: int):
+    """(cols, coeffs) rows, one per period and flow list, interleaved by period."""
+    flow_lists = [_merged(*flows) for flows in flow_lists]
+    width = max(map(len, flow_lists))
+    cols = np.zeros((periods, len(flow_lists), width), dtype=np.int64)
+    coeffs = np.zeros(cols.shape)
+    for f, flows in enumerate(flow_lists):
+        for j, (ids, coeff) in enumerate(flows):
+            cols[:, f, j] = ids
+            coeffs[:, f, j] = coeff
+    return cols.reshape(-1, width), coeffs.reshape(-1, width)
+
+
+def _row_block(tags, *families) -> tuple:
+    """Rows interleaved by period, one per family ``(name prefix, flows, relation, rhs)``.
+
+    rhs is a scalar or per period.  Returns the arguments of :meth:`MilpModel.add_rows`.
+    """
+    cols, coeffs = _flow_block([flows for _, flows, _, _ in families], len(tags))
+    prefixes = [f[0] for f in families]
+    names = [prefix + tag for tag in tags for prefix in prefixes]
+    relations = [rel for _, _, rel, _ in families] * len(tags)
+    return cols, coeffs, relations, _per_period([f[3] for f in families], len(tags)), names
+
+
+def _add_blocks(model: MilpModel, blocks) -> None:
+    """Add row blocks, in order, as one :meth:`MilpModel.add_rows` call."""
+    cols = np.zeros((sum(len(b[4]) for b in blocks), max(b[0].shape[1] for b in blocks)), dtype=np.int64)
+    coeffs = np.zeros(cols.shape)
+    row = 0
+    for block_cols, block_coeffs, *_ in blocks:
+        cols[row:row + len(block_cols), :block_cols.shape[1]] = block_cols
+        coeffs[row:row + len(block_cols), :block_cols.shape[1]] = block_coeffs
+        row += len(block_cols)
+    model.add_rows(cols, coeffs, [rel for b in blocks for rel in b[2]],
+                   np.concatenate([b[3] for b in blocks]), [name for b in blocks for name in b[4]])
+
+
 def build_model(case: CaseData, scenario, options: DispatchOptions | None = None):
-    """Assemble the MILP for one scenario; returns (model, VarMap)."""
+    """Assemble the MILP for one scenario; returns (model, VarMap).
+
+    Each per-period family of columns or rows enters the model as one block.
+    """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
-    _screen(case, scenario)
+    dec = decompose_loads(case)
+    _screen(case, scenario, dec)
     periods = case.horizon.periods
     dt = case.horizon.step_hours
+    tags = [f"t{t:02d}" for t in range(periods)]
     model = MilpModel(name=f"dispatch_{scenario.id}")
     avail = tuple(min(f, case.wind_max_kw) for f in case.wind_profile)
     vm = VarMap(scenario=scenario, options=options, wind_available=avail)
+    # the VarMap flows; those of absent devices stay None
+    flows = dict.fromkeys(("p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e",
+                           "p_gt_h", "p_g_gb", "p_gb_h"))
 
     cap_e, cap_g = case.purchase_caps
-    for t in range(periods):
-        vm.p_e_buy.append(as_expression(model.add_continuous(0.0, cap_e, f"p_e_buy_t{t:02d}")))
-        vm.p_g_buy.append(as_expression(model.add_continuous(0.0, cap_g, f"p_g_buy_t{t:02d}")))
-        vm.p_dg.append(as_expression(model.add_continuous(0.0, avail[t], f"p_dg_t{t:02d}")))
+    e_buy, g_buy, dg = _add_columns(
+        model, tags, ("p_e_buy_", CONTINUOUS, 0.0, cap_e), ("p_g_buy_", CONTINUOUS, 0.0, cap_g),
+        ("p_dg_", CONTINUOUS, 0.0, avail),
+    ).T
+    flows["p_e_buy"], flows["p_g_buy"], flows["p_dg"] = (e_buy, 1.0), (g_buy, 1.0), (dg, 1.0)
 
-    def add_ramp(name, inputs, cap, frac):
+    rows = []  # the device row blocks, in model order
+
+    def add_ramp(name, ids, cap, frac):
         step = frac * cap
-        for t in range(1, periods):
-            model.add_constraint(inputs[t] - inputs[t - 1], LE, step, f"ramp_{name}_up_t{t:02d}")
-            model.add_constraint(inputs[t - 1] - inputs[t], LE, step, f"ramp_{name}_dn_t{t:02d}")
+        now, before = ids[1:], ids[:-1]
+        rows.append(_row_block(tags[1:], (f"ramp_{name}_up_", [(now, 1.0), (before, -1.0)], LE, step),
+                               (f"ramp_{name}_dn_", [(before, 1.0), (now, -1.0)], LE, step)))
 
     p2g = case.converter("P2G")
     if p2g and p2g.capacity_kw > 0:
-        eta = p2g.efficiencies.get("gas", 0.0)
-        for t in range(periods):
-            v = model.add_continuous(p2g.min_output_kw, p2g.capacity_kw, f"p_p2g_e_t{t:02d}")
-            vm.p_p2g_e.append(as_expression(v))
-            vm.p_p2g_g.append(eta * v)
-        add_ramp("p2g", vm.p_p2g_e, p2g.capacity_kw, p2g.ramp_fraction)
-    else:
-        vm.p_p2g_e = [_ZERO] * periods
-        vm.p_p2g_g = [_ZERO] * periods
+        (v,) = _add_columns(model, tags, ("p_p2g_e_", CONTINUOUS, p2g.min_output_kw, p2g.capacity_kw)).T
+        flows["p_p2g_e"], flows["p_p2g_g"] = (v, 1.0), (v, float(p2g.efficiencies.get("gas", 0.0)))
+        add_ramp("p2g", v, p2g.capacity_kw, p2g.ramp_fraction)
 
     gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
     if gt and gt_cap > 0:
-        for t in range(periods):
-            g = model.add_continuous(gt.min_output_kw, gt_cap, f"p_g_gt_t{t:02d}")
-            vm.p_g_gt.append(as_expression(g))
-            if case.chp.extraction_mode:
-                pe = model.add_continuous(0.0, eps_e * gt_cap, f"p_gt_e_t{t:02d}")
-                ph_cap = min(eps_h * gt_cap, whb_cap) if whb else 0.0
-                ph = model.add_continuous(0.0, ph_cap, f"p_gt_h_t{t:02d}")
-                model.add_constraint(pe - eps_e * g, LE, 0.0, f"chp_e_fuel_t{t:02d}")
-                model.add_constraint(ph - eps_h * g, LE, 0.0, f"chp_h_fuel_t{t:02d}")
-                vm.p_gt_e.append(as_expression(pe))
-                vm.p_gt_h.append(as_expression(ph))
-            else:
-                vm.p_gt_e.append(eps_e * g)
-                vm.p_gt_h.append(eps_h * g)
-                if whb and eps_h * gt_cap > whb_cap:
-                    model.add_constraint(vm.p_gt_h[t], LE, whb_cap, f"chp_whb_cap_t{t:02d}")
-            # heat-to-power corridor; outside it the unit is forced off
-            lo_row = case.chp.ratio_min * vm.p_gt_e[t] - vm.p_gt_h[t]
-            hi_row = vm.p_gt_h[t] - case.chp.ratio_max * vm.p_gt_e[t]
-            if lo_row.coeffs:
-                model.add_constraint(lo_row, LE, 0.0, f"chp_ratio_lo_t{t:02d}")
-            if hi_row.coeffs:
-                model.add_constraint(hi_row, LE, 0.0, f"chp_ratio_hi_t{t:02d}")
-        add_ramp("gt", vm.p_g_gt, gt_cap, gt.ramp_fraction)
-    else:
-        vm.p_g_gt = [_ZERO] * periods
-        vm.p_gt_e = [_ZERO] * periods
-        vm.p_gt_h = [_ZERO] * periods
+        g_gt = ("p_g_gt_", CONTINUOUS, gt.min_output_kw, gt_cap)
+        chp = []
+        if case.chp.extraction_mode:
+            ph_cap = min(eps_h * gt_cap, whb_cap) if whb else 0.0
+            g, pe, ph = _add_columns(model, tags, g_gt, ("p_gt_e_", CONTINUOUS, 0.0, eps_e * gt_cap),
+                                     ("p_gt_h_", CONTINUOUS, 0.0, ph_cap)).T
+            flows["p_gt_e"], flows["p_gt_h"] = (pe, 1.0), (ph, 1.0)
+            chp += [("chp_e_fuel_", [(pe, 1.0), (g, -eps_e)], LE, 0.0),
+                    ("chp_h_fuel_", [(ph, 1.0), (g, -eps_h)], LE, 0.0)]
+        else:
+            (g,) = _add_columns(model, tags, g_gt).T
+            flows["p_gt_e"], flows["p_gt_h"] = (g, float(eps_e)), (g, float(eps_h))
+            if whb and eps_h * gt_cap > whb_cap:
+                chp.append(("chp_whb_cap_", [flows["p_gt_h"]], LE, whb_cap))
+        flows["p_g_gt"] = (g, 1.0)
+        # heat-to-power corridor; outside it the unit is forced off
+        e_flow, h_flow = flows["p_gt_e"], flows["p_gt_h"]
+        for name, terms in (("lo", _merged(_scaled(e_flow, case.chp.ratio_min), _scaled(h_flow, -1.0))),
+                            ("hi", _merged(h_flow, _scaled(e_flow, -case.chp.ratio_max)))):
+            if any(coeff != 0.0 for _, coeff in terms):
+                chp.append((f"chp_ratio_{name}_", terms, LE, 0.0))
+        if chp:
+            rows.append(_row_block(tags, *chp))
+        add_ramp("gt", g, gt_cap, gt.ramp_fraction)
 
     gb = case.converter("GB")
     if gb and gb.capacity_kw > 0:
-        phi = gb.efficiencies.get("heat", 0.0)
-        for t in range(periods):
-            g = model.add_continuous(gb.min_output_kw, gb.capacity_kw, f"p_g_gb_t{t:02d}")
-            vm.p_g_gb.append(as_expression(g))
-            vm.p_gb_h.append(phi * g)
-        add_ramp("gb", vm.p_g_gb, gb.capacity_kw, gb.ramp_fraction)
-    else:
-        vm.p_g_gb = [_ZERO] * periods
-        vm.p_gb_h = [_ZERO] * periods
+        (g_gb,) = _add_columns(model, tags, ("p_g_gb_", CONTINUOUS, gb.min_output_kw, gb.capacity_kw)).T
+        flows["p_g_gb"], flows["p_gb_h"] = (g_gb, 1.0), (g_gb, float(gb.efficiencies.get("heat", 0.0)))
+        add_ramp("gb", g_gb, gb.capacity_kw, gb.ramp_fraction)
 
     for sto in case.storages:
         cap = sto.capacity_kwh
         plim = sto.power_limit_fraction * cap
         k = sto.carrier
-        blk = StorageBlock(sto, [], [], [], [])
-        for t in range(periods):
-            blk.charge.append(model.add_continuous(0.0, plim, f"st_{k}_ch_t{t:02d}"))
-            blk.discharge.append(model.add_continuous(0.0, plim, f"st_{k}_dis_t{t:02d}"))
-            blk.soc.append(
-                model.add_continuous(sto.soc_min_frac * cap, sto.soc_max_frac * cap, f"st_{k}_soc_t{t:02d}")
-            )
-            u = model.add_binary(f"st_{k}_gate_t{t:02d}")
-            blk.gate.append(u)
-            model.add_constraint(blk.charge[t] - plim * u, LE, 0.0, f"storage_{k}_gate_ch_t{t:02d}")
-            model.add_constraint(blk.discharge[t] + plim * u, LE, plim, f"storage_{k}_gate_dis_t{t:02d}")
-            prev = sto.soc_initial_frac * cap if t == 0 else blk.soc[t - 1]
-            step = sto.charge_eff * dt * blk.charge[t] - (dt / sto.discharge_eff) * blk.discharge[t]
-            model.add_constraint(blk.soc[t] - step - prev, EQ, 0.0, f"storage_{k}_soc_t{t:02d}")
-        model.add_constraint(
-            as_expression(blk.soc[-1]), EQ, sto.soc_initial_frac * cap, f"storage_{k}_terminal"
-        )
-        vm.storage[k] = blk
+        ch, dis, soc, gate = _add_columns(
+            model, tags, (f"st_{k}_ch_", CONTINUOUS, 0.0, plim), (f"st_{k}_dis_", CONTINUOUS, 0.0, plim),
+            (f"st_{k}_soc_", CONTINUOUS, sto.soc_min_frac * cap, sto.soc_max_frac * cap),
+            (f"st_{k}_gate_", BINARY, 0.0, 1.0),
+        ).T
+        initial = sto.soc_initial_frac * cap
+        # soc[t] - soc[t-1] - charge + discharge = 0, with the initial charge for soc[-1]
+        prev_coeff = np.full(periods, -1.0)
+        prev_coeff[0] = 0.0
+        soc_rhs = np.zeros(periods)
+        soc_rhs[0] = initial
+        rows.append(_row_block(
+            tags,
+            (f"storage_{k}_gate_ch_", [(ch, 1.0), (gate, -plim)], LE, 0.0),
+            (f"storage_{k}_gate_dis_", [(dis, 1.0), (gate, plim)], LE, plim),
+            (f"storage_{k}_soc_", [(soc, 1.0), (ch, -(sto.charge_eff * dt)), (dis, dt / sto.discharge_eff),
+                                   (np.roll(soc, 1), prev_coeff)], EQ, soc_rhs),
+        ))
+        rows.append((soc[-1:, None], np.ones((1, 1)), [EQ], np.array([initial]), [f"storage_{k}_terminal"]))
+        vm.storage[k] = StorageBlock(sto, ch, dis, soc, gate)
+    if rows:
+        _add_blocks(model, rows)
 
-    vm.dr = build_dr_blocks(case, scenario, model)
+    vm.dr = build_dr_blocks(case, scenario, model, dec)
 
-    def net_storage(carrier, t):
-        blk = vm.storage.get(carrier)
-        if blk is None:
-            return _ZERO
-        return blk.discharge[t] - blk.charge[t]
+    def balance(carrier, *supply):
+        terms = list(supply)
+        if carrier in vm.storage:
+            blk = vm.storage[carrier]
+            terms += [(blk.discharge, 1.0), (blk.charge, -1.0)]
+        terms += [_scaled(flow, -1.0) for flow in _dr_flows(vm.dr, carrier)]
+        return f"balance_{carrier}_", terms, EQ, case.loads[carrier].values
 
-    for t in range(periods):
-        supply_e = (
-            vm.p_e_buy[t] + vm.p_dg[t] + vm.p_gt_e[t] + net_storage(ELECTRIC, t) - vm.p_p2g_e[t]
-        )
-        model.add_constraint(
-            supply_e - vm.dr.adjusted[ELECTRIC][t], EQ, 0.0, f"balance_electric_t{t:02d}"
-        )
-        supply_g = (
-            vm.p_g_buy[t] + vm.p_p2g_g[t] + net_storage(GAS, t) - vm.p_g_gt[t] - vm.p_g_gb[t]
-        )
-        model.add_constraint(
-            supply_g - vm.dr.adjusted[GAS][t], EQ, 0.0, f"balance_gas_t{t:02d}"
-        )
-        supply_h = vm.p_gt_h[t] + vm.p_gb_h[t] + net_storage(HEAT, t)
-        model.add_constraint(
-            supply_h - vm.dr.adjusted[HEAT][t], EQ, 0.0, f"balance_heat_t{t:02d}"
-        )
+    model.add_rows(*_row_block(
+        tags,
+        balance(ELECTRIC, flows["p_e_buy"], flows["p_dg"], flows["p_gt_e"], _scaled(flows["p_p2g_e"], -1.0)),
+        balance(GAS, flows["p_g_buy"], flows["p_p2g_g"], _scaled(flows["p_g_gt"], -1.0),
+                _scaled(flows["p_g_gb"], -1.0)),
+        balance(HEAT, flows["p_gt_h"], flows["p_gb_h"]),
+    ))
 
+    vm.flows = flows
     tariffs = case.tariffs
-    vm.cost_buy = sum_expressions(
-        dt * (tariffs.electricity_price[t] * vm.p_e_buy[t] + tariffs.gas_price[t] * vm.p_g_buy[t])
-        for t in range(periods)
-    )
+    vm.cost_buy = _flow_sum([(e_buy, tariffs.electricity_price), (g_buy, tariffs.gas_price)], periods, dt)
     vm.cost_dr = vm.dr.compensation
     omega = case.maintenance
-    maint_terms = []
-    for t in range(periods):
-        term = (
-            omega.get("wind", 0.0) * vm.p_dg[t]
-            + omega.get("P2G", 0.0) * vm.p_p2g_g[t]
-            + omega.get("GT", 0.0) * vm.p_gt_e[t]
-            + omega.get("WHB", 0.0) * vm.p_gt_h[t]
-            + omega.get("GB", 0.0) * vm.p_gb_h[t]
-        )
-        for k, blk in vm.storage.items():
-            term = term + omega.get(f"storage_{k}", 0.0) * (blk.charge[t] + blk.discharge[t])
-        maint_terms.append(dt * term)
-    vm.cost_maint = sum_expressions(maint_terms)
+    maint = [_scaled(flows[attr], omega.get(unit, 0.0)) for attr, unit in
+             (("p_dg", "wind"), ("p_p2g_g", "P2G"), ("p_gt_e", "GT"), ("p_gt_h", "WHB"), ("p_gb_h", "GB"))]
+    for k, blk in vm.storage.items():
+        weight = omega.get(f"storage_{k}", 0.0)
+        maint += [(blk.charge, weight), (blk.discharge, weight)]
+    vm.cost_maint = _flow_sum(maint, periods, dt)
 
-    objective = vm.cost_buy + vm.cost_dr + vm.cost_maint
+    costs = [vm.cost_buy, vm.cost_dr, vm.cost_maint]
     if scenario.carbon_in_objective:
         policy = replace(case.carbon, mechanism=scenario.mechanism)
         vm.carbon_cost, vm.actual_expr, vm.quota_expr, vm.pwl_bound_kg = _encode_carbon(
-            case, options, model, vm, policy
+            case, options, model, vm.dr, policy, tags, flows
         )
-        objective = objective + vm.carbon_cost
-    model.set_objective(objective)
+        costs.append(vm.carbon_cost)
+    model.set_objective(sum_expressions(costs))
     return model, vm
+
+
+def _dr_flows(dr: DrVarMap, carrier: str) -> list:
+    """A carrier's demand-response load change: P_in - P_out per enabled type."""
+    return [flow for dtype in DR_TYPES if (carrier, dtype) in dr.p_in
+            for flow in ((dr.p_in[carrier, dtype], 1.0), (dr.p_out[carrier, dtype], -1.0))]
 
 
 def _gas_unit_heat_rate_max(case: CaseData) -> float:
@@ -426,49 +505,56 @@ def _gas_unit_heat_rate_max(case: CaseData) -> float:
     return eps_e * gt_cap + gt_heat_max + gb_heat_max
 
 
-def _encode_carbon(case, options, model, vm, policy):
+def _encode_carbon(case, options, model, dr, policy, tags, flows):
     """Emission accounting expressions plus the trading-cost encoding.
 
     Actual emissions are quadratic in purchased power and in the combined
     gas-unit output; each quadratic is replaced per period by its tangent
     envelope (a guaranteed underestimator with a quadratic error law), so
-    the model stays linear.  The quota and the remaining emission terms are
-    affine and exact.
+    the model stays linear.  The envelopes of all periods are one block,
+    coal and gas interleaved by period.  The quota and the remaining
+    emission terms are affine and exact.
     """
-    periods = case.horizon.periods
+    periods = len(tags)
     dt = case.horizon.step_hours
-    cap_e = case.purchase_caps[0]
-    q_max = _gas_unit_heat_rate_max(case)
     n = options.pwl_segments
-
-    actual_terms = []
-    quota_terms = []
+    q_max = _gas_unit_heat_rate_max(case)
+    curves = [(name, x, quad, x_max) for name, x, quad, x_max in (
+        ("em_coal", [flows["p_e_buy"]], policy.coal_quad, case.purchase_caps[0]),
+        ("em_gas", [flows["p_gt_e"], flows["p_gt_h"], flows["p_gb_h"]], policy.gas_quad, q_max),
+    ) if x_max > 0]
+    # an absent curve is the constant f(0) in every period
+    envelope = {"em_coal": None, "em_gas": None}
+    if curves:
+        cols, coeffs = _flow_block([x for _, x, _, _ in curves], periods)
+        y = pwl_convex(model, cols, coeffs, [c[2] for c in curves] * periods,
+                       [c[3] for c in curves] * periods, n,
+                       [f"{c[0]}_{tag}" for tag in tags for c in curves]).reshape(periods, -1)
+        envelope.update((c[0], (y[:, j], 1.0)) for j, c in enumerate(curves))
+    f0 = 0.0 if envelope["em_coal"] else quad_value(policy.coal_quad, 0.0)
+    f0 = f0 + (0.0 if envelope["em_gas"] else quad_value(policy.gas_quad, 0.0))
     bound = 0.0
-    for t in range(periods):
-        if cap_e > 0:
-            y_coal = pwl_convex(model, vm.p_e_buy[t], policy.coal_quad, cap_e, n, f"em_coal_t{t:02d}")
-            bound += pwl_convex_error_bound(policy.coal_quad[2], cap_e, n) * dt
-        else:
-            y_coal = quad_value(policy.coal_quad, 0.0)
-        q_expr = vm.p_gt_e[t] + vm.p_gt_h[t] + vm.p_gb_h[t]
-        if q_max > 0:
-            y_gas = pwl_convex(model, q_expr, policy.gas_quad, q_max, n, f"em_gas_t{t:02d}")
-            bound += pwl_convex_error_bound(policy.gas_quad[2], q_max, n) * dt
-        else:
-            y_gas = quad_value(policy.gas_quad, 0.0)
-        gas_load = vm.dr.adjusted[GAS][t]
-        actual_terms.append(
-            dt * (as_expression(y_coal) + y_gas + policy.delta_gasload * gas_load
-                  - policy.theta_p2g * vm.p_p2g_g[t])
-        )
-        quota_terms.append(
-            dt * (policy.sigma_e * vm.p_e_buy[t]
-                  + policy.sigma_h * (policy.sigma_eh * vm.p_gt_e[t] + vm.p_gt_h[t])
-                  + policy.sigma_h * vm.p_gb_h[t]
-                  + policy.sigma_gload * gas_load)
-        )
-    actual = sum_expressions(actual_terms)
-    quota = sum_expressions(quota_terms)
+    for _ in range(periods):
+        for _, _, quad, x_max in curves:
+            bound += pwl_convex_error_bound(quad[2], x_max, n) * dt
+    # the sums over periods of the per-period terms, as the expression
+    # operators would form them: constants are added period by period
+    gas_dr = _dr_flows(dr, GAS)
+    gas_load = case.loads[GAS].values
+    actual_flows = [envelope["em_coal"], envelope["em_gas"],
+                    *(_scaled(f, policy.delta_gasload) for f in gas_dr),
+                    _scaled(flows["p_p2g_g"], -policy.theta_p2g)]
+    chp_quota = _merged(_scaled(flows["p_gt_e"], policy.sigma_eh), flows["p_gt_h"])
+    quota_flows = [_scaled(flows["p_e_buy"], policy.sigma_e),
+                   *(_scaled(f, policy.sigma_h) for f in chp_quota),
+                   _scaled(flows["p_gb_h"], policy.sigma_h),
+                   *(_scaled(f, policy.sigma_gload) for f in gas_dr)]
+    actual_const = quota_const = 0.0
+    for load in gas_load:
+        actual_const += (f0 + load * policy.delta_gasload) * dt
+        quota_const += (0.0 + load * policy.sigma_gload) * dt
+    actual = _flow_sum(actual_flows, periods, dt, actual_const)
+    quota = _flow_sum(quota_flows, periods, dt, quota_const)
     cost = carbon_mod.encode_carbon_cost(model, policy, actual, quota)
     return cost, actual, quota, bound
 
@@ -541,18 +627,22 @@ def _snap(v: float, eps: float = 1e-9) -> float:
     return 0.0 if abs(v) < eps else float(v)
 
 
-def _values(exprs, x) -> tuple[float, ...]:
-    return tuple(_snap(as_expression(e).value(x)) for e in exprs)
+def _values(flow, x, periods: int) -> tuple[float, ...]:
+    """A flow's per-period values, as evaluating its one-term expressions gives them."""
+    if flow is None:
+        return (0.0,) * periods
+    ids, coeff = flow
+    return tuple(_snap(v) for v in (0.0 + coeff * x[ids]).tolist())
 
 
 def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> DispatchSolution:
-    x = res.x
+    x = np.asarray(res.x, dtype=float)
     periods = case.horizon.periods
     dt = case.horizon.step_hours
     storage = {
         k: StorageSchedule(
-            _values(blk.charge, x), _values(blk.discharge, x),
-            tuple(as_expression(s).value(x) for s in blk.soc),
+            _values((blk.charge, 1.0), x, periods), _values((blk.discharge, 1.0), x, periods),
+            tuple((0.0 + x[blk.soc]).tolist()),
         )
         for k, blk in vm.storage.items()
     }
@@ -560,16 +650,9 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
     for (k, dtype), deltas in vm.dr.delta.items():
         dr_delta.setdefault(k, {})[dtype] = tuple(d.value(x) for d in deltas)
     adjusted = {k: tuple(e.value(x) for e in vm.dr.adjusted[k]) for k in CARRIERS}
-
-    schedule = FlowSchedule(
-        step_hours=dt,
-        p_e_buy=_values(vm.p_e_buy, x),
-        p_gt_e=_values(vm.p_gt_e, x),
-        p_gt_h=_values(vm.p_gt_h, x),
-        p_gb_h=_values(vm.p_gb_h, x),
-        p_g_load=adjusted[GAS],
-        p_p2g_g=_values(vm.p_p2g_g, x),
-    )
+    flows = {name: _values(flow, x, periods) for name, flow in vm.flows.items()}
+    schedule = FlowSchedule(step_hours=dt, p_g_load=adjusted[GAS],
+                            **{k: flows[k] for k in ("p_e_buy", "p_gt_e", "p_gt_h", "p_gb_h", "p_p2g_g")})
     policy = replace(case.carbon, mechanism=scenario.mechanism)
     account = emission_account(schedule, policy)
     carbon_exact = carbon_mod.carbon_cost(account.trading_share, policy)
@@ -585,17 +668,8 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
         scenario_id=scenario.id,
         periods=periods,
         step_hours=dt,
-        p_e_buy=schedule.p_e_buy,
-        p_g_buy=_values(vm.p_g_buy, x),
-        p_dg=_values(vm.p_dg, x),
         wind_available=vm.wind_available,
-        p_p2g_e=_values(vm.p_p2g_e, x),
-        p_p2g_g=schedule.p_p2g_g,
-        p_g_gt=_values(vm.p_g_gt, x),
-        p_gt_e=schedule.p_gt_e,
-        p_gt_h=schedule.p_gt_h,
-        p_g_gb=_values(vm.p_g_gb, x),
-        p_gb_h=schedule.p_gb_h,
+        **flows,
         storage=storage,
         dr_delta=dr_delta,
         adjusted_loads=adjusted,

@@ -51,6 +51,7 @@ def _terms(coeffs: dict[int, float], names: list[str]) -> str:
 def write_lp(model: MilpModel) -> str:
     """Serialize the model to LP-format text."""
     names = sanitized_names(model)
+    variables = model.variables  # built on each access, so read once
     out = [f"\\ {model.name}", "Minimize"]
     obj = _terms(model.objective.coeffs, names)
     if model.objective.constant != 0.0:
@@ -62,7 +63,7 @@ def write_lp(model: MilpModel) -> str:
         con_name = _NAME_OK.sub("_", con.name) or f"c{con.id}"
         out.append(f" {con_name}: {_terms(con.coeffs, names)} {con.relation} {_fmt(con.rhs)}")
     out.append("Bounds")
-    for v in model.variables:
+    for v in variables:
         lo_inf, up_inf = v.lower == -INF, v.upper == INF
         if lo_inf and up_inf:
             out.append(f" {names[v.id]} free")
@@ -72,7 +73,7 @@ def write_lp(model: MilpModel) -> str:
             out.append(f" {names[v.id]} >= {_fmt(v.lower)}")
         else:
             out.append(f" {_fmt(v.lower)} <= {names[v.id]} <= {_fmt(v.upper)}")
-    binaries = [names[v.id] for v in model.variables if v.kind == BINARY]
+    binaries = [names[v.id] for v in variables if v.kind == BINARY]
     if binaries:
         out.append("Binaries")
         out.append(" " + " ".join(binaries))

@@ -1,26 +1,39 @@
 """Solver-agnostic mixed-integer linear model representation.
 
-A ``MilpModel`` is a plain container of variables, linear constraints and a
-minimization objective.  It knows nothing about solving; the ``solver``
-package consumes the arrays compiled by :meth:`MilpModel.to_sparse`, whose
-constraint matrix is a scipy CSC array.  :meth:`MilpModel.to_dense` gives the
-same arrays with ``A`` dense, for the reference simplex and tests.
+A ``MilpModel`` is a plain container of columns, rows and a minimization
+objective.  It knows nothing about solving; the ``solver`` package consumes
+the arrays compiled by :meth:`MilpModel.to_sparse`, whose constraint matrix
+is a scipy CSC array.  :meth:`MilpModel.to_dense` gives the same arrays with
+``A`` dense, for the reference simplex and tests.
 
-Expression arithmetic trusts its operands: ``+``, ``-`` and ``*`` build
-results without re-checking every coefficient, and only a non-finite scalar
-factor is rejected on the spot.  Finiteness is checked once, where an
-expression enters the model (``add_constraint`` and ``set_objective``), so an
-overflowed coefficient cannot reach a row or the objective.
+Columns are stored as parallel lists (kind, bounds, name) and rows as one
+CSR store: per-row nonzero counts, column ids, coefficients, right-hand
+sides, relation codes and names.  :meth:`MilpModel.add_variables` appends a
+family of columns and :meth:`MilpModel.add_rows` a block of rows, given as
+an (m, k) array of column ids and coefficients; ``add_variable`` and
+``add_constraint`` are one-item calls into the same stores.  ``to_sparse``
+concatenates the stored arrays, and ``variables`` / ``constraints`` build
+lists of records from the stores on each call.
+
+Finiteness is checked where numbers enter the model: ``add_rows`` checks
+every coefficient and right-hand side of a block at once, ``add_variables``
+every bound, and ``set_objective`` the objective.  Expression arithmetic
+trusts its operands: ``+``, ``-`` and ``*`` build results without
+re-checking every coefficient, and only a non-finite scalar factor is
+rejected on the spot, so an overflowed coefficient is caught when the
+expression enters a row or the objective.
 
 The module also carries the linearization the dispatch model uses:
-epigraph (tangent) cuts for convex quadratics.
+epigraph (tangent) cuts for convex quadratics, added for a whole family of
+envelopes as one row block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,22 +208,43 @@ def sum_expressions(terms) -> LinearExpression:
     intermediate dictionary: a sum of n terms costs O(total terms), not O(n^2).
     """
     coeffs: dict[int, float] = {}
+    get = coeffs.get
     const = 0.0
     for term in terms:
         if isinstance(term, LinearExpression):
             const += term.constant
             for vid, c in term.coeffs.items():
-                coeffs[vid] = coeffs.get(vid, 0.0) + c
+                coeffs[vid] = get(vid, 0.0) + c
         elif isinstance(term, Variable):
-            coeffs[term.id] = coeffs.get(term.id, 0.0) + 1.0
+            coeffs[term.id] = get(term.id, 0.0) + 1.0
         else:
             const += float(term)
     return LinearExpression._trusted({v: c for v, c in coeffs.items() if c != 0.0}, const)
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Row ``expr rel rhs``; the expression constant is folded into rhs."""
+def block_expressions(cols, coeffs=1.0, constants=0.0) -> list[LinearExpression]:
+    """One expression per row of an (m, k) block as :meth:`MilpModel.add_rows` takes it.
+
+    Row i is ``constants[i] + sum_j coeffs[i, j] * x[cols[i, j]]`` over
+    distinct ids, zero coefficients left out, keys in column order.
+    """
+    cols = np.asarray(cols)
+    coeffs, constants = _filled(coeffs, cols.shape), _filled(constants, len(cols))
+    if not (_all(np.isfinite(coeffs)) and _all(np.isfinite(constants))):
+        raise ModelError("non-finite coefficient or constant in an expression block")
+    rows = zip(cols.tolist(), coeffs.tolist())
+    if _all(coeffs):
+        dicts = [dict(zip(ids, w)) for ids, w in rows]
+    else:
+        dicts = [{v: c for v, c in zip(ids, w) if c != 0.0} for ids, w in rows]
+    return [LinearExpression._trusted(d, k) for d, k in zip(dicts, constants.tolist())]
+
+
+class Constraint(NamedTuple):
+    """Row ``expr rel rhs``; the expression constant is folded into rhs.
+
+    A light record, since ``constraints`` builds one per row on each call.
+    """
 
     id: int
     coeffs: dict[int, float]
@@ -219,37 +253,103 @@ class Constraint:
     name: str
 
 
+def _new_names(names, seen: set, what: str) -> set:
+    """The names as a set, after checking they repeat neither each other nor ``seen``."""
+    fresh = set(names)
+    if len(fresh) != len(names) or not seen.isdisjoint(fresh):
+        block: set = set()
+        for name in names:
+            if name in seen or name in block:
+                raise DuplicateNameError(f"{what} name {name!r} already used")
+            block.add(name)
+    return fresh
+
+
+def _all(mask: np.ndarray) -> bool:
+    """Whether every entry is nonzero; ``ndarray.all`` costs more on small arrays."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _filled(values, shape) -> np.ndarray:
+    """``values`` as a new float array of ``shape``, broadcasting a scalar or a row."""
+    out = np.empty(shape)
+    out[...] = values
+    return out
+
+
+def _per_item(kind, n: int, allowed, what: str) -> list:
+    """One entry per item from one value or a sequence, each in ``allowed``."""
+    kinds = [kind] * n if isinstance(kind, str) else list(kind)
+    unknown = ({kind} if isinstance(kind, str) else set(kinds)) - set(allowed)
+    if unknown:
+        raise ModelError(f"unknown {what} {unknown.pop()!r}")
+    if len(kinds) != n:
+        raise ModelError(f"{len(kinds)} {what}s for {n} items")
+    return kinds
+
+
 class MilpModel:
-    """Model builder: variables, constraints and objective are added in place."""
+    """Model builder: columns, rows and the objective are added in place.
+
+    Columns are kept as parallel lists (kind, bounds, name).  Rows are kept
+    in CSR form: per-row nonzero counts, column ids and coefficients as one
+    array chunk per :meth:`add_rows` call, joined on first use, beside lists
+    of right-hand sides, relations and names.  ``variables`` and
+    ``constraints`` build records from these stores on each call.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
         self.objective = LinearExpression()
-        self._var_by_name: dict[str, int] = {}
-        self._con_by_name: dict[str, int] = {}
+        self._kinds: list[str] = []
+        self._lower: list[float] = []
+        self._upper: list[float] = []
+        self._col_names: list[str] = []
+        self._row_nnz = [np.zeros(0, dtype=np.int64)]
+        self._row_cols = [np.zeros(0, dtype=np.int32)]
+        self._row_vals = [np.zeros(0)]
+        self._rhs: list[float] = []
+        self._relations: list[str] = []
+        self._row_names: list[str] = []
+        self._col_name_set: set[str] = set()
+        self._row_name_set: set[str] = set()
+        self._csr = None
 
     # -- construction ------------------------------------------------------
 
+    def add_variables(self, kind, lower, upper, names) -> np.ndarray:
+        """Append one column per name and return their ids.
+
+        ``kind`` is one kind or one per name; ``lower`` and ``upper`` are
+        scalars or one per name.  Binary bounds are clamped into [0, 1].
+        Inverted or NaN bounds, an unknown kind or a repeated name add
+        nothing and raise.
+        """
+        n = len(names)
+        kinds = _per_item(kind, n, (CONTINUOUS, BINARY), "variable kind")
+        fresh = _new_names(names, self._col_name_set, "variable")
+        lower, upper = _filled(lower, n), _filled(upper, n)
+        binary = [] if kind == CONTINUOUS else [j for j, k in enumerate(kinds) if k == BINARY]
+        if binary:
+            lower[binary] = np.maximum(lower[binary], 0.0)
+            upper[binary] = np.minimum(upper[binary], 1.0)
+        ordered = lower <= upper
+        if not _all(ordered):
+            i = np.flatnonzero(~ordered)[0]
+            if math.isnan(lower[i]) or math.isnan(upper[i]):
+                raise BoundError(f"variable {names[i]!r}: NaN bound")
+            raise BoundError(f"variable {names[i]!r}: lower {lower[i]} > upper {upper[i]}")
+        start = len(self._col_names)
+        self._kinds += kinds
+        self._lower += lower.tolist()
+        self._upper += upper.tolist()
+        self._col_names += names
+        self._col_name_set |= fresh
+        return np.arange(start, start + n)
+
     def add_variable(self, kind: str, lower: float, upper: float, name: str) -> Variable:
-        if kind not in (CONTINUOUS, BINARY):
-            raise ModelError(f"unknown variable kind {kind!r}")
-        if name in self._var_by_name:
-            raise DuplicateNameError(f"variable name {name!r} already used")
-        lower, upper = float(lower), float(upper)
-        if kind == BINARY:
-            # clamp into [0,1]; callers may pass wider bounds
-            lower = max(lower, 0.0)
-            upper = min(upper, 1.0)
-        if lower > upper:
-            raise BoundError(f"variable {name!r}: lower {lower} > upper {upper}")
-        if math.isnan(lower) or math.isnan(upper):
-            raise BoundError(f"variable {name!r}: NaN bound")
-        var = Variable(len(self.variables), kind, lower, upper, name)
-        self.variables.append(var)
-        self._var_by_name[name] = var.id
-        return var
+        (j,) = self.add_variables(kind, lower, upper, [name]).tolist()
+        return Variable(j, self._kinds[j], self._lower[j], self._upper[j], name)
 
     def add_continuous(self, lower: float, upper: float, name: str) -> Variable:
         return self.add_variable(CONTINUOUS, lower, upper, name)
@@ -257,93 +357,153 @@ class MilpModel:
     def add_binary(self, name: str) -> Variable:
         return self.add_variable(BINARY, 0.0, 1.0, name)
 
+    def add_rows(self, cols, coeffs, relation, rhs, names) -> range:
+        """Append rows ``sum_j coeffs[i, j] * x[cols[i, j]]  relation[i]  rhs[i]``.
+
+        ``cols`` is an (m, k) integer array; ``coeffs`` broadcasts to (m, k)
+        and ``rhs`` to (m,); ``relation`` is one relation or one per row.  A
+        zero coefficient leaves its slot empty, so rows of different lengths
+        pad with zeros.  This is the only way rows enter the model: the
+        checks run on the whole block (finite coefficients and right-hand
+        sides, known columns, new names, no violated empty row) and a failed
+        check adds nothing.  The ids of a row must be distinct; a repeat is
+        refused when the rows are joined for a view or a compile.  Returns
+        the new row ids.
+        """
+        m = len(names)
+        rels = _per_item(relation, m, _RELATIONS, "relation")
+        cols = np.asarray(cols)
+        if cols.ndim != 2 or len(cols) != m or (cols.size and cols.dtype.kind not in "iu"):
+            raise ModelError(f"a block of {m} rows needs an ({m}, k) integer column array")
+        coeffs, rhs = _filled(coeffs, cols.shape), _filled(rhs, m)
+        if not _all(np.isfinite(rhs)):
+            i = np.flatnonzero(~np.isfinite(rhs))[0]
+            raise ModelError(f"constraint {names[i]!r}: non-finite right-hand side")
+        fresh = _new_names(names, self._row_name_set, "constraint")
+        keep = coeffs != 0.0
+        nnz = keep.sum(axis=1)
+        idx, vals = cols[keep], coeffs[keep]
+        # a negative id wraps past every column id
+        known = idx.astype(np.uint64) < self.num_variables
+        finite = np.isfinite(vals)
+        if not (_all(known) and _all(finite)):
+            j = np.flatnonzero(~(known & finite))[0]
+            name = names[np.searchsorted(np.cumsum(nnz), j, side="right")]
+            if not known[j]:
+                raise ModelError(f"constraint {name!r} references unknown variable {idx[j]}")
+            raise ModelError(f"constraint {name!r}: non-finite coefficient for variable {idx[j]}")
+        if not _all(nnz):
+            for i in np.flatnonzero(nnz == 0).tolist():
+                rel, b = rels[i], float(rhs[i])
+                if not ((rel == LE and 0.0 <= b + 1e-12) or (rel == GE and 0.0 >= b - 1e-12)
+                        or (rel == EQ and abs(b) <= 1e-12)):
+                    raise TriviallyInfeasibleError(
+                        f"constraint {names[i]!r} has no variables and is violated: 0 {rel} {b}"
+                    )
+        start = len(self._row_names)
+        self._row_nnz.append(nnz)
+        self._row_cols.append(idx.astype(np.int32))
+        self._row_vals.append(vals)
+        self._rhs += rhs.tolist()
+        self._relations += rels
+        self._row_names += names
+        self._row_name_set |= fresh
+        self._csr = None
+        return range(start, start + m)
+
     def add_constraint(self, expr, relation: str, rhs: float, name: str | None = None) -> int:
-        if relation not in _RELATIONS:
-            raise ModelError(f"unknown relation {relation!r}")
+        """Append one row ``expr relation rhs``; a one-row :meth:`add_rows`."""
         expr = as_expression(expr)
-        rhs = float(rhs) - expr.constant
-        if not math.isfinite(rhs):
-            raise ModelError(f"constraint {name!r}: non-finite right-hand side")
-        cid = len(self.constraints)
-        if name is None:
-            name = f"c{cid}"
-        if name in self._con_by_name:
-            raise DuplicateNameError(f"constraint name {name!r} already used")
-        n = len(self.variables)
-        for vid, c in expr.coeffs.items():
-            if vid >= n:
-                raise ModelError(f"constraint {name!r} references unknown variable {vid}")
-            if not math.isfinite(c):
-                raise ModelError(f"constraint {name!r}: non-finite coefficient for variable {vid}")
-        if not expr.coeffs:
-            ok = (
-                (relation == LE and 0.0 <= rhs + 1e-12)
-                or (relation == GE and 0.0 >= rhs - 1e-12)
-                or (relation == EQ and abs(rhs) <= 1e-12)
-            )
-            if not ok:
-                raise TriviallyInfeasibleError(
-                    f"constraint {name!r} has no variables and is violated: 0 {relation} {rhs}"
-                )
-        con = Constraint(cid, dict(expr.coeffs), relation, rhs, name)
-        self.constraints.append(con)
-        self._con_by_name[name] = cid
-        return cid
+        k = len(expr.coeffs)
+        cols = np.fromiter(expr.coeffs, dtype=np.int64, count=k).reshape(1, k)
+        vals = np.fromiter(expr.coeffs.values(), dtype=float, count=k).reshape(1, k)
+        name = f"c{self.num_constraints}" if name is None else name
+        return self.add_rows(cols, vals, relation, float(rhs) - expr.constant, [name])[0]
 
     def set_objective(self, expr) -> None:
         """Set the minimization objective."""
         expr = as_expression(expr)
         if not math.isfinite(expr.constant):
             raise ModelError("objective constant not finite")
-        for vid, c in expr.coeffs.items():
-            if not math.isfinite(c):
-                raise ModelError(f"objective coefficient for variable {vid} not finite")
-            if vid >= len(self.variables):
-                raise ModelError(f"objective references unknown variable {vid}")
+        k = len(expr.coeffs)
+        ids = np.fromiter(expr.coeffs, dtype=np.int64, count=k)
+        finite = np.isfinite(np.fromiter(expr.coeffs.values(), dtype=float, count=k))
+        if not _all(finite):
+            raise ModelError(f"objective coefficient for variable {ids[~finite][0]} not finite")
+        known = (ids >= 0) & (ids < self.num_variables)
+        if not _all(known):
+            raise ModelError(f"objective references unknown variable {ids[~known][0]}")
         self.objective = expr
 
     # -- introspection -----------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self._col_names)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._row_names)
+
+    @property
+    def variables(self) -> list[Variable]:
+        """The columns as Variable handles, built from the column store."""
+        columns = zip(self._kinds, self._lower, self._upper, self._col_names)
+        return [Variable(j, *column) for j, column in enumerate(columns)]
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        """The rows as Constraint records, built from the row store."""
+        indptr, cols, vals = (a.tolist() for a in self._joined())
+        pairs = zip(cols, vals)
+        coeffs = [dict(islice(pairs, b - a)) for a, b in zip(indptr, indptr[1:])]
+        rows = zip(range(len(coeffs)), coeffs, self._relations, self._rhs, self._row_names)
+        return list(map(Constraint._make, rows))
+
+    def _joined(self):
+        """(indptr, cols, vals) of all rows; the chunks collapse into one.
+
+        Refuses a row that repeats a column id, so no view or compile sees one.
+        """
+        if self._csr is None:
+            for chunks in (self._row_nnz, self._row_cols, self._row_vals):
+                chunks[:] = [np.concatenate(chunks)]
+            nnz, cols = self._row_nnz[0], self._row_cols[0]
+            entries = np.sort(np.repeat(np.arange(len(nnz)), nnz) * self.num_variables + cols)
+            repeats = np.flatnonzero(entries[1:] == entries[:-1])
+            if repeats.size:
+                name = self._row_names[entries[repeats[0]] // self.num_variables]
+                raise ModelError(f"constraint {name!r} repeats a variable")
+            indptr = np.zeros(len(nnz) + 1, dtype=np.int32)
+            np.cumsum(nnz, out=indptr[1:])
+            self._csr = indptr, cols, self._row_vals[0]
+        return self._csr
 
     def binary_ids(self) -> list[int]:
-        return [v.id for v in self.variables if v.kind == BINARY]
+        return [j for j, kind in enumerate(self._kinds) if kind == BINARY]
 
     def to_sparse(self):
         """Arrays (c, c0, A, relations, rhs, lb, ub, is_binary) with A as CSC.
 
         A is a ``scipy.sparse.csc_array`` with one row per constraint in
         registration order, sorted row indices and no stored zeros.  This is
-        the form the solvers consume; it is compiled straight from the row
-        dictionaries, without a dense intermediate.
+        the form the solvers consume; it is joined straight from the row
+        store, without a dense intermediate.
         """
         # deferred so that importing the package does not load scipy
         from scipy.sparse import csr_array
 
-        n = len(self.variables)
-        m = len(self.constraints)
+        n, m = self.num_variables, self.num_constraints
         c = np.zeros(n)
         for vid, coef in self.objective.coeffs.items():
             c[vid] = coef
-        rows = [con.coeffs for con in self.constraints]
-        indptr = np.zeros(m + 1, dtype=np.int32)
-        np.cumsum([len(r) for r in rows], out=indptr[1:])
-        nnz = int(indptr[-1])
-        cols = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=nnz)
-        vals = np.fromiter(chain.from_iterable(r.values() for r in rows), dtype=float, count=nnz)
+        indptr, cols, vals = self._joined()
         A = csr_array((vals, cols, indptr), shape=(m, n)).tocsc()
-        rhs = np.array([con.rhs for con in self.constraints], dtype=float)
-        relations = [con.relation for con in self.constraints]
-        lb = np.array([v.lower for v in self.variables], dtype=float)
-        ub = np.array([v.upper for v in self.variables], dtype=float)
-        is_binary = np.array([v.kind == BINARY for v in self.variables], dtype=bool)
-        return c, self.objective.constant, A, relations, rhs, lb, ub, is_binary
+        rhs = np.array(self._rhs, dtype=float)
+        lb = np.array(self._lower, dtype=float)
+        ub = np.array(self._upper, dtype=float)
+        is_binary = np.array([kind == BINARY for kind in self._kinds], dtype=bool)
+        return c, self.objective.constant, A, list(self._relations), rhs, lb, ub, is_binary
 
     def to_dense(self):
         """:meth:`to_sparse` with A as a dense ndarray.
@@ -384,33 +544,55 @@ def pwl_convex_value(quad, x_max: float, segments: int, x: float) -> float:
     return best
 
 
-def pwl_convex(model: MilpModel, x, quad, x_max: float, segments: int,
-               name: str) -> Variable:
-    """Underestimator y for the convex quadratic f(x) = a + b x + c x^2 on [0, x_max].
+def pwl_convex(model: MilpModel, x_cols, x_coeffs, quads, x_max, segments: int, names) -> np.ndarray:
+    """Underestimators y_j of convex quadratics f_j(x) = a + b x + c x^2 on [0, x_max_j].
 
-    Adds tangent (epigraph) cuts at segments+1 uniform breakpoints.  Under
-    downward objective pressure on y the optimum satisfies
-    |y - f(x)| <= c * (x_max/segments)^2 / 4.  No binaries are introduced.
-    ``x`` may be a Variable or any affine expression bounded within [0, x_max].
+    One envelope per name, with argument x_j = sum_k x_coeffs[j, k] *
+    x[x_cols[j, k]] (an (m, k) block as in :meth:`MilpModel.add_rows`)
+    bounded within [0, x_max_j]; ``quads`` holds one (a, b, c) per envelope
+    and ``x_max`` is a scalar or one per envelope.  Adds tangent (epigraph)
+    cuts at segments+1 uniform breakpoints, envelope by envelope, in one
+    row block.  Under downward objective pressure on y_j the optimum
+    satisfies |y_j - f_j(x_j)| <= c * (x_max_j/segments)^2 / 4.  No binaries
+    are introduced.  Returns the ids of the y columns.
     """
-    a, b, c = (float(v) for v in quad)
-    if c < 0.0:
-        raise ConvexityError(f"pwl_convex requires c >= 0, got {c}")
+    quads = np.asarray(quads, dtype=float).reshape(-1, 3)
+    x_max = np.broadcast_to(np.asarray(x_max, dtype=float), (len(names),))
+    if (quads[:, 2] < 0.0).any():
+        raise ConvexityError(f"pwl_convex requires c >= 0, got {quads[:, 2].min()}")
     if segments < 1:
         raise ModelError("segments must be >= 1")
-    if x_max <= 0.0:
+    if not (x_max > 0.0).all():
         raise ModelError("x_max must be > 0")
-    xe = as_expression(x)
-    # c == 0 still works: every tangent is the same exact line y >= a + b*x
-    vertex = min(max(-b / (2.0 * c), 0.0), x_max) if c > 0.0 else 0.0
-    f_lo = min(quad_value(quad, t) for t in (0.0, x_max, vertex))
-    f_hi = max(quad_value(quad, 0.0), quad_value(quad, x_max))
-    gap = pwl_convex_error_bound(c, x_max, segments)
-    y = model.add_continuous(f_lo - gap, f_hi, name)
-    for i in range(segments + 1):
-        xi = x_max * i / segments
-        fi = quad_value(quad, xi)
-        slope = b + 2.0 * c * xi
-        # y >= fi + slope*(x - xi)
-        model.add_constraint(y - slope * xe, GE, fi - slope * xi, f"{name}_cut{i}")
+    curves = list(zip(map(tuple, quads.tolist()), x_max.tolist()))
+    box = {}  # bounds of y per distinct curve; envelopes often share one
+    for quad, xm in dict.fromkeys(curves):
+        a, b, c = quad
+        # c == 0 still works: every tangent is the same exact line y >= a + b*x
+        vertex = min(max(-b / (2.0 * c), 0.0), xm) if c > 0.0 else 0.0
+        f_lo = min(quad_value(quad, t) for t in (0.0, xm, vertex))
+        box[quad, xm] = (f_lo - pwl_convex_error_bound(c, xm, segments),
+                         max(quad_value(quad, 0.0), quad_value(quad, xm)))
+    bounds = np.array([box[curve] for curve in curves]).reshape(-1, 2)
+    y = model.add_variables(CONTINUOUS, bounds[:, 0], bounds[:, 1], names)
+    # breakpoints, function values and slopes per (envelope, cut), in the
+    # operation order of quad_value so the rows match the scalar formulas
+    xi = x_max[:, None] * np.arange(segments + 1) / segments
+    a, b, c = (quads[:, j, None] for j in range(3))
+    fi = a + b * xi + c * xi * xi
+    slope = b + 2.0 * c * xi
+    # y >= fi + slope*(x - xi)
+    x_cols = np.asarray(x_cols)
+    shape = (*xi.shape, 1 + x_cols.shape[1])
+    cols = np.empty(shape, dtype=np.int64)
+    cols[..., 0] = y[:, None]
+    cols[..., 1:] = x_cols[:, None, :]
+    coeffs = np.empty(shape)
+    coeffs[..., 0] = 1.0
+    x_coeffs = np.broadcast_to(np.asarray(x_coeffs, dtype=float), x_cols.shape)
+    coeffs[..., 1:] = -(slope[..., None] * x_coeffs[:, None, :])
+    cuts = [f"_cut{i}" for i in range(segments + 1)]
+    cut_names = [name + cut for name in names for cut in cuts]
+    model.add_rows(cols.reshape(-1, shape[-1]), coeffs.reshape(-1, shape[-1]), GE,
+                   (fi - slope * xi).ravel(), cut_names)
     return y

@@ -24,7 +24,7 @@ import tempfile
 import numpy as np
 
 from ..lp_format import sanitized_names, write_lp
-from ..milp_ir import EQ, GE, LE, MilpModel
+from ..milp_ir import GE, LE, MilpModel
 from .branch_bound import (
     MILP_FEASIBLE,
     MILP_INFEASIBLE,

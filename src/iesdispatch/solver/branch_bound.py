@@ -48,6 +48,9 @@ MILP_UNBOUNDED = "unbounded"
 MILP_LIMIT = "limit"
 
 _ROW_TOL = 1e-6  # relative row slack when judging a rounded point
+# a relative gap below this is LP round-off between the polished incumbent
+# and the bound it sits on, not a gap the search left open
+_ROUND_OFF_GAP = 1e-12
 
 
 @dataclass
@@ -61,6 +64,11 @@ class MilpOptions:
         # a NaN gap never closes, so the search would have to prove optimality exactly
         if not (math.isfinite(self.gap_tol) and self.gap_tol >= 0):
             raise ValueError(f"gap_tol {self.gap_tol!r}: need a finite gap >= 0")
+        if not self.node_limit >= 1:
+            raise ValueError(f"node_limit {self.node_limit!r}: need at least 1 node")
+        # NaN fails the comparison too
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError(f"time_limit {self.time_limit!r}: need None or a limit > 0 seconds")
 
 
 @dataclass
@@ -332,13 +340,15 @@ class _Search:
         else:
             bound = self.best_bound
             gap = np.inf
+        if gap < _ROUND_OFF_GAP:  # a negative gap is the bound passing the incumbent by round-off
+            gap = 0.0
         self.record()
         return MilpSolution(
             status=status,
             objective=obj,
             x=self.inc_x,
             bound=bound,
-            gap=max(gap, 0.0),
+            gap=gap,
             nodes=self.nodes,
             wall_time=self.elapsed(),
             trace=self.trace,

@@ -162,7 +162,7 @@ def test_blocks_substitution_adds_all_carriers(case):
     assert ("electric", SUBSTITUTE) in keys
     assert ("gas", SUBSTITUTE) in keys
     assert ("heat", SUBSTITUTE) in keys
-    assert set(vm.deviation) == set(CARRIERS)
+    assert set(vm.adjusted) == set(CARRIERS)
     assert vm.compensation.coeffs  # nonzero cost hook
 
 

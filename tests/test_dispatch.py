@@ -85,6 +85,12 @@ def test_dispatch_options_reject_a_bad_gap_at_construction(gap):
         DispatchOptions(gap_tol=gap)
 
 
+@pytest.mark.parametrize("limits", [{"node_limit": 0}, {"time_limit": 0.0}, {"time_limit": float("nan")}])
+def test_dispatch_options_reject_bad_limits_at_construction(limits):
+    with pytest.raises(ValueError, match=next(iter(limits))):
+        DispatchOptions(**limits)
+
+
 # -- single-period oracles ----------------------------------------------------------
 
 
@@ -334,10 +340,18 @@ GATED_OBJECTIVES = {
 }
 
 
+def test_round_off_gaps_read_zero(bundled_case):
+    # these polished incumbents sit on the root bound: the difference the
+    # LP leaves (about 1e-16 relative) is round-off, not an open gap
+    points = sweep_lambda(bundled_case, "S5", [0.15, 0.25, 0.30, 0.35])
+    points += sweep_interval(bundled_case, "S5", [1000.0])
+    assert [(p.status, p.gap) for p in points] == [("optimal", 0.0)] * 5
+
+
 def test_only_storage_gates_are_binary(bundled_case):
     for sid in SCENARIO_IDS:
         model, vm = build_model(bundled_case, sid)
-        gates = sorted(u.id for blk in vm.storage.values() for u in blk.gate)
+        gates = sorted(vid for blk in vm.storage.values() for vid in blk.gate.tolist())
         assert model.binary_ids() == gates, sid
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,9 +228,9 @@ def _envelope_optimum(quad, x_max, segments, x_fix):
     """Minimize the surrogate with x pinned; returns the solved y."""
     m = MilpModel()
     x = m.add_continuous(0.0, x_max, "x")
-    y = pwl_convex(m, x, quad, x_max, segments, "y")
+    (y,) = pwl_convex(m, [[x.id]], 1.0, [quad], x_max, segments, ["y"]).tolist()
     m.add_constraint(as_expression(x), EQ, x_fix, "pin")
-    m.set_objective(as_expression(y))
+    m.set_objective(LinearExpression({y: 1.0}))
     res = solve_lp(m)
     assert res.status == "optimal"
     return res.objective
@@ -288,7 +289,7 @@ def test_pwl_convex_rejects_concave():
     m = MilpModel()
     x = m.add_continuous(0, 1, "x")
     with pytest.raises(ConvexityError):
-        pwl_convex(m, x, (0.0, 0.0, -1.0), 1.0, 2, "y")
+        pwl_convex(m, [[x.id]], 1.0, [(0.0, 0.0, -1.0)], 1.0, 2, ["y"])
 
 
 def test_to_dense_shapes():
@@ -305,3 +306,158 @@ def test_to_dense_shapes():
     assert list(rhs) == [3.0]
     assert list(lb) == [0.0, 0.0] and list(ub) == [4.0, 1.0]
     assert list(is_binary) == [False, True]
+
+
+# -- the bulk row and column entry points --------------------------------------
+
+
+def _two_columns():
+    m = MilpModel()
+    m.add_variables("continuous", 0.0, 1.0, ["x", "y"])
+    m.add_rows([[0, 1]], [[1.0, 1.0]], LE, 1.0, ["first"])
+    return m
+
+
+# (bulk call, the same fault through add_constraint / add_variable, error class)
+_FAULTS = {
+    "non-finite coefficient": (
+        lambda m: m.add_rows([[0, 1]], [[1.0, math.inf]], LE, 1.0, ["r"]),
+        lambda m: m.add_constraint(LinearExpression._trusted({0: 1.0, 1: math.inf}, 0.0), LE, 1.0, "r"),
+        ModelError,
+    ),
+    "non-finite rhs": (
+        lambda m: m.add_rows([[0], [1]], 1.0, GE, [0.0, math.nan], ["r", "s"]),
+        lambda m: m.add_constraint(LinearExpression({1: 1.0}), GE, math.nan, "s"),
+        ModelError,
+    ),
+    "unknown column": (
+        lambda m: m.add_rows([[0, 2]], [[1.0, 1.0]], EQ, 0.0, ["r"]),
+        lambda m: m.add_constraint(LinearExpression({0: 1.0, 2: 1.0}), EQ, 0.0, "r"),
+        ModelError,
+    ),
+    "negative column": (
+        lambda m: m.add_rows([[-1]], 1.0, EQ, 0.0, ["r"]),
+        lambda m: m.add_constraint(LinearExpression({-1: 1.0}), EQ, 0.0, "r"),
+        ModelError,
+    ),
+    "duplicate name in the block": (
+        lambda m: m.add_rows([[0], [1]], 1.0, LE, 1.0, ["r", "r"]),
+        lambda m: (m.add_constraint(LinearExpression({0: 1.0}), LE, 1.0, "r"),
+                   m.add_constraint(LinearExpression({1: 1.0}), LE, 1.0, "r")),
+        DuplicateNameError,
+    ),
+    "name of an earlier row": (
+        lambda m: m.add_rows([[0]], 1.0, LE, 1.0, ["first"]),
+        lambda m: m.add_constraint(LinearExpression({0: 1.0}), LE, 1.0, "first"),
+        DuplicateNameError,
+    ),
+    "violated empty row": (
+        lambda m: m.add_rows([[0, 1]], [[0.0, 0.0]], GE, 1.0, ["r"]),
+        lambda m: m.add_constraint(LinearExpression(), GE, 1.0, "r"),
+        TriviallyInfeasibleError,
+    ),
+    "unknown relation": (
+        lambda m: m.add_rows([[0]], 1.0, "<", 1.0, ["r"]),
+        lambda m: m.add_constraint(LinearExpression({0: 1.0}), "<", 1.0, "r"),
+        ModelError,
+    ),
+    "inverted bounds": (
+        lambda m: m.add_variables("continuous", [0.0, 2.0], [1.0, 1.0], ["a", "b"]),
+        lambda m: m.add_continuous(2.0, 1.0, "b"),
+        BoundError,
+    ),
+    "NaN bound": (
+        lambda m: m.add_variables("continuous", 0.0, [1.0, math.nan], ["a", "b"]),
+        lambda m: m.add_continuous(0.0, math.nan, "b"),
+        BoundError,
+    ),
+    "duplicate variable name": (
+        lambda m: m.add_variables("continuous", 0.0, 1.0, ["a", "a"]),
+        lambda m: m.add_continuous(0.0, 1.0, "x"),
+        DuplicateNameError,
+    ),
+    "unknown kind": (
+        lambda m: m.add_variables(["continuous", "integer"], 0.0, 1.0, ["a", "b"]),
+        lambda m: m.add_variable("integer", 0.0, 1.0, "b"),
+        ModelError,
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_bulk_path_rejects_what_the_single_path_rejects_and_adds_nothing(fault):
+    bulk, single, error = _FAULTS[fault]
+    for add in (single, bulk):
+        m = _two_columns()
+        before = m.to_sparse()
+        with pytest.raises(error) as caught:
+            add(m)
+        assert type(caught.value) is error
+    # the failed block left the model as it was
+    assert (m.num_variables, m.num_constraints) == (2, 1)
+    after = m.to_sparse()
+    assert after[3] == before[3] and (after[2] != before[2]).nnz == 0
+
+
+def test_binary_bounds_clamped_in_bulk():
+    m = MilpModel()
+    m.add_variables(["binary", "continuous"], -1.0, 5.0, ["b", "x"])
+    assert [(v.kind, v.lower, v.upper) for v in m.variables] == [("binary", 0.0, 1.0), ("continuous", -1.0, 5.0)]
+    assert m.binary_ids() == [0]
+
+
+def test_a_row_that_repeats_a_column_is_refused_when_joined():
+    m = _two_columns()
+    m.add_rows([[0, 0]], [[1.0, 2.0]], LE, 1.0, ["twice"])
+    with pytest.raises(ModelError, match="twice"):
+        m.to_sparse()
+    with pytest.raises(ModelError, match="twice"):
+        m.constraints[0]
+
+
+_COEFFS = st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0, 0.5]),
+                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+_BLOCKS = st.lists(
+    st.tuples(
+        st.integers(1, 5),  # rows
+        st.integers(0, 4),  # slots per row
+        st.sampled_from([LE, EQ, GE]),
+        st.randoms(use_true_random=False),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=_BLOCKS, data=st.data())
+def test_bulk_rows_equal_rows_added_one_by_one(blocks, data):
+    n = 6
+    kinds = data.draw(st.lists(st.sampled_from(["continuous", "binary"]), min_size=n, max_size=n))
+    lower = data.draw(st.lists(st.floats(-5, 0), min_size=n, max_size=n))
+    names = [f"x{j}" for j in range(n)]
+    bulk, single = MilpModel(), MilpModel()
+    bulk.add_variables(kinds, lower, 5.0, names)
+    for kind, lo, name in zip(kinds, lower, names):
+        single.add_variable(kind, lo, 5.0, name)
+    for b, (m, k, relation, rng) in enumerate(blocks):
+        cols = [rng.sample(range(n), k) for _ in range(m)]
+        coeffs = [[data.draw(_COEFFS) for _ in range(k)] for _ in range(m)]
+        rhs = [data.draw(st.floats(-10, 10)) if any(row) else 0.0 for row in coeffs]
+        row_names = [f"b{b}_r{i}" for i in range(m)]
+        bulk.add_rows(np.array(cols, dtype=np.int64).reshape(m, k), np.array(coeffs).reshape(m, k),
+                      relation, rhs, row_names)
+        for ids, w, r, name in zip(cols, coeffs, rhs, row_names):
+            single.add_constraint(LinearExpression(dict(zip(ids, w))), relation, r, name)
+    got, want = bulk.to_sparse(), single.to_sparse()
+    for g, w in zip(got, want):
+        if hasattr(g, "tocsc"):
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(g, attr), getattr(w, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        elif isinstance(g, np.ndarray):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        else:
+            assert g == w
+    assert list(bulk.constraints) == list(single.constraints)
+    assert list(bulk.variables) == list(single.variables)

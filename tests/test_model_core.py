@@ -8,7 +8,6 @@ import pytest
 
 from iesdispatch.model_core import (
     CARRIERS,
-    CaseError,
     CaseData,
     CarbonPolicy,
     CarrierProfile,

@@ -267,6 +267,18 @@ def test_milp_options_reject_a_gap_that_cannot_close(gap):
         MilpOptions(gap_tol=gap)
 
 
+@pytest.mark.parametrize("limits", [{"node_limit": 0}, {"node_limit": -5}, {"time_limit": 0.0},
+                                    {"time_limit": -1.0}, {"time_limit": float("nan")}])
+def test_milp_options_reject_limits_that_end_every_solve_at_once(limits):
+    with pytest.raises(ValueError, match=next(iter(limits))):
+        MilpOptions(**limits)
+
+
+def test_milp_options_accept_one_node_and_any_positive_time():
+    for options in (MilpOptions(node_limit=1), MilpOptions(time_limit=1e-3), MilpOptions(time_limit=None)):
+        assert options.node_limit >= 1
+
+
 def test_vertex_oracle_matches_linprog_enumeration():
     # criterion 2 uses the vertex oracle; the leaf-by-leaf linprog oracle
     # checks it on models small enough to enumerate that way
