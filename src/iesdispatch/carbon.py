@@ -21,16 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp_ir import (
-    CONTINUOUS,
-    GE,
-    LinearExpression,
-    MilpModel,
-    as_expression,
-    block_expressions,
-    quad_value,
-    sum_expressions,
-)
+from .milp_ir import CONTINUOUS, GE, LinearForm, MilpModel, combine, linear_form, quad_value
 
 
 @dataclass(frozen=True)
@@ -160,11 +151,11 @@ def carbon_cost(share: float, policy) -> float:
 def encode_carbon_cost(
     model: MilpModel,
     policy,
-    actual_expr,
-    quota_expr,
+    actual: LinearForm,
+    quota: LinearForm,
     name: str = "carbon",
-) -> LinearExpression:
-    """Add the trading-cost structure for affine emission expressions.
+) -> LinearForm:
+    """Add the trading-cost structure for affine emission forms.
 
     The actual total is kept non-negative (a system can only sell surplus
     quota).  traditional: lambda * share, no variables.  none: zero.
@@ -179,17 +170,16 @@ def encode_carbon_cost(
     (Vielma, "Mixed Integer Linear Programming Formulation Techniques", SIAM
     Review 2015).  With lambda, alpha >= 0 the weights are non-negative, so a
     minimising objective drives every s_k down to its max term and the
-    returned expression equals tier_cost(share) at the optimum; no binaries
-    are added.  The objective is the expression's only user.
+    returned form equals tier_cost(share) at the optimum; no binaries are
+    added.  The objective is the form's only user.
     """
-    actual_expr = as_expression(actual_expr)
-    quota_expr = as_expression(quota_expr)
     if policy.mechanism == "none":
-        return LinearExpression()
-    share = actual_expr - quota_expr
-    model.add_constraint(actual_expr, GE, 0.0, f"{name}_actual_floor")
+        return linear_form([])
+    share = combine(actual, quota.scaled(-1.0))
+    model.add_rows(actual.ids[None, :], actual.coeffs[None, :], GE, 0.0 - actual.constant,
+                   [f"{name}_actual_floor"])
     if policy.mechanism == "traditional":
-        return policy.lambda_base * share
+        return share.scaled(policy.lambda_base)
 
     lam, alpha, d = policy.lambda_base, policy.alpha_growth, policy.interval_d
     if lam < 0.0 or alpha < 0.0:
@@ -197,17 +187,15 @@ def encode_carbon_cost(
             f"tiered cost needs lambda_base >= 0 and alpha_growth >= 0 to be convex "
             f"(got {lam}, {alpha})"
         )
-    # one knee row s_k - share >= -k*d per tier, as one block; the rhs folds
-    # in share's constant as add_constraint(s_k - share, ...) would
+    # one knee row s_k - share >= -k*d per tier, as one block; the rhs moves
+    # share's constant across
     knees = range(1, n_tiers(policy))
     s = model.add_variables(CONTINUOUS, 0.0, math.inf, [f"{name}_s{k}" for k in knees])
-    share_ids = np.fromiter(share.coeffs, dtype=np.int64, count=len(share.coeffs))
-    share_coeffs = np.fromiter(share.coeffs.values(), dtype=float, count=len(share.coeffs))
     model.add_rows(
-        np.column_stack([s, np.tile(share_ids, (len(s), 1))]),
-        np.concatenate([[1.0], -share_coeffs]),
+        np.column_stack([s, np.tile(share.ids, (len(s), 1))]),
+        np.concatenate([[1.0], -share.coeffs]),
         GE,
         [-k * d - (0.0 - share.constant) for k in knees],
         [f"{name}_s{k}_knee" for k in knees],
     )
-    return sum_expressions([lam * share, *block_expressions(s[:, None], lam * alpha)])
+    return combine(share.scaled(lam), linear_form(s, lam * alpha))

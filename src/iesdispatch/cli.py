@@ -41,10 +41,10 @@ from .dispatch import (
 from .model_core import (
     CARRIERS,
     CaseError,
-    case_from_dict,
     case_hash,
     default_case_path,
     load_case,
+    read_case,
     reduce_case,
     validate_case,
 )
@@ -304,10 +304,8 @@ def _solver_exit(exc) -> int:
 def _cmd_validate(args) -> int:
     path = _resolve_case(args.case)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        case = case_from_dict(doc)
-    except (OSError, json.JSONDecodeError, CaseError) as exc:
+        case = read_case(path)
+    except CaseError as exc:
         print(f"INVALID {os.path.basename(path)}: {exc}")
         return EXIT_VALIDATION
     report = validate_case(case)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .milp_ir import CONTINUOUS, EQ, GE, LE, LinearExpression, MilpModel, block_expressions
+from .milp_ir import CONTINUOUS, EQ, GE, LE, LinearForm, MilpModel, linear_form
 from .model_core import CARRIERS, CaseData
 
 SHIFT = "shift"
@@ -97,23 +97,16 @@ def decompose_loads(case: CaseData) -> LoadDecomposition:
 class DrVarMap:
     """Model handles for the reshaping blocks of one scenario build.
 
-    Keys of the per-type maps are (carrier, type) with type in DR_TYPES.
-    `p_in` / `p_out` hold the column ids of the magnitudes per period and
-    `delta` the signed adjustment expressions.  `adjusted` holds the
-    reshaped load expression per carrier and period (the input load plus
-    all enabled adjustments); `compensation` the total compensation cost in
-    currency (already scaled by the period length).
+    Keys of the per-type maps are (carrier, type) with type in DR_TYPES, in
+    the order the types were enabled.  `p_in` / `p_out` hold the column ids
+    of the magnitudes per period, so the signed adjustment in period t is
+    x[p_in[t]] - x[p_out[t]]; `compensation` is the total compensation cost
+    in currency (already scaled by the period length).
     """
 
     p_in: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     p_out: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-    delta: dict[tuple[str, str], list[LinearExpression]] = field(default_factory=dict)
-    adjusted: dict[str, list[LinearExpression]] = field(default_factory=dict)
-    compensation: LinearExpression = field(default_factory=LinearExpression)
-
-    @property
-    def empty(self) -> bool:
-        return not self.p_in
+    compensation: LinearForm = field(default_factory=lambda: linear_form([]))
 
 
 def _adjustment_window(
@@ -181,7 +174,6 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
         upper += [max(b, 0.0) for lo, hi in zip(lows, highs) for b in (hi, -lo)]
         names += [f"dr_{dtype}_{carrier}_{tag}_{side}" for tag in tags for side in ("in", "out")]
     ids = model.add_variables(CONTINUOUS, 0.0, upper, names).reshape(len(enabled), periods, 2)
-    deltas = block_expressions(ids.reshape(-1, 2), (1.0, -1.0))
     pairs = {}
     for j, (key, lows) in enumerate(zip(enabled, windows)):
         carrier, dtype = key
@@ -195,28 +187,21 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
             model.add_rows(ids[j].reshape(1, -1), (1.0, -1.0) * periods, EQ, 0.0, [f"{name}_net"])
         pairs[key] = ids[j]
         vm.p_in[key], vm.p_out[key] = ids[j, :, 0], ids[j, :, 1]
-        vm.delta[key] = deltas[j * periods:(j + 1) * periods]
-    (vm.compensation,) = block_expressions(ids.reshape(1, -1), np.repeat(mu_dt, 2 * periods)[None, :])
+    vm.compensation = linear_form(ids.ravel(), np.repeat(mu_dt, 2 * periods))
 
-    subst_keys = [k for k in vm.delta if k[1] == SUBSTITUTE]
+    subst_keys = [k for k in pairs if k[1] == SUBSTITUTE]
     if subst_keys and not dr.literal_eq2:
         weights = [dr.subst_conversion.get(carrier, 1.0) for carrier, _ in subst_keys]
         model.add_rows(np.hstack([pairs[k] for k in subst_keys]),
                        [w * s for w in weights for s in (1.0, -1.0)], EQ, 0.0,
                        [f"dr_subst_couple_{tag}" for tag in tags])
 
-    carrier_cols = {}
-    for carrier in CARRIERS:
-        keys = [(carrier, dtype) for dtype in DR_TYPES if (carrier, dtype) in pairs]
-        cols = np.hstack([np.zeros((periods, 0), dtype=np.int64), *(pairs[k] for k in keys)])
-        vm.adjusted[carrier] = block_expressions(cols, (1.0, -1.0) * len(keys), case.loads[carrier].values)
-        carrier_cols[carrier] = cols.ravel()
-
     if enabled:
         sat_cols, sat_coeffs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for carrier in CARRIERS:
             energy = float(sum(case.loads[carrier].values))
-            cols = carrier_cols[carrier]
+            keys = [(carrier, dtype) for dtype in DR_TYPES if (carrier, dtype) in pairs]
+            cols = np.hstack([np.zeros((periods, 0), dtype=np.int64), *(pairs[k] for k in keys)]).ravel()
             if energy > 0.0:
                 sat_cols.append(cols)
                 sat_coeffs.append(np.full(cols.size, 1.0 / energy))

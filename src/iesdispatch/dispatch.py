@@ -43,14 +43,14 @@ from .milp_ir import (
     CONTINUOUS,
     EQ,
     LE,
-    LinearExpression,
+    LinearForm,
     MilpModel,
-    block_expressions,
+    combine,
+    linear_form,
     pwl_convex,
     pwl_convex_error_bound,
     pwl_convex_value,
     quad_value,
-    sum_expressions,
 )
 from .model_core import (
     CARRIERS,
@@ -164,9 +164,6 @@ class DispatchOptions:
 # -- model assembly --------------------------------------------------------------
 
 
-_ZERO = LinearExpression()
-
-
 @dataclass
 class StorageBlock:
     """Column ids of one storage unit, one per period."""
@@ -193,12 +190,11 @@ class VarMap:
     flows: dict = field(default_factory=dict)
     storage: dict[str, StorageBlock] = field(default_factory=dict)
     dr: DrVarMap | None = None
-    cost_buy: LinearExpression = _ZERO
-    cost_dr: LinearExpression = _ZERO
-    cost_maint: LinearExpression = _ZERO
-    carbon_cost: LinearExpression | None = None
-    actual_expr: LinearExpression | None = None
-    quota_expr: LinearExpression | None = None
+    cost_buy: LinearForm | None = None
+    cost_dr: LinearForm | None = None
+    cost_maint: LinearForm | None = None
+    carbon_cost: LinearForm | None = None
+    actual: LinearForm | None = None
     pwl_bound_kg: float = 0.0
 
 
@@ -212,6 +208,15 @@ def _chp_params(case: CaseData):
     gt_cap = gt.capacity_kw if gt else 0.0
     whb_cap = whb.capacity_kw if whb else 0.0
     return gt, whb, eps_e, eps_h_raw * whb_eff, gt_cap, whb_cap
+
+
+def _heat_max(case: CaseData) -> tuple[float, float]:
+    """Largest useful heat in one period of the GT/WHB pair and of the gas boiler."""
+    _, whb, _, eps_h, gt_cap, whb_cap = _chp_params(case)
+    gb = case.converter("GB")
+    gt_heat = min(eps_h * gt_cap, whb_cap) if whb else 0.0
+    gb_heat = gb.efficiencies.get("heat", 0.0) * gb.capacity_kw if gb else 0.0
+    return gt_heat, gb_heat
 
 
 def _dr_outflow(case: CaseData, scenario: ScenarioSpec, carrier: str, t: int,
@@ -229,12 +234,10 @@ def _dr_outflow(case: CaseData, scenario: ScenarioSpec, carrier: str, t: int,
 
 def _screen(case: CaseData, scenario: ScenarioSpec, dec):
     """Reject loads no combination of devices could ever serve."""
-    gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
-    gb = case.converter("GB")
+    _, _, eps_e, _, gt_cap, _ = _chp_params(case)
+    gt_heat_max, gb_heat_max = _heat_max(case)
     p2g = case.converter("P2G")
-    gb_heat_max = gb.efficiencies.get("heat", 0.0) * gb.capacity_kw if gb else 0.0
     p2g_gas_max = p2g.efficiencies.get("gas", 0.0) * p2g.capacity_kw if p2g else 0.0
-    gt_heat_max = min(eps_h * gt_cap, whb_cap) if whb else 0.0
 
     def dis_max(carrier):
         sto = case.storage(carrier)
@@ -259,9 +262,9 @@ def _screen(case: CaseData, scenario: ScenarioSpec, dec):
 
 
 # A per-period flow is (ids, coeff): coeff * x[ids[t]] in period t, or None
-# for an absent device.  Flows on a shared column are added in list order,
-# and every coefficient is formed in the order the expression operators
-# would form it, so the rows are bit-identical to an expression-built model.
+# for an absent device.  Flows on a shared column are added in list order.
+# The floating-point operation order of every coefficient is part of the
+# pinned model fingerprints (tests/test_model_fingerprint.py).
 
 
 def _scaled(flow, k: float):
@@ -280,14 +283,10 @@ def _merged(*flows):
     return out
 
 
-def _flow_sum(flows, periods: int, scale: float, constant: float = 0.0) -> LinearExpression:
-    """``constant + scale * sum_t sum_f coeff_f * x[ids_f[t]]``, keys in (period, flow) order.
-
-    The coefficients are those of summing the scaled per-period expressions
-    one by one.
-    """
+def _flow_sum(flows, periods: int, scale: float, constant: float = 0.0) -> LinearForm:
+    """``constant + scale * sum_t sum_f coeff_f * x[ids_f[t]]``, terms in (period, flow) order."""
     cols, coeffs = _flow_block([flows], periods)
-    return block_expressions(cols.reshape(1, -1), (coeffs * scale).reshape(1, -1), constant)[0]
+    return linear_form(cols, coeffs * scale, constant)
 
 
 def _per_period(values, periods: int) -> np.ndarray:
@@ -394,9 +393,8 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         g_gt = ("p_g_gt_", CONTINUOUS, gt.min_output_kw, gt_cap)
         chp = []
         if case.chp.extraction_mode:
-            ph_cap = min(eps_h * gt_cap, whb_cap) if whb else 0.0
             g, pe, ph = _add_columns(model, tags, g_gt, ("p_gt_e_", CONTINUOUS, 0.0, eps_e * gt_cap),
-                                     ("p_gt_h_", CONTINUOUS, 0.0, ph_cap)).T
+                                     ("p_gt_h_", CONTINUOUS, 0.0, _heat_max(case)[0])).T
             flows["p_gt_e"], flows["p_gt_h"] = (pe, 1.0), (ph, 1.0)
             chp += [("chp_e_fuel_", [(pe, 1.0), (g, -eps_e)], LE, 0.0),
                     ("chp_h_fuel_", [(ph, 1.0), (g, -eps_h)], LE, 0.0)]
@@ -482,11 +480,11 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     costs = [vm.cost_buy, vm.cost_dr, vm.cost_maint]
     if scenario.carbon_in_objective:
         policy = replace(case.carbon, mechanism=scenario.mechanism)
-        vm.carbon_cost, vm.actual_expr, vm.quota_expr, vm.pwl_bound_kg = _encode_carbon(
+        vm.carbon_cost, vm.actual, vm.pwl_bound_kg = _encode_carbon(
             case, options, model, vm.dr, policy, tags, flows
         )
         costs.append(vm.carbon_cost)
-    model.set_objective(sum_expressions(costs))
+    model.set_objective(combine(*costs))
     return model, vm
 
 
@@ -498,15 +496,13 @@ def _dr_flows(dr: DrVarMap, carrier: str) -> list:
 
 def _gas_unit_heat_rate_max(case: CaseData) -> float:
     """Largest combined useful output of the gas-fired units in one period."""
-    gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
-    gb = case.converter("GB")
-    gb_heat_max = gb.efficiencies.get("heat", 0.0) * gb.capacity_kw if gb else 0.0
-    gt_heat_max = min(eps_h * gt_cap, whb_cap) if whb else 0.0
+    _, _, eps_e, _, gt_cap, _ = _chp_params(case)
+    gt_heat_max, gb_heat_max = _heat_max(case)
     return eps_e * gt_cap + gt_heat_max + gb_heat_max
 
 
 def _encode_carbon(case, options, model, dr, policy, tags, flows):
-    """Emission accounting expressions plus the trading-cost encoding.
+    """Emission accounting forms plus the trading-cost encoding.
 
     Actual emissions are quadratic in purchased power and in the combined
     gas-unit output; each quadratic is replaced per period by its tangent
@@ -537,8 +533,8 @@ def _encode_carbon(case, options, model, dr, policy, tags, flows):
     for _ in range(periods):
         for _, _, quad, x_max in curves:
             bound += pwl_convex_error_bound(quad[2], x_max, n) * dt
-    # the sums over periods of the per-period terms, as the expression
-    # operators would form them: constants are added period by period
+    # the sums over periods of the per-period terms; the constants are added
+    # period by period
     gas_dr = _dr_flows(dr, GAS)
     gas_load = case.loads[GAS].values
     actual_flows = [envelope["em_coal"], envelope["em_gas"],
@@ -556,7 +552,7 @@ def _encode_carbon(case, options, model, dr, policy, tags, flows):
     actual = _flow_sum(actual_flows, periods, dt, actual_const)
     quota = _flow_sum(quota_flows, periods, dt, quota_const)
     cost = carbon_mod.encode_carbon_cost(model, policy, actual, quota)
-    return cost, actual, quota, bound
+    return cost, actual, bound
 
 
 # -- solutions ---------------------------------------------------------------------
@@ -628,7 +624,7 @@ def _snap(v: float, eps: float = 1e-9) -> float:
 
 
 def _values(flow, x, periods: int) -> tuple[float, ...]:
-    """A flow's per-period values, as evaluating its one-term expressions gives them."""
+    """A flow's per-period values ``0.0 + coeff * x[ids[t]]``, snapped to 0 below 1e-9."""
     if flow is None:
         return (0.0,) * periods
     ids, coeff = flow
@@ -646,10 +642,18 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
         )
         for k, blk in vm.storage.items()
     }
+    # summed left to right, since the order fixes the reported bits: an
+    # adjustment is 0.0 + x_in - x_out, a reshaped load the load plus
+    # 0.0 + x_in - x_out + ... over its enabled types
     dr_delta: dict[str, dict[str, tuple[float, ...]]] = {}
-    for (k, dtype), deltas in vm.dr.delta.items():
-        dr_delta.setdefault(k, {})[dtype] = tuple(d.value(x) for d in deltas)
-    adjusted = {k: tuple(e.value(x) for e in vm.dr.adjusted[k]) for k in CARRIERS}
+    for (k, dtype), p_in in vm.dr.p_in.items():
+        dr_delta.setdefault(k, {})[dtype] = tuple(((0.0 + x[p_in]) - x[vm.dr.p_out[k, dtype]]).tolist())
+    adjusted = {}
+    for k in CARRIERS:
+        change = np.zeros(periods)
+        for ids, coeff in _dr_flows(vm.dr, k):
+            change = change + coeff * x[ids]
+        adjusted[k] = tuple((np.asarray(case.loads[k].values) + change).tolist())
     flows = {name: _values(flow, x, periods) for name, flow in vm.flows.items()}
     schedule = FlowSchedule(step_hours=dt, p_g_load=adjusted[GAS],
                             **{k: flows[k] for k in ("p_e_buy", "p_gt_e", "p_gt_h", "p_gb_h", "p_p2g_g")})
@@ -676,7 +680,7 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
         costs=costs,
         emission=account,
         satisfaction=satisfaction_index(original, adjusted),
-        surrogate_actual_kg=None if vm.actual_expr is None else vm.actual_expr.value(x),
+        surrogate_actual_kg=None if vm.actual is None else vm.actual.value(x),
         surrogate_carbon_cost=None if vm.carbon_cost is None else vm.carbon_cost.value(x),
         pwl_bound_kg=vm.pwl_bound_kg,
         pwl_segments=vm.options.pwl_segments,

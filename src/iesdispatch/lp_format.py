@@ -53,9 +53,9 @@ def write_lp(model: MilpModel) -> str:
     names = sanitized_names(model)
     variables = model.variables  # built on each access, so read once
     out = [f"\\ {model.name}", "Minimize"]
-    obj = _terms(model.objective.coeffs, names)
-    if model.objective.constant != 0.0:
-        k = model.objective.constant
+    ids, coeffs, k = model.objective
+    obj = _terms(dict(zip(ids.tolist(), coeffs.tolist())), names)
+    if k != 0.0:
         obj += f" {'-' if k < 0 else '+'} {_fmt(abs(k))}"
     out.append(f" obj: {obj}")
     out.append("Subject To")

@@ -8,20 +8,19 @@ is a scipy CSC array.  :meth:`MilpModel.to_dense` gives the same arrays with
 
 Columns are stored as parallel lists (kind, bounds, name) and rows as one
 CSR store: per-row nonzero counts, column ids, coefficients, right-hand
-sides, relation codes and names.  :meth:`MilpModel.add_variables` appends a
-family of columns and :meth:`MilpModel.add_rows` a block of rows, given as
-an (m, k) array of column ids and coefficients; ``add_variable`` and
-``add_constraint`` are one-item calls into the same stores.  ``to_sparse``
-concatenates the stored arrays, and ``variables`` / ``constraints`` build
-lists of records from the stores on each call.
+sides, relation codes and names.  Columns enter the model only through
+:meth:`MilpModel.add_variables`, a family at a time, and rows only through
+:meth:`MilpModel.add_rows`, a block at a time, given as an (m, k) array of
+column ids and coefficients.  ``to_sparse`` concatenates the stored arrays,
+and ``variables`` / ``constraints`` build lists of records from the stores
+on each call.
 
-Finiteness is checked where numbers enter the model: ``add_rows`` checks
-every coefficient and right-hand side of a block at once, ``add_variables``
-every bound, and ``set_objective`` the objective.  Expression arithmetic
-trusts its operands: ``+``, ``-`` and ``*`` build results without
-re-checking every coefficient, and only a non-finite scalar factor is
-rejected on the spot, so an overflowed coefficient is caught when the
-expression enters a row or the objective.
+A linear form is a :class:`LinearForm` ``(ids, coeffs, constant)``, built
+with numpy by the model code; :func:`combine` adds forms and
+:meth:`MilpModel.set_objective` takes one as the objective.  Finiteness is
+checked where numbers enter the model: ``add_rows`` checks every
+coefficient and right-hand side of a block at once, ``add_variables`` every
+bound, and ``set_objective`` the objective.  A form checks nothing itself.
 
 The module also carries the linearization the dispatch model uses:
 epigraph (tangent) cuts for convex quadratics, added for a whole family of
@@ -31,7 +30,7 @@ envelopes as one row block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from itertools import islice
 from typing import NamedTuple
 
@@ -69,9 +68,8 @@ class ConvexityError(ModelError):
     """pwl_convex was asked to linearize a concave quadratic."""
 
 
-@dataclass(frozen=True)
-class Variable:
-    """Handle into a MilpModel; ids are dense 0..n-1 in creation order."""
+class Variable(NamedTuple):
+    """One column of a MilpModel; ids are dense 0..n-1 in creation order."""
 
     id: int
     kind: str
@@ -79,169 +77,66 @@ class Variable:
     upper: float
     name: str
 
-    def __mul__(self, scalar):
-        scalar = _finite_scalar(scalar)
-        return LinearExpression._trusted({self.id: scalar} if scalar else {}, 0.0)
 
-    __rmul__ = __mul__
+class LinearForm(NamedTuple):
+    """Affine form ``constant + sum_j coeffs[j] * x[ids[j]]``.
 
-    def __add__(self, other):
-        return LinearExpression._as_expr(self) + other
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return LinearExpression._as_expr(self) - other
-
-    def __rsub__(self, other):
-        return LinearExpression._as_expr(other) - self
-
-    def __neg__(self):
-        return LinearExpression._trusted({self.id: -1.0}, 0.0)
-
-
-def _finite_scalar(scalar) -> float:
-    scalar = float(scalar)
-    if not math.isfinite(scalar):
-        raise ModelError(f"non-finite scalar factor {scalar}")
-    return scalar
-
-
-class LinearExpression:
-    """Sparse affine expression: sum of coefficient*variable plus a constant.
-
-    No coefficient is ever stored as zero.  The constructor validates its
-    input; the operators build results with ``_trusted`` and keep the key
-    order of their left operand followed by new keys of the right one.
+    ``ids`` is an integer array and ``coeffs`` a float array of the same
+    length.  A plain record: its numbers are checked where it enters a model.
     """
 
-    __slots__ = ("coeffs", "constant")
-
-    def __init__(self, coeffs=None, constant=0.0):
-        self.coeffs: dict[int, float] = {}
-        if coeffs:
-            for vid, c in coeffs.items():
-                c = float(c)
-                if not math.isfinite(c):
-                    raise ModelError(f"non-finite coefficient for variable {vid}")
-                if c != 0.0:
-                    self.coeffs[vid] = c
-        self.constant = float(constant)
-
-    @classmethod
-    def _trusted(cls, coeffs: dict[int, float], constant: float) -> "LinearExpression":
-        """Wrap float coefficients, none of them zero, without checking them."""
-        expr = cls.__new__(cls)
-        expr.coeffs = coeffs
-        expr.constant = constant
-        return expr
-
-    @staticmethod
-    def _as_expr(other) -> "LinearExpression":
-        if isinstance(other, LinearExpression):
-            return other
-        if isinstance(other, Variable):
-            return LinearExpression._trusted({other.id: 1.0}, 0.0)
-        return LinearExpression._trusted({}, float(other))
-
-    def _combine(self, other, sign: float) -> "LinearExpression":
-        """self + sign * other for sign in (1, -1).
-
-        Negation is exact, so ``a - b`` gives the same bits as ``a + (-1 * b)``.
-        """
-        if not isinstance(other, (LinearExpression, Variable)):
-            return LinearExpression._trusted(dict(self.coeffs), self.constant + sign * float(other))
-        other = self._as_expr(other)
-        coeffs = dict(self.coeffs)
-        for vid, c in other.coeffs.items():
-            total = coeffs.get(vid, 0.0) + sign * c
-            if total != 0.0:
-                coeffs[vid] = total
-            else:
-                coeffs.pop(vid, None)
-        return LinearExpression._trusted(coeffs, self.constant + sign * other.constant)
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def __rsub__(self, other):
-        return self._as_expr(other)._combine(self, -1.0)
-
-    def __mul__(self, scalar):
-        scalar = _finite_scalar(scalar)
-        coeffs = {}
-        for vid, c in self.coeffs.items():
-            c *= scalar
-            if c != 0.0:
-                coeffs[vid] = c
-        return LinearExpression._trusted(coeffs, self.constant * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
+    ids: np.ndarray
+    coeffs: np.ndarray
+    constant: float = 0.0
 
     def value(self, x) -> float:
-        """Evaluate at a point; x is indexable by variable id."""
-        return self.constant + sum(c * float(x[vid]) for vid, c in self.coeffs.items())
+        """Evaluate at a point, summing the terms left to right in stored order.
 
-    def __repr__(self):
-        terms = " + ".join(f"{c:g}*x{vid}" for vid, c in sorted(self.coeffs.items()))
-        return f"LinearExpression({terms or '0'} + {self.constant:g})"
+        A dot product may group the terms otherwise and so change the bits.
+        """
+        terms = np.asarray(x, dtype=float)[self.ids].tolist()
+        return self.constant + sum(map(operator.mul, self.coeffs.tolist(), terms))
+
+    def scaled(self, k: float) -> "LinearForm":
+        """The form times ``k``, zero products left out."""
+        return linear_form(self.ids, self.coeffs * k, self.constant * k)
 
 
-def as_expression(term) -> LinearExpression:
-    """Coerce a Variable, number, or expression to a LinearExpression."""
-    return LinearExpression._as_expr(term)
+def linear_form(ids, coeffs=1.0, constant: float = 0.0) -> LinearForm:
+    """The form of ``ids`` (any shape, read in C order) with ``coeffs`` broadcast to it.
 
-
-def sum_expressions(terms) -> LinearExpression:
-    """Sum Variables, numbers and expressions in one pass.
-
-    Gives the coefficients and constant that adding the terms left to right
-    with ``+`` gives, keys in order of first appearance, but copies no
-    intermediate dictionary: a sum of n terms costs O(total terms), not O(n^2).
+    Terms with a zero coefficient are left out.
     """
-    coeffs: dict[int, float] = {}
-    get = coeffs.get
-    const = 0.0
-    for term in terms:
-        if isinstance(term, LinearExpression):
-            const += term.constant
-            for vid, c in term.coeffs.items():
-                coeffs[vid] = get(vid, 0.0) + c
-        elif isinstance(term, Variable):
-            coeffs[term.id] = get(term.id, 0.0) + 1.0
-        else:
-            const += float(term)
-    return LinearExpression._trusted({v: c for v, c in coeffs.items() if c != 0.0}, const)
+    ids = np.asarray(ids, dtype=np.int64)
+    coeffs = _filled(coeffs, ids.shape).ravel()
+    keep = coeffs != 0.0
+    return LinearForm(ids.ravel()[keep], coeffs[keep], float(constant))
 
 
-def block_expressions(cols, coeffs=1.0, constants=0.0) -> list[LinearExpression]:
-    """One expression per row of an (m, k) block as :meth:`MilpModel.add_rows` takes it.
+def combine(*forms: LinearForm) -> LinearForm:
+    """The sum of the forms, with each id once.
 
-    Row i is ``constants[i] + sum_j coeffs[i, j] * x[cols[i, j]]`` over
-    distinct ids, zero coefficients left out, keys in column order.
+    The coefficients of a repeated id add up in argument order, starting
+    from 0.0; ids keep the order of their first appearance and a zero sum is
+    left out.  The constants add up left to right, starting from 0.0.
     """
-    cols = np.asarray(cols)
-    coeffs, constants = _filled(coeffs, cols.shape), _filled(constants, len(cols))
-    if not (_all(np.isfinite(coeffs)) and _all(np.isfinite(constants))):
-        raise ModelError("non-finite coefficient or constant in an expression block")
-    rows = zip(cols.tolist(), coeffs.tolist())
-    if _all(coeffs):
-        dicts = [dict(zip(ids, w)) for ids, w in rows]
-    else:
-        dicts = [{v: c for v, c in zip(ids, w) if c != 0.0} for ids, w in rows]
-    return [LinearExpression._trusted(d, k) for d, k in zip(dicts, constants.tolist())]
+    ids = np.concatenate([np.zeros(0, dtype=np.int64), *(f.ids for f in forms)])
+    coeffs = np.concatenate([np.zeros(0), *(f.coeffs for f in forms)])
+    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    # bincount adds the weights of each slot in input order; with no weights
+    # at all it returns integers
+    total = np.bincount(inverse, coeffs, len(unique)).astype(float)
+    order = np.argsort(first)
+    ids, total = unique[order], total[order]
+    constant = 0.0
+    for form in forms:
+        constant += form.constant
+    keep = total != 0.0
+    return LinearForm(ids[keep], total[keep], constant)
 
 
 class Constraint(NamedTuple):
-    """Row ``expr rel rhs``; the expression constant is folded into rhs.
+    """Row ``sum_j coeffs[j] * x[j]  relation  rhs``.
 
     A light record, since ``constraints`` builds one per row on each call.
     """
@@ -300,7 +195,7 @@ class MilpModel:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.objective = LinearExpression()
+        self.objective = linear_form([])
         self._kinds: list[str] = []
         self._lower: list[float] = []
         self._upper: list[float] = []
@@ -346,16 +241,6 @@ class MilpModel:
         self._col_names += names
         self._col_name_set |= fresh
         return np.arange(start, start + n)
-
-    def add_variable(self, kind: str, lower: float, upper: float, name: str) -> Variable:
-        (j,) = self.add_variables(kind, lower, upper, [name]).tolist()
-        return Variable(j, self._kinds[j], self._lower[j], self._upper[j], name)
-
-    def add_continuous(self, lower: float, upper: float, name: str) -> Variable:
-        return self.add_variable(CONTINUOUS, lower, upper, name)
-
-    def add_binary(self, name: str) -> Variable:
-        return self.add_variable(BINARY, 0.0, 1.0, name)
 
     def add_rows(self, cols, coeffs, relation, rhs, names) -> range:
         """Append rows ``sum_j coeffs[i, j] * x[cols[i, j]]  relation[i]  rhs[i]``.
@@ -411,29 +296,21 @@ class MilpModel:
         self._csr = None
         return range(start, start + m)
 
-    def add_constraint(self, expr, relation: str, rhs: float, name: str | None = None) -> int:
-        """Append one row ``expr relation rhs``; a one-row :meth:`add_rows`."""
-        expr = as_expression(expr)
-        k = len(expr.coeffs)
-        cols = np.fromiter(expr.coeffs, dtype=np.int64, count=k).reshape(1, k)
-        vals = np.fromiter(expr.coeffs.values(), dtype=float, count=k).reshape(1, k)
-        name = f"c{self.num_constraints}" if name is None else name
-        return self.add_rows(cols, vals, relation, float(rhs) - expr.constant, [name])[0]
+    def set_objective(self, form: LinearForm) -> None:
+        """Set the minimization objective to ``combine(form)``.
 
-    def set_objective(self, expr) -> None:
-        """Set the minimization objective."""
-        expr = as_expression(expr)
-        if not math.isfinite(expr.constant):
+        The coefficients of a repeated id add up in argument order.
+        """
+        form = combine(form)
+        if not math.isfinite(form.constant):
             raise ModelError("objective constant not finite")
-        k = len(expr.coeffs)
-        ids = np.fromiter(expr.coeffs, dtype=np.int64, count=k)
-        finite = np.isfinite(np.fromiter(expr.coeffs.values(), dtype=float, count=k))
+        finite = np.isfinite(form.coeffs)
         if not _all(finite):
-            raise ModelError(f"objective coefficient for variable {ids[~finite][0]} not finite")
-        known = (ids >= 0) & (ids < self.num_variables)
+            raise ModelError(f"objective coefficient for variable {form.ids[~finite][0]} not finite")
+        known = (form.ids >= 0) & (form.ids < self.num_variables)
         if not _all(known):
-            raise ModelError(f"objective references unknown variable {ids[~known][0]}")
-        self.objective = expr
+            raise ModelError(f"objective references unknown variable {form.ids[~known][0]}")
+        self.objective = form
 
     # -- introspection -----------------------------------------------------
 
@@ -495,8 +372,7 @@ class MilpModel:
 
         n, m = self.num_variables, self.num_constraints
         c = np.zeros(n)
-        for vid, coef in self.objective.coeffs.items():
-            c[vid] = coef
+        c[self.objective.ids] = self.objective.coeffs
         indptr, cols, vals = self._joined()
         A = csr_array((vals, cols, indptr), shape=(m, n)).tocsc()
         rhs = np.array(self._rhs, dtype=float)

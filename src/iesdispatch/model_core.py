@@ -435,15 +435,27 @@ def case_from_dict(doc: dict) -> CaseData:
     return _record(CaseData, rest, "", base)
 
 
-def load_case(path: str) -> CaseData:
-    """Load, default-fill, and validate a case file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+def read_case(path: str) -> CaseData:
+    """Read and default-fill a case file, without validating it.
+
+    A file that cannot be opened or read, is not UTF-8 or is not JSON
+    raises ParseError.
+    """
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}", path) from None
-    case = case_from_dict(doc)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})", path) from None
+    except OSError as exc:
+        raise ParseError(exc.strerror or str(exc), path) from None
+    return case_from_dict(doc)
+
+
+def load_case(path: str) -> CaseData:
+    """Load, default-fill, and validate a case file."""
+    case = read_case(path)
     report = validate_case(case)
     if report.errors:
         raise UnitError("; ".join(report.errors[:3]), report.errors[0].split(":")[0])

@@ -129,27 +129,19 @@ class ExternalBackend(Backend):
             with open(lp_path, "w", encoding="utf-8") as fh:
                 fh.write(write_lp(model))
             argv = shlex.split(self.command) + [lp_path, sol_path]
-            proc = subprocess.run(argv, capture_output=True, text=True)
+            try:
+                proc = subprocess.run(argv, capture_output=True, text=True)
+            except OSError as exc:
+                raise BackendUnavailableError(self.name, f"command did not start: {exc}") from None
             if proc.returncode != 0:
                 raise BackendUnavailableError(
                     self.name, f"command failed ({proc.returncode}): {proc.stderr.strip()}"
                 )
-            with open(sol_path, encoding="utf-8") as fh:
-                pairs = dict(
-                    line.strip().split("=", 1)
-                    for line in fh
-                    if "=" in line and line.strip()
-                )
+            try:
+                status, obj, x = self._read_solution(sol_path, names)
+            except (OSError, ValueError) as exc:  # ValueError covers bad numbers and bad UTF-8
+                raise BackendUnavailableError(self.name, f"unreadable solution file: {exc}") from None
         wall = time.perf_counter() - t0
-        status = pairs.pop("status", "limit")
-        objective = pairs.pop("objective", None)
-        x = obj = None
-        if status in (MILP_OPTIMAL, MILP_FEASIBLE) and objective is not None:
-            obj = float(objective)
-            x = np.zeros(model.num_variables)
-            for vid, name in enumerate(names):
-                if name in pairs:
-                    x[vid] = float(pairs[name])
         bound = obj if status == MILP_OPTIMAL and obj is not None else -np.inf
         gap = 0.0 if status == MILP_OPTIMAL and obj is not None else np.inf
         return MilpSolution(
@@ -161,6 +153,22 @@ class ExternalBackend(Backend):
             nodes=1,
             wall_time=wall,
         )
+
+    @staticmethod
+    def _read_solution(path: str, names: list[str]):
+        """(status, objective, x) from a ``key=value`` solution file."""
+        with open(path, encoding="utf-8") as fh:
+            pairs = dict(line.strip().split("=", 1) for line in fh if "=" in line and line.strip())
+        status = pairs.pop("status", "limit")
+        objective = pairs.pop("objective", None)
+        if status not in (MILP_OPTIMAL, MILP_FEASIBLE) or objective is None:
+            return status, None, None
+        obj = float(objective)
+        x = np.zeros(len(names))
+        for vid, name in enumerate(names):
+            if name in pairs:
+                x[vid] = float(pairs[name])
+        return status, obj, x
 
 
 _BACKENDS = {

@@ -4,14 +4,15 @@ It parses the subset the writer emits, for round-trip checks and for the
 stand-in external solver of the backend tests.
 """
 
-from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, INF, LE, LinearExpression, MilpModel
+from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, INF, LE, MilpModel, linear_form
 
 
 class LpParseError(Exception):
     pass
 
 
-def _parse_terms(tokens: list[str], name_to_id: dict[str, int]) -> LinearExpression:
+def _parse_terms(tokens: list[str], name_to_id: dict[str, int]):
+    """(coefficient by variable id, constant) of a sum of terms."""
     coeffs: dict[int, float] = {}
     constant = 0.0
     sign = 1.0
@@ -41,7 +42,7 @@ def _parse_terms(tokens: list[str], name_to_id: dict[str, int]) -> LinearExpress
             constant += sign * coef
             i += 1
         sign = 1.0
-    return LinearExpression(coeffs, constant)
+    return coeffs, constant
 
 
 def read_lp(text: str) -> MilpModel:
@@ -111,22 +112,22 @@ def read_lp(text: str) -> MilpModel:
             raise LpParseError(f"unrecognized bounds line: {' '.join(toks)!r}")
 
     model = MilpModel("imported")
-    name_to_id: dict[str, int] = {}
-    for name, (lo, hi) in bounds.items():
-        kind = BINARY if name in binary_names else CONTINUOUS
-        var = model.add_variable(kind, lo, hi, name)
-        name_to_id[name] = var.id
     for name in sorted(binary_names - set(bounds)):
-        var = model.add_binary(name)
-        name_to_id[name] = var.id
+        bounds[name] = (0.0, 1.0)
+    names = list(bounds)
+    kinds = [BINARY if name in binary_names else CONTINUOUS for name in names]
+    lower, upper = zip(*bounds.values()) if bounds else ((), ())
+    model.add_variables(kinds, list(lower), list(upper), names)
+    name_to_id = {name: j for j, name in enumerate(names)}
 
-    model.set_objective(_parse_terms(obj_tokens, name_to_id))
+    coeffs, constant = _parse_terms(obj_tokens, name_to_id)
+    model.set_objective(linear_form(list(coeffs), list(coeffs.values()), constant))
     for label, toks in con_lines:
         rel_idx = next((i for i, t in enumerate(toks) if t in (LE, GE, EQ, "=<", "=>")), None)
         if rel_idx is None:
             raise LpParseError(f"constraint {label!r} has no relation")
         rel = {"=<": LE, "=>": GE}.get(toks[rel_idx], toks[rel_idx])
-        expr = _parse_terms(toks[:rel_idx], name_to_id)
+        coeffs, constant = _parse_terms(toks[:rel_idx], name_to_id)
         rhs = float(toks[rel_idx + 1])
-        model.add_constraint(expr, rel, rhs, label)
+        model.add_rows([list(coeffs)], [list(coeffs.values())], rel, rhs - constant, [label])
     return model

@@ -13,25 +13,22 @@ import random
 import numpy as np
 from scipy.optimize import linprog
 
-from iesdispatch.milp_ir import EQ, GE, LE, MilpModel, as_expression
+from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, linear_form
 
 
 def random_milp(rng: random.Random, n_binaries: int) -> MilpModel:
     """Small mixed model with bounded continuous tail and random rows."""
     m = MilpModel()
     nc = rng.randint(1, 4)
-    xs = [m.add_binary(f"b{i}") for i in range(n_binaries)]
-    xs += [m.add_continuous(0.0, rng.choice([1.0, 10.0]), f"x{i}") for i in range(nc)]
+    m.add_variables(BINARY, 0.0, 1.0, [f"b{i}" for i in range(n_binaries)])
+    upper = [rng.choice([1.0, 10.0]) for _ in range(nc)]
+    m.add_variables(CONTINUOUS, 0.0, upper, [f"x{i}" for i in range(nc)])
+    xs = list(range(n_binaries + nc))
     for j in range(rng.randint(1, 6)):
-        expr = as_expression(0.0)
-        for v in rng.sample(xs, rng.randint(1, len(xs))):
-            expr = expr + rng.choice([-2.0, -1.0, 1.0, 3.0]) * v
-        if expr.coeffs:
-            m.add_constraint(expr, rng.choice([LE, GE]), rng.uniform(-2, 5), f"r{j}")
-    obj = as_expression(0.0)
-    for v in xs:
-        obj = obj + rng.uniform(-3, 3) * v
-    m.set_objective(obj)
+        ids = rng.sample(xs, rng.randint(1, len(xs)))
+        coeffs = [rng.choice([-2.0, -1.0, 1.0, 3.0]) for _ in ids]
+        m.add_rows([ids], [coeffs], rng.choice([LE, GE]), rng.uniform(-2, 5), [f"r{j}"])
+    m.set_objective(linear_form(xs, [rng.uniform(-3, 3) for _ in xs]))
     return m
 
 

@@ -19,7 +19,7 @@ from iesdispatch.carbon import (
     tier_slope,
     traditional_cost,
 )
-from iesdispatch.milp_ir import EQ, MilpModel, as_expression
+from iesdispatch.milp_ir import CONTINUOUS, EQ, MilpModel, linear_form
 from iesdispatch.model_core import (
     MECHANISM_NONE,
     MECHANISM_TRADITIONAL,
@@ -151,11 +151,9 @@ def test_step_hours_scales_energy(policy):
 
 def _encoded_cost(act_val, quo_val, policy):
     m = MilpModel()
-    act = m.add_continuous(-50_000, 50_000, "act")
-    quo = m.add_continuous(-50_000, 50_000, "quo")
-    m.add_constraint(as_expression(act), EQ, act_val, "pin_a")
-    m.add_constraint(as_expression(quo), EQ, quo_val, "pin_q")
-    cost = encode_carbon_cost(m, policy, as_expression(act), as_expression(quo))
+    act, quo = m.add_variables(CONTINUOUS, -50_000.0, 50_000.0, ["act", "quo"])
+    m.add_rows([[act], [quo]], 1.0, EQ, [act_val, quo_val], ["pin_a", "pin_q"])
+    cost = encode_carbon_cost(m, policy, linear_form([act]), linear_form([quo]))
     assert m.binary_ids() == []
     m.set_objective(cost)
     res = solve_milp(m)
@@ -202,15 +200,15 @@ def test_encoding_traditional_and_none(policy):
 
     none = replace(policy, mechanism=MECHANISM_NONE)
     m = MilpModel()
-    act = m.add_continuous(0, 10, "act")
-    expr = encode_carbon_cost(m, none, as_expression(act), as_expression(0.0))
-    assert not expr.coeffs and expr.constant == 0.0
+    act = m.add_variables(CONTINUOUS, 0.0, 10.0, ["act"])
+    form = encode_carbon_cost(m, none, linear_form(act), linear_form([]))
+    assert form.ids.size == 0 and form.constant == 0.0
 
 
 @pytest.mark.parametrize("field", ["alpha_growth", "lambda_base"])
 def test_encoding_rejects_nonconvex_ladder(policy, field):
     # the epigraph form is exact only for a convex ladder
     m = MilpModel()
-    act = m.add_continuous(0, 10, "act")
+    act = m.add_variables(CONTINUOUS, 0.0, 10.0, ["act"])
     with pytest.raises(ValueError, match="convex"):
-        encode_carbon_cost(m, replace(policy, **{field: -0.1}), as_expression(act), as_expression(0.0))
+        encode_carbon_cost(m, replace(policy, **{field: -0.1}), linear_form(act), linear_form([]))

@@ -3,7 +3,6 @@
 import csv
 import json
 import shutil
-from pathlib import Path
 
 import pytest
 
@@ -83,6 +82,29 @@ def test_validate_unreadable_file_exit_2(tmp_path, capsys):
     assert run_cli("validate", "--case", str(junk)) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
     assert "invalid" in (captured.out + captured.err).lower()
+
+
+def _directory_case(tmp_path):
+    path = tmp_path / "case.json"
+    path.mkdir()
+    return path
+
+
+def _non_utf8_case(tmp_path):
+    path = tmp_path / "case.json"
+    path.write_bytes(b'{"horizon": "\xff\xfe"}')
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("make_case", [_directory_case, _non_utf8_case], ids=["directory", "non-utf8"])
+def test_unreadable_case_file_exit_2(command, make_case, tmp_path, capsys):
+    argv = [command, "--case", str(make_case(tmp_path))]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "case.json" in captured.out + captured.err
 
 
 @pytest.mark.parametrize("command", ["validate", "solve"])

@@ -1,7 +1,9 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module.
 
-``__init__.py`` files are skipped: their imports are the package's
-re-exports.  ``from __future__`` imports are compiler directives, not names.
+Covers the package modules and the test files.  ``__init__.py`` files are
+skipped: their imports are the package's re-exports.  ``from __future__``
+imports are compiler directives, not names, and an import statement marked
+``# noqa: F401`` is imported on purpose for its side effects or as a check.
 """
 
 import ast
@@ -10,28 +12,41 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "iesdispatch"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+MODULES += [p for p in sorted(TESTS.glob("*.py")) if p.name != "__init__.py"]
+
+
+def _module_id(path: Path) -> str:
+    """Package modules relative to the package, test files as ``tests/<name>``."""
+    return str(path.relative_to(PACKAGE if path.is_relative_to(PACKAGE) else TESTS.parent))
 
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
 def test_checker_flags_an_unread_import():
-    source = "from __future__ import annotations\nimport math\nimport os.path\nfrom x import a, b as c\nc(os)\n"
+    source = ("from __future__ import annotations\nimport math\nimport os.path\nfrom x import a, b as c\n"
+              "import json  # noqa: F401\nfrom y import (  # noqa: F401\n    d,\n)\nc(os)\n")
     assert unused_imports(source) == ["line 2: math", "line 4: a"]

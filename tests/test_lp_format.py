@@ -8,32 +8,28 @@ import pytest
 
 from lp_reader import LpParseError, read_lp
 from iesdispatch.lp_format import sanitized_names, write_lp
-from iesdispatch.milp_ir import EQ, GE, LE, INF, MilpModel, as_expression
+from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver import solve_milp
 
 
 def _random_model(rng: random.Random, tag: str) -> MilpModel:
     m = MilpModel(name=f"zoo_{tag}")
     n = rng.randint(2, 6)
-    variables = []
+    columns = []  # (kind, lower, upper, name)
     for i in range(n):
         if rng.random() < 0.3:
-            variables.append(m.add_binary(f"b{i}"))
+            columns.append((BINARY, 0.0, 1.0, f"b{i}"))
         else:
             lo = rng.choice([0.0, -5.0, -INF])
             hi = rng.choice([1.0, 10.0, INF])
-            variables.append(m.add_continuous(lo, hi, f"x{i}"))
+            columns.append((CONTINUOUS, lo, hi, f"x{i}"))
+    variables = m.add_variables(*map(list, zip(*columns))).tolist()
     for j in range(rng.randint(1, 5)):
-        expr = as_expression(0.0)
-        for v in rng.sample(variables, rng.randint(1, n)):
-            expr = expr + rng.choice([-2.5, -1.0, 0.75, 3.0]) * v
-        if not expr.coeffs:
-            continue
-        m.add_constraint(expr, rng.choice([LE, GE, EQ]), rng.uniform(-4, 8), f"r{j}")
-    obj = as_expression(rng.uniform(-1, 1))
-    for v in variables:
-        obj = obj + rng.uniform(-2, 2) * v
-    m.set_objective(obj)
+        ids = rng.sample(variables, rng.randint(1, n))
+        coeffs = [rng.choice([-2.5, -1.0, 0.75, 3.0]) for _ in ids]
+        m.add_rows([ids], [coeffs], rng.choice([LE, GE, EQ]), rng.uniform(-4, 8), [f"r{j}"])
+    constant = rng.uniform(-1, 1)
+    m.set_objective(linear_form(variables, [rng.uniform(-2, 2) for _ in variables], constant))
     return m
 
 
@@ -77,9 +73,7 @@ def test_round_trip_preserves_optimum():
 
 def test_sanitized_names_unique_and_safe():
     m = MilpModel()
-    m.add_continuous(0, 1, "p[e,buy]")
-    m.add_continuous(0, 1, "p_e_buy_")
-    m.add_continuous(0, 1, "2nd")
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["p[e,buy]", "p_e_buy_", "2nd"])
     names = sanitized_names(m)
     assert len(set(names)) == 3
     for name in names:
@@ -89,10 +83,8 @@ def test_sanitized_names_unique_and_safe():
 
 def test_free_and_semi_infinite_bounds_round_trip():
     m = MilpModel()
-    m.add_continuous(-INF, INF, "free")
-    m.add_continuous(2.5, INF, "lo_only")
-    m.add_continuous(-INF, 3.5, "hi_only")
-    m.set_objective(as_expression(0.0))
+    m.add_variables(CONTINUOUS, [-INF, 2.5, -INF], [INF, INF, 3.5], ["free", "lo_only", "hi_only"])
+    m.set_objective(linear_form([]))
     m2 = read_lp(write_lp(m))
     got = [(v.lower, v.upper) for v in m2.variables]
     assert got[0] == (-INF, INF)
@@ -102,18 +94,18 @@ def test_free_and_semi_infinite_bounds_round_trip():
 
 def test_objective_constant_round_trips():
     m = MilpModel()
-    x = m.add_continuous(0, 2, "x")
-    m.set_objective(x + 7.25)
+    x = m.add_variables(CONTINUOUS, 0.0, 2.0, ["x"])
+    m.set_objective(linear_form(x, 1.0, 7.25))
     m2 = read_lp(write_lp(m))
     assert m2.objective.constant == pytest.approx(7.25)
 
 
 def test_seventeen_digit_floats_survive():
     m = MilpModel()
-    x = m.add_continuous(0, 1, "x")
+    x = m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
     weird = 0.1 + 0.2  # not representable tidily
-    m.add_constraint(weird * x, LE, math.pi, "row")
-    m.set_objective(as_expression(x))
+    m.add_rows([x], weird, LE, math.pi, ["row"])
+    m.set_objective(linear_form(x))
     m2 = read_lp(write_lp(m))
     con = m2.constraints[0]
     assert con.coeffs[0] == weird

@@ -1,4 +1,4 @@
-"""Model-builder IR: expressions, constraints, and linearization helpers."""
+"""Model-builder IR: linear forms, rows, columns, and linearization helpers."""
 
 import math
 
@@ -9,209 +9,149 @@ from hypothesis import strategies as st
 
 from milp_oracles import check_solution
 from iesdispatch.milp_ir import (
+    BINARY,
+    CONTINUOUS,
     EQ,
     GE,
     LE,
     BoundError,
     ConvexityError,
     DuplicateNameError,
-    LinearExpression,
+    LinearForm,
     MilpModel,
     ModelError,
     TriviallyInfeasibleError,
-    as_expression,
+    combine,
+    linear_form,
     pwl_convex,
     pwl_convex_error_bound,
     pwl_convex_value,
     quad_value,
-    sum_expressions,
 )
 from iesdispatch.solver import solve_lp
 
 
-def test_expression_arithmetic():
+def _form(ids, coeffs, constant=0.0) -> LinearForm:
+    return LinearForm(np.array(ids, dtype=np.int64), np.array(coeffs, dtype=float), constant)
+
+
+def test_combine_adds_repeated_ids_in_argument_order():
+    # 2x + 3y - 1.5 + (x - y)
+    total = combine(_form([0, 1], [2.0, 3.0], -1.5), _form([0, 1], [1.0, -1.0]))
+    assert total.ids.tolist() == [0, 1] and total.coeffs.tolist() == [3.0, 2.0]
+    assert total.constant == -1.5
+    assert total.value([2.0, 1.0]) == pytest.approx(3 * 2 + 2 * 1 - 1.5)
+    # the objective folds a repeated id the same way
     m = MilpModel()
-    x = m.add_continuous(0, 10, "x")
-    y = m.add_continuous(0, 10, "y")
-    e = 2 * x + 3 * y - 1.5 + (x - y)
-    assert e.coeffs == {x.id: 3.0, y.id: 2.0}
-    assert e.constant == -1.5
-    assert e.value([2.0, 1.0]) == pytest.approx(3 * 2 + 2 * 1 - 1.5)
+    m.add_variables(CONTINUOUS, 0.0, 10.0, ["x", "y"])
+    m.set_objective(_form([1, 0, 1, 0], [3.0, 2.0, -1.0, 1.0], -1.5))
+    assert m.objective.ids.tolist() == [1, 0] and m.objective.coeffs.tolist() == [2.0, 3.0]
+    c, c0 = m.to_dense()[:2]
+    assert c.tolist() == [3.0, 2.0] and c0 == -1.5
 
 
-def test_expression_drops_zero_coefficients():
-    m = MilpModel()
-    x = m.add_continuous(0, 1, "x")
-    e = x - x + 4.0
-    assert e.coeffs == {}
-    assert as_expression(e).constant == 4.0
-
-
-def test_non_finite_scalar_factor_rejected_at_once():
-    m = MilpModel()
-    x = m.add_continuous(0, 1, "x")
-    e = 2.0 * x + 1.0
-    with pytest.raises(ModelError):
-        x * math.inf
-    with pytest.raises(ModelError):
-        e * math.nan
-    with pytest.raises(ModelError):
-        -math.inf * e
+def test_combine_drops_zero_sums():
+    # x - x + 4
+    total = combine(_form([0], [1.0], 4.0), _form([0], [-1.0]))
+    assert total.ids.size == 0 and total.coeffs.size == 0
+    assert total.constant == 4.0 and total.value([7.0]) == 4.0
+    assert linear_form([0, 1, 2], [1.0, 0.0, -2.0]).ids.tolist() == [0, 2]
 
 
 def test_overflowed_coefficient_rejected_at_the_model_boundary():
-    # the operators trust their operands; the model does not
+    # a form is a plain record; the model checks what enters it
     m = MilpModel()
-    x = m.add_continuous(0, 1, "x")
-    huge = (1e300 * x) * 1e300
-    assert huge.coeffs == {x.id: math.inf}
+    (x,) = m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
+    with np.errstate(over="ignore"):
+        huge = linear_form([x], 1e300).scaled(1e300)
+    assert huge.coeffs.tolist() == [math.inf]
     with pytest.raises(ModelError, match="non-finite coefficient"):
-        m.add_constraint(huge + 1.0, LE, 2.0, "row")
+        m.add_rows([huge.ids], [huge.coeffs], LE, 1.0, ["row"])
     with pytest.raises(ModelError, match="not finite"):
         m.set_objective(huge)
     with pytest.raises(ModelError, match="not finite"):
-        m.set_objective(x + math.inf)
-    assert m.num_constraints == 0 and m.objective.coeffs == {}
+        m.set_objective(linear_form([x], 1.0, math.inf))
+    with pytest.raises(ModelError, match="not finite"):
+        m.set_objective(combine(linear_form([x], 1e308), linear_form([x], 1e308)))
+    assert m.num_constraints == 0 and m.objective.ids.size == 0
 
 
-def test_public_constructor_still_validates():
-    with pytest.raises(ModelError):
-        LinearExpression({0: math.inf})
-    with pytest.raises(ModelError):
-        LinearExpression({0: math.nan})
-    assert LinearExpression({0: 0.0, 1: 2}).coeffs == {1: 2.0}
-
-
-# -- operators against a plain-dict reference ------------------------------------
+# -- combine against a plain-dict reference ------------------------------------
 
 _NUMBERS = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5, 3.0]),
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
 )
-_LEAVES = st.one_of(
-    st.tuples(st.just("var"), st.integers(0, 3)),
-    st.tuples(st.just("num"), _NUMBERS),
+_FORMS = st.lists(
+    st.tuples(st.lists(st.tuples(st.integers(0, 3), _NUMBERS), max_size=6), _NUMBERS),
+    max_size=5,
 )
-_TREES = st.recursive(
-    _LEAVES,
-    lambda kids: st.one_of(
-        st.tuples(st.sampled_from(["add", "sub"]), kids, kids),
-        st.tuples(st.sampled_from(["mul", "rmul"]), kids, _NUMBERS),
-        st.tuples(st.just("neg"), kids),
-        st.tuples(st.just("sum"), st.lists(kids, max_size=5)),
-    ),
-    max_leaves=24,
-)
-
-
-def _ref_add(a, b, sign=1.0):
-    coeffs = dict(a[0])
-    for vid, c in b[0].items():
-        coeffs[vid] = coeffs.get(vid, 0.0) + c * sign
-    return {v: c for v, c in coeffs.items() if c != 0.0}, a[1] + b[1] * sign
-
-
-def _ref_mul(a, k):
-    return {v: c * k for v, c in a[0].items() if c * k != 0.0}, a[1] * k
-
-
-def _reference(tree):
-    """(coeffs, constant) of a tree, evaluated on plain dictionaries."""
-    op = tree[0]
-    if op == "var":
-        return {tree[1]: 1.0}, 0.0
-    if op == "num":
-        return {}, tree[1]
-    if op in ("add", "sub"):
-        return _ref_add(_reference(tree[1]), _reference(tree[2]), 1.0 if op == "add" else -1.0)
-    if op in ("mul", "rmul"):
-        return _ref_mul(_reference(tree[1]), tree[2])
-    if op == "neg":
-        return _ref_mul(_reference(tree[1]), -1.0)
-    acc = ({}, 0.0)
-    for kid in tree[1]:
-        acc = _ref_add(acc, _reference(kid))
-    return acc
-
-
-def _evaluate(tree, xs):
-    """The same tree through Variables, LinearExpression and numbers."""
-    op = tree[0]
-    if op == "var":
-        return xs[tree[1]]
-    if op == "num":
-        return tree[1]
-    if op == "add":
-        return _evaluate(tree[1], xs) + _evaluate(tree[2], xs)
-    if op == "sub":
-        return _evaluate(tree[1], xs) - _evaluate(tree[2], xs)
-    if op == "mul":
-        return _evaluate(tree[1], xs) * tree[2]
-    if op == "rmul":
-        return tree[2] * _evaluate(tree[1], xs)
-    if op == "neg":
-        return -_evaluate(tree[1], xs)
-    return sum_expressions([_evaluate(kid, xs) for kid in tree[1]])
 
 
 @settings(max_examples=300, deadline=None)
-@given(tree=_TREES)
-def test_operators_match_plain_dict_reference(tree):
-    m = MilpModel()
-    xs = [m.add_continuous(-1, 1, f"x{i}") for i in range(4)]
-    got = as_expression(_evaluate(tree, xs))
-    coeffs, constant = _reference(tree)
-    assert got.coeffs == coeffs
-    assert all(c != 0.0 for c in got.coeffs.values())
+@given(forms=_FORMS, x=st.lists(_NUMBERS, min_size=4, max_size=4))
+def test_combine_matches_plain_dict_reference(forms, x):
+    coeffs, constant = {}, 0.0
+    for terms, k in forms:
+        for vid, c in terms:
+            coeffs[vid] = coeffs.get(vid, 0.0) + c
+        constant += k
+    coeffs = {v: c for v, c in coeffs.items() if c != 0.0}
+    got = combine(*(_form([v for v, _ in terms], [c for _, c in terms], k) for terms, k in forms))
+    assert dict(zip(got.ids.tolist(), got.coeffs.tolist())) == coeffs
+    assert got.ids.tolist() == list(coeffs)
     assert got.constant == constant
+    # value sums the terms left to right in stored order
+    assert got.value(x) == constant + sum(c * x[v] for v, c in coeffs.items())
 
 
 def test_variable_ids_dense():
     m = MilpModel()
-    for i in range(10_000):
-        m.add_continuous(0, 1, f"v{i}")
+    ids = [m.add_variables(CONTINUOUS, 0.0, 1.0, [f"v{i}_{j}" for j in range(100)]) for i in range(100)]
+    assert np.concatenate(ids).tolist() == list(range(10_000))
     assert [v.id for v in m.variables] == list(range(10_000))
 
 
 def test_binary_bounds_clamped():
     m = MilpModel()
-    b = m.add_binary("b")
+    m.add_variables(BINARY, -3.0, 7.0, ["b"])
+    (b,) = m.variables
     assert (b.kind, b.lower, b.upper) == ("binary", 0.0, 1.0)
 
 
 def test_bad_bounds_rejected():
     m = MilpModel()
     with pytest.raises(BoundError):
-        m.add_continuous(2.0, 1.0, "x")
+        m.add_variables(CONTINUOUS, 2.0, 1.0, ["x"])
     with pytest.raises(BoundError):
-        m.add_continuous(0.0, math.nan, "y")
+        m.add_variables(CONTINUOUS, 0.0, math.nan, ["y"])
 
 
 def test_duplicate_name_rejected():
     m = MilpModel()
-    m.add_continuous(0, 1, "x")
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
     with pytest.raises(DuplicateNameError):
-        m.add_continuous(0, 1, "x")
+        m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
 
 
 def test_constant_row_trivially_infeasible():
     m = MilpModel()
-    m.add_continuous(0, 1, "x")
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
     with pytest.raises(TriviallyInfeasibleError):
-        m.add_constraint(LinearExpression(), GE, -1.0 + 2.0, "bad")  # 0 >= 1
+        m.add_rows(np.zeros((1, 0), dtype=np.int64), 1.0, GE, -1.0 + 2.0, ["bad"])  # 0 >= 1
 
 
 def test_constant_row_redundant_ok():
     m = MilpModel()
-    m.add_continuous(0, 1, "x")
-    m.add_constraint(LinearExpression(constant=1.0), LE, 2.0, "slack")  # 0 <= 1
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
+    m.add_rows(np.zeros((1, 0), dtype=np.int64), 1.0, LE, 2.0 - 1.0, ["slack"])  # 0 <= 1
     assert m.num_constraints == 1
 
 
 def test_check_solution_reports_violations():
     m = MilpModel()
-    x = m.add_continuous(0, 1, "x")
-    m.add_constraint(as_expression(x), GE, 0.5, "half")
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
+    m.add_rows([[0]], 1.0, GE, 0.5, ["half"])
     assert check_solution(m, [0.7]) == []
     bad = check_solution(m, [0.2])
     assert any("half" in msg for msg in bad)
@@ -227,10 +167,10 @@ def test_quad_value():
 def _envelope_optimum(quad, x_max, segments, x_fix):
     """Minimize the surrogate with x pinned; returns the solved y."""
     m = MilpModel()
-    x = m.add_continuous(0.0, x_max, "x")
-    (y,) = pwl_convex(m, [[x.id]], 1.0, [quad], x_max, segments, ["y"]).tolist()
-    m.add_constraint(as_expression(x), EQ, x_fix, "pin")
-    m.set_objective(LinearExpression({y: 1.0}))
+    x = m.add_variables(CONTINUOUS, 0.0, x_max, ["x"])
+    y = pwl_convex(m, [x], 1.0, [quad], x_max, segments, ["y"])
+    m.add_rows([x], 1.0, EQ, x_fix, ["pin"])
+    m.set_objective(linear_form(y))
     res = solve_lp(m)
     assert res.status == "optimal"
     return res.objective
@@ -287,17 +227,16 @@ def test_pwl_convex_error_within_bound(a, b, c, x_max, n, frac):
 
 def test_pwl_convex_rejects_concave():
     m = MilpModel()
-    x = m.add_continuous(0, 1, "x")
+    x = m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
     with pytest.raises(ConvexityError):
-        pwl_convex(m, [[x.id]], 1.0, [(0.0, 0.0, -1.0)], 1.0, 2, ["y"])
+        pwl_convex(m, [x], 1.0, [(0.0, 0.0, -1.0)], 1.0, 2, ["y"])
 
 
 def test_to_dense_shapes():
     m = MilpModel()
-    x = m.add_continuous(0, 4, "x")
-    y = m.add_binary("y")
-    m.add_constraint(x + y, LE, 3.0, "row")
-    m.set_objective(x + 2 * y + 5.0)
+    xy = m.add_variables([CONTINUOUS, BINARY], 0.0, [4.0, 1.0], ["x", "y"])
+    m.add_rows([xy], 1.0, LE, 3.0, ["row"])
+    m.set_objective(linear_form(xy, [1.0, 2.0], 5.0))
     c, c0, A, relations, rhs, lb, ub, is_binary = m.to_dense()
     assert A.shape == (1, 2)
     assert list(c) == [1.0, 2.0]
@@ -318,67 +257,66 @@ def _two_columns():
     return m
 
 
-# (bulk call, the same fault through add_constraint / add_variable, error class)
+# (bulk call, the same fault in a one-item call, error class)
 _FAULTS = {
     "non-finite coefficient": (
+        lambda m: m.add_rows([[0, 1], [1, 0]], [[1.0, 1.0], [1.0, math.inf]], LE, 1.0, ["r", "s"]),
         lambda m: m.add_rows([[0, 1]], [[1.0, math.inf]], LE, 1.0, ["r"]),
-        lambda m: m.add_constraint(LinearExpression._trusted({0: 1.0, 1: math.inf}, 0.0), LE, 1.0, "r"),
         ModelError,
     ),
     "non-finite rhs": (
         lambda m: m.add_rows([[0], [1]], 1.0, GE, [0.0, math.nan], ["r", "s"]),
-        lambda m: m.add_constraint(LinearExpression({1: 1.0}), GE, math.nan, "s"),
+        lambda m: m.add_rows([[1]], 1.0, GE, math.nan, ["s"]),
         ModelError,
     ),
     "unknown column": (
+        lambda m: m.add_rows([[1, 0], [0, 2]], 1.0, EQ, 0.0, ["q", "r"]),
         lambda m: m.add_rows([[0, 2]], [[1.0, 1.0]], EQ, 0.0, ["r"]),
-        lambda m: m.add_constraint(LinearExpression({0: 1.0, 2: 1.0}), EQ, 0.0, "r"),
         ModelError,
     ),
     "negative column": (
+        lambda m: m.add_rows([[0], [-1]], 1.0, EQ, 0.0, ["q", "r"]),
         lambda m: m.add_rows([[-1]], 1.0, EQ, 0.0, ["r"]),
-        lambda m: m.add_constraint(LinearExpression({-1: 1.0}), EQ, 0.0, "r"),
         ModelError,
     ),
     "duplicate name in the block": (
         lambda m: m.add_rows([[0], [1]], 1.0, LE, 1.0, ["r", "r"]),
-        lambda m: (m.add_constraint(LinearExpression({0: 1.0}), LE, 1.0, "r"),
-                   m.add_constraint(LinearExpression({1: 1.0}), LE, 1.0, "r")),
+        lambda m: (m.add_rows([[0]], 1.0, LE, 1.0, ["r"]), m.add_rows([[1]], 1.0, LE, 1.0, ["r"])),
         DuplicateNameError,
     ),
     "name of an earlier row": (
+        lambda m: m.add_rows([[1], [0]], 1.0, LE, 1.0, ["r", "first"]),
         lambda m: m.add_rows([[0]], 1.0, LE, 1.0, ["first"]),
-        lambda m: m.add_constraint(LinearExpression({0: 1.0}), LE, 1.0, "first"),
         DuplicateNameError,
     ),
     "violated empty row": (
-        lambda m: m.add_rows([[0, 1]], [[0.0, 0.0]], GE, 1.0, ["r"]),
-        lambda m: m.add_constraint(LinearExpression(), GE, 1.0, "r"),
+        lambda m: m.add_rows([[0, 1], [0, 1]], [[1.0, 0.0], [0.0, 0.0]], GE, 1.0, ["q", "r"]),
+        lambda m: m.add_rows(np.zeros((1, 0), dtype=np.int64), 1.0, GE, 1.0, ["r"]),
         TriviallyInfeasibleError,
     ),
     "unknown relation": (
+        lambda m: m.add_rows([[0], [1]], 1.0, [LE, "<"], 1.0, ["q", "r"]),
         lambda m: m.add_rows([[0]], 1.0, "<", 1.0, ["r"]),
-        lambda m: m.add_constraint(LinearExpression({0: 1.0}), "<", 1.0, "r"),
         ModelError,
     ),
     "inverted bounds": (
-        lambda m: m.add_variables("continuous", [0.0, 2.0], [1.0, 1.0], ["a", "b"]),
-        lambda m: m.add_continuous(2.0, 1.0, "b"),
+        lambda m: m.add_variables(CONTINUOUS, [0.0, 2.0], [1.0, 1.0], ["a", "b"]),
+        lambda m: m.add_variables(CONTINUOUS, 2.0, 1.0, ["b"]),
         BoundError,
     ),
     "NaN bound": (
-        lambda m: m.add_variables("continuous", 0.0, [1.0, math.nan], ["a", "b"]),
-        lambda m: m.add_continuous(0.0, math.nan, "b"),
+        lambda m: m.add_variables(CONTINUOUS, 0.0, [1.0, math.nan], ["a", "b"]),
+        lambda m: m.add_variables(CONTINUOUS, 0.0, math.nan, ["b"]),
         BoundError,
     ),
     "duplicate variable name": (
-        lambda m: m.add_variables("continuous", 0.0, 1.0, ["a", "a"]),
-        lambda m: m.add_continuous(0.0, 1.0, "x"),
+        lambda m: m.add_variables(CONTINUOUS, 0.0, 1.0, ["a", "a"]),
+        lambda m: m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"]),
         DuplicateNameError,
     ),
     "unknown kind": (
-        lambda m: m.add_variables(["continuous", "integer"], 0.0, 1.0, ["a", "b"]),
-        lambda m: m.add_variable("integer", 0.0, 1.0, "b"),
+        lambda m: m.add_variables([CONTINUOUS, "integer"], 0.0, 1.0, ["a", "b"]),
+        lambda m: m.add_variables("integer", 0.0, 1.0, ["b"]),
         ModelError,
     ),
 }
@@ -439,7 +377,7 @@ def test_bulk_rows_equal_rows_added_one_by_one(blocks, data):
     bulk, single = MilpModel(), MilpModel()
     bulk.add_variables(kinds, lower, 5.0, names)
     for kind, lo, name in zip(kinds, lower, names):
-        single.add_variable(kind, lo, 5.0, name)
+        single.add_variables(kind, lo, 5.0, [name])
     for b, (m, k, relation, rng) in enumerate(blocks):
         cols = [rng.sample(range(n), k) for _ in range(m)]
         coeffs = [[data.draw(_COEFFS) for _ in range(k)] for _ in range(m)]
@@ -448,7 +386,7 @@ def test_bulk_rows_equal_rows_added_one_by_one(blocks, data):
         bulk.add_rows(np.array(cols, dtype=np.int64).reshape(m, k), np.array(coeffs).reshape(m, k),
                       relation, rhs, row_names)
         for ids, w, r, name in zip(cols, coeffs, rhs, row_names):
-            single.add_constraint(LinearExpression(dict(zip(ids, w))), relation, r, name)
+            single.add_rows(np.array([ids], dtype=np.int64).reshape(1, k), [w], relation, r, [name])
     got, want = bulk.to_sparse(), single.to_sparse()
     for g, w in zip(got, want):
         if hasattr(g, "tocsc"):

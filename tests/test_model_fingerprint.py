@@ -3,9 +3,9 @@
 Each fingerprint is a sha256 over every array ``MilpModel.to_sparse()``
 returns (dtype, shape and bytes), the objective constant, the relation
 codes and the row and column names.  The full S5 fingerprint also covers
-``write_lp``.  The digests were taken from models built one row at a time
-through ``add_constraint``, so a change to how rows and columns are stored
-or emitted cannot move a coefficient, a bound, an order or a name unnoticed.
+``write_lp``.  The digests pin every model bit for bit, so a change to how
+forms, rows and columns are built, stored or emitted cannot move a
+coefficient, a bound, an order or a name unnoticed.
 
 Run ``PYTHONPATH=src python tests/test_model_fingerprint.py`` to print the
 current digests.

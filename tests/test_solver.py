@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import linprog
 
 from milp_oracles import brute_force_milp, check_solution, random_milp, vertex_milp
-from iesdispatch.milp_ir import EQ, GE, LE, INF, MilpModel, as_expression
+from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver.branch_bound import _ScipyCore
 from iesdispatch.solver import (
     MilpOptions,
@@ -26,9 +26,9 @@ from iesdispatch.solver import (
 
 def test_lp_single_bound():
     m = MilpModel()
-    x = m.add_continuous(0, INF, "x")
-    m.add_constraint(as_expression(x), GE, 3.0, "floor")
-    m.set_objective(as_expression(x))
+    (x,) = m.add_variables(CONTINUOUS, 0.0, INF, ["x"])
+    m.add_rows([[x]], 1.0, GE, 3.0, ["floor"])
+    m.set_objective(linear_form([x]))
     res = solve_lp(m)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3.0, abs=1e-9)
@@ -36,20 +36,18 @@ def test_lp_single_bound():
 
 def test_lp_simplex_edge():
     m = MilpModel()
-    x = m.add_continuous(0, INF, "x")
-    y = m.add_continuous(0, INF, "y")
-    m.add_constraint(x + y, LE, 1.0, "cap")
-    m.set_objective(-x - y)
+    xy = m.add_variables(CONTINUOUS, 0.0, INF, ["x", "y"])
+    m.add_rows([xy], 1.0, LE, 1.0, ["cap"])
+    m.set_objective(linear_form(xy, -1.0))
     res = solve_lp(m)
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_lp_infeasible_has_certificate():
     m = MilpModel()
-    x = m.add_continuous(-INF, INF, "x")
-    m.add_constraint(as_expression(x), GE, 1.0, "hi")
-    m.add_constraint(as_expression(x), LE, 0.0, "lo")
-    m.set_objective(as_expression(x))
+    (x,) = m.add_variables(CONTINUOUS, -INF, INF, ["x"])
+    m.add_rows([[x], [x]], 1.0, [GE, LE], [1.0, 0.0], ["hi", "lo"])
+    m.set_objective(linear_form([x]))
     res = solve_lp(m)
     assert res.status == "infeasible"
     assert res.farkas is not None and np.any(res.farkas != 0)
@@ -57,8 +55,8 @@ def test_lp_infeasible_has_certificate():
 
 def test_lp_unbounded():
     m = MilpModel()
-    x = m.add_continuous(0, INF, "x")
-    m.set_objective(-1.0 * x)
+    (x,) = m.add_variables(CONTINUOUS, 0.0, INF, ["x"])
+    m.set_objective(linear_form([x], -1.0))
     res = solve_lp(m)
     assert res.status == "unbounded"
 
@@ -76,18 +74,11 @@ def _random_lp(rng: random.Random, lbs=(0.0, -2.0), ubs=(1.0, 5.0, 20.0)):
     rel = [rng.choice([LE, GE, EQ]) for _ in range(mrows)]
     rhs = [rng.uniform(-3, 6) for _ in range(mrows)]
     m = MilpModel()
-    xs = [m.add_continuous(lb[i], ub[i], f"x{i}") for i in range(n)]
+    xs = m.add_variables(CONTINUOUS, lb, ub, [f"x{i}" for i in range(n)])
     for j in range(mrows):
-        expr = as_expression(0.0)
-        for i in range(n):
-            if A[j][i]:
-                expr = expr + A[j][i] * xs[i]
-        if expr.coeffs:
-            m.add_constraint(expr, rel[j], rhs[j], f"r{j}")
-    obj = as_expression(0.0)
-    for i in range(n):
-        obj = obj + c[i] * xs[i]
-    m.set_objective(obj)
+        if any(A[j]):
+            m.add_rows([xs], [A[j]], rel[j], rhs[j], [f"r{j}"])
+    m.set_objective(linear_form(xs, c))
     return m
 
 
@@ -170,20 +161,19 @@ def _random_milp(rng: random.Random, max_binaries: int = 8) -> MilpModel:
 def test_milp_example_pair():
     # min 2x + y, x + y >= 1.5, x binary: x=0 branch wins at y=1.5
     m = MilpModel()
-    x = m.add_binary("x")
-    y = m.add_continuous(0, INF, "y")
-    m.add_constraint(x + y, GE, 1.5, "need")
-    m.set_objective(2 * x + y)
+    x, y = m.add_variables([BINARY, CONTINUOUS], 0.0, [1.0, INF], ["x", "y"])
+    m.add_rows([[x, y]], 1.0, GE, 1.5, ["need"])
+    m.set_objective(linear_form([x, y], [2.0, 1.0]))
     res = solve_milp(m)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.5, abs=1e-9)
-    assert res.x[x.id] == pytest.approx(0.0, abs=1e-9)
+    assert res.x[x] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_milp_no_binaries_single_node():
     m = MilpModel()
-    x = m.add_continuous(0, 4, "x")
-    m.set_objective(-1.0 * x)
+    (x,) = m.add_variables(CONTINUOUS, 0.0, 4.0, ["x"])
+    m.set_objective(linear_form([x], -1.0))
     res = solve_milp(m)
     assert res.status == "optimal"
     assert res.nodes == 1
@@ -196,15 +186,9 @@ def test_knapsack_matches_enumeration():
     values = [rng.randint(1, 12) for _ in range(12)]
     cap = sum(weights) // 3
     m = MilpModel()
-    xs = [m.add_binary(f"item{i}") for i in range(12)]
-    expr = as_expression(0.0)
-    for w, v in zip(weights, xs):
-        expr = expr + w * v
-    m.add_constraint(expr, LE, cap, "capacity")
-    obj = as_expression(0.0)
-    for val, v in zip(values, xs):
-        obj = obj - val * v
-    m.set_objective(obj)
+    xs = m.add_variables(BINARY, 0.0, 1.0, [f"item{i}" for i in range(12)])
+    m.add_rows([xs], [weights], LE, cap, ["capacity"])
+    m.set_objective(linear_form(xs, [-val for val in values]))
     res = solve_milp(m)
     best = min(
         -sum(v for v, take in zip(values, bits) if take)
@@ -304,12 +288,11 @@ def _rounding_case(blocked: bool) -> MilpModel:
     # y >= 0.9 no polish can repair it.  "blocked" relaxes y >= 0 and adds
     # y + 2 z >= 2.1, which z = 0 breaks, so neither value fits.
     m = MilpModel()
-    z = m.add_binary("z")
-    y = m.add_continuous(0.0 if blocked else 0.9, 1.0, "y")
-    m.add_constraint(y + z, LE, 1.6, "cap")
+    z, y = m.add_variables([BINARY, CONTINUOUS], [0.0, 0.0 if blocked else 0.9], 1.0, ["z", "y"])
+    m.add_rows([[y, z]], 1.0, LE, 1.6, ["cap"])
     if blocked:
-        m.add_constraint(y + 2 * z, GE, 2.1, "floor")
-    m.set_objective(-1.0 * y - 0.001 * z)
+        m.add_rows([[y, z]], [[1.0, 2.0]], GE, 2.1, ["floor"])
+    m.set_objective(linear_form([y, z], [-1.0, -0.001]))
     return m
 
 
@@ -378,7 +361,7 @@ def test_scipy_core_matches_reference_simplex():
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(300):
         m = _random_lp(rng, lbs=(0.0, -2.0, -INF), ubs=(1.0, 5.0, INF))
-        m.set_objective(m.objective + rng.uniform(-1, 1))
+        m.set_objective(m.objective._replace(constant=rng.uniform(-1, 1)))
         c, c0, A, relations, rhs, lb, ub, _ = m.to_sparse()
         core = _ScipyCore(c, c0, A, relations, rhs).solve(lb, ub)
         ref = solve_lp(m)
@@ -391,13 +374,13 @@ def test_scipy_core_matches_reference_simplex():
 
 def _status_case(kind: str) -> MilpModel:
     m = MilpModel()
-    x = m.add_binary("x")
-    y = m.add_continuous(0, INF if kind == "unbounded root" else 1, "y")
+    x, y = m.add_variables([BINARY, CONTINUOUS], 0.0, [1.0, INF if kind == "unbounded root" else 1.0],
+                           ["x", "y"])
     if kind == "infeasible node":  # root relaxation x = 0.5, both children fail
-        m.add_constraint(2 * x, EQ, 1.0, "half")
+        m.add_rows([[x]], 2.0, EQ, 1.0, ["half"])
     elif kind == "infeasible root":
-        m.add_constraint(x + y, GE, 3.0, "too_much")
-    m.set_objective(x - y)
+        m.add_rows([[x, y]], 1.0, GE, 3.0, ["too_much"])
+    m.set_objective(linear_form([x, y], [1.0, -1.0]))
     return m
 
 
@@ -519,7 +502,7 @@ def _dense_reference(model: MilpModel):
     """The compile as a plain loop over the row dictionaries."""
     n, m = model.num_variables, model.num_constraints
     c = np.zeros(n)
-    for vid, coef in model.objective.coeffs.items():
+    for vid, coef in zip(model.objective.ids.tolist(), model.objective.coeffs.tolist()):
         c[vid] = coef
     A = np.zeros((m, n))
     rhs = np.zeros(m)
@@ -572,10 +555,9 @@ def test_sparse_compile_matches_dense_loop():
 
 def test_backend_registry():
     m = MilpModel()
-    x = m.add_binary("x")
-    y = m.add_continuous(0, 3, "y")
-    m.add_constraint(x + y, GE, 1.2, "row")
-    m.set_objective(x + y)
+    xy = m.add_variables([BINARY, CONTINUOUS], 0.0, [1.0, 3.0], ["x", "y"])
+    m.add_rows([xy], 1.0, GE, 1.2, ["row"])
+    m.set_objective(linear_form(xy))
     a = solve_milp(m, MilpOptions())
     b = get_backend("scipy-milp").solve(m, MilpOptions())
     assert a.status == b.status == "optimal"
@@ -615,15 +597,14 @@ def _external_round_trip(monkeypatch, script_dir):
     monkeypatch.setenv("IESDISPATCH_EXTERNAL_SOLVER", command)
 
     m = MilpModel()
-    x = m.add_binary("x")
-    y = m.add_continuous(0, INF, "y")
-    m.add_constraint(x + y, GE, 1.5, "need")
-    m.set_objective(2 * x + y)
+    x, y = m.add_variables([BINARY, CONTINUOUS], 0.0, [1.0, INF], ["x", "y"])
+    m.add_rows([[x, y]], 1.0, GE, 1.5, ["need"])
+    m.set_objective(linear_form([x, y], [2.0, 1.0]))
     res = get_backend("external").solve(m, MilpOptions())
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.5, abs=1e-9)
-    assert res.x[x.id] == pytest.approx(0.0, abs=1e-9)
-    assert res.x[y.id] == pytest.approx(1.5, abs=1e-9)
+    assert res.x[x] == pytest.approx(0.0, abs=1e-9)
+    assert res.x[y] == pytest.approx(1.5, abs=1e-9)
 
 
 def test_external_backend_round_trip(tmp_path, monkeypatch):
@@ -634,12 +615,44 @@ def test_external_backend_command_quotes_a_path_with_spaces(tmp_path, monkeypatc
     _external_round_trip(monkeypatch, tmp_path / "solver dir")
 
 
+# stand-in solvers that exit 0 without a usable solution file
+NO_SOLUTION = "pass\n"
+BAD_OBJECTIVE = '''\
+import sys
+
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    fh.write("status=optimal\\nobjective=abc\\n")
+'''
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [(NO_SOLUTION, "unreadable solution file"), (BAD_OBJECTIVE, "unreadable solution file"),
+     (None, "did not start")],
+    ids=["no-solution-file", "bad-objective", "missing-command"],
+)
+def test_external_backend_failure_is_unavailable(script, message, tmp_path, monkeypatch):
+    from iesdispatch.solver import BackendUnavailableError
+
+    path = tmp_path / "stub.py"
+    command = [str(path)]
+    if script is not None:
+        path.write_text(script, encoding="utf-8")
+        command.insert(0, sys.executable)
+    monkeypatch.setenv("IESDISPATCH_EXTERNAL_SOLVER", " ".join(map(shlex.quote, command)))
+    m = MilpModel()
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["v"])
+    m.set_objective(linear_form([0]))
+    with pytest.raises(BackendUnavailableError, match=message):
+        get_backend("external").solve(m, MilpOptions())
+
+
 def test_external_backend_unset_env(monkeypatch):
     monkeypatch.delenv("IESDISPATCH_EXTERNAL_SOLVER", raising=False)
     from iesdispatch.solver import BackendUnavailableError
 
     m = MilpModel()
-    v = m.add_continuous(0, 1, "v")
-    m.set_objective(as_expression(v))
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["v"])
+    m.set_objective(linear_form([0]))
     with pytest.raises(BackendUnavailableError, match="not set"):
         get_backend("external").solve(m, MilpOptions())
