@@ -26,15 +26,14 @@ from dataclasses import asdict
 
 from . import __version__
 from .dispatch import (
+    BACKEND_NAMES,
     SCENARIO_IDS,
     DispatchOptions,
     DispatchSolution,
     ScenarioReport,
-    SolveFailedError,
-    StaticInfeasibleError,
-    VerificationError,
+    ScenarioRow,
+    check_grid,
     run_all_scenarios,
-    run_scenario,
     sweep_interval,
     sweep_lambda,
 )
@@ -236,7 +235,7 @@ def _scenario_csv(report: ScenarioReport) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse "start:stop:step" (inclusive) or a comma-separated list."""
+    """Parse "start:stop:step" (inclusive) or a comma-separated list into a valid sweep grid."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -250,14 +249,16 @@ def _parse_grid(text: str) -> list[float]:
         count = int(round((stop - start) / step))
         if abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
             raise UsageError(f"grid {text!r}: step does not divide the span")
-        return [round(start + i * step, 10) for i in range(count + 1)]
+        values = [round(start + i * step, 10) for i in range(count + 1)]
+    else:
+        try:
+            values = [float(p) for p in text.split(",") if p.strip()]
+        except ValueError:
+            raise UsageError(f"grid {text!r}: non-numeric entry") from None
     try:
-        values = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise UsageError(f"grid {text!r}: non-numeric entry") from None
-    if not values:
-        raise UsageError(f"grid {text!r}: empty")
-    return values
+        return check_grid(values)
+    except ValueError as exc:
+        raise UsageError(f"grid {text!r}: {exc}") from None
 
 
 def _options_from_args(args) -> DispatchOptions:
@@ -273,16 +274,13 @@ def _options_from_args(args) -> DispatchOptions:
         raise UsageError(f"--time-limit {args.time_limit:g}: need a positive number of seconds")
     if getattr(args, "jobs", 1) < 1:
         raise UsageError(f"--jobs {args.jobs}: need at least 1 job")
-    opts = DispatchOptions(
-        pwl_segments=args.segments,
+    return DispatchOptions(
+        pwl_segments=REDUCED_SEGMENTS if args.reduced else args.segments,
         gap_tol=args.gap,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
         backend=args.backend,
     )
-    if args.reduced:
-        opts = DispatchOptions(**{**asdict(opts), "pwl_segments": REDUCED_SEGMENTS})
-    return opts
 
 
 def _load(args):
@@ -293,12 +291,12 @@ def _load(args):
     return path, case
 
 
-def _solver_exit(exc) -> int:
-    if isinstance(exc, StaticInfeasibleError):
-        return EXIT_INFEASIBLE
-    if isinstance(exc, SolveFailedError):
-        return EXIT_INFEASIBLE if exc.status == "infeasible" else EXIT_LIMIT
-    return EXIT_LIMIT  # VerificationError: result exists but cannot be trusted
+def _exit_code(rows: list[ScenarioRow]) -> int:
+    """0 when no row failed, 3 when every failed row is infeasible, 4 otherwise."""
+    statuses = {r.status for r in rows if r.error is not None}
+    if not statuses:
+        return EXIT_OK
+    return EXIT_INFEASIBLE if statuses == {"infeasible"} else EXIT_LIMIT
 
 
 def _cmd_validate(args) -> int:
@@ -324,11 +322,11 @@ def _cmd_solve(args) -> int:
     path, case = _load(args)
     options = _options_from_args(args)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        sol = run_scenario(case, args.scenario, options)
-    except (StaticInfeasibleError, SolveFailedError, VerificationError) as exc:
-        print(f"FAIL {args.scenario}: {exc}", file=sys.stderr)
-        return _solver_exit(exc)
+    report = run_all_scenarios(case, options, scenario_ids=(args.scenario,))
+    sol = report.solutions.get(args.scenario)
+    if sol is None:
+        print(f"FAIL {args.scenario}: {report.rows[0].error}", file=sys.stderr)
+        return _exit_code(report.rows)
     _write_json(os.path.join(args.out, f"solution_{sol.scenario_id}.json"), _solution_doc(sol))
     header, rows = _schedule_rows(sol)
     _write_csv(os.path.join(args.out, f"schedule_{sol.scenario_id}.csv"), header, rows)
@@ -351,18 +349,13 @@ def _cmd_scenarios(args) -> int:
     pct_doc = {sid: _round(d) for sid, d in report.percentages.items()}
     _write_json(os.path.join(args.out, "scenarios_vs_S1.json"), pct_doc)
     _write_meta(args.out, path, case, list(SCENARIO_IDS), options)
-    failures = []
     for r in report.rows:
         if r.error:
             print(f"{r.scenario_id}: {r.status} ({r.error})", file=sys.stderr)
-            failures.append(r)
         else:
             print(f"{r.scenario_id}: total={_fmt(r.total_cost)} emissions={_fmt(r.emissions_kg)} "
                   f"satisfaction={r.satisfaction:.4f}")
-    if failures:
-        statuses = {r.status for r in failures}
-        return EXIT_INFEASIBLE if statuses <= {"infeasible"} else EXIT_LIMIT
-    return EXIT_OK
+    return _exit_code(report.rows)
 
 
 SWEEP_PARAMS = {"lambda": sweep_lambda, "d": sweep_interval}
@@ -378,12 +371,10 @@ def _cmd_sweep(args) -> int:
     header = [args.param, "status", "carbon_trading_cost", "actual_emissions_kg",
               "total_cost", "dr_compensation", "objective", "gap"]
     rows = []
-    failed = False
     for p in points:
         if p.total_cost is None:
             rows.append([_fmt(p.value), p.status, "", "", "", "", "", ""])
             print(f"{args.param}={p.value:g}: {p.status} ({p.error})", file=sys.stderr)
-            failed = True
         else:
             rows.append([
                 _fmt(p.value), p.status, _fmt(p.carbon_cost), _fmt(p.emissions_kg),
@@ -395,7 +386,7 @@ def _cmd_sweep(args) -> int:
     _write_meta(args.out, path, case, args.scenario, options,
                 extra={"sweep_param": args.param, "grid": _round(grid)})
     print(f"wrote {name}: {len(points)} points")
-    return EXIT_LIMIT if failed else EXIT_OK
+    return _exit_code(points)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -410,13 +401,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--case", default="default",
                        help="case path, bare name under $%s, or 'default'" % CASE_DIR_ENV)
         p.add_argument("--out", "-o", default=".", help="output directory")
-        p.add_argument("--gap", type=float, default=1e-4, help="relative optimality gap")
-        p.add_argument("--segments", type=int, default=8,
+        p.add_argument("--gap", type=float, default=DispatchOptions.gap_tol,
+                       help="relative optimality gap")
+        p.add_argument("--segments", type=int, default=DispatchOptions.pwl_segments,
                        help="linearization segments per emission curve")
-        p.add_argument("--node-limit", type=int, default=200_000)
-        p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
-        p.add_argument("--backend", default="embedded",
-                       choices=("embedded", "scipy-milp", "external"))
+        p.add_argument("--node-limit", type=int, default=DispatchOptions.node_limit)
+        p.add_argument("--time-limit", type=float, default=DispatchOptions.time_limit,
+                       help="seconds per solve")
+        p.add_argument("--backend", default=DispatchOptions.backend, choices=BACKEND_NAMES)
         p.add_argument("--reduced", action="store_true",
                        help="halve the horizon and use 4 segments (fast CI mode)")
         if scenario_default is not None:

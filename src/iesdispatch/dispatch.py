@@ -57,19 +57,29 @@ from .model_core import (
     MECHANISM_TIERED,
     MECHANISM_TRADITIONAL,
     CaseData,
-    StorageParams,
 )
-from .solver import MilpOptions, get_backend, solve_milp
+from .solver import BACKENDS, MilpOptions, get_backend, solve_milp
 
 ELECTRIC, GAS, HEAT = CARRIERS
 
+# the embedded branch and bound, then the solver registry's backends
+BACKEND_NAMES = ("embedded", *BACKENDS)
+
 
 class DispatchError(Exception):
-    pass
+    """A scenario run that ends without a solution it can trust.
+
+    ``status`` is its row status: "infeasible" when screening rules the case
+    out, the solver's status when it finds no incumbent, or "verification_failed".
+    """
+
+    status: str
 
 
 class StaticInfeasibleError(DispatchError):
     """A constraint family is unsatisfiable before any solve is attempted."""
+
+    status = "infeasible"
 
     def __init__(self, family: str, message: str):
         super().__init__(f"{family}: {message}")
@@ -88,6 +98,8 @@ class SolveFailedError(DispatchError):
 
 class VerificationError(DispatchError):
     """An extracted solution failed independent recomputation."""
+
+    status = "verification_failed"
 
     def __init__(self, scenario_id: str, failures: list[str]):
         super().__init__(
@@ -138,27 +150,26 @@ def as_scenario(scenario) -> ScenarioSpec:
         ) from None
 
 
-@dataclass(frozen=True)
-class DispatchOptions:
-    """Solver and approximation settings for scenario runs."""
+@dataclass(frozen=True, kw_only=True)
+class DispatchOptions(MilpOptions):
+    """Solver and approximation settings for scenario runs.
 
-    pwl_segments: int = 8
+    :class:`MilpOptions` with a 1e-4 default gap, plus the segments per
+    linearized emission curve and the backend, one of ``BACKEND_NAMES``.
+    Every backend takes them as they are.  Fields are keyword-only, and a
+    bad one raises ValueError at construction.
+    """
+
     gap_tol: float = 1e-4
-    int_tol: float = 1e-6
-    node_limit: int = 200_000
-    time_limit: float | None = None
-    backend: str = "embedded"  # embedded | scipy-milp | external
+    pwl_segments: int = 8
+    backend: str = "embedded"
 
     def __post_init__(self):
-        self.milp_options()  # rejects a bad gap_tol or limit at construction
-
-    def milp_options(self) -> MilpOptions:
-        return MilpOptions(
-            gap_tol=self.gap_tol,
-            int_tol=self.int_tol,
-            node_limit=self.node_limit,
-            time_limit=self.time_limit,
-        )
+        super().__post_init__()
+        if not self.pwl_segments >= 1:
+            raise ValueError(f"pwl_segments {self.pwl_segments!r}: need at least 1 segment")
+        if self.backend not in BACKEND_NAMES:
+            raise ValueError(f"backend {self.backend!r}: unknown; known: {', '.join(BACKEND_NAMES)}")
 
 
 # -- model assembly --------------------------------------------------------------
@@ -168,7 +179,6 @@ class DispatchOptions:
 class StorageBlock:
     """Column ids of one storage unit, one per period."""
 
-    params: StorageParams
     charge: np.ndarray
     discharge: np.ndarray
     soc: np.ndarray
@@ -335,19 +345,6 @@ def _row_block(tags, *families) -> tuple:
     return cols, coeffs, relations, _per_period([f[3] for f in families], len(tags)), names
 
 
-def _add_blocks(model: MilpModel, blocks) -> None:
-    """Add row blocks, in order, as one :meth:`MilpModel.add_rows` call."""
-    cols = np.zeros((sum(len(b[4]) for b in blocks), max(b[0].shape[1] for b in blocks)), dtype=np.int64)
-    coeffs = np.zeros(cols.shape)
-    row = 0
-    for block_cols, block_coeffs, *_ in blocks:
-        cols[row:row + len(block_cols), :block_cols.shape[1]] = block_cols
-        coeffs[row:row + len(block_cols), :block_cols.shape[1]] = block_coeffs
-        row += len(block_cols)
-    model.add_rows(cols, coeffs, [rel for b in blocks for rel in b[2]],
-                   np.concatenate([b[3] for b in blocks]), [name for b in blocks for name in b[4]])
-
-
 def build_model(case: CaseData, scenario, options: DispatchOptions | None = None):
     """Assemble the MILP for one scenario; returns (model, VarMap).
 
@@ -374,13 +371,11 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     ).T
     flows["p_e_buy"], flows["p_g_buy"], flows["p_dg"] = (e_buy, 1.0), (g_buy, 1.0), (dg, 1.0)
 
-    rows = []  # the device row blocks, in model order
-
     def add_ramp(name, ids, cap, frac):
         step = frac * cap
         now, before = ids[1:], ids[:-1]
-        rows.append(_row_block(tags[1:], (f"ramp_{name}_up_", [(now, 1.0), (before, -1.0)], LE, step),
-                               (f"ramp_{name}_dn_", [(before, 1.0), (now, -1.0)], LE, step)))
+        model.add_rows(*_row_block(tags[1:], (f"ramp_{name}_up_", [(now, 1.0), (before, -1.0)], LE, step),
+                                   (f"ramp_{name}_dn_", [(before, 1.0), (now, -1.0)], LE, step)))
 
     p2g = case.converter("P2G")
     if p2g and p2g.capacity_kw > 0:
@@ -411,7 +406,7 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
             if any(coeff != 0.0 for _, coeff in terms):
                 chp.append((f"chp_ratio_{name}_", terms, LE, 0.0))
         if chp:
-            rows.append(_row_block(tags, *chp))
+            model.add_rows(*_row_block(tags, *chp))
         add_ramp("gt", g, gt_cap, gt.ramp_fraction)
 
     gb = case.converter("GB")
@@ -435,17 +430,15 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         prev_coeff[0] = 0.0
         soc_rhs = np.zeros(periods)
         soc_rhs[0] = initial
-        rows.append(_row_block(
+        model.add_rows(*_row_block(
             tags,
             (f"storage_{k}_gate_ch_", [(ch, 1.0), (gate, -plim)], LE, 0.0),
             (f"storage_{k}_gate_dis_", [(dis, 1.0), (gate, plim)], LE, plim),
             (f"storage_{k}_soc_", [(soc, 1.0), (ch, -(sto.charge_eff * dt)), (dis, dt / sto.discharge_eff),
                                    (np.roll(soc, 1), prev_coeff)], EQ, soc_rhs),
         ))
-        rows.append((soc[-1:, None], np.ones((1, 1)), [EQ], np.array([initial]), [f"storage_{k}_terminal"]))
-        vm.storage[k] = StorageBlock(sto, ch, dis, soc, gate)
-    if rows:
-        _add_blocks(model, rows)
+        model.add_rows(soc[-1:, None], 1.0, EQ, initial, [f"storage_{k}_terminal"])
+        vm.storage[k] = StorageBlock(ch, dis, soc, gate)
 
     vm.dr = build_dr_blocks(case, scenario, model, dec)
 
@@ -478,7 +471,9 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     vm.cost_maint = _flow_sum(maint, periods, dt)
 
     costs = [vm.cost_buy, vm.cost_dr, vm.cost_maint]
-    if scenario.carbon_in_objective:
+    # at a zero base price every tier costs nothing, whatever the share, and
+    # nothing holds the envelope columns on their curves: build it unpriced like S1
+    if scenario.carbon_in_objective and case.carbon.lambda_base > 0:
         policy = replace(case.carbon, mechanism=scenario.mechanism)
         vm.carbon_cost, vm.actual, vm.pwl_bound_kg = _encode_carbon(
             case, options, model, vm.dr, policy, tags, flows
@@ -998,10 +993,8 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
     model, vm = build_model(case, scenario, options)
-    if options.backend == "embedded":
-        res = solve_milp(model, options.milp_options())
-    else:
-        res = get_backend(options.backend).solve(model, options.milp_options())
+    solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
+    res = solve(model, options)
     if res.x is None:
         raise SolveFailedError(scenario.id, res.status, f"bound {res.bound}, nodes {res.nodes}")
     sol = _extract(case, scenario, vm, res)
@@ -1063,13 +1056,9 @@ def _scenario_task(args):
     case, scenario_id, options = args
     try:
         sol = run_scenario(case, scenario_id, options)
-        return scenario_id, _row_from_solution(sol), sol
-    except StaticInfeasibleError as exc:
-        return scenario_id, ScenarioRow(scenario_id, "infeasible", error=str(exc)), None
-    except SolveFailedError as exc:
+    except DispatchError as exc:
         return scenario_id, ScenarioRow(scenario_id, exc.status, error=str(exc)), None
-    except VerificationError as exc:
-        return scenario_id, ScenarioRow(scenario_id, "verification_failed", error=str(exc)), None
+    return scenario_id, _row_from_solution(sol), sol
 
 
 def _run_tasks(tasks, jobs: int):
@@ -1114,19 +1103,14 @@ def run_all_scenarios(
 
 
 @dataclass
-class SweepPoint:
-    value: float
-    status: str
-    error: str | None = None
-    emissions_kg: float | None = None
-    carbon_cost: float | None = None
-    total_cost: float | None = None
-    dr_compensation: float | None = None
-    objective: float | None = None
-    gap: float | None = None
+class SweepPoint(ScenarioRow):
+    """A scenario row at one value of the swept parameter."""
+
+    value: float = field(kw_only=True)
 
 
-def _check_grid(grid):
+def check_grid(grid) -> list[float]:
+    """The grid as floats; ValueError unless it is non-empty, positive and strictly increasing."""
     values = [float(v) for v in grid]
     if not values:
         raise ValueError("empty sweep grid")
@@ -1137,34 +1121,21 @@ def _check_grid(grid):
     return values
 
 
-def _sweep(case, scenario, values, options, jobs, override):
-    scenario = as_scenario(scenario)
-    tasks = []
-    for v in values:
-        tasks.append((replace(case, carbon=replace(case.carbon, **{override: v})), scenario.id, options))
-    points = []
-    for v, (_sid, row, sol) in zip(values, _run_tasks(tasks, jobs)):
-        points.append(
-            SweepPoint(
-                value=v,
-                status=row.status,
-                error=row.error,
-                emissions_kg=row.emissions_kg,
-                carbon_cost=row.carbon_cost,
-                total_cost=row.total_cost,
-                dr_compensation=row.dr_compensation,
-                objective=row.objective,
-                gap=row.gap,
-            )
-        )
-    return points
+def _sweep(case, scenario, grid, options, jobs, override) -> list[SweepPoint]:
+    """Run the scenario once per grid value of the carbon-policy field ``override``."""
+    values = check_grid(grid)
+    scenario_id = as_scenario(scenario).id
+    options = options or DispatchOptions()
+    tasks = [(replace(case, carbon=replace(case.carbon, **{override: v})), scenario_id, options)
+             for v in values]
+    return [SweepPoint(**vars(row), value=v) for v, (_sid, row, _sol) in zip(values, _run_tasks(tasks, jobs))]
 
 
 def sweep_lambda(case, scenario, grid, options=None, jobs: int = 1) -> list[SweepPoint]:
     """Re-solve along an increasing carbon base-price grid."""
-    return _sweep(case, scenario, _check_grid(grid), options or DispatchOptions(), jobs, "lambda_base")
+    return _sweep(case, scenario, grid, options, jobs, "lambda_base")
 
 
 def sweep_interval(case, scenario, grid, options=None, jobs: int = 1) -> list[SweepPoint]:
     """Re-solve along an increasing tier-width grid."""
-    return _sweep(case, scenario, _check_grid(grid), options or DispatchOptions(), jobs, "interval_d")
+    return _sweep(case, scenario, grid, options, jobs, "interval_d")

@@ -603,6 +603,9 @@ def validate_case(case: CaseData) -> ValidationReport:
         bounds = dr.shift_bounds.get(k)
         if bounds is not None and bounds[0] > bounds[1]:
             err(f"dr.shift_bounds.{k}: min > max")
+        # the max bounds the load shifted in, which cannot be negative
+        if bounds is not None and bounds[1] < 0:
+            err(f"dr.shift_bounds.{k}: max must be >= 0")
         if dr.subst_conversion.get(k, 1.0) <= 0:
             err(f"dr.subst_conversion.{k}: must be > 0")
     if not 0 <= dr.satisfaction_min <= 1:

@@ -2,11 +2,7 @@
 
 from .simplex import LpSolution, NumericalFailure, solve_lp
 from .branch_bound import MilpOptions, MilpSolution, solve_milp
-from .backends import (
-    Backend,
-    BackendUnavailableError,
-    get_backend,
-)
+from .backends import BACKENDS, BackendUnavailableError, get_backend
 
 __all__ = [
     "LpSolution",
@@ -15,7 +11,7 @@ __all__ = [
     "MilpOptions",
     "MilpSolution",
     "solve_milp",
-    "Backend",
+    "BACKENDS",
     "BackendUnavailableError",
     "get_backend",
 ]

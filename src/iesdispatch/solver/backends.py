@@ -20,6 +20,7 @@ import os
 import shlex
 import subprocess
 import tempfile
+import time
 
 import numpy as np
 
@@ -44,14 +45,7 @@ class BackendUnavailableError(Exception):
         self.backend = name
 
 
-class Backend:
-    name = "abstract"
-
-    def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
-        raise NotImplementedError
-
-
-class ScipyMilpBackend(Backend):
+class ScipyMilpBackend:
     name = "scipy-milp"
 
     def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
@@ -59,7 +53,6 @@ class ScipyMilpBackend(Backend):
             from scipy.optimize import Bounds, LinearConstraint, milp
         except ImportError as exc:  # pragma: no cover
             raise BackendUnavailableError(self.name, str(exc))
-        import time
 
         c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
         lo = np.where([r == LE for r in relations], -np.inf, rhs)
@@ -110,15 +103,13 @@ class ScipyMilpBackend(Backend):
         )
 
 
-class ExternalBackend(Backend):
+class ExternalBackend:
     name = "external"
 
     def __init__(self, command: str | None = None):
         self.command = command if command is not None else os.environ.get(ENV_EXTERNAL)
 
     def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
-        import time
-
         if not self.command:
             raise BackendUnavailableError(self.name, f"{ENV_EXTERNAL} is not set")
         names = sanitized_names(model)
@@ -171,13 +162,13 @@ class ExternalBackend(Backend):
         return status, obj, x
 
 
-_BACKENDS = {
+BACKENDS = {
     ScipyMilpBackend.name: ScipyMilpBackend,
     ExternalBackend.name: ExternalBackend,
 }
 
 
-def get_backend(name: str) -> Backend:
-    if name not in _BACKENDS:
-        raise BackendUnavailableError(name, f"unknown backend; known: {sorted(_BACKENDS)}")
-    return _BACKENDS[name]()
+def get_backend(name: str) -> ScipyMilpBackend | ExternalBackend:
+    if name not in BACKENDS:
+        raise BackendUnavailableError(name, f"unknown backend; known: {sorted(BACKENDS)}")
+    return BACKENDS[name]()

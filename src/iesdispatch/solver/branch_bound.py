@@ -53,7 +53,7 @@ _ROW_TOL = 1e-6  # relative row slack when judging a rounded point
 _ROUND_OFF_GAP = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class MilpOptions:
     gap_tol: float = 1e-6
     int_tol: float = 1e-6

@@ -24,6 +24,15 @@ def bad_heat_case(tmp_path) -> str:
 
 
 @pytest.fixture()
+def negative_shift_case(tmp_path) -> str:
+    doc = case_to_dict(load_case(default_case_path()))
+    doc["dr"]["shift_bounds"] = {"electric": [-50, -10]}
+    path = tmp_path / "negative_shift.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
 def invalid_case(tmp_path) -> str:
     doc = case_to_dict(load_case(default_case_path()))
     doc["converters"][1]["capacity_kw"] = -1.0
@@ -53,6 +62,8 @@ def test_parse_grid_comma_list():
         ("0.3:0.1:0.1", "need stop >= start"),
         ("abc", "non-numeric"),
         ("", "empty"),
+        ("0,0.1", "positive"),
+        ("0.3,0.2", "strictly increasing"),
     ],
 )
 def test_parse_grid_rejects(text, message):
@@ -74,6 +85,17 @@ def test_validate_invalid_exit_2(capsys, invalid_case):
     assert run_cli("validate", "--case", invalid_case) == cli.EXIT_VALIDATION
     out = capsys.readouterr().out
     assert "capacity_kw" in out
+
+
+def test_negative_shift_max_exit_2(tmp_path, capsys, negative_shift_case):
+    assert run_cli("validate", "--case", negative_shift_case) == cli.EXIT_VALIDATION
+    rc = run_cli("solve", "--case", negative_shift_case, "--scenario", "S5", "--reduced",
+                 "--out", str(tmp_path / "out"))
+    assert rc == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out.count("dr.shift_bounds.electric: max must be >= 0") == 1
+    assert "dr.shift_bounds.electric" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_validate_unreadable_file_exit_2(tmp_path, capsys):
@@ -142,6 +164,10 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
     assert set(meta) == {"case_file", "case_hash", "scenario", "solver_options", "version"}
     assert meta["scenario"] == "S3"
+    assert meta["solver_options"] == {
+        "backend": "embedded", "gap_tol": 0.0001, "int_tol": 1e-06, "node_limit": 200000,
+        "pwl_segments": 4, "time_limit": None,
+    }
 
     doc = json.loads((out / "solution_S3.json").read_text(encoding="utf-8"))
     assert doc["status"] == "optimal"
@@ -241,6 +267,16 @@ def test_sweep_interval_csv(tmp_path):
     assert "sweep_d_S5.csv" in files
 
 
+def test_sweep_infeasible_exit_3(tmp_path, bad_heat_case, capsys):
+    # every point fails the static screen, as solve and scenarios do
+    rc = run_cli("sweep", "--param", "lambda", "--grid", "0.2,0.3", "--case", bad_heat_case,
+                 "--reduced", "--out", str(tmp_path / "z"))
+    assert rc == cli.EXIT_INFEASIBLE
+    with (tmp_path / "z" / "sweep_lambda_S5.csv").open(encoding="utf-8") as fh:
+        assert [r[1] for r in list(csv.reader(fh))[1:]] == ["infeasible", "infeasible"]
+    assert capsys.readouterr().err.count("exceeds maximum heat supply") == 2
+
+
 # -- usage and lookup ----------------------------------------------------------------
 
 
@@ -257,9 +293,10 @@ def test_missing_case_exit_1(tmp_path, capsys):
 
 
 def test_bad_grid_exit_1(tmp_path, capsys):
-    rc = run_cli("sweep", "--param", "lambda", "--grid", "0.3:0.1:0.1", "--out", str(tmp_path))
-    assert rc == cli.EXIT_USAGE
-    capsys.readouterr()
+    for grid in ("0.3:0.1:0.1", "0,0.1", "0.3,0.2"):
+        rc = run_cli("sweep", "--param", "lambda", "--grid", grid, "--reduced", "--out", str(tmp_path))
+        assert rc == cli.EXIT_USAGE, grid
+        assert f"usage error: grid {grid!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "scenarios"])

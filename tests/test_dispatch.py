@@ -85,10 +85,16 @@ def test_dispatch_options_reject_a_bad_gap_at_construction(gap):
         DispatchOptions(gap_tol=gap)
 
 
-@pytest.mark.parametrize("limits", [{"node_limit": 0}, {"time_limit": 0.0}, {"time_limit": float("nan")}])
+@pytest.mark.parametrize("limits", [{"node_limit": 0}, {"time_limit": 0.0}, {"time_limit": float("nan")},
+                                    {"pwl_segments": 0}, {"backend": "nope"}])
 def test_dispatch_options_reject_bad_limits_at_construction(limits):
     with pytest.raises(ValueError, match=next(iter(limits))):
         DispatchOptions(**limits)
+
+
+def test_dispatch_options_name_every_backend():
+    with pytest.raises(ValueError, match="embedded, scipy-milp, external"):
+        DispatchOptions(backend="nope")
 
 
 # -- single-period oracles ----------------------------------------------------------
@@ -338,6 +344,22 @@ GATED_OBJECTIVES = {
     "S4": 16079.695285,
     "S5": 16073.368256,
 }
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+def test_zero_carbon_price_solves_like_s1(bundled_case, backend):
+    # at lambda = 0 every tier costs nothing, so S2 and S3 are S1's model
+    free = replace(bundled_case, carbon=replace(bundled_case.carbon, lambda_base=0.0))
+    options = DispatchOptions(backend=backend)
+    report = run_all_scenarios(free, options, scenario_ids=("S1", "S2", "S3"))
+    base = report.solutions["S1"].objective
+    assert base == pytest.approx(GATED_OBJECTIVES["S1"], rel=options.gap_tol)
+    for sid in ("S2", "S3"):
+        sol = report.solutions[sid]
+        assert sol.verification.passed
+        assert sol.surrogate_actual_kg is None and sol.surrogate_carbon_cost is None
+        assert sol.costs.carbon == 0.0
+        assert abs(sol.objective - base) <= options.gap_tol * abs(base), (sid, sol.objective)
 
 
 def test_round_off_gaps_read_zero(bundled_case):

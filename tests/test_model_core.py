@@ -100,6 +100,13 @@ def test_validate_rejects_dr_fractions_over_one(case):
     assert any("DR fractions exceed 1" in e for e in report.errors)
 
 
+@pytest.mark.parametrize("bounds, message", [((5.0, 1.0), "min > max"), ((-50.0, -10.0), "max must be >= 0")])
+def test_validate_rejects_bad_shift_bounds(case, bounds, message):
+    dr = replace(case.dr, shift_bounds={"electric": bounds, "gas": None, "heat": None})
+    report = validate_case(replace(case, dr=dr))
+    assert report.errors == [f"dr.shift_bounds.electric: {message}"]
+
+
 def test_validate_warns_on_ratio_outside_bracket(case):
     narrowed = replace(case, chp=replace(case.chp, ratio_min=1.0, ratio_max=2.0))
     report = validate_case(narrowed)
