@@ -12,10 +12,34 @@ demand-response levers are active:
   S4  S3 plus time-shift demand response
   S5  S4 plus cross-carrier load substitution
 
-`build_model` emits the MILP for one scenario; `run_scenario` solves it and
+`build_model` emits the model for one scenario; `run_scenario` solves it and
 refuses to return a solution that fails independent verification;
 `run_all_scenarios` produces the five-row comparison table and
 `sweep_lambda` / `sweep_interval` the carbon-policy sensitivity series.
+
+Storage gates on demand.  The paper's model gives each store one binary
+per period that stops it from charging and discharging at once.
+`build_model` adds that gate (the binary and its two rows) only for the
+(carrier, period) pairs it is given.  `run_scenario` first solves the
+model with no gate, which is an LP.  It then applies the exclusivity test
+of `verify_solution` to the schedule, gates the pairs that fail, and
+solves again, until no ungated pair fails.  Each round adds at least one
+gate, and with every gate the model is the paper's, so the loop ends.
+The result is as good as a solve of the fully gated model:
+
+- every gate only cuts the feasible set, so the optimum of a model with
+  fewer gates is a lower bound on that of the fully gated model;
+- a schedule that meets exclusivity is feasible for the fully gated model
+  (to the verification tolerance) once each gate is set to 1 where its
+  store charges and to 0 elsewhere, so an LP optimum that meets it is
+  optimal there too;
+- in a round with gates the solver stops within ``gap_tol`` of that
+  round's optimum, a lower bound by the first point, so the schedule is
+  within ``gap_tol`` of the fully gated optimum.
+
+Li, Guo, Sun & Wang (IEEE Trans. Power Syst. 31(2), 2016) give conditions
+under which the gate-free relaxation is exact a priori; the check after
+each solve makes them unnecessary here.
 
 Powers are kW, energies kWh, emissions kg, money in currency units.
 """
@@ -177,7 +201,7 @@ class DispatchOptions(MilpOptions):
 
 @dataclass
 class StorageBlock:
-    """Column ids of one storage unit, one per period."""
+    """Column ids of one storage unit, one per period; the gates only for the gated periods."""
 
     charge: np.ndarray
     discharge: np.ndarray
@@ -307,17 +331,29 @@ def _per_period(values, periods: int) -> np.ndarray:
     return out.ravel()
 
 
-def _add_columns(model: MilpModel, tags, *families) -> np.ndarray:
+def _add_columns(model: MilpModel, tags, *families, keep=None) -> np.ndarray:
     """Columns interleaved by period, one per family ``(name prefix, kind, lower, upper)``.
 
-    Bounds are scalars or per period; returns the ids shaped (periods, families).
+    Bounds are scalars or per period.  ``keep``, a (periods, families) mask,
+    leaves out the columns where it is False.  Returns the ids shaped
+    (periods, families), -1 for a column left out.
     """
     prefixes = [f[0] for f in families]
     names = [prefix + tag for tag in tags for prefix in prefixes]
     kinds = [kind for _, kind, _, _ in families]
     kinds = kinds[0] if len(set(kinds)) == 1 else kinds * len(tags)
     lower, upper = (_per_period([f[j] for f in families], len(tags)) for j in (2, 3))
-    return model.add_variables(kinds, lower, upper, names).reshape(len(tags), len(families))
+    if keep is None:
+        return model.add_variables(kinds, lower, upper, names).reshape(len(tags), len(families))
+    kept = np.ravel(keep)
+    ids = np.full(kept.shape, -1)
+    ids[kept] = model.add_variables(_compress(kinds, kept), lower[kept], upper[kept], _compress(names, kept))
+    return ids.reshape(len(tags), len(families))
+
+
+def _compress(items, kept: np.ndarray):
+    """The entries of a per-item list where ``kept`` is True; a single value as it is."""
+    return items if isinstance(items, str) else [item for item, k in zip(items, kept.tolist()) if k]
 
 
 def _flow_block(flow_lists, periods: int):
@@ -333,22 +369,31 @@ def _flow_block(flow_lists, periods: int):
     return cols.reshape(-1, width), coeffs.reshape(-1, width)
 
 
-def _row_block(tags, *families) -> tuple:
+def _row_block(tags, *families, keep=None) -> tuple:
     """Rows interleaved by period, one per family ``(name prefix, flows, relation, rhs)``.
 
-    rhs is a scalar or per period.  Returns the arguments of :meth:`MilpModel.add_rows`.
+    rhs is a scalar or per period.  ``keep``, a (periods, families) mask,
+    leaves out the rows where it is False.  Returns the arguments of
+    :meth:`MilpModel.add_rows`.
     """
     cols, coeffs = _flow_block([flows for _, flows, _, _ in families], len(tags))
     prefixes = [f[0] for f in families]
     names = [prefix + tag for tag in tags for prefix in prefixes]
     relations = [rel for _, _, rel, _ in families] * len(tags)
-    return cols, coeffs, relations, _per_period([f[3] for f in families], len(tags)), names
+    rhs = _per_period([f[3] for f in families], len(tags))
+    if keep is None:
+        return cols, coeffs, relations, rhs, names
+    kept = np.ravel(keep)
+    return cols[kept], coeffs[kept], _compress(relations, kept), rhs[kept], _compress(names, kept)
 
 
-def build_model(case: CaseData, scenario, options: DispatchOptions | None = None):
-    """Assemble the MILP for one scenario; returns (model, VarMap).
+def build_model(case: CaseData, scenario, options: DispatchOptions | None = None, gates=()):
+    """Assemble the model for one scenario; returns (model, VarMap).
 
-    Each per-period family of columns or rows enters the model as one block.
+    ``gates`` holds the (carrier, period) pairs whose store gets a binary
+    that keeps it from charging and discharging at once; with none the
+    model is an LP (see the module docstring).  Each per-period family of
+    columns or rows enters the model as one block.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
@@ -415,14 +460,17 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         flows["p_g_gb"], flows["p_gb_h"] = (g_gb, 1.0), (g_gb, float(gb.efficiencies.get("heat", 0.0)))
         add_ramp("gb", g_gb, gb.capacity_kw, gb.ramp_fraction)
 
+    gates = frozenset(gates)
+    every = np.ones(periods, dtype=bool)
     for sto in case.storages:
         cap = sto.capacity_kwh
         plim = sto.power_limit_fraction * cap
         k = sto.carrier
+        gated = np.array([(k, t) in gates for t in range(periods)], dtype=bool)
         ch, dis, soc, gate = _add_columns(
             model, tags, (f"st_{k}_ch_", CONTINUOUS, 0.0, plim), (f"st_{k}_dis_", CONTINUOUS, 0.0, plim),
             (f"st_{k}_soc_", CONTINUOUS, sto.soc_min_frac * cap, sto.soc_max_frac * cap),
-            (f"st_{k}_gate_", BINARY, 0.0, 1.0),
+            (f"st_{k}_gate_", BINARY, 0.0, 1.0), keep=np.column_stack([every, every, every, gated]),
         ).T
         initial = sto.soc_initial_frac * cap
         # soc[t] - soc[t-1] - charge + discharge = 0, with the initial charge for soc[-1]
@@ -436,9 +484,10 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
             (f"storage_{k}_gate_dis_", [(dis, 1.0), (gate, plim)], LE, plim),
             (f"storage_{k}_soc_", [(soc, 1.0), (ch, -(sto.charge_eff * dt)), (dis, dt / sto.discharge_eff),
                                    (np.roll(soc, 1), prev_coeff)], EQ, soc_rhs),
+            keep=np.column_stack([gated, gated, every]),
         ))
         model.add_rows(soc[-1:, None], 1.0, EQ, initial, [f"storage_{k}_terminal"])
-        vm.storage[k] = StorageBlock(ch, dis, soc, gate)
+        vm.storage[k] = StorageBlock(ch, dis, soc, gate[gated])
 
     vm.dr = build_dr_blocks(case, scenario, model, dec)
 
@@ -578,7 +627,8 @@ class DispatchSolution:
     linearized figures the optimizer priced (None when carbon was excluded
     from the objective).  `objective` is the solver objective, which covers
     purchase, maintenance, compensation, and (when priced) the surrogate
-    carbon cost.
+    carbon cost.  `nodes` and `wall_time` add up the solves of every gate
+    round; the other solver fields are the last round's.
     """
 
     scenario_id: str
@@ -689,6 +739,21 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
 
 
 # -- verification ---------------------------------------------------------------
+
+
+def _storage_overlaps(case: CaseData, storage: dict[str, StorageSchedule]) -> dict[tuple[str, int], float]:
+    """The (carrier, period) pairs where a store charges and discharges at once.
+
+    A pair fails when ``min(charge, discharge) > 1e-6 * max(capacity, 1)``;
+    each failing pair maps to that overlap.
+    """
+    out = {}
+    for k, sched in storage.items():
+        tol = 1e-6 * max(case.storage(k).capacity_kwh, 1.0)
+        for t, (c, d) in enumerate(zip(sched.charge, sched.discharge)):
+            if not min(c, d) <= tol:
+                out[k, t] = min(c, d)
+    return out
 
 
 @dataclass
@@ -832,6 +897,7 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     check("purchase_cap_gas", max(over(v, case.purchase_caps[1]) for v in sol.p_g_buy),
           1e-6 * max(case.purchase_caps[1], 1.0))
 
+    overlaps = _storage_overlaps(case, sol.storage)
     for k, sched in sol.storage.items():
         sto = case.storage(k)
         cap = sto.capacity_kwh
@@ -855,11 +921,7 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
             max(max(over(c, plim), over(d, plim)) for c, d in zip(sched.charge, sched.discharge)),
             tol,
         )
-        check(
-            f"storage_{k}_exclusive",
-            max(min(c, d) for c, d in zip(sched.charge, sched.discharge)),
-            tol,
-        )
+        check(f"storage_{k}_exclusive", max(overlaps.get((k, t), 0.0) for t in range(periods)), tol)
 
     # demand-response arithmetic
     dec = decompose_loads(case)
@@ -985,19 +1047,29 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
 
 
 def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = None) -> DispatchSolution:
-    """Build, solve, extract, and verify one scenario.
+    """Build, solve, extract, and verify one scenario, gating stores on demand.
 
     Raises StaticInfeasibleError / SolveFailedError / VerificationError
     rather than returning a solution that cannot be trusted.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
-    model, vm = build_model(case, scenario, options)
     solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
-    res = solve(model, options)
-    if res.x is None:
-        raise SolveFailedError(scenario.id, res.status, f"bound {res.bound}, nodes {res.nodes}")
-    sol = _extract(case, scenario, vm, res)
+    # gates on demand (module docstring): a round that leaves no ungated
+    # pair overlapping is the last; verify_solution judges the gated ones
+    gates, nodes, wall_time = frozenset(), 0, 0.0
+    while True:
+        model, vm = build_model(case, scenario, options, gates)
+        res = solve(model, options)
+        nodes, wall_time = nodes + res.nodes, wall_time + res.wall_time
+        if res.x is None:
+            raise SolveFailedError(scenario.id, res.status, f"bound {res.bound}, nodes {nodes}")
+        sol = _extract(case, scenario, vm, res)
+        failing = _storage_overlaps(case, sol.storage).keys() - gates
+        if not failing:
+            break
+        gates |= failing
+    sol.nodes, sol.wall_time = nodes, wall_time
     report = verify_solution(case, scenario, sol)
     if not report.passed:
         raise VerificationError(scenario.id, report.failures)

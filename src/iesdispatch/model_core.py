@@ -458,7 +458,9 @@ def load_case(path: str) -> CaseData:
     case = read_case(path)
     report = validate_case(case)
     if report.errors:
-        raise UnitError("; ".join(report.errors[:3]), report.errors[0].split(":")[0])
+        # each error starts with its locator; UnitError puts the first one back in front
+        locator, _, first = report.errors[0].partition(": ")
+        raise UnitError("; ".join([first, *report.errors[1:3]]), locator)
     return case
 
 

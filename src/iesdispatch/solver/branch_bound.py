@@ -9,10 +9,13 @@ Every node gets its parent's basis, so it warm-starts from its own parent
 whatever order nodes are popped in.  The search starts at the root
 relaxation, the first node popped, and always expands the open node with the
 lowest bound.
-The dispatch models branch only on storage gates: their convex cost terms
-(demand-response deviation and the tiered carbon ladder) are exact LPs, so
-the relaxations are tight.  Branching picks the binary closest to 0.5 with
-lowest-index tie-breaks, so runs are deterministic.
+A model without binaries is solved by the root LP alone.  The dispatch
+models are such LPs first: their convex cost terms (demand-response
+deviation and the tiered carbon ladder) are exact LPs, and a storage gate is
+added only in a later round, where the gate-free schedule charges and
+discharges a store at once.  Only those rounds branch, and only on storage
+gates.  Branching picks the binary closest to 0.5 with lowest-index
+tie-breaks, so runs are deterministic.
 
 Incumbents come from "polish" LPs, which re-solve with every binary fixed
 to 0 or 1, so incumbent binaries are exact.  A node whose relaxation is
@@ -24,9 +27,7 @@ node LP's row activities, and otherwise the other value.  If every binary
 rounds, the point is polished; if neither value fits a binary, or the polish
 LP is infeasible, the node just branches.  The node's children carry its LP
 bound, so when the polished incumbent closes the gap the search stops at the
-loop top with that bound, not the incumbent's value.  On the dispatch models
-the root LP rounds to an incumbent within the gap, so every bundled scenario
-is solved by the root and one polish LP.
+loop top with that bound, not the incumbent's value.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ LPs at once in numpy by enumerating their vertices, with no LP solver, so
 agreement with the product is a genuine cross-check rather than a
 self-comparison.  ``brute_force_milp`` solves each leaf LP with scipy HiGHS;
 it is slower and serves as a cross-check of the vertex oracle.
+``every_gate`` names the storage gates of the paper's fully gated dispatch
+model, the reference that gates on demand are compared against.
 """
 
 import itertools
@@ -14,6 +16,11 @@ import numpy as np
 from scipy.optimize import linprog
 
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, linear_form
+
+
+def every_gate(case) -> set[tuple[str, int]]:
+    """Every (carrier, period) pair of a case's stores: ``build_model`` with these gates them all."""
+    return {(sto.carrier, t) for sto in case.storages for t in range(case.horizon.periods)}
 
 
 def random_milp(rng: random.Random, n_binaries: int) -> MilpModel:

@@ -94,7 +94,9 @@ def test_negative_shift_max_exit_2(tmp_path, capsys, negative_shift_case):
     assert rc == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out.count("dr.shift_bounds.electric: max must be >= 0") == 1
-    assert "dr.shift_bounds.electric" in captured.err
+    # the locator once, as validate prints it
+    assert captured.err.count("dr.shift_bounds.electric") == 1
+    assert "case error: dr.shift_bounds.electric: max must be >= 0" in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milp_oracles import every_gate
+
 from iesdispatch import dispatch
 from iesdispatch.dispatch import (
     SCENARIO_IDS,
@@ -22,6 +24,7 @@ from iesdispatch.dispatch import (
     verify_solution,
 )
 from iesdispatch.model_core import default_case_path, load_case, reduce_case, scale_profiles
+from iesdispatch.solver import get_backend, solve_milp
 
 
 def tiny_case(T, elec, gas, heat, wind, price=None, storages=None):
@@ -372,9 +375,74 @@ def test_round_off_gaps_read_zero(bundled_case):
 
 def test_only_storage_gates_are_binary(bundled_case):
     for sid in SCENARIO_IDS:
-        model, vm = build_model(bundled_case, sid)
+        model, vm = build_model(bundled_case, sid, gates=every_gate(bundled_case))
         gates = sorted(vid for blk in vm.storage.values() for vid in blk.gate.tolist())
         assert model.binary_ids() == gates, sid
+        assert build_model(bundled_case, sid)[0].binary_ids() == [], sid
+
+
+def _every_gate_objective(case, scenario, options) -> float:
+    """The objective of the fully gated model, solved by the options' backend."""
+    model, _ = build_model(case, scenario, options, every_gate(case))
+    solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
+    return solve(model, options).objective
+
+
+def _agree(a: float, b: float, gap_tol: float) -> bool:
+    """Both objectives are within gap_tol of one optimum, so of each other."""
+    return abs(a - b) <= gap_tol * max(1.0, abs(a), abs(b))
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+def test_gates_are_added_where_storage_overlaps(bundled_case, monkeypatch, backend):
+    # a heat quota of 2 kg/kWh, above the ~0.5 kg/kWh the gas units emit,
+    # sold at 2 per kg, pays for heat nobody needs; the heat store is its only
+    # sink, and it wastes most by charging and discharging at once
+    case = reduce_case(bundled_case, 4)
+    case = replace(case, carbon=replace(case.carbon, sigma_h=2.0, lambda_base=2.0))
+    options = DispatchOptions(backend=backend, pwl_segments=4)
+    rounds = []  # [gates built with, overlaps found in its solution]
+    build, overlaps = dispatch.build_model, dispatch._storage_overlaps
+
+    def spy_build(case, scenario, options, gates):
+        rounds.append([frozenset(gates), None])
+        return build(case, scenario, options, gates)
+
+    def spy_overlaps(case, storage):
+        found = overlaps(case, storage)
+        if rounds[-1][1] is None:  # the loop's test; verify_solution's comes later
+            rounds[-1][1] = set(found)
+        return found
+
+    monkeypatch.setattr(dispatch, "build_model", spy_build)
+    monkeypatch.setattr(dispatch, "_storage_overlaps", spy_overlaps)
+    sol = run_scenario(case, "S2", options)  # raises unless it verifies
+    monkeypatch.undo()
+    assert len(rounds) >= 2 and rounds[0][0] == frozenset()
+    for (gates, found), (next_gates, _) in zip(rounds, rounds[1:]):
+        assert found - gates and next_gates == gates | found
+    assert rounds[-1][1] <= rounds[-1][0]
+    assert sol.verification.passed
+    assert sol.nodes >= len(rounds)
+    assert _agree(sol.objective, _every_gate_objective(case, "S2", options), options.gap_tol)
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+@settings(max_examples=8, deadline=None)
+@given(
+    scenario=st.sampled_from(SCENARIO_IDS),
+    reduced=st.booleans(),
+    factors=st.fixed_dictionaries(
+        {k: st.floats(min_value=0.9, max_value=1.1) for k in ("electric", "gas", "heat", "wind")}
+    ),
+)
+def test_gates_on_demand_match_every_gate(bundled_case, backend, scenario, reduced, factors):
+    case = scale_profiles(bundled_case, factors)
+    options = DispatchOptions(backend=backend)
+    if reduced:
+        case, options = reduce_case(case, 2), replace(options, pwl_segments=4)
+    sol = run_scenario(case, scenario, options)
+    assert _agree(sol.objective, _every_gate_objective(case, scenario, options), options.gap_tol)
 
 
 def test_full_case_optima_match_the_gated_formulation(bundled_case):

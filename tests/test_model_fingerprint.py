@@ -2,7 +2,9 @@
 
 Each fingerprint is a sha256 over every array ``MilpModel.to_sparse()``
 returns (dtype, shape and bytes), the objective constant, the relation
-codes and the row and column names.  The full S5 fingerprint also covers
+codes and the row and column names.  Each variant is pinned twice: built
+with every storage gate, the paper's model, and built gate-free, as
+``run_scenario`` first solves it.  The full S5 fingerprints also cover
 ``write_lp``.  The digests pin every model bit for bit, so a change to how
 forms, rows and columns are built, stored or emitted cannot move a
 coefficient, a bound, an order or a name unnoticed.
@@ -16,6 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from milp_oracles import every_gate
 
 from iesdispatch.dispatch import SCENARIO_IDS, build_model
 from iesdispatch.lp_format import write_lp
@@ -51,10 +55,12 @@ def fingerprint(model, with_lp: bool = False) -> str:
 
 
 def fingerprints() -> dict[str, str]:
-    return {
-        label: fingerprint(build_model(case, sid)[0], with_lp=label == "full-S5")
-        for label, case, sid in _variants()
-    }
+    out = {}
+    for label, case, sid in _variants():
+        with_lp = label == "full-S5"
+        out[label] = fingerprint(build_model(case, sid, gates=every_gate(case))[0], with_lp)
+        out[f"{label}/gate-free"] = fingerprint(build_model(case, sid)[0], with_lp)
+    return out
 
 
 EXPECTED = {
@@ -71,6 +77,20 @@ EXPECTED = {
     "extraction-S5": "f8db45bf2030fa0d8ffe15bd388c0a70a0141373a27e6b166bca65ed82f8d2ab",
     "literal-eq2-S5": "e4f55da49a806ab25f26b7a99855ada01fedb085b5fa2fbc35e9ce7fcf2fcea8",
     "shift-floor-S4": "e6e9c4d98a819ae8cdff838b29eb64747d64b2e6349419e1dc8abaaefced6f4d",
+    # the same variants without a storage gate
+    "full-S1/gate-free": "6099ad036040e962b51518bf7fd1634887b84d55dd2e75837cfbd1dd709c81d1",
+    "full-S2/gate-free": "5472da973361ee919ee0109e355cb249f806f407da18e791cee40cfffd9f3d65",
+    "full-S3/gate-free": "73e97b70acbf9b07e8d05949ca784648234b8821d501e42243934201d456c73c",
+    "full-S4/gate-free": "bad845df4d6a45c8d3d9fb0c8fb15ee6bd761f150153fe783f9929461f13f6f4",
+    "full-S5/gate-free": "c822493e5aef89810a57ba10e37d6f576d780b06b6f3672a0e09915b3329f051",
+    "reduced-S1/gate-free": "f32600b332ccc0202d8d960014fde8362c41d0f430d58da51b576ecf62299040",
+    "reduced-S2/gate-free": "194dd1c497c883c6fe50bd2128df3843e428ae05044cd8bb6efd70fea2694033",
+    "reduced-S3/gate-free": "fbcc8cbb88553f128c652853d9c74471bccbbebd22dec0d9a1b5bd1cb792ffbc",
+    "reduced-S4/gate-free": "df3f56cc11114c9924df3fd81526e78867b14c837749325bb445f3acd4794cec",
+    "reduced-S5/gate-free": "6e61e9eb10c9ade4b3213e7154359d8e42fbe415df2b0d0dfa204b4cd5bd7167",
+    "extraction-S5/gate-free": "0987948ab5d45d715e33fc34b99e25ccdc0b0f245a7f1696d846a56431f21277",
+    "literal-eq2-S5/gate-free": "07d38e3f2cdb94f0a2fddf7033c80404675c3ba3faaf855b304f795ee6f7035f",
+    "shift-floor-S4/gate-free": "59fb6c432916dec50f339c14be16d3bbab5886d0c1d9bf6c5a1b24ee0ec19d53",
 }
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from milp_oracles import brute_force_milp, check_solution, random_milp, vertex_milp
+from milp_oracles import brute_force_milp, check_solution, every_gate, random_milp, vertex_milp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver.branch_bound import _ScipyCore
 from iesdispatch.solver import (
@@ -348,8 +348,8 @@ def test_bundled_scenarios_solve_at_the_root():
         for sid in SCENARIO_IDS:
             sol = run_scenario(data, sid, options)  # raises unless it verifies
             want = BUNDLED_OPTIMA[name][sid]
-            # the root and one polish LP
-            assert sol.nodes == 2, (name, sid)
+            # one gate-free LP, with no storage overlap to gate
+            assert sol.nodes == 1, (name, sid)
             assert sol.verification.passed
             assert sol.objective <= want + options.gap_tol * abs(want), (name, sid, sol.objective)
 
@@ -441,7 +441,8 @@ def s5_compiled():
     from iesdispatch.dispatch import build_model
     from iesdispatch.model_core import default_case_path, load_case
 
-    model, _ = build_model(load_case(default_case_path()), "S5")
+    case = load_case(default_case_path())
+    model, _ = build_model(case, "S5", gates=every_gate(case))
     c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
     return (c, c0, A, relations, rhs), lb, ub, np.flatnonzero(is_binary)
 
