@@ -118,14 +118,12 @@ def tier_slope(policy, k: int) -> float:
 
 def n_tiers(policy) -> int:
     """Number of priced segments; the printed ladder has 6."""
-    return 6 + int(getattr(policy, "extra_tiers", 0))
+    return 6 + policy.extra_tiers
 
 
 def tier_cost(share: float, policy) -> float:
     """Tiered trading cost; negative shares earn the base-price subsidy."""
     d = policy.interval_d
-    if d <= 0:
-        raise ValueError("interval_d must be > 0")
     if share <= d:
         return policy.lambda_base * share
     k = min(int(math.ceil(share / d)) - 1, n_tiers(policy) - 1)
@@ -172,6 +170,10 @@ def encode_carbon_cost(
     minimising objective drives every s_k down to its max term and the
     returned form equals tier_cost(share) at the optimum; no binaries are
     added.  The objective is the form's only user.
+
+    ``policy`` is the carbon policy of a validated case
+    (``model_core.require_valid``), which holds lambda, alpha >= 0 and
+    interval_d > 0; nothing here checks them again.
     """
     if policy.mechanism == "none":
         return linear_form([])
@@ -182,11 +184,6 @@ def encode_carbon_cost(
         return share.scaled(policy.lambda_base)
 
     lam, alpha, d = policy.lambda_base, policy.alpha_growth, policy.interval_d
-    if lam < 0.0 or alpha < 0.0:
-        raise ValueError(
-            f"tiered cost needs lambda_base >= 0 and alpha_growth >= 0 to be convex "
-            f"(got {lam}, {alpha})"
-        )
     # one knee row s_k - share >= -k*d per tier, as one block; the rhs moves
     # share's constant across
     knees = range(1, n_tiers(policy))

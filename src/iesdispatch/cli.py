@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__
 from .dispatch import (
@@ -244,6 +244,8 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise UsageError(f"grid {text!r}: non-numeric bound") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"grid {text!r}: non-finite bound")
         if step <= 0 or stop < start:
             raise UsageError(f"grid {text!r}: need stop >= start and step > 0")
         count = int(round((stop - start) / step))
@@ -262,32 +264,27 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _options_from_args(args) -> DispatchOptions:
-    # checked even when --reduced replaces the value: a bad flag is an error
-    if args.segments < 1:
-        raise UsageError(f"--segments {args.segments}: need at least 1 segment")
-    # a NaN gap never closes, and negative limits end every solve at once
-    if not (math.isfinite(args.gap) and args.gap >= 0):
-        raise UsageError(f"--gap {args.gap:g}: need a finite gap >= 0")
-    if args.node_limit < 1:
-        raise UsageError(f"--node-limit {args.node_limit}: need at least 1 node")
-    if args.time_limit is not None and not args.time_limit > 0:
-        raise UsageError(f"--time-limit {args.time_limit:g}: need a positive number of seconds")
+    # --jobs is no options field, and a bad value must fail before the output directory is made
     if getattr(args, "jobs", 1) < 1:
         raise UsageError(f"--jobs {args.jobs}: need at least 1 job")
-    return DispatchOptions(
-        pwl_segments=REDUCED_SEGMENTS if args.reduced else args.segments,
-        gap_tol=args.gap,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        backend=args.backend,
-    )
+    try:
+        # --segments is checked even when --reduced replaces it: a bad flag is an error
+        options = DispatchOptions(pwl_segments=args.segments, gap_tol=args.gap,
+                                  node_limit=args.node_limit, time_limit=args.time_limit,
+                                  backend=args.backend)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return replace(options, pwl_segments=REDUCED_SEGMENTS) if args.reduced else options
 
 
 def _load(args):
     path = _resolve_case(args.case)
     case = load_case(path)
     if args.reduced:
-        case = reduce_case(case, REDUCED_FACTOR)
+        try:
+            case = reduce_case(case, REDUCED_FACTOR)
+        except ValueError as exc:
+            raise UsageError(f"--reduced: {exc}") from None
     return path, case
 
 

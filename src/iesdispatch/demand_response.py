@@ -31,10 +31,6 @@ SUBSTITUTE = "substitute"
 DR_TYPES = (SHIFT, SUBSTITUTE)
 
 
-class DrBoundError(ValueError):
-    """Raised when a per-period adjustment window is empty or negative-only."""
-
-
 class DegenerateLoadError(ValueError):
     """Raised when a zero-energy carrier shows a nonzero deviation."""
 
@@ -109,23 +105,6 @@ class DrVarMap:
     compensation: LinearForm = field(default_factory=lambda: linear_form([]))
 
 
-def _adjustment_window(
-    base: Sequence[float],
-    override: tuple[float, float] | None,
-    label: str,
-) -> tuple[list[float], list[float]]:
-    lows, highs = [], []
-    for t, b in enumerate(base):
-        lo, hi = (-b, b) if override is None else override
-        if hi < 0.0:
-            raise DrBoundError(f"{label}: negative upper adjustment {hi} at period {t}")
-        if lo > hi:
-            raise DrBoundError(f"{label}: empty adjustment window [{lo}, {hi}] at period {t}")
-        lows.append(float(lo))
-        highs.append(float(hi))
-    return lows, highs
-
-
 def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
                     dec: LoadDecomposition | None = None) -> DrVarMap:
     """Add reshaping variables and constraints; return the handle map.
@@ -144,6 +123,9 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
     The scenario only contributes its dr_shift / dr_substitute flags;
     carriers are filtered by the case's dr.shift_carriers / subst_carriers.
     ``dec`` is the case's load split when the caller has it already.
+
+    ``case`` is validated (``model_core.require_valid``): mu >= 0, and each
+    shift window has max >= 0 and min <= max.  Nothing here checks them again.
     """
     dr = case.dr
     periods = case.horizon.periods
@@ -162,12 +144,11 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
     for carrier, dtype in enabled:
         base = dec.shiftable_base[carrier] if dtype == SHIFT else dec.substitutable_base[carrier]
         override = dr.shift_bounds.get(carrier) if dtype == SHIFT else None
-        lows, highs = _adjustment_window(base, override, f"{dtype} {carrier}")
+        if override is None:  # the window is +/- each period's base
+            lows, highs = [-float(b) for b in base], [float(b) for b in base]
+        else:
+            lows, highs = [float(override[0])] * periods, [float(override[1])] * periods
         mu = dr.mu_shift if dtype == SHIFT else dr.mu_subst
-        if mu < 0.0:
-            raise ValueError(
-                f"{dtype} compensation mu={mu} must be >= 0 for P_in + P_out to be exact"
-            )
         windows.append(lows)
         mu_dt.append(mu * dt)
         # one (P_in, P_out) column pair per period; the adjustment is P_in - P_out

@@ -81,6 +81,7 @@ from .model_core import (
     MECHANISM_TIERED,
     MECHANISM_TRADITIONAL,
     CaseData,
+    require_valid,
 )
 from .solver import BACKENDS, MilpOptions, get_backend, solve_milp
 
@@ -393,10 +394,12 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     ``gates`` holds the (carrier, period) pairs whose store gets a binary
     that keeps it from charging and discharging at once; with none the
     model is an LP (see the module docstring).  Each per-period family of
-    columns or rows enters the model as one block.
+    columns or rows enters the model as one block.  An invalid case raises
+    UnitError (``require_valid``), the one check the builders rely on.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
+    require_valid(case)
     dec = decompose_loads(case)
     _screen(case, scenario, dec)
     periods = case.horizon.periods
@@ -1050,7 +1053,8 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     """Build, solve, extract, and verify one scenario, gating stores on demand.
 
     Raises StaticInfeasibleError / SolveFailedError / VerificationError
-    rather than returning a solution that cannot be trusted.
+    rather than returning a solution that cannot be trusted, and UnitError
+    (from ``build_model``) for an invalid case.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
@@ -1182,12 +1186,12 @@ class SweepPoint(ScenarioRow):
 
 
 def check_grid(grid) -> list[float]:
-    """The grid as floats; ValueError unless it is non-empty, positive and strictly increasing."""
+    """The grid as floats; ValueError unless it is non-empty, finite, positive and strictly increasing."""
     values = [float(v) for v in grid]
     if not values:
         raise ValueError("empty sweep grid")
-    if any(v <= 0 for v in values):
-        raise ValueError("sweep grid values must be positive")
+    if not all(0 < v < np.inf for v in values):
+        raise ValueError("sweep grid values must be positive and finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep grid must be strictly increasing")
     return values

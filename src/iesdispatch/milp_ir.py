@@ -48,6 +48,12 @@ _RELATIONS = (LE, EQ, GE)
 INF = math.inf
 
 
+def row_bounds(relations, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds of the rows ``a x <relation> rhs``, as HiGHS takes them."""
+    rel = np.asarray(relations, dtype=object)
+    return np.where(rel == LE, -np.inf, rhs), np.where(rel == GE, np.inf, rhs)
+
+
 class ModelError(Exception):
     """Base class for model construction errors."""
 

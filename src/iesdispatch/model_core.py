@@ -14,9 +14,10 @@ All powers are kW (gas as kW-equivalent thermal; `gas_kwh_per_m3` is the
 conversion constant for callers holding volumetric data), energies kWh,
 emission factors kg/kWh, prices currency per kWh or per kg.
 
-Construction never raises on bad numbers: `validate_case` returns a report
-so partially-wrong cases can be inspected.  `load_case` runs the same
-validation and raises `UnitError` on the first hard error.
+Reading refuses a non-finite number (`NaN`, `Infinity`, `1e999`); beyond
+that, construction never raises on bad numbers: `validate_case` returns a
+report so partially-wrong cases can be inspected.  `require_valid` (run by
+`load_case` and `dispatch.build_model`) raises `UnitError` on the first error.
 """
 
 from __future__ import annotations
@@ -239,9 +240,16 @@ def _object(value, path: str, allowed=None) -> dict:
 
 
 def _number(value, path: str) -> float:
+    """Every real number of a case document is read here, so this is the one finiteness check."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number, got {type(value).__name__}", path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"expected a finite number, got {number}", path)
+    return number
 
 
 def _floats(value, path: str, length: int | None = None) -> tuple[float, ...]:
@@ -279,7 +287,7 @@ def _map(value, path: str, keys, base: dict, read) -> dict:
 def _per_carrier(value, path: str, base: dict) -> dict[str, float]:
     """One number for every carrier, or a per-carrier map."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return {k: float(value) for k in CARRIERS}
+        return dict.fromkeys(CARRIERS, _number(value, path))
     if not isinstance(value, dict):
         raise SchemaError("expected a number or per-carrier map", path)
     return _map(value, path, CARRIERS, base, _number)
@@ -453,15 +461,19 @@ def read_case(path: str) -> CaseData:
     return case_from_dict(doc)
 
 
-def load_case(path: str) -> CaseData:
-    """Load, default-fill, and validate a case file."""
-    case = read_case(path)
+def require_valid(case: CaseData) -> CaseData:
+    """`case` itself when `validate_case` finds no error; else UnitError at the first error."""
     report = validate_case(case)
     if report.errors:
         # each error starts with its locator; UnitError puts the first one back in front
         locator, _, first = report.errors[0].partition(": ")
         raise UnitError("; ".join([first, *report.errors[1:3]]), locator)
     return case
+
+
+def load_case(path: str) -> CaseData:
+    """Load, default-fill, and validate a case file."""
+    return require_valid(read_case(path))
 
 
 def _plain(value):

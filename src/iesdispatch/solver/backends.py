@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from ..lp_format import sanitized_names, write_lp
-from ..milp_ir import GE, LE, MilpModel
+from ..milp_ir import MilpModel, row_bounds
 from .branch_bound import (
     MILP_FEASIBLE,
     MILP_INFEASIBLE,
@@ -55,8 +55,7 @@ class ScipyMilpBackend:
             raise BackendUnavailableError(self.name, str(exc))
 
         c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
-        lo = np.where([r == LE for r in relations], -np.inf, rhs)
-        hi = np.where([r == GE for r in relations], np.inf, rhs)
+        lo, hi = row_bounds(relations, rhs)
         kw = {"mip_rel_gap": options.gap_tol, "node_limit": options.node_limit}
         if options.time_limit is not None:
             kw["time_limit"] = options.time_limit

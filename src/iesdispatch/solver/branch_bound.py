@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..milp_ir import GE, LE, MilpModel
+from ..milp_ir import MilpModel, row_bounds
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
 
 MILP_OPTIMAL = "optimal"
@@ -117,10 +117,7 @@ class _ScipyCore:
         n, m = len(c), len(relations)
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        rel = np.asarray(relations, dtype=object)
-        self.row_lower = np.where(rel == LE, -np.inf, rhs)
-        self.row_upper = np.where(rel == GE, np.inf, rhs)
+        self.row_lower, self.row_upper = row_bounds(relations, rhs)
         self.A = csc = csc_array(A)  # the compiled sparse A, or a dense one
         lp = HighsLp()
         lp.num_col_, lp.num_row_ = n, m

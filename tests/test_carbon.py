@@ -19,10 +19,12 @@ from iesdispatch.carbon import (
     tier_slope,
     traditional_cost,
 )
+from iesdispatch.dispatch import build_model
 from iesdispatch.milp_ir import CONTINUOUS, EQ, MilpModel, linear_form
 from iesdispatch.model_core import (
     MECHANISM_NONE,
     MECHANISM_TRADITIONAL,
+    UnitError,
     default_case_path,
     load_case,
 )
@@ -205,10 +207,16 @@ def test_encoding_traditional_and_none(policy):
     assert form.ids.size == 0 and form.constant == 0.0
 
 
-@pytest.mark.parametrize("field", ["alpha_growth", "lambda_base"])
-def test_encoding_rejects_nonconvex_ladder(policy, field):
-    # the epigraph form is exact only for a convex ladder
-    m = MilpModel()
-    act = m.add_variables(CONTINUOUS, 0.0, 10.0, ["act"])
-    with pytest.raises(ValueError, match="convex"):
-        encode_carbon_cost(m, replace(policy, **{field: -0.1}), linear_form(act), linear_form([]))
+NONCONVEX_LADDER = {"alpha_growth": -0.1, "lambda_base": -0.1, "interval_d": 0.0}
+
+
+@pytest.mark.parametrize("field", NONCONVEX_LADDER)
+def test_encoding_rejects_nonconvex_ladder(field):
+    # the epigraph form is exact only for a convex ladder of positive tier width;
+    # the encoding takes a validated case, so build_model refuses the rest at
+    # validate_case's locator
+    case = load_case(default_case_path())
+    bad = replace(case, carbon=replace(case.carbon, **{field: NONCONVEX_LADDER[field]}))
+    with pytest.raises(UnitError) as info:
+        build_model(bad, "S3")
+    assert info.value.locator == f"carbon.{field}"

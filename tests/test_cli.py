@@ -100,6 +100,22 @@ def test_negative_shift_max_exit_2(tmp_path, capsys, negative_shift_case):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_non_finite_case_number_exit_2(tmp_path, capsys):
+    doc = case_to_dict(load_case(default_case_path()))
+    doc["carbon"]["lambda_base"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert '"lambda_base": NaN' in path.read_text(encoding="utf-8")
+    assert run_cli("validate", "--case", str(path)) == cli.EXIT_VALIDATION
+    out = tmp_path / "out"
+    rc = run_cli("solve", "--case", str(path), "--scenario", "S5", "--reduced", "--out", str(out))
+    assert rc == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "INVALID nan.json: carbon.lambda_base: expected a finite number, got nan" in captured.out
+    assert "case error: carbon.lambda_base: expected a finite number, got nan" in captured.err
+    assert not out.exists()
+
+
 def test_validate_unreadable_file_exit_2(tmp_path, capsys):
     junk = tmp_path / "junk.json"
     junk.write_text("{not json", encoding="utf-8")
@@ -295,10 +311,24 @@ def test_missing_case_exit_1(tmp_path, capsys):
 
 
 def test_bad_grid_exit_1(tmp_path, capsys):
-    for grid in ("0.3:0.1:0.1", "0,0.1", "0.3,0.2"):
+    for grid in ("0.3:0.1:0.1", "0,0.1", "0.3,0.2", "0.1:inf:0.1", "0.1:nan:0.1", "0.1,inf", "nan,1"):
         rc = run_cli("sweep", "--param", "lambda", "--grid", grid, "--reduced", "--out", str(tmp_path))
         assert rc == cli.EXIT_USAGE, grid
         assert f"usage error: grid {grid!r}" in capsys.readouterr().err
+
+
+def test_reduced_odd_horizon_exit_1(tmp_path, capsys):
+    doc = case_to_dict(load_case(default_case_path()))
+    doc["horizon"]["periods"] = 23
+    for series in (*doc["loads"].values(), doc["wind"]["profile"], *doc["tariffs"].values()):
+        del series[23:]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("validate", "--case", str(path)) == cli.EXIT_OK
+    out = tmp_path / "out"
+    assert run_cli("solve", "--case", str(path), "--reduced", "--out", str(out)) == cli.EXIT_USAGE
+    assert "usage error: --reduced: factor 2 does not divide 23 periods" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "scenarios"])
@@ -321,19 +351,19 @@ def test_segments_below_one_exit_1(command, extra, tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli(command, "--segments", "0", *extra, "--out", str(out))
     assert rc == cli.EXIT_USAGE
-    assert "usage error: --segments 0" in capsys.readouterr().err
+    assert "usage error: pwl_segments 0: need at least 1 segment" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "--gap", "-1"], "--gap -1"),
-        (["scenarios", "--gap", "nan"], "--gap nan"),
-        (["sweep", "--gap", "inf"], "--gap inf"),
-        (["solve", "--node-limit", "-5"], "--node-limit -5"),
-        (["scenarios", "--time-limit", "-1"], "--time-limit -1"),
-        (["sweep", "--time-limit", "nan"], "--time-limit nan"),
+        (["solve", "--gap", "-1"], "gap_tol -1.0: need a finite gap >= 0"),
+        (["scenarios", "--gap", "nan"], "gap_tol nan"),
+        (["sweep", "--gap", "inf"], "gap_tol inf"),
+        (["solve", "--node-limit", "-5"], "node_limit -5: need at least 1 node"),
+        (["scenarios", "--time-limit", "-1"], "time_limit -1.0: need None or a limit > 0 seconds"),
+        (["sweep", "--time-limit", "nan"], "time_limit nan"),
         (["scenarios", "--jobs", "0"], "--jobs 0"),
         (["sweep", "--jobs", "0"], "--jobs 0"),
     ],

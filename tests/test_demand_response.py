@@ -10,14 +10,13 @@ from iesdispatch.demand_response import (
     SHIFT,
     SUBSTITUTE,
     DegenerateLoadError,
-    DrBoundError,
     build_dr_blocks,
     decompose_loads,
     satisfaction_index,
 )
-from iesdispatch.dispatch import as_scenario
+from iesdispatch.dispatch import as_scenario, build_model
 from iesdispatch.milp_ir import MilpModel
-from iesdispatch.model_core import CARRIERS, default_case_path, load_case, scale_profiles
+from iesdispatch.model_core import CARRIERS, UnitError, default_case_path, load_case, scale_profiles
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +162,17 @@ def test_blocks_substitution_adds_all_carriers(case):
     assert vm.compensation.coeffs.size  # nonzero cost hook
 
 
+# The blocks take a validated case: build_model refuses these at validate_case's locator.
+
+
 def test_blocks_reject_negative_upper_bound(case):
     bad = replace(
         case,
         dr=replace(case.dr, shift_bounds={"electric": (-5.0, -1.0), "gas": None, "heat": None}),
     )
-    with pytest.raises(DrBoundError, match="negative upper adjustment"):
-        build_dr_blocks(bad, as_scenario("S4"), MilpModel())
+    with pytest.raises(UnitError, match="max must be >= 0") as info:
+        build_model(bad, "S4")
+    assert info.value.locator == "dr.shift_bounds.electric"
 
 
 def test_blocks_reject_empty_window(case):
@@ -177,15 +180,17 @@ def test_blocks_reject_empty_window(case):
         case,
         dr=replace(case.dr, shift_bounds={"electric": (5.0, 1.0), "gas": None, "heat": None}),
     )
-    with pytest.raises(DrBoundError, match="empty adjustment window"):
-        build_dr_blocks(bad, as_scenario("S4"), MilpModel())
+    with pytest.raises(UnitError, match="min > max") as info:
+        build_model(bad, "S4")
+    assert info.value.locator == "dr.shift_bounds.electric"
 
 
 def test_blocks_reject_negative_compensation(case):
     # P_in + P_out is the absolute deviation only under a non-negative weight
     bad = replace(case, dr=replace(case.dr, mu_shift=-0.1))
-    with pytest.raises(ValueError, match="compensation"):
-        build_dr_blocks(bad, as_scenario("S4"), MilpModel())
+    with pytest.raises(UnitError, match="compensation coefficients must be >= 0") as info:
+        build_model(bad, "S4")
+    assert info.value.locator == "dr"
 
 
 def test_blocks_literal_eq2_variant_builds(case):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -300,6 +301,18 @@ REJECTED = [
     ("loads-string-value", [(("loads", "electric", 3), "x")], "loads.electric[3]",
      "expected a number, got str"),
     ("loads-bool-value", [(("loads", "gas", 0), True)], "loads.gas[0]", "got bool"),
+    # JSON readers take NaN, Infinity and 1e999 as floats; a case number must be finite
+    ("loads-1e999", [(("loads", "electric", 0), json.loads("1e999"))], "loads.electric[0]",
+     "expected a finite number, got inf"),
+    ("carbon-lambda-nan", [(("carbon",), {"lambda_base": math.nan})], "carbon.lambda_base",
+     "expected a finite number, got nan"),
+    ("carbon-interval-infinity", [(("carbon",), {"interval_d": math.inf})], "carbon.interval_d",
+     "expected a finite number, got inf"),
+    ("dr-mu-nan", [(("dr", "mu_shift"), math.nan)], "dr.mu_shift", "expected a finite number"),
+    ("dr-fraction-nan", [(("dr", "shiftable_fraction"), math.nan)], "dr.shiftable_fraction",
+     "expected a finite number"),
+    ("caps-integer-overflow", [(("purchase_caps",), [10**400, 1])], "purchase_caps[0]",
+     "expected a finite number, got inf"),
     ("wind-number", [(("wind",), 5)], "wind", None),
     ("wind-profile-missing", [(("wind", "profile"), _DROP)], "wind.profile", None),
     ("wind-max-string", [(("wind", "max_kw"), "850")], "wind.max_kw", None),
