@@ -6,8 +6,9 @@ Library layout:
 - demand_response: load decomposition, shift/substitute blocks, satisfaction
 - carbon: quota/actual emission accounting, tiered trading cost
 - milp_ir: solver-agnostic MILP representation and linearization helpers
-- solver: the embedded branch-and-bound search (HiGHS node LPs), the
-  scipy-milp and external backends, and the reference simplex the tests use
+- solver: the embedded backend (an LP on a HiGHS core, HiGHS branch-and-cut
+  for gated rounds), the scipy-milp and external backends, and the
+  reference simplex the tests use
 - dispatch: scenario assembly, solving, verification, sweeps
 - cli: command-line entry points
 """

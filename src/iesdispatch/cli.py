@@ -59,6 +59,7 @@ CASE_DIR_ENV = "IESDISPATCH_CASE_DIR"
 
 REDUCED_FACTOR = 2
 REDUCED_SEGMENTS = 4
+MAX_GRID_POINTS = 10_000  # one solve per point
 
 
 class UsageError(Exception):
@@ -248,6 +249,9 @@ def _parse_grid(text: str) -> list[float]:
             raise UsageError(f"grid {text!r}: non-finite bound")
         if step <= 0 or stop < start:
             raise UsageError(f"grid {text!r}: need stop >= start and step > 0")
+        # counted as a float before any list is built; an overflow to inf fails too
+        if not (stop - start) / step + 1 <= MAX_GRID_POINTS:
+            raise UsageError(f"grid {text!r}: more than {MAX_GRID_POINTS} points")
         count = int(round((stop - start) / step))
         if abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
             raise UsageError(f"grid {text!r}: step does not divide the span")

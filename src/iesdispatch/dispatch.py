@@ -87,7 +87,7 @@ from .solver import BACKENDS, MilpOptions, get_backend, solve_milp
 
 ELECTRIC, GAS, HEAT = CARRIERS
 
-# the embedded branch and bound, then the solver registry's backends
+# the embedded backend (solve_milp), then the solver registry's backends
 BACKEND_NAMES = ("embedded", *BACKENDS)
 
 

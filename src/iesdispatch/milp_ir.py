@@ -390,8 +390,8 @@ class MilpModel:
     def to_dense(self):
         """:meth:`to_sparse` with A as a dense ndarray.
 
-        For the embedded reference simplex and tests; the branch-and-bound
-        core and the scipy-milp backend take the sparse form.
+        For the reference simplex and tests; the HiGHS LP core and
+        branch-and-cut take the sparse form.
         """
         c, c0, A, relations, rhs, lb, ub, is_binary = self.to_sparse()
         return c, c0, A.toarray(), relations, rhs, lb, ub, is_binary

@@ -512,12 +512,15 @@ def _finite(x) -> bool:
 
 
 def validate_case(case: CaseData) -> ValidationReport:
-    """Check every type invariant; returns a report instead of raising."""
+    """Check every type invariant; returns a report instead of raising.
+
+    Each test fails for NaN: it is written ``not v >= 0``, never ``v < 0``.
+    """
     rep = ValidationReport()
     err, warn = rep.errors.append, rep.warnings.append
     T = case.horizon.periods
 
-    if T < 1:
+    if not T >= 1:
         err("horizon.periods: must be >= 1")
     if not case.horizon.step_hours > 0:
         err("horizon.step_hours: must be > 0")
@@ -529,14 +532,14 @@ def validate_case(case: CaseData) -> ValidationReport:
             continue
         if len(prof.values) != T:
             err(f"loads.{k}: length {len(prof.values)} != horizon.periods {T}")
-        if any(v < 0 for v in prof.values):
+        if not all(v >= 0 for v in prof.values):
             err(f"loads.{k}: negative load value")
 
     if len(case.wind_profile) != T:
         err(f"wind.profile: length {len(case.wind_profile)} != horizon.periods {T}")
-    if any(v < 0 for v in case.wind_profile):
+    if not all(v >= 0 for v in case.wind_profile):
         err("wind.profile: negative value")
-    if case.wind_max_kw < 0:
+    if not case.wind_max_kw >= 0:
         err("wind.max_kw: must be >= 0")
 
     for name, prices in (
@@ -545,7 +548,7 @@ def validate_case(case: CaseData) -> ValidationReport:
     ):
         if len(prices) != T:
             err(f"{name}: length {len(prices)} != horizon.periods {T}")
-        if any(p < 0 for p in prices):
+        if not all(p >= 0 for p in prices):
             err(f"{name}: negative price")
 
     seen_conv = set()
@@ -588,20 +591,20 @@ def validate_case(case: CaseData) -> ValidationReport:
     cb = case.carbon
     if cb.mechanism not in (MECHANISM_NONE, MECHANISM_TRADITIONAL, MECHANISM_TIERED):
         err(f"carbon.mechanism: unknown {cb.mechanism!r}")
-    if cb.lambda_base < 0:
+    if not cb.lambda_base >= 0:
         err("carbon.lambda_base: must be >= 0")
-    if cb.alpha_growth < 0:
+    if not cb.alpha_growth >= 0:
         err("carbon.alpha_growth: must be >= 0")
     if not cb.interval_d > 0:
         err("carbon.interval_d: must be > 0")
-    if cb.coal_quad[2] < 0:
+    if not cb.coal_quad[2] >= 0:
         err("carbon.coal_quad: quadratic coefficient must be >= 0 (convex)")
-    if cb.gas_quad[2] < 0:
+    if not cb.gas_quad[2] >= 0:
         err("carbon.gas_quad: quadratic coefficient must be >= 0 (convex)")
     for f in ("sigma_e", "sigma_h", "sigma_gload", "sigma_eh", "delta_gasload", "theta_p2g"):
-        if getattr(cb, f) < 0:
+        if not getattr(cb, f) >= 0:
             err(f"carbon.{f}: must be >= 0")
-    if cb.extra_tiers < 0:
+    if not cb.extra_tiers >= 0:
         err("carbon.extra_tiers: must be >= 0")
 
     dr = case.dr
@@ -612,25 +615,25 @@ def validate_case(case: CaseData) -> ValidationReport:
             err(f"dr.shiftable_fraction.{k}: must be in [0, 1]")
         if not 0 <= cf <= 1:
             err(f"dr.substitutable_fraction.{k}: must be in [0, 1]")
-        if sf + cf > 1:
+        if sf + cf > 1:  # a NaN fraction fails the range test above
             err(f"dr.{k}: DR fractions exceed 1 ({sf} + {cf})")
         bounds = dr.shift_bounds.get(k)
-        if bounds is not None and bounds[0] > bounds[1]:
-            err(f"dr.shift_bounds.{k}: min > max")
         # the max bounds the load shifted in, which cannot be negative
-        if bounds is not None and bounds[1] < 0:
+        if bounds is not None and not bounds[1] >= 0:
             err(f"dr.shift_bounds.{k}: max must be >= 0")
-        if dr.subst_conversion.get(k, 1.0) <= 0:
+        elif bounds is not None and not bounds[0] <= bounds[1]:
+            err(f"dr.shift_bounds.{k}: min > max")
+        if not dr.subst_conversion.get(k, 1.0) > 0:
             err(f"dr.subst_conversion.{k}: must be > 0")
     if not 0 <= dr.satisfaction_min <= 1:
         err("dr.satisfaction_min: must be in [0, 1]")
-    if dr.mu_shift < 0 or dr.mu_subst < 0:
+    if not (dr.mu_shift >= 0 and dr.mu_subst >= 0):
         err("dr: compensation coefficients must be >= 0")
 
-    if case.purchase_caps[0] < 0 or case.purchase_caps[1] < 0:
+    if not (case.purchase_caps[0] >= 0 and case.purchase_caps[1] >= 0):
         err("purchase_caps: must be >= 0")
     for k, v in case.maintenance.items():
-        if v < 0:
+        if not v >= 0:
             err(f"maintenance.{k}: must be >= 0")
     if not case.gas_kwh_per_m3 > 0:
         err("gas_kwh_per_m3: must be > 0")

@@ -1,4 +1,9 @@
-"""Exact MILP solving: reference simplex, branch-and-bound, backend registry."""
+"""MILP solving: the embedded backend, the backend registry, the reference simplex.
+
+The embedded backend (`solve_milp`) solves an LP on its HiGHS core and hands
+a model with binaries to HiGHS branch-and-cut.  The reference simplex
+(`solve_lp`) is a test reference: no other module of the package imports it.
+"""
 
 from .simplex import LpSolution, NumericalFailure, solve_lp
 from .branch_bound import MilpOptions, MilpSolution, solve_milp

@@ -1,10 +1,11 @@
 """Solver backends behind a single contract: solve(model, options) -> MilpSolution.
 
-The embedded branch-and-bound is not one of them: `run_scenario` calls
-`solve_milp` directly for the default backend "embedded".
+The embedded backend is not one of them: `run_scenario` calls `solve_milp`
+directly for the default backend "embedded".
 
-- "scipy-milp": scipy.optimize.milp (HiGHS branch-and-cut), used as an
-  independent cross-check.
+- "scipy-milp": scipy.optimize.milp (HiGHS branch-and-cut) on every model,
+  LP or not, used as a cross-check.  It shares `highs_milp` with the
+  embedded backend, which calls it only for a model with binaries.
 - "external": runs a user-supplied command on the LP-format export.  The
   command comes from the IESDISPATCH_EXTERNAL_SOLVER environment variable and
   receives the LP path and the solution path as arguments.  It is split by
@@ -25,16 +26,8 @@ import time
 import numpy as np
 
 from ..lp_format import sanitized_names, write_lp
-from ..milp_ir import MilpModel, row_bounds
-from .branch_bound import (
-    MILP_FEASIBLE,
-    MILP_INFEASIBLE,
-    MILP_LIMIT,
-    MILP_OPTIMAL,
-    MILP_UNBOUNDED,
-    MilpOptions,
-    MilpSolution,
-)
+from ..milp_ir import MilpModel
+from .branch_bound import FEASIBLE, OPTIMAL, MilpOptions, MilpSolution, highs_milp
 
 ENV_EXTERNAL = "IESDISPATCH_EXTERNAL_SOLVER"
 
@@ -49,57 +42,7 @@ class ScipyMilpBackend:
     name = "scipy-milp"
 
     def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
-        try:
-            from scipy.optimize import Bounds, LinearConstraint, milp
-        except ImportError as exc:  # pragma: no cover
-            raise BackendUnavailableError(self.name, str(exc))
-
-        c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
-        lo, hi = row_bounds(relations, rhs)
-        kw = {"mip_rel_gap": options.gap_tol, "node_limit": options.node_limit}
-        if options.time_limit is not None:
-            kw["time_limit"] = options.time_limit
-        t0 = time.perf_counter()
-        cons = [LinearConstraint(A, lo, hi)] if A.shape[0] else []
-        res = milp(
-            c=c,
-            constraints=cons,
-            integrality=is_binary.astype(int),
-            bounds=Bounds(lb, ub),
-            options=kw,
-        )
-        wall = time.perf_counter() - t0
-        status = {
-            0: MILP_OPTIMAL,
-            1: MILP_LIMIT,
-            2: MILP_INFEASIBLE,
-            3: MILP_UNBOUNDED,
-        }.get(res.status, MILP_LIMIT)
-        x = obj = None
-        bound, gap, nodes = -np.inf, np.inf, 0
-        if res.x is not None:
-            x = np.asarray(res.x, dtype=float)
-            x[is_binary] = np.round(x[is_binary])
-            obj = float(c @ x) + c0
-            if status == MILP_LIMIT:
-                status = MILP_FEASIBLE
-        if getattr(res, "mip_dual_bound", None) is not None:
-            bound = float(res.mip_dual_bound) + c0
-        elif status == MILP_OPTIMAL and obj is not None:
-            bound = obj
-        if obj is not None:
-            gap = max((obj - bound) / max(1.0, abs(obj)), 0.0)
-        if getattr(res, "mip_node_count", None) is not None:
-            nodes = int(res.mip_node_count)
-        return MilpSolution(
-            status=status,
-            objective=obj,
-            x=x,
-            bound=bound,
-            gap=gap,
-            nodes=max(nodes, 1),
-            wall_time=wall,
-        )
+        return highs_milp(model.to_sparse(), options)
 
 
 class ExternalBackend:
@@ -132,8 +75,8 @@ class ExternalBackend:
             except (OSError, ValueError) as exc:  # ValueError covers bad numbers and bad UTF-8
                 raise BackendUnavailableError(self.name, f"unreadable solution file: {exc}") from None
         wall = time.perf_counter() - t0
-        bound = obj if status == MILP_OPTIMAL and obj is not None else -np.inf
-        gap = 0.0 if status == MILP_OPTIMAL and obj is not None else np.inf
+        bound = obj if status == OPTIMAL and obj is not None else -np.inf
+        gap = 0.0 if status == OPTIMAL and obj is not None else np.inf
         return MilpSolution(
             status=status,
             objective=obj,
@@ -151,7 +94,7 @@ class ExternalBackend:
             pairs = dict(line.strip().split("=", 1) for line in fh if "=" in line and line.strip())
         status = pairs.pop("status", "limit")
         objective = pairs.pop("objective", None)
-        if status not in (MILP_OPTIMAL, MILP_FEASIBLE) or objective is None:
+        if status not in (OPTIMAL, FEASIBLE) or objective is None:
             return status, None, None
         obj = float(objective)
         x = np.zeros(len(names))

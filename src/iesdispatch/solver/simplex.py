@@ -14,15 +14,10 @@ produce identical pivot sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..milp_ir import EQ, GE, LE, MilpModel
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
+from .branch_bound import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -36,21 +31,6 @@ _PIV_TOL = 1e-10
 
 class NumericalFailure(Exception):
     """Feasibility/optimality could not be certified within tolerance."""
-
-
-@dataclass
-class LpSolution:
-    """LP outcome; `basis` is the HiGHS core's warm-start token."""
-
-    status: str
-    objective: float | None = None
-    x: np.ndarray | None = None
-    duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
-    iterations: int = 0
-    infeasibility: float = 0.0
-    farkas: np.ndarray | None = None
-    basis: object = None
 
 
 class _Simplex:

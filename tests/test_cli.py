@@ -64,6 +64,7 @@ def test_parse_grid_comma_list():
         ("", "empty"),
         ("0,0.1", "positive"),
         ("0.3,0.2", "strictly increasing"),
+        ("0.1:0.6:1e-6", "more than 10000 points"),
     ],
 )
 def test_parse_grid_rejects(text, message):
@@ -183,7 +184,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert set(meta) == {"case_file", "case_hash", "scenario", "solver_options", "version"}
     assert meta["scenario"] == "S3"
     assert meta["solver_options"] == {
-        "backend": "embedded", "gap_tol": 0.0001, "int_tol": 1e-06, "node_limit": 200000,
+        "backend": "embedded", "gap_tol": 0.0001, "node_limit": 200000,
         "pwl_segments": 4, "time_limit": None,
     }
 
@@ -311,7 +312,8 @@ def test_missing_case_exit_1(tmp_path, capsys):
 
 
 def test_bad_grid_exit_1(tmp_path, capsys):
-    for grid in ("0.3:0.1:0.1", "0,0.1", "0.3,0.2", "0.1:inf:0.1", "0.1:nan:0.1", "0.1,inf", "nan,1"):
+    for grid in ("0.3:0.1:0.1", "0,0.1", "0.3,0.2", "0.1:inf:0.1", "0.1:nan:0.1", "0.1,inf", "nan,1",
+                 "0.1:0.6:1e-6"):
         rc = run_cli("sweep", "--param", "lambda", "--grid", grid, "--reduced", "--out", str(tmp_path))
         assert rc == cli.EXIT_USAGE, grid
         assert f"usage error: grid {grid!r}" in capsys.readouterr().err

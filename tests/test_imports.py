@@ -50,3 +50,25 @@ def test_checker_flags_an_unread_import():
     source = ("from __future__ import annotations\nimport math\nimport os.path\nfrom x import a, b as c\n"
               "import json  # noqa: F401\nfrom y import (  # noqa: F401\n    d,\n)\nc(os)\n")
     assert unused_imports(source) == ["line 2: math", "line 4: a"]
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of the modules a package module imports, and of the names it imports from them."""
+    package = ["iesdispatch", *path.relative_to(PACKAGE).parent.parts]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package[:len(package) + 1 - node.level] if node.level else []
+            base = ".".join(parts + ([node.module] if node.module else []))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_solver_package_imports_the_reference_simplex():
+    # the reference simplex is a test oracle; the package re-exports it but never runs it
+    importers = [_module_id(p) for p in sorted(PACKAGE.rglob("*.py"))
+                 if "iesdispatch.solver.simplex" in _imported_modules(p)]
+    assert importers == ["solver/__init__.py"]

@@ -7,6 +7,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
+from iesdispatch.dispatch import build_model
 from iesdispatch.model_core import (
     CARRIERS,
     CaseData,
@@ -113,6 +114,42 @@ def test_validate_warns_on_ratio_outside_bracket(case):
     report = validate_case(narrowed)
     assert report.errors == []
     assert any("forced off" in w for w in report.warnings)
+
+
+NAN = float("nan")
+
+
+def _nan_load(c):
+    values = (NAN, *c.loads["electric"].values[1:])
+    return replace(c, loads={**c.loads, "electric": CarrierProfile("electric", values)})
+
+
+# each of these once passed validation: its test was written ``v < 0``
+@pytest.mark.parametrize("edit, locator", [
+    (lambda c: _sub(c, "carbon", lambda_base=NAN), "carbon.lambda_base"),
+    (lambda c: _sub(c, "carbon", alpha_growth=NAN), "carbon.alpha_growth"),
+    (lambda c: _sub(c, "carbon", sigma_e=NAN), "carbon.sigma_e"),
+    (lambda c: _sub(c, "carbon", coal_quad=(0.0, 0.9, NAN)), "carbon.coal_quad"),
+    (lambda c: _sub(c, "dr", mu_shift=NAN), "dr"),
+    (lambda c: _sub(c, "dr", subst_conversion={**c.dr.subst_conversion, "gas": NAN}),
+     "dr.subst_conversion.gas"),
+    (lambda c: _sub(c, "dr", shift_bounds={**c.dr.shift_bounds, "heat": (0.0, NAN)}),
+     "dr.shift_bounds.heat"),
+    (_nan_load, "loads.electric"),
+    (lambda c: replace(c, wind_max_kw=NAN), "wind.max_kw"),
+    (lambda c: replace(c, wind_profile=(NAN, *c.wind_profile[1:])), "wind.profile"),
+    (lambda c: _sub(c, "tariffs", gas_price=(NAN, *c.tariffs.gas_price[1:])), "tariffs.gas"),
+    (lambda c: replace(c, purchase_caps=(NAN, c.purchase_caps[1])), "purchase_caps"),
+    (lambda c: replace(c, maintenance={**c.maintenance, "GT": NAN}), "maintenance.GT"),
+], ids=["lambda_base", "alpha_growth", "sigma_e", "coal_quad", "mu_shift", "subst_conversion",
+        "shift_bounds", "load", "wind_max_kw", "wind_profile", "gas_price", "purchase_caps",
+        "maintenance"])
+def test_validate_rejects_nan(case, edit, locator):
+    bad = edit(case)
+    assert [e.partition(": ")[0] for e in validate_case(bad).errors] == [locator]
+    with pytest.raises(UnitError) as info:
+        build_model(bad, "S5")
+    assert info.value.locator == locator
 
 
 # -- serialization ---------------------------------------------------------------

@@ -279,14 +279,14 @@ def test_vertex_oracle_matches_linprog_enumeration():
     assert min(seen.values()) >= 5, seen
 
 
-# -- lock rounding -------------------------------------------------------------------
+# -- rounding models ---------------------------------------------------------------
 
 
 def _rounding_case(blocked: bool) -> MilpModel:
-    # min -y - 0.001 z with y + z <= 1.6: the root relaxation is y = 1,
-    # z = 0.6, and z's nearer value 1 breaks that row at y = 1.  With
-    # y >= 0.9 no polish can repair it.  "blocked" relaxes y >= 0 and adds
-    # y + 2 z >= 2.1, which z = 0 breaks, so neither value fits.
+    # min -y - 0.001 z with y + z <= 1.6: the LP relaxation is y = 1,
+    # z = 0.6, and rounding z to its nearer value 1 breaks that row at
+    # y = 1, which y >= 0.9 cannot repair.  "blocked" relaxes y >= 0 and
+    # adds y + 2 z >= 2.1, which z = 0 breaks, so neither rounding fits.
     m = MilpModel()
     z, y = m.add_variables([BINARY, CONTINUOUS], [0.0, 0.0 if blocked else 0.9], 1.0, ["z", "y"])
     m.add_rows([[y, z]], 1.0, LE, 1.6, ["cap"])
@@ -296,35 +296,13 @@ def _rounding_case(blocked: bool) -> MilpModel:
     return m
 
 
-def test_lock_rounding_takes_the_value_the_rows_allow():
-    m = _rounding_case(blocked=False)
-    res = solve_milp(m, MilpOptions(gap_tol=1e-3))
-    # the root and one polish LP: z rounds down, the value every row allows
-    assert (res.status, res.nodes) == ("optimal", 2)
-    assert res.x[0] == 0.0
-    ref_status, ref_obj = brute_force_milp(m)
-    assert ref_status == "optimal"
-    assert res.objective == pytest.approx(ref_obj, abs=1e-9)
-
-
-def test_lock_rounding_branches_when_neither_value_fits():
-    m = _rounding_case(blocked=True)
+@pytest.mark.parametrize("blocked", [False, True], ids=["open", "blocked"])
+def test_rounding_cases_match_enumeration(blocked):
+    m = _rounding_case(blocked)
     res = solve_milp(m, MilpOptions(gap_tol=1e-3))
     ref_status, ref_obj = brute_force_milp(m)
     assert res.status == ref_status == "optimal"
     assert res.objective == pytest.approx(ref_obj, abs=1e-9)
-    # the root, its two children and the polish of the integral z = 1 child
-    assert res.nodes == 4
-
-
-def test_rounded_incumbent_within_gap_reports_the_lp_bound():
-    # the polished rounding (-1) sits above the root LP (-1.0006) but within
-    # gap_tol, so the search stops at the root and reports the LP bound
-    res = solve_milp(_rounding_case(blocked=False), MilpOptions(gap_tol=1e-3))
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-1.0, abs=1e-9)
-    assert res.bound == pytest.approx(-1.0006, abs=1e-9)
-    assert res.gap == pytest.approx(6e-4, rel=1e-6)
 
 
 # Bundled optima before lock rounding: the gated formulation's full-case
@@ -384,15 +362,14 @@ def _status_case(kind: str) -> MilpModel:
     return m
 
 
+@pytest.mark.parametrize("solve", [solve_milp, get_backend("scipy-milp").solve], ids=["embedded", "scipy-milp"])
 @pytest.mark.parametrize(
-    "kind, status, nodes",
-    [("infeasible node", "infeasible", 3), ("infeasible root", "infeasible", 1),
-     ("unbounded root", "unbounded", 1)],
+    "kind, status",
+    [("infeasible node", "infeasible"), ("infeasible root", "infeasible"), ("unbounded root", "unbounded")],
 )
-def test_scipy_core_milp_statuses(kind, status, nodes):
-    # the root is solved once: an infeasible node costs the root and two children
-    res = solve_milp(_status_case(kind))
-    assert (res.status, res.x, res.nodes) == (status, None, nodes)
+def test_scipy_core_milp_statuses(kind, status, solve):
+    res = solve(_status_case(kind), MilpOptions())
+    assert (res.status, res.x) == (status, None)
 
 
 @pytest.mark.parametrize(
