@@ -12,7 +12,8 @@ scenario, solver options, and code version.  Outputs are deterministic:
 fixed six-decimal formatting, UTF-8, LF line endings, no timestamps.
 
 Exit codes: 0 success, 1 usage error or unavailable backend, 2 validation
-failure, 3 infeasible, 4 solver limit or unverifiable result.
+failure, 3 infeasible, 4 solver limit, numerical failure of the LP core or
+unverifiable result.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .model_core import (
     reduce_case,
     validate_case,
 )
-from .solver import BackendUnavailableError
+from .solver import BackendUnavailableError, NumericalFailure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -411,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seconds per solve")
         p.add_argument("--backend", default=DispatchOptions.backend, choices=BACKEND_NAMES)
         p.add_argument("--reduced", action="store_true",
-                       help="halve the horizon and use 4 segments (fast CI mode)")
+                       help="halve the horizon and use 4 segments")
         if scenario_default is not None:
             p.add_argument("--scenario", default=scenario_default, choices=SCENARIO_IDS)
 
@@ -459,6 +460,9 @@ def main(argv=None) -> int:
     except BackendUnavailableError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NumericalFailure as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

@@ -37,56 +37,18 @@ class DegenerateLoadError(ValueError):
 
 @dataclass(frozen=True)
 class LoadDecomposition:
-    """Per-carrier split of each load profile into fixed/flexible parts, kW."""
+    """Per-carrier flexible parts of each load profile, kW; the rest of the load is fixed."""
 
-    fixed: dict[str, tuple[float, ...]]
     shiftable_base: dict[str, tuple[float, ...]]
     substitutable_base: dict[str, tuple[float, ...]]
 
 
-def _exact_remainder(total: float, part_a: float, part_b: float) -> float:
-    # remainder r with (r + part_a) + part_b == total bit-exact; the error is
-    # ulp-scale so the correction settles within a couple of rounds
-    r = total - part_a - part_b
-    for _ in range(4):
-        err = (r + part_a + part_b) - total
-        if err == 0.0:
-            break
-        r -= err
-    return r
-
-
 def decompose_loads(case: CaseData) -> LoadDecomposition:
-    """Split every load profile by the configured flexible fractions.
-
-    The shiftable and substitutable parts are the configured fractions of
-    each period's load; the fixed part is the remainder, corrected so the
-    float sum reproduces the input exactly.  A negative remainder (possible
-    only when the fractions sum to 1 within rounding) rolls into the
-    substitutable part so all components stay non-negative.
-    """
-    fixed: dict[str, tuple[float, ...]] = {}
-    shiftable: dict[str, tuple[float, ...]] = {}
-    substitutable: dict[str, tuple[float, ...]] = {}
-    for carrier in CARRIERS:
-        load = case.loads[carrier].values
-        f_p = case.dr.shiftable_fraction.get(carrier, 0.0)
-        f_c = case.dr.substitutable_fraction.get(carrier, 0.0)
-        fx, sh, su = [], [], []
-        for p in load:
-            a = f_p * p
-            b = f_c * p
-            r = _exact_remainder(p, a, b)
-            if r < 0.0:
-                r = 0.0
-                b = _exact_remainder(p, a, 0.0)
-            fx.append(r)
-            sh.append(a)
-            su.append(b)
-        fixed[carrier] = tuple(fx)
-        shiftable[carrier] = tuple(sh)
-        substitutable[carrier] = tuple(su)
-    return LoadDecomposition(fixed, shiftable, substitutable)
+    """Each period's shiftable and substitutable load: its configured fraction of that period's load."""
+    return LoadDecomposition(*(
+        {k: tuple(fractions.get(k, 0.0) * p for p in case.loads[k].values) for k in CARRIERS}
+        for fractions in (case.dr.shiftable_fraction, case.dr.substitutable_fraction)
+    ))
 
 
 @dataclass

@@ -12,20 +12,22 @@ demand-response levers are active:
   S4  S3 plus time-shift demand response
   S5  S4 plus cross-carrier load substitution
 
-`build_model` emits the model for one scenario; `run_scenario` solves it and
-refuses to return a solution that fails independent verification;
-`run_all_scenarios` produces the five-row comparison table and
+`build_model` emits the gate-free model for one scenario; `run_scenario`
+solves it and refuses to return a solution that fails independent
+verification; `run_all_scenarios` produces the five-row comparison table and
 `sweep_lambda` / `sweep_interval` the carbon-policy sensitivity series.
 
 Storage gates on demand.  The paper's model gives each store one binary
 per period that stops it from charging and discharging at once.
-`build_model` adds that gate (the binary and its two rows) only for the
-(carrier, period) pairs it is given.  `run_scenario` first solves the
-model with no gate, which is an LP.  It then applies the exclusivity test
-of `verify_solution` to the schedule, gates the pairs that fail, and
-solves again, until no ungated pair fails.  Each round adds at least one
-gate, and with every gate the model is the paper's, so the loop ends.
-The result is as good as a solve of the fully gated model:
+`build_model` builds the model without any gate, which is an LP, and
+`add_gates` appends the gate (the binary and its two rows) to a built
+model for the (carrier, period) pairs it is given.  `run_scenario` builds
+the gate-free model once and solves it.  It then applies the exclusivity
+test of `verify_solution` to the schedule, appends the gates of the pairs
+that fail to the same model, and solves again, until no ungated pair
+fails.  Each round adds at least one gate, and with every gate the model
+is the paper's, so the loop ends.  The result is as good as a solve of
+the fully gated model:
 
 - every gate only cuts the feasible set, so the optimum of a model with
   fewer gates is a lower bound on that of the fully gated model;
@@ -181,7 +183,8 @@ class DispatchOptions(MilpOptions):
 
     :class:`MilpOptions` with a 1e-4 default gap, plus the segments per
     linearized emission curve and the backend, one of ``BACKEND_NAMES``.
-    Every backend takes them as they are.  Fields are keyword-only, and a
+    The embedded and scipy-milp backends take them as they are; external
+    passes none of them to its command.  Fields are keyword-only, and a
     bad one raises ValueError at construction.
     """
 
@@ -202,12 +205,12 @@ class DispatchOptions(MilpOptions):
 
 @dataclass
 class StorageBlock:
-    """Column ids of one storage unit, one per period; the gates only for the gated periods."""
+    """Column ids of one storage unit, one per period; ``gate`` maps each gated period to its binary."""
 
     charge: np.ndarray
     discharge: np.ndarray
     soc: np.ndarray
-    gate: np.ndarray
+    gate: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -332,29 +335,14 @@ def _per_period(values, periods: int) -> np.ndarray:
     return out.ravel()
 
 
-def _add_columns(model: MilpModel, tags, *families, keep=None) -> np.ndarray:
-    """Columns interleaved by period, one per family ``(name prefix, kind, lower, upper)``.
+def _add_columns(model: MilpModel, tags, *families) -> np.ndarray:
+    """Continuous columns interleaved by period, one per family ``(name prefix, lower, upper)``.
 
-    Bounds are scalars or per period.  ``keep``, a (periods, families) mask,
-    leaves out the columns where it is False.  Returns the ids shaped
-    (periods, families), -1 for a column left out.
+    Bounds are scalars or per period.  Returns the ids shaped (periods, families).
     """
-    prefixes = [f[0] for f in families]
-    names = [prefix + tag for tag in tags for prefix in prefixes]
-    kinds = [kind for _, kind, _, _ in families]
-    kinds = kinds[0] if len(set(kinds)) == 1 else kinds * len(tags)
-    lower, upper = (_per_period([f[j] for f in families], len(tags)) for j in (2, 3))
-    if keep is None:
-        return model.add_variables(kinds, lower, upper, names).reshape(len(tags), len(families))
-    kept = np.ravel(keep)
-    ids = np.full(kept.shape, -1)
-    ids[kept] = model.add_variables(_compress(kinds, kept), lower[kept], upper[kept], _compress(names, kept))
-    return ids.reshape(len(tags), len(families))
-
-
-def _compress(items, kept: np.ndarray):
-    """The entries of a per-item list where ``kept`` is True; a single value as it is."""
-    return items if isinstance(items, str) else [item for item, k in zip(items, kept.tolist()) if k]
+    names = [f[0] + tag for tag in tags for f in families]
+    lower, upper = (_per_period([f[j] for f in families], len(tags)) for j in (1, 2))
+    return model.add_variables(CONTINUOUS, lower, upper, names).reshape(len(tags), len(families))
 
 
 def _flow_block(flow_lists, periods: int):
@@ -370,30 +358,23 @@ def _flow_block(flow_lists, periods: int):
     return cols.reshape(-1, width), coeffs.reshape(-1, width)
 
 
-def _row_block(tags, *families, keep=None) -> tuple:
+def _row_block(tags, *families) -> tuple:
     """Rows interleaved by period, one per family ``(name prefix, flows, relation, rhs)``.
 
-    rhs is a scalar or per period.  ``keep``, a (periods, families) mask,
-    leaves out the rows where it is False.  Returns the arguments of
+    rhs is a scalar or per period.  Returns the arguments of
     :meth:`MilpModel.add_rows`.
     """
     cols, coeffs = _flow_block([flows for _, flows, _, _ in families], len(tags))
-    prefixes = [f[0] for f in families]
-    names = [prefix + tag for tag in tags for prefix in prefixes]
+    names = [f[0] + tag for tag in tags for f in families]
     relations = [rel for _, _, rel, _ in families] * len(tags)
-    rhs = _per_period([f[3] for f in families], len(tags))
-    if keep is None:
-        return cols, coeffs, relations, rhs, names
-    kept = np.ravel(keep)
-    return cols[kept], coeffs[kept], _compress(relations, kept), rhs[kept], _compress(names, kept)
+    return cols, coeffs, relations, _per_period([f[3] for f in families], len(tags)), names
 
 
-def build_model(case: CaseData, scenario, options: DispatchOptions | None = None, gates=()):
-    """Assemble the model for one scenario; returns (model, VarMap).
+def build_model(case: CaseData, scenario, options: DispatchOptions | None = None):
+    """Assemble the gate-free model for one scenario; returns (model, VarMap).
 
-    ``gates`` holds the (carrier, period) pairs whose store gets a binary
-    that keeps it from charging and discharging at once; with none the
-    model is an LP (see the module docstring).  Each per-period family of
+    The model has no storage gate, so it is an LP; `add_gates` appends the
+    gates to it (see the module docstring).  Each per-period family of
     columns or rows enters the model as one block.  An invalid case raises
     UnitError (``require_valid``), the one check the builders rely on.
     """
@@ -414,8 +395,7 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
 
     cap_e, cap_g = case.purchase_caps
     e_buy, g_buy, dg = _add_columns(
-        model, tags, ("p_e_buy_", CONTINUOUS, 0.0, cap_e), ("p_g_buy_", CONTINUOUS, 0.0, cap_g),
-        ("p_dg_", CONTINUOUS, 0.0, avail),
+        model, tags, ("p_e_buy_", 0.0, cap_e), ("p_g_buy_", 0.0, cap_g), ("p_dg_", 0.0, avail),
     ).T
     flows["p_e_buy"], flows["p_g_buy"], flows["p_dg"] = (e_buy, 1.0), (g_buy, 1.0), (dg, 1.0)
 
@@ -427,17 +407,17 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
 
     p2g = case.converter("P2G")
     if p2g and p2g.capacity_kw > 0:
-        (v,) = _add_columns(model, tags, ("p_p2g_e_", CONTINUOUS, p2g.min_output_kw, p2g.capacity_kw)).T
+        (v,) = _add_columns(model, tags, ("p_p2g_e_", p2g.min_output_kw, p2g.capacity_kw)).T
         flows["p_p2g_e"], flows["p_p2g_g"] = (v, 1.0), (v, float(p2g.efficiencies.get("gas", 0.0)))
         add_ramp("p2g", v, p2g.capacity_kw, p2g.ramp_fraction)
 
     gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
     if gt and gt_cap > 0:
-        g_gt = ("p_g_gt_", CONTINUOUS, gt.min_output_kw, gt_cap)
+        g_gt = ("p_g_gt_", gt.min_output_kw, gt_cap)
         chp = []
         if case.chp.extraction_mode:
-            g, pe, ph = _add_columns(model, tags, g_gt, ("p_gt_e_", CONTINUOUS, 0.0, eps_e * gt_cap),
-                                     ("p_gt_h_", CONTINUOUS, 0.0, _heat_max(case)[0])).T
+            g, pe, ph = _add_columns(model, tags, g_gt, ("p_gt_e_", 0.0, eps_e * gt_cap),
+                                     ("p_gt_h_", 0.0, _heat_max(case)[0])).T
             flows["p_gt_e"], flows["p_gt_h"] = (pe, 1.0), (ph, 1.0)
             chp += [("chp_e_fuel_", [(pe, 1.0), (g, -eps_e)], LE, 0.0),
                     ("chp_h_fuel_", [(ph, 1.0), (g, -eps_h)], LE, 0.0)]
@@ -459,21 +439,17 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
 
     gb = case.converter("GB")
     if gb and gb.capacity_kw > 0:
-        (g_gb,) = _add_columns(model, tags, ("p_g_gb_", CONTINUOUS, gb.min_output_kw, gb.capacity_kw)).T
+        (g_gb,) = _add_columns(model, tags, ("p_g_gb_", gb.min_output_kw, gb.capacity_kw)).T
         flows["p_g_gb"], flows["p_gb_h"] = (g_gb, 1.0), (g_gb, float(gb.efficiencies.get("heat", 0.0)))
         add_ramp("gb", g_gb, gb.capacity_kw, gb.ramp_fraction)
 
-    gates = frozenset(gates)
-    every = np.ones(periods, dtype=bool)
     for sto in case.storages:
         cap = sto.capacity_kwh
         plim = sto.power_limit_fraction * cap
         k = sto.carrier
-        gated = np.array([(k, t) in gates for t in range(periods)], dtype=bool)
-        ch, dis, soc, gate = _add_columns(
-            model, tags, (f"st_{k}_ch_", CONTINUOUS, 0.0, plim), (f"st_{k}_dis_", CONTINUOUS, 0.0, plim),
-            (f"st_{k}_soc_", CONTINUOUS, sto.soc_min_frac * cap, sto.soc_max_frac * cap),
-            (f"st_{k}_gate_", BINARY, 0.0, 1.0), keep=np.column_stack([every, every, every, gated]),
+        ch, dis, soc = _add_columns(
+            model, tags, (f"st_{k}_ch_", 0.0, plim), (f"st_{k}_dis_", 0.0, plim),
+            (f"st_{k}_soc_", sto.soc_min_frac * cap, sto.soc_max_frac * cap),
         ).T
         initial = sto.soc_initial_frac * cap
         # soc[t] - soc[t-1] - charge + discharge = 0, with the initial charge for soc[-1]
@@ -483,14 +459,11 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         soc_rhs[0] = initial
         model.add_rows(*_row_block(
             tags,
-            (f"storage_{k}_gate_ch_", [(ch, 1.0), (gate, -plim)], LE, 0.0),
-            (f"storage_{k}_gate_dis_", [(dis, 1.0), (gate, plim)], LE, plim),
             (f"storage_{k}_soc_", [(soc, 1.0), (ch, -(sto.charge_eff * dt)), (dis, dt / sto.discharge_eff),
                                    (np.roll(soc, 1), prev_coeff)], EQ, soc_rhs),
-            keep=np.column_stack([gated, gated, every]),
         ))
         model.add_rows(soc[-1:, None], 1.0, EQ, initial, [f"storage_{k}_terminal"])
-        vm.storage[k] = StorageBlock(ch, dis, soc, gate[gated])
+        vm.storage[k] = StorageBlock(ch, dis, soc)
 
     vm.dr = build_dr_blocks(case, scenario, model, dec)
 
@@ -533,6 +506,30 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         costs.append(vm.carbon_cost)
     model.set_objective(combine(*costs))
     return model, vm
+
+
+def add_gates(case: CaseData, model: MilpModel, vm: VarMap, pairs) -> None:
+    """Append the paper's storage gate to a built model for each (carrier, period) pair.
+
+    A gate is the binary ``st_{k}_gate_tNN`` with the rows
+    ``storage_{k}_gate_ch_tNN`` (charge <= limit * gate) and
+    ``storage_{k}_gate_dis_tNN`` (discharge <= limit * (1 - gate)); each
+    is recorded in ``vm.storage[k].gate``.  The pairs must not be gated yet.
+    """
+    for k, blk in vm.storage.items():
+        periods = sorted(t for carrier, t in pairs if carrier == k)
+        if not periods:
+            continue
+        sto = case.storage(k)
+        plim = sto.power_limit_fraction * sto.capacity_kwh
+        tags = [f"t{t:02d}" for t in periods]
+        gate = model.add_variables(BINARY, 0.0, 1.0, [f"st_{k}_gate_{tag}" for tag in tags])
+        model.add_rows(*_row_block(
+            tags,
+            (f"storage_{k}_gate_ch_", [(blk.charge[periods], 1.0), (gate, -plim)], LE, 0.0),
+            (f"storage_{k}_gate_dis_", [(blk.discharge[periods], 1.0), (gate, plim)], LE, plim),
+        ))
+        blk.gate.update(zip(periods, gate.tolist()))
 
 
 def _dr_flows(dr: DrVarMap, carrier: str) -> list:
@@ -1059,20 +1056,20 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
     solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
+    model, vm = build_model(case, scenario, options)
     # gates on demand (module docstring): a round that leaves no ungated
     # pair overlapping is the last; verify_solution judges the gated ones
-    gates, nodes, wall_time = frozenset(), 0, 0.0
+    nodes, wall_time = 0, 0.0
     while True:
-        model, vm = build_model(case, scenario, options, gates)
         res = solve(model, options)
         nodes, wall_time = nodes + res.nodes, wall_time + res.wall_time
         if res.x is None:
             raise SolveFailedError(scenario.id, res.status, f"bound {res.bound}, nodes {nodes}")
         sol = _extract(case, scenario, vm, res)
-        failing = _storage_overlaps(case, sol.storage).keys() - gates
+        failing = [(k, t) for k, t in _storage_overlaps(case, sol.storage) if t not in vm.storage[k].gate]
         if not failing:
             break
-        gates |= failing
+        add_gates(case, model, vm, failing)
     sol.nodes, sol.wall_time = nodes, wall_time
     report = verify_solution(case, scenario, sol)
     if not report.passed:

@@ -5,8 +5,8 @@ a model with binaries to HiGHS branch-and-cut.  The reference simplex
 (`solve_lp`) is a test reference: no other module of the package imports it.
 """
 
-from .simplex import LpSolution, NumericalFailure, solve_lp
-from .branch_bound import MilpOptions, MilpSolution, solve_milp
+from .simplex import solve_lp
+from .branch_bound import LpSolution, MilpOptions, MilpSolution, NumericalFailure, solve_milp
 from .backends import BACKENDS, BackendUnavailableError, get_backend
 
 __all__ = [

@@ -47,6 +47,11 @@ class MilpOptions:
             raise ValueError(f"time_limit {self.time_limit!r}: need None or a limit > 0 seconds")
 
 
+class NumericalFailure(RuntimeError):
+    """An LP solve that certifies no outcome: a HiGHS status `_ScipyCore` does not map,
+    or a numerical breakdown of the reference simplex."""
+
+
 @dataclass
 class LpSolution:
     """LP outcome; `basis` is the HiGHS core's warm-start token."""
@@ -91,10 +96,11 @@ class _ScipyCore:
 
     The model is loaded once with presolve off, so the simplex basis lives
     on between runs.  A solve given a basis (``start``) restarts the dual
-    simplex from it; a solve without one starts cold.
+    simplex from it; a solve without one starts cold.  With ``time_limit``
+    (seconds) a run that reaches it ends with status "limit".
     """
 
-    def __init__(self, c, c0, A, relations, rhs):
+    def __init__(self, c, c0, A, relations, rhs, time_limit=None):
         # deferred so that importing the package does not load scipy
         from scipy.optimize._highspy._core import (
             HighsLp,
@@ -124,8 +130,10 @@ class _ScipyCore:
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("presolve", "off")
+        if time_limit is not None:
+            self._highs.setOptionValue("time_limit", float(time_limit))
         if self._highs.passModel(lp) == HighsStatus.kError:
-            raise RuntimeError("LP core failed: HiGHS rejected the model")
+            raise NumericalFailure("LP core failed: HiGHS rejected the model")
 
     def _run(self) -> int:
         self._highs.run()
@@ -144,7 +152,9 @@ class _ScipyCore:
             return UNBOUNDED, iterations
         if model_status == self._status.kInfeasible:
             return INFEASIBLE, iterations
-        raise RuntimeError(f"LP core failed: {h.modelStatusToString(model_status)}")
+        if model_status == self._status.kTimeLimit:
+            return LIMIT, iterations
+        raise NumericalFailure(f"LP core failed: {h.modelStatusToString(model_status)}")
 
     def solve(self, lb, ub, start=None) -> LpSolution:
         h, status = self._highs, self._status
@@ -168,10 +178,12 @@ class _ScipyCore:
             return LpSolution(status=INFEASIBLE, iterations=iterations)
         if model_status == status.kUnbounded:
             return LpSolution(status=UNBOUNDED, iterations=iterations)
+        if model_status == status.kTimeLimit:
+            return LpSolution(status=LIMIT, iterations=iterations)
         if model_status == status.kUnboundedOrInfeasible:
             verdict, more = self._resolve_unbounded_or_infeasible()
             return LpSolution(status=verdict, iterations=iterations + more)
-        raise RuntimeError(f"LP core failed: {h.modelStatusToString(model_status)}")
+        raise NumericalFailure(f"LP core failed: {h.modelStatusToString(model_status)}")
 
 
 def highs_milp(compiled, options: MilpOptions) -> MilpSolution:
@@ -219,10 +231,11 @@ def highs_milp(compiled, options: MilpOptions) -> MilpSolution:
 
 def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
     """Solve a MILP whose integer variables are all binary."""
+    options = options or MilpOptions()
     compiled = c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
     if is_binary.any():
-        return highs_milp(compiled, options or MilpOptions())
-    core = _ScipyCore(c, c0, A, relations, rhs)
+        return highs_milp(compiled, options)
+    core = _ScipyCore(c, c0, A, relations, rhs, options.time_limit)
     t0 = time.perf_counter()
     res = core.solve(lb, ub)
     wall = time.perf_counter() - t0

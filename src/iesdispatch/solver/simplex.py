@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..milp_ir import EQ, GE, LE, MilpModel
-from .branch_bound import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
+from .branch_bound import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, NumericalFailure
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -27,10 +27,6 @@ _FREE = 3
 _REFACTOR_EVERY = 64
 _BLAND_AFTER = 100  # consecutive degenerate pivots before anti-cycling mode
 _PIV_TOL = 1e-10
-
-
-class NumericalFailure(Exception):
-    """Feasibility/optimality could not be certified within tolerance."""
 
 
 class _Simplex:

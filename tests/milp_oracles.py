@@ -5,8 +5,8 @@ LPs at once in numpy by enumerating their vertices, with no LP solver, so
 agreement with the product is a genuine cross-check rather than a
 self-comparison.  ``brute_force_milp`` solves each leaf LP with scipy HiGHS;
 it is slower and serves as a cross-check of the vertex oracle.
-``every_gate`` names the storage gates of the paper's fully gated dispatch
-model, the reference that gates on demand are compared against.
+``every_gate_model`` builds the paper's fully gated dispatch model, the
+reference that gates on demand are compared against.
 """
 
 import itertools
@@ -15,12 +15,15 @@ import random
 import numpy as np
 from scipy.optimize import linprog
 
+from iesdispatch.dispatch import add_gates, build_model
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, linear_form
 
 
-def every_gate(case) -> set[tuple[str, int]]:
-    """Every (carrier, period) pair of a case's stores: ``build_model`` with these gates them all."""
-    return {(sto.carrier, t) for sto in case.storages for t in range(case.horizon.periods)}
+def every_gate_model(case, scenario, options=None):
+    """(model, VarMap) of the paper's model: the gate-free build plus a gate on every store-period."""
+    model, vm = build_model(case, scenario, options)
+    add_gates(case, model, vm, [(sto.carrier, t) for sto in case.storages for t in range(case.horizon.periods)])
+    return model, vm
 
 
 def random_milp(rng: random.Random, n_binaries: int) -> MilpModel:

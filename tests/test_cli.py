@@ -8,6 +8,7 @@ import pytest
 
 from iesdispatch import cli
 from iesdispatch.model_core import case_to_dict, default_case_path, load_case
+from iesdispatch.solver import NumericalFailure, branch_bound
 
 
 def run_cli(*argv) -> int:
@@ -233,6 +234,24 @@ def test_solve_infeasible_exit_3(tmp_path, bad_heat_case, capsys):
     assert rc == cli.EXIT_INFEASIBLE
     captured = capsys.readouterr()
     assert "exceeds maximum heat supply" in captured.out + captured.err
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+def test_solve_time_limit_exit_4(backend, tmp_path, capsys):
+    rc = run_cli("solve", "--reduced", "--time-limit", "1e-9", "--backend", backend,
+                 "--out", str(tmp_path / "tl"))
+    assert rc == cli.EXIT_LIMIT
+    assert "solver status 'limit'" in capsys.readouterr().err
+
+
+def test_lp_core_failure_exit_4(tmp_path, monkeypatch, capsys):
+    def failing_solve(self, lb, ub, start=None):
+        raise NumericalFailure("LP core failed: injected")
+
+    monkeypatch.setattr(branch_bound._ScipyCore, "solve", failing_solve)
+    rc = run_cli("solve", "--reduced", "--out", str(tmp_path / "nf"))
+    assert rc == cli.EXIT_LIMIT
+    assert capsys.readouterr().err == "solver error: LP core failed: injected\n"
 
 
 # -- scenarios ----------------------------------------------------------------------

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milp_oracles import every_gate
+from milp_oracles import every_gate_model
 
 from iesdispatch import dispatch
 from iesdispatch.dispatch import (
     SCENARIO_IDS,
     SCENARIOS,
     DispatchOptions,
+    SolveFailedError,
     StaticInfeasibleError,
     as_scenario,
     build_model,
@@ -24,7 +25,7 @@ from iesdispatch.dispatch import (
     verify_solution,
 )
 from iesdispatch.model_core import default_case_path, load_case, reduce_case, scale_profiles
-from iesdispatch.solver import get_backend, solve_milp
+from iesdispatch.solver import solve_milp
 
 
 def tiny_case(T, elec, gas, heat, wind, price=None, storages=None):
@@ -375,17 +376,19 @@ def test_round_off_gaps_read_zero(bundled_case):
 
 def test_only_storage_gates_are_binary(bundled_case):
     for sid in SCENARIO_IDS:
-        model, vm = build_model(bundled_case, sid, gates=every_gate(bundled_case))
-        gates = sorted(vid for blk in vm.storage.values() for vid in blk.gate.tolist())
+        model, vm = every_gate_model(bundled_case, sid)
+        gates = sorted(vid for blk in vm.storage.values() for vid in blk.gate.values())
         assert model.binary_ids() == gates, sid
         assert build_model(bundled_case, sid)[0].binary_ids() == [], sid
 
 
 def _every_gate_objective(case, scenario, options) -> float:
-    """The objective of the fully gated model, solved by the options' backend."""
-    model, _ = build_model(case, scenario, options, every_gate(case))
-    solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
-    return solve(model, options).objective
+    """The objective of the fully gated model.
+
+    Both backends hand a model with binaries to the same HiGHS
+    branch-and-cut, so one solve serves as the reference for either.
+    """
+    return solve_milp(every_gate_model(case, scenario, options)[0], options).objective
 
 
 def _agree(a: float, b: float, gap_tol: float) -> bool:
@@ -393,42 +396,55 @@ def _agree(a: float, b: float, gap_tol: float) -> bool:
     return abs(a - b) <= gap_tol * max(1.0, abs(a), abs(b))
 
 
-@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
-def test_gates_are_added_where_storage_overlaps(bundled_case, monkeypatch, backend):
+@pytest.fixture(scope="module")
+def binding_case(bundled_case):
+    """A case whose gates bind, with the fully gated optimum of its S2."""
     # a heat quota of 2 kg/kWh, above the ~0.5 kg/kWh the gas units emit,
     # sold at 2 per kg, pays for heat nobody needs; the heat store is its only
     # sink, and it wastes most by charging and discharging at once
     case = reduce_case(bundled_case, 4)
     case = replace(case, carbon=replace(case.carbon, sigma_h=2.0, lambda_base=2.0))
-    options = DispatchOptions(backend=backend, pwl_segments=4)
-    rounds = []  # [gates built with, overlaps found in its solution]
-    build, overlaps = dispatch.build_model, dispatch._storage_overlaps
-
-    def spy_build(case, scenario, options, gates):
-        rounds.append([frozenset(gates), None])
-        return build(case, scenario, options, gates)
-
-    def spy_overlaps(case, storage):
-        found = overlaps(case, storage)
-        if rounds[-1][1] is None:  # the loop's test; verify_solution's comes later
-            rounds[-1][1] = set(found)
-        return found
-
-    monkeypatch.setattr(dispatch, "build_model", spy_build)
-    monkeypatch.setattr(dispatch, "_storage_overlaps", spy_overlaps)
-    sol = run_scenario(case, "S2", options)  # raises unless it verifies
-    monkeypatch.undo()
-    assert len(rounds) >= 2 and rounds[0][0] == frozenset()
-    for (gates, found), (next_gates, _) in zip(rounds, rounds[1:]):
-        assert found - gates and next_gates == gates | found
-    assert rounds[-1][1] <= rounds[-1][0]
-    assert sol.verification.passed
-    assert sol.nodes >= len(rounds)
-    assert _agree(sol.objective, _every_gate_objective(case, "S2", options), options.gap_tol)
+    return case, _every_gate_objective(case, "S2", DispatchOptions(pwl_segments=4))
 
 
 @pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
-@settings(max_examples=8, deadline=None)
+def test_gates_are_added_where_storage_overlaps(binding_case, monkeypatch, backend):
+    case, every_gate_objective = binding_case
+    options = DispatchOptions(backend=backend, pwl_segments=4)
+    builds, found, added = [], [], []  # found: overlaps of each round, then verify_solution's
+    build, overlaps, add = dispatch.build_model, dispatch._storage_overlaps, dispatch.add_gates
+
+    def spy_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def spy_overlaps(case, storage):
+        out = overlaps(case, storage)
+        found.append(set(out))
+        return out
+
+    def spy_add(case, model, vm, pairs):
+        added.append(set(pairs))
+        return add(case, model, vm, pairs)
+
+    monkeypatch.setattr(dispatch, "build_model", spy_build)
+    monkeypatch.setattr(dispatch, "_storage_overlaps", spy_overlaps)
+    monkeypatch.setattr(dispatch, "add_gates", spy_add)
+    sol = run_scenario(case, "S2", options)  # raises unless it verifies
+    monkeypatch.undo()
+    assert len(builds) == 1
+    assert len(added) >= 1 and len(found) == len(added) + 2
+    gated = set()
+    for overlapping, pairs in zip(found, added):
+        assert pairs and pairs == overlapping - gated
+        gated |= pairs
+    assert found[len(added)] <= gated
+    assert sol.verification.passed
+    assert sol.nodes >= len(added) + 1
+    assert _agree(sol.objective, every_gate_objective, options.gap_tol)
+
+
+@settings(max_examples=12, deadline=None)
 @given(
     scenario=st.sampled_from(SCENARIO_IDS),
     reduced=st.booleans(),
@@ -436,13 +452,26 @@ def test_gates_are_added_where_storage_overlaps(bundled_case, monkeypatch, backe
         {k: st.floats(min_value=0.9, max_value=1.1) for k in ("electric", "gas", "heat", "wind")}
     ),
 )
-def test_gates_on_demand_match_every_gate(bundled_case, backend, scenario, reduced, factors):
+def test_backends_agree_with_each_other_and_every_gate(bundled_case, scenario, reduced, factors):
     case = scale_profiles(bundled_case, factors)
-    options = DispatchOptions(backend=backend)
+    options = DispatchOptions()
     if reduced:
-        case, options = reduce_case(case, 2), replace(options, pwl_segments=4)
-    sol = run_scenario(case, scenario, options)
-    assert _agree(sol.objective, _every_gate_objective(case, scenario, options), options.gap_tol)
+        case, options = reduce_case(case, 2), DispatchOptions(pwl_segments=4)
+    # run_scenario raises unless the solution verifies
+    mine = run_scenario(case, scenario, options)
+    ref = run_scenario(case, scenario, replace(options, backend="scipy-milp"))
+    # all three are within gap_tol above the same optimum
+    reference = _every_gate_objective(case, scenario, options)
+    assert _agree(mine.objective, ref.objective, options.gap_tol), (mine.objective, ref.objective)
+    assert _agree(mine.objective, reference, options.gap_tol), (mine.objective, reference)
+    assert _agree(ref.objective, reference, options.gap_tol), (ref.objective, reference)
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+def test_time_limit_ends_the_run_with_status_limit(bundled_case, backend):
+    with pytest.raises(SolveFailedError) as info:
+        run_scenario(bundled_case, "S5", DispatchOptions(time_limit=1e-6, backend=backend))
+    assert info.value.status == "limit"
 
 
 def test_full_case_optima_match_the_gated_formulation(bundled_case):
@@ -452,25 +481,3 @@ def test_full_case_optima_match_the_gated_formulation(bundled_case):
         want = GATED_OBJECTIVES[row.scenario_id]
         assert row.status == "optimal", (row.scenario_id, row.error)
         assert abs(row.objective - want) <= options.gap_tol * abs(want), (row.scenario_id, row.objective)
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    scenario=st.sampled_from(("S3", "S4", "S5")),
-    reduced=st.booleans(),
-    factors=st.fixed_dictionaries(
-        {k: st.floats(min_value=0.9, max_value=1.1) for k in ("electric", "gas", "heat", "wind")}
-    ),
-)
-def test_embedded_search_agrees_with_scipy_milp(bundled_case, scenario, reduced, factors):
-    case = scale_profiles(bundled_case, factors)
-    options = DispatchOptions()
-    if reduced:
-        case, options = reduce_case(case, 2), DispatchOptions(pwl_segments=4)
-    # run_scenario raises unless the solution verifies
-    mine = run_scenario(case, scenario, options)
-    ref = run_scenario(case, scenario, replace(options, backend="scipy-milp"))
-    assert mine.verification.passed and ref.verification.passed
-    # both are incumbents within gap_tol above the same optimum
-    scale = max(1.0, abs(mine.objective), abs(ref.objective))
-    assert abs(mine.objective - ref.objective) <= options.gap_tol * scale, (mine.objective, ref.objective)

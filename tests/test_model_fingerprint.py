@@ -3,8 +3,8 @@
 Each fingerprint is a sha256 over every array ``MilpModel.to_sparse()``
 returns (dtype, shape and bytes), the objective constant, the relation
 codes and the row and column names.  Each variant is pinned twice: built
-with every storage gate, the paper's model, and built gate-free, as
-``run_scenario`` first solves it.  The full S5 fingerprints also cover
+gate-free, as ``run_scenario`` first solves it, and with a gate appended
+on every store-period, the paper's model.  The full S5 fingerprints also cover
 ``write_lp``.  The digests pin every model bit for bit, so a change to how
 forms, rows and columns are built, stored or emitted cannot move a
 coefficient, a bound, an order or a name unnoticed.
@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from milp_oracles import every_gate
+from milp_oracles import every_gate_model
 
 from iesdispatch.dispatch import SCENARIO_IDS, build_model
 from iesdispatch.lp_format import write_lp
@@ -58,25 +58,25 @@ def fingerprints() -> dict[str, str]:
     out = {}
     for label, case, sid in _variants():
         with_lp = label == "full-S5"
-        out[label] = fingerprint(build_model(case, sid, gates=every_gate(case))[0], with_lp)
+        out[label] = fingerprint(every_gate_model(case, sid)[0], with_lp)
         out[f"{label}/gate-free"] = fingerprint(build_model(case, sid)[0], with_lp)
     return out
 
 
 EXPECTED = {
-    "full-S1": "493ad0d8a701144bb0cd46f8f80e77aa58018e39e017d9716e5bb5fb596776cf",
-    "full-S2": "54440697bd52d5b721486f0bbe5c079b2d1ca91f25497f1828c353283f9f146d",
-    "full-S3": "050c21ab67509ab3d8a78cf19dc491d8669fab7b610eadf5676c484a4f509b74",
-    "full-S4": "9f3d2b4b2d897b30c5ae1319a697b7c4e3bf220e8cb33ad214b9815127aac68f",
-    "full-S5": "426d3085ff68ef7905015bb4878a29406a34d88d9fd1ba8daea02c44d7d5361f",
-    "reduced-S1": "07b72e5a8dec7a65fef9f6d0a676841fd04fa84d0123a792cbadfb172fd286ff",
-    "reduced-S2": "d83efa4c60a364a5190589b459e74983ac2f87dc7a51b4da2cd67f88e0d48947",
-    "reduced-S3": "651554aa3d70f9c3d21c2a9ee0b7b898988fbfad915c814117bff73387b16058",
-    "reduced-S4": "d1e8fc0fdee51b07e15dd17293c23de4a1daa4da331b4f0e913e6b8dc3fb54bc",
-    "reduced-S5": "8089a8a4992e15cfc7c3709b8deaee53260f5600b90bcb4241cb0aec33f81b7d",
-    "extraction-S5": "f8db45bf2030fa0d8ffe15bd388c0a70a0141373a27e6b166bca65ed82f8d2ab",
-    "literal-eq2-S5": "e4f55da49a806ab25f26b7a99855ada01fedb085b5fa2fbc35e9ce7fcf2fcea8",
-    "shift-floor-S4": "e6e9c4d98a819ae8cdff838b29eb64747d64b2e6349419e1dc8abaaefced6f4d",
+    "full-S1": "5c8202ecf8c9ec6a23b8f6d0e471ccef4ca317a26c55e5518906e3d30112509d",
+    "full-S2": "cb9c875c14ad0a7ba7f4f4c572809ddd5a0120cef539de3c182221ca65e17c3d",
+    "full-S3": "5876de0ada398b8bdf1ede59871cf3f7eaf41948f617b605e41e067d6debb1d2",
+    "full-S4": "f73139ce29375f93bb86c714c49f5a00544972097dcef73847f2bbdf63ebfa73",
+    "full-S5": "c2f994b8fba9844ab3631d1041e076d6b8cea52bf84402542be9f80edb29f5d5",
+    "reduced-S1": "874e45e9ca61c0d80dc79ff5d8e4d5f6db233a1c5cc1cd43121fec0e03ded804",
+    "reduced-S2": "302b695bc75e21b7256faf0e143a64b5d68665e4aa579ed27254fd565e6f85c6",
+    "reduced-S3": "b19e74688c4e497a4249ed58d28030c0089b30411c37b873297b48ced96f7d2b",
+    "reduced-S4": "f0169c88921bfc060ae8e54b491d654016d48db51810fb1da2a68ab7062178da",
+    "reduced-S5": "e69770e5a4e5088eac25105a05f5a1a83e03fd3f6c2249480aae65eef76dfd31",
+    "extraction-S5": "9878f6ec8c5aecd45d0e4a1afbc6765bb6cd1a1817289836669335e825b703df",
+    "literal-eq2-S5": "1a8ea607a5831b974bcb58f19b88d4c502655dfa62f93bd5298fca48ae04fa91",
+    "shift-floor-S4": "0dc86af34c2d2206e955784545008e6dabe31d3dcc6e9c20d857c3408e4cc019",
     # the same variants without a storage gate
     "full-S1/gate-free": "6099ad036040e962b51518bf7fd1634887b84d55dd2e75837cfbd1dd709c81d1",
     "full-S2/gate-free": "5472da973361ee919ee0109e355cb249f806f407da18e791cee40cfffd9f3d65",

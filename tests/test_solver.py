@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from milp_oracles import brute_force_milp, check_solution, every_gate, random_milp, vertex_milp
+from milp_oracles import brute_force_milp, check_solution, every_gate_model, random_milp, vertex_milp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver.branch_bound import _ScipyCore
 from iesdispatch.solver import (
@@ -415,11 +415,9 @@ def test_highs_private_api_is_importable():
 
 @pytest.fixture(scope="module")
 def s5_compiled():
-    from iesdispatch.dispatch import build_model
     from iesdispatch.model_core import default_case_path, load_case
 
-    case = load_case(default_case_path())
-    model, _ = build_model(case, "S5", gates=every_gate(case))
+    model, _ = every_gate_model(load_case(default_case_path()), "S5")
     c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
     return (c, c0, A, relations, rhs), lb, ub, np.flatnonzero(is_binary)
 
@@ -545,10 +543,12 @@ def test_backend_registry():
 
 
 EXTERNAL_SOLVER = '''\
+import os
 import sys
 
 tests_dir, lp_path, sol_path = sys.argv[1:4]
-sys.path.insert(0, tests_dir)  # for lp_reader
+# lp_reader, and the package of this checkout when it is not installed
+sys.path[:0] = [tests_dir, os.path.join(os.path.dirname(tests_dir), "src")]
 from lp_reader import read_lp
 from iesdispatch.lp_format import sanitized_names
 from iesdispatch.solver import solve_milp
