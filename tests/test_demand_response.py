@@ -34,6 +34,31 @@ def test_decompose_splits_by_fraction(case):
     assert dec.substitutable_base["electric"][0] == pytest.approx(0.05 * load0)
 
 
+def test_decompose_sums_back_to_load(case):
+    dec = decompose_loads(case)
+    for carrier in CARRIERS:
+        share = case.dr.shiftable_fraction.get(carrier, 0.0) + case.dr.substitutable_fraction.get(carrier, 0.0)
+        for t, load in enumerate(case.loads[carrier].values):
+            total = dec.shiftable_base[carrier][t] + dec.substitutable_base[carrier][t]
+            assert total == pytest.approx(share * load, rel=1e-12)
+            assert total <= load
+
+
+def test_decompose_zero_fractions_identity(case):
+    frozen = replace(
+        case,
+        dr=replace(
+            case.dr,
+            shiftable_fraction={k: 0.0 for k in CARRIERS},
+            substitutable_fraction={k: 0.0 for k in CARRIERS},
+        ),
+    )
+    dec = decompose_loads(frozen)
+    for carrier in CARRIERS:
+        assert dec.shiftable_base[carrier] == (0.0,) * len(case.loads[carrier].values)
+        assert dec.substitutable_base[carrier] == (0.0,) * len(case.loads[carrier].values)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     scale=st.floats(min_value=0.05, max_value=4.0),
@@ -41,7 +66,7 @@ def test_decompose_splits_by_fraction(case):
     rest=st.floats(min_value=0.0, max_value=1.0),
 )
 @example(scale=1.0, shift=0.7, rest=1.0)  # fractions that sum to 1 only within rounding
-def test_decompose_parts_are_fractions_of_the_load(case, scale, shift, rest):
+def test_decompose_conserves_load(case, scale, shift, rest):
     subst = rest * (1.0 - shift)
     scaled = scale_profiles(case, {"electric": scale})
     scaled = replace(

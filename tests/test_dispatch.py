@@ -398,18 +398,19 @@ def _agree(a: float, b: float, gap_tol: float) -> bool:
 
 @pytest.fixture(scope="module")
 def binding_case(bundled_case):
-    """A case whose gates bind, with the fully gated optimum of its S2."""
+    """A case whose gates bind in S2, with the fully gated optimum of each scenario."""
     # a heat quota of 2 kg/kWh, above the ~0.5 kg/kWh the gas units emit,
     # sold at 2 per kg, pays for heat nobody needs; the heat store is its only
     # sink, and it wastes most by charging and discharging at once
     case = reduce_case(bundled_case, 4)
     case = replace(case, carbon=replace(case.carbon, sigma_h=2.0, lambda_base=2.0))
-    return case, _every_gate_objective(case, "S2", DispatchOptions(pwl_segments=4))
+    options = DispatchOptions(pwl_segments=4)
+    return case, {sid: _every_gate_objective(case, sid, options) for sid in SCENARIO_IDS}
 
 
 @pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
 def test_gates_are_added_where_storage_overlaps(binding_case, monkeypatch, backend):
-    case, every_gate_objective = binding_case
+    case, every_gate_objectives = binding_case
     options = DispatchOptions(backend=backend, pwl_segments=4)
     builds, found, added = [], [], []  # found: overlaps of each round, then verify_solution's
     build, overlaps, add = dispatch.build_model, dispatch._storage_overlaps, dispatch.add_gates
@@ -441,7 +442,16 @@ def test_gates_are_added_where_storage_overlaps(binding_case, monkeypatch, backe
     assert found[len(added)] <= gated
     assert sol.verification.passed
     assert sol.nodes >= len(added) + 1
-    assert _agree(sol.objective, every_gate_objective, options.gap_tol)
+    assert _agree(sol.objective, every_gate_objectives["S2"], options.gap_tol)
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+def test_gates_on_demand_match_every_gate(binding_case, backend):
+    case, every_gate_objectives = binding_case
+    options = DispatchOptions(backend=backend, pwl_segments=4)
+    for sid, want in every_gate_objectives.items():
+        sol = run_scenario(case, sid, options)  # raises unless it verifies
+        assert _agree(sol.objective, want, options.gap_tol), (sid, sol.objective, want)
 
 
 @settings(max_examples=12, deadline=None)
@@ -452,7 +462,7 @@ def test_gates_are_added_where_storage_overlaps(binding_case, monkeypatch, backe
         {k: st.floats(min_value=0.9, max_value=1.1) for k in ("electric", "gas", "heat", "wind")}
     ),
 )
-def test_backends_agree_with_each_other_and_every_gate(bundled_case, scenario, reduced, factors):
+def test_embedded_search_agrees_with_scipy_milp(bundled_case, scenario, reduced, factors):
     case = scale_profiles(bundled_case, factors)
     options = DispatchOptions()
     if reduced:
