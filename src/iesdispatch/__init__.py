@@ -7,8 +7,7 @@ Library layout:
 - carbon: quota/actual emission accounting, tiered trading cost
 - milp_ir: solver-agnostic MILP representation and linearization helpers
 - solver: the embedded backend (an LP on a HiGHS core, HiGHS branch-and-cut
-  for gated rounds), the scipy-milp and external backends, and the
-  reference simplex the tests use
+  for gated rounds) and the scipy-milp and external backends
 - dispatch: scenario assembly, solving, verification, sweeps
 - cli: command-line entry points
 """

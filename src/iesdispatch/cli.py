@@ -48,7 +48,7 @@ from .model_core import (
     reduce_case,
     validate_case,
 )
-from .solver import BackendUnavailableError, NumericalFailure
+from .solver import BackendUnavailableError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -460,9 +460,6 @@ def main(argv=None) -> int:
     except BackendUnavailableError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericalFailure as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

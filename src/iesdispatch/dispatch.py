@@ -85,7 +85,7 @@ from .model_core import (
     CaseData,
     require_valid,
 )
-from .solver import BACKENDS, MilpOptions, get_backend, solve_milp
+from .solver import BACKENDS, MilpOptions, NumericalFailure, get_backend, lp_chain, solve_milp
 
 ELECTRIC, GAS, HEAT = CARRIERS
 
@@ -97,7 +97,8 @@ class DispatchError(Exception):
     """A scenario run that ends without a solution it can trust.
 
     ``status`` is its row status: "infeasible" when screening rules the case
-    out, the solver's status when it finds no incumbent, or "verification_failed".
+    out, the solver's status when it finds no incumbent, "numerical_failure"
+    when the LP core certifies no outcome, or "verification_failed".
     """
 
     status: str
@@ -1051,7 +1052,8 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
 
     Raises StaticInfeasibleError / SolveFailedError / VerificationError
     rather than returning a solution that cannot be trusted, and UnitError
-    (from ``build_model``) for an invalid case.
+    (from ``build_model``) for an invalid case.  A numerical failure of the
+    LP core is a SolveFailedError with status "numerical_failure".
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
@@ -1061,7 +1063,10 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     # pair overlapping is the last; verify_solution judges the gated ones
     nodes, wall_time = 0, 0.0
     while True:
-        res = solve(model, options)
+        try:
+            res = solve(model, options)
+        except NumericalFailure as exc:
+            raise SolveFailedError(scenario.id, "numerical_failure", str(exc)) from None
         nodes, wall_time = nodes + res.nodes, wall_time + res.wall_time
         if res.x is None:
             raise SolveFailedError(scenario.id, res.status, f"bound {res.bound}, nodes {nodes}")
@@ -1134,11 +1139,11 @@ def _scenario_task(args):
     return scenario_id, _row_from_solution(sol), sol
 
 
-def _run_tasks(tasks, jobs: int):
+def _run_tasks(fn, tasks, jobs: int):
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(_scenario_task, tasks))
-    return [_scenario_task(t) for t in tasks]
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def run_all_scenarios(
@@ -1156,7 +1161,7 @@ def run_all_scenarios(
     """
     options = options or DispatchOptions()
     tasks = [(case, sid, options) for sid in scenario_ids]
-    results = _run_tasks(tasks, jobs)
+    results = _run_tasks(_scenario_task, tasks, jobs)
     rows = [row for _sid, row, _sol in results]
     solutions = {sid: sol for sid, _row, sol in results if sol is not None}
     percentages: dict[str, dict[str, float]] = {}
@@ -1194,14 +1199,30 @@ def check_grid(grid) -> list[float]:
     return values
 
 
+def _chained_tasks(tasks):
+    """Run the tasks in order inside one ``lp_chain``."""
+    with lp_chain():
+        return [_scenario_task(t) for t in tasks]
+
+
 def _sweep(case, scenario, grid, options, jobs, override) -> list[SweepPoint]:
-    """Run the scenario once per grid value of the carbon-policy field ``override``."""
+    """Run the scenario once per grid value of the carbon-policy field ``override``.
+
+    The grid is cut into ``min(jobs, points)`` contiguous chunks, each run
+    on one LP chain: a point re-prices the HiGHS core of the point before
+    it and restarts from that point's basis.  Every point solves its own
+    LP, so its objective is that of a single-point ``solve``; on a
+    degenerate face the other columns can differ from one.
+    """
     values = check_grid(grid)
     scenario_id = as_scenario(scenario).id
     options = options or DispatchOptions()
     tasks = [(replace(case, carbon=replace(case.carbon, **{override: v})), scenario_id, options)
              for v in values]
-    return [SweepPoint(**vars(row), value=v) for v, (_sid, row, _sol) in zip(values, _run_tasks(tasks, jobs))]
+    k = min(jobs, len(tasks))
+    chunks = [tasks[len(tasks) * i // k:len(tasks) * (i + 1) // k] for i in range(k)]
+    results = [r for chunk in _run_tasks(_chained_tasks, chunks, k) for r in chunk]
+    return [SweepPoint(**vars(row), value=v) for v, (_sid, row, _sol) in zip(values, results)]
 
 
 def sweep_lambda(case, scenario, grid, options=None, jobs: int = 1) -> list[SweepPoint]:

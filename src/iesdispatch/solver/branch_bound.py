@@ -10,12 +10,24 @@ a storage gate is added only in a later round, where the gate-free schedule
 charges and discharges a store at once.  A model with binaries, such a
 gated round, goes to HiGHS branch-and-cut through `highs_milp`, the function
 the "scipy-milp" backend calls too.
+
+LP chain.  Inside `lp_chain()`, consecutive LP solves share one core: when
+a model compiles to the same constraint matrix as the core holds, entry for
+entry, `solve_milp` re-prices that core with the model's costs and row
+bounds and restarts the dual simplex from the previous optimal basis
+(Huangfu & Hall, Math. Prog. Comp. 10(1), 2018).  A parameter sweep is such
+a series: the carbon price moves costs only and the tier width the bounds
+of the knee rows.  Each solve is still of its own compiled LP, so the
+optimum is unchanged; on a degenerate face the vertex returned can differ
+from a cold start.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 
@@ -48,8 +60,8 @@ class MilpOptions:
 
 
 class NumericalFailure(RuntimeError):
-    """An LP solve that certifies no outcome: a HiGHS status `_ScipyCore` does not map,
-    or a numerical breakdown of the reference simplex."""
+    """An LP solve that certifies no outcome: HiGHS rejects the model or ends
+    with a status `_ScipyCore` does not map."""
 
 
 @dataclass
@@ -92,12 +104,14 @@ class MilpSolution:
 
 
 class _ScipyCore:
-    """One HiGHS instance per model; a solve sets only column bounds.
+    """One HiGHS instance per constraint matrix; a solve sets only column bounds.
 
-    The model is loaded once with presolve off, so the simplex basis lives
+    The matrix is loaded once with presolve off, so the simplex basis lives
     on between runs.  A solve given a basis (``start``) restarts the dual
-    simplex from it; a solve without one starts cold.  With ``time_limit``
-    (seconds) a run that reaches it ends with status "limit".
+    simplex from it; a solve without one starts cold.  `reprice` swaps in
+    the costs and row bounds of another LP on the same matrix, and an LP
+    chain reuses the core that way.  With ``time_limit`` (seconds) a run
+    that reaches it ends with status "limit".
     """
 
     def __init__(self, c, c0, A, relations, rhs, time_limit=None):
@@ -113,6 +127,7 @@ class _ScipyCore:
 
         self._status = HighsModelStatus
         self.c0 = c0
+        self.time_limit = time_limit
         n, m = len(c), len(relations)
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
@@ -134,6 +149,23 @@ class _ScipyCore:
             self._highs.setOptionValue("time_limit", float(time_limit))
         if self._highs.passModel(lp) == HighsStatus.kError:
             raise NumericalFailure("LP core failed: HiGHS rejected the model")
+
+    def reprice(self, c, c0, row_lower, row_upper) -> None:
+        """Set the costs and row bounds of another LP on the loaded matrix.
+
+        HiGHS keeps its basis, so the next solve can restart from it.  Its
+        run clock counts every run of the instance, so the time limit moves
+        on to allow ``time_limit`` more seconds.
+        """
+        h = self._highs
+        self._cost, self.c0 = np.asarray(c, dtype=float), c0
+        h.changeColsCost(self._cols.size, self._cols, self._cost)
+        # scipy's binding has no changeRowsBounds: one call per changed row
+        for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
+            h.changeRowBounds(int(i), row_lower[i], row_upper[i])
+        self.row_lower, self.row_upper = row_lower, row_upper
+        if self.time_limit is not None:
+            h.setOptionValue("time_limit", h.getRunTime() + float(self.time_limit))
 
     def _run(self) -> int:
         self._highs.run()
@@ -229,16 +261,55 @@ def highs_milp(compiled, options: MilpOptions) -> MilpSolution:
                         nodes=max(nodes, 1), wall_time=wall)
 
 
+@dataclass
+class _Chain:
+    """The core of an LP chain and the basis of its last optimal solve."""
+
+    core: _ScipyCore | None = None
+    basis: object = None
+
+
+_chain: ContextVar[_Chain | None] = ContextVar("lp_chain", default=None)
+
+
+@contextmanager
+def lp_chain():
+    """Let the LP solves of `solve_milp` in this block share one HiGHS core.
+
+    An LP whose constraint matrix equals the core's re-prices it and starts
+    from the basis of the last optimal solve; another matrix loads a new
+    core.  A solve that is not optimal leaves no basis, and one that raises
+    drops the core, so the next solve starts cold.
+    """
+    token = _chain.set(_Chain())
+    try:
+        yield
+    finally:
+        _chain.reset(token)
+
+
+def _same_matrix(a, b) -> bool:
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
 def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
     """Solve a MILP whose integer variables are all binary."""
     options = options or MilpOptions()
     compiled = c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
     if is_binary.any():
         return highs_milp(compiled, options)
-    core = _ScipyCore(c, c0, A, relations, rhs, options.time_limit)
+    chain = _chain.get() or _Chain()
+    core, start = chain.core, chain.basis
+    chain.core = chain.basis = None  # until this solve ends without raising
+    if core is not None and core.time_limit == options.time_limit and _same_matrix(core.A, A):
+        core.reprice(c, c0, *row_bounds(relations, rhs))
+    else:
+        core, start = _ScipyCore(c, c0, A, relations, rhs, options.time_limit), None
     t0 = time.perf_counter()
-    res = core.solve(lb, ub)
+    res = core.solve(lb, ub, start)
     wall = time.perf_counter() - t0
+    chain.core, chain.basis = core, res.basis
     if res.status != OPTIMAL:
         return MilpSolution(status=res.status, objective=None, x=None, bound=-np.inf,
                             gap=np.inf, nodes=1, wall_time=wall)

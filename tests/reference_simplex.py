@@ -1,4 +1,6 @@
-"""Bounded-variable primal simplex with an explicit basis inverse.
+"""Reference LP solver for the tests: a bounded-variable primal simplex.
+
+It shares no code with the HiGHS core it checks; the package never runs it.
 
 Rows ``A x {<=,=,>=} b`` are converted to equalities by appending one slack
 per row (bounded [0,inf), [0,0] or (-inf,0]).  Phase 1 minimizes the total
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..milp_ir import EQ, GE, LE, MilpModel
-from .branch_bound import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, NumericalFailure
+from iesdispatch.milp_ir import EQ, GE, LE, MilpModel
+from iesdispatch.solver.branch_bound import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, NumericalFailure
 
 _AT_LOWER = 0
 _AT_UPPER = 1

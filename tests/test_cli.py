@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from iesdispatch import cli
+from iesdispatch.dispatch import DispatchOptions
 from iesdispatch.model_core import case_to_dict, default_case_path, load_case
 from iesdispatch.solver import NumericalFailure, branch_bound
 
@@ -251,7 +252,8 @@ def test_lp_core_failure_exit_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", failing_solve)
     rc = run_cli("solve", "--reduced", "--out", str(tmp_path / "nf"))
     assert rc == cli.EXIT_LIMIT
-    assert capsys.readouterr().err == "solver error: LP core failed: injected\n"
+    assert capsys.readouterr().err == (
+        "FAIL S3: scenario S3: solver status 'numerical_failure' (LP core failed: injected)\n")
 
 
 # -- scenarios ----------------------------------------------------------------------
@@ -313,6 +315,56 @@ def test_sweep_infeasible_exit_3(tmp_path, bad_heat_case, capsys):
     with (tmp_path / "z" / "sweep_lambda_S5.csv").open(encoding="utf-8") as fh:
         assert [r[1] for r in list(csv.reader(fh))[1:]] == ["infeasible", "infeasible"]
     assert capsys.readouterr().err.count("exceeds maximum heat supply") == 2
+
+
+SWEEP_ARGV = ("sweep", "--param", "lambda", "--grid", "0.2:0.5:0.1", "--reduced", "--scenario", "S5")
+
+
+def test_sweep_point_lp_core_failure_is_its_row(tmp_path, monkeypatch, capsys):
+    # the third point's LP core fails: that row records it, the chain drops
+    # its core, the next point starts cold on a new one, and the exit is 4
+    solve, calls = branch_bound._ScipyCore.solve, []
+
+    def third_fails(self, lb, ub, start=None):
+        calls.append((id(self), start is None))
+        if len(calls) == 3:
+            raise NumericalFailure("LP core failed: injected")
+        return solve(self, lb, ub, start)
+
+    monkeypatch.setattr(branch_bound._ScipyCore, "solve", third_fails)
+    out = tmp_path / "nf"
+    assert run_cli(*SWEEP_ARGV, "--out", str(out)) == cli.EXIT_LIMIT
+    with (out / "sweep_lambda_S5.csv").open(encoding="utf-8") as fh:
+        statuses = [r[1] for r in list(csv.reader(fh))[1:]]
+    assert statuses == ["optimal", "optimal", "numerical_failure", "optimal"]
+    assert capsys.readouterr().err == ("lambda=0.4: numerical_failure (scenario S5: solver status "
+                                       "'numerical_failure' (LP core failed: injected))\n")
+    assert [cold for _core, cold in calls] == [True, False, False, True]
+    assert calls[0][0] == calls[2][0] != calls[3][0]
+
+
+def test_sweep_reruns_are_byte_identical(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert run_cli(*SWEEP_ARGV, "--out", str(out)) == cli.EXIT_OK
+    for name in ("sweep_lambda_S5.csv", "meta.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_sweep_jobs_match_serial_objectives(tmp_path):
+    objectives = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert run_cli(*SWEEP_ARGV, "--jobs", jobs, "--out", str(out)) == cli.EXIT_OK
+        with (out / "sweep_lambda_S5.csv").open(encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("objective")
+        objectives.append([float(r[col]) for r in rows[1:]])
+    serial, parallel = objectives
+    assert len(serial) == len(parallel) == 4
+    gap_tol = DispatchOptions.gap_tol
+    for a, b in zip(serial, parallel):
+        assert abs(a - b) <= gap_tol * max(1.0, abs(a), abs(b)) + 1e-6, (a, b)  # CSV keeps six decimals
 
 
 # -- usage and lookup ----------------------------------------------------------------

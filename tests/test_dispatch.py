@@ -1,6 +1,7 @@
 """Dispatch model: scenario runs, verification, screening, sweeps."""
 
 import dataclasses
+import random
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,7 @@ from iesdispatch.dispatch import (
     verify_solution,
 )
 from iesdispatch.model_core import default_case_path, load_case, reduce_case, scale_profiles
-from iesdispatch.solver import solve_milp
+from iesdispatch.solver import branch_bound, solve_milp
 
 
 def tiny_case(T, elec, gas, heat, wind, price=None, storages=None):
@@ -246,7 +247,9 @@ def test_jobs_parallel_matches_serial(reduced_case, reduced_options, reduced_rep
         assert par_row.objective == pytest.approx(serial_row.objective, rel=1e-9)
 
 
-def test_jobs_never_start_more_workers_than_tasks(reduced_case, reduced_options, monkeypatch):
+@pytest.fixture()
+def serial_pool(monkeypatch):
+    """Run pool work in this process; the list gets each pool's worker count."""
     started = []
 
     class SerialPool:
@@ -263,8 +266,12 @@ def test_jobs_never_start_more_workers_than_tasks(reduced_case, reduced_options,
             return map(fn, tasks)
 
     monkeypatch.setattr(dispatch, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+def test_jobs_never_start_more_workers_than_tasks(reduced_case, reduced_options, serial_pool):
     report = run_all_scenarios(reduced_case, reduced_options, scenario_ids=("S1", "S2"), jobs=500)
-    assert started == [2]
+    assert serial_pool == [2]
     assert [r.scenario_id for r in report.rows] == ["S1", "S2"]
 
 
@@ -335,6 +342,83 @@ def test_single_point_interval_sweep_matches_run(reduced_case, reduced_options):
     points = sweep_interval(reduced_case, "S5", [2000.0], reduced_options)
     assert len(points) == 1
     assert points[0].total_cost == pytest.approx(base.costs.total, rel=1e-9)
+
+
+# -- sweeps on one LP chain ---------------------------------------------------------
+
+LAMBDA_GRID = [0.1, 0.25, 0.4, 0.55]
+INTERVAL_GRID = [1000.0, 2000.0, 3500.0]
+
+
+@pytest.fixture(scope="module")
+def sweep_cases(bundled_case):
+    """The reduced case and three seeded U(0.9, 1.1) load and wind perturbations of it."""
+    cases = [reduce_case(bundled_case, 2)]
+    for seed in range(3):
+        rng = random.Random(seed)
+        factors = {k: rng.uniform(0.9, 1.1) for k in ("electric", "gas", "heat", "wind")}
+        cases.append(reduce_case(scale_profiles(bundled_case, factors), 2))
+    return cases
+
+
+@pytest.fixture()
+def count_cores(monkeypatch):
+    """The number of HiGHS cores built so far, as a one-item list."""
+    built = [0]
+    init = branch_bound._ScipyCore.__init__
+
+    def spy(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(branch_bound._ScipyCore, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("sweep, field, grid", [
+    (sweep_lambda, "lambda_base", LAMBDA_GRID),
+    (sweep_interval, "interval_d", INTERVAL_GRID),
+], ids=["lambda", "d"])
+@pytest.mark.parametrize("scenario", ["S3", "S4", "S5"])
+def test_chained_sweep_matches_fresh_solves(sweep_cases, reduced_options, sweep, field, grid, scenario):
+    gap_tol = reduced_options.gap_tol
+    for i, case in enumerate(sweep_cases):
+        points = sweep(case, scenario, grid, reduced_options)
+        assert [p.value for p in points] == grid
+        for p in points:
+            # a row without an error is one whose solution passed verify_solution
+            assert (p.status, p.error) == ("optimal", None), (i, p.value, p.error)
+            point = replace(case, carbon=replace(case.carbon, **{field: p.value}))
+            fresh = run_scenario(point, scenario, reduced_options)
+            assert _agree(p.objective, fresh.objective, gap_tol), (i, p.value, p.objective, fresh.objective)
+
+
+def test_sweep_builds_one_core_per_chunk(reduced_case, reduced_options, count_cores, serial_pool):
+    # a sweep never starts more workers than it has chunks, and each chunk
+    # runs on one core
+    grid = [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4]
+    for jobs, chunks in ((1, 1), (3, 3), (500, 7)):
+        count_cores[0] = 0
+        points = sweep_lambda(reduced_case, "S5", grid, reduced_options, jobs=jobs)
+        assert [p.value for p in points] == grid
+        assert all(p.status == "optimal" for p in points)
+        assert count_cores[0] == chunks, jobs
+    assert serial_pool == [3, 7]
+
+
+def test_chained_sweep_through_binding_gates(binding_case, reduced_options, count_cores):
+    # gates bind in S2 on this case; each point's gated rounds go to HiGHS
+    # branch-and-cut, and its gate-free LP still re-prices the chain's core
+    case, every_gate_objectives = binding_case
+    grid = [0.5, 1.0, 1.5, 2.0]
+    points = sweep_lambda(case, "S2", grid, reduced_options)
+    assert count_cores[0] == 1
+    for p in points:
+        assert (p.status, p.error) == ("optimal", None), (p.value, p.error)
+        fresh = run_scenario(replace(case, carbon=replace(case.carbon, lambda_base=p.value)), "S2",
+                             reduced_options)
+        assert _agree(p.objective, fresh.objective, reduced_options.gap_tol), (p.value, p.objective)
+    assert _agree(points[-1].objective, every_gate_objectives["S2"], reduced_options.gap_tol)
 
 
 # -- exact LP forms of the convex cost terms ------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milp_oracles import check_solution
+from reference_simplex import solve_lp
 from iesdispatch.milp_ir import (
     BINARY,
     CONTINUOUS,
@@ -28,7 +29,6 @@ from iesdispatch.milp_ir import (
     pwl_convex_value,
     quad_value,
 )
-from iesdispatch.solver import solve_lp
 
 
 def _form(ids, coeffs, constant=0.0) -> LinearForm:

@@ -4,6 +4,7 @@ import itertools
 import random
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,12 @@ import pytest
 from scipy.optimize import linprog
 
 from milp_oracles import brute_force_milp, check_solution, every_gate_model, random_milp, vertex_milp
+from reference_simplex import solve_lp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
-from iesdispatch.solver.branch_bound import _ScipyCore
+from iesdispatch.solver.branch_bound import _ScipyCore, _same_matrix
 from iesdispatch.solver import (
     MilpOptions,
     get_backend,
-    solve_lp,
     solve_milp,
 )
 
@@ -407,10 +408,57 @@ def test_highs_private_api_is_importable():
         _Highs,
     )
 
-    for method in ("passModel", "changeColsBounds", "changeColsCost", "clearSolver",
-                   "setBasis", "getBasis", "getInfo", "getSolution", "getModelStatus"):
+    for method in ("passModel", "changeColsBounds", "changeColsCost", "changeRowBounds",
+                   "clearSolver", "setBasis", "getBasis", "getInfo", "getSolution",
+                   "getModelStatus", "getRunTime"):
         assert callable(getattr(_Highs, method))
     assert HighsModelStatus.kUnboundedOrInfeasible != HighsModelStatus.kUnbounded
+
+
+def _sweep_lps():
+    """Gate-free reduced S5 LPs over carbon prices and tier widths: one matrix, other c and rows."""
+    from iesdispatch.dispatch import DispatchOptions, build_model
+    from iesdispatch.milp_ir import row_bounds
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+
+    case = reduce_case(load_case(default_case_path()), 2)
+    lps = []
+    for lam, d in ((0.1, 2000.0), (0.3, 2000.0), (0.6, 2000.0), (0.6, 800.0), (0.2, 4000.0)):
+        point = replace(case, carbon=replace(case.carbon, lambda_base=lam, interval_d=d))
+        c, c0, A, relations, rhs, lb, ub, _ = build_model(point, "S5", DispatchOptions(pwl_segments=4))[0].to_sparse()
+        lps.append(((c, c0, A, relations, rhs), row_bounds(relations, rhs), lb, ub))
+    return lps
+
+
+def test_repriced_core_matches_cold_solves():
+    lps = _sweep_lps()
+    assert all(_same_matrix(arrays[2], lps[0][0][2]) for arrays, *_ in lps)
+    core = _ScipyCore(*lps[0][0])
+    last = core.solve(*lps[0][2:])
+    warm_iterations = cold_iterations = 0
+    for arrays, (lo, hi), lb, ub in lps[1:]:
+        core.reprice(arrays[0], arrays[1], lo, hi)
+        warm = core.solve(lb, ub, last.basis)
+        cold = _ScipyCore(*arrays).solve(lb, ub)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+        warm_iterations += warm.iterations
+        cold_iterations += cold.iterations
+        last = warm
+    assert warm_iterations < cold_iterations / 2
+
+
+def test_repriced_core_gives_each_solve_its_own_time_limit():
+    # HiGHS's run clock counts every run of an instance; reprice moves the
+    # limit on, so cold solves that together take far longer than the
+    # limit each finish inside it
+    arrays, (lo, hi), lb, ub = _sweep_lps()[0]
+    probe = _ScipyCore(*arrays)
+    assert probe.solve(lb, ub).status == "optimal"
+    core = _ScipyCore(*arrays, time_limit=20 * probe._highs.getRunTime())
+    for _ in range(60):
+        core.reprice(arrays[0], arrays[1], lo, hi)
+        assert core.solve(lb, ub).status == "optimal"
 
 
 @pytest.fixture(scope="module")
