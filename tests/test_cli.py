@@ -326,7 +326,7 @@ def test_sweep_point_lp_core_failure_is_its_row(tmp_path, monkeypatch, capsys):
     solve, calls = branch_bound._ScipyCore.solve, []
 
     def third_fails(self, lb, ub, start=None):
-        calls.append((id(self), start is None))
+        calls.append((self, start is None))  # holds each core, so none is collected and replaced
         if len(calls) == 3:
             raise NumericalFailure("LP core failed: injected")
         return solve(self, lb, ub, start)
@@ -340,7 +340,7 @@ def test_sweep_point_lp_core_failure_is_its_row(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ("lambda=0.4: numerical_failure (scenario S5: solver status "
                                        "'numerical_failure' (LP core failed: injected))\n")
     assert [cold for _core, cold in calls] == [True, False, False, True]
-    assert calls[0][0] == calls[2][0] != calls[3][0]
+    assert calls[0][0] is calls[2][0] and calls[3][0] is not calls[2][0]
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):
