@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,14 +147,26 @@ def carbon_cost(share: float, policy) -> float:
 # -- MILP encoding ------------------------------------------------------------------
 
 
+class CarbonLadder(NamedTuple):
+    """Handles of an encoded trading cost: the share form, the s_k columns and their knee rows.
+
+    ``s`` and ``knees`` are empty unless the mechanism is tiered; ``share``
+    is an empty form when it is none.
+    """
+
+    share: LinearForm
+    s: np.ndarray
+    knees: range
+
+
 def encode_carbon_cost(
     model: MilpModel,
     policy,
     actual: LinearForm,
     quota: LinearForm,
     name: str = "carbon",
-) -> LinearForm:
-    """Add the trading-cost structure for affine emission forms.
+) -> CarbonLadder:
+    """Add the trading-cost structure for affine emission forms; returns its handles.
 
     The actual total is kept non-negative (a system can only sell surplus
     quota).  traditional: lambda * share, no variables.  none: zero.
@@ -168,31 +181,49 @@ def encode_carbon_cost(
     (Vielma, "Mixed Integer Linear Programming Formulation Techniques", SIAM
     Review 2015).  With lambda, alpha >= 0 the weights are non-negative, so a
     minimising objective drives every s_k down to its max term and the
-    returned form equals tier_cost(share) at the optimum; no binaries are
+    cost form equals tier_cost(share) at the optimum; no binaries are
     added.  The objective is the form's only user.
+
+    `price_ladder` gives the cost form and the knee right-hand sides: the
+    rows are added with its right-hand sides, and the same call prices the
+    ladder again for another lambda or interval_d.
 
     ``policy`` is the carbon policy of a validated case
     (``model_core.require_valid``), which holds lambda, alpha >= 0 and
     interval_d > 0; nothing here checks them again.
     """
     if policy.mechanism == "none":
-        return linear_form([])
+        return CarbonLadder(linear_form([]), np.zeros(0, dtype=np.int64), range(0))
     share = combine(actual, quota.scaled(-1.0))
     model.add_rows(actual.ids[None, :], actual.coeffs[None, :], GE, 0.0 - actual.constant,
                    [f"{name}_actual_floor"])
     if policy.mechanism == "traditional":
-        return share.scaled(policy.lambda_base)
-
-    lam, alpha, d = policy.lambda_base, policy.alpha_growth, policy.interval_d
-    # one knee row s_k - share >= -k*d per tier, as one block; the rhs moves
-    # share's constant across
+        return CarbonLadder(share, np.zeros(0, dtype=np.int64), range(0))
+    # one knee row s_k - share >= -k*d per tier, as one block
     knees = range(1, n_tiers(policy))
     s = model.add_variables(CONTINUOUS, 0.0, math.inf, [f"{name}_s{k}" for k in knees])
-    model.add_rows(
+    _, rhs = price_ladder(CarbonLadder(share, s, range(0)), policy)
+    rows = model.add_rows(
         np.column_stack([s, np.tile(share.ids, (len(s), 1))]),
         np.concatenate([[1.0], -share.coeffs]),
         GE,
-        [-k * d - (0.0 - share.constant) for k in knees],
+        rhs,
         [f"{name}_s{k}_knee" for k in knees],
     )
-    return combine(share.scaled(lam), linear_form(s, lam * alpha))
+    return CarbonLadder(share, s, rows)
+
+
+def price_ladder(ladder: CarbonLadder, policy) -> tuple[LinearForm, list[float]]:
+    """The cost form of an encoded ladder and the right-hand sides of its knee rows.
+
+    lambda enters only the cost form and interval_d only the right-hand
+    sides ``-k*d - (0.0 - share.constant)`` of knee k = 1, 2, ...; the rhs
+    moves the share's constant across.
+    """
+    if policy.mechanism == "none":
+        return linear_form([]), []
+    lam, alpha, d = policy.lambda_base, policy.alpha_growth, policy.interval_d
+    if policy.mechanism == "traditional":
+        return ladder.share.scaled(lam), []
+    rhs = [-k * d - (0.0 - ladder.share.constant) for k in range(1, len(ladder.s) + 1)]
+    return combine(ladder.share.scaled(lam), linear_form(ladder.s, lam * alpha)), rhs

@@ -43,18 +43,33 @@ Li, Guo, Sun & Wang (IEEE Trans. Power Syst. 31(2), 2016) give conditions
 under which the gate-free relaxation is exact a priori; the check after
 each solve makes them unnecessary here.
 
+Sweeps build once.  Along a sweep only the carbon base price lambda or the
+tier width d moves, and in the built model lambda enters only the costs of
+the carbon ladder and d only the right-hand sides of its knee rows
+(`carbon.encode_carbon_cost`).  `carbon.price_ladder` computes both, for
+`build_model` and for `_reprice` alike, and `_objective` sums the cost
+forms the same way on both paths.  So within a sweep chunk a point takes
+the gate-free model of the point before it and re-prices it, and the
+result is, bit for bit, the model `build_model` makes for the new point,
+provided the rest of the case, the scenario and the options are the same,
+and lambda > 0 holds on both points or on neither (it decides whether the
+ladder is built at all).  The model is passed on only from a point that
+ended verified with no gate added, so a gated or failed point makes the
+next one build afresh.
+
 Powers are kW, energies kWh, emissions kg, money in currency units.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import carbon as carbon_mod
-from .carbon import FlowSchedule, emission_account
+from .carbon import CarbonLadder, FlowSchedule, emission_account
 from .demand_response import (
     DR_TYPES,
     SHIFT,
@@ -233,6 +248,7 @@ class VarMap:
     cost_dr: LinearForm | None = None
     cost_maint: LinearForm | None = None
     carbon_cost: LinearForm | None = None
+    ladder: CarbonLadder | None = None
     actual: LinearForm | None = None
     pwl_bound_kg: float = 0.0
 
@@ -496,17 +512,39 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         maint += [(blk.charge, weight), (blk.discharge, weight)]
     vm.cost_maint = _flow_sum(maint, periods, dt)
 
-    costs = [vm.cost_buy, vm.cost_dr, vm.cost_maint]
     # at a zero base price every tier costs nothing, whatever the share, and
     # nothing holds the envelope columns on their curves: build it unpriced like S1
     if scenario.carbon_in_objective and case.carbon.lambda_base > 0:
         policy = replace(case.carbon, mechanism=scenario.mechanism)
-        vm.carbon_cost, vm.actual, vm.pwl_bound_kg = _encode_carbon(
+        vm.ladder, vm.actual, vm.pwl_bound_kg = _encode_carbon(
             case, options, model, vm.dr, policy, tags, flows
         )
-        costs.append(vm.carbon_cost)
-    model.set_objective(combine(*costs))
+        vm.carbon_cost, _ = carbon_mod.price_ladder(vm.ladder, policy)
+    model.set_objective(_objective(vm))
     return model, vm
+
+
+def _objective(vm: VarMap) -> LinearForm:
+    """Purchase, compensation, maintenance and, when priced, carbon cost."""
+    costs = (vm.cost_buy, vm.cost_dr, vm.cost_maint, vm.carbon_cost)
+    return combine(*(form for form in costs if form is not None))
+
+
+def _reprice(case: CaseData, model: MilpModel, vm: VarMap) -> None:
+    """Price a built model's carbon ladder for ``case.carbon``, as `build_model` would.
+
+    Exact when the model was built for a case that differs from ``case``
+    at most in ``lambda_base`` and ``interval_d``, with the same sign of
+    ``lambda_base > 0``: those two enter only the ladder's costs and knee
+    right-hand sides, which `carbon.price_ladder` computes here as in the
+    build, and `_objective` sums the costs as the build does.
+    """
+    if vm.ladder is None:
+        return
+    vm.carbon_cost, rhs = carbon_mod.price_ladder(
+        vm.ladder, replace(case.carbon, mechanism=vm.scenario.mechanism))
+    model.set_rhs(vm.ladder.knees, rhs)
+    model.set_objective(_objective(vm))
 
 
 def add_gates(case: CaseData, model: MilpModel, vm: VarMap, pairs) -> None:
@@ -548,6 +586,9 @@ def _gas_unit_heat_rate_max(case: CaseData) -> float:
 
 def _encode_carbon(case, options, model, dr, policy, tags, flows):
     """Emission accounting forms plus the trading-cost encoding.
+
+    Returns the ladder's handles (`carbon.CarbonLadder`), the actual
+    emission form and the envelope's error bound in kg.
 
     Actual emissions are quadratic in purchased power and in the combined
     gas-unit output; each quadratic is replaced per period by its tangent
@@ -596,8 +637,7 @@ def _encode_carbon(case, options, model, dr, policy, tags, flows):
         quota_const += (0.0 + load * policy.sigma_gload) * dt
     actual = _flow_sum(actual_flows, periods, dt, actual_const)
     quota = _flow_sum(quota_flows, periods, dt, quota_const)
-    cost = carbon_mod.encode_carbon_cost(model, policy, actual, quota)
-    return cost, actual, bound
+    return carbon_mod.encode_carbon_cost(model, policy, actual, quota), actual, bound
 
 
 # -- solutions ---------------------------------------------------------------------
@@ -665,16 +705,14 @@ class DispatchSolution:
     verification: "VerificationReport | None" = None
 
 
-def _snap(v: float, eps: float = 1e-9) -> float:
-    return 0.0 if abs(v) < eps else float(v)
-
-
 def _values(flow, x, periods: int) -> tuple[float, ...]:
     """A flow's per-period values ``0.0 + coeff * x[ids[t]]``, snapped to 0 below 1e-9."""
     if flow is None:
         return (0.0,) * periods
     ids, coeff = flow
-    return tuple(_snap(v) for v in (0.0 + coeff * x[ids]).tolist())
+    values = 0.0 + coeff * x[ids]
+    values[np.abs(values) < 1e-9] = 0.0
+    return tuple(values.tolist())
 
 
 def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> DispatchSolution:
@@ -751,9 +789,9 @@ def _storage_overlaps(case: CaseData, storage: dict[str, StorageSchedule]) -> di
     out = {}
     for k, sched in storage.items():
         tol = 1e-6 * max(case.storage(k).capacity_kwh, 1.0)
-        for t, (c, d) in enumerate(zip(sched.charge, sched.discharge)):
-            if not min(c, d) <= tol:
-                out[k, t] = min(c, d)
+        overlap = np.minimum(sched.charge, sched.discharge)
+        for t in np.flatnonzero(~(overlap <= tol)).tolist():
+            out[k, t] = float(overlap[t])
     return out
 
 
@@ -766,6 +804,16 @@ class VerificationReport:
     failures: list[str]
 
 
+def _over(value, limit) -> np.ndarray:
+    """How far each value exceeds its limit, 0 where it does not."""
+    return np.maximum(np.subtract(value, limit), 0.0)
+
+
+def _peak(values: np.ndarray) -> float:
+    """The largest entry, 0 for none; NaN when an entry is NaN."""
+    return float(values.max()) if values.size else 0.0
+
+
 def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> VerificationReport:
     """Recompute every model identity from the schedules and case data.
 
@@ -773,50 +821,47 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     dynamics, demand-response arithmetic, the satisfaction floor, the cost
     breakdown, and the exact-vs-linearized emission gap.  Each check records
     (name, residual, tolerance); the report passes iff all residuals are
-    within tolerance.
+    within tolerance.  A residual is the largest violation over the periods,
+    computed on whole schedules at once; each per-period value is the
+    floating-point result of the scalar formula, and the cost and emission
+    sums add the periods left to right.
     """
     scenario = as_scenario(scenario)
-    periods = case.horizon.periods
     dt = case.horizon.step_hours
     checks: list[tuple[str, float, float]] = []
     failures: list[str] = []
 
     def check(name: str, residual: float, tol: float):
+        residual = float(residual)
         checks.append((name, residual, tol))
         if not (residual <= tol):
             failures.append(f"{name}: residual {residual:.3e} exceeds {tol:.3e}")
 
-    def over(value, limit):
-        return max(0.0, value - limit)
+    e_buy, g_buy, dg, p2g_e, p2g_g, g_gt, gt_e, gt_h, g_gb, gb_h = (np.asarray(getattr(sol, name), dtype=float) for name in (
+        "p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e", "p_gt_h", "p_g_gb", "p_gb_h"))
+    storage = {k: tuple(np.asarray(v, dtype=float) for v in (sched.charge, sched.discharge, sched.soc))
+               for k, sched in sol.storage.items()}
+    dr_delta = {k: {dtype: np.asarray(series, dtype=float) for dtype, series in per_type.items()}
+                for k, per_type in sol.dr_delta.items()}
+    loads = {k: np.asarray(case.loads[k].values, dtype=float) for k in CARRIERS}
 
     # demand-response deltas and reshaped loads
-    adjusted = {}
-    for k in CARRIERS:
-        base = case.loads[k].values
-        deltas = sol.dr_delta.get(k, {})
-        adjusted[k] = tuple(
-            base[t] + sum(series[t] for series in deltas.values()) for t in range(periods)
-        )
+    adjusted = {k: loads[k] + sum(dr_delta.get(k, {}).values()) for k in CARRIERS}
     for k in CARRIERS:
         peak = max(max(case.loads[k].values), 1.0)
-        drift = max(abs(a - b) for a, b in zip(adjusted[k], sol.adjusted_loads[k]))
-        check(f"adjusted_load_{k}", drift, 1e-6 * peak)
+        check(f"adjusted_load_{k}", _peak(np.abs(adjusted[k] - sol.adjusted_loads[k])), 1e-6 * peak)
 
     # carrier balances
-    def net_storage(k, t):
-        sched = sol.storage.get(k)
-        return sched.discharge[t] - sched.charge[t] if sched else 0.0
+    def net_storage(k):
+        return storage[k][1] - storage[k][0] if k in storage else 0.0
 
     for k, supply in (
-        (ELECTRIC, lambda t: sol.p_e_buy[t] + sol.p_dg[t] + sol.p_gt_e[t]
-         + net_storage(ELECTRIC, t) - sol.p_p2g_e[t]),
-        (GAS, lambda t: sol.p_g_buy[t] + sol.p_p2g_g[t] + net_storage(GAS, t)
-         - sol.p_g_gt[t] - sol.p_g_gb[t]),
-        (HEAT, lambda t: sol.p_gt_h[t] + sol.p_gb_h[t] + net_storage(HEAT, t)),
+        (ELECTRIC, e_buy + dg + gt_e + net_storage(ELECTRIC) - p2g_e),
+        (GAS, g_buy + p2g_g + net_storage(GAS) - g_gt - g_gb),
+        (HEAT, gt_h + gb_h + net_storage(HEAT)),
     ):
         peak = max(max(case.loads[k].values), 1.0)
-        residual = max(abs(supply(t) - adjusted[k][t]) for t in range(periods))
-        check(f"balance_{k}", residual, 1e-6 * peak)
+        check(f"balance_{k}", _peak(np.abs(supply - adjusted[k])), 1e-6 * peak)
 
     # device couplings, limits, ramps
     gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
@@ -824,158 +869,104 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     p2g = case.converter("P2G")
 
     def ramp_residual(series, cap, frac):
-        if periods < 2:
-            return 0.0
-        return max(
-            over(abs(series[t] - series[t - 1]), frac * cap) for t in range(1, periods)
-        )
+        # the step from period t-1 to t, for t >= 1
+        return _peak(_over(np.abs(series[1:] - series[:-1]), frac * cap))
 
     if p2g:
         eta = p2g.efficiencies.get("gas", 0.0)
         scale = max(p2g.capacity_kw, 1.0)
-        check(
-            "p2g_coupling",
-            max(abs(sol.p_p2g_g[t] - eta * sol.p_p2g_e[t]) for t in range(periods)),
-            1e-6 * scale,
-        )
-        check("p2g_capacity", max(over(v, p2g.capacity_kw) for v in sol.p_p2g_e), 1e-6 * scale)
-        check("p2g_ramp", ramp_residual(sol.p_p2g_e, p2g.capacity_kw, p2g.ramp_fraction), 1e-6 * scale)
+        check("p2g_coupling", _peak(np.abs(p2g_g - eta * p2g_e)), 1e-6 * scale)
+        check("p2g_capacity", _peak(_over(p2g_e, p2g.capacity_kw)), 1e-6 * scale)
+        check("p2g_ramp", ramp_residual(p2g_e, p2g.capacity_kw, p2g.ramp_fraction), 1e-6 * scale)
     if gt:
         scale = max(gt_cap, 1.0)
         if case.chp.extraction_mode:
-            check(
-                "chp_e_fuel",
-                max(over(sol.p_gt_e[t], eps_e * sol.p_g_gt[t]) for t in range(periods)),
-                1e-6 * scale,
-            )
-            check(
-                "chp_h_fuel",
-                max(over(sol.p_gt_h[t], eps_h * sol.p_g_gt[t]) for t in range(periods)),
-                1e-6 * scale,
-            )
+            check("chp_e_fuel", _peak(_over(gt_e, eps_e * g_gt)), 1e-6 * scale)
+            check("chp_h_fuel", _peak(_over(gt_h, eps_h * g_gt)), 1e-6 * scale)
         else:
-            check(
-                "chp_e_coupling",
-                max(abs(sol.p_gt_e[t] - eps_e * sol.p_g_gt[t]) for t in range(periods)),
-                1e-6 * scale,
-            )
-            check(
-                "chp_h_coupling",
-                max(abs(sol.p_gt_h[t] - eps_h * sol.p_g_gt[t]) for t in range(periods)),
-                1e-6 * scale,
-            )
+            check("chp_e_coupling", _peak(np.abs(gt_e - eps_e * g_gt)), 1e-6 * scale)
+            check("chp_h_coupling", _peak(np.abs(gt_h - eps_h * g_gt)), 1e-6 * scale)
         check(
             "chp_ratio",
-            max(
-                max(over(case.chp.ratio_min * sol.p_gt_e[t], sol.p_gt_h[t]),
-                    over(sol.p_gt_h[t], case.chp.ratio_max * sol.p_gt_e[t]))
-                for t in range(periods)
-            ),
+            _peak(np.maximum(_over(case.chp.ratio_min * gt_e, gt_h), _over(gt_h, case.chp.ratio_max * gt_e))),
             1e-6 * scale,
         )
-        check("chp_fuel_capacity", max(over(v, gt_cap) for v in sol.p_g_gt), 1e-6 * scale)
+        check("chp_fuel_capacity", _peak(_over(g_gt, gt_cap)), 1e-6 * scale)
         if whb:
-            check("chp_whb_capacity", max(over(v, whb_cap) for v in sol.p_gt_h), 1e-6 * scale)
-        check("chp_ramp", ramp_residual(sol.p_g_gt, gt_cap, gt.ramp_fraction), 1e-6 * scale)
+            check("chp_whb_capacity", _peak(_over(gt_h, whb_cap)), 1e-6 * scale)
+        check("chp_ramp", ramp_residual(g_gt, gt_cap, gt.ramp_fraction), 1e-6 * scale)
     if gb:
         phi = gb.efficiencies.get("heat", 0.0)
         scale = max(gb.capacity_kw, 1.0)
-        check(
-            "gb_coupling",
-            max(abs(sol.p_gb_h[t] - phi * sol.p_g_gb[t]) for t in range(periods)),
-            1e-6 * scale,
-        )
-        check("gb_capacity", max(over(v, gb.capacity_kw) for v in sol.p_g_gb), 1e-6 * scale)
-        check("gb_ramp", ramp_residual(sol.p_g_gb, gb.capacity_kw, gb.ramp_fraction), 1e-6 * scale)
+        check("gb_coupling", _peak(np.abs(gb_h - phi * g_gb)), 1e-6 * scale)
+        check("gb_capacity", _peak(_over(g_gb, gb.capacity_kw)), 1e-6 * scale)
+        check("gb_ramp", ramp_residual(g_gb, gb.capacity_kw, gb.ramp_fraction), 1e-6 * scale)
 
-    check(
-        "wind_availability",
-        max(over(sol.p_dg[t], sol.wind_available[t]) for t in range(periods)),
-        1e-6 * max(case.wind_max_kw, 1.0),
-    )
-    check("purchase_cap_electric", max(over(v, case.purchase_caps[0]) for v in sol.p_e_buy),
+    check("wind_availability", _peak(_over(dg, sol.wind_available)), 1e-6 * max(case.wind_max_kw, 1.0))
+    check("purchase_cap_electric", _peak(_over(e_buy, case.purchase_caps[0])),
           1e-6 * max(case.purchase_caps[0], 1.0))
-    check("purchase_cap_gas", max(over(v, case.purchase_caps[1]) for v in sol.p_g_buy),
+    check("purchase_cap_gas", _peak(_over(g_buy, case.purchase_caps[1])),
           1e-6 * max(case.purchase_caps[1], 1.0))
 
     overlaps = _storage_overlaps(case, sol.storage)
-    for k, sched in sol.storage.items():
+    for k, (charge, discharge, soc) in storage.items():
         sto = case.storage(k)
         cap = sto.capacity_kwh
         plim = sto.power_limit_fraction * cap
         tol = 1e-6 * max(cap, 1.0)
-        soc_prev = sto.soc_initial_frac * cap
-        recursion = 0.0
-        for t in range(periods):
-            expect = soc_prev + sto.charge_eff * dt * sched.charge[t] - dt / sto.discharge_eff * sched.discharge[t]
-            recursion = max(recursion, abs(sched.soc[t] - expect))
-            soc_prev = sched.soc[t]
-        check(f"storage_{k}_recursion", recursion, tol)
-        check(f"storage_{k}_terminal", abs(sched.soc[-1] - sto.soc_initial_frac * cap), tol)
-        check(
-            f"storage_{k}_soc_bounds",
-            max(max(over(s, sto.soc_max_frac * cap), over(sto.soc_min_frac * cap, s)) for s in sched.soc),
-            tol,
-        )
-        check(
-            f"storage_{k}_power",
-            max(max(over(c, plim), over(d, plim)) for c, d in zip(sched.charge, sched.discharge)),
-            tol,
-        )
-        check(f"storage_{k}_exclusive", max(overlaps.get((k, t), 0.0) for t in range(periods)), tol)
+        initial = sto.soc_initial_frac * cap
+        # soc[t] against soc[t-1] + charge - discharge, soc[-1] the initial charge
+        soc_prev = np.concatenate(([initial], soc[:-1]))
+        expect = soc_prev + sto.charge_eff * dt * charge - dt / sto.discharge_eff * discharge
+        check(f"storage_{k}_recursion", _peak(np.abs(soc - expect)), tol)
+        check(f"storage_{k}_terminal", abs(soc[-1] - initial), tol)
+        check(f"storage_{k}_soc_bounds",
+              _peak(np.maximum(_over(soc, sto.soc_max_frac * cap), _over(sto.soc_min_frac * cap, soc))), tol)
+        check(f"storage_{k}_power", _peak(np.maximum(_over(charge, plim), _over(discharge, plim))), tol)
+        check(f"storage_{k}_exclusive", max((v for (c, _), v in overlaps.items() if c == k), default=0.0), tol)
 
     # demand-response arithmetic
     dec = decompose_loads(case)
-    for k, per_type in sol.dr_delta.items():
+    for k, per_type in dr_delta.items():
         load_sum = max(sum(case.loads[k].values), 1.0)
         for dtype, series in per_type.items():
-            base = dec.shiftable_base[k] if dtype == SHIFT else dec.substitutable_base[k]
+            base = np.asarray(dec.shiftable_base[k] if dtype == SHIFT else dec.substitutable_base[k])
             override = case.dr.shift_bounds.get(k) if dtype == SHIFT else None
-            window = 0.0
-            for t in range(periods):
-                lo, hi = (-base[t], base[t]) if override is None else override
-                window = max(window, over(series[t], hi), over(lo, series[t]))
-            check(f"dr_window_{dtype}_{k}", window, 1e-6 * load_sum)
+            lo, hi = (-base, base) if override is None else override
+            check(f"dr_window_{dtype}_{k}", _peak(np.maximum(_over(series, hi), _over(lo, series))),
+                  1e-6 * load_sum)
             if dtype == SHIFT or case.dr.literal_eq2:
-                check(f"dr_net_{dtype}_{k}", abs(sum(series)), 1e-6 * load_sum)
+                check(f"dr_net_{dtype}_{k}", abs(sum(series.tolist())), 1e-6 * load_sum)
     if not case.dr.literal_eq2:
-        subst = {k: per_type[SUBSTITUTE] for k, per_type in sol.dr_delta.items() if SUBSTITUTE in per_type}
+        subst = {k: per_type[SUBSTITUTE] for k, per_type in dr_delta.items() if SUBSTITUTE in per_type}
         if subst:
             scale = max(sum(max(case.loads[k].values) for k in subst), 1.0)
-            residual = max(
-                abs(sum(case.dr.subst_conversion.get(k, 1.0) * subst[k][t] for k in subst))
-                for t in range(periods)
-            )
-            check("dr_subst_coupling", residual, 1e-6 * scale)
+            net = sum(case.dr.subst_conversion.get(k, 1.0) * series for k, series in subst.items())
+            check("dr_subst_coupling", _peak(np.abs(net)), 1e-6 * scale)
     original = {k: case.loads[k].values for k in CARRIERS}
+    adjusted = {k: tuple(v.tolist()) for k, v in adjusted.items()}
     index = satisfaction_index(original, adjusted)
-    check("satisfaction_floor", over(case.dr.satisfaction_min, index), 1e-9)
+    check("satisfaction_floor", max(0.0, case.dr.satisfaction_min - index), 1e-9)
     check("satisfaction_value", abs(index - sol.satisfaction), 1e-9)
 
     # cost breakdown
-    buy = dt * sum(
-        case.tariffs.electricity_price[t] * sol.p_e_buy[t]
-        + case.tariffs.gas_price[t] * sol.p_g_buy[t]
-        for t in range(periods)
-    )
+    tariffs = case.tariffs
+    buy = dt * sum((np.multiply(tariffs.electricity_price, e_buy)
+                    + np.multiply(tariffs.gas_price, g_buy)).tolist())
     dr_cost = 0.0
-    for k, per_type in sol.dr_delta.items():
+    for k, per_type in dr_delta.items():
         for dtype, series in per_type.items():
             mu = case.dr.mu_shift if dtype == SHIFT else case.dr.mu_subst
-            dr_cost += mu * dt * sum(abs(v) for v in series)
+            dr_cost += mu * dt * sum(np.abs(series).tolist())
     omega = case.maintenance
-    maint = dt * sum(
-        omega.get("wind", 0.0) * sol.p_dg[t]
-        + omega.get("P2G", 0.0) * sol.p_p2g_g[t]
-        + omega.get("GT", 0.0) * sol.p_gt_e[t]
-        + omega.get("WHB", 0.0) * sol.p_gt_h[t]
-        + omega.get("GB", 0.0) * sol.p_gb_h[t]
-        + sum(
-            omega.get(f"storage_{k}", 0.0) * (sched.charge[t] + sched.discharge[t])
-            for k, sched in sol.storage.items()
-        )
-        for t in range(periods)
-    )
+    maint = dt * sum((
+        omega.get("wind", 0.0) * dg
+        + omega.get("P2G", 0.0) * p2g_g
+        + omega.get("GT", 0.0) * gt_e
+        + omega.get("WHB", 0.0) * gt_h
+        + omega.get("GB", 0.0) * gb_h
+        + sum(omega.get(f"storage_{k}", 0.0) * (charge + discharge) for k, (charge, discharge, _) in storage.items())
+    ).tolist())
     policy = replace(case.carbon, mechanism=scenario.mechanism)
     schedule = FlowSchedule(
         step_hours=dt,
@@ -1010,21 +1001,12 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
         cap_e = case.purchase_caps[0]
         q_max = _gas_unit_heat_rate_max(case)
         n = sol.pwl_segments
-        surrogate = 0.0
-        for t in range(periods):
-            coal = (
-                pwl_convex_value(policy.coal_quad, cap_e, n, sol.p_e_buy[t])
-                if cap_e > 0 else quad_value(policy.coal_quad, 0.0)
-            )
-            q_t = sol.p_gt_e[t] + sol.p_gt_h[t] + sol.p_gb_h[t]
-            gas = (
-                pwl_convex_value(policy.gas_quad, q_max, n, q_t)
-                if q_max > 0 else quad_value(policy.gas_quad, 0.0)
-            )
-            surrogate += dt * (
-                coal + gas + policy.delta_gasload * adjusted[GAS][t]
-                - policy.theta_p2g * sol.p_p2g_g[t]
-            )
+        coal = (pwl_convex_value(policy.coal_quad, cap_e, n, e_buy)
+                if cap_e > 0 else quad_value(policy.coal_quad, 0.0))
+        gas = (pwl_convex_value(policy.gas_quad, q_max, n, gt_e + gt_h + gb_h)
+               if q_max > 0 else quad_value(policy.gas_quad, 0.0))
+        surrogate = sum((dt * (coal + gas + policy.delta_gasload * np.asarray(adjusted[GAS])
+                               - policy.theta_p2g * p2g_g)).tolist())
         rel("surrogate_actual", sol.surrogate_actual_kg, surrogate,
             scale=max(abs(surrogate), account.actual.total, 1.0))
         check(
@@ -1047,18 +1029,60 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
 # -- runners -----------------------------------------------------------------------
 
 
+@dataclass
+class _ModelSlot:
+    """A sweep chunk's gate-free model, kept from one point to the next.
+
+    ``held`` is (case, model, VarMap) of the last point that ended verified
+    with no gate added, or None.
+    """
+
+    held: tuple | None = None
+
+
+_model_slot: ContextVar[_ModelSlot | None] = ContextVar("sweep_model", default=None)
+
+
+def _repriceable(held, case: CaseData, scenario: ScenarioSpec, options: DispatchOptions) -> bool:
+    """Whether `_reprice` turns the held gate-free model into ``build_model(case, scenario, options)``.
+
+    It does when the scenario and options are the same and the case differs
+    from the one the model was built for at most in ``carbon.lambda_base``
+    and ``carbon.interval_d``, with ``lambda_base > 0`` on both or on neither.
+    """
+    built, _, vm = held
+    carbon = replace(case.carbon, lambda_base=built.carbon.lambda_base, interval_d=built.carbon.interval_d)
+    return (vm.scenario == scenario and vm.options == options
+            and (case.carbon.lambda_base > 0) == (built.carbon.lambda_base > 0)
+            and replace(case, carbon=carbon) == built)
+
+
 def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = None) -> DispatchSolution:
     """Build, solve, extract, and verify one scenario, gating stores on demand.
 
     Raises StaticInfeasibleError / SolveFailedError / VerificationError
     rather than returning a solution that cannot be trusted, and UnitError
-    (from ``build_model``) for an invalid case.  A numerical failure of the
-    LP core is a SolveFailedError with status "numerical_failure".
+    (from ``require_valid``) for an invalid case.  A numerical failure of
+    the LP core is a SolveFailedError with status "numerical_failure".
+
+    Inside a sweep chunk (`_sweep`) the model of the chunk's previous point
+    is re-priced instead of built again when it can be (`_repriceable`).
+    It is taken out of the chunk's slot here and put back only when this
+    point ends verified with no gate added, so after a point that raises or
+    adds gates the next one builds afresh.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
     solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
-    model, vm = build_model(case, scenario, options)
+    slot, held = _model_slot.get(), None
+    if slot is not None:
+        held, slot.held = slot.held, None
+    if held is not None and _repriceable(held, case, scenario, options):
+        _, model, vm = held
+        require_valid(case)
+        _reprice(case, model, vm)
+    else:
+        model, vm = build_model(case, scenario, options)
     # gates on demand (module docstring): a round that leaves no ungated
     # pair overlapping is the last; verify_solution judges the gated ones
     nodes, wall_time = 0, 0.0
@@ -1080,6 +1104,8 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     if not report.passed:
         raise VerificationError(scenario.id, report.failures)
     sol.verification = report
+    if slot is not None and not any(blk.gate for blk in vm.storage.values()):
+        slot.held = case, model, vm
     return sol
 
 
@@ -1200,19 +1226,28 @@ def check_grid(grid) -> list[float]:
 
 
 def _chained_tasks(tasks):
-    """Run the tasks in order inside one ``lp_chain``."""
-    with lp_chain():
-        return [_scenario_task(t) for t in tasks]
+    """Run the tasks in order inside one ``lp_chain``, with one model slot."""
+    token = _model_slot.set(_ModelSlot())
+    try:
+        with lp_chain():
+            return [_scenario_task(t) for t in tasks]
+    finally:
+        _model_slot.reset(token)
 
 
 def _sweep(case, scenario, grid, options, jobs, override) -> list[SweepPoint]:
     """Run the scenario once per grid value of the carbon-policy field ``override``.
 
     The grid is cut into ``min(jobs, points)`` contiguous chunks, each run
-    on one LP chain: a point re-prices the HiGHS core of the point before
-    it and restarts from that point's basis.  Every point solves its own
-    LP, so its objective is that of a single-point ``solve``; on a
-    degenerate face the other columns can differ from one.
+    on one LP chain and with one model slot.  A point re-prices the model of
+    the point before it rather than building its own: the field moves only
+    the carbon ladder's costs (lambda) or its knee right-hand sides (d), and
+    `carbon.price_ladder` computes those for the build and the re-price
+    alike, so the re-priced model is the fresh build (module docstring).  It
+    then re-prices the HiGHS core of the point before it, whose matrix is
+    the same object, and restarts from that point's basis.  Every point
+    solves its own LP, so its objective is that of a single-point ``solve``;
+    on a degenerate face the other columns can differ from one.
     """
     values = check_grid(grid)
     scenario_id = as_scenario(scenario).id

@@ -19,8 +19,9 @@ A linear form is a :class:`LinearForm` ``(ids, coeffs, constant)``, built
 with numpy by the model code; :func:`combine` adds forms and
 :meth:`MilpModel.set_objective` takes one as the objective.  Finiteness is
 checked where numbers enter the model: ``add_rows`` checks every
-coefficient and right-hand side of a block at once, ``add_variables`` every
-bound, and ``set_objective`` the objective.  A form checks nothing itself.
+coefficient and right-hand side of a block at once, ``set_rhs`` the new
+right-hand sides of existing rows, ``add_variables`` every bound, and
+``set_objective`` the objective.  A form checks nothing itself.
 
 The module also carries the linearization the dispatch model uses:
 epigraph (tangent) cuts for convex quadratics, added for a whole family of
@@ -215,6 +216,7 @@ class MilpModel:
         self._col_name_set: set[str] = set()
         self._row_name_set: set[str] = set()
         self._csr = None
+        self._csc = None
 
     # -- construction ------------------------------------------------------
 
@@ -246,6 +248,7 @@ class MilpModel:
         self._upper += upper.tolist()
         self._col_names += names
         self._col_name_set |= fresh
+        self._csc = None
         return np.arange(start, start + n)
 
     def add_rows(self, cols, coeffs, relation, rhs, names) -> range:
@@ -299,8 +302,26 @@ class MilpModel:
         self._relations += rels
         self._row_names += names
         self._row_name_set |= fresh
-        self._csr = None
+        self._csr = self._csc = None
         return range(start, start + m)
+
+    def set_rhs(self, rows, values) -> None:
+        """Set the right-hand sides of existing rows, one value per row id.
+
+        The rows must exist and the values be finite, as in
+        :meth:`add_rows`; a failed check changes nothing.  The matrix is
+        untouched, so a compiled ``A`` stays valid.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        values = _filled(values, rows.shape)
+        known = rows.astype(np.uint64) < self.num_constraints
+        if not _all(known):
+            raise ModelError(f"unknown constraint {rows[~known][0]}")
+        if not _all(np.isfinite(values)):
+            i = rows[np.flatnonzero(~np.isfinite(values))[0]]
+            raise ModelError(f"constraint {self._row_names[i]!r}: non-finite right-hand side")
+        for i, b in zip(rows.tolist(), values.tolist()):
+            self._rhs[i] = b
 
     def set_objective(self, form: LinearForm) -> None:
         """Set the minimization objective to ``combine(form)``.
@@ -371,7 +392,9 @@ class MilpModel:
         A is a ``scipy.sparse.csc_array`` with one row per constraint in
         registration order, sorted row indices and no stored zeros.  This is
         the form the solvers consume; it is joined straight from the row
-        store, without a dense intermediate.
+        store, without a dense intermediate.  The model keeps it until a
+        column or row is added, so a model whose costs or right-hand sides
+        change in between compiles to the same ``A`` object.
         """
         # deferred so that importing the package does not load scipy
         from scipy.sparse import csr_array
@@ -379,8 +402,10 @@ class MilpModel:
         n, m = self.num_variables, self.num_constraints
         c = np.zeros(n)
         c[self.objective.ids] = self.objective.coeffs
-        indptr, cols, vals = self._joined()
-        A = csr_array((vals, cols, indptr), shape=(m, n)).tocsc()
+        if self._csc is None:
+            indptr, cols, vals = self._joined()
+            self._csc = csr_array((vals, cols, indptr), shape=(m, n)).tocsc()
+        A = self._csc
         rhs = np.array(self._rhs, dtype=float)
         lb = np.array(self._lower, dtype=float)
         ub = np.array(self._upper, dtype=float)
@@ -411,19 +436,18 @@ def pwl_convex_error_bound(c: float, x_max: float, segments: int) -> float:
     return c * (x_max / segments) ** 2 / 4.0
 
 
-def pwl_convex_value(quad, x_max: float, segments: int, x: float) -> float:
-    """Value of the pwl_convex tangent envelope at a point.
+def pwl_convex_value(quad, x_max: float, segments: int, x):
+    """Value of the pwl_convex tangent envelope at a point, or at each point of an array.
 
     This is what the model variable equals under downward objective
     pressure; verification recomputes it from a schedule without a model.
+    Each tangent is evaluated in the operation order of `quad_value`.
     """
     a, b, c = (float(v) for v in quad)
-    best = -math.inf
-    for i in range(segments + 1):
-        xi = x_max * i / segments
-        slope = b + 2.0 * c * xi
-        best = max(best, quad_value(quad, xi) + slope * (x - xi))
-    return best
+    xi = x_max * np.arange(segments + 1) / segments
+    slope = b + 2.0 * c * xi
+    best = np.max(a + b * xi + c * xi * xi + slope * (np.asarray(x, dtype=float)[..., None] - xi), axis=-1)
+    return float(best) if best.ndim == 0 else best
 
 
 def pwl_convex(model: MilpModel, x_cols, x_coeffs, quads, x_max, segments: int, names) -> np.ndarray:

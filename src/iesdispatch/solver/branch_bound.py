@@ -17,7 +17,9 @@ entry, `solve_milp` re-prices that core with the model's costs and row
 bounds and restarts the dual simplex from the previous optimal basis
 (Huangfu & Hall, Math. Prog. Comp. 10(1), 2018).  A parameter sweep is such
 a series: the carbon price moves costs only and the tier width the bounds
-of the knee rows.  Each solve is still of its own compiled LP, so the
+of the knee rows.  A sweep re-prices one model from point to point, and
+``to_sparse`` keeps its compiled matrix, so the core's ``A`` is the very
+object the next point compiles to and the check ends at once.  Each solve is still of its own compiled LP, so the
 optimum is unchanged; on a degenerate face the vertex returned can differ
 from a cold start.
 """
@@ -132,7 +134,9 @@ class _ScipyCore:
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
         self.row_lower, self.row_upper = row_bounds(relations, rhs)
-        self.A = csc = csc_array(A)  # the compiled sparse A, or a dense one
+        # the compiled A is kept as it is, so a model that compiles to the
+        # same object again is recognised at once; a dense A is converted
+        self.A = csc = A if isinstance(A, csc_array) else csc_array(A)
         lp = HighsLp()
         lp.num_col_, lp.num_row_ = n, m
         lp.col_cost_ = self._cost
@@ -289,7 +293,7 @@ def lp_chain():
 
 
 def _same_matrix(a, b) -> bool:
-    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+    return a is b or (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
 
 

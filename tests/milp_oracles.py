@@ -6,7 +6,8 @@ agreement with the product is a genuine cross-check rather than a
 self-comparison.  ``brute_force_milp`` solves each leaf LP with scipy HiGHS;
 it is slower and serves as a cross-check of the vertex oracle.
 ``every_gate_model`` builds the paper's fully gated dispatch model, the
-reference that gates on demand are compared against.
+reference that gates on demand are compared against, and
+``compiled_differences`` compares two models' compiled arrays bit for bit.
 """
 
 import itertools
@@ -24,6 +25,20 @@ def every_gate_model(case, scenario, options=None):
     model, vm = build_model(case, scenario, options)
     add_gates(case, model, vm, [(sto.carrier, t) for sto in case.storages for t in range(case.horizon.periods)])
     return model, vm
+
+
+COMPILED_FIELDS = ("c", "c0", "A", "relations", "rhs", "lb", "ub", "is_binary")
+
+
+def _bits(value) -> list:
+    arrays = (value.shape, value.indptr, value.indices, value.data) if hasattr(value, "indptr") else (value,)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+def compiled_differences(a: MilpModel, b: MilpModel) -> list[str]:
+    """The fields of ``to_sparse()`` in which two models differ, dtype, shape and bits compared."""
+    return [name for name, x, y in zip(COMPILED_FIELDS, a.to_sparse(), b.to_sparse())
+            if _bits(x) != _bits(y)]
 
 
 def random_milp(rng: random.Random, n_binaries: int) -> MilpModel:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milp_oracles import compiled_differences
+
 from iesdispatch.carbon import (
     FlowSchedule,
     actual_emissions,
@@ -13,6 +15,7 @@ from iesdispatch.carbon import (
     emission_account,
     encode_carbon_cost,
     n_tiers,
+    price_ladder,
     quota_total,
     tier_cost,
     tier_knee,
@@ -155,7 +158,7 @@ def _encoded_cost(act_val, quo_val, policy):
     m = MilpModel()
     act, quo = m.add_variables(CONTINUOUS, -50_000.0, 50_000.0, ["act", "quo"])
     m.add_rows([[act], [quo]], 1.0, EQ, [act_val, quo_val], ["pin_a", "pin_q"])
-    cost = encode_carbon_cost(m, policy, linear_form([act]), linear_form([quo]))
+    cost, _ = price_ladder(encode_carbon_cost(m, policy, linear_form([act]), linear_form([quo])), policy)
     assert m.binary_ids() == []
     m.set_objective(cost)
     res = solve_milp(m)
@@ -203,8 +206,33 @@ def test_encoding_traditional_and_none(policy):
     none = replace(policy, mechanism=MECHANISM_NONE)
     m = MilpModel()
     act = m.add_variables(CONTINUOUS, 0.0, 10.0, ["act"])
-    form = encode_carbon_cost(m, none, linear_form(act), linear_form([]))
-    assert form.ids.size == 0 and form.constant == 0.0
+    form, knee_rhs = price_ladder(encode_carbon_cost(m, none, linear_form(act), linear_form([])), none)
+    assert form.ids.size == 0 and form.constant == 0.0 and knee_rhs == []
+    assert m.num_constraints == 0
+
+
+def _priced_ladder_model(policy):
+    m = MilpModel()
+    act, quo = m.add_variables(CONTINUOUS, -50_000.0, 50_000.0, ["act", "quo"])
+    ladder = encode_carbon_cost(m, policy, linear_form([act], 1.0, 7.5), linear_form([quo], 0.9))
+    m.set_objective(price_ladder(ladder, policy)[0])
+    return m, ladder
+
+
+@pytest.mark.parametrize("mechanism", ["tiered", MECHANISM_TRADITIONAL])
+def test_repriced_ladder_is_the_fresh_encoding(policy, mechanism):
+    # lambda moves only the cost form and d only the knee right-hand sides
+    first = replace(policy, mechanism=mechanism)
+    second = replace(first, lambda_base=2.5 * first.lambda_base, interval_d=0.4 * first.interval_d)
+    m, ladder = _priced_ladder_model(first)
+    A = m.to_sparse()[2]
+    cost, knee_rhs = price_ladder(ladder, second)
+    m.set_rhs(ladder.knees, knee_rhs)
+    m.set_objective(cost)
+    fresh, _ = _priced_ladder_model(second)
+    assert len(ladder.knees) == (n_tiers(first) - 1 if mechanism == "tiered" else 0)
+    assert compiled_differences(m, fresh) == []
+    assert m.to_sparse()[2] is A
 
 
 NONCONVEX_LADDER = {"alpha_growth": -0.1, "lambda_base": -0.1, "interval_d": 0.0}

@@ -344,11 +344,13 @@ def test_sweep_point_lp_core_failure_is_its_row(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):
-    runs = [tmp_path / "a", tmp_path / "b"]
-    for out in runs:
-        assert run_cli(*SWEEP_ARGV, "--out", str(out)) == cli.EXIT_OK
-    for name in ("sweep_lambda_S5.csv", "meta.json"):
-        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    d_argv = ("sweep", "--param", "d", "--grid", "1000:4000:1000", "--reduced", "--scenario", "S5")
+    for param, argv in (("lambda", SWEEP_ARGV), ("d", d_argv)):
+        runs = [tmp_path / f"{param}-a", tmp_path / f"{param}-b"]
+        for out in runs:
+            assert run_cli(*argv, "--out", str(out)) == cli.EXIT_OK
+        for name in (f"sweep_{param}_S5.csv", "meta.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), (param, name)
 
 
 def test_sweep_jobs_match_serial_objectives(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milp_oracles import every_gate_model
+from milp_oracles import compiled_differences, every_gate_model
 
 from iesdispatch import dispatch
 from iesdispatch.dispatch import (
@@ -26,7 +26,7 @@ from iesdispatch.dispatch import (
     verify_solution,
 )
 from iesdispatch.model_core import default_case_path, load_case, reduce_case, scale_profiles
-from iesdispatch.solver import branch_bound, solve_milp
+from iesdispatch.solver import NumericalFailure, branch_bound, solve_milp
 
 
 def tiny_case(T, elec, gas, heat, wind, price=None, storages=None):
@@ -301,6 +301,111 @@ def test_verification_catches_storage_tamper(reduced_case, reduced_report):
     assert any("storage" in f for f in report.failures)
 
 
+S5_CHECKS = [
+    "adjusted_load_electric", "adjusted_load_gas", "adjusted_load_heat",
+    "balance_electric", "balance_gas", "balance_heat",
+    "p2g_coupling", "p2g_capacity", "p2g_ramp",
+    "chp_e_coupling", "chp_h_coupling", "chp_ratio", "chp_fuel_capacity", "chp_whb_capacity", "chp_ramp",
+    "gb_coupling", "gb_capacity", "gb_ramp",
+    "wind_availability", "purchase_cap_electric", "purchase_cap_gas",
+    *(f"storage_{k}_{c}" for k in ("electric", "heat", "gas")
+      for c in ("recursion", "terminal", "soc_bounds", "power", "exclusive")),
+    "dr_window_shift_electric", "dr_net_shift_electric", "dr_window_substitute_electric",
+    "dr_window_shift_heat", "dr_net_shift_heat", "dr_window_substitute_heat", "dr_window_substitute_gas",
+    "dr_subst_coupling", "satisfaction_floor", "satisfaction_value",
+    "cost_purchase", "cost_dr", "cost_maintenance", "cost_carbon_exact", "emission_actual", "emission_quota",
+    "cost_total", "surrogate_actual", "pwl_gap", "surrogate_carbon_cost", "objective_identity",
+]
+
+
+def test_verification_check_names_and_order(reduced_report):
+    assert [name for name, _, _ in reduced_report.solutions["S5"].verification.checks] == S5_CHECKS
+
+
+DELTA = 50.0  # kW; every tamper below moves one value of one period by it
+LAST = -1  # the last period: its ramp is measured against the period before only
+
+
+def _bump(values, t, delta):
+    values = list(values)
+    values[t] += delta
+    return tuple(values)
+
+
+def _ramp_tamper(field, unit):
+    def tamper(case, sol):
+        dev = case.converter(unit)
+        series = getattr(sol, field)
+        step = dev.ramp_fraction * dev.capacity_kw
+        bumped = _bump(series, LAST, series[LAST - 1] + step + DELTA - series[LAST])
+        return dataclasses.replace(sol, **{field: bumped}), DELTA
+    return tamper
+
+
+def _flow_tamper(field, t=3, scale=lambda case, t: 1.0):
+    def tamper(case, sol):
+        return dataclasses.replace(sol, **{field: _bump(getattr(sol, field), t, DELTA)}), DELTA * scale(case, t)
+    return tamper
+
+
+def _dr_tamper(carrier, dtype, t, value=None, scale=lambda case: 1.0):
+    # value: set the adjustment to this function of the case, else move it by DELTA
+    def tamper(case, sol):
+        dr = {k: dict(per_type) for k, per_type in sol.dr_delta.items()}
+        series = dr[carrier][dtype]
+        delta = DELTA if value is None else value(case) + DELTA - series[t]
+        dr[carrier][dtype] = _bump(series, t, delta)
+        return dataclasses.replace(sol, dr_delta=dr), DELTA * scale(case)
+    return tamper
+
+
+def _soc_tamper(case, sol):
+    storage = dict(sol.storage)
+    sched = storage["heat"]
+    storage["heat"] = dataclasses.replace(sched, soc=_bump(sched.soc, 5, DELTA))
+    return dataclasses.replace(sol, storage=storage), DELTA
+
+
+def _shiftable(case, carrier, t):
+    fraction = case.dr.shiftable_fraction[carrier]
+    return fraction * case.loads[carrier].values[t]
+
+
+TAMPERS = {
+    "p2g_ramp": _ramp_tamper("p_p2g_e", "P2G"),
+    "chp_ramp": _ramp_tamper("p_g_gt", "GT"),
+    "gb_ramp": _ramp_tamper("p_g_gb", "GB"),
+    "p2g_coupling": _flow_tamper("p_p2g_g"),
+    "chp_e_coupling": _flow_tamper("p_gt_e"),
+    "chp_h_coupling": _flow_tamper("p_gt_h"),
+    "gb_coupling": _flow_tamper("p_gb_h"),
+    "storage_heat_recursion": _soc_tamper,
+    "dr_window_shift_electric": _dr_tamper("electric", "shift", 4, lambda case: _shiftable(case, "electric", 4)),
+    "dr_net_shift_heat": _dr_tamper("heat", "shift", 2),
+    "dr_subst_coupling": _dr_tamper("gas", "substitute", 1,
+                                    scale=lambda case: case.dr.subst_conversion["gas"]),
+    "cost_purchase": _flow_tamper(
+        "p_e_buy", scale=lambda case, t: case.horizon.step_hours * case.tariffs.electricity_price[t]),
+    "cost_maintenance": _flow_tamper(
+        "p_dg", scale=lambda case, t: case.horizon.step_hours * case.maintenance["wind"]),
+    "cost_dr": _dr_tamper("heat", "shift", 2, scale=lambda case: case.horizon.step_hours * case.dr.mu_shift),
+}
+
+
+@pytest.mark.parametrize("name", TAMPERS)
+def test_single_period_tamper_fails_its_check(reduced_case, reduced_report, name):
+    # each tamper moves one period of one schedule; its check reports the
+    # violation it injected, measured on the whole schedule
+    sol = reduced_report.solutions["S5"]
+    assert sol.verification.passed
+    tampered, injected = TAMPERS[name](reduced_case, sol)
+    report = verify_solution(reduced_case, "S5", tampered)
+    residual = {n: r for n, r, _ in report.checks}[name]
+    assert any(f.startswith(f"{name}: ") for f in report.failures), report.failures
+    assert residual == pytest.approx(injected, rel=1e-6, abs=1e-6)
+    assert [n for n, _, _ in report.checks] == S5_CHECKS
+
+
 # -- linearization control -----------------------------------------------------------
 
 
@@ -419,6 +524,103 @@ def test_chained_sweep_through_binding_gates(binding_case, reduced_options, coun
                              reduced_options)
         assert _agree(p.objective, fresh.objective, reduced_options.gap_tol), (p.value, p.objective)
     assert _agree(points[-1].objective, every_gate_objectives["S2"], reduced_options.gap_tol)
+
+
+# -- sweeps on one model per chunk ---------------------------------------------------
+
+
+@pytest.fixture()
+def sweep_spy(monkeypatch):
+    """Record each sweep point's case, whether it built its model, and whether it added gates.
+
+    Returns a list with one dict per ``run_scenario`` call, in call order.
+    """
+    points = []
+    run, build, add = dispatch.run_scenario, dispatch.build_model, dispatch.add_gates
+
+    def spy_run(case, scenario, options=None):
+        points.append({"case": case, "built": False, "gated": False})
+        return run(case, scenario, options)
+
+    def spy_build(*args):
+        points[-1]["built"] = True
+        return build(*args)
+
+    def spy_add(*args):
+        points[-1]["gated"] = True
+        return add(*args)
+
+    monkeypatch.setattr(dispatch, "run_scenario", spy_run)
+    monkeypatch.setattr(dispatch, "build_model", spy_build)
+    monkeypatch.setattr(dispatch, "add_gates", spy_add)
+    return points
+
+
+@pytest.mark.parametrize("sweep, grid", [(sweep_lambda, LAMBDA_GRID), (sweep_interval, INTERVAL_GRID)],
+                         ids=["lambda", "d"])
+@pytest.mark.parametrize("scenario", ["S2", "S3", "S4", "S5"])
+def test_repriced_model_is_the_fresh_build(bundled_case, sweep_cases, reduced_options, sweep_spy,
+                                           monkeypatch, sweep, grid, scenario):
+    # the model a point solves first compiles, entry for entry, to the
+    # gate-free model build_model makes for that point's case (the name
+    # imported here is not the spy)
+    solve, differences = dispatch.solve_milp, []
+
+    def compare(model, options):
+        fresh, _ = build_model(sweep_spy[-1]["case"], scenario, options)
+        differences.append(compiled_differences(model, fresh))
+        return solve(model, options)
+
+    monkeypatch.setattr(dispatch, "solve_milp", compare)
+    for case, options in [(bundled_case, DispatchOptions()), *((c, reduced_options) for c in sweep_cases)]:
+        sweep_spy.clear()
+        differences.clear()
+        points = sweep(case, scenario, grid, options)
+        assert differences == [[]] * len(grid)
+        assert [(p.status, p.error) for p in points] == [("optimal", None)] * len(grid)
+        assert [p["built"] for p in sweep_spy] == [True] + [False] * (len(grid) - 1)
+
+
+def test_sweep_builds_one_model_per_chunk(reduced_case, reduced_options, sweep_spy, serial_pool):
+    grid = [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4]
+    for jobs, chunks in ((1, 1), (3, 3), (500, 7)):
+        sweep_spy.clear()
+        points = sweep_lambda(reduced_case, "S5", grid, reduced_options, jobs=jobs)
+        assert all(p.status == "optimal" for p in points)
+        assert sum(p["built"] for p in sweep_spy) == chunks, jobs
+        assert not any(p["gated"] for p in sweep_spy)
+    # outside a sweep every run builds its own model
+    sweep_spy.clear()
+    for _ in range(2):
+        dispatch.run_scenario(reduced_case, "S5", reduced_options)
+    assert [p["built"] for p in sweep_spy] == [True, True]
+
+
+def test_point_after_a_gated_point_builds_again(binding_case, reduced_options, sweep_spy):
+    # a point that adds gates leaves no model behind: the next one builds
+    case, _ = binding_case
+    points = sweep_lambda(case, "S2", [0.5, 1.0, 1.5, 2.0], reduced_options)
+    assert all(p.status == "optimal" for p in points)
+    gated = [p["gated"] for p in sweep_spy]
+    assert any(gated)
+    assert [p["built"] for p in sweep_spy] == [True] + gated[:-1]
+
+
+def test_point_after_a_failed_point_builds_again(reduced_case, reduced_options, sweep_spy, monkeypatch):
+    # the third point re-prices the model and its LP core fails: the model
+    # is not put back, so the fourth point builds afresh
+    solve, calls = branch_bound._ScipyCore.solve, []
+
+    def third_fails(self, lb, ub, start=None):
+        calls.append(self)
+        if len(calls) == 3:
+            raise NumericalFailure("LP core failed: injected")
+        return solve(self, lb, ub, start)
+
+    monkeypatch.setattr(branch_bound._ScipyCore, "solve", third_fails)
+    points = sweep_lambda(reduced_case, "S5", [0.2, 0.3, 0.4, 0.5], reduced_options)
+    assert [p.status for p in points] == ["optimal", "optimal", "numerical_failure", "optimal"]
+    assert [p["built"] for p in sweep_spy] == [True, False, False, True]
 
 
 # -- exact LP forms of the convex cost terms ------------------------------------------

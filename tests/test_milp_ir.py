@@ -247,6 +247,48 @@ def test_to_dense_shapes():
     assert list(is_binary) == [False, True]
 
 
+def test_set_rhs_keeps_the_compiled_matrix():
+    m = MilpModel()
+    xy = m.add_variables(CONTINUOUS, 0.0, 4.0, ["x", "y"])
+    rows = m.add_rows([xy, xy], [[1.0, 1.0], [1.0, -1.0]], [LE, GE], [3.0, -1.0], ["sum", "diff"])
+    A = m.to_sparse()[2]
+    m.set_rhs([rows[1]], [-2.5])
+    m.set_objective(linear_form(xy, [1.0, 2.0]))
+    c, _, again, _, rhs, *_ = m.to_sparse()
+    assert again is A
+    assert list(rhs) == [3.0, -2.5] and list(c) == [1.0, 2.0]
+    assert [con.rhs for con in m.constraints] == [3.0, -2.5]
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["z"])
+    assert m.to_sparse()[2].shape == (2, 3)
+    m.add_rows([[2]], 1.0, LE, 1.0, ["z_cap"])
+    assert m.to_sparse()[2].shape == (3, 3)
+
+
+@pytest.mark.parametrize("rows, values, message", [
+    ([0, 1], [1.0, math.inf], "'diff': non-finite right-hand side"),
+    ([0], [math.nan], "'sum': non-finite right-hand side"),
+    ([2], [1.0], "unknown constraint 2"),
+    ([-1], [1.0], "unknown constraint -1"),
+])
+def test_set_rhs_rejects_and_changes_nothing(rows, values, message):
+    m = MilpModel()
+    xy = m.add_variables(CONTINUOUS, 0.0, 4.0, ["x", "y"])
+    m.add_rows([xy, xy], [[1.0, 1.0], [1.0, -1.0]], LE, [3.0, 1.0], ["sum", "diff"])
+    with pytest.raises(ModelError, match=message):
+        m.set_rhs(rows, values)
+    assert [con.rhs for con in m.constraints] == [3.0, 1.0]
+
+
+def test_pwl_convex_value_of_an_array_is_the_scalar_formula_at_each_point():
+    quad = a, b, c = (0.5, 1.5, 0.02)
+    xs = [0.0, 3.7, 50.0, 99.9, 100.0]
+    for n in (1, 2, 5):
+        breakpoints = [100.0 * i / n for i in range(n + 1)]
+        want = [max(quad_value(quad, xi) + (b + 2.0 * c * xi) * (x - xi) for xi in breakpoints) for x in xs]
+        assert pwl_convex_value(quad, 100.0, n, np.array(xs)).tolist() == want
+        assert [pwl_convex_value(quad, 100.0, n, x) for x in xs] == want
+
+
 # -- the bulk row and column entry points --------------------------------------
 
 

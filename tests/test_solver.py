@@ -448,6 +448,16 @@ def test_repriced_core_matches_cold_solves():
     assert warm_iterations < cold_iterations / 2
 
 
+def test_core_keeps_the_compiled_matrix_object():
+    # a model compiled again between re-pricings hands the chain the same A,
+    # which the matrix check accepts without comparing entries
+    (c, c0, A, relations, rhs), *_ = _sweep_lps()[0]
+    assert _ScipyCore(c, c0, A, relations, rhs).A is A
+    dense = _ScipyCore(c, c0, A.toarray(), relations, rhs).A
+    assert dense is not A and _same_matrix(dense, A)
+    assert _same_matrix(A, A)
+
+
 def test_repriced_core_gives_each_solve_its_own_time_limit():
     # HiGHS's run clock counts every run of an instance; reprice moves the
     # limit on, so cold solves that together take far longer than the
