@@ -1029,7 +1029,6 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
 # -- runners -----------------------------------------------------------------------
 
 
-@dataclass
 class _ModelSlot:
     """A sweep chunk's gate-free model, kept from one point to the next.
 

@@ -19,9 +19,9 @@ bounds and restarts the dual simplex from the previous optimal basis
 a series: the carbon price moves costs only and the tier width the bounds
 of the knee rows.  A sweep re-prices one model from point to point, and
 ``to_sparse`` keeps its compiled matrix, so the core's ``A`` is the very
-object the next point compiles to and the check ends at once.  Each solve is still of its own compiled LP, so the
-optimum is unchanged; on a degenerate face the vertex returned can differ
-from a cold start.
+object the next point compiles to and the check ends at once.  Each solve
+is still of its own compiled LP, so the optimum is unchanged; on a
+degenerate face the vertex returned can differ from a cold start.
 """
 
 from __future__ import annotations

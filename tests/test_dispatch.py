@@ -318,6 +318,89 @@ S5_CHECKS = [
 ]
 
 
+def _loop_residuals(case, sol) -> dict[str, float]:
+    """Per-period loop forms of the vectorised verification families, as references."""
+    T, dt = case.horizon.periods, case.horizon.step_hours
+    out = {}
+
+    def over(value, limit):
+        return max(0.0, value - limit)
+
+    def ramp(series, dev):
+        return max(over(abs(series[t] - series[t - 1]), dev.ramp_fraction * dev.capacity_kw) for t in range(1, T))
+
+    gt, gb, p2g = (case.converter(u) for u in ("GT", "GB", "P2G"))
+    eps_e = gt.efficiencies["electric"]
+    eps_h = gt.efficiencies["heat"] * case.converter("WHB").efficiencies["heat"]
+    eta, phi = p2g.efficiencies["gas"], gb.efficiencies["heat"]
+    out["p2g_coupling"] = max(abs(sol.p_p2g_g[t] - eta * sol.p_p2g_e[t]) for t in range(T))
+    out["p2g_ramp"] = ramp(sol.p_p2g_e, p2g)
+    out["chp_e_coupling"] = max(abs(sol.p_gt_e[t] - eps_e * sol.p_g_gt[t]) for t in range(T))
+    out["chp_h_coupling"] = max(abs(sol.p_gt_h[t] - eps_h * sol.p_g_gt[t]) for t in range(T))
+    out["chp_ratio"] = max(max(over(case.chp.ratio_min * sol.p_gt_e[t], sol.p_gt_h[t]),
+                               over(sol.p_gt_h[t], case.chp.ratio_max * sol.p_gt_e[t])) for t in range(T))
+    out["chp_ramp"] = ramp(sol.p_g_gt, gt)
+    out["gb_coupling"] = max(abs(sol.p_gb_h[t] - phi * sol.p_g_gb[t]) for t in range(T))
+    out["gb_ramp"] = ramp(sol.p_g_gb, gb)
+    for k, sched in sol.storage.items():
+        sto = case.storage(k)
+        cap = sto.capacity_kwh
+        soc_prev, recursion = sto.soc_initial_frac * cap, 0.0
+        for t in range(T):
+            expect = soc_prev + sto.charge_eff * dt * sched.charge[t] - dt / sto.discharge_eff * sched.discharge[t]
+            recursion = max(recursion, abs(sched.soc[t] - expect))
+            soc_prev = sched.soc[t]
+        out[f"storage_{k}_recursion"] = recursion
+        out[f"storage_{k}_soc_bounds"] = max(max(over(v, sto.soc_max_frac * cap), over(sto.soc_min_frac * cap, v))
+                                             for v in sched.soc)
+    fractions = {"shift": case.dr.shiftable_fraction, "substitute": case.dr.substitutable_fraction}
+    dr_cost = 0.0
+    for k, per_type in sol.dr_delta.items():
+        for dtype, series in per_type.items():
+            base = [fractions[dtype][k] * p for p in case.loads[k].values]
+            out[f"dr_window_{dtype}_{k}"] = max(max(over(series[t], base[t]), over(-base[t], series[t]))
+                                                for t in range(T))
+            if dtype == "shift":
+                out[f"dr_net_{dtype}_{k}"] = abs(sum(series))
+            dr_cost += (case.dr.mu_shift if dtype == "shift" else case.dr.mu_subst) * dt * sum(abs(v) for v in series)
+    subst = {k: per_type["substitute"] for k, per_type in sol.dr_delta.items() if "substitute" in per_type}
+    out["dr_subst_coupling"] = max(abs(sum(case.dr.subst_conversion[k] * subst[k][t] for k in subst)) for t in range(T))
+    prices = case.tariffs
+    buy = dt * sum(prices.electricity_price[t] * sol.p_e_buy[t] + prices.gas_price[t] * sol.p_g_buy[t]
+                   for t in range(T))
+    w = case.maintenance
+    maint = dt * sum(w["wind"] * sol.p_dg[t] + w["P2G"] * sol.p_p2g_g[t] + w["GT"] * sol.p_gt_e[t]
+                     + w["WHB"] * sol.p_gt_h[t] + w["GB"] * sol.p_gb_h[t]
+                     + sum(w[f"storage_{k}"] * (s.charge[t] + s.discharge[t]) for k, s in sol.storage.items())
+                     for t in range(T))
+    out["cost_purchase"] = abs(sol.costs.purchase - buy)
+    out["cost_dr"] = abs(sol.costs.dr - dr_cost)
+    out["cost_maintenance"] = abs(sol.costs.maintenance - maint)
+    return out
+
+
+@pytest.mark.parametrize("noise", [0.0, 1.0])
+def test_vectorised_residuals_equal_the_loop_forms(bundled_case, reduced_case, reduced_report, noise):
+    # the same arithmetic on whole schedules: equal to the last bit, on the
+    # optimum and on a schedule with every value moved at random
+    rng = random.Random(7)
+
+    def jitter(values):
+        return tuple(v + noise * rng.uniform(-5.0, 5.0) for v in values)
+
+    full = run_scenario(bundled_case, "S5")
+    for case, sol in ((reduced_case, reduced_report.solutions["S5"]), (bundled_case, full)):
+        flows = {f.name: jitter(getattr(sol, f.name)) for f in dataclasses.fields(sol)
+                 if f.name.startswith("p_")}
+        storage = {k: dataclasses.replace(s, charge=jitter(s.charge), discharge=jitter(s.discharge), soc=jitter(s.soc))
+                   for k, s in sol.storage.items()}
+        dr = {k: {dtype: jitter(series) for dtype, series in per_type.items()} for k, per_type in sol.dr_delta.items()}
+        moved = dataclasses.replace(sol, **flows, storage=storage, dr_delta=dr)
+        residuals = {name: r for name, r, _ in verify_solution(case, "S5", moved).checks}
+        want = _loop_residuals(case, moved)
+        assert {name: residuals[name] for name in want} == want
+
+
 def test_verification_check_names_and_order(reduced_report):
     assert [name for name, _, _ in reduced_report.solutions["S5"].verification.checks] == S5_CHECKS
 
