@@ -47,15 +47,17 @@ Sweeps build once.  Along a sweep only the carbon base price lambda or the
 tier width d moves, and in the built model lambda enters only the costs of
 the carbon ladder and d only the right-hand sides of its knee rows
 (`carbon.encode_carbon_cost`).  `carbon.price_ladder` computes both, for
-`build_model` and for `_reprice` alike, and `_objective` sums the cost
-forms the same way on both paths.  So within a sweep chunk a point takes
-the gate-free model of the point before it and re-prices it, and the
-result is, bit for bit, the model `build_model` makes for the new point,
-provided the rest of the case, the scenario and the options are the same,
-and lambda > 0 holds on both points or on neither (it decides whether the
-ladder is built at all).  The model is passed on only from a point that
-ended verified with no gate added, so a gated or failed point makes the
-next one build afresh.
+`build_model` and for `_reprice` alike, and both hand the cost forms of
+`_objective` to one ``set_objective``.  So within a sweep chunk a point
+takes the gate-free model of the point before it and re-prices it, and
+the result is, bit for bit, the model `build_model` makes for the new
+point, provided the rest of the case, the scenario and the options are
+the same, and lambda > 0 holds on both points or on neither (it decides
+whether the ladder is built at all).  The chunk's slot (`_ModelSlot`)
+owns its warm state: that model and the LP chain (`solver.LpChain`) of
+HiGHS core and basis.  A point passes the model on only if it ended
+verified with no gate added, so a gated or failed point makes the next
+one build afresh.
 
 Powers are kW, energies kWh, emissions kg, money in currency units.
 """
@@ -65,6 +67,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -86,7 +89,6 @@ from .milp_ir import (
     LE,
     LinearForm,
     MilpModel,
-    combine,
     linear_form,
     pwl_convex,
     pwl_convex_error_bound,
@@ -100,7 +102,7 @@ from .model_core import (
     CaseData,
     require_valid,
 )
-from .solver import BACKENDS, MilpOptions, NumericalFailure, get_backend, lp_chain, solve_milp
+from .solver import BACKENDS, LpChain, MilpOptions, NumericalFailure, get_backend, solve_milp
 
 ELECTRIC, GAS, HEAT = CARRIERS
 
@@ -520,14 +522,14 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
             case, options, model, vm.dr, policy, tags, flows
         )
         vm.carbon_cost, _ = carbon_mod.price_ladder(vm.ladder, policy)
-    model.set_objective(_objective(vm))
+    model.set_objective(*_objective(vm))
     return model, vm
 
 
-def _objective(vm: VarMap) -> LinearForm:
+def _objective(vm: VarMap) -> tuple[LinearForm, ...]:
     """Purchase, compensation, maintenance and, when priced, carbon cost."""
     costs = (vm.cost_buy, vm.cost_dr, vm.cost_maint, vm.carbon_cost)
-    return combine(*(form for form in costs if form is not None))
+    return tuple(form for form in costs if form is not None)
 
 
 def _reprice(case: CaseData, model: MilpModel, vm: VarMap) -> None:
@@ -537,14 +539,14 @@ def _reprice(case: CaseData, model: MilpModel, vm: VarMap) -> None:
     at most in ``lambda_base`` and ``interval_d``, with the same sign of
     ``lambda_base > 0``: those two enter only the ladder's costs and knee
     right-hand sides, which `carbon.price_ladder` computes here as in the
-    build, and `_objective` sums the costs as the build does.
+    build, and ``set_objective`` sums the forms of `_objective` as there.
     """
     if vm.ladder is None:
         return
     vm.carbon_cost, rhs = carbon_mod.price_ladder(
         vm.ladder, replace(case.carbon, mechanism=vm.scenario.mechanism))
     model.set_rhs(vm.ladder.knees, rhs)
-    model.set_objective(_objective(vm))
+    model.set_objective(*_objective(vm))
 
 
 def add_gates(case: CaseData, model: MilpModel, vm: VarMap, pairs) -> None:
@@ -1029,13 +1031,16 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
 # -- runners -----------------------------------------------------------------------
 
 
+@dataclass
 class _ModelSlot:
-    """A sweep chunk's gate-free model, kept from one point to the next.
+    """A sweep chunk's warm state, kept from one point to the next.
 
-    ``held`` is (case, model, VarMap) of the last point that ended verified
-    with no gate added, or None.
+    ``chain`` is the LP chain the embedded backend solves the chunk's LPs
+    on.  ``held`` is (case, model, VarMap) of the last point that ended
+    verified with no gate added, or None.
     """
 
+    chain: LpChain = field(default_factory=LpChain)
     held: tuple | None = None
 
 
@@ -1068,12 +1073,14 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     is re-priced instead of built again when it can be (`_repriceable`).
     It is taken out of the chunk's slot here and put back only when this
     point ends verified with no gate added, so after a point that raises or
-    adds gates the next one builds afresh.
+    adds gates the next one builds afresh.  The embedded backend solves on
+    the slot's LP chain; outside a sweep each solve loads its own core.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
-    solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
     slot, held = _model_slot.get(), None
+    solve = (partial(solve_milp, chain=getattr(slot, "chain", None)) if options.backend == "embedded"
+             else get_backend(options.backend).solve)
     if slot is not None:
         held, slot.held = slot.held, None
     if held is not None and _repriceable(held, case, scenario, options):
@@ -1225,11 +1232,10 @@ def check_grid(grid) -> list[float]:
 
 
 def _chained_tasks(tasks):
-    """Run the tasks in order inside one ``lp_chain``, with one model slot."""
+    """Run the tasks in order with one slot: one LP chain and one held model."""
     token = _model_slot.set(_ModelSlot())
     try:
-        with lp_chain():
-            return [_scenario_task(t) for t in tasks]
+        return [_scenario_task(t) for t in tasks]
     finally:
         _model_slot.reset(token)
 
@@ -1238,15 +1244,16 @@ def _sweep(case, scenario, grid, options, jobs, override) -> list[SweepPoint]:
     """Run the scenario once per grid value of the carbon-policy field ``override``.
 
     The grid is cut into ``min(jobs, points)`` contiguous chunks, each run
-    on one LP chain and with one model slot.  A point re-prices the model of
-    the point before it rather than building its own: the field moves only
-    the carbon ladder's costs (lambda) or its knee right-hand sides (d), and
-    `carbon.price_ladder` computes those for the build and the re-price
-    alike, so the re-priced model is the fresh build (module docstring).  It
-    then re-prices the HiGHS core of the point before it, whose matrix is
-    the same object, and restarts from that point's basis.  Every point
-    solves its own LP, so its objective is that of a single-point ``solve``;
-    on a degenerate face the other columns can differ from one.
+    with one slot that holds its LP chain and model.  A point re-prices the
+    model of the point before it rather than building its own: the field
+    moves only the carbon ladder's costs (lambda) or its knee right-hand
+    sides (d), and `carbon.price_ladder` computes those for the build and
+    the re-price alike, so the re-priced model is the fresh build (module
+    docstring).  It then re-prices the HiGHS core of the point before it,
+    whose matrix is the same object, and restarts from that point's basis.
+    Every point solves its own LP, so its objective is that of a
+    single-point ``solve``; on a degenerate face the other columns can
+    differ from one.
     """
     values = check_grid(grid)
     scenario_id = as_scenario(scenario).id

@@ -17,7 +17,7 @@ on each call.
 
 A linear form is a :class:`LinearForm` ``(ids, coeffs, constant)``, built
 with numpy by the model code; :func:`combine` adds forms and
-:meth:`MilpModel.set_objective` takes one as the objective.  Finiteness is
+:meth:`MilpModel.set_objective` sets their sum as objective.  Finiteness is
 checked where numbers enter the model: ``add_rows`` checks every
 coefficient and right-hand side of a block at once, ``set_rhs`` the new
 right-hand sides of existing rows, ``add_variables`` every bound, and
@@ -323,12 +323,12 @@ class MilpModel:
         for i, b in zip(rows.tolist(), values.tolist()):
             self._rhs[i] = b
 
-    def set_objective(self, form: LinearForm) -> None:
-        """Set the minimization objective to ``combine(form)``.
+    def set_objective(self, *forms: LinearForm) -> None:
+        """Set the minimization objective to ``combine(*forms)``.
 
         The coefficients of a repeated id add up in argument order.
         """
-        form = combine(form)
+        form = combine(*forms)
         if not math.isfinite(form.constant):
             raise ModelError("objective constant not finite")
         finite = np.isfinite(form.coeffs)

@@ -11,13 +11,14 @@ charges and discharges a store at once.  A model with binaries, such a
 gated round, goes to HiGHS branch-and-cut through `highs_milp`, the function
 the "scipy-milp" backend calls too.
 
-LP chain.  Inside `lp_chain()`, consecutive LP solves share one core: when
-a model compiles to the same constraint matrix as the core holds, entry for
-entry, `solve_milp` re-prices that core with the model's costs and row
-bounds and restarts the dual simplex from the previous optimal basis
-(Huangfu & Hall, Math. Prog. Comp. 10(1), 2018).  A parameter sweep is such
-a series: the carbon price moves costs only and the tier width the bounds
-of the knee rows.  A sweep re-prices one model from point to point, and
+LP chain.  LP solves handed one `LpChain` share one core: when a model
+compiles to the same constraint matrix as the core holds, entry for entry,
+under the same time limit, `solve_milp` re-prices that core with the
+model's costs and row bounds and restarts the dual simplex from the
+previous optimal basis (Huangfu & Hall, Math. Prog. Comp. 10(1), 2018);
+another matrix loads a new core.  A sweep chunk hands its points one chain:
+the carbon price moves costs only and the tier width the bounds of the
+knee rows.  A sweep re-prices one model from point to point, and
 ``to_sparse`` keeps its compiled matrix, so the core's ``A`` is the very
 object the next point compiles to and the check ends at once.  Each solve
 is still of its own compiled LP, so the optimum is unchanged; on a
@@ -28,8 +29,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 
@@ -73,11 +72,7 @@ class LpSolution:
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
-    duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
     iterations: int = 0
-    infeasibility: float = 0.0
-    farkas: np.ndarray | None = None
     basis: object = None
 
 
@@ -118,14 +113,7 @@ class _ScipyCore:
 
     def __init__(self, c, c0, A, relations, rhs, time_limit=None):
         # deferred so that importing the package does not load scipy
-        from scipy.optimize._highspy._core import (
-            HighsLp,
-            HighsModelStatus,
-            HighsStatus,
-            MatrixFormat,
-            _Highs,
-        )
-        from scipy.sparse import csc_array
+        from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
         self._status = HighsModelStatus
         self.c0 = c0
@@ -134,24 +122,18 @@ class _ScipyCore:
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
         self.row_lower, self.row_upper = row_bounds(relations, rhs)
-        # the compiled A is kept as it is, so a model that compiles to the
-        # same object again is recognised at once; a dense A is converted
-        self.A = csc = A if isinstance(A, csc_array) else csc_array(A)
-        lp = HighsLp()
-        lp.num_col_, lp.num_row_ = n, m
-        lp.col_cost_ = self._cost
-        lp.col_lower_, lp.col_upper_ = np.zeros(n), np.zeros(n)  # set per solve
-        lp.row_lower_, lp.row_upper_ = self.row_lower, self.row_upper
-        mat = lp.a_matrix_
-        mat.format_ = MatrixFormat.kColwise
-        mat.num_col_, mat.num_row_ = n, m
-        mat.start_, mat.index_, mat.value_ = csc.indptr, csc.indices, csc.data
+        self.A = A  # kept, so a model compiling to this object again is recognised at once
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("presolve", "off")
         if time_limit is not None:
             self._highs.setOptionValue("time_limit", float(time_limit))
-        if self._highs.passModel(lp) == HighsStatus.kError:
+        # column-wise CSC (format 1), minimise (sense 1), column bounds set
+        # per solve, all columns continuous (an empty integrality is rejected)
+        status = self._highs.passModel(
+            n, m, A.nnz, 1, 1, 0.0, self._cost, np.zeros(n), np.zeros(n), self.row_lower,
+            self.row_upper, A.indptr, A.indices, A.data, np.zeros(n, dtype=np.int32))
+        if status == HighsStatus.kError:
             raise NumericalFailure("LP core failed: HiGHS rejected the model")
 
     def reprice(self, c, c0, row_lower, row_upper) -> None:
@@ -266,30 +248,15 @@ def highs_milp(compiled, options: MilpOptions) -> MilpSolution:
 
 
 @dataclass
-class _Chain:
-    """The core of an LP chain and the basis of its last optimal solve."""
+class LpChain:
+    """The core of an LP chain and the basis of its last optimal solve.
+
+    A solve that is not optimal leaves no basis, and one that raises drops
+    the core, so the next solve starts cold.
+    """
 
     core: _ScipyCore | None = None
     basis: object = None
-
-
-_chain: ContextVar[_Chain | None] = ContextVar("lp_chain", default=None)
-
-
-@contextmanager
-def lp_chain():
-    """Let the LP solves of `solve_milp` in this block share one HiGHS core.
-
-    An LP whose constraint matrix equals the core's re-prices it and starts
-    from the basis of the last optimal solve; another matrix loads a new
-    core.  A solve that is not optimal leaves no basis, and one that raises
-    drops the core, so the next solve starts cold.
-    """
-    token = _chain.set(_Chain())
-    try:
-        yield
-    finally:
-        _chain.reset(token)
 
 
 def _same_matrix(a, b) -> bool:
@@ -297,13 +264,14 @@ def _same_matrix(a, b) -> bool:
             and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
 
 
-def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
-    """Solve a MILP whose integer variables are all binary."""
+def solve_milp(model: MilpModel, options: MilpOptions | None = None,
+               chain: LpChain | None = None) -> MilpSolution:
+    """Solve a MILP whose integer variables are all binary; an LP on ``chain`` if given."""
     options = options or MilpOptions()
     compiled = c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
     if is_binary.any():
         return highs_milp(compiled, options)
-    chain = _chain.get() or _Chain()
+    chain = chain or LpChain()
     core, start = chain.core, chain.basis
     chain.core = chain.basis = None  # until this solve ends without raising
     if core is not None and core.time_limit == options.time_limit and _same_matrix(core.A, A):

@@ -16,10 +16,12 @@ produce identical pivot sequences.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from iesdispatch.milp_ir import EQ, GE, LE, MilpModel
-from iesdispatch.solver.branch_bound import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, NumericalFailure
+from iesdispatch.solver.branch_bound import INFEASIBLE, OPTIMAL, UNBOUNDED, NumericalFailure
 
 _AT_LOWER = 0
 _AT_UPPER = 1
@@ -29,6 +31,22 @@ _FREE = 3
 _REFACTOR_EVERY = 64
 _BLAND_AFTER = 100  # consecutive degenerate pivots before anti-cycling mode
 _PIV_TOL = 1e-10
+
+
+@dataclass
+class LpSolution:
+    """LP outcome with the certificates the tests check: the row duals and
+    reduced costs of an optimum, and the Farkas ray of an infeasible LP with
+    its phase-1 infeasibility."""
+
+    status: str
+    objective: float | None = None
+    x: np.ndarray | None = None
+    duals: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
+    iterations: int = 0
+    infeasibility: float = 0.0
+    farkas: np.ndarray | None = None
 
 
 class _Simplex:

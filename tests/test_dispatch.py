@@ -26,7 +26,7 @@ from iesdispatch.dispatch import (
     verify_solution,
 )
 from iesdispatch.model_core import default_case_path, load_case, reduce_case, scale_profiles
-from iesdispatch.solver import NumericalFailure, branch_bound, solve_milp
+from iesdispatch.solver import LpChain, NumericalFailure, branch_bound, solve_milp
 
 
 def tiny_case(T, elec, gas, heat, wind, price=None, storages=None):
@@ -563,6 +563,57 @@ def count_cores(monkeypatch):
     return built
 
 
+def test_solves_without_a_chain_load_a_core_each(reduced_case, reduced_options, count_cores):
+    model, _ = build_model(reduced_case, "S5", reduced_options)
+    first, second = (solve_milp(model, reduced_options) for _ in range(2))
+    assert count_cores[0] == 2
+    assert first.status == second.status == "optimal"
+    assert first.objective == second.objective
+
+
+def test_solves_on_one_chain_share_one_core(reduced_case, reduced_options, count_cores, monkeypatch):
+    repriced, reprice = [], branch_bound._ScipyCore.reprice
+
+    def spy(self, *args):
+        repriced.append(self)
+        reprice(self, *args)
+
+    monkeypatch.setattr(branch_bound._ScipyCore, "reprice", spy)
+    model, vm = build_model(reduced_case, "S5", reduced_options)
+    chain, results = LpChain(), []
+    for lam in (0.2, 0.4):
+        dispatch._reprice(replace(reduced_case, carbon=replace(reduced_case.carbon, lambda_base=lam)), model, vm)
+        results.append(solve_milp(model, reduced_options, chain=chain))
+        assert results[-1].status == "optimal"
+        assert chain.basis is not None
+    assert count_cores[0] == 1
+    assert repriced == [chain.core]
+    cold = solve_milp(model, reduced_options)
+    assert results[-1].objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+
+
+def test_failure_mid_chain_empties_the_chain(reduced_case, reduced_options, count_cores, monkeypatch):
+    solve, calls = branch_bound._ScipyCore.solve, []
+
+    def second_fails(self, lb, ub, start=None):
+        calls.append(start)
+        if len(calls) == 2:
+            raise NumericalFailure("LP core failed: injected")
+        return solve(self, lb, ub, start)
+
+    monkeypatch.setattr(branch_bound._ScipyCore, "solve", second_fails)
+    model, _ = build_model(reduced_case, "S5", reduced_options)
+    chain = LpChain()
+    assert solve_milp(model, reduced_options, chain=chain).status == "optimal"
+    with pytest.raises(NumericalFailure):
+        solve_milp(model, reduced_options, chain=chain)
+    assert (chain.core, chain.basis) == (None, None)
+    # the next solve starts cold on a new core
+    assert solve_milp(model, reduced_options, chain=chain).status == "optimal"
+    assert count_cores[0] == 2
+    assert calls[1] is not None and calls[2] is None
+
+
 @pytest.mark.parametrize("sweep, field, grid", [
     (sweep_lambda, "lambda_base", LAMBDA_GRID),
     (sweep_interval, "interval_d", INTERVAL_GRID),
@@ -649,10 +700,10 @@ def test_repriced_model_is_the_fresh_build(bundled_case, sweep_cases, reduced_op
     # imported here is not the spy)
     solve, differences = dispatch.solve_milp, []
 
-    def compare(model, options):
+    def compare(model, options, **kwargs):
         fresh, _ = build_model(sweep_spy[-1]["case"], scenario, options)
         differences.append(compiled_differences(model, fresh))
-        return solve(model, options)
+        return solve(model, options, **kwargs)
 
     monkeypatch.setattr(dispatch, "solve_milp", compare)
     for case, options in [(bundled_case, DispatchOptions()), *((c, reduced_options) for c in sweep_cases)]:

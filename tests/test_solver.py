@@ -1,5 +1,7 @@
 """LP cores and branch and bound: oracle equivalence, duality, determinism."""
 
+import ast
+import importlib
 import itertools
 import random
 import shlex
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from milp_oracles import brute_force_milp, check_solution, every_gate_model, random_milp, vertex_milp
 from reference_simplex import solve_lp
@@ -386,8 +389,7 @@ def test_scipy_core_resolves_unbounded_or_infeasible(lp, status):
     from scipy.optimize._highspy._core import HighsModelStatus
 
     c, A, relations, rhs, lb, ub = lp
-    # the core also takes a dense A
-    core = _ScipyCore(np.array(c, float), 0.0, np.array(A, float), relations, rhs)
+    core = _ScipyCore(np.array(c, float), 0.0, csc_array(np.array(A, float)), relations, rhs)
     lb, ub = np.array(lb, float), np.array(ub, float)
     core._highs.setOptionValue("allow_unbounded_or_infeasible", True)
     core._highs.changeColsBounds(len(lb), np.arange(len(lb), dtype=np.int32), lb, ub)
@@ -397,22 +399,53 @@ def test_scipy_core_resolves_unbounded_or_infeasible(lp, status):
     assert core.solve(lb, ub).status == status  # the objective is restored
 
 
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+HIGHS_NAMES = ("_Highs", "HighsStatus", "HighsModelStatus")
+
+
 def test_highs_private_api_is_importable():
     # _ScipyCore drives HiGHS through scipy's private bindings; a scipy
-    # release that moves them must fail here, not deep inside a solve.
-    from scipy.optimize._highspy._core import (  # noqa: F401
-        HighsLp,
-        HighsModelStatus,
-        HighsStatus,
-        MatrixFormat,
-        _Highs,
-    )
-
+    # release that moves or changes them must fail here, not deep inside a solve.
+    _Highs, HighsStatus, HighsModelStatus = (getattr(importlib.import_module(HIGHS_MODULE), name)
+                                             for name in HIGHS_NAMES)
     for method in ("passModel", "changeColsBounds", "changeColsCost", "changeRowBounds",
                    "clearSolver", "setBasis", "getBasis", "getInfo", "getSolution",
                    "getModelStatus", "getRunTime"):
         assert callable(getattr(_Highs, method))
     assert HighsModelStatus.kUnboundedOrInfeasible != HighsModelStatus.kUnbounded
+    # the array overload of passModel the core loads with: min x + 2y + 0.5
+    # subject to x + y >= 1 on [0, 1]^2
+    arrays = np.array([1.0, 2.0]), 0.5, csc_array(np.ones((1, 2))), [GE], np.array([1.0])
+    core = _ScipyCore(*arrays)
+    res = core.solve(np.zeros(2), np.ones(2))
+    assert (res.status, res.objective, res.x.tolist()) == ("optimal", 1.5, [1.0, 0.0])
+    assert core._highs.getModelStatus() == HighsModelStatus.kOptimal
+    # an empty integrality array is rejected, which is why the core passes zeros
+    h, A = _Highs(), arrays[2]
+    h.setOptionValue("output_flag", False)
+    status = h.passModel(2, 1, A.nnz, 1, 1, 0.0, arrays[0], np.zeros(2), np.ones(2), np.ones(1),
+                         np.full(1, INF), A.indptr, A.indices, A.data, np.zeros(0, dtype=np.int32))
+    assert status == HighsStatus.kError
+
+
+def _highs_private_imports(source: str) -> set[str]:
+    """Names a module imports from scipy's private HiGHS bindings; any other import of them is "*"."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == HIGHS_MODULE:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "_highspy" in ast.unparse(node):
+            names.add("*")
+    return names
+
+
+def test_package_uses_only_the_checked_highs_names():
+    package = Path(__file__).resolve().parents[1] / "src" / "iesdispatch"
+    used = set().union(*(_highs_private_imports(p.read_text()) for p in package.rglob("*.py")))
+    assert used <= set(HIGHS_NAMES), sorted(used - set(HIGHS_NAMES))
+    # the check itself: a name list, and a whole-module import that would hide one
+    source = f"from {HIGHS_MODULE} import _Highs, HighsLp\nimport {HIGHS_MODULE} as core\n"
+    assert _highs_private_imports(source) == {"_Highs", "HighsLp", "*"}
 
 
 def _sweep_lps():
@@ -453,8 +486,8 @@ def test_core_keeps_the_compiled_matrix_object():
     # which the matrix check accepts without comparing entries
     (c, c0, A, relations, rhs), *_ = _sweep_lps()[0]
     assert _ScipyCore(c, c0, A, relations, rhs).A is A
-    dense = _ScipyCore(c, c0, A.toarray(), relations, rhs).A
-    assert dense is not A and _same_matrix(dense, A)
+    copy = _ScipyCore(c, c0, csc_array(A.toarray()), relations, rhs).A
+    assert copy is not A and _same_matrix(copy, A)
     assert _same_matrix(A, A)
 
 
