@@ -89,6 +89,7 @@ from .milp_ir import (
     LE,
     LinearForm,
     MilpModel,
+    collect,
     linear_form,
     pwl_convex,
     pwl_convex_error_bound,
@@ -237,7 +238,9 @@ class VarMap:
 
     ``flows`` maps each per-period flow of DispatchSolution (``p_e_buy``,
     ``p_gt_h``, ...) to ``(ids, coeff)``, worth ``coeff * x[ids[t]]`` in
-    period t, or to None for an absent device.
+    period t, or to None for an absent device.  ``cost_fixed`` is the
+    purchase, compensation and maintenance cost collected into one form
+    (``milp_ir.collect``), the part of the objective a re-price keeps.
     """
 
     scenario: ScenarioSpec
@@ -249,6 +252,7 @@ class VarMap:
     cost_buy: LinearForm | None = None
     cost_dr: LinearForm | None = None
     cost_maint: LinearForm | None = None
+    cost_fixed: LinearForm | None = None
     carbon_cost: LinearForm | None = None
     ladder: CarbonLadder | None = None
     actual: LinearForm | None = None
@@ -513,11 +517,12 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         weight = omega.get(f"storage_{k}", 0.0)
         maint += [(blk.charge, weight), (blk.discharge, weight)]
     vm.cost_maint = _flow_sum(maint, periods, dt)
+    vm.cost_fixed = collect(vm.cost_buy, vm.cost_dr, vm.cost_maint)
 
     # at a zero base price every tier costs nothing, whatever the share, and
     # nothing holds the envelope columns on their curves: build it unpriced like S1
     if scenario.carbon_in_objective and case.carbon.lambda_base > 0:
-        policy = replace(case.carbon, mechanism=scenario.mechanism)
+        policy = _policy(case, scenario)
         vm.ladder, vm.actual, vm.pwl_bound_kg = _encode_carbon(
             case, options, model, vm.dr, policy, tags, flows
         )
@@ -526,10 +531,20 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     return model, vm
 
 
+def _policy(case: CaseData, scenario: ScenarioSpec):
+    """The case's carbon policy priced by the scenario's mechanism."""
+    if case.carbon.mechanism == scenario.mechanism:
+        return case.carbon
+    return replace(case.carbon, mechanism=scenario.mechanism)
+
+
 def _objective(vm: VarMap) -> tuple[LinearForm, ...]:
-    """Purchase, compensation, maintenance and, when priced, carbon cost."""
-    costs = (vm.cost_buy, vm.cost_dr, vm.cost_maint, vm.carbon_cost)
-    return tuple(form for form in costs if form is not None)
+    """The fixed cost (purchase, compensation, maintenance) and, when priced, the carbon cost.
+
+    ``set_objective`` sums them as it would the four forms, bit for bit
+    (``milp_ir.collect``).
+    """
+    return (vm.cost_fixed,) if vm.carbon_cost is None else (vm.cost_fixed, vm.carbon_cost)
 
 
 def _reprice(case: CaseData, model: MilpModel, vm: VarMap) -> None:
@@ -539,12 +554,13 @@ def _reprice(case: CaseData, model: MilpModel, vm: VarMap) -> None:
     at most in ``lambda_base`` and ``interval_d``, with the same sign of
     ``lambda_base > 0``: those two enter only the ladder's costs and knee
     right-hand sides, which `carbon.price_ladder` computes here as in the
-    build, and ``set_objective`` sums the forms of `_objective` as there.
+    build, and ``set_objective`` adds the carbon cost onto the fixed cost
+    of `_objective` as there.
     """
     if vm.ladder is None:
         return
     vm.carbon_cost, rhs = carbon_mod.price_ladder(
-        vm.ladder, replace(case.carbon, mechanism=vm.scenario.mechanism))
+        vm.ladder, _policy(case, vm.scenario))
     model.set_rhs(vm.ladder.knees, rhs)
     model.set_objective(*_objective(vm))
 
@@ -707,43 +723,48 @@ class DispatchSolution:
     verification: "VerificationReport | None" = None
 
 
-def _values(flow, x, periods: int) -> tuple[float, ...]:
-    """A flow's per-period values ``0.0 + coeff * x[ids[t]]``, snapped to 0 below 1e-9."""
-    if flow is None:
-        return (0.0,) * periods
-    ids, coeff = flow
-    values = 0.0 + coeff * x[ids]
-    values[np.abs(values) < 1e-9] = 0.0
-    return tuple(values.tolist())
-
-
 def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> DispatchSolution:
     x = np.asarray(res.x, dtype=float)
     periods = case.horizon.periods
     dt = case.horizon.step_hours
-    storage = {
-        k: StorageSchedule(
-            _values((blk.charge, 1.0), x, periods), _values((blk.discharge, 1.0), x, periods),
-            tuple((0.0 + x[blk.soc]).tolist()),
-        )
-        for k, blk in vm.storage.items()
-    }
+    # one gather for every per-period series: the flows and the storage
+    # powers (each 0.0 + coeff * x[ids[t]], snapped to 0 below 1e-9), then
+    # the states of charge and the demand-response magnitudes
+    present = [name for name, flow in vm.flows.items() if flow is not None]
+    powered = [vm.flows[name] for name in present]
+    powered += [(ids, 1.0) for blk in vm.storage.values() for ids in (blk.charge, blk.discharge)]
+    keys = list(vm.dr.p_in)
+    ids = [ids for ids, _ in powered] + [blk.soc for blk in vm.storage.values()]
+    ids += [vm.dr.p_in[key] for key in keys] + [vm.dr.p_out[key] for key in keys]
+    rows = x[np.array(ids, dtype=np.int64).reshape(len(ids), periods)]
+    power = 0.0 + np.array([coeff for _, coeff in powered])[:, None] * rows[:len(powered)]
+    power[np.abs(power) < 1e-9] = 0.0
+    power = list(map(tuple, power.tolist()))
+    first_in = len(powered) + len(vm.storage)
+    soc = list(map(tuple, (0.0 + rows[len(powered):first_in]).tolist()))
+    p_in, p_out = rows[first_in:first_in + len(keys)], rows[first_in + len(keys):]
+    flows = dict.fromkeys(vm.flows, (0.0,) * periods)
+    flows.update(zip(present, power))
+    charges = iter(power[len(present):])
+    storage = {k: StorageSchedule(next(charges), next(charges), soc[i]) for i, k in enumerate(vm.storage)}
     # summed left to right, since the order fixes the reported bits: an
     # adjustment is 0.0 + x_in - x_out, a reshaped load the load plus
-    # 0.0 + x_in - x_out + ... over its enabled types
+    # 0.0 + x_in - x_out + ... over its enabled types in DR_TYPES order
+    delta = dict(zip(keys, (0.0 + p_in) - p_out))
     dr_delta: dict[str, dict[str, tuple[float, ...]]] = {}
-    for (k, dtype), p_in in vm.dr.p_in.items():
-        dr_delta.setdefault(k, {})[dtype] = tuple(((0.0 + x[p_in]) - x[vm.dr.p_out[k, dtype]]).tolist())
-    adjusted = {}
-    for k in CARRIERS:
-        change = np.zeros(periods)
-        for ids, coeff in _dr_flows(vm.dr, k):
-            change = change + coeff * x[ids]
-        adjusted[k] = tuple((np.asarray(case.loads[k].values) + change).tolist())
-    flows = {name: _values(flow, x, periods) for name, flow in vm.flows.items()}
+    for (k, dtype), series in delta.items():
+        dr_delta.setdefault(k, {})[dtype] = tuple(series.tolist())
+    change = np.zeros((len(CARRIERS), periods))
+    for dtype in DR_TYPES:
+        for i, key in enumerate(keys):
+            if key[1] == dtype:
+                k = CARRIERS.index(key[0])
+                change[k] = (change[k] + p_in[i]) - p_out[i]
+    loads = np.array([case.loads[k].values for k in CARRIERS], dtype=float)
+    adjusted = dict(zip(CARRIERS, map(tuple, (loads + change).tolist())))
     schedule = FlowSchedule(step_hours=dt, p_g_load=adjusted[GAS],
                             **{k: flows[k] for k in ("p_e_buy", "p_gt_e", "p_gt_h", "p_gb_h", "p_p2g_g")})
-    policy = replace(case.carbon, mechanism=scenario.mechanism)
+    policy = _policy(case, scenario)
     account = emission_account(schedule, policy)
     carbon_exact = carbon_mod.carbon_cost(account.trading_share, policy)
     buy = vm.cost_buy.value(x)
@@ -786,15 +807,17 @@ def _storage_overlaps(case: CaseData, storage: dict[str, StorageSchedule]) -> di
     """The (carrier, period) pairs where a store charges and discharges at once.
 
     A pair fails when ``min(charge, discharge) > 1e-6 * max(capacity, 1)``;
-    each failing pair maps to that overlap.
+    each failing pair maps to that overlap, store by store and period by
+    period.
     """
-    out = {}
-    for k, sched in storage.items():
-        tol = 1e-6 * max(case.storage(k).capacity_kwh, 1.0)
-        overlap = np.minimum(sched.charge, sched.discharge)
-        for t in np.flatnonzero(~(overlap <= tol)).tolist():
-            out[k, t] = float(overlap[t])
-    return out
+    if not storage:
+        return {}
+    power = np.array([(sched.charge, sched.discharge) for sched in storage.values()], dtype=float)
+    overlap = np.minimum(power[:, 0], power[:, 1])
+    tol = np.array([1e-6 * max(case.storage(k).capacity_kwh, 1.0) for k in storage])
+    keys = list(storage)
+    failing = np.nonzero(~(overlap <= tol[:, None]))
+    return {(keys[i], t): v for i, t, v in zip(*(a.tolist() for a in failing), overlap[failing].tolist())}
 
 
 @dataclass
@@ -811,9 +834,21 @@ def _over(value, limit) -> np.ndarray:
     return np.maximum(np.subtract(value, limit), 0.0)
 
 
-def _peak(values: np.ndarray) -> float:
-    """The largest entry, 0 for none; NaN when an entry is NaN."""
-    return float(values.max()) if values.size else 0.0
+def _rows(sides, width: int) -> np.ndarray:
+    """The per-period series or scalars as the rows of one array."""
+    out = np.empty((len(sides), width))
+    for i, side in enumerate(sides):
+        out[i] = side
+    return out
+
+
+def _peaks(values: np.ndarray) -> list[float]:
+    """The largest entry of each row, 0 for rows without entries; NaN where a row holds a NaN."""
+    return values.max(axis=1).tolist() if values.shape[1] else [0.0] * len(values)
+
+
+_FLOW_FIELDS = ("p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e", "p_gt_h", "p_g_gb",
+                "p_gb_h")
 
 
 def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> VerificationReport:
@@ -823,10 +858,15 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     dynamics, demand-response arithmetic, the satisfaction floor, the cost
     breakdown, and the exact-vs-linearized emission gap.  Each check records
     (name, residual, tolerance); the report passes iff all residuals are
-    within tolerance.  A residual is the largest violation over the periods,
-    computed on whole schedules at once; each per-period value is the
-    floating-point result of the scalar formula, and the cost and emission
-    sums add the periods left to right.
+    within tolerance.  A residual is the largest violation over the periods.
+    The schedules enter as one array, and the checks of one family (the
+    reshaped loads, the balances, the couplings, the capacities, the ramps,
+    each storage and demand-response family) are stacked: one element-wise
+    op and one row max for all of them.  Each per-period value is still the
+    floating-point result of the scalar formula, and each row's max is that
+    of its own series, so the residuals are those of check-by-check
+    arithmetic, bit for bit; the cost and emission sums add the periods left
+    to right.
     """
     scenario = as_scenario(scenario)
     dt = case.horizon.step_hours
@@ -839,115 +879,153 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
         if not (residual <= tol):
             failures.append(f"{name}: residual {residual:.3e} exceeds {tol:.3e}")
 
-    e_buy, g_buy, dg, p2g_e, p2g_g, g_gt, gt_e, gt_h, g_gb, gb_h = (np.asarray(getattr(sol, name), dtype=float) for name in (
-        "p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e", "p_gt_h", "p_g_gb", "p_gb_h"))
-    storage = {k: tuple(np.asarray(v, dtype=float) for v in (sched.charge, sched.discharge, sched.soc))
-               for k, sched in sol.storage.items()}
-    dr_delta = {k: {dtype: np.asarray(series, dtype=float) for dtype, series in per_type.items()}
-                for k, per_type in sol.dr_delta.items()}
-    loads = {k: np.asarray(case.loads[k].values, dtype=float) for k in CARRIERS}
+    # every schedule as a row of one array: the flows, (charge, discharge,
+    # soc) per store, the demand-response adjustments, the reported reshaped
+    # loads and the wind available
+    keys = [(k, dtype) for k, per_type in sol.dr_delta.items() for dtype in per_type]
+    series = np.array([
+        *(getattr(sol, name) for name in _FLOW_FIELDS),
+        *(values for sched in sol.storage.values() for values in (sched.charge, sched.discharge, sched.soc)),
+        *(sol.dr_delta[k][dtype] for k, dtype in keys),
+        *(sol.adjusted_loads[k] for k in CARRIERS),
+        sol.wind_available,
+    ], dtype=float)
+    periods = series.shape[1]
+    e_buy, g_buy, dg, p2g_e, p2g_g, g_gt, gt_e, gt_h, g_gb, gb_h = series[:len(_FLOW_FIELDS)]
+    first_shift = len(_FLOW_FIELDS) + 3 * len(sol.storage)
+    charge, discharge, soc = series[len(_FLOW_FIELDS):first_shift].reshape(-1, 3, periods).transpose(1, 0, 2)
+    storage = {k: (charge[i], discharge[i], soc[i]) for i, k in enumerate(sol.storage)}
+    shifts = series[first_shift:first_shift + len(keys)]
+    reported, wind_available = series[-4:-1], series[-1]
+    loads = np.array([case.loads[k].values for k in CARRIERS], dtype=float)
+    load_peaks = [max(max(case.loads[k].values), 1.0) for k in CARRIERS]
 
-    # demand-response deltas and reshaped loads
-    adjusted = {k: loads[k] + sum(dr_delta.get(k, {}).values()) for k in CARRIERS}
-    for k in CARRIERS:
-        peak = max(max(case.loads[k].values), 1.0)
-        check(f"adjusted_load_{k}", _peak(np.abs(adjusted[k] - sol.adjusted_loads[k])), 1e-6 * peak)
+    # demand-response deltas and reshaped loads: each carrier's load plus
+    # 0.0 + its adjustments in their order
+    change = np.zeros_like(loads)
+    np.add.at(change, np.array([CARRIERS.index(k) for k, _ in keys], dtype=np.intp), shifts)
+    adjusted = loads + change
+    for k, peak, residual in zip(CARRIERS, load_peaks, _peaks(np.abs(adjusted - reported))):
+        check(f"adjusted_load_{k}", residual, 1e-6 * peak)
 
     # carrier balances
     def net_storage(k):
         return storage[k][1] - storage[k][0] if k in storage else 0.0
 
-    for k, supply in (
-        (ELECTRIC, e_buy + dg + gt_e + net_storage(ELECTRIC) - p2g_e),
-        (GAS, g_buy + p2g_g + net_storage(GAS) - g_gt - g_gb),
-        (HEAT, gt_h + gb_h + net_storage(HEAT)),
-    ):
-        peak = max(max(case.loads[k].values), 1.0)
-        check(f"balance_{k}", _peak(np.abs(supply - adjusted[k])), 1e-6 * peak)
+    supply = np.array([
+        e_buy + dg + gt_e + net_storage(ELECTRIC) - p2g_e,
+        g_buy + p2g_g + net_storage(GAS) - g_gt - g_gb,
+        gt_h + gb_h + net_storage(HEAT),
+    ])
+    for k, peak, residual in zip(CARRIERS, load_peaks, _peaks(np.abs(supply - adjusted))):
+        check(f"balance_{k}", residual, 1e-6 * peak)
 
-    # device couplings, limits, ramps
+    # device couplings, limits, ramps: each family is one block, and the
+    # checks are made in the order they are listed
     gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
     gb = case.converter("GB")
     p2g = case.converter("P2G")
+    order = []  # (name, family, row, tol)
+    family = {"coupling": [], "fuel": [], "capacity": [], "ramp": []}
 
-    def ramp_residual(series, cap, frac):
-        # the step from period t-1 to t, for t >= 1
-        return _peak(_over(np.abs(series[1:] - series[:-1]), frac * cap))
+    def add(kind, name, tol, *row):
+        order.append((name, kind, len(family[kind]), tol))
+        family[kind].append(row)
 
     if p2g:
-        eta = p2g.efficiencies.get("gas", 0.0)
-        scale = max(p2g.capacity_kw, 1.0)
-        check("p2g_coupling", _peak(np.abs(p2g_g - eta * p2g_e)), 1e-6 * scale)
-        check("p2g_capacity", _peak(_over(p2g_e, p2g.capacity_kw)), 1e-6 * scale)
-        check("p2g_ramp", ramp_residual(p2g_e, p2g.capacity_kw, p2g.ramp_fraction), 1e-6 * scale)
+        tol = 1e-6 * max(p2g.capacity_kw, 1.0)
+        add("coupling", "p2g_coupling", tol, p2g_g, p2g.efficiencies.get("gas", 0.0), p2g_e)
+        add("capacity", "p2g_capacity", tol, p2g_e, p2g.capacity_kw)
+        add("ramp", "p2g_ramp", tol, p2g_e, p2g.ramp_fraction * p2g.capacity_kw)
     if gt:
-        scale = max(gt_cap, 1.0)
+        tol = 1e-6 * max(gt_cap, 1.0)
         if case.chp.extraction_mode:
-            check("chp_e_fuel", _peak(_over(gt_e, eps_e * g_gt)), 1e-6 * scale)
-            check("chp_h_fuel", _peak(_over(gt_h, eps_h * g_gt)), 1e-6 * scale)
+            add("fuel", "chp_e_fuel", tol, gt_e, eps_e, g_gt)
+            add("fuel", "chp_h_fuel", tol, gt_h, eps_h, g_gt)
         else:
-            check("chp_e_coupling", _peak(np.abs(gt_e - eps_e * g_gt)), 1e-6 * scale)
-            check("chp_h_coupling", _peak(np.abs(gt_h - eps_h * g_gt)), 1e-6 * scale)
-        check(
-            "chp_ratio",
-            _peak(np.maximum(_over(case.chp.ratio_min * gt_e, gt_h), _over(gt_h, case.chp.ratio_max * gt_e))),
-            1e-6 * scale,
-        )
-        check("chp_fuel_capacity", _peak(_over(g_gt, gt_cap)), 1e-6 * scale)
+            add("coupling", "chp_e_coupling", tol, gt_e, eps_e, g_gt)
+            add("coupling", "chp_h_coupling", tol, gt_h, eps_h, g_gt)
+        ratio = np.maximum(_over(case.chp.ratio_min * gt_e, gt_h), _over(gt_h, case.chp.ratio_max * gt_e))
+        order.append(("chp_ratio", None, _peaks(ratio[None])[0], tol))
+        add("capacity", "chp_fuel_capacity", tol, g_gt, gt_cap)
         if whb:
-            check("chp_whb_capacity", _peak(_over(gt_h, whb_cap)), 1e-6 * scale)
-        check("chp_ramp", ramp_residual(g_gt, gt_cap, gt.ramp_fraction), 1e-6 * scale)
+            add("capacity", "chp_whb_capacity", tol, gt_h, whb_cap)
+        add("ramp", "chp_ramp", tol, g_gt, gt.ramp_fraction * gt_cap)
     if gb:
-        phi = gb.efficiencies.get("heat", 0.0)
-        scale = max(gb.capacity_kw, 1.0)
-        check("gb_coupling", _peak(np.abs(gb_h - phi * g_gb)), 1e-6 * scale)
-        check("gb_capacity", _peak(_over(g_gb, gb.capacity_kw)), 1e-6 * scale)
-        check("gb_ramp", ramp_residual(g_gb, gb.capacity_kw, gb.ramp_fraction), 1e-6 * scale)
+        tol = 1e-6 * max(gb.capacity_kw, 1.0)
+        add("coupling", "gb_coupling", tol, gb_h, gb.efficiencies.get("heat", 0.0), g_gb)
+        add("capacity", "gb_capacity", tol, g_gb, gb.capacity_kw)
+        add("ramp", "gb_ramp", tol, g_gb, gb.ramp_fraction * gb.capacity_kw)
+    add("capacity", "wind_availability", 1e-6 * max(case.wind_max_kw, 1.0), dg, wind_available)
+    for name, cap, flow in (("purchase_cap_electric", case.purchase_caps[0], e_buy),
+                            ("purchase_cap_gas", case.purchase_caps[1], g_buy)):
+        add("capacity", name, 1e-6 * max(cap, 1.0), flow, cap)
+    residuals = {kind: [] for kind in family}
+    if family["coupling"] or family["fuel"]:
+        # out against factor * input: equal for a coupling, at most for a fuel limit
+        for kind, compare in (("coupling", lambda a, b: np.abs(a - b)), ("fuel", _over)):
+            if family[kind]:
+                out_, factor, input_ = zip(*family[kind])
+                residuals[kind] = _peaks(compare(np.array(out_), np.array(factor)[:, None] * np.array(input_)))
+    value, limit = zip(*family["capacity"])
+    residuals["capacity"] = _peaks(_over(np.array(value), _rows(limit, periods)))
+    if family["ramp"]:
+        # the step from period t-1 to t, for t >= 1
+        ramped, step = zip(*family["ramp"])
+        ramped = np.array(ramped)
+        residuals["ramp"] = _peaks(_over(np.abs(ramped[:, 1:] - ramped[:, :-1]), np.array(step)[:, None]))
+    for name, kind, row, tol in order:
+        check(name, row if kind is None else residuals[kind][row], tol)
 
-    check("wind_availability", _peak(_over(dg, sol.wind_available)), 1e-6 * max(case.wind_max_kw, 1.0))
-    check("purchase_cap_electric", _peak(_over(e_buy, case.purchase_caps[0])),
-          1e-6 * max(case.purchase_caps[0], 1.0))
-    check("purchase_cap_gas", _peak(_over(g_buy, case.purchase_caps[1])),
-          1e-6 * max(case.purchase_caps[1], 1.0))
-
+    # storage: one block per family over the stores
     overlaps = _storage_overlaps(case, sol.storage)
-    for k, (charge, discharge, soc) in storage.items():
-        sto = case.storage(k)
-        cap = sto.capacity_kwh
-        plim = sto.power_limit_fraction * cap
-        tol = 1e-6 * max(cap, 1.0)
-        initial = sto.soc_initial_frac * cap
-        # soc[t] against soc[t-1] + charge - discharge, soc[-1] the initial charge
-        soc_prev = np.concatenate(([initial], soc[:-1]))
-        expect = soc_prev + sto.charge_eff * dt * charge - dt / sto.discharge_eff * discharge
-        check(f"storage_{k}_recursion", _peak(np.abs(soc - expect)), tol)
-        check(f"storage_{k}_terminal", abs(soc[-1] - initial), tol)
-        check(f"storage_{k}_soc_bounds",
-              _peak(np.maximum(_over(soc, sto.soc_max_frac * cap), _over(sto.soc_min_frac * cap, soc))), tol)
-        check(f"storage_{k}_power", _peak(np.maximum(_over(charge, plim), _over(discharge, plim))), tol)
-        check(f"storage_{k}_exclusive", max((v for (c, _), v in overlaps.items() if c == k), default=0.0), tol)
+    if storage:
+        stos = [case.storage(k) for k in storage]
 
-    # demand-response arithmetic
-    dec = decompose_loads(case)
-    for k, per_type in dr_delta.items():
-        load_sum = max(sum(case.loads[k].values), 1.0)
-        for dtype, series in per_type.items():
-            base = np.asarray(dec.shiftable_base[k] if dtype == SHIFT else dec.substitutable_base[k])
+        def per_store(values):
+            return np.array(values)[:, None]
+
+        initial = [sto.soc_initial_frac * sto.capacity_kwh for sto in stos]
+        plim = per_store([sto.power_limit_fraction * sto.capacity_kwh for sto in stos])
+        # soc[t] against soc[t-1] + charge - discharge, soc[-1] the initial charge
+        soc_prev = np.concatenate((per_store(initial), soc[:, :-1]), axis=1)
+        expect = (soc_prev + per_store([sto.charge_eff * dt for sto in stos]) * charge
+                  - per_store([dt / sto.discharge_eff for sto in stos]) * discharge)
+        recursion = _peaks(np.abs(soc - expect))
+        bounds = _peaks(np.maximum(_over(soc, per_store([sto.soc_max_frac * sto.capacity_kwh for sto in stos])),
+                                   _over(per_store([sto.soc_min_frac * sto.capacity_kwh for sto in stos]), soc)))
+        power = _peaks(np.maximum(_over(charge, plim), _over(discharge, plim)))
+        for i, (k, sto) in enumerate(zip(storage, stos)):
+            tol = 1e-6 * max(sto.capacity_kwh, 1.0)
+            check(f"storage_{k}_recursion", recursion[i], tol)
+            check(f"storage_{k}_terminal", abs(soc[i, -1] - initial[i]), tol)
+            check(f"storage_{k}_soc_bounds", bounds[i], tol)
+            check(f"storage_{k}_power", power[i], tol)
+            check(f"storage_{k}_exclusive", max((v for (c, _), v in overlaps.items() if c == k), default=0.0), tol)
+
+    # demand-response arithmetic; the windows are one block
+    if keys:
+        dec = decompose_loads(case)
+        base = np.array([dec.shiftable_base[k] if dtype == SHIFT else dec.substitutable_base[k]
+                         for k, dtype in keys], dtype=float)
+        lo, hi = -base, base
+        for i, (k, dtype) in enumerate(keys):
             override = case.dr.shift_bounds.get(k) if dtype == SHIFT else None
-            lo, hi = (-base, base) if override is None else override
-            check(f"dr_window_{dtype}_{k}", _peak(np.maximum(_over(series, hi), _over(lo, series))),
-                  1e-6 * load_sum)
+            if override is not None:
+                lo[i], hi[i] = override
+        window = _peaks(np.maximum(_over(shifts, hi), _over(lo, shifts)))
+        for i, (k, dtype) in enumerate(keys):
+            load_sum = max(sum(case.loads[k].values), 1.0)
+            check(f"dr_window_{dtype}_{k}", window[i], 1e-6 * load_sum)
             if dtype == SHIFT or case.dr.literal_eq2:
-                check(f"dr_net_{dtype}_{k}", abs(sum(series.tolist())), 1e-6 * load_sum)
-    if not case.dr.literal_eq2:
-        subst = {k: per_type[SUBSTITUTE] for k, per_type in dr_delta.items() if SUBSTITUTE in per_type}
-        if subst:
-            scale = max(sum(max(case.loads[k].values) for k in subst), 1.0)
-            net = sum(case.dr.subst_conversion.get(k, 1.0) * series for k, series in subst.items())
-            check("dr_subst_coupling", _peak(np.abs(net)), 1e-6 * scale)
+                check(f"dr_net_{dtype}_{k}", abs(sum(shifts[i].tolist())), 1e-6 * load_sum)
+    subst = [(k, i) for i, (k, dtype) in enumerate(keys) if dtype == SUBSTITUTE]
+    if subst and not case.dr.literal_eq2:
+        scale = max(sum(max(case.loads[k].values) for k, _ in subst), 1.0)
+        net = sum(case.dr.subst_conversion.get(k, 1.0) * shifts[i] for k, i in subst)
+        check("dr_subst_coupling", _peaks(np.abs(net)[None])[0], 1e-6 * scale)
     original = {k: case.loads[k].values for k in CARRIERS}
-    adjusted = {k: tuple(v.tolist()) for k, v in adjusted.items()}
-    index = satisfaction_index(original, adjusted)
+    index = satisfaction_index(original, dict(zip(CARRIERS, map(tuple, adjusted.tolist()))))
     check("satisfaction_floor", max(0.0, case.dr.satisfaction_min - index), 1e-9)
     check("satisfaction_value", abs(index - sol.satisfaction), 1e-9)
 
@@ -956,10 +1034,9 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     buy = dt * sum((np.multiply(tariffs.electricity_price, e_buy)
                     + np.multiply(tariffs.gas_price, g_buy)).tolist())
     dr_cost = 0.0
-    for k, per_type in dr_delta.items():
-        for dtype, series in per_type.items():
-            mu = case.dr.mu_shift if dtype == SHIFT else case.dr.mu_subst
-            dr_cost += mu * dt * sum(np.abs(series).tolist())
+    for (k, dtype), magnitude in zip(keys, np.abs(shifts).tolist()):
+        mu = case.dr.mu_shift if dtype == SHIFT else case.dr.mu_subst
+        dr_cost += mu * dt * sum(magnitude)
     omega = case.maintenance
     maint = dt * sum((
         omega.get("wind", 0.0) * dg
@@ -969,14 +1046,14 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
         + omega.get("GB", 0.0) * gb_h
         + sum(omega.get(f"storage_{k}", 0.0) * (charge + discharge) for k, (charge, discharge, _) in storage.items())
     ).tolist())
-    policy = replace(case.carbon, mechanism=scenario.mechanism)
+    policy = _policy(case, scenario)
     schedule = FlowSchedule(
         step_hours=dt,
         p_e_buy=sol.p_e_buy,
         p_gt_e=sol.p_gt_e,
         p_gt_h=sol.p_gt_h,
         p_gb_h=sol.p_gb_h,
-        p_g_load=adjusted[GAS],
+        p_g_load=tuple(adjusted[CARRIERS.index(GAS)].tolist()),
         p_p2g_g=sol.p_p2g_g,
     )
     account = emission_account(schedule, policy)
@@ -1007,7 +1084,7 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
                 if cap_e > 0 else quad_value(policy.coal_quad, 0.0))
         gas = (pwl_convex_value(policy.gas_quad, q_max, n, gt_e + gt_h + gb_h)
                if q_max > 0 else quad_value(policy.gas_quad, 0.0))
-        surrogate = sum((dt * (coal + gas + policy.delta_gasload * np.asarray(adjusted[GAS])
+        surrogate = sum((dt * (coal + gas + policy.delta_gasload * adjusted[CARRIERS.index(GAS)]
                                - policy.theta_p2g * p2g_g)).tolist())
         rel("surrogate_actual", sol.surrogate_actual_kg, surrogate,
             scale=max(abs(surrogate), account.actual.total, 1.0))

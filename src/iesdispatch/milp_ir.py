@@ -16,8 +16,9 @@ and ``variables`` / ``constraints`` build lists of records from the stores
 on each call.
 
 A linear form is a :class:`LinearForm` ``(ids, coeffs, constant)``, built
-with numpy by the model code; :func:`combine` adds forms and
-:meth:`MilpModel.set_objective` sets their sum as objective.  Finiteness is
+with numpy by the model code; :func:`combine` adds forms (:func:`collect`
+keeps the ids whose terms cancel) and :meth:`MilpModel.set_objective`
+sets their sum as objective.  Finiteness is
 checked where numbers enter the model: ``add_rows`` checks every
 coefficient and right-hand side of a block at once, ``set_rhs`` the new
 right-hand sides of existing rows, ``add_variables`` every bound, and
@@ -31,7 +32,6 @@ envelopes as one row block.
 from __future__ import annotations
 
 import math
-import operator
 from itertools import islice
 from typing import NamedTuple
 
@@ -51,7 +51,7 @@ INF = math.inf
 
 def row_bounds(relations, rhs) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) bounds of the rows ``a x <relation> rhs``, as HiGHS takes them."""
-    rel = np.asarray(relations, dtype=object)
+    rel = np.asarray(relations, dtype=str)
     return np.where(rel == LE, -np.inf, rhs), np.where(rel == GE, np.inf, rhs)
 
 
@@ -99,10 +99,12 @@ class LinearForm(NamedTuple):
     def value(self, x) -> float:
         """Evaluate at a point, summing the terms left to right in stored order.
 
-        A dot product may group the terms otherwise and so change the bits.
+        The running sum starts from 0.0; a dot product may group the terms
+        otherwise and so change the bits, an accumulate does not.
         """
-        terms = np.asarray(x, dtype=float)[self.ids].tolist()
-        return self.constant + sum(map(operator.mul, self.coeffs.tolist(), terms))
+        terms = np.zeros(self.ids.size + 1)
+        np.multiply(self.coeffs, np.asarray(x, dtype=float)[self.ids], out=terms[1:])
+        return self.constant + float(np.add.accumulate(terms)[-1])
 
     def scaled(self, k: float) -> "LinearForm":
         """The form times ``k``, zero products left out."""
@@ -121,25 +123,42 @@ def linear_form(ids, coeffs=1.0, constant: float = 0.0) -> LinearForm:
 
 
 def combine(*forms: LinearForm) -> LinearForm:
-    """The sum of the forms, with each id once.
+    """The sum of the forms, with each id once: `collect` with zero sums left out."""
+    form = collect(*forms)
+    keep = form.coeffs != 0.0
+    return LinearForm(form.ids[keep], form.coeffs[keep], form.constant)
+
+
+def collect(*forms: LinearForm) -> LinearForm:
+    """The sum of the forms, with each id once and zero sums kept.
 
     The coefficients of a repeated id add up in argument order, starting
-    from 0.0; ids keep the order of their first appearance and a zero sum is
-    left out.  The constants add up left to right, starting from 0.0.
+    from 0.0, and ids keep the order of their first appearance.  The
+    constants add up left to right, starting from 0.0.  So
+    ``combine(collect(a, b), c)`` is ``combine(a, b, c)`` bit for bit: a
+    kept zero holds its id's place, and 0.0 + x is x.
     """
     ids = np.concatenate([np.zeros(0, dtype=np.int64), *(f.ids for f in forms)])
     coeffs = np.concatenate([np.zeros(0), *(f.coeffs for f in forms)])
-    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    # bincount adds the weights of each slot in input order; with no weights
-    # at all it returns integers
-    total = np.bincount(inverse, coeffs, len(unique)).astype(float)
-    order = np.argsort(first)
-    ids, total = unique[order], total[order]
     constant = 0.0
     for form in forms:
         constant += form.constant
-    keep = total != 0.0
-    return LinearForm(ids[keep], total[keep], constant)
+    if not ids.size:
+        return LinearForm(ids, coeffs, constant)
+    # one slot per id value; ids spread far wider than their count are
+    # numbered compactly first
+    slot = ids - ids.min()
+    span = int(slot.max()) + 1
+    if span > 16 * ids.size + 4096:
+        slot = np.unique(slot, return_inverse=True)[1]
+        span = int(slot.max()) + 1
+    at = np.arange(ids.size)
+    first = np.full(span, ids.size)
+    np.minimum.at(first, slot, at)
+    head = first[slot] == at  # the first appearance of each id
+    # bincount adds the weights of each slot in input order
+    total = np.bincount(slot, coeffs, span)
+    return LinearForm(ids[head], total[slot[head]], constant)
 
 
 class Constraint(NamedTuple):
@@ -170,6 +189,13 @@ def _new_names(names, seen: set, what: str) -> set:
 def _all(mask: np.ndarray) -> bool:
     """Whether every entry is nonzero; ``ndarray.all`` costs more on small arrays."""
     return np.count_nonzero(mask) == mask.size
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a new read-only array."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 def _filled(values, shape) -> np.ndarray:
@@ -217,6 +243,9 @@ class MilpModel:
         self._row_name_set: set[str] = set()
         self._csr = None
         self._csc = None
+        self._col_arrays = None  # (lb, ub, is_binary), compiled
+        self._relation_array = None
+        self._rhs_array = None
 
     # -- construction ------------------------------------------------------
 
@@ -248,7 +277,7 @@ class MilpModel:
         self._upper += upper.tolist()
         self._col_names += names
         self._col_name_set |= fresh
-        self._csc = None
+        self._csc = self._col_arrays = None
         return np.arange(start, start + n)
 
     def add_rows(self, cols, coeffs, relation, rhs, names) -> range:
@@ -302,7 +331,7 @@ class MilpModel:
         self._relations += rels
         self._row_names += names
         self._row_name_set |= fresh
-        self._csr = self._csc = None
+        self._csr = self._csc = self._relation_array = self._rhs_array = None
         return range(start, start + m)
 
     def set_rhs(self, rows, values) -> None:
@@ -310,7 +339,8 @@ class MilpModel:
 
         The rows must exist and the values be finite, as in
         :meth:`add_rows`; a failed check changes nothing.  The matrix is
-        untouched, so a compiled ``A`` stays valid.
+        untouched, so a compiled ``A`` stays valid; the compiled ``rhs`` is
+        made again only if a value changes (bit for bit).
         """
         rows = np.asarray(rows, dtype=np.int64)
         values = _filled(values, rows.shape)
@@ -320,8 +350,10 @@ class MilpModel:
         if not _all(np.isfinite(values)):
             i = rows[np.flatnonzero(~np.isfinite(values))[0]]
             raise ModelError(f"constraint {self._row_names[i]!r}: non-finite right-hand side")
-        for i, b in zip(rows.tolist(), values.tolist()):
-            self._rhs[i] = b
+        if np.array([self._rhs[i] for i in rows.tolist()]).tobytes() != values.tobytes():
+            for i, b in zip(rows.tolist(), values.tolist()):
+                self._rhs[i] = b
+            self._rhs_array = None
 
     def set_objective(self, *forms: LinearForm) -> None:
         """Set the minimization objective to ``combine(*forms)``.
@@ -392,9 +424,14 @@ class MilpModel:
         A is a ``scipy.sparse.csc_array`` with one row per constraint in
         registration order, sorted row indices and no stored zeros.  This is
         the form the solvers consume; it is joined straight from the row
-        store, without a dense intermediate.  The model keeps it until a
-        column or row is added, so a model whose costs or right-hand sides
-        change in between compiles to the same ``A`` object.
+        store, without a dense intermediate.  ``relations`` is an array of
+        relation codes.  The model keeps every compiled array but ``c``
+        until the part it comes from changes: ``A`` and ``relations`` until
+        a row is added, ``lb``, ``ub`` and ``is_binary`` until a column is
+        added (``A`` then too), ``rhs`` until a row is added or
+        :meth:`set_rhs` is called.  So a model whose costs or right-hand
+        sides change in between compiles to the same ``A`` object.  The
+        kept arrays are read-only; ``c`` is built anew on each call.
         """
         # deferred so that importing the package does not load scipy
         from scipy.sparse import csr_array
@@ -405,12 +442,15 @@ class MilpModel:
         if self._csc is None:
             indptr, cols, vals = self._joined()
             self._csc = csr_array((vals, cols, indptr), shape=(m, n)).tocsc()
-        A = self._csc
-        rhs = np.array(self._rhs, dtype=float)
-        lb = np.array(self._lower, dtype=float)
-        ub = np.array(self._upper, dtype=float)
-        is_binary = np.array([kind == BINARY for kind in self._kinds], dtype=bool)
-        return c, self.objective.constant, A, list(self._relations), rhs, lb, ub, is_binary
+        if self._col_arrays is None:
+            self._col_arrays = (_frozen(self._lower, float), _frozen(self._upper, float),
+                                _frozen([kind == BINARY for kind in self._kinds], bool))
+        if self._relation_array is None:
+            self._relation_array = _frozen(self._relations, "<U2")
+        if self._rhs_array is None:
+            self._rhs_array = _frozen(self._rhs, float)
+        return (c, self.objective.constant, self._csc, self._relation_array, self._rhs_array,
+                *self._col_arrays)
 
     def to_dense(self):
         """:meth:`to_sparse` with A as a dense ndarray.

@@ -104,11 +104,15 @@ class _ScipyCore:
     """One HiGHS instance per constraint matrix; a solve sets only column bounds.
 
     The matrix is loaded once with presolve off, so the simplex basis lives
-    on between runs.  A solve given a basis (``start``) restarts the dual
-    simplex from it; a solve without one starts cold.  `reprice` swaps in
-    the costs and row bounds of another LP on the same matrix, and an LP
-    chain reuses the core that way.  With ``time_limit`` (seconds) a run
-    that reaches it ends with status "limit".
+    on between runs.  A solve given a basis (``start``) restarts from it; a
+    solve without one starts cold.  A restart from the basis this core's
+    last run left is hot: HiGHS keeps its factorization and edge weights,
+    since neither the basis nor unchanged column bounds are passed in again.
+    HiGHS chooses the simplex variant per run (``simplex_strategy`` 0): the
+    primal simplex from a primal feasible basis, the dual otherwise.
+    `reprice` swaps in the costs and row bounds of another LP on the same
+    matrix, and an LP chain reuses the core that way.  With ``time_limit``
+    (seconds) a run that reaches it ends with status "limit".
     """
 
     def __init__(self, c, c0, A, relations, rhs, time_limit=None):
@@ -121,11 +125,13 @@ class _ScipyCore:
         n, m = len(c), len(relations)
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
+        self._rows = relations, rhs
         self.row_lower, self.row_upper = row_bounds(relations, rhs)
         self.A = A  # kept, so a model compiling to this object again is recognised at once
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("presolve", "off")
+        self._highs.setOptionValue("simplex_strategy", 0)
         if time_limit is not None:
             self._highs.setOptionValue("time_limit", float(time_limit))
         # column-wise CSC (format 1), minimise (sense 1), column bounds set
@@ -135,34 +141,43 @@ class _ScipyCore:
             self.row_upper, A.indptr, A.indices, A.data, np.zeros(n, dtype=np.int32))
         if status == HighsStatus.kError:
             raise NumericalFailure("LP core failed: HiGHS rejected the model")
+        self._bounds = None  # the column bounds loaded, None until the first solve
+        self._basis = None  # the basis the last run left, if it ended optimal
 
-    def reprice(self, c, c0, row_lower, row_upper) -> None:
-        """Set the costs and row bounds of another LP on the loaded matrix.
+    def reprice(self, c, c0, relations, rhs) -> None:
+        """Set the costs and rows (relations, right-hand sides) of another LP on the loaded matrix.
 
-        HiGHS keeps its basis, so the next solve can restart from it.  Its
-        run clock counts every run of the instance, so the time limit moves
-        on to allow ``time_limit`` more seconds.
+        HiGHS keeps its basis, so the next solve can restart from it.  The
+        row bounds are worked out again only when ``relations`` or ``rhs``
+        is not the read-only array the core last took (``to_sparse`` keeps
+        both until they change).  Its run clock counts every run of the
+        instance, so the time limit moves on to allow ``time_limit`` more
+        seconds.
         """
         h = self._highs
         self._cost, self.c0 = np.asarray(c, dtype=float), c0
         h.changeColsCost(self._cols.size, self._cols, self._cost)
-        # scipy's binding has no changeRowsBounds: one call per changed row
-        for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
-            h.changeRowBounds(int(i), row_lower[i], row_upper[i])
-        self.row_lower, self.row_upper = row_lower, row_upper
+        if not all(new is old and _read_only(new) for new, old in zip((relations, rhs), self._rows)):
+            row_lower, row_upper = row_bounds(relations, rhs)
+            # scipy's binding has no changeRowsBounds: one call per changed row
+            for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
+                h.changeRowBounds(int(i), row_lower[i], row_upper[i])
+            self._rows = relations, rhs
+            self.row_lower, self.row_upper = row_lower, row_upper
         if self.time_limit is not None:
             h.setOptionValue("time_limit", h.getRunTime() + float(self.time_limit))
 
-    def _run(self) -> int:
+    def _run(self):
+        """Run HiGHS; the info record of the run."""
         self._highs.run()
-        return self._highs.getInfo().simplex_iteration_count
+        return self._highs.getInfo()
 
     def _resolve_unbounded_or_infeasible(self) -> tuple[str, int]:
         """Decide feasibility by re-running with a zero objective."""
         h, n = self._highs, len(self._cols)
         h.changeColsCost(n, self._cols, np.zeros(n))
         h.clearSolver()
-        iterations = self._run()
+        iterations = self._run().simplex_iteration_count
         model_status = h.getModelStatus()
         h.changeColsCost(n, self._cols, self._cost)
         # the first run found the dual infeasible, so a feasible primal is unbounded
@@ -177,20 +192,25 @@ class _ScipyCore:
     def solve(self, lb, ub, start=None) -> LpSolution:
         h, status = self._highs, self._status
         lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
-        h.changeColsBounds(self._cols.size, self._cols, lb, ub)
+        if self._bounds is None or not all(map(np.array_equal, (lb, ub), self._bounds)):
+            h.changeColsBounds(self._cols.size, self._cols, lb, ub)
+            self._bounds = lb.copy(), ub.copy()
         if start is None:
             h.clearSolver()
-        else:
+        elif start is not self._basis:
             h.setBasis(start)
-        iterations = self._run()
+        self._basis = None
+        info = self._run()
+        iterations = info.simplex_iteration_count
         model_status = h.getModelStatus()
         if model_status == status.kOptimal:
+            self._basis = h.getBasis()
             return LpSolution(
                 status=OPTIMAL,
-                objective=h.getInfo().objective_function_value + self.c0,
-                x=np.array(h.getSolution().col_value),
+                objective=info.objective_function_value + self.c0,
+                x=np.fromiter(h.getSolution().col_value, float, self._cols.size),
                 iterations=iterations,
-                basis=h.getBasis(),
+                basis=self._basis,
             )
         if model_status == status.kInfeasible:
             return LpSolution(status=INFEASIBLE, iterations=iterations)
@@ -259,6 +279,10 @@ class LpChain:
     basis: object = None
 
 
+def _read_only(a) -> bool:
+    return isinstance(a, np.ndarray) and not a.flags.writeable
+
+
 def _same_matrix(a, b) -> bool:
     return a is b or (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
@@ -275,7 +299,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     core, start = chain.core, chain.basis
     chain.core = chain.basis = None  # until this solve ends without raising
     if core is not None and core.time_limit == options.time_limit and _same_matrix(core.A, A):
-        core.reprice(c, c0, *row_bounds(relations, rhs))
+        core.reprice(c, c0, relations, rhs)
     else:
         core, start = _ScipyCore(c, c0, A, relations, rhs, options.time_limit), None
     t0 = time.perf_counter()

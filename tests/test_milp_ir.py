@@ -241,7 +241,7 @@ def test_to_dense_shapes():
     assert A.shape == (1, 2)
     assert list(c) == [1.0, 2.0]
     assert c0 == 5.0
-    assert relations == [LE]
+    assert list(relations) == [LE]
     assert list(rhs) == [3.0]
     assert list(lb) == [0.0, 0.0] and list(ub) == [4.0, 1.0]
     assert list(is_binary) == [False, True]
