@@ -438,8 +438,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
+def _get_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves it unchanged."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    return _parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _get_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -47,17 +47,21 @@ Sweeps build once.  Along a sweep only the carbon base price lambda or the
 tier width d moves, and in the built model lambda enters only the costs of
 the carbon ladder and d only the right-hand sides of its knee rows
 (`carbon.encode_carbon_cost`).  `carbon.price_ladder` computes both, for
-`build_model` and for `_reprice` alike, and both hand the cost forms of
-`_objective` to one ``set_objective``.  So within a sweep chunk a point
-takes the gate-free model of the point before it and re-prices it, and
-the result is, bit for bit, the model `build_model` makes for the new
-point, provided the rest of the case, the scenario and the options are
-the same, and lambda > 0 holds on both points or on neither (it decides
-whether the ladder is built at all).  The chunk's slot (`_ModelSlot`)
-owns its warm state: that model and the LP chain (`solver.LpChain`) of
-HiGHS core and basis.  A point passes the model on only if it ended
-verified with no gate added, so a gated or failed point makes the next
-one build afresh.
+`build_model` and for `_reprice` alike, and both hand ``set_objective`` the
+forms of `_objective`: the purchase, compensation and maintenance cost,
+collected once at the build (``milp_ir.collect``), and the carbon cost
+added onto it.  So within a sweep chunk a point takes the gate-free model
+of the point before it and re-prices it, and the result is, bit for bit,
+the model `build_model` makes for the new point, provided the rest of the
+case, the scenario and the options are the same, and lambda > 0 holds on
+both points or on neither (it decides whether the ladder is built at all).
+The chunk's slot (`_ModelSlot`) owns its warm state: that model and the LP
+chain (`solver.LpChain`) of HiGHS core and basis.  The model keeps its
+compiled arrays, and the core restarts hot from the basis it holds, so a
+re-priced point pays for its costs, the knee rows it moves and the simplex
+iterations, not for what stayed.  A point passes the model on only if it
+ended verified with no gate added, so a gated or failed point makes the
+next one build afresh.
 
 Powers are kW, energies kWh, emissions kg, money in currency units.
 """
@@ -920,62 +924,55 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     for k, peak, residual in zip(CARRIERS, load_peaks, _peaks(np.abs(supply - adjusted))):
         check(f"balance_{k}", residual, 1e-6 * peak)
 
-    # device couplings, limits, ramps: each family is one block, and the
-    # checks are made in the order they are listed
+    # device couplings, limits and ramps.  Each is a pair of series, and
+    # the pairs of one kind and width are one block: "equal" gives
+    # max |a - b|, "at most" max over(a, b); the checks are made in the
+    # order they are added
     gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
     gb = case.converter("GB")
     p2g = case.converter("P2G")
-    order = []  # (name, family, row, tol)
-    family = {"coupling": [], "fuel": [], "capacity": [], "ramp": []}
+    order = []  # (name, block or None, row or residual, tol)
+    blocks: dict[tuple[str, int], list] = {}
 
-    def add(kind, name, tol, *row):
-        order.append((name, kind, len(family[kind]), tol))
-        family[kind].append(row)
+    def add(kind, name, tol, a, b):
+        pairs = blocks.setdefault((kind, len(a)), [])
+        order.append((name, (kind, len(a)), len(pairs), tol))
+        pairs.append((a, b))
+
+    def ramp(name, tol, series, cap, frac):
+        # the step from period t-1 to t, for t >= 1
+        add("at most", name, tol, np.abs(series[1:] - series[:-1]), frac * cap)
 
     if p2g:
         tol = 1e-6 * max(p2g.capacity_kw, 1.0)
-        add("coupling", "p2g_coupling", tol, p2g_g, p2g.efficiencies.get("gas", 0.0), p2g_e)
-        add("capacity", "p2g_capacity", tol, p2g_e, p2g.capacity_kw)
-        add("ramp", "p2g_ramp", tol, p2g_e, p2g.ramp_fraction * p2g.capacity_kw)
+        add("equal", "p2g_coupling", tol, p2g_g, p2g.efficiencies.get("gas", 0.0) * p2g_e)
+        add("at most", "p2g_capacity", tol, p2g_e, p2g.capacity_kw)
+        ramp("p2g_ramp", tol, p2g_e, p2g.capacity_kw, p2g.ramp_fraction)
     if gt:
         tol = 1e-6 * max(gt_cap, 1.0)
-        if case.chp.extraction_mode:
-            add("fuel", "chp_e_fuel", tol, gt_e, eps_e, g_gt)
-            add("fuel", "chp_h_fuel", tol, gt_h, eps_h, g_gt)
-        else:
-            add("coupling", "chp_e_coupling", tol, gt_e, eps_e, g_gt)
-            add("coupling", "chp_h_coupling", tol, gt_h, eps_h, g_gt)
+        kind, suffix = ("at most", "fuel") if case.chp.extraction_mode else ("equal", "coupling")
+        add(kind, f"chp_e_{suffix}", tol, gt_e, eps_e * g_gt)
+        add(kind, f"chp_h_{suffix}", tol, gt_h, eps_h * g_gt)
         ratio = np.maximum(_over(case.chp.ratio_min * gt_e, gt_h), _over(gt_h, case.chp.ratio_max * gt_e))
         order.append(("chp_ratio", None, _peaks(ratio[None])[0], tol))
-        add("capacity", "chp_fuel_capacity", tol, g_gt, gt_cap)
+        add("at most", "chp_fuel_capacity", tol, g_gt, gt_cap)
         if whb:
-            add("capacity", "chp_whb_capacity", tol, gt_h, whb_cap)
-        add("ramp", "chp_ramp", tol, g_gt, gt.ramp_fraction * gt_cap)
+            add("at most", "chp_whb_capacity", tol, gt_h, whb_cap)
+        ramp("chp_ramp", tol, g_gt, gt_cap, gt.ramp_fraction)
     if gb:
         tol = 1e-6 * max(gb.capacity_kw, 1.0)
-        add("coupling", "gb_coupling", tol, gb_h, gb.efficiencies.get("heat", 0.0), g_gb)
-        add("capacity", "gb_capacity", tol, g_gb, gb.capacity_kw)
-        add("ramp", "gb_ramp", tol, g_gb, gb.ramp_fraction * gb.capacity_kw)
-    add("capacity", "wind_availability", 1e-6 * max(case.wind_max_kw, 1.0), dg, wind_available)
-    for name, cap, flow in (("purchase_cap_electric", case.purchase_caps[0], e_buy),
-                            ("purchase_cap_gas", case.purchase_caps[1], g_buy)):
-        add("capacity", name, 1e-6 * max(cap, 1.0), flow, cap)
-    residuals = {kind: [] for kind in family}
-    if family["coupling"] or family["fuel"]:
-        # out against factor * input: equal for a coupling, at most for a fuel limit
-        for kind, compare in (("coupling", lambda a, b: np.abs(a - b)), ("fuel", _over)):
-            if family[kind]:
-                out_, factor, input_ = zip(*family[kind])
-                residuals[kind] = _peaks(compare(np.array(out_), np.array(factor)[:, None] * np.array(input_)))
-    value, limit = zip(*family["capacity"])
-    residuals["capacity"] = _peaks(_over(np.array(value), _rows(limit, periods)))
-    if family["ramp"]:
-        # the step from period t-1 to t, for t >= 1
-        ramped, step = zip(*family["ramp"])
-        ramped = np.array(ramped)
-        residuals["ramp"] = _peaks(_over(np.abs(ramped[:, 1:] - ramped[:, :-1]), np.array(step)[:, None]))
-    for name, kind, row, tol in order:
-        check(name, row if kind is None else residuals[kind][row], tol)
+        add("equal", "gb_coupling", tol, gb_h, gb.efficiencies.get("heat", 0.0) * g_gb)
+        add("at most", "gb_capacity", tol, g_gb, gb.capacity_kw)
+        ramp("gb_ramp", tol, g_gb, gb.capacity_kw, gb.ramp_fraction)
+    add("at most", "wind_availability", 1e-6 * max(case.wind_max_kw, 1.0), dg, wind_available)
+    add("at most", "purchase_cap_electric", 1e-6 * max(case.purchase_caps[0], 1.0), e_buy, case.purchase_caps[0])
+    add("at most", "purchase_cap_gas", 1e-6 * max(case.purchase_caps[1], 1.0), g_buy, case.purchase_caps[1])
+    peaks = {}
+    for (kind, width), pairs in blocks.items():
+        a, b = (_rows(side, width) for side in zip(*pairs))
+        peaks[kind, width] = _peaks(np.abs(a - b) if kind == "equal" else _over(a, b))
+    for name, block, row, tol in order:
+        check(name, row if block is None else peaks[block][row], tol)
 
     # storage: one block per family over the stores
     overlaps = _storage_overlaps(case, sol.storage)

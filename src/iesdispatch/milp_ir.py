@@ -17,12 +17,12 @@ on each call.
 
 A linear form is a :class:`LinearForm` ``(ids, coeffs, constant)``, built
 with numpy by the model code; :func:`combine` adds forms (:func:`collect`
-keeps the ids whose terms cancel) and :meth:`MilpModel.set_objective`
-sets their sum as objective.  Finiteness is
-checked where numbers enter the model: ``add_rows`` checks every
-coefficient and right-hand side of a block at once, ``set_rhs`` the new
-right-hand sides of existing rows, ``add_variables`` every bound, and
-``set_objective`` the objective.  A form checks nothing itself.
+keeps the ids whose terms cancel) and :meth:`MilpModel.set_objective` sets
+their sum as objective.  Finiteness is checked where numbers enter the
+model: ``add_rows`` checks every coefficient and right-hand side of a block
+at once, ``set_rhs`` the new right-hand sides of existing rows,
+``add_variables`` every bound, and ``set_objective`` the objective.  A form
+checks nothing itself.
 
 The module also carries the linearization the dispatch model uses:
 epigraph (tangent) cuts for convex quadratics, added for a whole family of
@@ -429,9 +429,10 @@ class MilpModel:
         until the part it comes from changes: ``A`` and ``relations`` until
         a row is added, ``lb``, ``ub`` and ``is_binary`` until a column is
         added (``A`` then too), ``rhs`` until a row is added or
-        :meth:`set_rhs` is called.  So a model whose costs or right-hand
-        sides change in between compiles to the same ``A`` object.  The
-        kept arrays are read-only; ``c`` is built anew on each call.
+        :meth:`set_rhs` changes a value.  So a model whose costs or
+        right-hand sides change in between compiles to the same ``A``
+        object.  The kept arrays are read-only; ``c`` is built anew on each
+        call.
         """
         # deferred so that importing the package does not load scipy
         from scipy.sparse import csr_array
@@ -486,7 +487,7 @@ def pwl_convex_value(quad, x_max: float, segments: int, x):
     a, b, c = (float(v) for v in quad)
     xi = x_max * np.arange(segments + 1) / segments
     slope = b + 2.0 * c * xi
-    best = np.max(a + b * xi + c * xi * xi + slope * (np.asarray(x, dtype=float)[..., None] - xi), axis=-1)
+    best = (a + b * xi + c * xi * xi + slope * (np.asarray(x, dtype=float)[..., None] - xi)).max(axis=-1)
     return float(best) if best.ndim == 0 else best
 
 

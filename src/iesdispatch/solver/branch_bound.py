@@ -2,8 +2,9 @@
 
 `solve_milp` compiles the model once with ``MilpModel.to_sparse``.  A model
 without binaries is one LP on `_ScipyCore`, which loads the CSC matrix into
-one HiGHS instance with presolve off and runs the dual simplex; a later
-solve that changes only column bounds can restart from a basis it is given.
+one HiGHS instance with presolve off and, from a cold start, runs the dual
+simplex; a later solve that changes only column bounds can restart from a
+basis it is given.
 The dispatch models are such LPs first: their convex cost terms
 (demand-response deviation and the tiered carbon ladder) are exact LPs, and
 a storage gate is added only in a later round, where the gate-free schedule
@@ -14,15 +15,24 @@ the "scipy-milp" backend calls too.
 LP chain.  LP solves handed one `LpChain` share one core: when a model
 compiles to the same constraint matrix as the core holds, entry for entry,
 under the same time limit, `solve_milp` re-prices that core with the
-model's costs and row bounds and restarts the dual simplex from the
-previous optimal basis (Huangfu & Hall, Math. Prog. Comp. 10(1), 2018);
-another matrix loads a new core.  A sweep chunk hands its points one chain:
-the carbon price moves costs only and the tier width the bounds of the
-knee rows.  A sweep re-prices one model from point to point, and
-``to_sparse`` keeps its compiled matrix, so the core's ``A`` is the very
-object the next point compiles to and the check ends at once.  Each solve
-is still of its own compiled LP, so the optimum is unchanged; on a
-degenerate face the vertex returned can differ from a cold start.
+model's costs and row bounds and restarts from the previous optimal basis
+(Huangfu & Hall, Math. Prog. Comp. 10(1), 2018); another matrix loads a new
+core.  A sweep chunk hands its points one chain: the carbon price moves
+costs only and the tier width the bounds of the knee rows.  A sweep
+re-prices one model from point to point, and ``to_sparse`` keeps its
+compiled arrays, so the core's ``A`` is the very object the next point
+compiles to and the check ends at once; so are the relations and, while
+the tier width stays, the right-hand sides, so the row bounds are not
+worked out again.  The restart is hot: the basis handed in is the one the
+core's last run left, so the core neither sets it nor the unchanged
+column bounds again, and HiGHS keeps its factorization and edge weights.
+HiGHS then chooses the simplex variant (``simplex_strategy`` 0): a cost
+change leaves the basis primal feasible, so the primal simplex goes on
+from it, and a move of the knee rows leaves it dual feasible, so the dual
+simplex does (Bixby, Oper. Res. 50(1), 2002).  A cold start has no basis
+and takes the dual simplex, as before.  Each solve is still of its own
+compiled LP, so the optimum is unchanged; on a degenerate face the vertex
+returned can differ from a cold start.
 """
 
 from __future__ import annotations
@@ -98,6 +108,10 @@ class MilpSolution:
     def trace(self) -> list[tuple[int, float, float]]:
         """(nodes, bound, incumbent objective) at the end of the solve."""
         return [(self.nodes, self.bound, math.inf if self.objective is None else self.objective)]
+
+
+def _read_only(a) -> bool:
+    return isinstance(a, np.ndarray) and not a.flags.writeable
 
 
 class _ScipyCore:
@@ -277,10 +291,6 @@ class LpChain:
 
     core: _ScipyCore | None = None
     basis: object = None
-
-
-def _read_only(a) -> bool:
-    return isinstance(a, np.ndarray) and not a.flags.writeable
 
 
 def _same_matrix(a, b) -> bool:

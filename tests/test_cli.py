@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -351,6 +355,31 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
             assert run_cli(*argv, "--out", str(out)) == cli.EXIT_OK
         for name in (f"sweep_{param}_S5.csv", "meta.json"):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), (param, name)
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch, capsys):
+    # a usage error and then a sweep in one process: the parser is built on
+    # first use only, and the sweep writes what a fresh process writes
+    built, build = [], cli._build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    assert run_cli(*SWEEP_ARGV, "--bogus", "--out", str(here)) == cli.EXIT_USAGE
+    assert run_cli(*SWEEP_ARGV, "--out", str(here)) == cli.EXIT_OK
+    assert built == [1]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "iesdispatch.cli", *SWEEP_ARGV, "--out", str(fresh)],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in here.iterdir()) and "sweep_lambda_S5.csv" in names
+    for name in names:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_sweep_jobs_match_serial_objectives(tmp_path):

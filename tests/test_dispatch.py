@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from highs_spy import per_run
 from milp_oracles import compiled_differences, every_gate_model
 
 from iesdispatch import dispatch
@@ -612,6 +613,45 @@ def test_failure_mid_chain_empties_the_chain(reduced_case, reduced_options, coun
     assert solve_milp(model, reduced_options, chain=chain).status == "optimal"
     assert count_cores[0] == 2
     assert calls[1] is not None and calls[2] is None
+
+
+SET_UP = {"setBasis", "changeColsBounds", "clearSolver", "changeRowBounds"}
+
+
+@pytest.mark.parametrize("sweep, moved", [(sweep_lambda, set()), (sweep_interval, {"changeRowBounds"})],
+                         ids=["lambda", "d"])
+def test_sweep_points_restart_hot(reduced_case, reduced_options, highs_calls, sweep, moved):
+    # eleven points on one core: the first loads its column bounds and starts
+    # cold; every later one only re-prices, keeps the basis and bounds HiGHS
+    # holds, and (for d) moves the knee rows
+    grid = [0.10 + 0.05 * i for i in range(11)] if sweep is sweep_lambda else [1000.0 + 250.0 * i for i in range(11)]
+    points = sweep(reduced_case, "S5", grid, reduced_options)
+    assert [(p.status, p.error) for p in points] == [("optimal", None)] * 11
+    runs = per_run(highs_calls)
+    assert len(runs) == 11
+    assert SET_UP & set(runs[0]) == {"changeColsBounds", "clearSolver"}
+    for run in runs[1:]:
+        assert "changeColsCost" in run and SET_UP & set(run) == moved, run
+
+
+def test_point_after_a_raising_solve_starts_cold(reduced_case, reduced_options, highs_calls, monkeypatch):
+    # the third point's core raises before its run; the fourth loads a new
+    # core, sets its bounds and starts cold, and the fifth restarts hot on it
+    solve, calls = branch_bound._ScipyCore.solve, []
+
+    def third_fails(self, lb, ub, start=None):
+        calls.append(self)
+        if len(calls) == 3:
+            raise NumericalFailure("LP core failed: injected")
+        return solve(self, lb, ub, start)
+
+    monkeypatch.setattr(branch_bound._ScipyCore, "solve", third_fails)
+    points = sweep_lambda(reduced_case, "S5", [0.2, 0.3, 0.4, 0.5, 0.6], reduced_options)
+    assert [p.status for p in points] == ["optimal", "optimal", "numerical_failure", "optimal", "optimal"]
+    runs = per_run(highs_calls)
+    assert len(runs) == 4 and calls[3] is not calls[2]
+    assert [SET_UP & set(run) for run in runs] == [{"changeColsBounds", "clearSolver"}, set(),
+                                                     {"changeColsBounds", "clearSolver"}, set()]
 
 
 @pytest.mark.parametrize("sweep, field, grid", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milp_oracles import check_solution
+from milp_oracles import check_solution, compiled_differences
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import (
     BINARY,
@@ -22,6 +22,7 @@ from iesdispatch.milp_ir import (
     MilpModel,
     ModelError,
     TriviallyInfeasibleError,
+    collect,
     combine,
     linear_form,
     pwl_convex,
@@ -262,6 +263,91 @@ def test_set_rhs_keeps_the_compiled_matrix():
     assert m.to_sparse()[2].shape == (2, 3)
     m.add_rows([[2]], 1.0, LE, 1.0, ["z_cap"])
     assert m.to_sparse()[2].shape == (3, 3)
+
+
+# -- the compile cache ------------------------------------------------------------
+
+# each step changes the model in one way; a model built by the steps so far
+# without compiling in between is the reference
+_STEPS = [
+    lambda m: m.add_variables([CONTINUOUS, BINARY], [0.0, 0.0], [4.0, 1.0], ["x", "b"]),
+    lambda m: m.add_rows([[0, 1]], [[1.0, 2.0]], LE, 3.0, ["cap"]),
+    lambda m: m.set_objective(linear_form([0, 1], [1.0, -1.0], 0.5)),
+    lambda m: m.add_variables(CONTINUOUS, -1.0, 2.0, ["y"]),
+    lambda m: m.add_rows([[0, 2], [1, 2]], [[1.0, -1.0], [1.0, 1.0]], [GE, EQ], [-1.0, 1.0], ["lo", "tie"]),
+    lambda m: m.set_rhs([0, 2], [2.5, 0.0]),
+    lambda m: m.set_rhs([2], [-0.0]),  # the same value, other bits
+    lambda m: m.set_objective(linear_form([2], [3.0])),
+]
+
+
+def test_compiled_arrays_follow_every_change():
+    kept = MilpModel()
+    for i, step in enumerate(_STEPS):
+        step(kept)
+        fresh = MilpModel()
+        for earlier in _STEPS[:i + 1]:
+            earlier(fresh)
+        assert compiled_differences(kept, fresh) == [], i
+        assert compiled_differences(kept, fresh) == [], i  # and again from what it keeps
+
+
+def test_compiled_arrays_are_kept_until_their_part_changes():
+    m = MilpModel()
+    for step in _STEPS[:5]:
+        step(m)
+    c, _, A, relations, rhs, lb, ub, is_binary = m.to_sparse()
+    again = m.to_sparse()
+    assert again[0] is not c and all(a is b for a, b in zip(again[2:], (A, relations, rhs, lb, ub, is_binary)))
+    m.set_rhs([0], [3.0])  # the value it has
+    assert m.to_sparse()[4] is rhs
+    m.set_rhs([0], [2.0])
+    assert m.to_sparse()[4] is not rhs and m.to_sparse()[2] is A
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["z"])
+    after = m.to_sparse()
+    assert after[2] is not A and after[5] is not lb and after[3] is relations
+
+
+def test_compiled_arrays_are_read_only():
+    m = MilpModel()
+    for step in _STEPS:
+        step(m)
+    c, _, A, relations, rhs, lb, ub, is_binary = m.to_sparse()
+    for array, value in ((relations, GE), (rhs, 9.0), (lb, 9.0), (ub, 9.0), (is_binary, True)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = value
+    # the costs are built on each call, so writing into them changes nothing kept
+    c[:] = 7.0
+    assert m.to_sparse()[0].tolist() == [0.0, 0.0, 3.0]
+
+
+def test_collected_part_sums_like_the_whole():
+    # x's fixed terms cancel: a re-priced objective built on the collected
+    # fixed part keeps x's place and bits, as a fresh sum of every part does
+    buy = linear_form([0, 2], [1.25, 0.1])
+    maint = linear_form([0, 1], [-1.25, 0.3], 2.0)
+    fixed = collect(buy, maint)
+    assert fixed.ids.tolist() == [0, 2, 1] and fixed.coeffs.tolist() == [0.0, 0.1, 0.3]
+    for price in (0.0, 0.2, 0.7, 3.0):
+        carbon = linear_form([3, 0, 2], [price, 2.0 * price, -0.1], price)
+        repriced, fresh = MilpModel(), MilpModel()
+        for m in (repriced, fresh):
+            m.add_variables(CONTINUOUS, 0.0, 1.0, ["x", "y", "z", "s"])
+        repriced.set_objective(fixed, carbon)
+        fresh.set_objective(buy, maint, carbon)
+        got, want = repriced.objective, fresh.objective
+        assert got.ids.tobytes() == want.ids.tobytes() and got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert np.float64(got.constant).tobytes() == np.float64(want.constant).tobytes()
+        assert compiled_differences(repriced, fresh) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms=_FORMS, cut=st.integers(0, 5))
+def test_combine_of_a_collected_part_is_the_combine_of_its_forms(forms, cut):
+    forms = [_form([v for v, _ in terms], [c for _, c in terms], k) for terms, k in forms]
+    got, want = combine(collect(*forms[:cut]), *forms[cut:]), combine(*forms)
+    assert got.ids.tobytes() == want.ids.tobytes() and got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert np.float64(got.constant).tobytes() == np.float64(want.constant).tobytes()
 
 
 @pytest.mark.parametrize("rows, values, message", [

@@ -565,6 +565,71 @@ def test_persistent_core_matches_cold_solves(s5_compiled):
     assert again.objective == pytest.approx(root.objective, rel=1e-9, abs=0.0)
 
 
+# -- hot restarts and the simplex choice ---------------------------------------
+
+
+def test_core_handed_a_foreign_basis_sets_it(s5_compiled, highs_calls):
+    # only the basis a core's own last run left is skipped; another core's
+    # basis, or an older one of its own, is set before the run
+    arrays, lb, ub, _ = s5_compiled
+    other, core = _ScipyCore(*arrays), _ScipyCore(*arrays)
+    foreign, own = other.solve(lb, ub).basis, core.solve(lb, ub).basis
+    for start, set_basis in ((own, False), (foreign, True), (own, True)):
+        highs_calls.clear()
+        res = core.solve(lb, ub, start)
+        assert res.status == "optimal" and res.iterations == 0
+        assert ("setBasis" in highs_calls) == set_basis
+        assert "changeColsBounds" not in highs_calls and "clearSolver" not in highs_calls
+
+
+def test_chain_after_a_solve_that_is_not_optimal_starts_cold(highs_calls):
+    from iesdispatch.dispatch import DispatchOptions, build_model
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+    from iesdispatch.solver import LpChain
+
+    # an infeasible point on the chain's core leaves no basis: the next
+    # point clears the solver instead of restarting from the basis before
+    options = DispatchOptions(pwl_segments=4)
+    model, _ = build_model(reduce_case(load_case(default_case_path()), 2), "S5", options)
+    row = [con.name for con in model.constraints].index("balance_electric_t00")
+    load = model.to_sparse()[4][row]
+    chain, statuses = LpChain(), []
+    for rhs in (load, 1e9, load):
+        model.set_rhs([row], [rhs])
+        start = len(highs_calls)
+        statuses.append(solve_milp(model, options, chain=chain).status)
+        if len(statuses) == 3:
+            assert "clearSolver" in highs_calls[start:] and "setBasis" not in highs_calls[start:]
+    assert statuses == ["optimal", "infeasible", "optimal"]
+    # the first point starts cold, the infeasible one hot from the first's basis
+    assert highs_calls.count("clearSolver") == 2 and "setBasis" not in highs_calls
+
+
+# Simplex iterations of a cold solve of each gate-free model, pinned: the
+# simplex choice (simplex_strategy 0) starts every cold solve with the dual
+# simplex, as simplex_strategy 1 does.
+COLD_ITERATIONS = {"full": [211, 328, 325, 357, 449], "reduced": [124, 163, 167, 177, 220]}
+
+
+def test_cold_solves_keep_the_dual_simplex():
+    from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, build_model
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+
+    case = load_case(default_case_path())
+    for label, data, segments in (("full", case, 8), ("reduced", reduce_case(case, 2), 4)):
+        iterations = []
+        for sid in SCENARIO_IDS:
+            c, c0, A, relations, rhs, lb, ub, _ = build_model(data, sid, DispatchOptions(pwl_segments=segments))[0].to_sparse()
+            chosen = _ScipyCore(c, c0, A, relations, rhs).solve(lb, ub)
+            dual = _ScipyCore(c, c0, A, relations, rhs)
+            dual._highs.setOptionValue("simplex_strategy", 1)
+            plain = dual.solve(lb, ub)
+            assert chosen.status == plain.status == "optimal"
+            assert chosen.iterations == plain.iterations and _bit_equal(chosen.x, plain.x), (label, sid)
+            iterations.append(chosen.iterations)
+        assert iterations == COLD_ITERATIONS[label]
+
+
 def _dense_reference(model: MilpModel):
     """The compile as a plain loop over the row dictionaries."""
     n, m = model.num_variables, model.num_constraints
