@@ -580,6 +580,13 @@ def test_core_handed_a_foreign_basis_sets_it(s5_compiled, highs_calls):
         assert res.status == "optimal" and res.iterations == 0
         assert ("setBasis" in highs_calls) == set_basis
         assert "changeColsBounds" not in highs_calls and "clearSolver" not in highs_calls
+    # a run that ends without an optimum leaves no basis of its own: the
+    # basis before it is set again
+    own = core.solve(lb, ub, own).basis
+    assert core.solve(np.zeros_like(lb), np.zeros_like(ub), own).status == "infeasible"
+    highs_calls.clear()
+    assert core.solve(lb, ub, own).status == "optimal"
+    assert "setBasis" in highs_calls
 
 
 def test_chain_after_a_solve_that_is_not_optimal_starts_cold(highs_calls):
