@@ -19,6 +19,7 @@ unverifiable result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -391,7 +392,9 @@ def _cmd_sweep(args) -> int:
     return _exit_code(points)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="iesdispatch",
         description="Low-carbon dispatch for an electricity-gas-heat energy system.",
@@ -438,19 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
-def _get_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused: parsing leaves it unchanged."""
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
-    return _parser
-
-
 def main(argv=None) -> int:
-    parser = _get_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

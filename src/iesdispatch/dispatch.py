@@ -811,17 +811,15 @@ def _storage_overlaps(case: CaseData, storage: dict[str, StorageSchedule]) -> di
     """The (carrier, period) pairs where a store charges and discharges at once.
 
     A pair fails when ``min(charge, discharge) > 1e-6 * max(capacity, 1)``;
-    each failing pair maps to that overlap, store by store and period by
-    period.
+    each failing pair maps to that overlap.
     """
-    if not storage:
-        return {}
-    power = np.array([(sched.charge, sched.discharge) for sched in storage.values()], dtype=float)
-    overlap = np.minimum(power[:, 0], power[:, 1])
-    tol = np.array([1e-6 * max(case.storage(k).capacity_kwh, 1.0) for k in storage])
-    keys = list(storage)
-    failing = np.nonzero(~(overlap <= tol[:, None]))
-    return {(keys[i], t): v for i, t, v in zip(*(a.tolist() for a in failing), overlap[failing].tolist())}
+    out = {}
+    for k, sched in storage.items():
+        tol = 1e-6 * max(case.storage(k).capacity_kwh, 1.0)
+        overlap = np.minimum(sched.charge, sched.discharge)
+        for t in np.flatnonzero(~(overlap <= tol)).tolist():
+            out[k, t] = float(overlap[t])
+    return out
 
 
 @dataclass
@@ -838,21 +836,9 @@ def _over(value, limit) -> np.ndarray:
     return np.maximum(np.subtract(value, limit), 0.0)
 
 
-def _rows(sides, width: int) -> np.ndarray:
-    """The per-period series or scalars as the rows of one array."""
-    out = np.empty((len(sides), width))
-    for i, side in enumerate(sides):
-        out[i] = side
-    return out
-
-
-def _peaks(values: np.ndarray) -> list[float]:
-    """The largest entry of each row, 0 for rows without entries; NaN where a row holds a NaN."""
-    return values.max(axis=1).tolist() if values.shape[1] else [0.0] * len(values)
-
-
-_FLOW_FIELDS = ("p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e", "p_gt_h", "p_g_gb",
-                "p_gb_h")
+def _peak(values: np.ndarray) -> float:
+    """The largest entry, 0 for none; NaN when an entry is NaN."""
+    return float(values.max()) if values.size else 0.0
 
 
 def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> VerificationReport:
@@ -862,15 +848,10 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     dynamics, demand-response arithmetic, the satisfaction floor, the cost
     breakdown, and the exact-vs-linearized emission gap.  Each check records
     (name, residual, tolerance); the report passes iff all residuals are
-    within tolerance.  A residual is the largest violation over the periods.
-    The schedules enter as one array, and the checks of one family (the
-    reshaped loads, the balances, the couplings, the capacities, the ramps,
-    each storage and demand-response family) are stacked: one element-wise
-    op and one row max for all of them.  Each per-period value is still the
-    floating-point result of the scalar formula, and each row's max is that
-    of its own series, so the residuals are those of check-by-check
-    arithmetic, bit for bit; the cost and emission sums add the periods left
-    to right.
+    within tolerance.  A residual is the largest violation over the periods,
+    computed on whole schedules at once; each per-period value is the
+    floating-point result of the scalar formula, and the cost and emission
+    sums add the periods left to right.
     """
     scenario = as_scenario(scenario)
     dt = case.horizon.step_hours
@@ -883,146 +864,115 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
         if not (residual <= tol):
             failures.append(f"{name}: residual {residual:.3e} exceeds {tol:.3e}")
 
-    # every schedule as a row of one array: the flows, (charge, discharge,
-    # soc) per store, the demand-response adjustments, the reported reshaped
-    # loads and the wind available
-    keys = [(k, dtype) for k, per_type in sol.dr_delta.items() for dtype in per_type]
-    series = np.array([
-        *(getattr(sol, name) for name in _FLOW_FIELDS),
-        *(values for sched in sol.storage.values() for values in (sched.charge, sched.discharge, sched.soc)),
-        *(sol.dr_delta[k][dtype] for k, dtype in keys),
-        *(sol.adjusted_loads[k] for k in CARRIERS),
-        sol.wind_available,
-    ], dtype=float)
-    periods = series.shape[1]
-    e_buy, g_buy, dg, p2g_e, p2g_g, g_gt, gt_e, gt_h, g_gb, gb_h = series[:len(_FLOW_FIELDS)]
-    first_shift = len(_FLOW_FIELDS) + 3 * len(sol.storage)
-    charge, discharge, soc = series[len(_FLOW_FIELDS):first_shift].reshape(-1, 3, periods).transpose(1, 0, 2)
-    storage = {k: (charge[i], discharge[i], soc[i]) for i, k in enumerate(sol.storage)}
-    shifts = series[first_shift:first_shift + len(keys)]
-    reported, wind_available = series[-4:-1], series[-1]
-    loads = np.array([case.loads[k].values for k in CARRIERS], dtype=float)
-    load_peaks = [max(max(case.loads[k].values), 1.0) for k in CARRIERS]
+    e_buy, g_buy, dg, p2g_e, p2g_g, g_gt, gt_e, gt_h, g_gb, gb_h = (np.asarray(getattr(sol, name), dtype=float) for name in (
+        "p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e", "p_gt_h", "p_g_gb", "p_gb_h"))
+    storage = {k: tuple(np.asarray(v, dtype=float) for v in (sched.charge, sched.discharge, sched.soc))
+               for k, sched in sol.storage.items()}
+    dr_delta = {k: {dtype: np.asarray(series, dtype=float) for dtype, series in per_type.items()}
+                for k, per_type in sol.dr_delta.items()}
+    loads = {k: np.asarray(case.loads[k].values, dtype=float) for k in CARRIERS}
 
-    # demand-response deltas and reshaped loads: each carrier's load plus
-    # 0.0 + its adjustments in their order
-    change = np.zeros_like(loads)
-    np.add.at(change, np.array([CARRIERS.index(k) for k, _ in keys], dtype=np.intp), shifts)
-    adjusted = loads + change
-    for k, peak, residual in zip(CARRIERS, load_peaks, _peaks(np.abs(adjusted - reported))):
-        check(f"adjusted_load_{k}", residual, 1e-6 * peak)
+    # demand-response deltas and reshaped loads
+    adjusted = {k: loads[k] + sum(dr_delta.get(k, {}).values()) for k in CARRIERS}
+    for k in CARRIERS:
+        peak = max(max(case.loads[k].values), 1.0)
+        check(f"adjusted_load_{k}", _peak(np.abs(adjusted[k] - sol.adjusted_loads[k])), 1e-6 * peak)
 
     # carrier balances
     def net_storage(k):
         return storage[k][1] - storage[k][0] if k in storage else 0.0
 
-    supply = np.array([
-        e_buy + dg + gt_e + net_storage(ELECTRIC) - p2g_e,
-        g_buy + p2g_g + net_storage(GAS) - g_gt - g_gb,
-        gt_h + gb_h + net_storage(HEAT),
-    ])
-    for k, peak, residual in zip(CARRIERS, load_peaks, _peaks(np.abs(supply - adjusted))):
-        check(f"balance_{k}", residual, 1e-6 * peak)
+    for k, supply in (
+        (ELECTRIC, e_buy + dg + gt_e + net_storage(ELECTRIC) - p2g_e),
+        (GAS, g_buy + p2g_g + net_storage(GAS) - g_gt - g_gb),
+        (HEAT, gt_h + gb_h + net_storage(HEAT)),
+    ):
+        peak = max(max(case.loads[k].values), 1.0)
+        check(f"balance_{k}", _peak(np.abs(supply - adjusted[k])), 1e-6 * peak)
 
-    # device couplings, limits and ramps.  Each is a pair of series, and
-    # the pairs of one kind and width are one block: "equal" gives
-    # max |a - b|, "at most" max over(a, b); the checks are made in the
-    # order they are added
+    # device couplings, limits, ramps
     gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
     gb = case.converter("GB")
     p2g = case.converter("P2G")
-    order = []  # (name, block or None, row or residual, tol)
-    blocks: dict[tuple[str, int], list] = {}
 
-    def add(kind, name, tol, a, b):
-        pairs = blocks.setdefault((kind, len(a)), [])
-        order.append((name, (kind, len(a)), len(pairs), tol))
-        pairs.append((a, b))
-
-    def ramp(name, tol, series, cap, frac):
+    def ramp_residual(series, cap, frac):
         # the step from period t-1 to t, for t >= 1
-        add("at most", name, tol, np.abs(series[1:] - series[:-1]), frac * cap)
+        return _peak(_over(np.abs(series[1:] - series[:-1]), frac * cap))
 
     if p2g:
-        tol = 1e-6 * max(p2g.capacity_kw, 1.0)
-        add("equal", "p2g_coupling", tol, p2g_g, p2g.efficiencies.get("gas", 0.0) * p2g_e)
-        add("at most", "p2g_capacity", tol, p2g_e, p2g.capacity_kw)
-        ramp("p2g_ramp", tol, p2g_e, p2g.capacity_kw, p2g.ramp_fraction)
+        eta = p2g.efficiencies.get("gas", 0.0)
+        scale = max(p2g.capacity_kw, 1.0)
+        check("p2g_coupling", _peak(np.abs(p2g_g - eta * p2g_e)), 1e-6 * scale)
+        check("p2g_capacity", _peak(_over(p2g_e, p2g.capacity_kw)), 1e-6 * scale)
+        check("p2g_ramp", ramp_residual(p2g_e, p2g.capacity_kw, p2g.ramp_fraction), 1e-6 * scale)
     if gt:
-        tol = 1e-6 * max(gt_cap, 1.0)
-        kind, suffix = ("at most", "fuel") if case.chp.extraction_mode else ("equal", "coupling")
-        add(kind, f"chp_e_{suffix}", tol, gt_e, eps_e * g_gt)
-        add(kind, f"chp_h_{suffix}", tol, gt_h, eps_h * g_gt)
-        ratio = np.maximum(_over(case.chp.ratio_min * gt_e, gt_h), _over(gt_h, case.chp.ratio_max * gt_e))
-        order.append(("chp_ratio", None, _peaks(ratio[None])[0], tol))
-        add("at most", "chp_fuel_capacity", tol, g_gt, gt_cap)
+        scale = max(gt_cap, 1.0)
+        if case.chp.extraction_mode:
+            check("chp_e_fuel", _peak(_over(gt_e, eps_e * g_gt)), 1e-6 * scale)
+            check("chp_h_fuel", _peak(_over(gt_h, eps_h * g_gt)), 1e-6 * scale)
+        else:
+            check("chp_e_coupling", _peak(np.abs(gt_e - eps_e * g_gt)), 1e-6 * scale)
+            check("chp_h_coupling", _peak(np.abs(gt_h - eps_h * g_gt)), 1e-6 * scale)
+        check(
+            "chp_ratio",
+            _peak(np.maximum(_over(case.chp.ratio_min * gt_e, gt_h), _over(gt_h, case.chp.ratio_max * gt_e))),
+            1e-6 * scale,
+        )
+        check("chp_fuel_capacity", _peak(_over(g_gt, gt_cap)), 1e-6 * scale)
         if whb:
-            add("at most", "chp_whb_capacity", tol, gt_h, whb_cap)
-        ramp("chp_ramp", tol, g_gt, gt_cap, gt.ramp_fraction)
+            check("chp_whb_capacity", _peak(_over(gt_h, whb_cap)), 1e-6 * scale)
+        check("chp_ramp", ramp_residual(g_gt, gt_cap, gt.ramp_fraction), 1e-6 * scale)
     if gb:
-        tol = 1e-6 * max(gb.capacity_kw, 1.0)
-        add("equal", "gb_coupling", tol, gb_h, gb.efficiencies.get("heat", 0.0) * g_gb)
-        add("at most", "gb_capacity", tol, g_gb, gb.capacity_kw)
-        ramp("gb_ramp", tol, g_gb, gb.capacity_kw, gb.ramp_fraction)
-    add("at most", "wind_availability", 1e-6 * max(case.wind_max_kw, 1.0), dg, wind_available)
-    add("at most", "purchase_cap_electric", 1e-6 * max(case.purchase_caps[0], 1.0), e_buy, case.purchase_caps[0])
-    add("at most", "purchase_cap_gas", 1e-6 * max(case.purchase_caps[1], 1.0), g_buy, case.purchase_caps[1])
-    peaks = {}
-    for (kind, width), pairs in blocks.items():
-        a, b = (_rows(side, width) for side in zip(*pairs))
-        peaks[kind, width] = _peaks(np.abs(a - b) if kind == "equal" else _over(a, b))
-    for name, block, row, tol in order:
-        check(name, row if block is None else peaks[block][row], tol)
+        phi = gb.efficiencies.get("heat", 0.0)
+        scale = max(gb.capacity_kw, 1.0)
+        check("gb_coupling", _peak(np.abs(gb_h - phi * g_gb)), 1e-6 * scale)
+        check("gb_capacity", _peak(_over(g_gb, gb.capacity_kw)), 1e-6 * scale)
+        check("gb_ramp", ramp_residual(g_gb, gb.capacity_kw, gb.ramp_fraction), 1e-6 * scale)
 
-    # storage: one block per family over the stores
+    check("wind_availability", _peak(_over(dg, sol.wind_available)), 1e-6 * max(case.wind_max_kw, 1.0))
+    check("purchase_cap_electric", _peak(_over(e_buy, case.purchase_caps[0])),
+          1e-6 * max(case.purchase_caps[0], 1.0))
+    check("purchase_cap_gas", _peak(_over(g_buy, case.purchase_caps[1])),
+          1e-6 * max(case.purchase_caps[1], 1.0))
+
     overlaps = _storage_overlaps(case, sol.storage)
-    if storage:
-        stos = [case.storage(k) for k in storage]
-
-        def per_store(values):
-            return np.array(values)[:, None]
-
-        initial = [sto.soc_initial_frac * sto.capacity_kwh for sto in stos]
-        plim = per_store([sto.power_limit_fraction * sto.capacity_kwh for sto in stos])
+    for k, (charge, discharge, soc) in storage.items():
+        sto = case.storage(k)
+        cap = sto.capacity_kwh
+        plim = sto.power_limit_fraction * cap
+        tol = 1e-6 * max(cap, 1.0)
+        initial = sto.soc_initial_frac * cap
         # soc[t] against soc[t-1] + charge - discharge, soc[-1] the initial charge
-        soc_prev = np.concatenate((per_store(initial), soc[:, :-1]), axis=1)
-        expect = (soc_prev + per_store([sto.charge_eff * dt for sto in stos]) * charge
-                  - per_store([dt / sto.discharge_eff for sto in stos]) * discharge)
-        recursion = _peaks(np.abs(soc - expect))
-        bounds = _peaks(np.maximum(_over(soc, per_store([sto.soc_max_frac * sto.capacity_kwh for sto in stos])),
-                                   _over(per_store([sto.soc_min_frac * sto.capacity_kwh for sto in stos]), soc)))
-        power = _peaks(np.maximum(_over(charge, plim), _over(discharge, plim)))
-        for i, (k, sto) in enumerate(zip(storage, stos)):
-            tol = 1e-6 * max(sto.capacity_kwh, 1.0)
-            check(f"storage_{k}_recursion", recursion[i], tol)
-            check(f"storage_{k}_terminal", abs(soc[i, -1] - initial[i]), tol)
-            check(f"storage_{k}_soc_bounds", bounds[i], tol)
-            check(f"storage_{k}_power", power[i], tol)
-            check(f"storage_{k}_exclusive", max((v for (c, _), v in overlaps.items() if c == k), default=0.0), tol)
+        soc_prev = np.concatenate(([initial], soc[:-1]))
+        expect = soc_prev + sto.charge_eff * dt * charge - dt / sto.discharge_eff * discharge
+        check(f"storage_{k}_recursion", _peak(np.abs(soc - expect)), tol)
+        check(f"storage_{k}_terminal", abs(soc[-1] - initial), tol)
+        check(f"storage_{k}_soc_bounds",
+              _peak(np.maximum(_over(soc, sto.soc_max_frac * cap), _over(sto.soc_min_frac * cap, soc))), tol)
+        check(f"storage_{k}_power", _peak(np.maximum(_over(charge, plim), _over(discharge, plim))), tol)
+        check(f"storage_{k}_exclusive", max((v for (c, _), v in overlaps.items() if c == k), default=0.0), tol)
 
-    # demand-response arithmetic; the windows are one block
-    if keys:
-        dec = decompose_loads(case)
-        base = np.array([dec.shiftable_base[k] if dtype == SHIFT else dec.substitutable_base[k]
-                         for k, dtype in keys], dtype=float)
-        lo, hi = -base, base
-        for i, (k, dtype) in enumerate(keys):
+    # demand-response arithmetic
+    dec = decompose_loads(case)
+    for k, per_type in dr_delta.items():
+        load_sum = max(sum(case.loads[k].values), 1.0)
+        for dtype, series in per_type.items():
+            base = np.asarray(dec.shiftable_base[k] if dtype == SHIFT else dec.substitutable_base[k])
             override = case.dr.shift_bounds.get(k) if dtype == SHIFT else None
-            if override is not None:
-                lo[i], hi[i] = override
-        window = _peaks(np.maximum(_over(shifts, hi), _over(lo, shifts)))
-        for i, (k, dtype) in enumerate(keys):
-            load_sum = max(sum(case.loads[k].values), 1.0)
-            check(f"dr_window_{dtype}_{k}", window[i], 1e-6 * load_sum)
+            lo, hi = (-base, base) if override is None else override
+            check(f"dr_window_{dtype}_{k}", _peak(np.maximum(_over(series, hi), _over(lo, series))),
+                  1e-6 * load_sum)
             if dtype == SHIFT or case.dr.literal_eq2:
-                check(f"dr_net_{dtype}_{k}", abs(sum(shifts[i].tolist())), 1e-6 * load_sum)
-    subst = [(k, i) for i, (k, dtype) in enumerate(keys) if dtype == SUBSTITUTE]
-    if subst and not case.dr.literal_eq2:
-        scale = max(sum(max(case.loads[k].values) for k, _ in subst), 1.0)
-        net = sum(case.dr.subst_conversion.get(k, 1.0) * shifts[i] for k, i in subst)
-        check("dr_subst_coupling", _peaks(np.abs(net)[None])[0], 1e-6 * scale)
+                check(f"dr_net_{dtype}_{k}", abs(sum(series.tolist())), 1e-6 * load_sum)
+    if not case.dr.literal_eq2:
+        subst = {k: per_type[SUBSTITUTE] for k, per_type in dr_delta.items() if SUBSTITUTE in per_type}
+        if subst:
+            scale = max(sum(max(case.loads[k].values) for k in subst), 1.0)
+            net = sum(case.dr.subst_conversion.get(k, 1.0) * series for k, series in subst.items())
+            check("dr_subst_coupling", _peak(np.abs(net)), 1e-6 * scale)
     original = {k: case.loads[k].values for k in CARRIERS}
-    index = satisfaction_index(original, dict(zip(CARRIERS, map(tuple, adjusted.tolist()))))
+    adjusted = {k: tuple(v.tolist()) for k, v in adjusted.items()}
+    index = satisfaction_index(original, adjusted)
     check("satisfaction_floor", max(0.0, case.dr.satisfaction_min - index), 1e-9)
     check("satisfaction_value", abs(index - sol.satisfaction), 1e-9)
 
@@ -1031,9 +981,10 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     buy = dt * sum((np.multiply(tariffs.electricity_price, e_buy)
                     + np.multiply(tariffs.gas_price, g_buy)).tolist())
     dr_cost = 0.0
-    for (k, dtype), magnitude in zip(keys, np.abs(shifts).tolist()):
-        mu = case.dr.mu_shift if dtype == SHIFT else case.dr.mu_subst
-        dr_cost += mu * dt * sum(magnitude)
+    for k, per_type in dr_delta.items():
+        for dtype, series in per_type.items():
+            mu = case.dr.mu_shift if dtype == SHIFT else case.dr.mu_subst
+            dr_cost += mu * dt * sum(np.abs(series).tolist())
     omega = case.maintenance
     maint = dt * sum((
         omega.get("wind", 0.0) * dg
@@ -1043,14 +994,14 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
         + omega.get("GB", 0.0) * gb_h
         + sum(omega.get(f"storage_{k}", 0.0) * (charge + discharge) for k, (charge, discharge, _) in storage.items())
     ).tolist())
-    policy = _policy(case, scenario)
+    policy = replace(case.carbon, mechanism=scenario.mechanism)
     schedule = FlowSchedule(
         step_hours=dt,
         p_e_buy=sol.p_e_buy,
         p_gt_e=sol.p_gt_e,
         p_gt_h=sol.p_gt_h,
         p_gb_h=sol.p_gb_h,
-        p_g_load=tuple(adjusted[CARRIERS.index(GAS)].tolist()),
+        p_g_load=adjusted[GAS],
         p_p2g_g=sol.p_p2g_g,
     )
     account = emission_account(schedule, policy)
@@ -1081,7 +1032,7 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
                 if cap_e > 0 else quad_value(policy.coal_quad, 0.0))
         gas = (pwl_convex_value(policy.gas_quad, q_max, n, gt_e + gt_h + gb_h)
                if q_max > 0 else quad_value(policy.gas_quad, 0.0))
-        surrogate = sum((dt * (coal + gas + policy.delta_gasload * adjusted[CARRIERS.index(GAS)]
+        surrogate = sum((dt * (coal + gas + policy.delta_gasload * np.asarray(adjusted[GAS])
                                - policy.theta_p2g * p2g_g)).tolist())
         rel("surrogate_actual", sol.surrogate_actual_kg, surrogate,
             scale=max(abs(surrogate), account.actual.total, 1.0))

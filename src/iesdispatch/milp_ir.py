@@ -51,7 +51,7 @@ INF = math.inf
 
 def row_bounds(relations, rhs) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) bounds of the rows ``a x <relation> rhs``, as HiGHS takes them."""
-    rel = np.asarray(relations, dtype=str)
+    rel = np.asarray(relations, dtype=object)
     return np.where(rel == LE, -np.inf, rhs), np.where(rel == GE, np.inf, rhs)
 
 
@@ -140,25 +140,15 @@ def collect(*forms: LinearForm) -> LinearForm:
     """
     ids = np.concatenate([np.zeros(0, dtype=np.int64), *(f.ids for f in forms)])
     coeffs = np.concatenate([np.zeros(0), *(f.coeffs for f in forms)])
+    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    # bincount adds the weights of each slot in input order; with no weights
+    # at all it returns integers
+    total = np.bincount(inverse, coeffs, len(unique)).astype(float)
+    order = np.argsort(first)
     constant = 0.0
     for form in forms:
         constant += form.constant
-    if not ids.size:
-        return LinearForm(ids, coeffs, constant)
-    # one slot per id value; ids spread far wider than their count are
-    # numbered compactly first
-    slot = ids - ids.min()
-    span = int(slot.max()) + 1
-    if span > 16 * ids.size + 4096:
-        slot = np.unique(slot, return_inverse=True)[1]
-        span = int(slot.max()) + 1
-    at = np.arange(ids.size)
-    first = np.full(span, ids.size)
-    np.minimum.at(first, slot, at)
-    head = first[slot] == at  # the first appearance of each id
-    # bincount adds the weights of each slot in input order
-    total = np.bincount(slot, coeffs, span)
-    return LinearForm(ids[head], total[slot[head]], constant)
+    return LinearForm(unique[order], total[order], constant)
 
 
 class Constraint(NamedTuple):
@@ -244,7 +234,6 @@ class MilpModel:
         self._csr = None
         self._csc = None
         self._col_arrays = None  # (lb, ub, is_binary), compiled
-        self._relation_array = None
         self._rhs_array = None
 
     # -- construction ------------------------------------------------------
@@ -331,7 +320,7 @@ class MilpModel:
         self._relations += rels
         self._row_names += names
         self._row_name_set |= fresh
-        self._csr = self._csc = self._relation_array = self._rhs_array = None
+        self._csr = self._csc = self._rhs_array = None
         return range(start, start + m)
 
     def set_rhs(self, rows, values) -> None:
@@ -339,8 +328,7 @@ class MilpModel:
 
         The rows must exist and the values be finite, as in
         :meth:`add_rows`; a failed check changes nothing.  The matrix is
-        untouched, so a compiled ``A`` stays valid; the compiled ``rhs`` is
-        made again only if a value changes (bit for bit).
+        untouched, so a compiled ``A`` stays valid.
         """
         rows = np.asarray(rows, dtype=np.int64)
         values = _filled(values, rows.shape)
@@ -350,10 +338,9 @@ class MilpModel:
         if not _all(np.isfinite(values)):
             i = rows[np.flatnonzero(~np.isfinite(values))[0]]
             raise ModelError(f"constraint {self._row_names[i]!r}: non-finite right-hand side")
-        if np.array([self._rhs[i] for i in rows.tolist()]).tobytes() != values.tobytes():
-            for i, b in zip(rows.tolist(), values.tolist()):
-                self._rhs[i] = b
-            self._rhs_array = None
+        for i, b in zip(rows.tolist(), values.tolist()):
+            self._rhs[i] = b
+        self._rhs_array = None
 
     def set_objective(self, *forms: LinearForm) -> None:
         """Set the minimization objective to ``combine(*forms)``.
@@ -424,15 +411,13 @@ class MilpModel:
         A is a ``scipy.sparse.csc_array`` with one row per constraint in
         registration order, sorted row indices and no stored zeros.  This is
         the form the solvers consume; it is joined straight from the row
-        store, without a dense intermediate.  ``relations`` is an array of
-        relation codes.  The model keeps every compiled array but ``c``
-        until the part it comes from changes: ``A`` and ``relations`` until
-        a row is added, ``lb``, ``ub`` and ``is_binary`` until a column is
-        added (``A`` then too), ``rhs`` until a row is added or
-        :meth:`set_rhs` changes a value.  So a model whose costs or
-        right-hand sides change in between compiles to the same ``A``
-        object.  The kept arrays are read-only; ``c`` is built anew on each
-        call.
+        store, without a dense intermediate.  The model keeps the compiled
+        arrays until the part they come from changes: ``A`` until a column
+        or row is added, ``lb``, ``ub`` and ``is_binary`` until a column is
+        added, ``rhs`` until a row is added or :meth:`set_rhs` is called.
+        So a model whose costs or right-hand sides change in between
+        compiles to the same ``A`` object.  The kept arrays are read-only;
+        ``c`` and the list of relations are built anew on each call.
         """
         # deferred so that importing the package does not load scipy
         from scipy.sparse import csr_array
@@ -446,11 +431,9 @@ class MilpModel:
         if self._col_arrays is None:
             self._col_arrays = (_frozen(self._lower, float), _frozen(self._upper, float),
                                 _frozen([kind == BINARY for kind in self._kinds], bool))
-        if self._relation_array is None:
-            self._relation_array = _frozen(self._relations, "<U2")
         if self._rhs_array is None:
             self._rhs_array = _frozen(self._rhs, float)
-        return (c, self.objective.constant, self._csc, self._relation_array, self._rhs_array,
+        return (c, self.objective.constant, self._csc, list(self._relations), self._rhs_array,
                 *self._col_arrays)
 
     def to_dense(self):

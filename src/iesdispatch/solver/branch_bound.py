@@ -21,18 +21,17 @@ core.  A sweep chunk hands its points one chain: the carbon price moves
 costs only and the tier width the bounds of the knee rows.  A sweep
 re-prices one model from point to point, and ``to_sparse`` keeps its
 compiled arrays, so the core's ``A`` is the very object the next point
-compiles to and the check ends at once; so are the relations and, while
-the tier width stays, the right-hand sides, so the row bounds are not
-worked out again.  The restart is hot: the basis handed in is the one the
-core's last run left, so the core neither sets it nor the unchanged
-column bounds again, and HiGHS keeps its factorization and edge weights.
-HiGHS then chooses the simplex variant (``simplex_strategy`` 0): a cost
-change leaves the basis primal feasible, so the primal simplex goes on
-from it, and a move of the knee rows leaves it dual feasible, so the dual
-simplex does (Bixby, Oper. Res. 50(1), 2002).  A cold start has no basis
-and takes the dual simplex, as before.  Each solve is still of its own
-compiled LP, so the optimum is unchanged; on a degenerate face the vertex
-returned can differ from a cold start.
+compiles to and the check ends at once.  The restart is hot: the basis
+handed in is the one the core's last run left, so the core neither sets
+it nor the unchanged column bounds again, and HiGHS keeps its
+factorization and edge weights.  On a restart HiGHS chooses the simplex
+variant (``simplex_strategy`` 0): a cost change leaves the basis primal
+feasible, so the primal simplex goes on from it, and a move of the knee
+rows leaves it dual feasible, so the dual simplex does (Bixby, Oper. Res.
+50(1), 2002).  A cold start is set to the dual simplex
+(``simplex_strategy`` 1, HiGHS's default), so it runs as before.  Each
+solve is still of its own compiled LP, so the optimum is unchanged; on a
+degenerate face the vertex returned can differ from a cold start.
 """
 
 from __future__ import annotations
@@ -110,8 +109,8 @@ class MilpSolution:
         return [(self.nodes, self.bound, math.inf if self.objective is None else self.objective)]
 
 
-def _read_only(a) -> bool:
-    return isinstance(a, np.ndarray) and not a.flags.writeable
+# HiGHS simplex_strategy values: choose the variant, or the dual simplex
+_CHOOSE, _DUAL = 0, 1
 
 
 class _ScipyCore:
@@ -122,8 +121,9 @@ class _ScipyCore:
     solve without one starts cold.  A restart from the basis this core's
     last run left is hot: HiGHS keeps its factorization and edge weights,
     since neither the basis nor unchanged column bounds are passed in again.
-    HiGHS chooses the simplex variant per run (``simplex_strategy`` 0): the
-    primal simplex from a primal feasible basis, the dual otherwise.
+    On a restart HiGHS chooses the simplex variant (``simplex_strategy``
+    0): the primal simplex from a primal feasible basis, the dual
+    otherwise; a cold run takes the dual simplex.
     `reprice` swaps in the costs and row bounds of another LP on the same
     matrix, and an LP chain reuses the core that way.  With ``time_limit``
     (seconds) a run that reaches it ends with status "limit".
@@ -139,13 +139,11 @@ class _ScipyCore:
         n, m = len(c), len(relations)
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
-        self._rows = relations, rhs
         self.row_lower, self.row_upper = row_bounds(relations, rhs)
         self.A = A  # kept, so a model compiling to this object again is recognised at once
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("presolve", "off")
-        self._highs.setOptionValue("simplex_strategy", 0)
         if time_limit is not None:
             self._highs.setOptionValue("time_limit", float(time_limit))
         # column-wise CSC (format 1), minimise (sense 1), column bounds set
@@ -158,31 +156,26 @@ class _ScipyCore:
         self._bounds = None  # the column bounds loaded, None until the first solve
         self._basis = None  # the basis the last run left, if it ended optimal
 
-    def reprice(self, c, c0, relations, rhs) -> None:
-        """Set the costs and rows (relations, right-hand sides) of another LP on the loaded matrix.
+    def reprice(self, c, c0, row_lower, row_upper) -> None:
+        """Set the costs and row bounds of another LP on the loaded matrix.
 
-        HiGHS keeps its basis, so the next solve can restart from it.  The
-        row bounds are worked out again only when ``relations`` or ``rhs``
-        is not the read-only array the core last took (``to_sparse`` keeps
-        both until they change).  Its run clock counts every run of the
-        instance, so the time limit moves on to allow ``time_limit`` more
-        seconds.
+        HiGHS keeps its basis, so the next solve can restart from it.  Its
+        run clock counts every run of the instance, so the time limit moves
+        on to allow ``time_limit`` more seconds.
         """
         h = self._highs
         self._cost, self.c0 = np.asarray(c, dtype=float), c0
         h.changeColsCost(self._cols.size, self._cols, self._cost)
-        if not all(new is old and _read_only(new) for new, old in zip((relations, rhs), self._rows)):
-            row_lower, row_upper = row_bounds(relations, rhs)
-            # scipy's binding has no changeRowsBounds: one call per changed row
-            for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
-                h.changeRowBounds(int(i), row_lower[i], row_upper[i])
-            self._rows = relations, rhs
-            self.row_lower, self.row_upper = row_lower, row_upper
+        # scipy's binding has no changeRowsBounds: one call per changed row
+        for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
+            h.changeRowBounds(int(i), row_lower[i], row_upper[i])
+        self.row_lower, self.row_upper = row_lower, row_upper
         if self.time_limit is not None:
             h.setOptionValue("time_limit", h.getRunTime() + float(self.time_limit))
 
-    def _run(self):
-        """Run HiGHS; the info record of the run."""
+    def _run(self, strategy: int):
+        """Run HiGHS with the simplex strategy given; the info record of the run."""
+        self._highs.setOptionValue("simplex_strategy", strategy)
         self._highs.run()
         return self._highs.getInfo()
 
@@ -191,7 +184,7 @@ class _ScipyCore:
         h, n = self._highs, len(self._cols)
         h.changeColsCost(n, self._cols, np.zeros(n))
         h.clearSolver()
-        iterations = self._run().simplex_iteration_count
+        iterations = self._run(_DUAL).simplex_iteration_count
         model_status = h.getModelStatus()
         h.changeColsCost(n, self._cols, self._cost)
         # the first run found the dual infeasible, so a feasible primal is unbounded
@@ -214,7 +207,7 @@ class _ScipyCore:
         elif start is not self._basis:
             h.setBasis(start)
         self._basis = None
-        info = self._run()
+        info = self._run(_DUAL if start is None else _CHOOSE)
         iterations = info.simplex_iteration_count
         model_status = h.getModelStatus()
         if model_status == status.kOptimal:
@@ -309,7 +302,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     core, start = chain.core, chain.basis
     chain.core = chain.basis = None  # until this solve ends without raising
     if core is not None and core.time_limit == options.time_limit and _same_matrix(core.A, A):
-        core.reprice(c, c0, relations, rhs)
+        core.reprice(c, c0, *row_bounds(relations, rhs))
     else:
         core, start = _ScipyCore(c, c0, A, relations, rhs, options.time_limit), None
     t0 = time.perf_counter()

@@ -357,21 +357,14 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), (param, name)
 
 
-def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch, capsys):
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
     # a usage error and then a sweep in one process: the parser is built on
     # first use only, and the sweep writes what a fresh process writes
-    built, build = [], cli._build_parser
-
-    def counted():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "_build_parser", counted)
+    cli._build_parser.cache_clear()
     here, fresh = tmp_path / "here", tmp_path / "fresh"
     assert run_cli(*SWEEP_ARGV, "--bogus", "--out", str(here)) == cli.EXIT_USAGE
     assert run_cli(*SWEEP_ARGV, "--out", str(here)) == cli.EXIT_OK
-    assert built == [1]
+    assert cli._build_parser.cache_info().misses == 1
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "iesdispatch.cli", *SWEEP_ARGV, "--out", str(fresh)],
                           env=env, capture_output=True, text=True, check=False)

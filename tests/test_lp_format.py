@@ -38,7 +38,7 @@ def _dense_equal(a, b):
     cb, kb, Ab, relb, rb, lb, ub, bb = b.to_dense()
     assert np.allclose(ca, cb) and ka == pytest.approx(kb)
     assert Aa.shape == Ab.shape and np.allclose(Aa, Ab)
-    assert list(rela) == list(relb) and np.allclose(ra, rb)
+    assert rela == relb and np.allclose(ra, rb)
     assert np.allclose(la, lb) and np.allclose(ua, ub)
     assert list(ba) == list(bb)
 

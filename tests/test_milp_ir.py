@@ -242,7 +242,7 @@ def test_to_dense_shapes():
     assert A.shape == (1, 2)
     assert list(c) == [1.0, 2.0]
     assert c0 == 5.0
-    assert list(relations) == [LE]
+    assert relations == [LE]
     assert list(rhs) == [3.0]
     assert list(lb) == [0.0, 0.0] and list(ub) == [4.0, 1.0]
     assert list(is_binary) == [False, True]
@@ -298,14 +298,13 @@ def test_compiled_arrays_are_kept_until_their_part_changes():
         step(m)
     c, _, A, relations, rhs, lb, ub, is_binary = m.to_sparse()
     again = m.to_sparse()
-    assert again[0] is not c and all(a is b for a, b in zip(again[2:], (A, relations, rhs, lb, ub, is_binary)))
-    m.set_rhs([0], [3.0])  # the value it has
-    assert m.to_sparse()[4] is rhs
+    assert again[0] is not c and again[3] is not relations
+    assert all(a is b for a, b in zip(again[4:], (rhs, lb, ub, is_binary))) and again[2] is A
     m.set_rhs([0], [2.0])
-    assert m.to_sparse()[4] is not rhs and m.to_sparse()[2] is A
+    assert m.to_sparse()[4] is not rhs and m.to_sparse()[2] is A and m.to_sparse()[5] is lb
     m.add_variables(CONTINUOUS, 0.0, 1.0, ["z"])
     after = m.to_sparse()
-    assert after[2] is not A and after[5] is not lb and after[3] is relations
+    assert after[2] is not A and after[5] is not lb
 
 
 def test_compiled_arrays_are_read_only():
@@ -313,12 +312,14 @@ def test_compiled_arrays_are_read_only():
     for step in _STEPS:
         step(m)
     c, _, A, relations, rhs, lb, ub, is_binary = m.to_sparse()
-    for array, value in ((relations, GE), (rhs, 9.0), (lb, 9.0), (ub, 9.0), (is_binary, True)):
+    for array, value in ((rhs, 9.0), (lb, 9.0), (ub, 9.0), (is_binary, True)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = value
-    # the costs are built on each call, so writing into them changes nothing kept
+    # the costs and relations are built on each call, so writing into them
+    # changes nothing kept
     c[:] = 7.0
-    assert m.to_sparse()[0].tolist() == [0.0, 0.0, 3.0]
+    relations[0] = GE
+    assert m.to_sparse()[0].tolist() == [0.0, 0.0, 3.0] and m.to_sparse()[3][0] == LE
 
 
 def test_collected_part_sums_like_the_whole():

@@ -469,8 +469,8 @@ def test_repriced_core_matches_cold_solves():
     core = _ScipyCore(*lps[0][0])
     last = core.solve(*lps[0][2:])
     warm_iterations = cold_iterations = 0
-    for arrays, _, lb, ub in lps[1:]:
-        core.reprice(arrays[0], arrays[1], arrays[3], arrays[4])
+    for arrays, (lo, hi), lb, ub in lps[1:]:
+        core.reprice(arrays[0], arrays[1], lo, hi)
         warm = core.solve(lb, ub, last.basis)
         cold = _ScipyCore(*arrays).solve(lb, ub)
         assert warm.status == cold.status == "optimal"
@@ -495,12 +495,12 @@ def test_repriced_core_gives_each_solve_its_own_time_limit():
     # HiGHS's run clock counts every run of an instance; reprice moves the
     # limit on, so cold solves that together take far longer than the
     # limit each finish inside it
-    arrays, _, lb, ub = _sweep_lps()[0]
+    arrays, (lo, hi), lb, ub = _sweep_lps()[0]
     probe = _ScipyCore(*arrays)
     assert probe.solve(lb, ub).status == "optimal"
     core = _ScipyCore(*arrays, time_limit=20 * probe._highs.getRunTime())
     for _ in range(60):
-        core.reprice(arrays[0], arrays[1], arrays[3], arrays[4])
+        core.reprice(arrays[0], arrays[1], lo, hi)
         assert core.solve(lb, ub).status == "optimal"
 
 
@@ -612,9 +612,7 @@ def test_chain_after_a_solve_that_is_not_optimal_starts_cold(highs_calls):
     assert highs_calls.count("clearSolver") == 2 and "setBasis" not in highs_calls
 
 
-# Simplex iterations of a cold solve of each gate-free model, pinned: the
-# simplex choice (simplex_strategy 0) starts every cold solve with the dual
-# simplex, as simplex_strategy 1 does.
+# Simplex iterations of a cold solve of each gate-free model, pinned
 COLD_ITERATIONS = {"full": [211, 328, 325, 357, 449], "reduced": [124, 163, 167, 177, 220]}
 
 
@@ -622,18 +620,20 @@ def test_cold_solves_keep_the_dual_simplex():
     from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, build_model
     from iesdispatch.model_core import default_case_path, load_case, reduce_case
 
+    # a cold run takes the dual simplex (simplex_strategy 1), a restart lets
+    # HiGHS choose (0); the restart from the run's own basis takes no step
     case = load_case(default_case_path())
     for label, data, segments in (("full", case, 8), ("reduced", reduce_case(case, 2), 4)):
         iterations = []
         for sid in SCENARIO_IDS:
             c, c0, A, relations, rhs, lb, ub, _ = build_model(data, sid, DispatchOptions(pwl_segments=segments))[0].to_sparse()
-            chosen = _ScipyCore(c, c0, A, relations, rhs).solve(lb, ub)
-            dual = _ScipyCore(c, c0, A, relations, rhs)
-            dual._highs.setOptionValue("simplex_strategy", 1)
-            plain = dual.solve(lb, ub)
-            assert chosen.status == plain.status == "optimal"
-            assert chosen.iterations == plain.iterations and _bit_equal(chosen.x, plain.x), (label, sid)
-            iterations.append(chosen.iterations)
+            core = _ScipyCore(c, c0, A, relations, rhs)
+            cold = core.solve(lb, ub)
+            assert cold.status == "optimal" and core._highs.getOptionValue("simplex_strategy")[1] == 1
+            iterations.append(cold.iterations)
+            again = core.solve(lb, ub, cold.basis)
+            assert again.iterations == 0 and _bit_equal(again.x, cold.x), (label, sid)
+            assert core._highs.getOptionValue("simplex_strategy")[1] == 0
         assert iterations == COLD_ITERATIONS[label]
 
 
@@ -689,7 +689,7 @@ def test_sparse_compile_matches_dense_loop():
         for k in (0, 4, 5, 6, 7):
             assert _bit_equal(sparse[k], ref[k]) and _bit_equal(dense[k], ref[k])
         assert sparse[1] == dense[1] == ref[1]
-        assert list(sparse[3]) == list(dense[3]) == ref[3]
+        assert sparse[3] == dense[3] == ref[3]
 
 
 def test_backend_registry():
