@@ -32,6 +32,7 @@ envelopes as one row block.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import islice
 from typing import NamedTuple
 
@@ -99,12 +100,10 @@ class LinearForm(NamedTuple):
     def value(self, x) -> float:
         """Evaluate at a point, summing the terms left to right in stored order.
 
-        The running sum starts from 0.0; a dot product may group the terms
-        otherwise and so change the bits, an accumulate does not.
+        A dot product may group the terms otherwise and so change the bits.
         """
-        terms = np.zeros(self.ids.size + 1)
-        np.multiply(self.coeffs, np.asarray(x, dtype=float)[self.ids], out=terms[1:])
-        return self.constant + float(np.add.accumulate(terms)[-1])
+        terms = np.asarray(x, dtype=float)[self.ids].tolist()
+        return self.constant + sum(map(operator.mul, self.coeffs.tolist(), terms))
 
     def scaled(self, k: float) -> "LinearForm":
         """The form times ``k``, zero products left out."""
@@ -470,7 +469,7 @@ def pwl_convex_value(quad, x_max: float, segments: int, x):
     a, b, c = (float(v) for v in quad)
     xi = x_max * np.arange(segments + 1) / segments
     slope = b + 2.0 * c * xi
-    best = (a + b * xi + c * xi * xi + slope * (np.asarray(x, dtype=float)[..., None] - xi)).max(axis=-1)
+    best = np.max(a + b * xi + c * xi * xi + slope * (np.asarray(x, dtype=float)[..., None] - xi), axis=-1)
     return float(best) if best.ndim == 0 else best
 
 
