@@ -526,13 +526,20 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     # at a zero base price every tier costs nothing, whatever the share, and
     # nothing holds the envelope columns on their curves: build it unpriced like S1
     if scenario.carbon_in_objective and case.carbon.lambda_base > 0:
-        policy = replace(case.carbon, mechanism=scenario.mechanism)
+        policy = _policy(case, scenario)
         vm.ladder, vm.actual, vm.pwl_bound_kg = _encode_carbon(
             case, options, model, vm.dr, policy, tags, flows
         )
         vm.carbon_cost, _ = carbon_mod.price_ladder(vm.ladder, policy)
     model.set_objective(*_objective(vm))
     return model, vm
+
+
+def _policy(case: CaseData, scenario: ScenarioSpec):
+    """The case's carbon policy priced by the scenario's mechanism."""
+    if case.carbon.mechanism == scenario.mechanism:
+        return case.carbon
+    return replace(case.carbon, mechanism=scenario.mechanism)
 
 
 def _objective(vm: VarMap) -> tuple[LinearForm, ...]:
@@ -557,7 +564,7 @@ def _reprice(case: CaseData, model: MilpModel, vm: VarMap) -> None:
     if vm.ladder is None:
         return
     vm.carbon_cost, rhs = carbon_mod.price_ladder(
-        vm.ladder, replace(case.carbon, mechanism=vm.scenario.mechanism))
+        vm.ladder, _policy(case, vm.scenario))
     model.set_rhs(vm.ladder.knees, rhs)
     model.set_objective(*_objective(vm))
 
@@ -720,43 +727,48 @@ class DispatchSolution:
     verification: "VerificationReport | None" = None
 
 
-def _values(flow, x, periods: int) -> tuple[float, ...]:
-    """A flow's per-period values ``0.0 + coeff * x[ids[t]]``, snapped to 0 below 1e-9."""
-    if flow is None:
-        return (0.0,) * periods
-    ids, coeff = flow
-    values = 0.0 + coeff * x[ids]
-    values[np.abs(values) < 1e-9] = 0.0
-    return tuple(values.tolist())
-
-
 def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> DispatchSolution:
     x = np.asarray(res.x, dtype=float)
     periods = case.horizon.periods
     dt = case.horizon.step_hours
-    storage = {
-        k: StorageSchedule(
-            _values((blk.charge, 1.0), x, periods), _values((blk.discharge, 1.0), x, periods),
-            tuple((0.0 + x[blk.soc]).tolist()),
-        )
-        for k, blk in vm.storage.items()
-    }
+    # one gather for every per-period series: the flows and the storage
+    # powers (each 0.0 + coeff * x[ids[t]], snapped to 0 below 1e-9), then
+    # the states of charge and the demand-response magnitudes
+    present = [name for name, flow in vm.flows.items() if flow is not None]
+    powered = [vm.flows[name] for name in present]
+    powered += [(ids, 1.0) for blk in vm.storage.values() for ids in (blk.charge, blk.discharge)]
+    keys = list(vm.dr.p_in)
+    ids = [ids for ids, _ in powered] + [blk.soc for blk in vm.storage.values()]
+    ids += [vm.dr.p_in[key] for key in keys] + [vm.dr.p_out[key] for key in keys]
+    rows = x[np.array(ids, dtype=np.int64).reshape(len(ids), periods)]
+    power = 0.0 + np.array([coeff for _, coeff in powered])[:, None] * rows[:len(powered)]
+    power[np.abs(power) < 1e-9] = 0.0
+    power = list(map(tuple, power.tolist()))
+    first_in = len(powered) + len(vm.storage)
+    soc = list(map(tuple, (0.0 + rows[len(powered):first_in]).tolist()))
+    p_in, p_out = rows[first_in:first_in + len(keys)], rows[first_in + len(keys):]
+    flows = dict.fromkeys(vm.flows, (0.0,) * periods)
+    flows.update(zip(present, power))
+    charges = iter(power[len(present):])
+    storage = {k: StorageSchedule(next(charges), next(charges), soc[i]) for i, k in enumerate(vm.storage)}
     # summed left to right, since the order fixes the reported bits: an
     # adjustment is 0.0 + x_in - x_out, a reshaped load the load plus
-    # 0.0 + x_in - x_out + ... over its enabled types
+    # 0.0 + x_in - x_out + ... over its enabled types in DR_TYPES order
+    delta = dict(zip(keys, (0.0 + p_in) - p_out))
     dr_delta: dict[str, dict[str, tuple[float, ...]]] = {}
-    for (k, dtype), p_in in vm.dr.p_in.items():
-        dr_delta.setdefault(k, {})[dtype] = tuple(((0.0 + x[p_in]) - x[vm.dr.p_out[k, dtype]]).tolist())
-    adjusted = {}
-    for k in CARRIERS:
-        change = np.zeros(periods)
-        for ids, coeff in _dr_flows(vm.dr, k):
-            change = change + coeff * x[ids]
-        adjusted[k] = tuple((np.asarray(case.loads[k].values) + change).tolist())
-    flows = {name: _values(flow, x, periods) for name, flow in vm.flows.items()}
+    for (k, dtype), series in delta.items():
+        dr_delta.setdefault(k, {})[dtype] = tuple(series.tolist())
+    change = np.zeros((len(CARRIERS), periods))
+    for dtype in DR_TYPES:
+        for i, key in enumerate(keys):
+            if key[1] == dtype:
+                k = CARRIERS.index(key[0])
+                change[k] = (change[k] + p_in[i]) - p_out[i]
+    loads = np.array([case.loads[k].values for k in CARRIERS], dtype=float)
+    adjusted = dict(zip(CARRIERS, map(tuple, (loads + change).tolist())))
     schedule = FlowSchedule(step_hours=dt, p_g_load=adjusted[GAS],
                             **{k: flows[k] for k in ("p_e_buy", "p_gt_e", "p_gt_h", "p_gb_h", "p_p2g_g")})
-    policy = replace(case.carbon, mechanism=scenario.mechanism)
+    policy = _policy(case, scenario)
     account = emission_account(schedule, policy)
     carbon_exact = carbon_mod.carbon_cost(account.trading_share, policy)
     buy = vm.cost_buy.value(x)
@@ -982,7 +994,7 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
         + omega.get("GB", 0.0) * gb_h
         + sum(omega.get(f"storage_{k}", 0.0) * (charge + discharge) for k, (charge, discharge, _) in storage.items())
     ).tolist())
-    policy = replace(case.carbon, mechanism=scenario.mechanism)
+    policy = _policy(case, scenario)
     schedule = FlowSchedule(
         step_hours=dt,
         p_e_buy=sol.p_e_buy,

@@ -32,7 +32,6 @@ envelopes as one row block.
 from __future__ import annotations
 
 import math
-import operator
 from itertools import islice
 from typing import NamedTuple
 
@@ -100,10 +99,12 @@ class LinearForm(NamedTuple):
     def value(self, x) -> float:
         """Evaluate at a point, summing the terms left to right in stored order.
 
-        A dot product may group the terms otherwise and so change the bits.
+        The running sum starts from 0.0; a dot product may group the terms
+        otherwise and so change the bits, an accumulate does not.
         """
-        terms = np.asarray(x, dtype=float)[self.ids].tolist()
-        return self.constant + sum(map(operator.mul, self.coeffs.tolist(), terms))
+        terms = np.zeros(self.ids.size + 1)
+        np.multiply(self.coeffs, np.asarray(x, dtype=float)[self.ids], out=terms[1:])
+        return self.constant + float(np.add.accumulate(terms)[-1])
 
     def scaled(self, k: float) -> "LinearForm":
         """The form times ``k``, zero products left out."""

@@ -139,6 +139,7 @@ class _ScipyCore:
         n, m = len(c), len(relations)
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
+        self._rows = list(relations), np.array(rhs, dtype=float)
         self.row_lower, self.row_upper = row_bounds(relations, rhs)
         self.A = A  # kept, so a model compiling to this object again is recognised at once
         self._highs = _Highs()
@@ -156,20 +157,25 @@ class _ScipyCore:
         self._bounds = None  # the column bounds loaded, None until the first solve
         self._basis = None  # the basis the last run left, if it ended optimal
 
-    def reprice(self, c, c0, row_lower, row_upper) -> None:
-        """Set the costs and row bounds of another LP on the loaded matrix.
+    def reprice(self, c, c0, relations, rhs) -> None:
+        """Set the costs and rows (relations, right-hand sides) of another LP on the loaded matrix.
 
-        HiGHS keeps its basis, so the next solve can restart from it.  Its
-        run clock counts every run of the instance, so the time limit moves
-        on to allow ``time_limit`` more seconds.
+        HiGHS keeps its basis, so the next solve can restart from it.  Row
+        bounds are worked out and changed only when the rows differ in
+        value from the ones the core holds.  Its run clock counts every run
+        of the instance, so the time limit moves on to allow ``time_limit``
+        more seconds.
         """
         h = self._highs
         self._cost, self.c0 = np.asarray(c, dtype=float), c0
         h.changeColsCost(self._cols.size, self._cols, self._cost)
-        # scipy's binding has no changeRowsBounds: one call per changed row
-        for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
-            h.changeRowBounds(int(i), row_lower[i], row_upper[i])
-        self.row_lower, self.row_upper = row_lower, row_upper
+        if relations != self._rows[0] or not np.array_equal(rhs, self._rows[1]):
+            row_lower, row_upper = row_bounds(relations, rhs)
+            # scipy's binding has no changeRowsBounds: one call per changed row
+            for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
+                h.changeRowBounds(int(i), row_lower[i], row_upper[i])
+            self._rows = list(relations), np.array(rhs, dtype=float)
+            self.row_lower, self.row_upper = row_lower, row_upper
         if self.time_limit is not None:
             h.setOptionValue("time_limit", h.getRunTime() + float(self.time_limit))
 
@@ -302,7 +308,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     core, start = chain.core, chain.basis
     chain.core = chain.basis = None  # until this solve ends without raising
     if core is not None and core.time_limit == options.time_limit and _same_matrix(core.A, A):
-        core.reprice(c, c0, *row_bounds(relations, rhs))
+        core.reprice(c, c0, relations, rhs)
     else:
         core, start = _ScipyCore(c, c0, A, relations, rhs, options.time_limit), None
     t0 = time.perf_counter()

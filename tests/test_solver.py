@@ -469,8 +469,8 @@ def test_repriced_core_matches_cold_solves():
     core = _ScipyCore(*lps[0][0])
     last = core.solve(*lps[0][2:])
     warm_iterations = cold_iterations = 0
-    for arrays, (lo, hi), lb, ub in lps[1:]:
-        core.reprice(arrays[0], arrays[1], lo, hi)
+    for arrays, _, lb, ub in lps[1:]:
+        core.reprice(arrays[0], arrays[1], arrays[3], arrays[4])
         warm = core.solve(lb, ub, last.basis)
         cold = _ScipyCore(*arrays).solve(lb, ub)
         assert warm.status == cold.status == "optimal"
@@ -495,12 +495,12 @@ def test_repriced_core_gives_each_solve_its_own_time_limit():
     # HiGHS's run clock counts every run of an instance; reprice moves the
     # limit on, so cold solves that together take far longer than the
     # limit each finish inside it
-    arrays, (lo, hi), lb, ub = _sweep_lps()[0]
+    arrays, _, lb, ub = _sweep_lps()[0]
     probe = _ScipyCore(*arrays)
     assert probe.solve(lb, ub).status == "optimal"
     core = _ScipyCore(*arrays, time_limit=20 * probe._highs.getRunTime())
     for _ in range(60):
-        core.reprice(arrays[0], arrays[1], lo, hi)
+        core.reprice(arrays[0], arrays[1], arrays[3], arrays[4])
         assert core.solve(lb, ub).status == "optimal"
 
 
