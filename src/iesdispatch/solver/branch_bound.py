@@ -22,8 +22,8 @@ costs only and the tier width the bounds of the knee rows.  A sweep
 re-prices one model from point to point, and ``to_sparse`` keeps its
 compiled arrays, so the core's ``A`` is the very object the next point
 compiles to and the check ends at once.  The restart is hot: the basis
-handed in is the one the core's last run left, so the core neither sets
-it nor the unchanged column bounds again, and HiGHS keeps its
+handed in is the one the core's last run left, so the core sets neither
+it nor column or row bounds that did not change, and HiGHS keeps its
 factorization and edge weights.  On a restart HiGHS chooses the simplex
 variant (``simplex_strategy`` 0): a cost change leaves the basis primal
 feasible, so the primal simplex goes on from it, and a move of the knee
