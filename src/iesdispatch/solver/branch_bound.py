@@ -169,7 +169,7 @@ class _ScipyCore:
         h = self._highs
         self._cost, self.c0 = np.asarray(c, dtype=float), c0
         h.changeColsCost(self._cols.size, self._cols, self._cost)
-        if relations != self._rows[0] or not np.array_equal(rhs, self._rows[1]):
+        if list(relations) != self._rows[0] or not np.array_equal(rhs, self._rows[1]):
             row_lower, row_upper = row_bounds(relations, rhs)
             # scipy's binding has no changeRowsBounds: one call per changed row
             for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
