@@ -56,8 +56,8 @@ the model `build_model` makes for the new point, provided the rest of the
 case, the scenario and the options are the same, and lambda > 0 holds on
 both points or on neither (it decides whether the ladder is built at all).
 The chunk's slot (`_ModelSlot`) owns its warm state: that model and the LP
-chain (`solver.LpChain`) of HiGHS core and basis.  The model keeps its
-compiled arrays, and the core restarts hot from the basis it holds, so a
+chain (`solver.LpChain`) that holds the HiGHS core.  The model keeps its
+compiled arrays, and the core restarts hot after an optimal point, so a
 re-priced point pays for its costs, the knee rows it moves and the simplex
 iterations, not for what stayed.  A point passes the model on only if it
 ended verified with no gate added, so a gated or failed point makes the
@@ -113,6 +113,8 @@ ELECTRIC, GAS, HEAT = CARRIERS
 
 # the embedded backend (solve_milp), then the solver registry's backends
 BACKEND_NAMES = ("embedded", *BACKENDS)
+
+MAX_PWL_SEGMENTS = 4096  # full S5 peaks at about 350 MB here; more ends as a ValueError, not a MemoryError
 
 
 class DispatchError(Exception):
@@ -205,7 +207,8 @@ class DispatchOptions(MilpOptions):
     """Solver and approximation settings for scenario runs.
 
     :class:`MilpOptions` with a 1e-4 default gap, plus the segments per
-    linearized emission curve and the backend, one of ``BACKEND_NAMES``.
+    linearized emission curve (1 to ``MAX_PWL_SEGMENTS``) and the backend,
+    one of ``BACKEND_NAMES``.
     The embedded and scipy-milp backends take them as they are; external
     passes none of them to its command.  Fields are keyword-only, and a
     bad one raises ValueError at construction.
@@ -219,6 +222,8 @@ class DispatchOptions(MilpOptions):
         super().__post_init__()
         if not self.pwl_segments >= 1:
             raise ValueError(f"pwl_segments {self.pwl_segments!r}: need at least 1 segment")
+        if not self.pwl_segments <= MAX_PWL_SEGMENTS:
+            raise ValueError(f"pwl_segments {self.pwl_segments!r}: need at most {MAX_PWL_SEGMENTS} segments")
         if self.backend not in BACKEND_NAMES:
             raise ValueError(f"backend {self.backend!r}: unknown; known: {', '.join(BACKEND_NAMES)}")
 
@@ -1060,8 +1065,8 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
 class _ModelSlot:
     """A sweep chunk's warm state, kept from one point to the next.
 
-    ``chain`` is the LP chain the embedded backend solves the chunk's LPs
-    on.  ``held`` is (case, model, VarMap) of the last point that ended
+    ``chain`` holds the HiGHS core the embedded backend solves the chunk's
+    LPs on.  ``held`` is (case, model, VarMap) of the last point that ended
     verified with no gate added, or None.
     """
 
@@ -1109,8 +1114,9 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     if slot is not None:
         held, slot.held = slot.held, None
     if held is not None and _repriceable(held, case, scenario, options):
+        # not validated again: it is the held, validated case but for lambda_base and
+        # interval_d, which _sweep's check_grid kept positive and finite, all validate_case asks
         _, model, vm = held
-        require_valid(case)
         _reprice(case, model, vm)
     else:
         model, vm = build_model(case, scenario, options)
@@ -1275,7 +1281,7 @@ def _sweep(case, scenario, grid, options, jobs, override) -> list[SweepPoint]:
     sides (d), and `carbon.price_ladder` computes those for the build and
     the re-price alike, so the re-priced model is the fresh build (module
     docstring).  It then re-prices the HiGHS core of the point before it,
-    whose matrix is the same object, and restarts from that point's basis.
+    whose matrix is the same object, and restarts hot after an optimal one.
     Every point solves its own LP, so its objective is that of a
     single-point ``solve``; on a degenerate face the other columns can
     differ from one.

@@ -2,7 +2,7 @@
 
 The embedded backend (`solve_milp`) solves an LP on its HiGHS core and hands
 a model with binaries to HiGHS branch-and-cut; LP solves handed one
-`LpChain` share one core.
+`LpChain` share one core, which restarts hot after an optimal solve.
 """
 
 from .branch_bound import LpChain, LpSolution, MilpOptions, MilpSolution, NumericalFailure, solve_milp

@@ -2,9 +2,7 @@
 
 `solve_milp` compiles the model once with ``MilpModel.to_sparse``.  A model
 without binaries is one LP on `_ScipyCore`, which loads the CSC matrix into
-one HiGHS instance with presolve off and, from a cold start, runs the dual
-simplex; a later solve that changes only column bounds can restart from a
-basis it is given.
+one HiGHS instance with presolve off and alone holds its warm start.
 The dispatch models are such LPs first: their convex cost terms
 (demand-response deviation and the tiered carbon ladder) are exact LPs, and
 a storage gate is added only in a later round, where the gate-free schedule
@@ -15,23 +13,22 @@ the "scipy-milp" backend calls too.
 LP chain.  LP solves handed one `LpChain` share one core: when a model
 compiles to the same constraint matrix as the core holds, entry for entry,
 under the same time limit, `solve_milp` re-prices that core with the
-model's costs and row bounds and restarts from the previous optimal basis
-(Huangfu & Hall, Math. Prog. Comp. 10(1), 2018); another matrix loads a new
+model's costs and row bounds and solves on it; another matrix loads a new
 core.  A sweep chunk hands its points one chain: the carbon price moves
 costs only and the tier width the bounds of the knee rows.  A sweep
 re-prices one model from point to point, and ``to_sparse`` keeps its
 compiled arrays, so the core's ``A`` is the very object the next point
-compiles to and the check ends at once.  The restart is hot: the basis
-handed in is the one the core's last run left, so the core sets neither
-it nor column or row bounds that did not change, and HiGHS keeps its
-factorization and edge weights.  On a restart HiGHS chooses the simplex
-variant (``simplex_strategy`` 0): a cost change leaves the basis primal
-feasible, so the primal simplex goes on from it, and a move of the knee
-rows leaves it dual feasible, so the dual simplex does (Bixby, Oper. Res.
-50(1), 2002).  A cold start is set to the dual simplex
-(``simplex_strategy`` 1, HiGHS's default), so it runs as before.  Each
-solve is still of its own compiled LP, so the optimum is unchanged; on a
-degenerate face the vertex returned can differ from a cold start.
+compiles to and the check ends at once.  After an optimal point the next
+restarts hot (Huangfu & Hall, Math. Prog. Comp. 10(1), 2018): the core
+passes HiGHS no column or row bounds that did not change, so HiGHS keeps
+its basis, factorization and edge weights.  On a hot restart HiGHS
+chooses the simplex variant (``simplex_strategy`` 0): a cost change
+leaves the basis primal feasible, so the primal simplex goes on from it,
+and a move of the knee rows leaves it dual feasible, so the dual simplex
+does (Bixby, Oper. Res. 50(1), 2002).  A cold start is set to the dual
+simplex (``simplex_strategy`` 1, HiGHS's default).  Each solve is still
+of its own compiled LP, so the optimum is unchanged; on a degenerate face
+the vertex returned can differ from a cold start.
 """
 
 from __future__ import annotations
@@ -76,13 +73,12 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class LpSolution:
-    """LP outcome; `basis` is the HiGHS core's warm-start token."""
+    """Outcome of one `_ScipyCore.solve`."""
 
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
     iterations: int = 0
-    basis: object = None
 
 
 @dataclass
@@ -117,13 +113,9 @@ class _ScipyCore:
     """One HiGHS instance per constraint matrix; a solve sets only column bounds.
 
     The matrix is loaded once with presolve off, so the simplex basis lives
-    on between runs.  A solve given a basis (``start``) restarts from it; a
-    solve without one starts cold.  A restart from the basis this core's
-    last run left is hot: HiGHS keeps its factorization and edge weights,
-    since neither the basis nor unchanged column bounds are passed in again.
-    On a restart HiGHS chooses the simplex variant (``simplex_strategy``
-    0): the primal simplex from a primal feasible basis, the dual
-    otherwise; a cold run takes the dual simplex.
+    on between runs.  A solve after a run that ended optimal restarts hot
+    from it with ``simplex_strategy`` 0 (module docstring); any other solve
+    clears the solver and runs the dual simplex.
     `reprice` swaps in the costs and row bounds of another LP on the same
     matrix, and an LP chain reuses the core that way.  With ``time_limit``
     (seconds) a run that reaches it ends with status "limit".
@@ -155,12 +147,12 @@ class _ScipyCore:
         if status == HighsStatus.kError:
             raise NumericalFailure("LP core failed: HiGHS rejected the model")
         self._bounds = None  # the column bounds loaded, None until the first solve
-        self._basis = None  # the basis the last run left, if it ended optimal
+        self._hot = False  # whether the last run ended optimal, so the next restarts from it
 
     def reprice(self, c, c0, relations, rhs) -> None:
         """Set the costs and rows (relations, right-hand sides) of another LP on the loaded matrix.
 
-        HiGHS keeps its basis, so the next solve can restart from it.  Row
+        HiGHS keeps its basis, so the next solve can restart hot.  Row
         bounds are worked out and changed only when the rows differ in
         value from the ones the core holds.  Its run clock counts every run
         of the instance, so the time limit moves on to allow ``time_limit``
@@ -202,28 +194,25 @@ class _ScipyCore:
             return LIMIT, iterations
         raise NumericalFailure(f"LP core failed: {h.modelStatusToString(model_status)}")
 
-    def solve(self, lb, ub, start=None) -> LpSolution:
+    def solve(self, lb, ub) -> LpSolution:
         h, status = self._highs, self._status
         lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
         if self._bounds is None or not all(map(np.array_equal, (lb, ub), self._bounds)):
             h.changeColsBounds(self._cols.size, self._cols, lb, ub)
             self._bounds = lb.copy(), ub.copy()
-        if start is None:
+        hot, self._hot = self._hot, False
+        if not hot:
             h.clearSolver()
-        elif start is not self._basis:
-            h.setBasis(start)
-        self._basis = None
-        info = self._run(_DUAL if start is None else _CHOOSE)
+        info = self._run(_CHOOSE if hot else _DUAL)
         iterations = info.simplex_iteration_count
         model_status = h.getModelStatus()
         if model_status == status.kOptimal:
-            self._basis = h.getBasis()
+            self._hot = True
             return LpSolution(
                 status=OPTIMAL,
                 objective=info.objective_function_value + self.c0,
                 x=np.fromiter(h.getSolution().col_value, float, self._cols.size),
                 iterations=iterations,
-                basis=self._basis,
             )
         if model_status == status.kInfeasible:
             return LpSolution(status=INFEASIBLE, iterations=iterations)
@@ -282,14 +271,13 @@ def highs_milp(compiled, options: MilpOptions) -> MilpSolution:
 
 @dataclass
 class LpChain:
-    """The core of an LP chain and the basis of its last optimal solve.
+    """The core an LP chain's next solve may reuse.
 
-    A solve that is not optimal leaves no basis, and one that raises drops
-    the core, so the next solve starts cold.
+    The core restarts hot after an optimal solve and cold after any other;
+    a solve that raises drops the core, so the next one loads a new core.
     """
 
     core: _ScipyCore | None = None
-    basis: object = None
 
 
 def _same_matrix(a, b) -> bool:
@@ -299,22 +287,25 @@ def _same_matrix(a, b) -> bool:
 
 def solve_milp(model: MilpModel, options: MilpOptions | None = None,
                chain: LpChain | None = None) -> MilpSolution:
-    """Solve a MILP whose integer variables are all binary; an LP on ``chain`` if given."""
+    """Solve a MILP whose integer variables are all binary.
+
+    An LP is solved on the core of ``chain`` when it can be re-priced to
+    the model, else on a new core, which the chain then keeps.
+    """
     options = options or MilpOptions()
     compiled = c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
     if is_binary.any():
         return highs_milp(compiled, options)
     chain = chain or LpChain()
-    core, start = chain.core, chain.basis
-    chain.core = chain.basis = None  # until this solve ends without raising
+    core, chain.core = chain.core, None  # until this solve ends without raising
     if core is not None and core.time_limit == options.time_limit and _same_matrix(core.A, A):
         core.reprice(c, c0, relations, rhs)
     else:
-        core, start = _ScipyCore(c, c0, A, relations, rhs, options.time_limit), None
+        core = _ScipyCore(c, c0, A, relations, rhs, options.time_limit)
     t0 = time.perf_counter()
-    res = core.solve(lb, ub, start)
+    res = core.solve(lb, ub)
     wall = time.perf_counter() - t0
-    chain.core, chain.basis = core, res.basis
+    chain.core = core
     if res.status != OPTIMAL:
         return MilpSolution(status=res.status, objective=None, x=None, bound=-np.inf,
                             gap=np.inf, nodes=1, wall_time=wall)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from highs_spy import per_run
 from iesdispatch import cli
-from iesdispatch.dispatch import DispatchOptions
+from iesdispatch.dispatch import MAX_PWL_SEGMENTS, DispatchOptions
 from iesdispatch.model_core import case_to_dict, default_case_path, load_case
 from iesdispatch.solver import NumericalFailure, branch_bound
 
@@ -250,7 +251,7 @@ def test_solve_time_limit_exit_4(backend, tmp_path, capsys):
 
 
 def test_lp_core_failure_exit_4(tmp_path, monkeypatch, capsys):
-    def failing_solve(self, lb, ub, start=None):
+    def failing_solve(self, lb, ub):
         raise NumericalFailure("LP core failed: injected")
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", failing_solve)
@@ -324,16 +325,16 @@ def test_sweep_infeasible_exit_3(tmp_path, bad_heat_case, capsys):
 SWEEP_ARGV = ("sweep", "--param", "lambda", "--grid", "0.2:0.5:0.1", "--reduced", "--scenario", "S5")
 
 
-def test_sweep_point_lp_core_failure_is_its_row(tmp_path, monkeypatch, capsys):
+def test_sweep_point_lp_core_failure_is_its_row(tmp_path, monkeypatch, capsys, highs_calls):
     # the third point's LP core fails: that row records it, the chain drops
     # its core, the next point starts cold on a new one, and the exit is 4
     solve, calls = branch_bound._ScipyCore.solve, []
 
-    def third_fails(self, lb, ub, start=None):
-        calls.append((self, start is None))  # holds each core, so none is collected and replaced
+    def third_fails(self, lb, ub):
+        calls.append(self)  # holds each core, so none is collected and replaced
         if len(calls) == 3:
             raise NumericalFailure("LP core failed: injected")
-        return solve(self, lb, ub, start)
+        return solve(self, lb, ub)
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", third_fails)
     out = tmp_path / "nf"
@@ -343,8 +344,9 @@ def test_sweep_point_lp_core_failure_is_its_row(tmp_path, monkeypatch, capsys):
     assert statuses == ["optimal", "optimal", "numerical_failure", "optimal"]
     assert capsys.readouterr().err == ("lambda=0.4: numerical_failure (scenario S5: solver status "
                                        "'numerical_failure' (LP core failed: injected))\n")
-    assert [cold for _core, cold in calls] == [True, False, False, True]
-    assert calls[0][0] is calls[2][0] and calls[3][0] is not calls[2][0]
+    # the third point raises before its run: of four points, three run
+    assert ["clearSolver" in run for run in per_run(highs_calls)] == [True, False, True]
+    assert calls[0] is calls[2] and calls[3] is not calls[2]
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):
@@ -438,17 +440,22 @@ def test_unavailable_backend_exit_1(command, tmp_path, monkeypatch, capsys):
     assert "IESDISPATCH_EXTERNAL_SOLVER is not set" in err
 
 
+SEGMENT_ERRORS = {"0": "need at least 1 segment", "100000000": f"need at most {MAX_PWL_SEGMENTS} segments"}
+
+
 @pytest.mark.parametrize(
-    "command, extra",
-    [("solve", []), ("scenarios", []), ("solve", ["--reduced"]), ("scenarios", ["--reduced"])],
-    ids=["solve", "scenarios", "solve-reduced", "scenarios-reduced"],
+    "command, extra, segments",
+    [("solve", [], "0"), ("scenarios", [], "0"), ("solve", ["--reduced"], "0"),
+     ("scenarios", ["--reduced"], "0"), ("solve", [], "100000000")],
+    ids=["solve", "scenarios", "solve-reduced", "scenarios-reduced", "solve-huge"],
 )
-def test_segments_below_one_exit_1(command, extra, tmp_path, capsys):
-    # --reduced replaces the segment count, but the bad flag is still an error
+def test_segments_below_one_exit_1(command, extra, segments, tmp_path, capsys):
+    # --reduced replaces the segment count, but the bad flag is still an
+    # error; a count too large to build is refused before any model is
     out = tmp_path / "out"
-    rc = run_cli(command, "--segments", "0", *extra, "--out", str(out))
+    rc = run_cli(command, "--segments", segments, *extra, "--out", str(out))
     assert rc == cli.EXIT_USAGE
-    assert "usage error: pwl_segments 0: need at least 1 segment" in capsys.readouterr().err
+    assert f"usage error: pwl_segments {segments}: {SEGMENT_ERRORS[segments]}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -92,7 +92,7 @@ def test_dispatch_options_reject_a_bad_gap_at_construction(gap):
 
 
 @pytest.mark.parametrize("limits", [{"node_limit": 0}, {"time_limit": 0.0}, {"time_limit": float("nan")},
-                                    {"pwl_segments": 0}, {"backend": "nope"}])
+                                    {"pwl_segments": 0}, {"backend": "nope"}, {"pwl_segments": 10**8}])
 def test_dispatch_options_reject_bad_limits_at_construction(limits):
     with pytest.raises(ValueError, match=next(iter(limits))):
         DispatchOptions(**limits)
@@ -586,7 +586,6 @@ def test_solves_on_one_chain_share_one_core(reduced_case, reduced_options, count
         dispatch._reprice(replace(reduced_case, carbon=replace(reduced_case.carbon, lambda_base=lam)), model, vm)
         results.append(solve_milp(model, reduced_options, chain=chain))
         assert results[-1].status == "optimal"
-        assert chain.basis is not None
     assert count_cores[0] == 1
     assert repriced == [chain.core]
     cold = solve_milp(model, reduced_options)
@@ -596,11 +595,11 @@ def test_solves_on_one_chain_share_one_core(reduced_case, reduced_options, count
 def test_failure_mid_chain_empties_the_chain(reduced_case, reduced_options, count_cores, monkeypatch):
     solve, calls = branch_bound._ScipyCore.solve, []
 
-    def second_fails(self, lb, ub, start=None):
-        calls.append(start)
+    def second_fails(self, lb, ub):
+        calls.append(self)
         if len(calls) == 2:
             raise NumericalFailure("LP core failed: injected")
-        return solve(self, lb, ub, start)
+        return solve(self, lb, ub)
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", second_fails)
     model, _ = build_model(reduced_case, "S5", reduced_options)
@@ -608,11 +607,11 @@ def test_failure_mid_chain_empties_the_chain(reduced_case, reduced_options, coun
     assert solve_milp(model, reduced_options, chain=chain).status == "optimal"
     with pytest.raises(NumericalFailure):
         solve_milp(model, reduced_options, chain=chain)
-    assert (chain.core, chain.basis) == (None, None)
+    assert chain.core is None
     # the next solve starts cold on a new core
     assert solve_milp(model, reduced_options, chain=chain).status == "optimal"
     assert count_cores[0] == 2
-    assert calls[1] is not None and calls[2] is None
+    assert calls[1] is calls[0] and calls[2] is not calls[1]
 
 
 SET_UP = {"setBasis", "changeColsBounds", "clearSolver", "changeRowBounds"}
@@ -639,11 +638,11 @@ def test_point_after_a_raising_solve_starts_cold(reduced_case, reduced_options, 
     # core, sets its bounds and starts cold, and the fifth restarts hot on it
     solve, calls = branch_bound._ScipyCore.solve, []
 
-    def third_fails(self, lb, ub, start=None):
+    def third_fails(self, lb, ub):
         calls.append(self)
         if len(calls) == 3:
             raise NumericalFailure("LP core failed: injected")
-        return solve(self, lb, ub, start)
+        return solve(self, lb, ub)
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", third_fails)
     points = sweep_lambda(reduced_case, "S5", [0.2, 0.3, 0.4, 0.5, 0.6], reduced_options)
@@ -785,16 +784,46 @@ def test_point_after_a_failed_point_builds_again(reduced_case, reduced_options, 
     # is not put back, so the fourth point builds afresh
     solve, calls = branch_bound._ScipyCore.solve, []
 
-    def third_fails(self, lb, ub, start=None):
+    def third_fails(self, lb, ub):
         calls.append(self)
         if len(calls) == 3:
             raise NumericalFailure("LP core failed: injected")
-        return solve(self, lb, ub, start)
+        return solve(self, lb, ub)
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", third_fails)
     points = sweep_lambda(reduced_case, "S5", [0.2, 0.3, 0.4, 0.5], reduced_options)
     assert [p.status for p in points] == ["optimal", "optimal", "numerical_failure", "optimal"]
     assert [p["built"] for p in sweep_spy] == [True, False, False, True]
+
+
+@pytest.mark.parametrize("sweep", [sweep_lambda, sweep_interval], ids=["lambda", "d"])
+@pytest.mark.parametrize("grid", [[0.2, float("nan"), 0.4], [0.2, float("inf")], [0.0, 0.2]],
+                         ids=["nan", "inf", "zero"])
+def test_bad_grid_is_refused_before_any_point_runs(reduced_case, reduced_options, sweep_spy, sweep, grid):
+    # a re-priced point is not validated again: check_grid alone keeps its
+    # lambda_base or interval_d positive and finite
+    with pytest.raises(ValueError, match="positive and finite"):
+        sweep(reduced_case, "S5", grid, reduced_options)
+    assert sweep_spy == []
+
+
+def test_case_differing_in_another_field_builds_afresh(reduced_case, reduced_options, sweep_spy):
+    # only lambda_base and interval_d may differ from the held case
+    model, vm = build_model(reduced_case, "S5", reduced_options)
+    held, scenario, carbon = (reduced_case, model, vm), as_scenario("S5"), reduced_case.carbon
+    moved = replace(reduced_case, carbon=replace(carbon, lambda_base=0.4, interval_d=900.0))
+    assert dispatch._repriceable(held, moved, scenario, reduced_options)
+    others = [replace(reduced_case, **{f.name: object()}) for f in dataclasses.fields(reduced_case)
+              if f.name != "carbon"]
+    others += [replace(reduced_case, carbon=replace(carbon, **{f.name: object()}))
+               for f in dataclasses.fields(carbon) if f.name not in ("lambda_base", "interval_d")]
+    assert not any(dispatch._repriceable(held, case, scenario, reduced_options) for case in others)
+    # on one slot, a point whose case differs in another field builds its own model
+    steeper = replace(reduced_case, carbon=replace(carbon, alpha_growth=2 * carbon.alpha_growth + 0.1))
+    results = dispatch._chained_tasks([(reduced_case, "S5", reduced_options), (steeper, "S5", reduced_options)])
+    assert [p["built"] for p in sweep_spy] == [True, True]
+    fresh = run_scenario(steeper, "S5", reduced_options)
+    assert results[1][2].objective == pytest.approx(fresh.objective, rel=1e-9, abs=0.0)
 
 
 # -- exact LP forms of the convex cost terms ------------------------------------------

@@ -14,12 +14,14 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
+from highs_spy import per_run
 from milp_oracles import brute_force_milp, check_solution, every_gate_model, random_milp, vertex_milp
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver.branch_bound import _ScipyCore, _same_matrix
 from iesdispatch.solver import (
     MilpOptions,
+    NumericalFailure,
     get_backend,
     solve_milp,
 )
@@ -401,6 +403,10 @@ def test_scipy_core_resolves_unbounded_or_infeasible(lp, status):
 
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 HIGHS_NAMES = ("_Highs", "HighsStatus", "HighsModelStatus")
+# every _Highs method the package calls
+HIGHS_METHODS = ("changeColsBounds", "changeColsCost", "changeRowBounds", "clearSolver", "getInfo",
+                 "getModelStatus", "getRunTime", "getSolution", "modelStatusToString", "passModel",
+                 "run", "setOptionValue")
 
 
 def test_highs_private_api_is_importable():
@@ -408,9 +414,7 @@ def test_highs_private_api_is_importable():
     # release that moves or changes them must fail here, not deep inside a solve.
     _Highs, HighsStatus, HighsModelStatus = (getattr(importlib.import_module(HIGHS_MODULE), name)
                                              for name in HIGHS_NAMES)
-    for method in ("passModel", "changeColsBounds", "changeColsCost", "changeRowBounds",
-                   "clearSolver", "setBasis", "getBasis", "getInfo", "getSolution",
-                   "getModelStatus", "getRunTime"):
+    for method in HIGHS_METHODS:
         assert callable(getattr(_Highs, method))
     assert HighsModelStatus.kUnboundedOrInfeasible != HighsModelStatus.kUnbounded
     # the array overload of passModel the core loads with: min x + 2y + 0.5
@@ -448,6 +452,32 @@ def test_package_uses_only_the_checked_highs_names():
     assert _highs_private_imports(source) == {"_Highs", "HighsLp", "*"}
 
 
+def _highs_method_calls(source: str) -> set[str]:
+    """Methods a module calls on a `_Highs` instance: ``_Highs()`` or a name or attribute assigned one."""
+    tree, holders, size = ast.parse(source), {"_Highs()"}, 0
+    while size < len(holders):  # assignments can chain in any order
+        size = len(holders)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    holders.update(ast.unparse(t) for t, v in pairs if ast.unparse(v) in holders)
+    return {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) in holders}
+
+
+def test_package_calls_only_the_checked_highs_methods():
+    package = Path(__file__).resolve().parents[1] / "src" / "iesdispatch"
+    used = set().union(*(_highs_method_calls(p.read_text()) for p in package.rglob("*.py")))
+    assert used == set(HIGHS_METHODS), (sorted(used - set(HIGHS_METHODS)), sorted(set(HIGHS_METHODS) - used))
+    # the check itself: calls through the instance, an attribute and names assigned from them
+    source = ("h = _Highs()\nh.run()\nself.core = h\na, b = self.core, 1\na.setBasis(b)\n"
+              "b.getBasis()\n_Highs().getInfo()\n")
+    assert _highs_method_calls(source) == {"run", "setBasis", "getInfo"}
+
+
 def _sweep_lps():
     """Gate-free reduced S5 LPs over carbon prices and tier widths: one matrix, other c and rows."""
     from iesdispatch.dispatch import DispatchOptions, build_model
@@ -467,17 +497,16 @@ def test_repriced_core_matches_cold_solves():
     lps = _sweep_lps()
     assert all(_same_matrix(arrays[2], lps[0][0][2]) for arrays, *_ in lps)
     core = _ScipyCore(*lps[0][0])
-    last = core.solve(*lps[0][2:])
+    assert core.solve(*lps[0][2:]).status == "optimal"
     warm_iterations = cold_iterations = 0
     for arrays, _, lb, ub in lps[1:]:
         core.reprice(arrays[0], arrays[1], arrays[3], arrays[4])
-        warm = core.solve(lb, ub, last.basis)
+        warm = core.solve(lb, ub)
         cold = _ScipyCore(*arrays).solve(lb, ub)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
         warm_iterations += warm.iterations
         cold_iterations += cold.iterations
-        last = warm
     assert warm_iterations < cold_iterations / 2
 
 
@@ -501,6 +530,7 @@ def test_repriced_core_gives_each_solve_its_own_time_limit():
     core = _ScipyCore(*arrays, time_limit=20 * probe._highs.getRunTime())
     for _ in range(60):
         core.reprice(arrays[0], arrays[1], arrays[3], arrays[4])
+        core._hot = False  # as after a run that was not optimal: each run is cold and takes the probe's time
         assert core.solve(lb, ub).status == "optimal"
 
 
@@ -520,30 +550,17 @@ def _fixed(lb, ub, fixes):
     return lb, ub
 
 
-def test_warm_start_from_parent_basis_saves_simplex_iterations(s5_compiled):
-    arrays, lb, ub, gates = s5_compiled
-    root = _ScipyCore(*arrays).solve(lb, ub)
-    j = int(gates[np.argmin(np.abs(root.x[gates] - 0.5))])
-    child_lb, child_ub = _fixed(lb, ub, {j: 1 - round(root.x[j])})
-    # fresh cores, so only the basis passed in can carry the root's work
-    warm = _ScipyCore(*arrays).solve(child_lb, child_ub, root.basis)
-    cold = _ScipyCore(*arrays).solve(child_lb, child_ub)
-    assert warm.status == cold.status == "optimal"
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
-    assert root.iterations > 100
-    assert warm.iterations < cold.iterations
-
-
 def test_persistent_core_matches_cold_solves(s5_compiled):
     # one core walks the tree the way a search does: down a branch, across to
     # other branches and back to the root, so consecutive solves both fix
-    # columns and restore them to their original bounds
+    # columns and restore them to their original bounds; each solve restarts
+    # hot from the one before it when that one ended optimal
     arrays, lb, ub, gates = s5_compiled
     rng = random.Random(11)
     core = _ScipyCore(*arrays)
     root = core.solve(lb, ub)
-    solved = [({}, root)]
-    previous, restored, statuses = {}, 0, set()
+    solved, last = [({}, root)], root.status
+    previous, restored, hot, warm_iterations, cold_iterations = {}, 0, 0, 0, 0
     for step in range(24):
         fixes, parent = solved[-1] if step % 2 == 0 else rng.choice(solved)
         j = int(rng.choice(gates))
@@ -551,42 +568,65 @@ def test_persistent_core_matches_cold_solves(s5_compiled):
         restored += bool(previous.keys() - child.keys())
         previous = child
         bounds = _fixed(lb, ub, child)
-        warm = core.solve(*bounds, parent.basis)
+        warm = core.solve(*bounds)
         cold = _ScipyCore(*arrays).solve(*bounds)
         assert warm.status == cold.status
-        statuses.add(warm.status)
+        if last == "optimal":
+            hot += 1
+            warm_iterations += warm.iterations
+            cold_iterations += cold.iterations
+        last = warm.status
         if warm.status == "optimal":
             assert warm.objective == pytest.approx(cold.objective, rel=1e-7, abs=0.0)
             solved.append((child, warm))
-    assert "optimal" in statuses
-    assert restored >= 5
+    assert restored >= 5 and hot >= 20
+    assert warm_iterations < cold_iterations / 10
     # every gate back at its original bounds
-    again = core.solve(lb, ub, root.basis)
+    again = core.solve(lb, ub)
     assert again.objective == pytest.approx(root.objective, rel=1e-9, abs=0.0)
 
 
 # -- hot restarts and the simplex choice ---------------------------------------
 
 
-def test_core_handed_a_foreign_basis_sets_it(s5_compiled, highs_calls):
-    # only the basis a core's own last run left is skipped; another core's
-    # basis, or an older one of its own, is set before the run
-    arrays, lb, ub, _ = s5_compiled
-    other, core = _ScipyCore(*arrays), _ScipyCore(*arrays)
-    foreign, own = other.solve(lb, ub).basis, core.solve(lb, ub).basis
-    for start, set_basis in ((own, False), (foreign, True), (own, True)):
-        highs_calls.clear()
-        res = core.solve(lb, ub, start)
-        assert res.status == "optimal" and res.iterations == 0
-        assert ("setBasis" in highs_calls) == set_basis
-        assert "changeColsBounds" not in highs_calls and "clearSolver" not in highs_calls
-    # a run that ends without an optimum leaves no basis of its own: the
-    # basis before it is set again
-    own = core.solve(lb, ub, own).basis
-    assert core.solve(np.zeros_like(lb), np.zeros_like(ub), own).status == "infeasible"
+def test_core_restarts_hot_only_after_an_optimal_run(highs_calls, monkeypatch):
+    from iesdispatch.dispatch import DispatchOptions, build_model
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+    from iesdispatch.solver import LpChain
+
+    options = DispatchOptions(pwl_segments=4)
+    model, _ = build_model(reduce_case(load_case(default_case_path()), 2), "S5", options)
+    chain = LpChain()
+    assert solve_milp(model, options, chain=chain).status == "optimal"
+    core = chain.core
+
+    def strategy():
+        return core._highs.getOptionValue("simplex_strategy")[1]
+
+    # an optimal run, then a re-price: the next run is hot, passing HiGHS no basis
+    model.set_objective(model.objective._replace(coeffs=1.5 * model.objective.coeffs))
+    hot = solve_milp(model, options, chain=chain)
+    run = per_run(highs_calls)[-1]
+    assert hot.status == "optimal" and chain.core is core and strategy() == 0
+    assert "changeColsCost" in run and not {"clearSolver", "setBasis", "getBasis"} & set(run)
+    # infeasible bounds: the next solve clears the solver and runs the dual simplex
+    n = model.num_variables
+    assert core.solve(np.zeros(n), np.zeros(n)).status == "infeasible"
     highs_calls.clear()
-    assert core.solve(lb, ub, own).status == "optimal"
-    assert "setBasis" in highs_calls
+    cold = solve_milp(model, options, chain=chain)
+    assert cold.status == "optimal" and chain.core is core and strategy() == 1
+    assert "clearSolver" in highs_calls and not {"setBasis", "getBasis"} & set(highs_calls)
+    assert cold.objective == pytest.approx(hot.objective, rel=1e-9, abs=0.0)
+
+    # an injected raise: the chain empties, and the next solve loads a new core
+    def fails():
+        raise NumericalFailure("LP core failed: injected")
+
+    monkeypatch.setattr(core._highs, "run", fails, raising=False)
+    with pytest.raises(NumericalFailure):
+        solve_milp(model, options, chain=chain)
+    assert chain.core is None
+    assert solve_milp(model, options, chain=chain).status == "optimal" and chain.core is not core
 
 
 def test_chain_after_a_solve_that_is_not_optimal_starts_cold(highs_calls):
@@ -620,8 +660,8 @@ def test_cold_solves_keep_the_dual_simplex():
     from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, build_model
     from iesdispatch.model_core import default_case_path, load_case, reduce_case
 
-    # a cold run takes the dual simplex (simplex_strategy 1), a restart lets
-    # HiGHS choose (0); the restart from the run's own basis takes no step
+    # a cold run takes the dual simplex (simplex_strategy 1), a hot restart
+    # lets HiGHS choose (0); a hot restart on the same LP takes no step
     case = load_case(default_case_path())
     for label, data, segments in (("full", case, 8), ("reduced", reduce_case(case, 2), 4)):
         iterations = []
@@ -631,7 +671,7 @@ def test_cold_solves_keep_the_dual_simplex():
             cold = core.solve(lb, ub)
             assert cold.status == "optimal" and core._highs.getOptionValue("simplex_strategy")[1] == 1
             iterations.append(cold.iterations)
-            again = core.solve(lb, ub, cold.basis)
+            again = core.solve(lb, ub)
             assert again.iterations == 0 and _bit_equal(again.x, cold.x), (label, sid)
             assert core._highs.getOptionValue("simplex_strategy")[1] == 0
         assert iterations == COLD_ITERATIONS[label]
