@@ -55,13 +55,13 @@ of the point before it and re-prices it, and the result is, bit for bit,
 the model `build_model` makes for the new point, provided the rest of the
 case, the scenario and the options are the same, and lambda > 0 holds on
 both points or on neither (it decides whether the ladder is built at all).
-The chunk's slot (`_ModelSlot`) owns its warm state: that model and the LP
-chain (`solver.LpChain`) that holds the HiGHS core.  The model keeps its
-compiled arrays, and the core restarts hot after an optimal point, so a
+The chunk's slot (`_ModelSlot`) holds that model.  The model keeps its
+compiled arrays, and the embedded backend keeps its HiGHS core beside it
+(`solver.branch_bound`), which restarts hot after an optimal point, so a
 re-priced point pays for its costs, the knee rows it moves and the simplex
 iterations, not for what stayed.  A point passes the model on only if it
 ended verified with no gate added, so a gated or failed point makes the
-next one build afresh.
+next one build afresh, and so load a new core.
 
 Powers are kW, energies kWh, emissions kg, money in currency units.
 """
@@ -71,7 +71,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -107,7 +106,7 @@ from .model_core import (
     CaseData,
     require_valid,
 )
-from .solver import BACKENDS, LpChain, MilpOptions, NumericalFailure, get_backend, solve_milp
+from .solver import BACKENDS, MilpOptions, NumericalFailure, get_backend, solve_milp
 
 ELECTRIC, GAS, HEAT = CARRIERS
 
@@ -220,6 +219,8 @@ class DispatchOptions(MilpOptions):
 
     def __post_init__(self):
         super().__post_init__()
+        if type(self.pwl_segments) is not int:  # 4.0 and True are refused too
+            raise ValueError(f"pwl_segments {self.pwl_segments!r}: need an int")
         if not self.pwl_segments >= 1:
             raise ValueError(f"pwl_segments {self.pwl_segments!r}: need at least 1 segment")
         if not self.pwl_segments <= MAX_PWL_SEGMENTS:
@@ -1063,14 +1064,13 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
 
 @dataclass
 class _ModelSlot:
-    """A sweep chunk's warm state, kept from one point to the next.
+    """A sweep chunk's model, kept from one point to the next.
 
-    ``chain`` holds the HiGHS core the embedded backend solves the chunk's
-    LPs on.  ``held`` is (case, model, VarMap) of the last point that ended
-    verified with no gate added, or None.
+    ``held`` is (case, model, VarMap) of the last point that ended verified
+    with no gate added, or None.  The embedded backend keeps the model's
+    HiGHS core beside the model, so the core lives as long as it is held.
     """
 
-    chain: LpChain = field(default_factory=LpChain)
     held: tuple | None = None
 
 
@@ -1103,14 +1103,15 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     is re-priced instead of built again when it can be (`_repriceable`).
     It is taken out of the chunk's slot here and put back only when this
     point ends verified with no gate added, so after a point that raises or
-    adds gates the next one builds afresh.  The embedded backend solves on
-    the slot's LP chain; outside a sweep each solve loads its own core.
+    adds gates the next one builds afresh.  The embedded backend solves a
+    model's LPs on the core it keeps beside that model, so a re-priced
+    point restarts on the core of the point before it and a built model
+    loads its own.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
     slot, held = _model_slot.get(), None
-    solve = (partial(solve_milp, chain=getattr(slot, "chain", None)) if options.backend == "embedded"
-             else get_backend(options.backend).solve)
+    solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
     if slot is not None:
         held, slot.held = slot.held, None
     if held is not None and _repriceable(held, case, scenario, options):
@@ -1263,7 +1264,7 @@ def check_grid(grid) -> list[float]:
 
 
 def _chained_tasks(tasks):
-    """Run the tasks in order with one slot: one LP chain and one held model."""
+    """Run the tasks in order with one slot, which holds one model at a time."""
     token = _model_slot.set(_ModelSlot())
     try:
         return [_scenario_task(t) for t in tasks]
@@ -1275,12 +1276,12 @@ def _sweep(case, scenario, grid, options, jobs, override) -> list[SweepPoint]:
     """Run the scenario once per grid value of the carbon-policy field ``override``.
 
     The grid is cut into ``min(jobs, points)`` contiguous chunks, each run
-    with one slot that holds its LP chain and model.  A point re-prices the
+    with one slot that holds its model.  A point re-prices the
     model of the point before it rather than building its own: the field
     moves only the carbon ladder's costs (lambda) or its knee right-hand
     sides (d), and `carbon.price_ladder` computes those for the build and
     the re-price alike, so the re-priced model is the fresh build (module
-    docstring).  It then re-prices the HiGHS core of the point before it,
+    docstring).  It then solves on the HiGHS core kept beside that model,
     whose matrix is the same object, and restarts hot after an optimal one.
     Every point solves its own LP, so its objective is that of a
     single-point ``solve``; on a degenerate face the other columns can

@@ -31,6 +31,9 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 CARRIERS = ("electric", "gas", "heat")
 CONVERTER_NAMES = ("P2G", "GT", "WHB", "GB")
 
+# HiGHS reads a bound or right-hand side of this size as infinite
+SOLVER_INFINITY = 1e20
+
 MECHANISM_NONE = "none"
 MECHANISM_TRADITIONAL = "traditional"
 MECHANISM_TIERED = "tiered"
@@ -507,17 +510,83 @@ def case_hash(case: CaseData) -> str:
 # -- validation ---------------------------------------------------------------
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+# the field that names a device in the document's lists (`_items`)
+_DEVICE_KEY = {ConverterParams: "name", StorageParams: "carrier"}
+# CaseData's names where the document lays a section out otherwise (`case_to_dict`);
+# a load profile's values are the document's array itself
+_DOC_NAMES = {"wind_profile": "wind.profile", "wind_max_kw": "wind.max_kw",
+              "electricity_price": "electricity", "gas_price": "gas", "values": ""}
+
+
+def _nonfinite(value, path, err) -> None:
+    """Report each non-finite number in ``value``, the part of a case at ``path``.
+
+    The walk goes over the dataclass tree as `_plain` does.  ``path`` is a
+    chain of (parent, key) pairs that `_locator` formats only for a number
+    that fails, so walking a valid case builds no string.  The common types
+    are told apart by identity and an array of floats is summed at once,
+    which keeps the walk of the full case at about the cost of the
+    per-field rules.
+    """
+    is_map = isinstance(value, dict)
+    for key, v in value.items() if is_map else enumerate(value):
+        kind = type(v)
+        if kind is str:
+            continue
+        if kind is float or isinstance(v, float):
+            if not math.isfinite(v):
+                # an array entry is reported at its array, as for a negative load
+                err(f"{_locator((path, key))}: must be finite" if is_map
+                    else f"{_locator(path)}: entry {key} must be finite")
+        elif kind is tuple or kind is list:
+            # floats with a finite sum are all finite
+            if not (v and type(v[0]) is float and math.isfinite(sum(v))):
+                _nonfinite(v, (path, key), err)
+        elif kind is dict:
+            _nonfinite(v, (path, key), err)
+        elif is_dataclass(v):
+            # a device in a list is its own key, named by `_locator`
+            _nonfinite(vars(v), (path, key if is_map else v), err)
+
+
+def _locator(path) -> str:
+    """A chain of (parent, key) pairs from the case down, as the document's locator.
+
+    For example ``carbon.lambda_base``, ``wind.profile`` or
+    ``converters[GT].capacity_kw``.
+    """
+    parts = []
+    while path is not None:
+        path, key = path
+        if isinstance(key, str):
+            name = _DOC_NAMES.get(key, key)
+            parts.append(f".{name}" if name else "")
+        elif isinstance(key, int):
+            parts.append(f"[{key}]")
+        else:  # a device
+            parts.append(f"[{getattr(key, _DEVICE_KEY[type(key)])}]")
+    return "".join(reversed(parts)).lstrip(".")
 
 
 def validate_case(case: CaseData) -> ValidationReport:
     """Check every type invariant; returns a report instead of raising.
 
-    Each test fails for NaN: it is written ``not v >= 0``, never ``v < 0``.
+    Every number in the case must be finite, each reported at its locator
+    in the document (``carbon.lambda_base: must be finite``; an array entry
+    at its array), and the two counts must be ints.  Only a case that
+    passes both reaches the per-field rules, so those see finite numbers;
+    they are still written to fail for NaN (``not v >= 0``, never
+    ``v < 0``).
     """
     rep = ValidationReport()
     err, warn = rep.errors.append, rep.warnings.append
+    _nonfinite(vars(case), None, err)
+    for name, count in (("horizon.periods", case.horizon.periods),
+                        ("carbon.extra_tiers", case.carbon.extra_tiers)):
+        if type(count) is not int:  # 4.0 and True are refused too
+            err(f"{name}: must be an int (got {count!r})")
+    if rep.errors:
+        return rep
     T = case.horizon.periods
 
     if not T >= 1:
@@ -557,7 +626,7 @@ def validate_case(case: CaseData) -> ValidationReport:
         if conv.name in seen_conv:
             err(f"{path}: duplicate converter")
         seen_conv.add(conv.name)
-        if not conv.capacity_kw > 0 or not _finite(conv.capacity_kw):
+        if not conv.capacity_kw > 0:
             err(f"{path}.capacity_kw: must be > 0 (got {conv.capacity_kw})")
         for carrier, eff in conv.efficiencies.items():
             if not 0 < eff <= 1:
@@ -606,6 +675,15 @@ def validate_case(case: CaseData) -> ValidationReport:
             err(f"carbon.{f}: must be >= 0")
     if not cb.extra_tiers >= 0:
         err("carbon.extra_tiers: must be >= 0")
+    # tangent cuts linearise each emission curve up to the most its argument
+    # can take: the electric purchase cap, and at most the summed capacities
+    # of the gas-fired units; HiGHS would drop a cut whose right-hand side
+    # reached its infinity, and beyond that the cuts overflow
+    gas_max = sum(conv.capacity_kw for conv in case.converters if conv.name in ("GT", "WHB", "GB"))
+    for name, (a, b, c), x_max in (("coal_quad", cb.coal_quad, case.purchase_caps[0]),
+                                   ("gas_quad", cb.gas_quad, gas_max)):
+        if not abs(a) + abs(b) * x_max + c * x_max * x_max < SOLVER_INFINITY:
+            err(f"carbon.{name}: the emission curve reaches {SOLVER_INFINITY:g} at {x_max:g} kW")
 
     dr = case.dr
     for k in CARRIERS:

@@ -1,15 +1,15 @@
 """MILP solving: the embedded backend and the backend registry.
 
 The embedded backend (`solve_milp`) solves an LP on its HiGHS core and hands
-a model with binaries to HiGHS branch-and-cut; LP solves handed one
-`LpChain` share one core, which restarts hot after an optimal solve.
+a model with binaries to HiGHS branch-and-cut; the LP solves of one model
+share one core, kept beside the model, which restarts hot after an optimal
+solve.
 """
 
-from .branch_bound import LpChain, LpSolution, MilpOptions, MilpSolution, NumericalFailure, solve_milp
+from .branch_bound import LpSolution, MilpOptions, MilpSolution, NumericalFailure, solve_milp
 from .backends import BACKENDS, BackendUnavailableError, get_backend
 
 __all__ = [
-    "LpChain",
     "LpSolution",
     "NumericalFailure",
     "MilpOptions",

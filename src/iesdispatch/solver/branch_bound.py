@@ -10,31 +10,34 @@ charges and discharges a store at once.  A model with binaries, such a
 gated round, goes to HiGHS branch-and-cut through `highs_milp`, the function
 the "scipy-milp" backend calls too.
 
-LP chain.  LP solves handed one `LpChain` share one core: when a model
-compiles to the same constraint matrix as the core holds, entry for entry,
-under the same time limit, `solve_milp` re-prices that core with the
-model's costs and row bounds and solves on it; another matrix loads a new
-core.  A sweep chunk hands its points one chain: the carbon price moves
-costs only and the tier width the bounds of the knee rows.  A sweep
-re-prices one model from point to point, and ``to_sparse`` keeps its
-compiled arrays, so the core's ``A`` is the very object the next point
-compiles to and the check ends at once.  After an optimal point the next
-restarts hot (Huangfu & Hall, Math. Prog. Comp. 10(1), 2018): the core
-passes HiGHS no column or row bounds that did not change, so HiGHS keeps
-its basis, factorization and edge weights.  On a hot restart HiGHS
-chooses the simplex variant (``simplex_strategy`` 0): a cost change
-leaves the basis primal feasible, so the primal simplex goes on from it,
-and a move of the knee rows leaves it dual feasible, so the dual simplex
-does (Bixby, Oper. Res. 50(1), 2002).  A cold start is set to the dual
-simplex (``simplex_strategy`` 1, HiGHS's default).  Each solve is still
-of its own compiled LP, so the optimum is unchanged; on a degenerate face
-the vertex returned can differ from a cold start.
+One core per model.  The core an LP was solved on is kept beside its model
+(`_cores`, weakly keyed by the model, as the model keeps its compiled
+``A``), so it goes when the model goes.  The next solve of the model reuses
+it when the model still compiles to the core's ``A`` object under the same
+time limit, and re-prices it with the model's costs and right-hand sides;
+otherwise it loads a new core.  The identity test is exact: ``to_sparse``
+hands back the same ``A`` until a column or row is added, and only adding
+rows changes the relations.  A solve takes the core out first and puts it
+back once it returns, so after a raise the next solve loads a new core.
+A sweep re-prices one model from point to point: the carbon price moves
+costs only and the tier width the bounds of the knee rows.  After an
+optimal point the next restarts hot (Huangfu & Hall, Math. Prog. Comp.
+10(1), 2018): the core passes HiGHS no column or row bounds that did not
+change, so HiGHS keeps its basis, factorization and edge weights.  On a
+hot restart HiGHS chooses the simplex variant (``simplex_strategy`` 0): a
+cost change leaves the basis primal feasible, so the primal simplex goes
+on from it, and a move of the knee rows leaves it dual feasible, so the
+dual simplex does (Bixby, Oper. Res. 50(1), 2002).  A cold start is set to
+the dual simplex (``simplex_strategy`` 1, HiGHS's default).  Each solve is
+still of its own compiled LP, so the optimum is unchanged; on a degenerate
+face the vertex returned can differ from a cold start.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -59,6 +62,8 @@ class MilpOptions:
         # a NaN gap never closes, so the search would have to prove optimality exactly
         if not (math.isfinite(self.gap_tol) and self.gap_tol >= 0):
             raise ValueError(f"gap_tol {self.gap_tol!r}: need a finite gap >= 0")
+        if type(self.node_limit) is not int:  # 4.0 and True are refused too
+            raise ValueError(f"node_limit {self.node_limit!r}: need an int")
         if not self.node_limit >= 1:
             raise ValueError(f"node_limit {self.node_limit!r}: need at least 1 node")
         # NaN fails the comparison too
@@ -116,9 +121,10 @@ class _ScipyCore:
     on between runs.  A solve after a run that ended optimal restarts hot
     from it with ``simplex_strategy`` 0 (module docstring); any other solve
     clears the solver and runs the dual simplex.
-    `reprice` swaps in the costs and row bounds of another LP on the same
-    matrix, and an LP chain reuses the core that way.  With ``time_limit``
-    (seconds) a run that reaches it ends with status "limit".
+    `reprice` swaps in the costs and right-hand sides of another LP on the
+    same matrix and relations, and `solve_milp` reuses a model's core that
+    way.  With ``time_limit`` (seconds) a run that reaches it ends with
+    status "limit".
     """
 
     def __init__(self, c, c0, A, relations, rhs, time_limit=None):
@@ -131,9 +137,9 @@ class _ScipyCore:
         n, m = len(c), len(relations)
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
-        self._rows = list(relations), np.array(rhs, dtype=float)
+        self._relations, self._rhs = relations, np.array(rhs, dtype=float)
         self.row_lower, self.row_upper = row_bounds(relations, rhs)
-        self.A = A  # kept, so a model compiling to this object again is recognised at once
+        self.A = A  # solve_milp reuses the core while its model compiles to this very object
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("presolve", "off")
@@ -149,24 +155,24 @@ class _ScipyCore:
         self._bounds = None  # the column bounds loaded, None until the first solve
         self._hot = False  # whether the last run ended optimal, so the next restarts from it
 
-    def reprice(self, c, c0, relations, rhs) -> None:
-        """Set the costs and rows (relations, right-hand sides) of another LP on the loaded matrix.
+    def reprice(self, c, c0, rhs) -> None:
+        """Set the costs and right-hand sides of another LP on the loaded matrix and relations.
 
         HiGHS keeps its basis, so the next solve can restart hot.  Row
-        bounds are worked out and changed only when the rows differ in
-        value from the ones the core holds.  Its run clock counts every run
-        of the instance, so the time limit moves on to allow ``time_limit``
-        more seconds.
+        bounds are worked out and changed only when the right-hand sides
+        differ in value from the ones the core holds.  Its run clock counts
+        every run of the instance, so the time limit moves on to allow
+        ``time_limit`` more seconds.
         """
         h = self._highs
         self._cost, self.c0 = np.asarray(c, dtype=float), c0
         h.changeColsCost(self._cols.size, self._cols, self._cost)
-        if list(relations) != self._rows[0] or not np.array_equal(rhs, self._rows[1]):
-            row_lower, row_upper = row_bounds(relations, rhs)
+        if not np.array_equal(rhs, self._rhs):
+            row_lower, row_upper = row_bounds(self._relations, rhs)
             # scipy's binding has no changeRowsBounds: one call per changed row
             for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
                 h.changeRowBounds(int(i), row_lower[i], row_upper[i])
-            self._rows = list(relations), np.array(rhs, dtype=float)
+            self._rhs = np.array(rhs, dtype=float)
             self.row_lower, self.row_upper = row_lower, row_upper
         if self.time_limit is not None:
             h.setOptionValue("time_limit", h.getRunTime() + float(self.time_limit))
@@ -269,43 +275,30 @@ def highs_milp(compiled, options: MilpOptions) -> MilpSolution:
                         nodes=max(nodes, 1), wall_time=wall)
 
 
-@dataclass
-class LpChain:
-    """The core an LP chain's next solve may reuse.
-
-    The core restarts hot after an optimal solve and cold after any other;
-    a solve that raises drops the core, so the next one loads a new core.
-    """
-
-    core: _ScipyCore | None = None
+# each model's LP core, kept beside the model and dropped with it (module docstring)
+_cores: weakref.WeakKeyDictionary[MilpModel, _ScipyCore] = weakref.WeakKeyDictionary()
 
 
-def _same_matrix(a, b) -> bool:
-    return a is b or (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
-
-
-def solve_milp(model: MilpModel, options: MilpOptions | None = None,
-               chain: LpChain | None = None) -> MilpSolution:
+def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
     """Solve a MILP whose integer variables are all binary.
 
-    An LP is solved on the core of ``chain`` when it can be re-priced to
-    the model, else on a new core, which the chain then keeps.
+    An LP is solved on the model's core when the model still compiles to
+    its matrix under the same time limit, else on a new core, which the
+    model then keeps.
     """
     options = options or MilpOptions()
     compiled = c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
+    core = _cores.pop(model, None)  # put back only once an LP solve returns
     if is_binary.any():
         return highs_milp(compiled, options)
-    chain = chain or LpChain()
-    core, chain.core = chain.core, None  # until this solve ends without raising
-    if core is not None and core.time_limit == options.time_limit and _same_matrix(core.A, A):
-        core.reprice(c, c0, relations, rhs)
+    if core is not None and core.A is A and core.time_limit == options.time_limit:
+        core.reprice(c, c0, rhs)
     else:
         core = _ScipyCore(c, c0, A, relations, rhs, options.time_limit)
     t0 = time.perf_counter()
     res = core.solve(lb, ub)
     wall = time.perf_counter() - t0
-    chain.core = core
+    _cores[model] = core
     if res.status != OPTIMAL:
         return MilpSolution(status=res.status, objective=None, x=None, bound=-np.inf,
                             gap=np.inf, nodes=1, wall_time=wall)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -27,7 +28,7 @@ from iesdispatch.dispatch import (
     verify_solution,
 )
 from iesdispatch.model_core import default_case_path, load_case, reduce_case, scale_profiles
-from iesdispatch.solver import LpChain, NumericalFailure, branch_bound, solve_milp
+from iesdispatch.solver import NumericalFailure, branch_bound, solve_milp
 
 
 def tiny_case(T, elec, gas, heat, wind, price=None, storages=None):
@@ -92,7 +93,8 @@ def test_dispatch_options_reject_a_bad_gap_at_construction(gap):
 
 
 @pytest.mark.parametrize("limits", [{"node_limit": 0}, {"time_limit": 0.0}, {"time_limit": float("nan")},
-                                    {"pwl_segments": 0}, {"backend": "nope"}, {"pwl_segments": 10**8}])
+                                    {"pwl_segments": 0}, {"backend": "nope"}, {"pwl_segments": 10**8},
+                                    {"pwl_segments": 4.5}, {"pwl_segments": 4.0}, {"node_limit": 2.5}])
 def test_dispatch_options_reject_bad_limits_at_construction(limits):
     with pytest.raises(ValueError, match=next(iter(limits))):
         DispatchOptions(**limits)
@@ -533,7 +535,7 @@ def test_single_point_interval_sweep_matches_run(reduced_case, reduced_options):
     assert points[0].total_cost == pytest.approx(base.costs.total, rel=1e-9)
 
 
-# -- sweeps on one LP chain ---------------------------------------------------------
+# -- one HiGHS core per model, and sweeps on it -------------------------------------
 
 LAMBDA_GRID = [0.1, 0.25, 0.4, 0.55]
 INTERVAL_GRID = [1000.0, 2000.0, 3500.0]
@@ -564,15 +566,18 @@ def count_cores(monkeypatch):
     return built
 
 
-def test_solves_without_a_chain_load_a_core_each(reduced_case, reduced_options, count_cores):
+def test_one_model_shares_one_core_two_builds_load_two(reduced_case, reduced_options, count_cores):
     model, _ = build_model(reduced_case, "S5", reduced_options)
     first, second = (solve_milp(model, reduced_options) for _ in range(2))
-    assert count_cores[0] == 2
-    assert first.status == second.status == "optimal"
-    assert first.objective == second.objective
+    assert count_cores[0] == 1
+    again, _ = build_model(reduced_case, "S5", reduced_options)
+    third = solve_milp(again, reduced_options)
+    assert count_cores[0] == 2 and branch_bound._cores[again] is not branch_bound._cores[model]
+    assert first.status == second.status == third.status == "optimal"
+    assert first.objective == second.objective == third.objective
 
 
-def test_solves_on_one_chain_share_one_core(reduced_case, reduced_options, count_cores, monkeypatch):
+def test_repriced_solves_of_one_model_share_one_core(reduced_case, reduced_options, count_cores, monkeypatch):
     repriced, reprice = [], branch_bound._ScipyCore.reprice
 
     def spy(self, *args):
@@ -581,18 +586,20 @@ def test_solves_on_one_chain_share_one_core(reduced_case, reduced_options, count
 
     monkeypatch.setattr(branch_bound._ScipyCore, "reprice", spy)
     model, vm = build_model(reduced_case, "S5", reduced_options)
-    chain, results = LpChain(), []
+    results = []
     for lam in (0.2, 0.4):
         dispatch._reprice(replace(reduced_case, carbon=replace(reduced_case.carbon, lambda_base=lam)), model, vm)
-        results.append(solve_milp(model, reduced_options, chain=chain))
+        results.append(solve_milp(model, reduced_options))
         assert results[-1].status == "optimal"
     assert count_cores[0] == 1
-    assert repriced == [chain.core]
-    cold = solve_milp(model, reduced_options)
+    assert repriced == [branch_bound._cores[model]]
+    fresh, _ = build_model(replace(reduced_case, carbon=replace(reduced_case.carbon, lambda_base=0.4)), "S5",
+                           reduced_options)
+    cold = solve_milp(fresh, reduced_options)
     assert results[-1].objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
 
 
-def test_failure_mid_chain_empties_the_chain(reduced_case, reduced_options, count_cores, monkeypatch):
+def test_failure_mid_chain_drops_the_models_core(reduced_case, reduced_options, count_cores, monkeypatch):
     solve, calls = branch_bound._ScipyCore.solve, []
 
     def second_fails(self, lb, ub):
@@ -603,15 +610,44 @@ def test_failure_mid_chain_empties_the_chain(reduced_case, reduced_options, coun
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", second_fails)
     model, _ = build_model(reduced_case, "S5", reduced_options)
-    chain = LpChain()
-    assert solve_milp(model, reduced_options, chain=chain).status == "optimal"
+    assert solve_milp(model, reduced_options).status == "optimal"
     with pytest.raises(NumericalFailure):
-        solve_milp(model, reduced_options, chain=chain)
-    assert chain.core is None
+        solve_milp(model, reduced_options)
+    assert model not in branch_bound._cores
     # the next solve starts cold on a new core
-    assert solve_milp(model, reduced_options, chain=chain).status == "optimal"
+    assert solve_milp(model, reduced_options).status == "optimal"
     assert count_cores[0] == 2
     assert calls[1] is calls[0] and calls[2] is not calls[1]
+
+
+def test_model_that_grew_a_row_loads_a_new_core(reduced_case, reduced_options, count_cores):
+    # a redundant row leaves the optimum, but the model compiles to a new A
+    model, _ = build_model(reduced_case, "S5", reduced_options)
+    before = solve_milp(model, reduced_options)
+    core = branch_bound._cores[model]
+    model.add_rows([[0]], 1.0, "<=", 1e9, ["redundant"])
+    after = solve_milp(model, reduced_options)
+    assert count_cores[0] == 2 and branch_bound._cores[model] is not core
+    assert branch_bound._cores[model].A is model.to_sparse()[2]
+    assert after.objective == pytest.approx(before.objective, rel=1e-9, abs=0.0)
+
+
+def test_changed_time_limit_loads_a_new_core(reduced_case, reduced_options, count_cores):
+    model, _ = build_model(reduced_case, "S5", reduced_options)
+    limited = replace(reduced_options, time_limit=60.0)
+    for options, cores in ((reduced_options, 1), (limited, 2), (limited, 2), (reduced_options, 3)):
+        assert solve_milp(model, options).status == "optimal"
+        assert count_cores[0] == cores, options.time_limit
+        assert branch_bound._cores[model].time_limit == options.time_limit
+
+
+def test_deleted_model_leaves_the_cores(reduced_case, reduced_options):
+    model, _ = build_model(reduced_case, "S5", reduced_options)
+    solve_milp(model, reduced_options)
+    entries, core = len(branch_bound._cores), weakref.ref(branch_bound._cores[model])
+    del model
+    assert len(branch_bound._cores) == entries - 1
+    assert core() is None
 
 
 SET_UP = {"setBasis", "changeColsBounds", "clearSolver", "changeRowBounds"}
@@ -684,13 +720,15 @@ def test_sweep_builds_one_core_per_chunk(reduced_case, reduced_options, count_co
     assert serial_pool == [3, 7]
 
 
-def test_chained_sweep_through_binding_gates(binding_case, reduced_options, count_cores):
+def test_chained_sweep_through_binding_gates(binding_case, reduced_options, count_cores, sweep_spy):
     # gates bind in S2 on this case; each point's gated rounds go to HiGHS
-    # branch-and-cut, and its gate-free LP still re-prices the chain's core
+    # branch-and-cut, and a point after a gated one builds its model again,
+    # which loads its own core: one core per built model
     case, every_gate_objectives = binding_case
     grid = [0.5, 1.0, 1.5, 2.0]
     points = sweep_lambda(case, "S2", grid, reduced_options)
-    assert count_cores[0] == 1
+    assert any(p["gated"] for p in sweep_spy)
+    assert count_cores[0] == sum(p["built"] for p in sweep_spy)
     for p in points:
         assert (p.status, p.error) == ("optimal", None), (p.value, p.error)
         fresh = run_scenario(replace(case, carbon=replace(case.carbon, lambda_base=p.value)), "S2",

@@ -7,7 +7,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
-from iesdispatch.dispatch import build_model
+from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, build_model, run_all_scenarios
 from iesdispatch.model_core import (
     CARRIERS,
     CaseData,
@@ -29,6 +29,7 @@ from iesdispatch.model_core import (
     default_case_path,
     load_case,
     reduce_case,
+    require_valid,
     scale_profiles,
     validate_case,
 )
@@ -130,7 +131,7 @@ def _nan_load(c):
     (lambda c: _sub(c, "carbon", alpha_growth=NAN), "carbon.alpha_growth"),
     (lambda c: _sub(c, "carbon", sigma_e=NAN), "carbon.sigma_e"),
     (lambda c: _sub(c, "carbon", coal_quad=(0.0, 0.9, NAN)), "carbon.coal_quad"),
-    (lambda c: _sub(c, "dr", mu_shift=NAN), "dr"),
+    (lambda c: _sub(c, "dr", mu_shift=NAN), "dr.mu_shift"),
     (lambda c: _sub(c, "dr", subst_conversion={**c.dr.subst_conversion, "gas": NAN}),
      "dr.subst_conversion.gas"),
     (lambda c: _sub(c, "dr", shift_bounds={**c.dr.shift_bounds, "heat": (0.0, NAN)}),
@@ -150,6 +151,95 @@ def test_validate_rejects_nan(case, edit, locator):
     with pytest.raises(UnitError) as info:
         build_model(bad, "S5")
     assert info.value.locator == locator
+
+
+# The document's names where it lays a section out unlike CaseData (case_to_dict)
+DOC_NAMES = {"wind_profile": "wind.profile", "wind_max_kw": "wind.max_kw",
+             "electricity_price": "electricity", "gas_price": "gas"}
+
+
+def numeric_leaves(value, locator="", edit=lambda x: x):
+    """(error prefix, edit) for each number of a case: every scalar and device
+    field, and the first entry of each array and map.  ``edit(x)`` returns
+    the case with that number set to x, and a non-finite x is reported with
+    the prefix: ``carbon.lambda_base: must be finite`` or, for an array
+    entry, ``loads.electric: entry 0 must be finite``."""
+    if isinstance(value, (bool, str)) or value is None:
+        return
+    if isinstance(value, (int, float)):
+        yield f"{locator}: must be finite", edit
+    elif isinstance(value, CarrierProfile):  # the document's array itself
+        yield from numeric_leaves(value.values, locator, lambda x: edit(replace(value, values=x)))
+    elif is_dataclass(value):
+        for f in fields(value):
+            where = f"{locator}.{DOC_NAMES.get(f.name, f.name)}".lstrip(".")
+            yield from numeric_leaves(getattr(value, f.name), where,
+                                      lambda x, name=f.name: edit(replace(value, **{name: x})))
+    elif isinstance(value, dict) and value:
+        key = next(iter(value))
+        yield from numeric_leaves(value[key], f"{locator}.{key}", lambda x: edit({**value, key: x}))
+    elif isinstance(value, tuple) and is_dataclass(value[0]):  # devices, named as in the document
+        for i, device in enumerate(value):
+            label = device.name if isinstance(device, ConverterParams) else device.carrier
+            yield from numeric_leaves(device, f"{locator}[{label}]",
+                                      lambda x, i=i: edit((*value[:i], x, *value[i + 1:])))
+    elif isinstance(value, tuple) and value and not isinstance(value[0], str):
+        yield f"{locator}: entry 0 must be finite", lambda x: edit((x, *value[1:]))
+
+
+LEAVES = [prefix for prefix, _ in numeric_leaves(load_case(default_case_path()))]
+LEAF_IDS = [p.replace(": entry 0 must be finite", "[0]").replace(": must be finite", "") for p in LEAVES]
+
+
+def test_leaves_cover_the_case(case):
+    # every section with numbers, every device field, and the two int counts
+    sections = {prefix.partition(".")[0].partition(":")[0].partition("[")[0] for prefix in LEAVES}
+    assert sections == {"horizon", "loads", "wind", "tariffs", "converters", "storages", "carbon", "dr",
+                        "purchase_caps", "maintenance", "chp", "gas_kwh_per_m3"}
+    assert "horizon.periods: must be finite" in LEAVES and "carbon.extra_tiers: must be finite" in LEAVES
+    assert sum(p.startswith("storages[") for p in LEAVES) == 7 * len(case.storages)
+    assert len(LEAVES) == len(set(LEAVES))
+
+
+@pytest.mark.parametrize("bad", [NAN, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("prefix", LEAVES, ids=LEAF_IDS)
+def test_non_finite_number_is_refused_at_its_locator(case, prefix, bad):
+    edit = dict(numeric_leaves(case))[prefix]
+    with pytest.raises(UnitError) as info:
+        require_valid(edit(bad))
+    assert str(info.value).startswith(prefix)
+
+
+@pytest.mark.parametrize("prefix", LEAVES, ids=LEAF_IDS)
+def test_huge_number_ends_in_a_unit_error_or_a_row_per_scenario(case, prefix):
+    # 1e300 is finite: the per-field rules refuse it, or every scenario ends
+    # in a row status, as the failure contract asks, never in a traceback
+    edit = dict(numeric_leaves(reduce_case(case, 4)))[prefix]
+    huge = edit(1e300)
+    try:
+        require_valid(huge)
+    except UnitError:
+        return
+    report = run_all_scenarios(huge, DispatchOptions(pwl_segments=4))
+    assert [row.scenario_id for row in report.rows] == list(SCENARIO_IDS)
+
+
+def test_emission_curves_must_stay_below_the_solver_infinity(case):
+    # a cut's right-hand side is about -c x^2 at the envelope's last breakpoint
+    capped = replace(case, purchase_caps=(1e13, case.purchase_caps[1]))
+    assert validate_case(capped).errors == ["carbon.coal_quad: the emission curve reaches 1e+20 at 1e+13 kW"]
+    gt = replace(case.converter("GT"), capacity_kw=1e13)
+    big = replace(case, converters=tuple(gt if c.name == "GT" else c for c in case.converters))
+    assert [e.partition(":")[0] for e in validate_case(big).errors] == ["carbon.gas_quad"]
+    assert validate_case(replace(case, purchase_caps=(1e11, case.purchase_caps[1]))).errors == []
+
+
+def test_counts_must_be_ints(case):
+    for bad in (24.0, True):
+        report = validate_case(replace(case, horizon=replace(case.horizon, periods=bad)))
+        assert report.errors == [f"horizon.periods: must be an int (got {bad!r})"]
+    report = validate_case(replace(case, carbon=replace(case.carbon, extra_tiers=1.0)))
+    assert report.errors == ["carbon.extra_tiers: must be an int (got 1.0)"]
 
 
 # -- serialization ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import itertools
 import random
 import shlex
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from highs_spy import per_run
 from milp_oracles import brute_force_milp, check_solution, every_gate_model, random_milp, vertex_milp
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
-from iesdispatch.solver.branch_bound import _ScipyCore, _same_matrix
+from iesdispatch.solver import branch_bound
+from iesdispatch.solver.branch_bound import _ScipyCore
 from iesdispatch.solver import (
     MilpOptions,
     NumericalFailure,
@@ -478,6 +480,58 @@ def test_package_calls_only_the_checked_highs_methods():
     assert _highs_method_calls(source) == {"run", "setBasis", "getInfo"}
 
 
+# Defined in src/ and called from outside it only, each with its reason
+OUTSIDE_CALLERS = {
+    "run_scenario": "library entry point (README)",
+    "run_all_scenarios": "library entry point (README)",
+    "sweep_lambda": "library entry point (README)",
+    "sweep_interval": "library entry point (README)",
+    "load_case": "library entry point (README)",
+    "scale_profiles": "library helper for perturbation runs (README); perfbench's perturbed-milp calls it",
+    "main": "cli.main, the iesdispatch console script",
+    "binary_ids": "perfbench/tracing.py counts a model's binaries with it",
+    "to_dense": "perfbench/tracing.py traces it as milp_ir.to_dense",
+    "trace": "perfbench/tracing.py reads MilpSolution.trace for its search counts",
+}
+
+
+def _names(node):
+    """Every name and attribute name used under ``node``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _unreferenced(sources) -> set[str]:
+    """Functions, methods and classes defined in ``sources`` that no code outside their own body names.
+
+    A name counts wherever it is used, whatever object it reaches; a use
+    inside the definition itself, a recursive call, does not.  Dunder
+    methods are called by Python and are left out.
+    """
+    defs, used = [], Counter()
+    for source in sources:
+        tree = ast.parse(source)
+        used.update(_names(tree))
+        defs += [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for d in defs:
+        used[d.name] -= sum(name == d.name for name in _names(d))
+    return {d.name for d in defs if used[d.name] <= 0 and not d.name.startswith("__")}
+
+
+def test_package_defines_only_what_it_calls():
+    package = Path(__file__).resolve().parents[1] / "src" / "iesdispatch"
+    sources = [p.read_text() for p in package.rglob("*.py")]
+    assert _unreferenced(sources) <= set(OUTSIDE_CALLERS), sorted(_unreferenced(sources) - set(OUTSIDE_CALLERS))
+    defined = {n.name for source in sources for n in ast.walk(ast.parse(source))
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert set(OUTSIDE_CALLERS) <= defined, sorted(set(OUTSIDE_CALLERS) - defined)
+    # the check itself: a recursive call is no use, a call from elsewhere is
+    assert _unreferenced(["def f(n): return f(n - 1)\ndef g(): return f(3)\n"]) == {"g"}
+
+
 def _sweep_lps():
     """Gate-free reduced S5 LPs over carbon prices and tier widths: one matrix, other c and rows."""
     from iesdispatch.dispatch import DispatchOptions, build_model
@@ -495,12 +549,13 @@ def _sweep_lps():
 
 def test_repriced_core_matches_cold_solves():
     lps = _sweep_lps()
-    assert all(_same_matrix(arrays[2], lps[0][0][2]) for arrays, *_ in lps)
+    # one matrix and one set of relations, entry for entry: only c and rhs move
+    assert all((arrays[2] != lps[0][0][2]).nnz == 0 and arrays[3] == lps[0][0][3] for arrays, *_ in lps)
     core = _ScipyCore(*lps[0][0])
     assert core.solve(*lps[0][2:]).status == "optimal"
     warm_iterations = cold_iterations = 0
     for arrays, _, lb, ub in lps[1:]:
-        core.reprice(arrays[0], arrays[1], arrays[3], arrays[4])
+        core.reprice(arrays[0], arrays[1], arrays[4])
         warm = core.solve(lb, ub)
         cold = _ScipyCore(*arrays).solve(lb, ub)
         assert warm.status == cold.status == "optimal"
@@ -511,13 +566,21 @@ def test_repriced_core_matches_cold_solves():
 
 
 def test_core_keeps_the_compiled_matrix_object():
-    # a model compiled again between re-pricings hands the chain the same A,
-    # which the matrix check accepts without comparing entries
+    # a model compiled again between re-pricings hands solve_milp the very A
+    # its core holds, so the identity test reuses the core
+    from iesdispatch.dispatch import DispatchOptions, build_model
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+
     (c, c0, A, relations, rhs), *_ = _sweep_lps()[0]
     assert _ScipyCore(c, c0, A, relations, rhs).A is A
-    copy = _ScipyCore(c, c0, csc_array(A.toarray()), relations, rhs).A
-    assert copy is not A and _same_matrix(copy, A)
-    assert _same_matrix(A, A)
+    options = DispatchOptions(pwl_segments=4)
+    model, _ = build_model(reduce_case(load_case(default_case_path()), 2), "S5", options)
+    assert solve_milp(model, options).status == "optimal"
+    core = branch_bound._cores[model]
+    model.set_objective(model.objective._replace(coeffs=1.5 * model.objective.coeffs))
+    model.set_rhs([0], [model.to_sparse()[4][0]])
+    assert solve_milp(model, options).status == "optimal"
+    assert branch_bound._cores[model] is core and core.A is model.to_sparse()[2]
 
 
 def test_repriced_core_gives_each_solve_its_own_time_limit():
@@ -529,7 +592,7 @@ def test_repriced_core_gives_each_solve_its_own_time_limit():
     assert probe.solve(lb, ub).status == "optimal"
     core = _ScipyCore(*arrays, time_limit=20 * probe._highs.getRunTime())
     for _ in range(60):
-        core.reprice(arrays[0], arrays[1], arrays[3], arrays[4])
+        core.reprice(arrays[0], arrays[1], arrays[4])
         core._hot = False  # as after a run that was not optimal: each run is cold and takes the probe's time
         assert core.solve(lb, ub).status == "optimal"
 
@@ -592,59 +655,56 @@ def test_persistent_core_matches_cold_solves(s5_compiled):
 def test_core_restarts_hot_only_after_an_optimal_run(highs_calls, monkeypatch):
     from iesdispatch.dispatch import DispatchOptions, build_model
     from iesdispatch.model_core import default_case_path, load_case, reduce_case
-    from iesdispatch.solver import LpChain
 
     options = DispatchOptions(pwl_segments=4)
     model, _ = build_model(reduce_case(load_case(default_case_path()), 2), "S5", options)
-    chain = LpChain()
-    assert solve_milp(model, options, chain=chain).status == "optimal"
-    core = chain.core
+    assert solve_milp(model, options).status == "optimal"
+    core = branch_bound._cores[model]
 
     def strategy():
         return core._highs.getOptionValue("simplex_strategy")[1]
 
     # an optimal run, then a re-price: the next run is hot, passing HiGHS no basis
     model.set_objective(model.objective._replace(coeffs=1.5 * model.objective.coeffs))
-    hot = solve_milp(model, options, chain=chain)
+    hot = solve_milp(model, options)
     run = per_run(highs_calls)[-1]
-    assert hot.status == "optimal" and chain.core is core and strategy() == 0
+    assert hot.status == "optimal" and branch_bound._cores[model] is core and strategy() == 0
     assert "changeColsCost" in run and not {"clearSolver", "setBasis", "getBasis"} & set(run)
     # infeasible bounds: the next solve clears the solver and runs the dual simplex
     n = model.num_variables
     assert core.solve(np.zeros(n), np.zeros(n)).status == "infeasible"
     highs_calls.clear()
-    cold = solve_milp(model, options, chain=chain)
-    assert cold.status == "optimal" and chain.core is core and strategy() == 1
+    cold = solve_milp(model, options)
+    assert cold.status == "optimal" and branch_bound._cores[model] is core and strategy() == 1
     assert "clearSolver" in highs_calls and not {"setBasis", "getBasis"} & set(highs_calls)
     assert cold.objective == pytest.approx(hot.objective, rel=1e-9, abs=0.0)
 
-    # an injected raise: the chain empties, and the next solve loads a new core
+    # an injected raise drops the model's core, and the next solve loads a new one
     def fails():
         raise NumericalFailure("LP core failed: injected")
 
     monkeypatch.setattr(core._highs, "run", fails, raising=False)
     with pytest.raises(NumericalFailure):
-        solve_milp(model, options, chain=chain)
-    assert chain.core is None
-    assert solve_milp(model, options, chain=chain).status == "optimal" and chain.core is not core
+        solve_milp(model, options)
+    assert model not in branch_bound._cores
+    assert solve_milp(model, options).status == "optimal" and branch_bound._cores[model] is not core
 
 
 def test_chain_after_a_solve_that_is_not_optimal_starts_cold(highs_calls):
     from iesdispatch.dispatch import DispatchOptions, build_model
     from iesdispatch.model_core import default_case_path, load_case, reduce_case
-    from iesdispatch.solver import LpChain
 
-    # an infeasible point on the chain's core leaves no basis: the next
-    # point clears the solver instead of restarting from the basis before
+    # an infeasible solve of a model on its core leaves no basis: the next
+    # solve clears the solver instead of restarting from the basis before
     options = DispatchOptions(pwl_segments=4)
     model, _ = build_model(reduce_case(load_case(default_case_path()), 2), "S5", options)
     row = [con.name for con in model.constraints].index("balance_electric_t00")
     load = model.to_sparse()[4][row]
-    chain, statuses = LpChain(), []
+    statuses = []
     for rhs in (load, 1e9, load):
         model.set_rhs([row], [rhs])
         start = len(highs_calls)
-        statuses.append(solve_milp(model, options, chain=chain).status)
+        statuses.append(solve_milp(model, options).status)
         if len(statuses) == 3:
             assert "clearSolver" in highs_calls[start:] and "setBasis" not in highs_calls[start:]
     assert statuses == ["optimal", "infeasible", "optimal"]
