@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .milp_ir import CONTINUOUS, GE, LinearForm, MilpModel, combine, linear_form, quad_value
+from .milp_ir import CONTINUOUS, GE, LinearForm, MilpModel, combine, linear_form, quad_value, stack_rows
 
 
 @dataclass(frozen=True)
@@ -184,9 +184,9 @@ def encode_carbon_cost(
     cost form equals tier_cost(share) at the optimum; no binaries are
     added.  The objective is the form's only user.
 
-    `price_ladder` gives the cost form and the knee right-hand sides: the
-    rows are added with its right-hand sides, and the same call prices the
-    ladder again for another lambda or interval_d.
+    The knee rows are added with the right-hand sides `price_ladder` gives
+    (`_knee_rhs`), and `price_ladder` prices the ladder again for another
+    lambda or interval_d.
 
     ``policy`` is the carbon policy of a validated case
     (``model_core.require_valid``), which holds lambda, alpha >= 0 and
@@ -195,35 +195,39 @@ def encode_carbon_cost(
     if policy.mechanism == "none":
         return CarbonLadder(linear_form([]), np.zeros(0, dtype=np.int64), range(0))
     share = combine(actual, quota.scaled(-1.0))
-    model.add_rows(actual.ids[None, :], actual.coeffs[None, :], GE, 0.0 - actual.constant,
-                   [f"{name}_actual_floor"])
+    floor = (actual.ids[None, :], actual.coeffs[None, :], GE, 0.0 - actual.constant, [f"{name}_actual_floor"])
     if policy.mechanism == "traditional":
+        model.add_rows(*floor)
         return CarbonLadder(share, np.zeros(0, dtype=np.int64), range(0))
-    # one knee row s_k - share >= -k*d per tier, as one block
+    # one knee row s_k - share >= -k*d per tier, in one block with the floor row
     knees = range(1, n_tiers(policy))
     s = model.add_variables(CONTINUOUS, 0.0, math.inf, [f"{name}_s{k}" for k in knees])
-    _, rhs = price_ladder(CarbonLadder(share, s, range(0)), policy)
-    rows = model.add_rows(
+    rows = model.add_rows(*stack_rows(floor, (
         np.column_stack([s, np.tile(share.ids, (len(s), 1))]),
         np.concatenate([[1.0], -share.coeffs]),
         GE,
-        rhs,
+        _knee_rhs(share, len(s), policy.interval_d),
         [f"{name}_s{k}_knee" for k in knees],
-    )
-    return CarbonLadder(share, s, rows)
+    )))
+    return CarbonLadder(share, s, rows[1:])
+
+
+def _knee_rhs(share: LinearForm, count: int, d: float) -> list[float]:
+    """Right-hand sides ``-k*d - (0.0 - share.constant)`` of knee rows k = 1..count."""
+    return [-k * d - (0.0 - share.constant) for k in range(1, count + 1)]
 
 
 def price_ladder(ladder: CarbonLadder, policy) -> tuple[LinearForm, list[float]]:
     """The cost form of an encoded ladder and the right-hand sides of its knee rows.
 
     lambda enters only the cost form and interval_d only the right-hand
-    sides ``-k*d - (0.0 - share.constant)`` of knee k = 1, 2, ...; the rhs
-    moves the share's constant across.
+    sides of the knee rows (`_knee_rhs`, which moves the share's constant
+    across).
     """
     if policy.mechanism == "none":
         return linear_form([]), []
     lam, alpha, d = policy.lambda_base, policy.alpha_growth, policy.interval_d
     if policy.mechanism == "traditional":
         return ladder.share.scaled(lam), []
-    rhs = [-k * d - (0.0 - ladder.share.constant) for k in range(1, len(ladder.s) + 1)]
-    return combine(ladder.share.scaled(lam), linear_form(ladder.s, lam * alpha)), rhs
+    cost = combine(ladder.share.scaled(lam), linear_form(ladder.s, lam * alpha))
+    return cost, _knee_rhs(ladder.share, len(ladder.s), d)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .milp_ir import CONTINUOUS, EQ, GE, LE, LinearForm, MilpModel, linear_form
+from .milp_ir import CONTINUOUS, EQ, GE, LE, LinearForm, MilpModel, linear_form, stack_rows
 from .model_core import CARRIERS, CaseData
 
 SHIFT = "shift"
@@ -80,7 +80,8 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
     substitution adjustments cancel across carriers per period under the
     configured energy-equivalence weights (dr.literal_eq2 switches to the
     per-carrier net-zero reading instead).  The satisfaction floor bounds
-    the summed relative deviations of all carriers.
+    the summed relative deviations of all carriers.  The columns enter the
+    model as one block and the rows as another.
 
     The scenario only contributes its dr_shift / dr_substitute flags;
     carriers are filtered by the case's dr.shift_carriers / subst_carriers.
@@ -92,69 +93,75 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
     dr = case.dr
     periods = case.horizon.periods
     dt = case.horizon.step_hours
-    dec = decompose_loads(case) if dec is None else dec
-    vm = DrVarMap()
 
     enabled: list[tuple[str, str]] = []
     if scenario.dr_shift:
         enabled += [(k, SHIFT) for k in CARRIERS if k in dr.shift_carriers]
     if scenario.dr_substitute:
         enabled += [(k, SUBSTITUTE) for k in CARRIERS if k in dr.subst_carriers]
+    if not enabled:
+        return DrVarMap()
 
+    dec = decompose_loads(case) if dec is None else dec
     tags = [f"t{t:02d}" for t in range(periods)]
-    windows, mu_dt, upper, names = [], [], [], []
-    for carrier, dtype in enabled:
-        base = dec.shiftable_base[carrier] if dtype == SHIFT else dec.substitutable_base[carrier]
+    # each pair's adjustment window, (low, high) per period
+    windows = np.empty((len(enabled), periods, 2))
+    mu_dt, names = [], []
+    suffixes = [f"_{tag}_{side}" for tag in tags for side in ("in", "out")]
+    for j, (carrier, dtype) in enumerate(enabled):
         override = dr.shift_bounds.get(carrier) if dtype == SHIFT else None
         if override is None:  # the window is +/- each period's base
-            lows, highs = [-float(b) for b in base], [float(b) for b in base]
+            windows[j, :, 1] = dec.shiftable_base[carrier] if dtype == SHIFT else dec.substitutable_base[carrier]
+            windows[j, :, 0] = -windows[j, :, 1]
         else:
-            lows, highs = [float(override[0])] * periods, [float(override[1])] * periods
+            windows[j] = override
         mu = dr.mu_shift if dtype == SHIFT else dr.mu_subst
-        windows.append(lows)
         mu_dt.append(mu * dt)
-        # one (P_in, P_out) column pair per period; the adjustment is P_in - P_out
-        upper += [max(b, 0.0) for lo, hi in zip(lows, highs) for b in (hi, -lo)]
-        names += [f"dr_{dtype}_{carrier}_{tag}_{side}" for tag in tags for side in ("in", "out")]
-    ids = model.add_variables(CONTINUOUS, 0.0, upper, names).reshape(len(enabled), periods, 2)
-    pairs = {}
-    for j, (key, lows) in enumerate(zip(enabled, windows)):
-        carrier, dtype = key
+        prefix = f"dr_{dtype}_{carrier}"
+        names += [prefix + suffix for suffix in suffixes]
+    # one (P_in, P_out) column pair per period, bounded by (high, -low) where
+    # positive; the adjustment is P_in - P_out
+    reach = windows[:, :, ::-1] * (1.0, -1.0)
+    upper = np.where(reach < 0.0, 0.0, reach)
+    ids = model.add_variables(CONTINUOUS, 0.0, upper.ravel(), names).reshape(len(enabled), periods, 2)
+    pairs = dict(zip(enabled, ids))
+    vm = DrVarMap(dict(zip(enabled, ids[:, :, 0])), dict(zip(enabled, ids[:, :, 1])),
+                  linear_form(ids.ravel(), np.repeat(mu_dt, 2 * periods)))
+    rows = []  # the row blocks, added at the end as one
+    # forced minimum inflow: the variable bounds alone cannot carry it
+    floored = windows[:, :, 0] > 0.0
+    for j, ((carrier, dtype), has_floor) in enumerate(zip(enabled, floored.any(axis=1).tolist())):
         name = f"dr_{dtype}_{carrier}"
-        # forced minimum inflow: the variable bounds alone cannot carry it
-        floor = [t for t in range(periods) if lows[t] > 0.0]
-        if floor:
-            model.add_rows(ids[j, floor], (1.0, -1.0), GE, [lows[t] for t in floor],
-                           [f"{name}_{tags[t]}_floor" for t in floor])
+        if has_floor:
+            floor = np.flatnonzero(floored[j])
+            rows.append((ids[j, floor], (1.0, -1.0), GE, windows[j, floor, 0],
+                         [f"{name}_{tags[t]}_floor" for t in floor.tolist()]))
         if dtype == SHIFT or dr.literal_eq2:
-            model.add_rows(ids[j].reshape(1, -1), (1.0, -1.0) * periods, EQ, 0.0, [f"{name}_net"])
-        pairs[key] = ids[j]
-        vm.p_in[key], vm.p_out[key] = ids[j, :, 0], ids[j, :, 1]
-    vm.compensation = linear_form(ids.ravel(), np.repeat(mu_dt, 2 * periods))
+            rows.append((ids[j].reshape(1, -1), (1.0, -1.0) * periods, EQ, 0.0, [f"{name}_net"]))
 
     subst_keys = [k for k in pairs if k[1] == SUBSTITUTE]
     if subst_keys and not dr.literal_eq2:
         weights = [dr.subst_conversion.get(carrier, 1.0) for carrier, _ in subst_keys]
-        model.add_rows(np.hstack([pairs[k] for k in subst_keys]),
-                       [w * s for w in weights for s in (1.0, -1.0)], EQ, 0.0,
-                       [f"dr_subst_couple_{tag}" for tag in tags])
+        rows.append((np.hstack([pairs[k] for k in subst_keys]),
+                     [w * s for w in weights for s in (1.0, -1.0)], EQ, 0.0,
+                     [f"dr_subst_couple_{tag}" for tag in tags]))
 
-    if enabled:
-        sat_cols, sat_coeffs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        for carrier in CARRIERS:
-            energy = float(sum(case.loads[carrier].values))
-            keys = [(carrier, dtype) for dtype in DR_TYPES if (carrier, dtype) in pairs]
-            cols = np.hstack([np.zeros((periods, 0), dtype=np.int64), *(pairs[k] for k in keys)]).ravel()
-            if energy > 0.0:
-                sat_cols.append(cols)
-                sat_coeffs.append(np.full(cols.size, 1.0 / energy))
-            elif cols.size:
-                # a zero-energy carrier cannot deviate without destroying
-                # satisfaction, so pin its deviation instead of dividing
-                model.add_rows(cols[None, :], 1.0, LE, 0.0, [f"dr_nodev_{carrier}"])
-        slack = len(CARRIERS) * (1.0 - dr.satisfaction_min)
-        model.add_rows(np.concatenate(sat_cols)[None, :], np.concatenate(sat_coeffs)[None, :], LE, slack,
-                       ["dr_satisfaction"])
+    sat_cols, sat_coeffs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for carrier in CARRIERS:
+        energy = float(sum(case.loads[carrier].values))
+        # the carrier's pairs (enabled lists them in DR_TYPES order), period by period
+        cols = ids[[j for j, key in enumerate(enabled) if key[0] == carrier]].transpose(1, 0, 2).ravel()
+        if energy > 0.0:
+            sat_cols.append(cols)
+            sat_coeffs.append(np.full(cols.size, 1.0 / energy))
+        elif cols.size:
+            # a zero-energy carrier cannot deviate without destroying
+            # satisfaction, so pin its deviation instead of dividing
+            rows.append((cols[None, :], 1.0, LE, 0.0, [f"dr_nodev_{carrier}"]))
+    slack = len(CARRIERS) * (1.0 - dr.satisfaction_min)
+    rows.append((np.concatenate(sat_cols)[None, :], np.concatenate(sat_coeffs)[None, :], LE, slack,
+                 ["dr_satisfaction"]))
+    model.add_rows(*stack_rows(*rows))
     return vm
 
 

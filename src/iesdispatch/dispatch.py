@@ -68,7 +68,6 @@ Powers are kW, energies kWh, emissions kg, money in currency units.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
@@ -290,21 +289,25 @@ def _heat_max(case: CaseData) -> tuple[float, float]:
     return gt_heat, gb_heat
 
 
-def _dr_outflow(case: CaseData, scenario: ScenarioSpec, carrier: str, t: int,
-                dec) -> float:
-    """Largest load reduction demand response may deliver in one period."""
-    out = 0.0
-    if scenario.dr_shift and carrier in case.dr.shift_carriers:
-        override = case.dr.shift_bounds.get(carrier)
-        lo = -dec.shiftable_base[carrier][t] if override is None else override[0]
-        out += max(0.0, -lo)
-    if scenario.dr_substitute and carrier in case.dr.subst_carriers:
-        out += dec.substitutable_base[carrier][t]
+def _dr_outflow(case: CaseData, scenario: ScenarioSpec, dec) -> np.ndarray:
+    """Largest load reduction demand response may deliver, per carrier (in CARRIERS order) and period."""
+    out = np.zeros((len(CARRIERS), case.horizon.periods))
+    for i, carrier in enumerate(CARRIERS):
+        if scenario.dr_shift and carrier in case.dr.shift_carriers:
+            override = case.dr.shift_bounds.get(carrier)
+            lo = -np.asarray(dec.shiftable_base[carrier]) if override is None else override[0]
+            out[i] += np.maximum(0.0, -lo)
+        if scenario.dr_substitute and carrier in case.dr.subst_carriers:
+            out[i] += dec.substitutable_base[carrier]
     return out
 
 
 def _screen(case: CaseData, scenario: ScenarioSpec, dec):
-    """Reject loads no combination of devices could ever serve."""
+    """Reject loads no combination of devices could ever serve.
+
+    Every period and carrier is tested at once; the first failure in period
+    order, then carrier order, is reported.
+    """
     _, _, eps_e, _, gt_cap, _ = _chp_params(case)
     gt_heat_max, gb_heat_max = _heat_max(case)
     p2g = case.converter("P2G")
@@ -315,21 +318,21 @@ def _screen(case: CaseData, scenario: ScenarioSpec, dec):
         return sto.power_limit_fraction * sto.capacity_kwh if sto else 0.0
 
     cap_e, cap_g = case.purchase_caps
-    for t in range(case.horizon.periods):
-        avail = min(case.wind_profile[t], case.wind_max_kw)
-        supply = {
-            ELECTRIC: cap_e + avail + eps_e * gt_cap + dis_max(ELECTRIC),
-            GAS: cap_g + p2g_gas_max + dis_max(GAS),
-            HEAT: gt_heat_max + gb_heat_max + dis_max(HEAT),
-        }
-        for carrier in CARRIERS:
-            need = case.loads[carrier].values[t] - _dr_outflow(case, scenario, carrier, t, dec)
-            if need > supply[carrier] + 1e-9:
-                raise StaticInfeasibleError(
-                    f"{carrier}_balance",
-                    f"period {t}: load {need:.1f} kW exceeds maximum "
-                    f"{carrier} supply {supply[carrier]:.1f} kW",
-                )
+    avail = np.minimum(case.wind_profile, case.wind_max_kw)
+    supply = np.empty((len(CARRIERS), case.horizon.periods))
+    supply[0] = cap_e + avail + eps_e * gt_cap + dis_max(ELECTRIC)
+    supply[1] = cap_g + p2g_gas_max + dis_max(GAS)
+    supply[2] = gt_heat_max + gb_heat_max + dis_max(HEAT)
+    need = np.array([case.loads[carrier].values for carrier in CARRIERS]) - _dr_outflow(case, scenario, dec)
+    failed = np.argwhere((need > supply + 1e-9).T)
+    if failed.size:
+        t, i = failed[0].tolist()
+        carrier = CARRIERS[i]
+        raise StaticInfeasibleError(
+            f"{carrier}_balance",
+            f"period {t}: load {need[i, t]:.1f} kW exceeds maximum "
+            f"{carrier} supply {supply[i, t]:.1f} kW",
+        )
 
 
 # A per-period flow is (ids, coeff): coeff * x[ids[t]] in period t, or None
@@ -344,11 +347,11 @@ def _scaled(flow, k: float):
 
 def _merged(*flows):
     """The flows with the coefficients of a shared column added, absent ones dropped."""
-    out = []
+    out, slot = [], {}  # the place in out of each ids array, by identity
     for flow in filter(None, flows):
-        same = [i for i, (ids, _) in enumerate(out) if ids is flow[0]]
-        if same:
-            out[same[0]] = (flow[0], out[same[0]][1] + flow[1])
+        i = slot.setdefault(id(flow[0]), len(out))
+        if i < len(out):
+            out[i] = (flow[0], out[i][1] + flow[1])
         else:
             out.append(flow)
     return out
@@ -360,22 +363,48 @@ def _flow_sum(flows, periods: int, scale: float, constant: float = 0.0) -> Linea
     return linear_form(cols, coeffs * scale, constant)
 
 
-def _per_period(values, periods: int) -> np.ndarray:
-    """One value per (period, family), each family's value a scalar or per period."""
-    out = np.empty((periods, len(values)))
-    for f, value in enumerate(values):
-        out[:, f] = value
-    return out.ravel()
+class _Block:
+    """The columns and rows of one part of the model, gathered in model order.
 
-
-def _add_columns(model: MilpModel, tags, *families) -> np.ndarray:
-    """Continuous columns interleaved by period, one per family ``(name prefix, lower, upper)``.
-
-    Bounds are scalars or per period.  Returns the ids shaped (periods, families).
+    `columns` returns the ids a group of columns will get and `rows` queues
+    a group of rows; `add` then adds the columns with one
+    :meth:`MilpModel.add_variables` call and the rows with one
+    :meth:`MilpModel.add_rows` call.  No other column may enter the model
+    in between.
     """
-    names = [f[0] + tag for tag in tags for f in families]
-    lower, upper = (_per_period([f[j] for f in families], len(tags)) for j in (1, 2))
-    return model.add_variables(CONTINUOUS, lower, upper, names).reshape(len(tags), len(families))
+
+    def __init__(self, model: MilpModel, tags):
+        self.model, self.tags = model, tags
+        self.names: list[str] = []
+        self.families: list[tuple] = []  # of each group of columns
+        self.groups: list[tuple] = []  # of rows
+
+    def columns(self, *families) -> np.ndarray:
+        """Continuous columns interleaved by period, one per family ``(name prefix, lower, upper)``.
+
+        Bounds are scalars or per period.  Returns the ids shaped (periods, families).
+        """
+        periods, start = len(self.tags), self.model.num_variables + len(self.names)
+        self.names += [f[0] + tag for tag in self.tags for f in families]
+        self.families.append(families)
+        return np.arange(start, start + periods * len(families)).reshape(periods, len(families))
+
+    def rows(self, tags, *families) -> None:
+        """Queue rows interleaved by period, one per family ``(name prefix, flows, relation, rhs)``."""
+        self.groups.append((tags, *families))
+
+    def add(self) -> None:
+        bounds = np.empty((2, len(self.names)))
+        start = 0
+        for families in self.families:
+            stop = start + len(self.tags) * len(families)
+            for f, (_, lower, upper) in enumerate(families):
+                bounds[0, start + f:stop:len(families)] = lower
+                bounds[1, start + f:stop:len(families)] = upper
+            start = stop
+        self.model.add_variables(CONTINUOUS, bounds[0], bounds[1], self.names)
+        if self.groups:
+            self.model.add_rows(*_row_block(*self.groups))
 
 
 def _flow_block(flow_lists, periods: int):
@@ -391,24 +420,44 @@ def _flow_block(flow_lists, periods: int):
     return cols.reshape(-1, width), coeffs.reshape(-1, width)
 
 
-def _row_block(tags, *families) -> tuple:
-    """Rows interleaved by period, one per family ``(name prefix, flows, relation, rhs)``.
+def _row_block(*groups) -> tuple:
+    """The arguments of one :meth:`MilpModel.add_rows` call for groups of rows.
 
-    rhs is a scalar or per period.  Returns the arguments of
-    :meth:`MilpModel.add_rows`.
+    A group is ``(tags, *families)``: its rows are interleaved by period,
+    one per tag and family ``(name prefix, flows, relation, rhs)``, with
+    rhs a scalar or one per tag.  The groups follow each other, and rows
+    with fewer flows pad with zero coefficients.
     """
-    cols, coeffs = _flow_block([flows for _, flows, _, _ in families], len(tags))
-    names = [f[0] + tag for tag in tags for f in families]
-    relations = [rel for _, _, rel, _ in families] * len(tags)
-    return cols, coeffs, relations, _per_period([f[3] for f in families], len(tags)), names
+    merged = [[_merged(*family[1]) for family in families] for _, *families in groups]
+    cols = np.zeros((sum(len(group[0]) * (len(group) - 1) for group in groups),
+                     max(len(flows) for flow_lists in merged for flows in flow_lists)), dtype=np.int64)
+    coeffs = np.zeros(cols.shape)
+    rhs = np.empty(len(cols))
+    relations, names = [], []
+    start = 0
+    for (tags, *families), flow_lists in zip(groups, merged):
+        stop = start + len(tags) * len(families)
+        for f, (family, flows) in enumerate(zip(families, flow_lists)):
+            rows = slice(start + f, stop, len(families))
+            for j, (ids, coeff) in enumerate(flows):
+                cols[rows, j] = ids
+                coeffs[rows, j] = coeff
+            rhs[rows] = family[3]
+        relations += [family[2] for family in families] * len(tags)
+        names += [family[0] + tag for tag in tags for family in families]
+        start = stop
+    return cols, coeffs, relations, rhs, names
 
 
 def build_model(case: CaseData, scenario, options: DispatchOptions | None = None):
     """Assemble the gate-free model for one scenario; returns (model, VarMap).
 
     The model has no storage gate, so it is an LP; `add_gates` appends the
-    gates to it (see the module docstring).  Each per-period family of
-    columns or rows enters the model as one block.  An invalid case raises
+    gates to it (see the module docstring).  The columns of one part of
+    the model (the devices, demand response, the emission envelopes, the
+    carbon ladder) enter it as one block, and so do its rows (the devices,
+    demand response, the balances, the envelope cuts, the carbon rows), in
+    the order a block per family would give.  An invalid case raises
     UnitError (``require_valid``), the one check the builders rely on.
     """
     scenario = as_scenario(scenario)
@@ -419,6 +468,7 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     periods = case.horizon.periods
     dt = case.horizon.step_hours
     tags = [f"t{t:02d}" for t in range(periods)]
+    previous = np.arange(periods) - 1  # the period before each, the last one's for the first
     model = MilpModel(name=f"dispatch_{scenario.id}")
     avail = tuple(min(f, case.wind_max_kw) for f in case.wind_profile)
     vm = VarMap(scenario=scenario, options=options, wind_available=avail)
@@ -426,21 +476,21 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     flows = dict.fromkeys(("p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e",
                            "p_gt_h", "p_g_gb", "p_gb_h"))
 
+    # the devices' columns and rows, each added as one block
+    block = _Block(model, tags)
     cap_e, cap_g = case.purchase_caps
-    e_buy, g_buy, dg = _add_columns(
-        model, tags, ("p_e_buy_", 0.0, cap_e), ("p_g_buy_", 0.0, cap_g), ("p_dg_", 0.0, avail),
-    ).T
+    e_buy, g_buy, dg = block.columns(("p_e_buy_", 0.0, cap_e), ("p_g_buy_", 0.0, cap_g), ("p_dg_", 0.0, avail)).T
     flows["p_e_buy"], flows["p_g_buy"], flows["p_dg"] = (e_buy, 1.0), (g_buy, 1.0), (dg, 1.0)
 
     def add_ramp(name, ids, cap, frac):
         step = frac * cap
         now, before = ids[1:], ids[:-1]
-        model.add_rows(*_row_block(tags[1:], (f"ramp_{name}_up_", [(now, 1.0), (before, -1.0)], LE, step),
-                                   (f"ramp_{name}_dn_", [(before, 1.0), (now, -1.0)], LE, step)))
+        block.rows(tags[1:], (f"ramp_{name}_up_", [(now, 1.0), (before, -1.0)], LE, step),
+                   (f"ramp_{name}_dn_", [(before, 1.0), (now, -1.0)], LE, step))
 
     p2g = case.converter("P2G")
     if p2g and p2g.capacity_kw > 0:
-        (v,) = _add_columns(model, tags, ("p_p2g_e_", p2g.min_output_kw, p2g.capacity_kw)).T
+        (v,) = block.columns(("p_p2g_e_", p2g.min_output_kw, p2g.capacity_kw)).T
         flows["p_p2g_e"], flows["p_p2g_g"] = (v, 1.0), (v, float(p2g.efficiencies.get("gas", 0.0)))
         add_ramp("p2g", v, p2g.capacity_kw, p2g.ramp_fraction)
 
@@ -449,13 +499,12 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         g_gt = ("p_g_gt_", gt.min_output_kw, gt_cap)
         chp = []
         if case.chp.extraction_mode:
-            g, pe, ph = _add_columns(model, tags, g_gt, ("p_gt_e_", 0.0, eps_e * gt_cap),
-                                     ("p_gt_h_", 0.0, _heat_max(case)[0])).T
+            g, pe, ph = block.columns(g_gt, ("p_gt_e_", 0.0, eps_e * gt_cap), ("p_gt_h_", 0.0, _heat_max(case)[0])).T
             flows["p_gt_e"], flows["p_gt_h"] = (pe, 1.0), (ph, 1.0)
             chp += [("chp_e_fuel_", [(pe, 1.0), (g, -eps_e)], LE, 0.0),
                     ("chp_h_fuel_", [(ph, 1.0), (g, -eps_h)], LE, 0.0)]
         else:
-            (g,) = _add_columns(model, tags, g_gt).T
+            (g,) = block.columns(g_gt).T
             flows["p_gt_e"], flows["p_gt_h"] = (g, float(eps_e)), (g, float(eps_h))
             if whb and eps_h * gt_cap > whb_cap:
                 chp.append(("chp_whb_cap_", [flows["p_gt_h"]], LE, whb_cap))
@@ -467,12 +516,12 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
             if any(coeff != 0.0 for _, coeff in terms):
                 chp.append((f"chp_ratio_{name}_", terms, LE, 0.0))
         if chp:
-            model.add_rows(*_row_block(tags, *chp))
+            block.rows(tags, *chp)
         add_ramp("gt", g, gt_cap, gt.ramp_fraction)
 
     gb = case.converter("GB")
     if gb and gb.capacity_kw > 0:
-        (g_gb,) = _add_columns(model, tags, ("p_g_gb_", gb.min_output_kw, gb.capacity_kw)).T
+        (g_gb,) = block.columns(("p_g_gb_", gb.min_output_kw, gb.capacity_kw)).T
         flows["p_g_gb"], flows["p_gb_h"] = (g_gb, 1.0), (g_gb, float(gb.efficiencies.get("heat", 0.0)))
         add_ramp("gb", g_gb, gb.capacity_kw, gb.ramp_fraction)
 
@@ -480,23 +529,22 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         cap = sto.capacity_kwh
         plim = sto.power_limit_fraction * cap
         k = sto.carrier
-        ch, dis, soc = _add_columns(
-            model, tags, (f"st_{k}_ch_", 0.0, plim), (f"st_{k}_dis_", 0.0, plim),
+        ch, dis, soc = block.columns(
+            (f"st_{k}_ch_", 0.0, plim), (f"st_{k}_dis_", 0.0, plim),
             (f"st_{k}_soc_", sto.soc_min_frac * cap, sto.soc_max_frac * cap),
         ).T
         initial = sto.soc_initial_frac * cap
         # soc[t] - soc[t-1] - charge + discharge = 0, with the initial charge for soc[-1]
+        # (period 0's soc[t-1] slot holds soc[-1] with coefficient 0)
         prev_coeff = np.full(periods, -1.0)
         prev_coeff[0] = 0.0
         soc_rhs = np.zeros(periods)
         soc_rhs[0] = initial
-        model.add_rows(*_row_block(
-            tags,
-            (f"storage_{k}_soc_", [(soc, 1.0), (ch, -(sto.charge_eff * dt)), (dis, dt / sto.discharge_eff),
-                                   (np.roll(soc, 1), prev_coeff)], EQ, soc_rhs),
-        ))
-        model.add_rows(soc[-1:, None], 1.0, EQ, initial, [f"storage_{k}_terminal"])
+        soc_flows = [(soc, 1.0), (ch, -(sto.charge_eff * dt)), (dis, dt / sto.discharge_eff), (soc[previous], prev_coeff)]
+        block.rows(tags, (f"storage_{k}_soc_", soc_flows, EQ, soc_rhs))
+        block.rows([""], (f"storage_{k}_terminal", [(soc[-1:], 1.0)], EQ, initial))
         vm.storage[k] = StorageBlock(ch, dis, soc)
+    block.add()
 
     vm.dr = build_dr_blocks(case, scenario, model, dec)
 
@@ -508,13 +556,13 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         terms += [_scaled(flow, -1.0) for flow in _dr_flows(vm.dr, carrier)]
         return f"balance_{carrier}_", terms, EQ, case.loads[carrier].values
 
-    model.add_rows(*_row_block(
+    model.add_rows(*_row_block((
         tags,
         balance(ELECTRIC, flows["p_e_buy"], flows["p_dg"], flows["p_gt_e"], _scaled(flows["p_p2g_e"], -1.0)),
         balance(GAS, flows["p_g_buy"], flows["p_p2g_g"], _scaled(flows["p_g_gt"], -1.0),
                 _scaled(flows["p_g_gb"], -1.0)),
         balance(HEAT, flows["p_gt_h"], flows["p_gb_h"]),
-    ))
+    )))
 
     vm.flows = flows
     tariffs = case.tariffs
@@ -591,11 +639,11 @@ def add_gates(case: CaseData, model: MilpModel, vm: VarMap, pairs) -> None:
         plim = sto.power_limit_fraction * sto.capacity_kwh
         tags = [f"t{t:02d}" for t in periods]
         gate = model.add_variables(BINARY, 0.0, 1.0, [f"st_{k}_gate_{tag}" for tag in tags])
-        model.add_rows(*_row_block(
+        model.add_rows(*_row_block((
             tags,
             (f"storage_{k}_gate_ch_", [(blk.charge[periods], 1.0), (gate, -plim)], LE, 0.0),
             (f"storage_{k}_gate_dis_", [(blk.discharge[periods], 1.0), (gate, plim)], LE, plim),
-        ))
+        )))
         blk.gate.update(zip(periods, gate.tolist()))
 
 
@@ -637,16 +685,17 @@ def _encode_carbon(case, options, model, dr, policy, tags, flows):
     envelope = {"em_coal": None, "em_gas": None}
     if curves:
         cols, coeffs = _flow_block([x for _, x, _, _ in curves], periods)
-        y = pwl_convex(model, cols, coeffs, [c[2] for c in curves] * periods,
-                       [c[3] for c in curves] * periods, n,
+        y = pwl_convex(model, cols, coeffs, np.tile(np.array([c[2] for c in curves], dtype=float), (periods, 1)),
+                       np.tile([c[3] for c in curves], periods), n,
                        [f"{c[0]}_{tag}" for tag in tags for c in curves]).reshape(periods, -1)
         envelope.update((c[0], (y[:, j], 1.0)) for j, c in enumerate(curves))
     f0 = 0.0 if envelope["em_coal"] else quad_value(policy.coal_quad, 0.0)
     f0 = f0 + (0.0 if envelope["em_gas"] else quad_value(policy.gas_quad, 0.0))
     bound = 0.0
+    per_period = [pwl_convex_error_bound(quad[2], x_max, n) * dt for _, _, quad, x_max in curves]
     for _ in range(periods):
-        for _, _, quad, x_max in curves:
-            bound += pwl_convex_error_bound(quad[2], x_max, n) * dt
+        for term in per_period:
+            bound += term
     # the sums over periods of the per-period terms; the constants are added
     # period by period
     gas_dr = _dr_flows(dr, GAS)
@@ -847,7 +896,7 @@ def _peak(values: np.ndarray) -> float:
     return float(values.max()) if values.size else 0.0
 
 
-def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> VerificationReport:
+def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=None) -> VerificationReport:
     """Recompute every model identity from the schedules and case data.
 
     Covers carrier balances, device couplings and limits, ramps, storage
@@ -857,7 +906,8 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     within tolerance.  A residual is the largest violation over the periods,
     computed on whole schedules at once; each per-period value is the
     floating-point result of the scalar formula, and the cost and emission
-    sums add the periods left to right.
+    sums add the periods left to right.  ``overlaps`` is
+    ``_storage_overlaps(case, sol.storage)`` when the caller has it already.
     """
     scenario = as_scenario(scenario)
     dt = case.horizon.step_hours
@@ -941,7 +991,8 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution) -> Verifica
     check("purchase_cap_gas", _peak(_over(g_buy, case.purchase_caps[1])),
           1e-6 * max(case.purchase_caps[1], 1.0))
 
-    overlaps = _storage_overlaps(case, sol.storage)
+    if overlaps is None:
+        overlaps = _storage_overlaps(case, sol.storage)
     for k, (charge, discharge, soc) in storage.items():
         sto = case.storage(k)
         cap = sto.capacity_kwh
@@ -1133,12 +1184,13 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
         if res.x is None:
             raise SolveFailedError(scenario.id, res.status, f"bound {res.bound}, nodes {nodes}")
         sol = _extract(case, scenario, vm, res)
-        failing = [(k, t) for k, t in _storage_overlaps(case, sol.storage) if t not in vm.storage[k].gate]
+        overlaps = _storage_overlaps(case, sol.storage)
+        failing = [(k, t) for k, t in overlaps if t not in vm.storage[k].gate]
         if not failing:
             break
         add_gates(case, model, vm, failing)
     sol.nodes, sol.wall_time = nodes, wall_time
-    report = verify_solution(case, scenario, sol)
+    report = verify_solution(case, scenario, sol, overlaps)
     if not report.passed:
         raise VerificationError(scenario.id, report.failures)
     sol.verification = report
@@ -1205,6 +1257,9 @@ def _scenario_task(args):
 
 def _run_tasks(fn, tasks, jobs: int):
     if jobs > 1 and len(tasks) > 1:
+        # deferred: importing multiprocessing costs every process that never forks
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

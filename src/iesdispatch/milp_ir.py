@@ -3,17 +3,21 @@
 A ``MilpModel`` is a plain container of columns, rows and a minimization
 objective.  It knows nothing about solving; the ``solver`` package consumes
 the arrays compiled by :meth:`MilpModel.to_sparse`, whose constraint matrix
-is a scipy CSC array.  :meth:`MilpModel.to_dense` gives the same arrays with
-``A`` dense, for the reference simplex and tests.
+is a :class:`CscMatrix`, the compressed sparse column arrays built with
+numpy.  :meth:`MilpModel.to_dense` gives the same arrays with ``A`` dense,
+for the reference simplex and tests.
 
-Columns are stored as parallel lists (kind, bounds, name) and rows as one
-CSR store: per-row nonzero counts, column ids, coefficients, right-hand
-sides, relation codes and names.  Columns enter the model only through
-:meth:`MilpModel.add_variables`, a family at a time, and rows only through
-:meth:`MilpModel.add_rows`, a block at a time, given as an (m, k) array of
-column ids and coefficients.  ``to_sparse`` concatenates the stored arrays,
-and ``variables`` / ``constraints`` build lists of records from the stores
-on each call.
+Columns are stored as array chunks (bounds, binary flags) beside their
+names, and rows as one CSR store: per-row nonzero counts, column ids,
+coefficients, right-hand sides and relations, beside their names.  Columns
+enter the model only through :meth:`MilpModel.add_variables`, a family at
+a time, and rows only through :meth:`MilpModel.add_rows`, a block at a
+time, given as an (m, k) array of column ids and coefficients
+(:func:`stack_rows` joins blocks into one).  ``to_sparse`` concatenates
+the stored arrays and gathers the CSC matrix from the CSR store with one
+stable sort, ``row_bounds`` gives the rows as HiGHS takes them, and
+``variables`` / ``constraints`` build lists of records from the stores on
+each call.
 
 A linear form is a :class:`LinearForm` ``(ids, coeffs, constant)``, built
 with numpy by the model code; :func:`combine` adds forms (:func:`collect`
@@ -45,14 +49,29 @@ EQ = "="
 GE = ">="
 
 _RELATIONS = (LE, EQ, GE)
+_SIDES = {LE: -1, EQ: 0, GE: 1}  # a row's code: its activity may lie below, at or above rhs
 
 INF = math.inf
 
 
-def row_bounds(relations, rhs) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) bounds of the rows ``a x <relation> rhs``, as HiGHS takes them."""
-    rel = np.asarray(relations, dtype=object)
-    return np.where(rel == LE, -np.inf, rhs), np.where(rel == GE, np.inf, rhs)
+class CscMatrix:
+    """A sparse matrix as the arrays of its compressed sparse columns.
+
+    ``data[indptr[j]:indptr[j + 1]]`` are the nonzeros of column j and
+    ``indices`` the same slice of their rows, sorted, with no zero stored:
+    the arrays and dtypes (float64 data, int32 indices and pointers) of a
+    ``scipy.sparse.csc_array``, which ``highs_milp`` wraps them in for
+    ``scipy.optimize.milp``.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
 
 
 class ModelError(Exception):
@@ -164,16 +183,21 @@ class Constraint(NamedTuple):
     name: str
 
 
-def _new_names(names, seen: set, what: str) -> set:
-    """The names as a set, after checking they repeat neither each other nor ``seen``."""
-    fresh = set(names)
-    if len(fresh) != len(names) or not seen.isdisjoint(fresh):
+def _claim(names, seen: set, before: list, what: str) -> None:
+    """Add the names to ``seen``, the set of ``before``, refusing one that repeats either.
+
+    A refusal leaves ``seen`` as it was.
+    """
+    size = len(seen)
+    seen.update(names)
+    if len(seen) != size + len(names):
+        seen.clear()
+        seen.update(before)
         block: set = set()
         for name in names:
             if name in seen or name in block:
                 raise DuplicateNameError(f"{what} name {name!r} already used")
             block.add(name)
-    return fresh
 
 
 def _all(mask: np.ndarray) -> bool:
@@ -181,11 +205,15 @@ def _all(mask: np.ndarray) -> bool:
     return np.count_nonzero(mask) == mask.size
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """``values`` as a new read-only array."""
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The array, which nothing else holds, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
+def _joined_frozen(chunks) -> np.ndarray:
+    """The chunks joined into a new read-only array."""
+    return _frozen(np.concatenate(chunks))
 
 
 def _filled(values, shape) -> np.ndarray:
@@ -206,27 +234,54 @@ def _per_item(kind, n: int, allowed, what: str) -> list:
     return kinds
 
 
+def stack_rows(*blocks) -> tuple:
+    """Row blocks as the arguments of one :meth:`MilpModel.add_rows` call.
+
+    Each block is the ``(cols, coeffs, relation, rhs, names)`` of an
+    ``add_rows`` call.  The rows keep their order, and a block narrower
+    than the widest pads its rows with zero coefficients, which ``add_rows``
+    leaves out, so the one call adds the rows the calls block by block
+    would add.
+    """
+    m = sum(len(block[4]) for block in blocks)
+    cols = np.zeros((m, max(np.shape(block[0])[1] for block in blocks)), dtype=np.int64)
+    coeffs = np.zeros(cols.shape)
+    rhs, relations, names = np.empty(m), [], []
+    i = 0
+    for block_cols, block_coeffs, relation, block_rhs, block_names in blocks:
+        j, k = i + len(block_names), np.shape(block_cols)[1]
+        cols[i:j, :k] = block_cols
+        coeffs[i:j, :k] = block_coeffs
+        rhs[i:j] = block_rhs
+        relations += [relation] * (j - i) if isinstance(relation, str) else relation
+        names += block_names
+        i = j
+    return cols, coeffs, relations, rhs, names
+
+
 class MilpModel:
     """Model builder: columns, rows and the objective are added in place.
 
-    Columns are kept as parallel lists (kind, bounds, name).  Rows are kept
-    in CSR form: per-row nonzero counts, column ids and coefficients as one
-    array chunk per :meth:`add_rows` call, joined on first use, beside lists
-    of right-hand sides, relations and names.  ``variables`` and
+    Columns are kept as array chunks of bounds and binary flags, one per
+    :meth:`add_variables` call, beside a list of names.  Rows are kept in
+    CSR form: per-row nonzero counts, column ids, coefficients and
+    right-hand sides as one array chunk per :meth:`add_rows` call, joined
+    on first use, beside lists of relations and names.  ``variables`` and
     ``constraints`` build records from these stores on each call.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
         self.objective = linear_form([])
-        self._kinds: list[str] = []
-        self._lower: list[float] = []
-        self._upper: list[float] = []
+        self._lower = [np.zeros(0)]
+        self._upper = [np.zeros(0)]
+        self._binary = [np.zeros(0, dtype=bool)]
         self._col_names: list[str] = []
         self._row_nnz = [np.zeros(0, dtype=np.int64)]
         self._row_cols = [np.zeros(0, dtype=np.int32)]
         self._row_vals = [np.zeros(0)]
-        self._rhs: list[float] = []
+        self._rhs = [np.zeros(0)]
+        self._sides = [np.zeros(0, dtype=np.int8)]  # the _SIDES code of each row
         self._relations: list[str] = []
         self._row_names: list[str] = []
         self._col_name_set: set[str] = set()
@@ -235,6 +290,7 @@ class MilpModel:
         self._csc = None
         self._col_arrays = None  # (lb, ub, is_binary), compiled
         self._rhs_array = None
+        self._row_bounds = None
 
     # -- construction ------------------------------------------------------
 
@@ -248,24 +304,25 @@ class MilpModel:
         """
         n = len(names)
         kinds = _per_item(kind, n, (CONTINUOUS, BINARY), "variable kind")
-        fresh = _new_names(names, self._col_name_set, "variable")
         lower, upper = _filled(lower, n), _filled(upper, n)
-        binary = [] if kind == CONTINUOUS else [j for j, k in enumerate(kinds) if k == BINARY]
-        if binary:
+        _claim(names, self._col_name_set, self._col_names, "variable")
+        binary = np.zeros(n, dtype=bool)
+        if kind != CONTINUOUS:
+            binary[:] = [k == BINARY for k in kinds]
             lower[binary] = np.maximum(lower[binary], 0.0)
             upper[binary] = np.minimum(upper[binary], 1.0)
         ordered = lower <= upper
         if not _all(ordered):
+            self._col_name_set.difference_update(names)
             i = np.flatnonzero(~ordered)[0]
             if math.isnan(lower[i]) or math.isnan(upper[i]):
                 raise BoundError(f"variable {names[i]!r}: NaN bound")
             raise BoundError(f"variable {names[i]!r}: lower {lower[i]} > upper {upper[i]}")
         start = len(self._col_names)
-        self._kinds += kinds
-        self._lower += lower.tolist()
-        self._upper += upper.tolist()
+        self._lower.append(lower)
+        self._upper.append(upper)
+        self._binary.append(binary)
         self._col_names += names
-        self._col_name_set |= fresh
         self._csc = self._col_arrays = None
         return np.arange(start, start + n)
 
@@ -291,7 +348,26 @@ class MilpModel:
         if not _all(np.isfinite(rhs)):
             i = np.flatnonzero(~np.isfinite(rhs))[0]
             raise ModelError(f"constraint {names[i]!r}: non-finite right-hand side")
-        fresh = _new_names(names, self._row_name_set, "constraint")
+        _claim(names, self._row_name_set, self._row_names, "constraint")
+        try:
+            nnz, idx, vals = self._checked_entries(cols, coeffs, rels, rhs, names)
+        except BaseException:
+            self._row_name_set.difference_update(names)
+            raise
+        start = len(self._row_names)
+        self._row_nnz.append(nnz)
+        self._row_cols.append(idx.astype(np.int32))
+        self._row_vals.append(vals)
+        self._rhs.append(rhs)
+        self._sides.append(np.full(m, _SIDES[relation], dtype=np.int8) if isinstance(relation, str)
+                           else np.fromiter(map(_SIDES.__getitem__, rels), np.int8, m))
+        self._relations += rels
+        self._row_names += names
+        self._csr = self._csc = self._rhs_array = self._row_bounds = None
+        return range(start, start + m)
+
+    def _checked_entries(self, cols, coeffs, rels, rhs, names):
+        """(nnz per row, column ids, coefficients) of a row block's nonzero entries, checked."""
         keep = coeffs != 0.0
         nnz = keep.sum(axis=1)
         idx, vals = cols[keep], coeffs[keep]
@@ -312,23 +388,15 @@ class MilpModel:
                     raise TriviallyInfeasibleError(
                         f"constraint {names[i]!r} has no variables and is violated: 0 {rel} {b}"
                     )
-        start = len(self._row_names)
-        self._row_nnz.append(nnz)
-        self._row_cols.append(idx.astype(np.int32))
-        self._row_vals.append(vals)
-        self._rhs += rhs.tolist()
-        self._relations += rels
-        self._row_names += names
-        self._row_name_set |= fresh
-        self._csr = self._csc = self._rhs_array = None
-        return range(start, start + m)
+        return nnz, idx, vals
 
     def set_rhs(self, rows, values) -> None:
         """Set the right-hand sides of existing rows, one value per row id.
 
         The rows must exist and the values be finite, as in
         :meth:`add_rows`; a failed check changes nothing.  The matrix is
-        untouched, so a compiled ``A`` stays valid.
+        untouched, so a compiled ``A`` stays valid, and a compiled ``rhs``
+        keeps its values: the store takes a new array.
         """
         rows = np.asarray(rows, dtype=np.int64)
         values = _filled(values, rows.shape)
@@ -338,9 +406,10 @@ class MilpModel:
         if not _all(np.isfinite(values)):
             i = rows[np.flatnonzero(~np.isfinite(values))[0]]
             raise ModelError(f"constraint {self._row_names[i]!r}: non-finite right-hand side")
-        for i, b in zip(rows.tolist(), values.tolist()):
-            self._rhs[i] = b
-        self._rhs_array = None
+        rhs = np.concatenate(self._rhs)
+        rhs[rows] = values
+        self._rhs[:] = [rhs]
+        self._rhs_array = self._row_bounds = None
 
     def set_objective(self, *forms: LinearForm) -> None:
         """Set the minimization objective to ``combine(*forms)``.
@@ -371,70 +440,98 @@ class MilpModel:
     @property
     def variables(self) -> list[Variable]:
         """The columns as Variable handles, built from the column store."""
-        columns = zip(self._kinds, self._lower, self._upper, self._col_names)
+        lower, upper, binary = (np.concatenate(c).tolist() for c in (self._lower, self._upper, self._binary))
+        columns = zip([BINARY if b else CONTINUOUS for b in binary], lower, upper, self._col_names)
         return [Variable(j, *column) for j, column in enumerate(columns)]
 
     @property
     def constraints(self) -> list[Constraint]:
         """The rows as Constraint records, built from the row store."""
-        indptr, cols, vals = (a.tolist() for a in self._joined())
+        indptr, cols, vals = (a.tolist() for a in self._joined()[:3])
         pairs = zip(cols, vals)
         coeffs = [dict(islice(pairs, b - a)) for a, b in zip(indptr, indptr[1:])]
-        rows = zip(range(len(coeffs)), coeffs, self._relations, self._rhs, self._row_names)
+        rhs = np.concatenate(self._rhs).tolist()
+        rows = zip(range(len(coeffs)), coeffs, self._relations, rhs, self._row_names)
         return list(map(Constraint._make, rows))
 
     def _joined(self):
-        """(indptr, cols, vals) of all rows; the chunks collapse into one.
+        """(indptr, cols, vals, order, rows) of all rows; the chunks collapse into one.
 
-        Refuses a row that repeats a column id, so no view or compile sees one.
+        ``indptr``, ``cols`` and ``vals`` are the rows in CSR form.  ``order``
+        lists the entries by column, each column's in row order (a stable
+        sort by column id), and ``rows`` is the row of each entry so listed:
+        the CSC form's permutation and row indices, which the columns added
+        later leave as they are.  Refuses a row that repeats a column id, so
+        no view or compile sees one.
         """
         if self._csr is None:
             for chunks in (self._row_nnz, self._row_cols, self._row_vals):
                 chunks[:] = [np.concatenate(chunks)]
             nnz, cols = self._row_nnz[0], self._row_cols[0]
-            entries = np.sort(np.repeat(np.arange(len(nnz)), nnz) * self.num_variables + cols)
-            repeats = np.flatnonzero(entries[1:] == entries[:-1])
-            if repeats.size:
-                name = self._row_names[entries[repeats[0]] // self.num_variables]
+            order = np.argsort(cols, kind="stable")
+            rows = np.repeat(np.arange(len(nnz), dtype=np.int32), nnz)[order]
+            by_col = cols[order]
+            # a repeat is an entry whose column and row are those of the entry before it
+            repeats = (by_col[1:] == by_col[:-1]) & (rows[1:] == rows[:-1])
+            if repeats.any():
+                name = self._row_names[rows[1:][repeats].min()]
                 raise ModelError(f"constraint {name!r} repeats a variable")
             indptr = np.zeros(len(nnz) + 1, dtype=np.int32)
             np.cumsum(nnz, out=indptr[1:])
-            self._csr = indptr, cols, self._row_vals[0]
+            self._csr = indptr, cols, self._row_vals[0], order, rows
         return self._csr
 
     def binary_ids(self) -> list[int]:
-        return [j for j, kind in enumerate(self._kinds) if kind == BINARY]
+        return np.flatnonzero(np.concatenate(self._binary)).tolist()
 
     def to_sparse(self):
-        """Arrays (c, c0, A, relations, rhs, lb, ub, is_binary) with A as CSC.
+        """Arrays (c, c0, A, relations, rhs, lb, ub, is_binary) with A as a :class:`CscMatrix`.
 
-        A is a ``scipy.sparse.csc_array`` with one row per constraint in
-        registration order, sorted row indices and no stored zeros.  This is
-        the form the solvers consume; it is joined straight from the row
-        store, without a dense intermediate.  The model keeps the compiled
-        arrays until the part they come from changes: ``A`` until a column
-        or row is added, ``lb``, ``ub`` and ``is_binary`` until a column is
-        added, ``rhs`` until a row is added or :meth:`set_rhs` is called.
-        So a model whose costs or right-hand sides change in between
-        compiles to the same ``A`` object.  The kept arrays are read-only;
-        ``c`` and the list of relations are built anew on each call.
+        A has one row per constraint in registration order, sorted row
+        indices and no stored zeros.  This is the form the solvers consume;
+        it is gathered straight from the row store, without a dense
+        intermediate.  The model keeps the compiled arrays until the part
+        they come from changes: ``A`` until a column or row is added, ``lb``,
+        ``ub`` and ``is_binary`` until a column is added, ``rhs`` until a
+        row is added or :meth:`set_rhs` is called.  So a model whose costs
+        or right-hand sides change in between compiles to the same ``A``
+        object.  The kept arrays are read-only; ``c`` and the list of
+        relations are built anew on each call.
         """
-        # deferred so that importing the package does not load scipy
-        from scipy.sparse import csr_array
-
         n, m = self.num_variables, self.num_constraints
         c = np.zeros(n)
         c[self.objective.ids] = self.objective.coeffs
         if self._csc is None:
-            indptr, cols, vals = self._joined()
-            self._csc = csr_array((vals, cols, indptr), shape=(m, n)).tocsc()
+            _, cols, vals, order, rows = self._joined()
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+            self._csc = CscMatrix(_frozen(vals[order]), _frozen(rows), _frozen(indptr), (m, n))
         if self._col_arrays is None:
-            self._col_arrays = (_frozen(self._lower, float), _frozen(self._upper, float),
-                                _frozen([kind == BINARY for kind in self._kinds], bool))
-        if self._rhs_array is None:
-            self._rhs_array = _frozen(self._rhs, float)
-        return (c, self.objective.constant, self._csc, list(self._relations), self._rhs_array,
+            self._col_arrays = tuple(map(_joined_frozen, (self._lower, self._upper, self._binary)))
+        return (c, self.objective.constant, self._csc, list(self._relations), self._compiled_rhs(),
                 *self._col_arrays)
+
+    def _compiled_rhs(self) -> np.ndarray:
+        """The right-hand sides as one read-only array, kept until they change."""
+        if self._rhs_array is None:
+            self._rhs_array = _joined_frozen(self._rhs)
+        return self._rhs_array
+
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) bounds of the rows as HiGHS takes them.
+
+        A row ``a x <= rhs`` has lower bound -inf, ``a x >= rhs`` upper
+        bound +inf, and the other bounds are the right-hand side.  Kept,
+        read-only, as the compiled ``rhs`` is: until a row is added or
+        :meth:`set_rhs` is called.
+        """
+        if self._row_bounds is None:
+            rhs = self._compiled_rhs()
+            self._sides[:] = [np.concatenate(self._sides)]
+            sides = self._sides[0]
+            self._row_bounds = tuple(_frozen(np.where(sides == side, bound, rhs))
+                                     for side, bound in ((-1, -np.inf), (1, np.inf)))
+        return self._row_bounds
 
     def to_dense(self):
         """:meth:`to_sparse` with A as a dense ndarray.
@@ -443,7 +540,9 @@ class MilpModel:
         branch-and-cut take the sparse form.
         """
         c, c0, A, relations, rhs, lb, ub, is_binary = self.to_sparse()
-        return c, c0, A.toarray(), relations, rhs, lb, ub, is_binary
+        dense = np.zeros(A.shape)
+        dense[A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))] = A.data
+        return c, c0, dense, relations, rhs, lb, ub, is_binary
 
 
 # -- linearization toolkit ---------------------------------------------------
@@ -487,28 +586,30 @@ def pwl_convex(model: MilpModel, x_cols, x_coeffs, quads, x_max, segments: int, 
     are introduced.  Returns the ids of the y columns.
     """
     quads = np.asarray(quads, dtype=float).reshape(-1, 3)
-    x_max = np.broadcast_to(np.asarray(x_max, dtype=float), (len(names),))
-    if (quads[:, 2] < 0.0).any():
+    x_max = _filled(x_max, len(names))
+    if np.count_nonzero(quads[:, 2] < 0.0):
         raise ConvexityError(f"pwl_convex requires c >= 0, got {quads[:, 2].min()}")
     if segments < 1:
         raise ModelError("segments must be >= 1")
-    if not (x_max > 0.0).all():
+    if not _all(x_max > 0.0):
         raise ModelError("x_max must be > 0")
-    curves = list(zip(map(tuple, quads.tolist()), x_max.tolist()))
-    box = {}  # bounds of y per distinct curve; envelopes often share one
-    for quad, xm in dict.fromkeys(curves):
-        a, b, c = quad
+    # bounds of y per distinct curve; envelopes often share one
+    index: dict = {}
+    curve_of = [index.setdefault(key, len(index)) for key in map(tuple, np.column_stack([quads, x_max]).tolist())]
+    box = []
+    for a, b, c, xm in index:
+        quad = (a, b, c)
         # c == 0 still works: every tangent is the same exact line y >= a + b*x
         vertex = min(max(-b / (2.0 * c), 0.0), xm) if c > 0.0 else 0.0
         f_lo = min(quad_value(quad, t) for t in (0.0, xm, vertex))
-        box[quad, xm] = (f_lo - pwl_convex_error_bound(c, xm, segments),
-                         max(quad_value(quad, 0.0), quad_value(quad, xm)))
-    bounds = np.array([box[curve] for curve in curves]).reshape(-1, 2)
+        box.append((f_lo - pwl_convex_error_bound(c, xm, segments),
+                    max(quad_value(quad, 0.0), quad_value(quad, xm))))
+    bounds = np.array(box).reshape(-1, 2)[curve_of]
     y = model.add_variables(CONTINUOUS, bounds[:, 0], bounds[:, 1], names)
     # breakpoints, function values and slopes per (envelope, cut), in the
     # operation order of quad_value so the rows match the scalar formulas
     xi = x_max[:, None] * np.arange(segments + 1) / segments
-    a, b, c = (quads[:, j, None] for j in range(3))
+    a, b, c = quads.T[:, :, None]
     fi = a + b * xi + c * xi * xi
     slope = b + 2.0 * c * xi
     # y >= fi + slope*(x - xi)
@@ -519,8 +620,7 @@ def pwl_convex(model: MilpModel, x_cols, x_coeffs, quads, x_max, segments: int, 
     cols[..., 1:] = x_cols[:, None, :]
     coeffs = np.empty(shape)
     coeffs[..., 0] = 1.0
-    x_coeffs = np.broadcast_to(np.asarray(x_coeffs, dtype=float), x_cols.shape)
-    coeffs[..., 1:] = -(slope[..., None] * x_coeffs[:, None, :])
+    coeffs[..., 1:] = -(slope[..., None] * _filled(x_coeffs, x_cols.shape)[:, None, :])
     cuts = [f"_cut{i}" for i in range(segments + 1)]
     cut_names = [name + cut for name in names for cut in cuts]
     model.add_rows(cols.reshape(-1, shape[-1]), coeffs.reshape(-1, shape[-1]), GE,

@@ -33,6 +33,8 @@ CONVERTER_NAMES = ("P2G", "GT", "WHB", "GB")
 
 # HiGHS reads a bound or right-hand side of this size as infinite
 SOLVER_INFINITY = 1e20
+# HiGHS refuses to load a matrix with an entry this large (its large_matrix_value)
+SOLVER_LARGE_MATRIX_VALUE = 1e15
 
 MECHANISM_NONE = "none"
 MECHANISM_TRADITIONAL = "traditional"
@@ -717,9 +719,23 @@ def validate_case(case: CaseData) -> ValidationReport:
         err("gas_kwh_per_m3: must be > 0")
     if not case.chp.ratio_min <= case.chp.ratio_max:
         err("chp: ratio_min > ratio_max")
+    # the coefficient each heat-to-power corridor row puts on the GT's
+    # electric output, as `dispatch.build_model` forms it
+    gt, whb = case.converter("GT"), case.converter("WHB")
+    if gt:
+        ratio_min, ratio_max = case.chp.ratio_min, case.chp.ratio_max
+        if case.chp.extraction_mode:  # the two outputs have columns of their own
+            corridor = (("ratio_min", ratio_min), ("ratio_max", -ratio_max))
+        else:  # one fuel column carries both outputs
+            eps_e = gt.efficiencies.get("electric", 0.0)
+            eps_h = gt.efficiencies.get("heat", 0.0) * (whb.efficiencies.get("heat", 0.0) if whb else 0.0)
+            corridor = (("ratio_min", eps_e * ratio_min + eps_h * -1.0), ("ratio_max", eps_h + eps_e * -ratio_max))
+        for name, coeff in corridor:
+            if not abs(coeff) < SOLVER_LARGE_MATRIX_VALUE:
+                err(f"chp.{name}: the heat-to-power corridor row takes the coefficient {coeff:g}, "
+                    f"and HiGHS refuses one of {SOLVER_LARGE_MATRIX_VALUE:g} or more")
 
     # warnings: legal but suspicious
-    gt, whb = case.converter("GT"), case.converter("WHB")
     if gt and whb and not case.chp.extraction_mode:
         eff_e = gt.efficiencies.get("electric", 0.0)
         eff_h = gt.efficiencies.get("heat", 0.0) * whb.efficiencies.get("heat", 0.0)

@@ -42,7 +42,7 @@ class ScipyMilpBackend:
     name = "scipy-milp"
 
     def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
-        return highs_milp(model.to_sparse(), options)
+        return highs_milp(model, options)
 
 
 class ExternalBackend:

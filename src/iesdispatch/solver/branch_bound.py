@@ -14,7 +14,7 @@ One core per model.  The core an LP was solved on is kept beside its model
 (`_cores`, weakly keyed by the model, as the model keeps its compiled
 ``A``), so it goes when the model goes.  The next solve of the model reuses
 it when the model still compiles to the core's ``A`` object under the same
-time limit, and re-prices it with the model's costs and right-hand sides;
+time limit, and re-prices it with the model's costs and row bounds;
 otherwise it loads a new core.  The identity test is exact: ``to_sparse``
 hands back the same ``A`` until a column or row is added, and only adding
 rows changes the relations.  A solve takes the core out first and puts it
@@ -43,7 +43,7 @@ from functools import partial
 
 import numpy as np
 
-from ..milp_ir import MilpModel, row_bounds
+from ..milp_ir import MilpModel
 
 OPTIMAL = "optimal"
 FEASIBLE = "feasible"
@@ -117,63 +117,60 @@ _CHOOSE, _DUAL = 0, 1
 class _ScipyCore:
     """One HiGHS instance per constraint matrix; a solve sets only column bounds.
 
-    The matrix is loaded once with presolve off, so the simplex basis lives
-    on between runs.  A solve after a run that ended optimal restarts hot
-    from it with ``simplex_strategy`` 0 (module docstring); any other solve
-    clears the solver and runs the dual simplex.
-    `reprice` swaps in the costs and right-hand sides of another LP on the
-    same matrix and relations, and `solve_milp` reuses a model's core that
-    way.  With ``time_limit`` (seconds) a run that reaches it ends with
-    status "limit".
+    The matrix is loaded once with presolve off, together with the column
+    bounds of the first solve, so the simplex basis lives on between runs.
+    A solve after a run that ended optimal restarts hot from it with
+    ``simplex_strategy`` 0 (module docstring); any other solve clears the
+    solver and runs the dual simplex.  `reprice` swaps in the costs and row
+    bounds of another LP on the same matrix, and `solve_milp` reuses a
+    model's core that way.  With ``time_limit`` (seconds) a run that reaches
+    it ends with status "limit".
     """
 
-    def __init__(self, c, c0, A, relations, rhs, time_limit=None):
+    def __init__(self, c, c0, A, row_lower, row_upper, lb, ub, time_limit=None):
         # deferred so that importing the package does not load scipy
         from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
         self._status = HighsModelStatus
         self.c0 = c0
         self.time_limit = time_limit
-        n, m = len(c), len(relations)
+        n, m = len(c), len(row_lower)
         self._cols = np.arange(n, dtype=np.int32)
         self._cost = np.asarray(c, dtype=float)
-        self._relations, self._rhs = relations, np.array(rhs, dtype=float)
-        self.row_lower, self.row_upper = row_bounds(relations, rhs)
+        self.row_lower, self.row_upper = np.asarray(row_lower, dtype=float), np.asarray(row_upper, dtype=float)
         self.A = A  # solve_milp reuses the core while its model compiles to this very object
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("presolve", "off")
         if time_limit is not None:
             self._highs.setOptionValue("time_limit", float(time_limit))
-        # column-wise CSC (format 1), minimise (sense 1), column bounds set
-        # per solve, all columns continuous (an empty integrality is rejected)
+        # the column bounds loaded; a solve passes HiGHS only bounds that differ
+        self._bounds = np.array(lb, dtype=float), np.array(ub, dtype=float)
+        # column-wise CSC (format 1), minimise (sense 1), all columns
+        # continuous (an empty integrality is rejected)
         status = self._highs.passModel(
-            n, m, A.nnz, 1, 1, 0.0, self._cost, np.zeros(n), np.zeros(n), self.row_lower,
+            n, m, A.nnz, 1, 1, 0.0, self._cost, *self._bounds, self.row_lower,
             self.row_upper, A.indptr, A.indices, A.data, np.zeros(n, dtype=np.int32))
         if status == HighsStatus.kError:
             raise NumericalFailure("LP core failed: HiGHS rejected the model")
-        self._bounds = None  # the column bounds loaded, None until the first solve
         self._hot = False  # whether the last run ended optimal, so the next restarts from it
 
-    def reprice(self, c, c0, rhs) -> None:
-        """Set the costs and right-hand sides of another LP on the loaded matrix and relations.
+    def reprice(self, c, c0, row_lower, row_upper) -> None:
+        """Set the costs and row bounds of another LP on the loaded matrix.
 
-        HiGHS keeps its basis, so the next solve can restart hot.  Row
-        bounds are worked out and changed only when the right-hand sides
-        differ in value from the ones the core holds.  Its run clock counts
-        every run of the instance, so the time limit moves on to allow
-        ``time_limit`` more seconds.
+        HiGHS keeps its basis, so the next solve can restart hot.  Only the
+        rows whose bounds differ in value from the ones the core holds are
+        changed.  Its run clock counts every run of the instance, so the
+        time limit moves on to allow ``time_limit`` more seconds.
         """
         h = self._highs
         self._cost, self.c0 = np.asarray(c, dtype=float), c0
         h.changeColsCost(self._cols.size, self._cols, self._cost)
-        if not np.array_equal(rhs, self._rhs):
-            row_lower, row_upper = row_bounds(self._relations, rhs)
-            # scipy's binding has no changeRowsBounds: one call per changed row
-            for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)):
-                h.changeRowBounds(int(i), row_lower[i], row_upper[i])
-            self._rhs = np.array(rhs, dtype=float)
-            self.row_lower, self.row_upper = row_lower, row_upper
+        row_lower, row_upper = np.asarray(row_lower, dtype=float), np.asarray(row_upper, dtype=float)
+        # scipy's binding has no changeRowsBounds: one call per changed row
+        for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)).tolist():
+            h.changeRowBounds(i, row_lower[i], row_upper[i])
+        self.row_lower, self.row_upper = row_lower, row_upper
         if self.time_limit is not None:
             h.setOptionValue("time_limit", h.getRunTime() + float(self.time_limit))
 
@@ -203,7 +200,7 @@ class _ScipyCore:
     def solve(self, lb, ub) -> LpSolution:
         h, status = self._highs, self._status
         lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
-        if self._bounds is None or not all(map(np.array_equal, (lb, ub), self._bounds)):
+        if not all(map(np.array_equal, (lb, ub), self._bounds)):
             h.changeColsBounds(self._cols.size, self._cols, lb, ub)
             self._bounds = lb.copy(), ub.copy()
         hot, self._hot = self._hot, False
@@ -232,21 +229,25 @@ class _ScipyCore:
         raise NumericalFailure(f"LP core failed: {h.modelStatusToString(model_status)}")
 
 
-def highs_milp(compiled, options: MilpOptions) -> MilpSolution:
-    """HiGHS branch-and-cut (``scipy.optimize.milp``) on the arrays of ``to_sparse``.
+def highs_milp(model: MilpModel, options: MilpOptions) -> MilpSolution:
+    """HiGHS branch-and-cut (``scipy.optimize.milp``) on the compiled model.
 
-    HiGHS reports "unbounded or infeasible" as scipy status 4; that is
-    decided as `_ScipyCore` decides it for an LP, by a re-solve with a zero
-    objective: a feasible point means unbounded.
+    The one place the package hands scipy a sparse matrix: the compiled
+    arrays are wrapped, not copied, in a ``scipy.sparse.csc_array``.  HiGHS
+    reports "unbounded or infeasible" as scipy status 4; that is decided as
+    `_ScipyCore` decides it for an LP, by a re-solve with a zero objective:
+    a feasible point means unbounded.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csc_array
 
-    c, c0, A, relations, rhs, lb, ub, is_binary = compiled
-    lo, hi = row_bounds(relations, rhs)
+    c, c0, A, _, _, lb, ub, is_binary = model.to_sparse()
+    lo, hi = model.row_bounds()
     kw = {"mip_rel_gap": options.gap_tol, "node_limit": options.node_limit}
     if options.time_limit is not None:
         kw["time_limit"] = options.time_limit
-    cons = [LinearConstraint(A, lo, hi)] if A.shape[0] else []
+    matrix = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
+    cons = [LinearConstraint(matrix, lo, hi)] if A.shape[0] else []
     run = partial(milp, constraints=cons, integrality=is_binary.astype(int),
                   bounds=Bounds(lb, ub), options=kw)
     t0 = time.perf_counter()
@@ -287,14 +288,14 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     model then keeps.
     """
     options = options or MilpOptions()
-    compiled = c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
+    c, c0, A, _, _, lb, ub, is_binary = model.to_sparse()
     core = _cores.pop(model, None)  # put back only once an LP solve returns
     if is_binary.any():
-        return highs_milp(compiled, options)
+        return highs_milp(model, options)
     if core is not None and core.A is A and core.time_limit == options.time_limit:
-        core.reprice(c, c0, rhs)
+        core.reprice(c, c0, *model.row_bounds())
     else:
-        core = _ScipyCore(c, c0, A, relations, rhs, options.time_limit)
+        core = _ScipyCore(c, c0, A, *model.row_bounds(), lb, ub, options.time_limit)
     t0 = time.perf_counter()
     res = core.solve(lb, ub)
     wall = time.perf_counter() - t0

@@ -6,8 +6,11 @@ agreement with the product is a genuine cross-check rather than a
 self-comparison.  ``brute_force_milp`` solves each leaf LP with scipy HiGHS;
 it is slower and serves as a cross-check of the vertex oracle.
 ``every_gate_model`` builds the paper's fully gated dispatch model, the
-reference that gates on demand are compared against, and
-``compiled_differences`` compares two models' compiled arrays bit for bit.
+reference that gates on demand are compared against,
+``compiled_differences`` compares two models' compiled arrays bit for bit,
+``scipy_csc`` wraps a compiled ``A`` as a scipy sparse array for the
+tests that compute with it, and ``row_bounds`` gives the row bounds of a
+hand-written LP.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import random
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from iesdispatch.dispatch import add_gates, build_model
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, linear_form
@@ -25,6 +29,17 @@ def every_gate_model(case, scenario, options=None):
     model, vm = build_model(case, scenario, options)
     add_gates(case, model, vm, [(sto.carrier, t) for sto in case.storages for t in range(case.horizon.periods)])
     return model, vm
+
+
+def row_bounds(relations, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds of the rows ``a x <relation> rhs`` of a hand-written LP, as HiGHS takes them."""
+    rel = np.array(relations, dtype=object)
+    return np.where(rel == LE, -np.inf, rhs), np.where(rel == GE, np.inf, rhs)
+
+
+def scipy_csc(A) -> csc_array:
+    """The compiled matrix ``A`` of ``MilpModel.to_sparse`` as a scipy CSC array on the same arrays."""
+    return csc_array((A.data, A.indices, A.indptr), shape=A.shape)
 
 
 COMPILED_FIELDS = ("c", "c0", "A", "relations", "rhs", "lb", "ub", "is_binary")
@@ -135,9 +150,7 @@ def vertex_milp(model: MilpModel, tol: float = 1e-9):
     lb_c, ub_c = lb[cont][:, None], ub[cont][:, None]
     if not (np.isfinite(lb_c).all() and np.isfinite(ub_c).all()):
         raise ValueError("vertex_milp needs finite bounds on every continuous column")
-    rel = np.array(relations, dtype=object)
-    lo = np.where(rel == LE, -np.inf, rhs)[:, None]
-    hi = np.where(rel == GE, np.inf, rhs)[:, None]
+    lo, hi = (bound[:, None] for bound in row_bounds(relations, rhs))
     bits = np.array(list(itertools.product((0.0, 1.0), repeat=len(bins))), dtype=float).T
     n, k = len(cont), bits.shape[1]
     A_c = A[:, cont]

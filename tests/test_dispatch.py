@@ -1,5 +1,6 @@
 """Dispatch model: scenario runs, verification, screening, sweeps."""
 
+import concurrent.futures
 import dataclasses
 import random
 import weakref
@@ -268,7 +269,8 @@ def serial_pool(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(dispatch, "ProcessPoolExecutor", SerialPool)
+    # _run_tasks imports the pool class from its module when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return started
 
 
@@ -656,22 +658,23 @@ SET_UP = {"setBasis", "changeColsBounds", "clearSolver", "changeRowBounds"}
 @pytest.mark.parametrize("sweep, moved", [(sweep_lambda, set()), (sweep_interval, {"changeRowBounds"})],
                          ids=["lambda", "d"])
 def test_sweep_points_restart_hot(reduced_case, reduced_options, highs_calls, sweep, moved):
-    # eleven points on one core: the first loads its column bounds and starts
-    # cold; every later one only re-prices, keeps the basis and bounds HiGHS
-    # holds, and (for d) moves the knee rows
+    # eleven points on one core: the first loads its column bounds with the
+    # matrix, so it sets none, and starts cold; every later one only
+    # re-prices, keeps the basis and bounds HiGHS holds, and (for d) moves
+    # the knee rows
     grid = [0.10 + 0.05 * i for i in range(11)] if sweep is sweep_lambda else [1000.0 + 250.0 * i for i in range(11)]
     points = sweep(reduced_case, "S5", grid, reduced_options)
     assert [(p.status, p.error) for p in points] == [("optimal", None)] * 11
     runs = per_run(highs_calls)
     assert len(runs) == 11
-    assert SET_UP & set(runs[0]) == {"changeColsBounds", "clearSolver"}
+    assert SET_UP & set(runs[0]) == {"clearSolver"}
     for run in runs[1:]:
         assert "changeColsCost" in run and SET_UP & set(run) == moved, run
 
 
 def test_point_after_a_raising_solve_starts_cold(reduced_case, reduced_options, highs_calls, monkeypatch):
     # the third point's core raises before its run; the fourth loads a new
-    # core, sets its bounds and starts cold, and the fifth restarts hot on it
+    # core with its bounds and starts cold, and the fifth restarts hot on it
     solve, calls = branch_bound._ScipyCore.solve, []
 
     def third_fails(self, lb, ub):
@@ -685,8 +688,7 @@ def test_point_after_a_raising_solve_starts_cold(reduced_case, reduced_options, 
     assert [p.status for p in points] == ["optimal", "optimal", "numerical_failure", "optimal", "optimal"]
     runs = per_run(highs_calls)
     assert len(runs) == 4 and calls[3] is not calls[2]
-    assert [SET_UP & set(run) for run in runs] == [{"changeColsBounds", "clearSolver"}, set(),
-                                                     {"changeColsBounds", "clearSolver"}, set()]
+    assert [SET_UP & set(run) for run in runs] == [{"clearSolver"}, set(), {"clearSolver"}, set()]
 
 
 @pytest.mark.parametrize("sweep, field, grid", [
@@ -939,7 +941,7 @@ def binding_case(bundled_case):
 def test_gates_are_added_where_storage_overlaps(binding_case, monkeypatch, backend):
     case, every_gate_objectives = binding_case
     options = DispatchOptions(backend=backend, pwl_segments=4)
-    builds, found, added = [], [], []  # found: overlaps of each round, then verify_solution's
+    builds, found, added = [], [], []  # found: overlaps of each round, which verify_solution reuses
     build, overlaps, add = dispatch.build_model, dispatch._storage_overlaps, dispatch.add_gates
 
     def spy_build(*args):
@@ -961,7 +963,7 @@ def test_gates_are_added_where_storage_overlaps(binding_case, monkeypatch, backe
     sol = run_scenario(case, "S2", options)  # raises unless it verifies
     monkeypatch.undo()
     assert len(builds) == 1
-    assert len(added) >= 1 and len(found) == len(added) + 2
+    assert len(added) >= 1 and len(found) == len(added) + 1
     gated = set()
     for overlapping, pairs in zip(found, added):
         assert pairs and pairs == overlapping - gated

@@ -1,12 +1,19 @@
-"""Every name a module imports is read somewhere in that module.
+"""What the package imports.
 
-Covers the package modules and the test files.  ``__init__.py`` files are
-skipped: their imports are the package's re-exports.  ``from __future__``
-imports are compiler directives, not names, and an import statement marked
+Every name a module imports is read somewhere in that module.  This covers
+the package modules and the test files.  ``__init__.py`` files are skipped:
+their imports are the package's re-exports.  ``from __future__`` imports
+are compiler directives, not names, and an import statement marked
 ``# noqa: F401`` is imported on purpose for its side effects or as a check.
+
+Importing the CLI loads no process pool, and only ``highs_milp`` imports
+``scipy.sparse``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +80,45 @@ def test_no_package_module_imports_the_reference_simplex():
     importers = [_module_id(p) for p in sorted(PACKAGE.rglob("*.py"))
                  if any("simplex" in name for name in _imported_modules(p))]
     assert importers == []
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only --jobs > 1 needs multiprocessing, which a fresh process would
+    # otherwise pay for on every run
+    code = ("import sys, iesdispatch.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"
+
+
+def _sparse_importers(source: str) -> list[str]:
+    """The functions of a module that import ``scipy.sparse``, "<module>" for an import outside any."""
+    tree = ast.parse(source)
+    scopes = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                scopes.setdefault(id(inner), node.name)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+            found.append(scopes.get(id(node), "<module>"))
+    return found
+
+
+def test_only_highs_milp_imports_scipy_sparse():
+    # the compiled matrix is a numpy CSC record; scipy.optimize.milp alone
+    # takes a scipy sparse array
+    importers = {_module_id(p): _sparse_importers(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
+    assert {module: names for module, names in importers.items() if names} == {
+        "solver/branch_bound.py": ["highs_milp"]}
+    # the check itself
+    source = "import scipy.sparse\ndef f():\n    from scipy.sparse import csc_array\nimport scipy\n"
+    assert _sparse_importers(source) == ["<module>", "f"]

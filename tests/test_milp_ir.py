@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
-from milp_oracles import check_solution, compiled_differences
+from milp_oracles import check_solution, compiled_differences, scipy_csc
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import (
     BINARY,
     CONTINUOUS,
     EQ,
     GE,
+    INF,
     LE,
     BoundError,
     ConvexityError,
@@ -300,11 +302,54 @@ def test_compiled_arrays_are_kept_until_their_part_changes():
     again = m.to_sparse()
     assert again[0] is not c and again[3] is not relations
     assert all(a is b for a, b in zip(again[4:], (rhs, lb, ub, is_binary))) and again[2] is A
+    bounds = m.row_bounds()
+    assert m.row_bounds() is bounds
     m.set_rhs([0], [2.0])
     assert m.to_sparse()[4] is not rhs and m.to_sparse()[2] is A and m.to_sparse()[5] is lb
+    assert m.row_bounds() is not bounds and bounds[1][0] == 3.0 and m.row_bounds()[1][0] == 2.0
     m.add_variables(CONTINUOUS, 0.0, 1.0, ["z"])
     after = m.to_sparse()
     assert after[2] is not A and after[5] is not lb
+
+
+def test_row_bounds_follow_the_relations():
+    m = MilpModel()
+    for step in _STEPS[:6]:
+        step(m)
+    lower, upper = m.row_bounds()
+    # cap: x + 2b <= 2.5, lo: x - y >= -1, tie: b + y = 0
+    assert lower.tolist() == [-INF, -1.0, 0.0] and upper.tolist() == [2.5, INF, 0.0]
+    m.add_rows([[0]], 1.0, LE, 4.0, ["x_cap"])
+    assert m.row_bounds()[0].tolist() == [-INF, -1.0, 0.0, -INF]
+
+
+def test_compiled_matrix_matches_scipy_conversion():
+    # the numpy CSC gather against scipy's own conversion of the same rows,
+    # taken in CSR form as add_rows keeps them: entries, dtypes and order,
+    # with empty rows, columns no row uses and zero coefficients, which
+    # leave their slots empty
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        m = MilpModel()
+        m.add_variables(CONTINUOUS, 0.0, 1.0, [f"x{j}" for j in range(n)])
+        entries = []  # the nonzeros of each row, in slot order
+        for b in range(int(rng.integers(0, 4))):
+            rows, k = int(rng.integers(1, 5)), int(rng.integers(0, n + 1))
+            cols = np.array([rng.permutation(n)[:k] for _ in range(rows)], dtype=np.int64).reshape(rows, k)
+            coeffs = rng.choice([0.0, 0.0, 1.0, -2.5, 3e-7, 1e9], size=(rows, k))
+            m.add_rows(cols, coeffs, LE, 1.0, [f"b{b}r{i}" for i in range(rows)])
+            entries += [[(j, v) for j, v in zip(r, w) if v != 0.0] for r, w in zip(cols.tolist(), coeffs.tolist())]
+        m.add_variables(CONTINUOUS, 0.0, 1.0, [f"y{j}" for j in range(int(rng.integers(0, 3)))])
+        A = m.to_sparse()[2]
+        indptr = np.cumsum([0, *map(len, entries)]).astype(np.int32)
+        indices = np.array([j for row in entries for j, _ in row], dtype=np.int32)
+        data = np.array([v for row in entries for _, v in row], dtype=float)
+        want = csr_array((data, indices, indptr), shape=(len(entries), m.num_variables)).tocsc()
+        assert A.shape == want.shape and A.nnz == want.nnz, trial
+        for part in ("data", "indices", "indptr"):
+            got, expected = getattr(A, part), getattr(want, part)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (trial, part)
 
 
 def test_compiled_arrays_are_read_only():
@@ -312,7 +357,9 @@ def test_compiled_arrays_are_read_only():
     for step in _STEPS:
         step(m)
     c, _, A, relations, rhs, lb, ub, is_binary = m.to_sparse()
-    for array, value in ((rhs, 9.0), (lb, 9.0), (ub, 9.0), (is_binary, True)):
+    kept = ((rhs, 9.0), (lb, 9.0), (ub, 9.0), (is_binary, True), (A.data, 9.0), (A.indices, 1), (A.indptr, 1),
+            *((bound, 9.0) for bound in m.row_bounds()))
+    for array, value in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = value
     # the costs and relations are built on each call, so writing into them
@@ -463,7 +510,27 @@ def test_bulk_path_rejects_what_the_single_path_rejects_and_adds_nothing(fault):
     # the failed block left the model as it was
     assert (m.num_variables, m.num_constraints) == (2, 1)
     after = m.to_sparse()
-    assert after[3] == before[3] and (after[2] != before[2]).nnz == 0
+    assert after[3] == before[3] and (scipy_csc(after[2]) != scipy_csc(before[2])).nnz == 0
+
+
+def test_a_refused_block_leaves_its_names_as_they_were():
+    # a block refused after its names were checked gives them back: they
+    # come in with the next valid block, and only once
+    refusals = [
+        (ValueError, lambda m: m.add_variables(CONTINUOUS, 0.0, [1.0, 2.0, 3.0], ["a", "b"])),
+        (BoundError, lambda m: m.add_variables(CONTINUOUS, 2.0, 1.0, ["a", "b"])),
+        (ModelError, lambda m: m.add_rows([[0], [5]], 1.0, LE, 1.0, ["a", "b"])),
+    ]
+    for error, refused in refusals:
+        m = _two_columns()
+        with pytest.raises(error):
+            refused(m)
+        m.add_variables(CONTINUOUS, 0.0, 1.0, ["a", "b"])
+        m.add_rows([[0], [1]], 1.0, LE, 1.0, ["a", "b"])
+        with pytest.raises(DuplicateNameError):
+            m.add_variables(CONTINUOUS, 0.0, 1.0, ["a"])
+        with pytest.raises(DuplicateNameError):
+            m.add_rows([[0]], 1.0, LE, 1.0, ["b"])
 
 
 def test_binary_bounds_clamped_in_bulk():
@@ -518,7 +585,7 @@ def test_bulk_rows_equal_rows_added_one_by_one(blocks, data):
             single.add_rows(np.array([ids], dtype=np.int64).reshape(1, k), [w], relation, r, [name])
     got, want = bulk.to_sparse(), single.to_sparse()
     for g, w in zip(got, want):
-        if hasattr(g, "tocsc"):
+        if hasattr(g, "indptr"):
             for attr in ("data", "indices", "indptr"):
                 a, b = getattr(g, attr), getattr(w, attr)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -234,6 +234,19 @@ def test_emission_curves_must_stay_below_the_solver_infinity(case):
     assert validate_case(replace(case, purchase_caps=(1e11, case.purchase_caps[1]))).errors == []
 
 
+@pytest.mark.parametrize("extraction", [False, True], ids=["fixed-ratio", "extraction"])
+def test_chp_corridor_coefficient_must_stay_below_the_large_matrix_value(case, extraction):
+    # a corridor row carries a ratio times the GT's electric coefficient as a
+    # matrix entry, and HiGHS refuses to load one of 1e15 or more
+    chp = replace(case.chp, extraction_mode=extraction)
+    for field, value in (("ratio_max", 1e16), ("ratio_min", -1e16)):
+        with pytest.raises(UnitError, match="heat-to-power corridor") as info:
+            require_valid(replace(case, chp=replace(chp, **{field: value})))
+        assert info.value.locator == f"chp.{field}"
+    report = run_all_scenarios(replace(case, chp=replace(chp, ratio_max=1e14)))
+    assert [row.status for row in report.rows] == ["optimal"] * len(SCENARIO_IDS)
+
+
 def test_counts_must_be_ints(case):
     for bad in (24.0, True):
         report = validate_case(replace(case, horizon=replace(case.horizon, periods=bad)))

@@ -14,6 +14,7 @@ current digests.
 """
 
 import hashlib
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from milp_oracles import every_gate_model
 
 from iesdispatch.dispatch import SCENARIO_IDS, build_model
 from iesdispatch.lp_format import write_lp
-from iesdispatch.model_core import default_case_path, load_case, reduce_case
+from iesdispatch.model_core import default_case_path, load_case, reduce_case, scale_profiles
 
 
 def _variants():
@@ -36,6 +37,13 @@ def _variants():
     yield "literal-eq2-S5", replace(case, dr=replace(case.dr, literal_eq2=True)), "S5"
     floor = {"electric": (1.0, 30.0), "gas": None, "heat": None}
     yield "shift-floor-S4", replace(case, dr=replace(case.dr, shift_bounds=floor)), "S4"
+    # load and wind perturbations as acceptance criterion 5 draws them, so
+    # the pins do not rest on the bundled profiles alone
+    for seed in (0, 1):
+        rng = random.Random(1000 + seed)
+        factors = {key: rng.uniform(0.9, 1.1) for key in ("electric", "gas", "heat", "wind")}
+        perturbed = scale_profiles(case, factors)
+        yield from ((f"perturbed{seed}-{sid}", perturbed, sid) for sid in ("S3", "S5"))
 
 
 def fingerprint(model, with_lp: bool = False) -> str:
@@ -77,6 +85,10 @@ EXPECTED = {
     "extraction-S5": "9878f6ec8c5aecd45d0e4a1afbc6765bb6cd1a1817289836669335e825b703df",
     "literal-eq2-S5": "1a8ea607a5831b974bcb58f19b88d4c502655dfa62f93bd5298fca48ae04fa91",
     "shift-floor-S4": "0dc86af34c2d2206e955784545008e6dabe31d3dcc6e9c20d857c3408e4cc019",
+    "perturbed0-S3": "1a1d3ad6340e7ddfbe0724a8b90881cfa3e53c7259b867573339697ccc3ede4d",
+    "perturbed0-S5": "5d9b2cf378e4c3c76712489048ebf4ac257785cf9709b673233e652307297f45",
+    "perturbed1-S3": "feb0d46e60b2d4da8fa4324183f6611317a70f653272c8effe4af108cb7f0890",
+    "perturbed1-S5": "fe3ad2e97d8f506c39129b0addfe880f649435775fa6c1090141fd4afee528f0",
     # the same variants without a storage gate
     "full-S1/gate-free": "6099ad036040e962b51518bf7fd1634887b84d55dd2e75837cfbd1dd709c81d1",
     "full-S2/gate-free": "5472da973361ee919ee0109e355cb249f806f407da18e791cee40cfffd9f3d65",
@@ -91,6 +103,10 @@ EXPECTED = {
     "extraction-S5/gate-free": "0987948ab5d45d715e33fc34b99e25ccdc0b0f245a7f1696d846a56431f21277",
     "literal-eq2-S5/gate-free": "07d38e3f2cdb94f0a2fddf7033c80404675c3ba3faaf855b304f795ee6f7035f",
     "shift-floor-S4/gate-free": "59fb6c432916dec50f339c14be16d3bbab5886d0c1d9bf6c5a1b24ee0ec19d53",
+    "perturbed0-S3/gate-free": "7502015f864c29913375ee6fd7edcb1466e283997914847fd1e49242bfc19d95",
+    "perturbed0-S5/gate-free": "03a92765a60a0facb38f4d0357f6e8f229225d1c28b5730240bccfd00004b8a0",
+    "perturbed1-S3/gate-free": "65007d85c6034ba1c6e4f764352b29ef4a03b6aafe820b82dd70ef5bba68c75e",
+    "perturbed1-S5/gate-free": "fe856151610537a2880343e9aea006c9323ecdfff7336c2ae4ba2f5a97b4186f",
 }
 
 

@@ -16,7 +16,8 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from highs_spy import per_run
-from milp_oracles import brute_force_milp, check_solution, every_gate_model, random_milp, vertex_milp
+from milp_oracles import (brute_force_milp, check_solution, every_gate_model, random_milp, row_bounds, scipy_csc,
+                          vertex_milp)
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver import branch_bound
@@ -348,8 +349,8 @@ def test_scipy_core_matches_reference_simplex():
     for _ in range(300):
         m = _random_lp(rng, lbs=(0.0, -2.0, -INF), ubs=(1.0, 5.0, INF))
         m.set_objective(m.objective._replace(constant=rng.uniform(-1, 1)))
-        c, c0, A, relations, rhs, lb, ub, _ = m.to_sparse()
-        core = _ScipyCore(c, c0, A, relations, rhs).solve(lb, ub)
+        c, c0, A, _, _, lb, ub, _ = m.to_sparse()
+        core = _ScipyCore(c, c0, A, *m.row_bounds(), lb, ub).solve(lb, ub)
         ref = solve_lp(m)
         assert core.status == ref.status
         seen[ref.status] += 1
@@ -393,10 +394,9 @@ def test_scipy_core_resolves_unbounded_or_infeasible(lp, status):
     from scipy.optimize._highspy._core import HighsModelStatus
 
     c, A, relations, rhs, lb, ub = lp
-    core = _ScipyCore(np.array(c, float), 0.0, csc_array(np.array(A, float)), relations, rhs)
     lb, ub = np.array(lb, float), np.array(ub, float)
+    core = _ScipyCore(np.array(c, float), 0.0, csc_array(np.array(A, float)), *row_bounds(relations, rhs), lb, ub)
     core._highs.setOptionValue("allow_unbounded_or_infeasible", True)
-    core._highs.changeColsBounds(len(lb), np.arange(len(lb), dtype=np.int32), lb, ub)
     core._highs.run()
     assert core._highs.getModelStatus() == HighsModelStatus.kUnboundedOrInfeasible
     assert core.solve(lb, ub).status == status
@@ -420,9 +420,9 @@ def test_highs_private_api_is_importable():
         assert callable(getattr(_Highs, method))
     assert HighsModelStatus.kUnboundedOrInfeasible != HighsModelStatus.kUnbounded
     # the array overload of passModel the core loads with: min x + 2y + 0.5
-    # subject to x + y >= 1 on [0, 1]^2
-    arrays = np.array([1.0, 2.0]), 0.5, csc_array(np.ones((1, 2))), [GE], np.array([1.0])
-    core = _ScipyCore(*arrays)
+    # subject to 1 <= x + y <= inf on [0, 1]^2
+    arrays = np.array([1.0, 2.0]), 0.5, csc_array(np.ones((1, 2))), np.array([1.0]), np.array([INF])
+    core = _ScipyCore(*arrays, np.zeros(2), np.ones(2))
     res = core.solve(np.zeros(2), np.ones(2))
     assert (res.status, res.objective, res.x.tolist()) == ("optimal", 1.5, [1.0, 0.0])
     assert core._highs.getModelStatus() == HighsModelStatus.kOptimal
@@ -535,29 +535,30 @@ def test_package_defines_only_what_it_calls():
 def _sweep_lps():
     """Gate-free reduced S5 LPs over carbon prices and tier widths: one matrix, other c and rows."""
     from iesdispatch.dispatch import DispatchOptions, build_model
-    from iesdispatch.milp_ir import row_bounds
     from iesdispatch.model_core import default_case_path, load_case, reduce_case
 
     case = reduce_case(load_case(default_case_path()), 2)
     lps = []
     for lam, d in ((0.1, 2000.0), (0.3, 2000.0), (0.6, 2000.0), (0.6, 800.0), (0.2, 4000.0)):
         point = replace(case, carbon=replace(case.carbon, lambda_base=lam, interval_d=d))
-        c, c0, A, relations, rhs, lb, ub, _ = build_model(point, "S5", DispatchOptions(pwl_segments=4))[0].to_sparse()
-        lps.append(((c, c0, A, relations, rhs), row_bounds(relations, rhs), lb, ub))
+        model = build_model(point, "S5", DispatchOptions(pwl_segments=4))[0]
+        c, c0, A, relations, _, lb, ub, _ = model.to_sparse()
+        lps.append(((c, c0, A, *model.row_bounds()), relations, lb, ub))
     return lps
 
 
 def test_repriced_core_matches_cold_solves():
     lps = _sweep_lps()
     # one matrix and one set of relations, entry for entry: only c and rhs move
-    assert all((arrays[2] != lps[0][0][2]).nnz == 0 and arrays[3] == lps[0][0][3] for arrays, *_ in lps)
-    core = _ScipyCore(*lps[0][0])
+    assert all((scipy_csc(arrays[2]) != scipy_csc(lps[0][0][2])).nnz == 0 and relations == lps[0][1]
+               for arrays, relations, *_ in lps)
+    core = _ScipyCore(*lps[0][0], *lps[0][2:])
     assert core.solve(*lps[0][2:]).status == "optimal"
     warm_iterations = cold_iterations = 0
     for arrays, _, lb, ub in lps[1:]:
-        core.reprice(arrays[0], arrays[1], arrays[4])
+        core.reprice(*arrays[:2], *arrays[3:])
         warm = core.solve(lb, ub)
-        cold = _ScipyCore(*arrays).solve(lb, ub)
+        cold = _ScipyCore(*arrays, lb, ub).solve(lb, ub)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
         warm_iterations += warm.iterations
@@ -571,8 +572,8 @@ def test_core_keeps_the_compiled_matrix_object():
     from iesdispatch.dispatch import DispatchOptions, build_model
     from iesdispatch.model_core import default_case_path, load_case, reduce_case
 
-    (c, c0, A, relations, rhs), *_ = _sweep_lps()[0]
-    assert _ScipyCore(c, c0, A, relations, rhs).A is A
+    arrays, _, lb, ub = _sweep_lps()[0]
+    assert _ScipyCore(*arrays, lb, ub).A is arrays[2]
     options = DispatchOptions(pwl_segments=4)
     model, _ = build_model(reduce_case(load_case(default_case_path()), 2), "S5", options)
     assert solve_milp(model, options).status == "optimal"
@@ -588,11 +589,11 @@ def test_repriced_core_gives_each_solve_its_own_time_limit():
     # limit on, so cold solves that together take far longer than the
     # limit each finish inside it
     arrays, _, lb, ub = _sweep_lps()[0]
-    probe = _ScipyCore(*arrays)
+    probe = _ScipyCore(*arrays, lb, ub)
     assert probe.solve(lb, ub).status == "optimal"
-    core = _ScipyCore(*arrays, time_limit=20 * probe._highs.getRunTime())
+    core = _ScipyCore(*arrays, lb, ub, time_limit=20 * probe._highs.getRunTime())
     for _ in range(60):
-        core.reprice(arrays[0], arrays[1], arrays[4])
+        core.reprice(*arrays[:2], *arrays[3:])
         core._hot = False  # as after a run that was not optimal: each run is cold and takes the probe's time
         assert core.solve(lb, ub).status == "optimal"
 
@@ -602,8 +603,8 @@ def s5_compiled():
     from iesdispatch.model_core import default_case_path, load_case
 
     model, _ = every_gate_model(load_case(default_case_path()), "S5")
-    c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
-    return (c, c0, A, relations, rhs), lb, ub, np.flatnonzero(is_binary)
+    c, c0, A, _, _, lb, ub, is_binary = model.to_sparse()
+    return (c, c0, A, *model.row_bounds()), lb, ub, np.flatnonzero(is_binary)
 
 
 def _fixed(lb, ub, fixes):
@@ -620,7 +621,7 @@ def test_persistent_core_matches_cold_solves(s5_compiled):
     # hot from the one before it when that one ended optimal
     arrays, lb, ub, gates = s5_compiled
     rng = random.Random(11)
-    core = _ScipyCore(*arrays)
+    core = _ScipyCore(*arrays, lb, ub)
     root = core.solve(lb, ub)
     solved, last = [({}, root)], root.status
     previous, restored, hot, warm_iterations, cold_iterations = {}, 0, 0, 0, 0
@@ -632,7 +633,7 @@ def test_persistent_core_matches_cold_solves(s5_compiled):
         previous = child
         bounds = _fixed(lb, ub, child)
         warm = core.solve(*bounds)
-        cold = _ScipyCore(*arrays).solve(*bounds)
+        cold = _ScipyCore(*arrays, *bounds).solve(*bounds)
         assert warm.status == cold.status
         if last == "optimal":
             hot += 1
@@ -726,8 +727,9 @@ def test_cold_solves_keep_the_dual_simplex():
     for label, data, segments in (("full", case, 8), ("reduced", reduce_case(case, 2), 4)):
         iterations = []
         for sid in SCENARIO_IDS:
-            c, c0, A, relations, rhs, lb, ub, _ = build_model(data, sid, DispatchOptions(pwl_segments=segments))[0].to_sparse()
-            core = _ScipyCore(c, c0, A, relations, rhs)
+            model = build_model(data, sid, DispatchOptions(pwl_segments=segments))[0]
+            c, c0, A, _, _, lb, ub, _ = model.to_sparse()
+            core = _ScipyCore(c, c0, A, *model.row_bounds(), lb, ub)
             cold = core.solve(lb, ub)
             assert cold.status == "optimal" and core._highs.getOptionValue("simplex_strategy")[1] == 1
             iterations.append(cold.iterations)
@@ -774,14 +776,12 @@ def _compiled_models():
 
 
 def test_sparse_compile_matches_dense_loop():
-    from scipy.sparse import csc_array
-
     for model in _compiled_models():
         ref = _dense_reference(model)
         sparse, dense = model.to_sparse(), model.to_dense()
         A = sparse[2]
-        assert A.format == "csc" and A.has_sorted_indices and np.all(A.data != 0.0)
-        assert _bit_equal(A.toarray(), ref[2]) and _bit_equal(dense[2], ref[2])
+        assert scipy_csc(A).has_sorted_indices and np.all(A.data != 0.0) and A.nnz == A.data.size
+        assert _bit_equal(scipy_csc(A).toarray(), ref[2]) and _bit_equal(dense[2], ref[2])
         # the arrays HiGHS is given are those a CSC conversion of dense A gives
         expected = csc_array(ref[2])
         for part in ("indptr", "indices", "data"):
