@@ -746,7 +746,8 @@ class DispatchSolution:
     from the objective).  `objective` is the solver objective, which covers
     purchase, maintenance, compensation, and (when priced) the surrogate
     carbon cost.  `nodes` and `wall_time` add up the solves of every gate
-    round; the other solver fields are the last round's.
+    round; the other solver fields are the last round's.  An LP round's
+    time covers the re-price of its HiGHS core, not the load of a new one.
     """
 
     scenario_id: str
@@ -1255,6 +1256,14 @@ def _scenario_task(args):
     return scenario_id, _row_from_solution(sol), sol
 
 
+def _check_jobs(jobs) -> None:
+    """ValueError unless ``jobs`` is an int >= 1; a bool is refused too."""
+    if type(jobs) is not int:
+        raise ValueError(f"jobs {jobs!r}: need an int")
+    if jobs < 1:
+        raise ValueError(f"jobs {jobs!r}: need at least 1 job")
+
+
 def _run_tasks(fn, tasks, jobs: int):
     if jobs > 1 and len(tasks) > 1:
         # deferred: importing multiprocessing costs every process that never forks
@@ -1278,6 +1287,7 @@ def run_all_scenarios(
     scenario's total cost and actual emissions against the first requested
     scenario (drops are positive).
     """
+    _check_jobs(jobs)
     options = options or DispatchOptions()
     tasks = [(case, sid, options) for sid in scenario_ids]
     results = _run_tasks(_scenario_task, tasks, jobs)
@@ -1342,6 +1352,7 @@ def _sweep(case, scenario, grid, options, jobs, override) -> list[SweepPoint]:
     single-point ``solve``; on a degenerate face the other columns can
     differ from one.
     """
+    _check_jobs(jobs)
     values = check_grid(grid)
     scenario_id = as_scenario(scenario).id
     options = options or DispatchOptions()

@@ -771,6 +771,8 @@ def reduce_case(case: CaseData, factor: int = 2) -> CaseData:
     storage power) keep their per-period meaning at the coarser step.
     """
     periods = case.horizon.periods
+    if type(factor) is not int:  # 1.5 passes the divisibility test, and True is no factor
+        raise ValueError(f"factor {factor!r}: need an int")
     if factor < 1 or periods % factor != 0:
         raise ValueError(f"factor {factor} does not divide {periods} periods")
 

@@ -1,8 +1,9 @@
 """The embedded backend: one LP on a HiGHS core, or HiGHS branch-and-cut.
 
 `solve_milp` compiles the model once with ``MilpModel.to_sparse``.  A model
-without binaries is one LP on `_ScipyCore`, which loads the CSC matrix into
-one HiGHS instance with presolve off and alone holds its warm start.
+without binaries is one LP on `_ScipyCore`, which loads the model's compiled
+arrays and row bounds into one HiGHS instance with presolve off and alone
+holds its warm start.
 The dispatch models are such LPs first: their convex cost terms
 (demand-response deviation and the tiered carbon ladder) are exact LPs, and
 a storage gate is added only in a later round, where the gate-free schedule
@@ -13,17 +14,19 @@ the "scipy-milp" backend calls too.
 One core per model.  The core an LP was solved on is kept beside its model
 (`_cores`, weakly keyed by the model, as the model keeps its compiled
 ``A``), so it goes when the model goes.  The next solve of the model reuses
-it when the model still compiles to the core's ``A`` object under the same
-time limit, and re-prices it with the model's costs and row bounds;
-otherwise it loads a new core.  The identity test is exact: ``to_sparse``
-hands back the same ``A`` until a column or row is added, and only adding
-rows changes the relations.  A solve takes the core out first and puts it
-back once it returns, so after a raise the next solve loads a new core.
+it when the model still compiles to the core's ``A`` object, and otherwise
+loads a new core.  Every solve after the load re-prices the core with the
+model's costs and row bounds, and each run gets its own time limit.  The
+identity test is exact: ``to_sparse`` hands back the same ``A`` until a
+column or row is added, only adding rows changes the relations, and no
+call changes the bounds of a column once added.  A solve takes the core
+out first and puts it back once it returns, so after a raise the next
+solve loads a new core.
 A sweep re-prices one model from point to point: the carbon price moves
 costs only and the tier width the bounds of the knee rows.  After an
 optimal point the next restarts hot (Huangfu & Hall, Math. Prog. Comp.
-10(1), 2018): the core passes HiGHS no column or row bounds that did not
-change, so HiGHS keeps its basis, factorization and edge weights.  On a
+10(1), 2018): the core passes HiGHS no row bounds that did not change,
+so HiGHS keeps its basis, factorization and edge weights.  On a
 hot restart HiGHS chooses the simplex variant (``simplex_strategy`` 0): a
 cost change leaves the basis primal feasible, so the primal simplex goes
 on from it, and a move of the knee rows leaves it dual feasible, so the
@@ -77,16 +80,6 @@ class NumericalFailure(RuntimeError):
 
 
 @dataclass
-class LpSolution:
-    """Outcome of one `_ScipyCore.solve`."""
-
-    status: str
-    objective: float | None = None
-    x: np.ndarray | None = None
-    iterations: int = 0
-
-
-@dataclass
 class MilpSolution:
     """Solve outcome.
 
@@ -115,118 +108,95 @@ _CHOOSE, _DUAL = 0, 1
 
 
 class _ScipyCore:
-    """One HiGHS instance per constraint matrix; a solve sets only column bounds.
+    """One HiGHS instance per compiled matrix; a solve re-prices it with its model.
 
-    The matrix is loaded once with presolve off, together with the column
-    bounds of the first solve, so the simplex basis lives on between runs.
-    A solve after a run that ended optimal restarts hot from it with
-    ``simplex_strategy`` 0 (module docstring); any other solve clears the
-    solver and runs the dual simplex.  `reprice` swaps in the costs and row
-    bounds of another LP on the same matrix, and `solve_milp` reuses a
-    model's core that way.  With ``time_limit`` (seconds) a run that reaches
-    it ends with status "limit".
+    The model's arrays and row bounds are loaded once with presolve off, so
+    the simplex basis lives on between runs.  A solve after a run that ended
+    optimal restarts hot from it with ``simplex_strategy`` 0 (module
+    docstring); any other solve clears the solver and runs the dual simplex.
     """
 
-    def __init__(self, c, c0, A, row_lower, row_upper, lb, ub, time_limit=None):
+    def __init__(self, model: MilpModel):
         # deferred so that importing the package does not load scipy
         from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
         self._status = HighsModelStatus
-        self.c0 = c0
-        self.time_limit = time_limit
-        n, m = len(c), len(row_lower)
-        self._cols = np.arange(n, dtype=np.int32)
-        self._cost = np.asarray(c, dtype=float)
-        self.row_lower, self.row_upper = np.asarray(row_lower, dtype=float), np.asarray(row_upper, dtype=float)
+        c, _, A, _, _, lb, ub, _ = model.to_sparse()
         self.A = A  # solve_milp reuses the core while its model compiles to this very object
+        self._rows = model.row_bounds()
+        m, n = A.shape
+        self._cols = np.arange(n, dtype=np.int32)
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("presolve", "off")
-        if time_limit is not None:
-            self._highs.setOptionValue("time_limit", float(time_limit))
-        # the column bounds loaded; a solve passes HiGHS only bounds that differ
-        self._bounds = np.array(lb, dtype=float), np.array(ub, dtype=float)
         # column-wise CSC (format 1), minimise (sense 1), all columns
         # continuous (an empty integrality is rejected)
         status = self._highs.passModel(
-            n, m, A.nnz, 1, 1, 0.0, self._cost, *self._bounds, self.row_lower,
-            self.row_upper, A.indptr, A.indices, A.data, np.zeros(n, dtype=np.int32))
+            n, m, A.nnz, 1, 1, 0.0, c, lb, ub, *self._rows,
+            A.indptr, A.indices, A.data, np.zeros(n, dtype=np.int32))
         if status == HighsStatus.kError:
             raise NumericalFailure("LP core failed: HiGHS rejected the model")
+        self._loaded = True  # the first run takes the costs and row bounds of the load
         self._hot = False  # whether the last run ended optimal, so the next restarts from it
 
-    def reprice(self, c, c0, row_lower, row_upper) -> None:
-        """Set the costs and row bounds of another LP on the loaded matrix.
+    def _verdict(self, model_status, optimal: str) -> str:
+        """The status of a finished run, ``optimal`` for an optimal one; raises on a status it does not map."""
+        s = self._status
+        verdict = {s.kOptimal: optimal, s.kInfeasible: INFEASIBLE, s.kUnbounded: UNBOUNDED,
+                   s.kTimeLimit: LIMIT}.get(model_status)
+        if verdict is None:
+            raise NumericalFailure(f"LP core failed: {self._highs.modelStatusToString(model_status)}")
+        return verdict
 
-        HiGHS keeps its basis, so the next solve can restart hot.  Only the
-        rows whose bounds differ in value from the ones the core holds are
-        changed.  Its run clock counts every run of the instance, so the
-        time limit moves on to allow ``time_limit`` more seconds.
-        """
-        h = self._highs
-        self._cost, self.c0 = np.asarray(c, dtype=float), c0
-        h.changeColsCost(self._cols.size, self._cols, self._cost)
-        row_lower, row_upper = np.asarray(row_lower, dtype=float), np.asarray(row_upper, dtype=float)
-        # scipy's binding has no changeRowsBounds: one call per changed row
-        for i in np.flatnonzero((row_lower != self.row_lower) | (row_upper != self.row_upper)).tolist():
-            h.changeRowBounds(i, row_lower[i], row_upper[i])
-        self.row_lower, self.row_upper = row_lower, row_upper
-        if self.time_limit is not None:
-            h.setOptionValue("time_limit", h.getRunTime() + float(self.time_limit))
-
-    def _run(self, strategy: int):
-        """Run HiGHS with the simplex strategy given; the info record of the run."""
-        self._highs.setOptionValue("simplex_strategy", strategy)
-        self._highs.run()
-        return self._highs.getInfo()
-
-    def _resolve_unbounded_or_infeasible(self) -> tuple[str, int]:
-        """Decide feasibility by re-running with a zero objective."""
+    def _resolve_unbounded_or_infeasible(self) -> str:
+        """Decide feasibility by re-running with a zero objective; the next solve re-prices the costs."""
         h, n = self._highs, len(self._cols)
         h.changeColsCost(n, self._cols, np.zeros(n))
         h.clearSolver()
-        iterations = self._run(_DUAL).simplex_iteration_count
-        model_status = h.getModelStatus()
-        h.changeColsCost(n, self._cols, self._cost)
+        h.setOptionValue("simplex_strategy", _DUAL)
+        h.run()
         # the first run found the dual infeasible, so a feasible primal is unbounded
-        if model_status == self._status.kOptimal:
-            return UNBOUNDED, iterations
-        if model_status == self._status.kInfeasible:
-            return INFEASIBLE, iterations
-        if model_status == self._status.kTimeLimit:
-            return LIMIT, iterations
-        raise NumericalFailure(f"LP core failed: {h.modelStatusToString(model_status)}")
+        return self._verdict(h.getModelStatus(), UNBOUNDED)
 
-    def solve(self, lb, ub) -> LpSolution:
-        h, status = self._highs, self._status
-        lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
-        if not all(map(np.array_equal, (lb, ub), self._bounds)):
-            h.changeColsBounds(self._cols.size, self._cols, lb, ub)
-            self._bounds = lb.copy(), ub.copy()
+    def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
+        """Solve ``model``, which compiles to the loaded ``A``, under ``options.time_limit``.
+
+        A run after the first passes HiGHS the model's costs and only the
+        row bounds that differ in value from the ones the core holds, so
+        HiGHS keeps its basis.  HiGHS's run clock counts every run of the
+        instance, so the time limit is set from it for each run.
+        """
+        t0 = time.perf_counter()
+        h = self._highs
+        if self._loaded:
+            self._loaded = False
+        else:
+            h.changeColsCost(self._cols.size, self._cols, model.to_sparse()[0])
+            (lower, upper), (held_lower, held_upper) = model.row_bounds(), self._rows
+            # scipy's binding has no changeRowsBounds: one call per changed row
+            for i in np.flatnonzero((lower != held_lower) | (upper != held_upper)).tolist():
+                h.changeRowBounds(i, lower[i], upper[i])
+            self._rows = lower, upper
+        limit = options.time_limit
+        h.setOptionValue("time_limit", math.inf if limit is None else h.getRunTime() + limit)
         hot, self._hot = self._hot, False
         if not hot:
             h.clearSolver()
-        info = self._run(_CHOOSE if hot else _DUAL)
-        iterations = info.simplex_iteration_count
+        h.setOptionValue("simplex_strategy", _CHOOSE if hot else _DUAL)
+        h.run()
         model_status = h.getModelStatus()
-        if model_status == status.kOptimal:
-            self._hot = True
-            return LpSolution(
-                status=OPTIMAL,
-                objective=info.objective_function_value + self.c0,
-                x=np.fromiter(h.getSolution().col_value, float, self._cols.size),
-                iterations=iterations,
-            )
-        if model_status == status.kInfeasible:
-            return LpSolution(status=INFEASIBLE, iterations=iterations)
-        if model_status == status.kUnbounded:
-            return LpSolution(status=UNBOUNDED, iterations=iterations)
-        if model_status == status.kTimeLimit:
-            return LpSolution(status=LIMIT, iterations=iterations)
-        if model_status == status.kUnboundedOrInfeasible:
-            verdict, more = self._resolve_unbounded_or_infeasible()
-            return LpSolution(status=verdict, iterations=iterations + more)
-        raise NumericalFailure(f"LP core failed: {h.modelStatusToString(model_status)}")
+        if model_status == self._status.kUnboundedOrInfeasible:
+            verdict = self._resolve_unbounded_or_infeasible()
+        else:
+            verdict = self._verdict(model_status, OPTIMAL)
+        if verdict != OPTIMAL:
+            return MilpSolution(status=verdict, objective=None, x=None, bound=-np.inf, gap=np.inf, nodes=1,
+                                wall_time=time.perf_counter() - t0)
+        self._hot = True
+        objective = h.getInfo().objective_function_value + model.objective.constant
+        x = np.fromiter(h.getSolution().col_value, float, self._cols.size)
+        return MilpSolution(status=OPTIMAL, objective=objective, x=x, bound=objective, gap=0.0, nodes=1,
+                            wall_time=time.perf_counter() - t0)
 
 
 def highs_milp(model: MilpModel, options: MilpOptions) -> MilpSolution:
@@ -284,24 +254,15 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     """Solve a MILP whose integer variables are all binary.
 
     An LP is solved on the model's core when the model still compiles to
-    its matrix under the same time limit, else on a new core, which the
-    model then keeps.
+    its matrix, else on a new core, which the model then keeps.
     """
     options = options or MilpOptions()
-    c, c0, A, _, _, lb, ub, is_binary = model.to_sparse()
+    _, _, A, _, _, _, _, is_binary = model.to_sparse()
     core = _cores.pop(model, None)  # put back only once an LP solve returns
     if is_binary.any():
         return highs_milp(model, options)
-    if core is not None and core.A is A and core.time_limit == options.time_limit:
-        core.reprice(c, c0, *model.row_bounds())
-    else:
-        core = _ScipyCore(c, c0, A, *model.row_bounds(), lb, ub, options.time_limit)
-    t0 = time.perf_counter()
-    res = core.solve(lb, ub)
-    wall = time.perf_counter() - t0
+    if core is None or core.A is not A:
+        core = _ScipyCore(model)
+    res = core.solve(model, options)
     _cores[model] = core
-    if res.status != OPTIMAL:
-        return MilpSolution(status=res.status, objective=None, x=None, bound=-np.inf,
-                            gap=np.inf, nodes=1, wall_time=wall)
-    return MilpSolution(status=OPTIMAL, objective=res.objective, x=res.x, bound=res.objective,
-                        gap=0.0, nodes=1, wall_time=wall)
+    return res

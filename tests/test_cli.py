@@ -251,7 +251,7 @@ def test_solve_time_limit_exit_4(backend, tmp_path, capsys):
 
 
 def test_lp_core_failure_exit_4(tmp_path, monkeypatch, capsys):
-    def failing_solve(self, lb, ub):
+    def failing_solve(self, model, options):
         raise NumericalFailure("LP core failed: injected")
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", failing_solve)
@@ -330,11 +330,11 @@ def test_sweep_point_lp_core_failure_is_its_row(tmp_path, monkeypatch, capsys, h
     # its core, the next point starts cold on a new one, and the exit is 4
     solve, calls = branch_bound._ScipyCore.solve, []
 
-    def third_fails(self, lb, ub):
+    def third_fails(self, model, options):
         calls.append(self)  # holds each core, so none is collected and replaced
         if len(calls) == 3:
             raise NumericalFailure("LP core failed: injected")
-        return solve(self, lb, ub)
+        return solve(self, model, options)
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", third_fails)
     out = tmp_path / "nf"

@@ -3,8 +3,10 @@
 import concurrent.futures
 import dataclasses
 import random
+import re
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -580,13 +582,13 @@ def test_one_model_shares_one_core_two_builds_load_two(reduced_case, reduced_opt
 
 
 def test_repriced_solves_of_one_model_share_one_core(reduced_case, reduced_options, count_cores, monkeypatch):
-    repriced, reprice = [], branch_bound._ScipyCore.reprice
+    solved, solve = [], branch_bound._ScipyCore.solve
 
-    def spy(self, *args):
-        repriced.append(self)
-        reprice(self, *args)
+    def spy(self, model, options):
+        solved.append(self)
+        return solve(self, model, options)
 
-    monkeypatch.setattr(branch_bound._ScipyCore, "reprice", spy)
+    monkeypatch.setattr(branch_bound._ScipyCore, "solve", spy)
     model, vm = build_model(reduced_case, "S5", reduced_options)
     results = []
     for lam in (0.2, 0.4):
@@ -594,7 +596,7 @@ def test_repriced_solves_of_one_model_share_one_core(reduced_case, reduced_optio
         results.append(solve_milp(model, reduced_options))
         assert results[-1].status == "optimal"
     assert count_cores[0] == 1
-    assert repriced == [branch_bound._cores[model]]
+    assert solved == [branch_bound._cores[model]] * 2
     fresh, _ = build_model(replace(reduced_case, carbon=replace(reduced_case.carbon, lambda_base=0.4)), "S5",
                            reduced_options)
     cold = solve_milp(fresh, reduced_options)
@@ -604,11 +606,11 @@ def test_repriced_solves_of_one_model_share_one_core(reduced_case, reduced_optio
 def test_failure_mid_chain_drops_the_models_core(reduced_case, reduced_options, count_cores, monkeypatch):
     solve, calls = branch_bound._ScipyCore.solve, []
 
-    def second_fails(self, lb, ub):
+    def second_fails(self, model, options):
         calls.append(self)
         if len(calls) == 2:
             raise NumericalFailure("LP core failed: injected")
-        return solve(self, lb, ub)
+        return solve(self, model, options)
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", second_fails)
     model, _ = build_model(reduced_case, "S5", reduced_options)
@@ -622,25 +624,39 @@ def test_failure_mid_chain_drops_the_models_core(reduced_case, reduced_options, 
     assert calls[1] is calls[0] and calls[2] is not calls[1]
 
 
-def test_model_that_grew_a_row_loads_a_new_core(reduced_case, reduced_options, count_cores):
-    # a redundant row leaves the optimum, but the model compiles to a new A
+@pytest.mark.parametrize("grow", [
+    lambda model: model.add_rows([[0]], 1.0, "<=", 1e9, ["redundant"]),
+    lambda model: model.add_variables("continuous", 0.0, 1.0, ["idle"]),
+], ids=["row", "column"])
+def test_grown_model_loads_a_new_core(reduced_case, reduced_options, count_cores, grow):
+    # a redundant row or a free column without cost leaves the optimum, but
+    # the model compiles to a new A
     model, _ = build_model(reduced_case, "S5", reduced_options)
     before = solve_milp(model, reduced_options)
     core = branch_bound._cores[model]
-    model.add_rows([[0]], 1.0, "<=", 1e9, ["redundant"])
+    grow(model)
     after = solve_milp(model, reduced_options)
     assert count_cores[0] == 2 and branch_bound._cores[model] is not core
     assert branch_bound._cores[model].A is model.to_sparse()[2]
     assert after.objective == pytest.approx(before.objective, rel=1e-9, abs=0.0)
 
 
-def test_changed_time_limit_loads_a_new_core(reduced_case, reduced_options, count_cores):
+def test_one_core_gives_each_solve_its_own_time_limit(reduced_case, reduced_options, count_cores):
+    # each solve sets its own time limit, so a changed limit keeps the core
     model, _ = build_model(reduced_case, "S5", reduced_options)
-    limited = replace(reduced_options, time_limit=60.0)
-    for options, cores in ((reduced_options, 1), (limited, 2), (limited, 2), (reduced_options, 3)):
+    assert solve_milp(model, reduced_options).status == "optimal"
+    core = branch_bound._cores[model]
+    cold = core._highs.getRunTime()  # the run clock after one cold run
+    for options in (replace(reduced_options, time_limit=60.0), reduced_options):
         assert solve_milp(model, options).status == "optimal"
-        assert count_cores[0] == cores, options.time_limit
-        assert branch_bound._cores[model].time_limit == options.time_limit
+    # HiGHS's run clock counts every run of an instance; cold solves that
+    # together take far longer than the limit each finish inside it
+    tight = replace(reduced_options, time_limit=20 * cold)
+    for _ in range(60):
+        core._hot = False  # as after a run that was not optimal: each run is cold and takes about `cold`
+        assert solve_milp(model, tight).status == "optimal"
+    assert count_cores[0] == 1 and branch_bound._cores[model] is core
+    assert core._highs.getRunTime() > tight.time_limit
 
 
 def test_deleted_model_leaves_the_cores(reduced_case, reduced_options):
@@ -658,8 +674,8 @@ SET_UP = {"setBasis", "changeColsBounds", "clearSolver", "changeRowBounds"}
 @pytest.mark.parametrize("sweep, moved", [(sweep_lambda, set()), (sweep_interval, {"changeRowBounds"})],
                          ids=["lambda", "d"])
 def test_sweep_points_restart_hot(reduced_case, reduced_options, highs_calls, sweep, moved):
-    # eleven points on one core: the first loads its column bounds with the
-    # matrix, so it sets none, and starts cold; every later one only
+    # eleven points on one core: the first takes the costs and bounds the
+    # core loaded, so it sets none, and starts cold; every later one only
     # re-prices, keeps the basis and bounds HiGHS holds, and (for d) moves
     # the knee rows
     grid = [0.10 + 0.05 * i for i in range(11)] if sweep is sweep_lambda else [1000.0 + 250.0 * i for i in range(11)]
@@ -677,11 +693,11 @@ def test_point_after_a_raising_solve_starts_cold(reduced_case, reduced_options, 
     # core with its bounds and starts cold, and the fifth restarts hot on it
     solve, calls = branch_bound._ScipyCore.solve, []
 
-    def third_fails(self, lb, ub):
+    def third_fails(self, model, options):
         calls.append(self)
         if len(calls) == 3:
             raise NumericalFailure("LP core failed: injected")
-        return solve(self, lb, ub)
+        return solve(self, model, options)
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", third_fails)
     points = sweep_lambda(reduced_case, "S5", [0.2, 0.3, 0.4, 0.5, 0.6], reduced_options)
@@ -707,6 +723,21 @@ def test_chained_sweep_matches_fresh_solves(sweep_cases, reduced_options, sweep,
             point = replace(case, carbon=replace(case.carbon, **{field: p.value}))
             fresh = run_scenario(point, scenario, reduced_options)
             assert _agree(p.objective, fresh.objective, gap_tol), (i, p.value, p.objective, fresh.objective)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
+def test_bad_jobs_are_refused_before_any_solve(reduced_case, reduced_options, monkeypatch, jobs):
+    # jobs 0 once gave a sweep no chunk and so no points; True is no count
+    def no_task(task):
+        raise AssertionError(f"ran {task[1]}")
+
+    monkeypatch.setattr(dispatch, "_scenario_task", no_task)
+    message = re.escape(f"jobs {jobs!r}: need {'at least 1 job' if type(jobs) is int else 'an int'}")
+    for run in (partial(run_all_scenarios, reduced_case, reduced_options),
+                partial(sweep_lambda, reduced_case, "S5", [0.1, 0.2], reduced_options),
+                partial(sweep_interval, reduced_case, "S5", [1000.0, 2000.0], reduced_options)):
+        with pytest.raises(ValueError, match=message):
+            run(jobs=jobs)
 
 
 def test_sweep_builds_one_core_per_chunk(reduced_case, reduced_options, count_cores, serial_pool):
@@ -824,11 +855,11 @@ def test_point_after_a_failed_point_builds_again(reduced_case, reduced_options, 
     # is not put back, so the fourth point builds afresh
     solve, calls = branch_bound._ScipyCore.solve, []
 
-    def third_fails(self, lb, ub):
+    def third_fails(self, model, options):
         calls.append(self)
         if len(calls) == 3:
             raise NumericalFailure("LP core failed: injected")
-        return solve(self, lb, ub)
+        return solve(self, model, options)
 
     monkeypatch.setattr(branch_bound._ScipyCore, "solve", third_fails)
     points = sweep_lambda(reduced_case, "S5", [0.2, 0.3, 0.4, 0.5], reduced_options)

@@ -767,6 +767,13 @@ def test_reduce_case_rejects_nondivisor(case):
         reduce_case(case, 5)
 
 
+@pytest.mark.parametrize("factor", [1.5, 2.0, True])
+def test_reduce_case_refuses_a_factor_that_is_no_int(case, factor):
+    # 24 % 1.5 == 0, so 1.5 once passed the divisibility test and failed in a slice
+    with pytest.raises(ValueError, match=f"factor {factor!r}: need an int"):
+        reduce_case(case, factor)
+
+
 def test_scale_profiles(case):
     scaled = scale_profiles(case, {"electric": 2.0, "wind": 0.5})
     assert scaled.loads["electric"].values[0] == pytest.approx(

@@ -16,8 +16,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from highs_spy import per_run
-from milp_oracles import (brute_force_milp, check_solution, every_gate_model, random_milp, row_bounds, scipy_csc,
-                          vertex_milp)
+from milp_oracles import brute_force_milp, check_solution, random_milp, scipy_csc, vertex_milp
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver import branch_bound
@@ -349,13 +348,12 @@ def test_scipy_core_matches_reference_simplex():
     for _ in range(300):
         m = _random_lp(rng, lbs=(0.0, -2.0, -INF), ubs=(1.0, 5.0, INF))
         m.set_objective(m.objective._replace(constant=rng.uniform(-1, 1)))
-        c, c0, A, _, _, lb, ub, _ = m.to_sparse()
-        core = _ScipyCore(c, c0, A, *m.row_bounds(), lb, ub).solve(lb, ub)
+        res = _ScipyCore(m).solve(m, MilpOptions())
         ref = solve_lp(m)
-        assert core.status == ref.status
+        assert res.status == ref.status
         seen[ref.status] += 1
         if ref.status == "optimal":
-            assert core.objective == pytest.approx(ref.objective, rel=1e-7, abs=1e-7)
+            assert res.objective == pytest.approx(ref.objective, rel=1e-7, abs=1e-7)
     assert min(seen.values()) >= 30, seen
 
 
@@ -394,21 +392,23 @@ def test_scipy_core_resolves_unbounded_or_infeasible(lp, status):
     from scipy.optimize._highspy._core import HighsModelStatus
 
     c, A, relations, rhs, lb, ub = lp
-    lb, ub = np.array(lb, float), np.array(ub, float)
-    core = _ScipyCore(np.array(c, float), 0.0, csc_array(np.array(A, float)), *row_bounds(relations, rhs), lb, ub)
+    m = MilpModel()
+    xy = m.add_variables(CONTINUOUS, lb, ub, ["x", "y"])
+    m.add_rows([xy] * len(A), A, relations, rhs, [f"r{i}" for i in range(len(A))])
+    m.set_objective(linear_form(xy, c))
+    core = _ScipyCore(m)
     core._highs.setOptionValue("allow_unbounded_or_infeasible", True)
     core._highs.run()
     assert core._highs.getModelStatus() == HighsModelStatus.kUnboundedOrInfeasible
-    assert core.solve(lb, ub).status == status
-    assert core.solve(lb, ub).status == status  # the objective is restored
+    assert core.solve(m, MilpOptions()).status == status
+    assert core.solve(m, MilpOptions()).status == status  # the re-price restores the objective
 
 
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 HIGHS_NAMES = ("_Highs", "HighsStatus", "HighsModelStatus")
 # every _Highs method the package calls
-HIGHS_METHODS = ("changeColsBounds", "changeColsCost", "changeRowBounds", "clearSolver", "getInfo",
-                 "getModelStatus", "getRunTime", "getSolution", "modelStatusToString", "passModel",
-                 "run", "setOptionValue")
+HIGHS_METHODS = ("changeColsCost", "changeRowBounds", "clearSolver", "getInfo", "getModelStatus",
+                 "getRunTime", "getSolution", "modelStatusToString", "passModel", "run", "setOptionValue")
 
 
 def test_highs_private_api_is_importable():
@@ -421,15 +421,18 @@ def test_highs_private_api_is_importable():
     assert HighsModelStatus.kUnboundedOrInfeasible != HighsModelStatus.kUnbounded
     # the array overload of passModel the core loads with: min x + 2y + 0.5
     # subject to 1 <= x + y <= inf on [0, 1]^2
-    arrays = np.array([1.0, 2.0]), 0.5, csc_array(np.ones((1, 2))), np.array([1.0]), np.array([INF])
-    core = _ScipyCore(*arrays, np.zeros(2), np.ones(2))
-    res = core.solve(np.zeros(2), np.ones(2))
+    m = MilpModel()
+    xy = m.add_variables(CONTINUOUS, 0.0, 1.0, ["x", "y"])
+    m.add_rows([xy], 1.0, GE, 1.0, ["floor"])
+    m.set_objective(linear_form(xy, [1.0, 2.0], 0.5))
+    core = _ScipyCore(m)
+    res = core.solve(m, MilpOptions())
     assert (res.status, res.objective, res.x.tolist()) == ("optimal", 1.5, [1.0, 0.0])
     assert core._highs.getModelStatus() == HighsModelStatus.kOptimal
     # an empty integrality array is rejected, which is why the core passes zeros
-    h, A = _Highs(), arrays[2]
+    h, A = _Highs(), m.to_sparse()[2]
     h.setOptionValue("output_flag", False)
-    status = h.passModel(2, 1, A.nnz, 1, 1, 0.0, arrays[0], np.zeros(2), np.ones(2), np.ones(1),
+    status = h.passModel(2, 1, A.nnz, 1, 1, 0.0, np.array([1.0, 2.0]), np.zeros(2), np.ones(2), np.ones(1),
                          np.full(1, INF), A.indptr, A.indices, A.data, np.zeros(0, dtype=np.int32))
     assert status == HighsStatus.kError
 
@@ -532,122 +535,55 @@ def test_package_defines_only_what_it_calls():
     assert _unreferenced(["def f(n): return f(n - 1)\ndef g(): return f(3)\n"]) == {"g"}
 
 
-def _sweep_lps():
-    """Gate-free reduced S5 LPs over carbon prices and tier widths: one matrix, other c and rows."""
+def _sweep_models():
+    """Gate-free reduced S5 models over carbon prices and tier widths: one matrix, other c and rows."""
     from iesdispatch.dispatch import DispatchOptions, build_model
     from iesdispatch.model_core import default_case_path, load_case, reduce_case
 
     case = reduce_case(load_case(default_case_path()), 2)
-    lps = []
-    for lam, d in ((0.1, 2000.0), (0.3, 2000.0), (0.6, 2000.0), (0.6, 800.0), (0.2, 4000.0)):
-        point = replace(case, carbon=replace(case.carbon, lambda_base=lam, interval_d=d))
-        model = build_model(point, "S5", DispatchOptions(pwl_segments=4))[0]
-        c, c0, A, relations, _, lb, ub, _ = model.to_sparse()
-        lps.append(((c, c0, A, *model.row_bounds()), relations, lb, ub))
-    return lps
+    return [build_model(replace(case, carbon=replace(case.carbon, lambda_base=lam, interval_d=d)), "S5",
+                        DispatchOptions(pwl_segments=4))[0]
+            for lam, d in ((0.1, 2000.0), (0.3, 2000.0), (0.6, 2000.0), (0.6, 800.0), (0.2, 4000.0))]
+
+
+def _iterations(core) -> int:
+    """Simplex iterations of the core's last run."""
+    return core._highs.getInfo().simplex_iteration_count
 
 
 def test_repriced_core_matches_cold_solves():
-    lps = _sweep_lps()
+    models, options = _sweep_models(), MilpOptions()
     # one matrix and one set of relations, entry for entry: only c and rhs move
-    assert all((scipy_csc(arrays[2]) != scipy_csc(lps[0][0][2])).nnz == 0 and relations == lps[0][1]
-               for arrays, relations, *_ in lps)
-    core = _ScipyCore(*lps[0][0], *lps[0][2:])
-    assert core.solve(*lps[0][2:]).status == "optimal"
+    _, _, A, relations, *_ = models[0].to_sparse()
+    assert all((scipy_csc(m.to_sparse()[2]) != scipy_csc(A)).nnz == 0 and m.to_sparse()[3] == relations
+               for m in models)
+    core = _ScipyCore(models[0])
+    assert core.solve(models[0], options).status == "optimal"
     warm_iterations = cold_iterations = 0
-    for arrays, _, lb, ub in lps[1:]:
-        core.reprice(*arrays[:2], *arrays[3:])
-        warm = core.solve(lb, ub)
-        cold = _ScipyCore(*arrays, lb, ub).solve(lb, ub)
+    for model in models[1:]:
+        warm = core.solve(model, options)
+        warm_iterations += _iterations(core)
+        fresh = _ScipyCore(model)
+        cold = fresh.solve(model, options)
+        cold_iterations += _iterations(fresh)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
-        warm_iterations += warm.iterations
-        cold_iterations += cold.iterations
     assert warm_iterations < cold_iterations / 2
 
 
 def test_core_keeps_the_compiled_matrix_object():
     # a model compiled again between re-pricings hands solve_milp the very A
     # its core holds, so the identity test reuses the core
-    from iesdispatch.dispatch import DispatchOptions, build_model
-    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+    from iesdispatch.dispatch import DispatchOptions
 
-    arrays, _, lb, ub = _sweep_lps()[0]
-    assert _ScipyCore(*arrays, lb, ub).A is arrays[2]
-    options = DispatchOptions(pwl_segments=4)
-    model, _ = build_model(reduce_case(load_case(default_case_path()), 2), "S5", options)
+    model, options = _sweep_models()[0], DispatchOptions(pwl_segments=4)
+    assert _ScipyCore(model).A is model.to_sparse()[2]
     assert solve_milp(model, options).status == "optimal"
     core = branch_bound._cores[model]
     model.set_objective(model.objective._replace(coeffs=1.5 * model.objective.coeffs))
     model.set_rhs([0], [model.to_sparse()[4][0]])
     assert solve_milp(model, options).status == "optimal"
     assert branch_bound._cores[model] is core and core.A is model.to_sparse()[2]
-
-
-def test_repriced_core_gives_each_solve_its_own_time_limit():
-    # HiGHS's run clock counts every run of an instance; reprice moves the
-    # limit on, so cold solves that together take far longer than the
-    # limit each finish inside it
-    arrays, _, lb, ub = _sweep_lps()[0]
-    probe = _ScipyCore(*arrays, lb, ub)
-    assert probe.solve(lb, ub).status == "optimal"
-    core = _ScipyCore(*arrays, lb, ub, time_limit=20 * probe._highs.getRunTime())
-    for _ in range(60):
-        core.reprice(*arrays[:2], *arrays[3:])
-        core._hot = False  # as after a run that was not optimal: each run is cold and takes the probe's time
-        assert core.solve(lb, ub).status == "optimal"
-
-
-@pytest.fixture(scope="module")
-def s5_compiled():
-    from iesdispatch.model_core import default_case_path, load_case
-
-    model, _ = every_gate_model(load_case(default_case_path()), "S5")
-    c, c0, A, _, _, lb, ub, is_binary = model.to_sparse()
-    return (c, c0, A, *model.row_bounds()), lb, ub, np.flatnonzero(is_binary)
-
-
-def _fixed(lb, ub, fixes):
-    lb, ub = lb.copy(), ub.copy()
-    for j, v in fixes.items():
-        lb[j] = ub[j] = float(v)
-    return lb, ub
-
-
-def test_persistent_core_matches_cold_solves(s5_compiled):
-    # one core walks the tree the way a search does: down a branch, across to
-    # other branches and back to the root, so consecutive solves both fix
-    # columns and restore them to their original bounds; each solve restarts
-    # hot from the one before it when that one ended optimal
-    arrays, lb, ub, gates = s5_compiled
-    rng = random.Random(11)
-    core = _ScipyCore(*arrays, lb, ub)
-    root = core.solve(lb, ub)
-    solved, last = [({}, root)], root.status
-    previous, restored, hot, warm_iterations, cold_iterations = {}, 0, 0, 0, 0
-    for step in range(24):
-        fixes, parent = solved[-1] if step % 2 == 0 else rng.choice(solved)
-        j = int(rng.choice(gates))
-        child = {**fixes, j: 1 - round(parent.x[j])}  # moves the parent's optimum
-        restored += bool(previous.keys() - child.keys())
-        previous = child
-        bounds = _fixed(lb, ub, child)
-        warm = core.solve(*bounds)
-        cold = _ScipyCore(*arrays, *bounds).solve(*bounds)
-        assert warm.status == cold.status
-        if last == "optimal":
-            hot += 1
-            warm_iterations += warm.iterations
-            cold_iterations += cold.iterations
-        last = warm.status
-        if warm.status == "optimal":
-            assert warm.objective == pytest.approx(cold.objective, rel=1e-7, abs=0.0)
-            solved.append((child, warm))
-    assert restored >= 5 and hot >= 20
-    assert warm_iterations < cold_iterations / 10
-    # every gate back at its original bounds
-    again = core.solve(lb, ub)
-    assert again.objective == pytest.approx(root.objective, rel=1e-9, abs=0.0)
 
 
 # -- hot restarts and the simplex choice ---------------------------------------
@@ -671,9 +607,13 @@ def test_core_restarts_hot_only_after_an_optimal_run(highs_calls, monkeypatch):
     run = per_run(highs_calls)[-1]
     assert hot.status == "optimal" and branch_bound._cores[model] is core and strategy() == 0
     assert "changeColsCost" in run and not {"clearSolver", "setBasis", "getBasis"} & set(run)
-    # infeasible bounds: the next solve clears the solver and runs the dual simplex
-    n = model.num_variables
-    assert core.solve(np.zeros(n), np.zeros(n)).status == "infeasible"
+    # an unattainable balance row, then restored: the next solve clears the
+    # solver and runs the dual simplex
+    row = [con.name for con in model.constraints].index("balance_electric_t00")
+    load = model.to_sparse()[4][row]
+    model.set_rhs([row], [1e9])
+    assert solve_milp(model, options).status == "infeasible" and branch_bound._cores[model] is core
+    model.set_rhs([row], [load])
     highs_calls.clear()
     cold = solve_milp(model, options)
     assert cold.status == "optimal" and branch_bound._cores[model] is core and strategy() == 1
@@ -728,13 +668,12 @@ def test_cold_solves_keep_the_dual_simplex():
         iterations = []
         for sid in SCENARIO_IDS:
             model = build_model(data, sid, DispatchOptions(pwl_segments=segments))[0]
-            c, c0, A, _, _, lb, ub, _ = model.to_sparse()
-            core = _ScipyCore(c, c0, A, *model.row_bounds(), lb, ub)
-            cold = core.solve(lb, ub)
+            core = _ScipyCore(model)
+            cold = core.solve(model, MilpOptions())
             assert cold.status == "optimal" and core._highs.getOptionValue("simplex_strategy")[1] == 1
-            iterations.append(cold.iterations)
-            again = core.solve(lb, ub)
-            assert again.iterations == 0 and _bit_equal(again.x, cold.x), (label, sid)
+            iterations.append(_iterations(core))
+            again = core.solve(model, MilpOptions())
+            assert _iterations(core) == 0 and _bit_equal(again.x, cold.x), (label, sid)
             assert core._highs.getOptionValue("simplex_strategy")[1] == 0
         assert iterations == COLD_ITERATIONS[label]
 
