@@ -34,6 +34,7 @@ from .dispatch import (
     DispatchSolution,
     ScenarioReport,
     ScenarioRow,
+    _check_jobs,
     check_grid,
     run_all_scenarios,
     sweep_interval,
@@ -270,9 +271,11 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _options_from_args(args) -> DispatchOptions:
-    # --jobs is no options field, and a bad value must fail before the output directory is made
-    if getattr(args, "jobs", 1) < 1:
-        raise UsageError(f"--jobs {args.jobs}: need at least 1 job")
+    try:
+        # --jobs is no options field, and a bad value must fail before the output directory is made
+        _check_jobs(getattr(args, "jobs", 1))
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None  # "--jobs 0: need at least 1 job"
     try:
         # --segments is checked even when --reduced replaces it: a bad flag is an error
         options = DispatchOptions(pwl_segments=args.segments, gap_tol=args.gap,

@@ -48,9 +48,9 @@ tier width d moves, and in the built model lambda enters only the costs of
 the carbon ladder and d only the right-hand sides of its knee rows
 (`carbon.encode_carbon_cost`).  `carbon.price_ladder` computes both, for
 `build_model` and for `_reprice` alike, and both hand ``set_objective`` the
-forms of `_objective`: the purchase, compensation and maintenance cost,
-collected once at the build (``milp_ir.collect``), and the carbon cost
-added onto it.  So within a sweep chunk a point takes the gate-free model
+forms of `_objective`: the purchase, compensation and maintenance costs
+and the carbon cost, which it sums into the model's cost vector in one
+pass.  So within a sweep chunk a point takes the gate-free model
 of the point before it and re-prices it, and the result is, bit for bit,
 the model `build_model` makes for the new point, provided the rest of the
 case, the scenario and the options are the same, and lambda > 0 holds on
@@ -91,7 +91,6 @@ from .milp_ir import (
     LE,
     LinearForm,
     MilpModel,
-    collect,
     linear_form,
     pwl_convex,
     pwl_convex_error_bound,
@@ -247,9 +246,9 @@ class VarMap:
 
     ``flows`` maps each per-period flow of DispatchSolution (``p_e_buy``,
     ``p_gt_h``, ...) to ``(ids, coeff)``, worth ``coeff * x[ids[t]]`` in
-    period t, or to None for an absent device.  ``cost_fixed`` is the
-    purchase, compensation and maintenance cost collected into one form
-    (``milp_ir.collect``), the part of the objective a re-price keeps.
+    period t, or to None for an absent device.  ``cost_buy``, ``cost_dr``,
+    ``cost_maint`` and ``carbon_cost`` are the parts of the objective
+    (`_objective`); a re-price replaces only ``carbon_cost``.
     """
 
     scenario: ScenarioSpec
@@ -261,7 +260,6 @@ class VarMap:
     cost_buy: LinearForm | None = None
     cost_dr: LinearForm | None = None
     cost_maint: LinearForm | None = None
-    cost_fixed: LinearForm | None = None
     carbon_cost: LinearForm | None = None
     ladder: CarbonLadder | None = None
     actual: LinearForm | None = None
@@ -575,7 +573,6 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         weight = omega.get(f"storage_{k}", 0.0)
         maint += [(blk.charge, weight), (blk.discharge, weight)]
     vm.cost_maint = _flow_sum(maint, periods, dt)
-    vm.cost_fixed = collect(vm.cost_buy, vm.cost_dr, vm.cost_maint)
 
     # at a zero base price every tier costs nothing, whatever the share, and
     # nothing holds the envelope columns on their curves: build it unpriced like S1
@@ -597,12 +594,9 @@ def _policy(case: CaseData, scenario: ScenarioSpec):
 
 
 def _objective(vm: VarMap) -> tuple[LinearForm, ...]:
-    """The fixed cost (purchase, compensation, maintenance) and, when priced, the carbon cost.
-
-    ``set_objective`` sums them as it would the four forms, bit for bit
-    (``milp_ir.collect``).
-    """
-    return (vm.cost_fixed,) if vm.carbon_cost is None else (vm.cost_fixed, vm.carbon_cost)
+    """The purchase, compensation and maintenance costs and, when priced, the carbon cost."""
+    fixed = (vm.cost_buy, vm.cost_dr, vm.cost_maint)
+    return fixed if vm.carbon_cost is None else (*fixed, vm.carbon_cost)
 
 
 def _reprice(case: CaseData, model: MilpModel, vm: VarMap) -> None:
@@ -612,8 +606,7 @@ def _reprice(case: CaseData, model: MilpModel, vm: VarMap) -> None:
     at most in ``lambda_base`` and ``interval_d``, with the same sign of
     ``lambda_base > 0``: those two enter only the ladder's costs and knee
     right-hand sides, which `carbon.price_ladder` computes here as in the
-    build, and ``set_objective`` adds the carbon cost onto the fixed cost
-    of `_objective` as there.
+    build, and ``set_objective`` sums the forms of `_objective` as there.
     """
     if vm.ladder is None:
         return

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .milp_ir import BINARY, INF, MilpModel
+from .milp_ir import INF, MilpModel
 
 _NAME_OK = re.compile(r"[^A-Za-z0-9_]")
 
@@ -25,12 +25,12 @@ def sanitized_names(model: MilpModel) -> list[str]:
     """LP-safe unique names, one per variable id."""
     names = []
     seen = set()
-    for v in model.variables:
-        name = _NAME_OK.sub("_", v.name)
+    for j, name in enumerate(model.column_names):
+        name = _NAME_OK.sub("_", name)
         if not name or name[0].isdigit():
             name = "v_" + name
         if name in seen:
-            name = f"{name}_i{v.id}"
+            name = f"{name}_i{j}"
         seen.add(name)
         names.append(name)
     return names
@@ -51,10 +51,9 @@ def _terms(coeffs: dict[int, float], names: list[str]) -> str:
 def write_lp(model: MilpModel) -> str:
     """Serialize the model to LP-format text."""
     names = sanitized_names(model)
-    variables = model.variables  # built on each access, so read once
+    c, k, _, _, _, lb, ub, is_binary = model.to_sparse()
     out = [f"\\ {model.name}", "Minimize"]
-    ids, coeffs, k = model.objective
-    obj = _terms(dict(zip(ids.tolist(), coeffs.tolist())), names)
+    obj = _terms({j: cost for j, cost in enumerate(c.tolist()) if cost != 0.0}, names)
     if k != 0.0:
         obj += f" {'-' if k < 0 else '+'} {_fmt(abs(k))}"
     out.append(f" obj: {obj}")
@@ -63,17 +62,17 @@ def write_lp(model: MilpModel) -> str:
         con_name = _NAME_OK.sub("_", con.name) or f"c{con.id}"
         out.append(f" {con_name}: {_terms(con.coeffs, names)} {con.relation} {_fmt(con.rhs)}")
     out.append("Bounds")
-    for v in variables:
-        lo_inf, up_inf = v.lower == -INF, v.upper == INF
+    for name, lower, upper in zip(names, lb.tolist(), ub.tolist()):
+        lo_inf, up_inf = lower == -INF, upper == INF
         if lo_inf and up_inf:
-            out.append(f" {names[v.id]} free")
+            out.append(f" {name} free")
         elif lo_inf:
-            out.append(f" -infinity <= {names[v.id]} <= {_fmt(v.upper)}")
+            out.append(f" -infinity <= {name} <= {_fmt(upper)}")
         elif up_inf:
-            out.append(f" {names[v.id]} >= {_fmt(v.lower)}")
+            out.append(f" {name} >= {_fmt(lower)}")
         else:
-            out.append(f" {_fmt(v.lower)} <= {names[v.id]} <= {_fmt(v.upper)}")
-    binaries = [names[v.id] for v in variables if v.kind == BINARY]
+            out.append(f" {_fmt(lower)} <= {name} <= {_fmt(upper)}")
+    binaries = [name for name, binary in zip(names, is_binary.tolist()) if binary]
     if binaries:
         out.append("Binaries")
         out.append(" " + " ".join(binaries))

@@ -16,17 +16,17 @@ time, given as an (m, k) array of column ids and coefficients
 (:func:`stack_rows` joins blocks into one).  ``to_sparse`` concatenates
 the stored arrays and gathers the CSC matrix from the CSR store with one
 stable sort, ``row_bounds`` gives the rows as HiGHS takes them, and
-``variables`` / ``constraints`` build lists of records from the stores on
-each call.
+``constraints`` builds a list of records from the row store on each call.
 
 A linear form is a :class:`LinearForm` ``(ids, coeffs, constant)``, built
-with numpy by the model code; :func:`combine` adds forms (:func:`collect`
-keeps the ids whose terms cancel) and :meth:`MilpModel.set_objective` sets
-their sum as objective.  Finiteness is checked where numbers enter the
-model: ``add_rows`` checks every coefficient and right-hand side of a block
-at once, ``set_rhs`` the new right-hand sides of existing rows,
-``add_variables`` every bound, and ``set_objective`` the objective.  A form
-checks nothing itself.
+with numpy by the model code; :func:`combine` adds forms.  The objective
+is not kept as a form: :meth:`MilpModel.set_objective` sums its forms
+straight into the cost vector ``c``, one entry per column, and its
+constant, which ``to_sparse`` returns as they are.  Finiteness is checked
+where numbers enter the model: ``add_rows`` checks every coefficient and
+right-hand side of a block at once, ``set_rhs`` the new right-hand sides
+of existing rows, ``add_variables`` every bound, and ``set_objective`` the
+summed costs.  A form checks nothing itself.
 
 The module also carries the linearization the dispatch model uses:
 epigraph (tangent) cuts for convex quadratics, added for a whole family of
@@ -94,16 +94,6 @@ class ConvexityError(ModelError):
     """pwl_convex was asked to linearize a concave quadratic."""
 
 
-class Variable(NamedTuple):
-    """One column of a MilpModel; ids are dense 0..n-1 in creation order."""
-
-    id: int
-    kind: str
-    lower: float
-    upper: float
-    name: str
-
-
 class LinearForm(NamedTuple):
     """Affine form ``constant + sum_j coeffs[j] * x[ids[j]]``.
 
@@ -142,32 +132,27 @@ def linear_form(ids, coeffs=1.0, constant: float = 0.0) -> LinearForm:
 
 
 def combine(*forms: LinearForm) -> LinearForm:
-    """The sum of the forms, with each id once: `collect` with zero sums left out."""
-    form = collect(*forms)
-    keep = form.coeffs != 0.0
-    return LinearForm(form.ids[keep], form.coeffs[keep], form.constant)
-
-
-def collect(*forms: LinearForm) -> LinearForm:
-    """The sum of the forms, with each id once and zero sums kept.
+    """The sum of the forms, with each id once and zero sums left out.
 
     The coefficients of a repeated id add up in argument order, starting
     from 0.0, and ids keep the order of their first appearance.  The
-    constants add up left to right, starting from 0.0.  So
-    ``combine(collect(a, b), c)`` is ``combine(a, b, c)`` bit for bit: a
-    kept zero holds its id's place, and 0.0 + x is x.
+    constants add up left to right, starting from 0.0.
     """
-    ids = np.concatenate([np.zeros(0, dtype=np.int64), *(f.ids for f in forms)])
-    coeffs = np.concatenate([np.zeros(0), *(f.coeffs for f in forms)])
+    ids, coeffs, constant = _gathered(forms)
     unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    # bincount adds the weights of each slot in input order; with no weights
-    # at all it returns integers
-    total = np.bincount(inverse, coeffs, len(unique)).astype(float)
     order = np.argsort(first)
+    total = np.bincount(inverse, coeffs, len(unique)).astype(float)[order]
+    keep = total != 0.0
+    return LinearForm(unique[order][keep], total[keep], constant)
+
+
+def _gathered(forms) -> tuple[np.ndarray, np.ndarray, float]:
+    """The forms' ids and coefficients joined in argument order, and their constants added left to right from 0.0."""
     constant = 0.0
     for form in forms:
         constant += form.constant
-    return LinearForm(unique[order], total[order], constant)
+    return (np.concatenate([np.zeros(0, dtype=np.int64), *(f.ids for f in forms)]),
+            np.concatenate([np.zeros(0), *(f.coeffs for f in forms)]), constant)
 
 
 class Constraint(NamedTuple):
@@ -266,13 +251,15 @@ class MilpModel:
     :meth:`add_variables` call, beside a list of names.  Rows are kept in
     CSR form: per-row nonzero counts, column ids, coefficients and
     right-hand sides as one array chunk per :meth:`add_rows` call, joined
-    on first use, beside lists of relations and names.  ``variables`` and
-    ``constraints`` build records from these stores on each call.
+    on first use, beside lists of relations and names.  The objective is
+    kept as a read-only cost per column and a constant.  ``constraints``
+    builds records from the row store on each call.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.objective = linear_form([])
+        self._c = _frozen(np.zeros(0))  # the cost of each column
+        self._c0 = 0.0  # the objective's constant
         self._lower = [np.zeros(0)]
         self._upper = [np.zeros(0)]
         self._binary = [np.zeros(0, dtype=bool)]
@@ -299,7 +286,8 @@ class MilpModel:
 
         ``kind`` is one kind or one per name; ``lower`` and ``upper`` are
         scalars or one per name.  Binary bounds are clamped into [0, 1].
-        Inverted or NaN bounds, an unknown kind or a repeated name add
+        The new columns cost nothing until :meth:`set_objective` prices
+        them.  Inverted or NaN bounds, an unknown kind or a repeated name add
         nothing and raise.
         """
         n = len(names)
@@ -323,6 +311,7 @@ class MilpModel:
         self._upper.append(upper)
         self._binary.append(binary)
         self._col_names += names
+        self._c = _joined_frozen((self._c, np.zeros(n)))
         self._csc = self._col_arrays = None
         return np.arange(start, start + n)
 
@@ -412,20 +401,29 @@ class MilpModel:
         self._rhs_array = self._row_bounds = None
 
     def set_objective(self, *forms: LinearForm) -> None:
-        """Set the minimization objective to ``combine(*forms)``.
+        """Set the minimization objective to the sum of the forms.
 
-        The coefficients of a repeated id add up in argument order.
+        The model keeps the sum as its cost vector ``c``, one entry per
+        column, in which the coefficients of each column add up in argument
+        order from 0.0, and the constants add up left to right from 0.0:
+        the bits of ``combine(*forms)`` scattered into a zero vector.  An
+        unknown or negative id or a non-finite sum changes nothing and
+        raises.
         """
-        form = combine(*forms)
-        if not math.isfinite(form.constant):
+        ids, coeffs, constant = _gathered(forms)
+        if not math.isfinite(constant):
             raise ModelError("objective constant not finite")
-        finite = np.isfinite(form.coeffs)
-        if not _all(finite):
-            raise ModelError(f"objective coefficient for variable {form.ids[~finite][0]} not finite")
-        known = (form.ids >= 0) & (form.ids < self.num_variables)
+        # a negative id wraps past every column id
+        known = ids.astype(np.uint64) < self.num_variables
         if not _all(known):
-            raise ModelError(f"objective references unknown variable {form.ids[~known][0]}")
-        self.objective = form
+            raise ModelError(f"objective references unknown variable {ids[~known][0]}")
+        # bincount adds each column's terms in input order from 0.0 (and gives integers for no terms)
+        c = np.bincount(ids, coeffs, self.num_variables).astype(float, copy=False)
+        finite = np.isfinite(c)
+        if not _all(finite):
+            # the first such id in argument order
+            raise ModelError(f"objective coefficient for variable {ids[~finite[ids]][0]} not finite")
+        self._c, self._c0 = _frozen(c), constant
 
     # -- introspection -----------------------------------------------------
 
@@ -438,11 +436,9 @@ class MilpModel:
         return len(self._row_names)
 
     @property
-    def variables(self) -> list[Variable]:
-        """The columns as Variable handles, built from the column store."""
-        lower, upper, binary = (np.concatenate(c).tolist() for c in (self._lower, self._upper, self._binary))
-        columns = zip([BINARY if b else CONTINUOUS for b in binary], lower, upper, self._col_names)
-        return [Variable(j, *column) for j, column in enumerate(columns)]
+    def column_names(self) -> tuple[str, ...]:
+        """The column names in id order."""
+        return tuple(self._col_names)
 
     @property
     def constraints(self) -> list[Constraint]:
@@ -495,12 +491,12 @@ class MilpModel:
         ``ub`` and ``is_binary`` until a column is added, ``rhs`` until a
         row is added or :meth:`set_rhs` is called.  So a model whose costs
         or right-hand sides change in between compiles to the same ``A``
-        object.  The kept arrays are read-only; ``c`` and the list of
-        relations are built anew on each call.
+        object.  ``c`` and ``c0`` are the ones :meth:`set_objective` keeps,
+        ``c`` until the next ``set_objective`` or :meth:`add_variables`.
+        The kept arrays are read-only; the list of relations is built anew
+        on each call.
         """
         n, m = self.num_variables, self.num_constraints
-        c = np.zeros(n)
-        c[self.objective.ids] = self.objective.coeffs
         if self._csc is None:
             _, cols, vals, order, rows = self._joined()
             indptr = np.zeros(n + 1, dtype=np.int32)
@@ -508,7 +504,7 @@ class MilpModel:
             self._csc = CscMatrix(_frozen(vals[order]), _frozen(rows), _frozen(indptr), (m, n))
         if self._col_arrays is None:
             self._col_arrays = tuple(map(_joined_frozen, (self._lower, self._upper, self._binary)))
-        return (c, self.objective.constant, self._csc, list(self._relations), self._compiled_rhs(),
+        return (self._c, self._c0, self._csc, list(self._relations), self._compiled_rhs(),
                 *self._col_arrays)
 
     def _compiled_rhs(self) -> np.ndarray:

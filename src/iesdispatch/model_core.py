@@ -754,7 +754,11 @@ def validate_case(case: CaseData) -> ValidationReport:
 
 
 def scale_profiles(case: CaseData, factors: dict[str, float]) -> CaseData:
-    """New case with per-carrier load profiles scaled (used by perturbation runs)."""
+    """New case with the load profiles of CARRIERS and the "wind" profile scaled by ``factors``; other keys raise."""
+    known = (*CARRIERS, "wind")
+    unknown = [key for key in factors if key not in known]
+    if unknown:
+        raise ValueError(f"unknown profile {unknown[0]!r}: known profiles are {', '.join(known)}")
     loads = {
         k: CarrierProfile(k, tuple(v * factors.get(k, 1.0) for v in case.loads[k].values))
         for k in CARRIERS

@@ -168,10 +168,11 @@ class _ScipyCore:
         """
         t0 = time.perf_counter()
         h = self._highs
+        c, c0 = model.to_sparse()[:2]
         if self._loaded:
             self._loaded = False
         else:
-            h.changeColsCost(self._cols.size, self._cols, model.to_sparse()[0])
+            h.changeColsCost(self._cols.size, self._cols, c)
             (lower, upper), (held_lower, held_upper) = model.row_bounds(), self._rows
             # scipy's binding has no changeRowsBounds: one call per changed row
             for i in np.flatnonzero((lower != held_lower) | (upper != held_upper)).tolist():
@@ -193,7 +194,7 @@ class _ScipyCore:
             return MilpSolution(status=verdict, objective=None, x=None, bound=-np.inf, gap=np.inf, nodes=1,
                                 wall_time=time.perf_counter() - t0)
         self._hot = True
-        objective = h.getInfo().objective_function_value + model.objective.constant
+        objective = h.getInfo().objective_function_value + c0
         x = np.fromiter(h.getSolution().col_value, float, self._cols.size)
         return MilpSolution(status=OPTIMAL, objective=objective, x=x, bound=objective, gap=0.0, nodes=1,
                             wall_time=time.perf_counter() - t0)

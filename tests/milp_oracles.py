@@ -9,19 +9,44 @@ it is slower and serves as a cross-check of the vertex oracle.
 reference that gates on demand are compared against,
 ``compiled_differences`` compares two models' compiled arrays bit for bit,
 ``scipy_csc`` wraps a compiled ``A`` as a scipy sparse array for the
-tests that compute with it, and ``row_bounds`` gives the row bounds of a
-hand-written LP.
+tests that compute with it, ``row_bounds`` gives the row bounds of a
+hand-written LP, and ``variables`` and ``objective`` give a model's
+columns and objective as records for the tests that read them.
 """
 
 import itertools
 import random
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from iesdispatch.dispatch import add_gates, build_model
-from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, MilpModel, linear_form
+from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, LinearForm, MilpModel, linear_form
+
+
+class Variable(NamedTuple):
+    """One column of a MilpModel; ids are dense 0..n-1 in creation order."""
+
+    id: int
+    kind: str
+    lower: float
+    upper: float
+    name: str
+
+
+def variables(model: MilpModel) -> list[Variable]:
+    """The model's columns as records, from its compiled bounds and binary flags and its names."""
+    _, _, _, _, _, lb, ub, is_binary = model.to_sparse()
+    kinds = [BINARY if b else CONTINUOUS for b in is_binary.tolist()]
+    return [Variable(j, *column) for j, column in enumerate(zip(kinds, lb.tolist(), ub.tolist(), model.column_names))]
+
+
+def objective(model: MilpModel) -> LinearForm:
+    """The model's objective as a form: its nonzero costs in column order and its constant."""
+    c, c0 = model.to_sparse()[:2]
+    return linear_form(np.arange(c.size), c, c0)
 
 
 def every_gate_model(case, scenario, options=None):
@@ -75,7 +100,7 @@ def random_milp(rng: random.Random, n_binaries: int) -> MilpModel:
 def check_solution(model: MilpModel, x, tol: float = 1e-6) -> list[str]:
     """Names of the model's constraints and bounds that x violates beyond tol."""
     bad = []
-    for v in model.variables:
+    for v in variables(model):
         if x[v.id] < v.lower - tol or x[v.id] > v.upper + tol:
             bad.append(f"bound:{v.name}")
     for con in model.constraints:

@@ -939,7 +939,11 @@ def test_only_storage_gates_are_binary(bundled_case):
         model, vm = every_gate_model(bundled_case, sid)
         gates = sorted(vid for blk in vm.storage.values() for vid in blk.gate.values())
         assert model.binary_ids() == gates, sid
-        assert build_model(bundled_case, sid)[0].binary_ids() == [], sid
+        gate_free = build_model(bundled_case, sid)[0]
+        assert gate_free.binary_ids() == [], sid
+        # a gate costs nothing, and the other columns keep their costs
+        c, free_c = model.to_sparse()[0], gate_free.to_sparse()[0]
+        assert c[gates].tolist() == [0.0] * len(gates) and c[:free_c.size].tobytes() == free_c.tobytes(), sid
 
 
 def _every_gate_objective(case, scenario, options) -> float:

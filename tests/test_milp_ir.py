@@ -1,6 +1,7 @@
 """Model-builder IR: linear forms, rows, columns, and linearization helpers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
-from milp_oracles import check_solution, compiled_differences, scipy_csc
+from milp_oracles import check_solution, compiled_differences, scipy_csc, variables
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import (
     BINARY,
@@ -24,7 +25,6 @@ from iesdispatch.milp_ir import (
     MilpModel,
     ModelError,
     TriviallyInfeasibleError,
-    collect,
     combine,
     linear_form,
     pwl_convex,
@@ -48,7 +48,6 @@ def test_combine_adds_repeated_ids_in_argument_order():
     m = MilpModel()
     m.add_variables(CONTINUOUS, 0.0, 10.0, ["x", "y"])
     m.set_objective(_form([1, 0, 1, 0], [3.0, 2.0, -1.0, 1.0], -1.5))
-    assert m.objective.ids.tolist() == [1, 0] and m.objective.coeffs.tolist() == [2.0, 3.0]
     c, c0 = m.to_dense()[:2]
     assert c.tolist() == [3.0, 2.0] and c0 == -1.5
 
@@ -76,7 +75,30 @@ def test_overflowed_coefficient_rejected_at_the_model_boundary():
         m.set_objective(linear_form([x], 1.0, math.inf))
     with pytest.raises(ModelError, match="not finite"):
         m.set_objective(combine(linear_form([x], 1e308), linear_form([x], 1e308)))
-    assert m.num_constraints == 0 and m.objective.ids.size == 0
+    assert m.num_constraints == 0 and m.to_sparse()[0].tolist() == [0.0]
+
+
+def test_set_objective_refuses_and_changes_nothing():
+    # the costs are summed before they are checked, so a sum that overflows
+    # or cancels to NaN is refused; ids are checked before they are summed
+    m = MilpModel()
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["x", "y", "z"])
+    m.set_objective(linear_form([2], 4.0, 1.5))
+    c = m.to_sparse()[0]
+    refused = [
+        ((_form([1, 2], [1.0, 1e308]), _form([2], [1e308])), "objective coefficient for variable 2 not finite"),
+        ((_form([2, 0], [math.inf, 1.0]), _form([0, 2], [math.nan, -math.inf])),
+         "objective coefficient for variable 2 not finite"),
+        ((_form([0], [1.0], 1e308), _form([], [], 1e308)), "objective constant not finite"),
+        ((_form([0, 3], [1.0, 2.0]),), "objective references unknown variable 3"),
+        ((_form([0], [1.0]), _form([-1], [2.0])), "objective references unknown variable -1"),
+        ((_form([5], [math.inf]),), "objective references unknown variable 5"),
+    ]
+    for forms, message in refused:
+        with pytest.raises(ModelError) as caught:
+            m.set_objective(*forms)
+        assert type(caught.value) is ModelError and str(caught.value) == message
+        assert m.to_sparse()[0] is c and m.to_sparse()[1] == 1.5
 
 
 # -- combine against a plain-dict reference ------------------------------------
@@ -100,25 +122,35 @@ def test_combine_matches_plain_dict_reference(forms, x):
             coeffs[vid] = coeffs.get(vid, 0.0) + c
         constant += k
     coeffs = {v: c for v, c in coeffs.items() if c != 0.0}
-    got = combine(*(_form([v for v, _ in terms], [c for _, c in terms], k) for terms, k in forms))
+    forms = [_form([v for v, _ in terms], [c for _, c in terms], k) for terms, k in forms]
+    got = combine(*forms)
     assert dict(zip(got.ids.tolist(), got.coeffs.tolist())) == coeffs
     assert got.ids.tolist() == list(coeffs)
     assert got.constant == constant
     # value sums the terms left to right in stored order
     assert got.value(x) == constant + sum(c * x[v] for v, c in coeffs.items())
+    # the objective holds the same sums, scattered into a cost per column
+    m = MilpModel()
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["a", "b", "c", "d"])
+    m.set_objective(*forms)
+    scattered = np.zeros(4)
+    scattered[got.ids] = got.coeffs
+    c, c0 = m.to_sparse()[:2]
+    assert c.dtype == scattered.dtype and c.tobytes() == scattered.tobytes()
+    assert np.float64(c0).tobytes() == np.float64(got.constant).tobytes()
 
 
 def test_variable_ids_dense():
     m = MilpModel()
     ids = [m.add_variables(CONTINUOUS, 0.0, 1.0, [f"v{i}_{j}" for j in range(100)]) for i in range(100)]
     assert np.concatenate(ids).tolist() == list(range(10_000))
-    assert [v.id for v in m.variables] == list(range(10_000))
+    assert [v.id for v in variables(m)] == list(range(10_000))
 
 
 def test_binary_bounds_clamped():
     m = MilpModel()
     m.add_variables(BINARY, -3.0, 7.0, ["b"])
-    (b,) = m.variables
+    (b,) = variables(m)
     assert (b.kind, b.lower, b.upper) == ("binary", 0.0, 1.0)
 
 
@@ -300,16 +332,24 @@ def test_compiled_arrays_are_kept_until_their_part_changes():
         step(m)
     c, _, A, relations, rhs, lb, ub, is_binary = m.to_sparse()
     again = m.to_sparse()
-    assert again[0] is not c and again[3] is not relations
-    assert all(a is b for a, b in zip(again[4:], (rhs, lb, ub, is_binary))) and again[2] is A
+    assert again[3] is not relations
+    assert all(a is b for a, b in zip(again[4:], (rhs, lb, ub, is_binary))) and again[2] is A and again[0] is c
     bounds = m.row_bounds()
     assert m.row_bounds() is bounds
     m.set_rhs([0], [2.0])
     assert m.to_sparse()[4] is not rhs and m.to_sparse()[2] is A and m.to_sparse()[5] is lb
+    assert m.to_sparse()[0] is c
     assert m.row_bounds() is not bounds and bounds[1][0] == 3.0 and m.row_bounds()[1][0] == 2.0
+    m.add_rows([[0]], 1.0, LE, 4.0, ["x_cap"])
+    assert m.to_sparse()[0] is c
+    m.set_objective(linear_form([1], 2.0))
+    priced = m.to_sparse()
+    assert priced[0] is not c and priced[2] is not A and priced[5] is lb and c.tolist() == [1.0, -1.0, 0.0]
+    # a new column costs nothing until it is priced
     m.add_variables(CONTINUOUS, 0.0, 1.0, ["z"])
     after = m.to_sparse()
-    assert after[2] is not A and after[5] is not lb
+    assert after[2] is not priced[2] and after[5] is not lb and after[0] is not priced[0]
+    assert after[0].tolist() == [0.0, 2.0, 0.0, 0.0] and priced[0].tolist() == [0.0, 2.0, 0.0]
 
 
 def test_row_bounds_follow_the_relations():
@@ -357,45 +397,36 @@ def test_compiled_arrays_are_read_only():
     for step in _STEPS:
         step(m)
     c, _, A, relations, rhs, lb, ub, is_binary = m.to_sparse()
-    kept = ((rhs, 9.0), (lb, 9.0), (ub, 9.0), (is_binary, True), (A.data, 9.0), (A.indices, 1), (A.indptr, 1),
-            *((bound, 9.0) for bound in m.row_bounds()))
+    kept = ((c, 9.0), (rhs, 9.0), (lb, 9.0), (ub, 9.0), (is_binary, True), (A.data, 9.0), (A.indices, 1),
+            (A.indptr, 1), *((bound, 9.0) for bound in m.row_bounds()))
     for array, value in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = value
-    # the costs and relations are built on each call, so writing into them
-    # changes nothing kept
-    c[:] = 7.0
+    # the relations are built on each call, so writing into them changes
+    # nothing kept
     relations[0] = GE
     assert m.to_sparse()[0].tolist() == [0.0, 0.0, 3.0] and m.to_sparse()[3][0] == LE
 
 
-def test_collected_part_sums_like_the_whole():
-    # x's fixed terms cancel: a re-priced objective built on the collected
-    # fixed part keeps x's place and bits, as a fresh sum of every part does
-    buy = linear_form([0, 2], [1.25, 0.1])
-    maint = linear_form([0, 1], [-1.25, 0.3], 2.0)
-    fixed = collect(buy, maint)
-    assert fixed.ids.tolist() == [0, 2, 1] and fixed.coeffs.tolist() == [0.0, 0.1, 0.3]
-    for price in (0.0, 0.2, 0.7, 3.0):
-        carbon = linear_form([3, 0, 2], [price, 2.0 * price, -0.1], price)
-        repriced, fresh = MilpModel(), MilpModel()
-        for m in (repriced, fresh):
-            m.add_variables(CONTINUOUS, 0.0, 1.0, ["x", "y", "z", "s"])
-        repriced.set_objective(fixed, carbon)
-        fresh.set_objective(buy, maint, carbon)
-        got, want = repriced.objective, fresh.objective
-        assert got.ids.tobytes() == want.ids.tobytes() and got.coeffs.tobytes() == want.coeffs.tobytes()
-        assert np.float64(got.constant).tobytes() == np.float64(want.constant).tobytes()
-        assert compiled_differences(repriced, fresh) == []
+@pytest.mark.parametrize("field, grid", [
+    ("lambda_base", [0.10 + 0.05 * i for i in range(11)]),
+    ("interval_d", [1000.0 + 250.0 * i for i in range(11)]),
+], ids=["lambda", "d"])
+def test_repriced_costs_are_the_fresh_build_bit_for_bit(field, grid):
+    # one reduced-S5 model re-priced along a sweep's grid holds, at every
+    # point, the cost vector and constant a fresh build of that point has
+    from iesdispatch import dispatch
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
 
-
-@settings(max_examples=200, deadline=None)
-@given(forms=_FORMS, cut=st.integers(0, 5))
-def test_combine_of_a_collected_part_is_the_combine_of_its_forms(forms, cut):
-    forms = [_form([v for v, _ in terms], [c for _, c in terms], k) for terms, k in forms]
-    got, want = combine(collect(*forms[:cut]), *forms[cut:]), combine(*forms)
-    assert got.ids.tobytes() == want.ids.tobytes() and got.coeffs.tobytes() == want.coeffs.tobytes()
-    assert np.float64(got.constant).tobytes() == np.float64(want.constant).tobytes()
+    case, options = reduce_case(load_case(default_case_path()), 2), dispatch.DispatchOptions(pwl_segments=4)
+    model, vm = dispatch.build_model(case, "S5", options)
+    for value in grid:
+        point = replace(case, carbon=replace(case.carbon, **{field: value}))
+        dispatch._reprice(point, model, vm)
+        fresh = dispatch.build_model(point, "S5", options)[0]
+        got, want = model.to_sparse()[:2], fresh.to_sparse()[:2]
+        assert got[0].tobytes() == want[0].tobytes(), value
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), value
 
 
 @pytest.mark.parametrize("rows, values, message", [
@@ -536,7 +567,7 @@ def test_a_refused_block_leaves_its_names_as_they_were():
 def test_binary_bounds_clamped_in_bulk():
     m = MilpModel()
     m.add_variables(["binary", "continuous"], -1.0, 5.0, ["b", "x"])
-    assert [(v.kind, v.lower, v.upper) for v in m.variables] == [("binary", 0.0, 1.0), ("continuous", -1.0, 5.0)]
+    assert [(v.kind, v.lower, v.upper) for v in variables(m)] == [("binary", 0.0, 1.0), ("continuous", -1.0, 5.0)]
     assert m.binary_ids() == [0]
 
 
@@ -594,4 +625,4 @@ def test_bulk_rows_equal_rows_added_one_by_one(blocks, data):
         else:
             assert g == w
     assert list(bulk.constraints) == list(single.constraints)
-    assert list(bulk.variables) == list(single.variables)
+    assert variables(bulk) == variables(single)

@@ -782,3 +782,12 @@ def test_scale_profiles(case):
     assert scaled.loads["gas"].values == case.loads["gas"].values
     assert scaled.wind_profile[3] == pytest.approx(0.5 * case.wind_profile[3])
     assert case_hash(scaled) != case_hash(case)
+
+
+def test_scale_profiles_refuses_an_unknown_key(case):
+    # a misspelt key would otherwise scale nothing and return the case as it was
+    for factors, key in (({"electrik": 2.0, "Wind": 0.0}, "electrik"), ({"gas": 1.1, "Wind": 0.0}, "Wind")):
+        with pytest.raises(ValueError, match=f"unknown profile '{key}': known profiles are electric, gas, heat, wind"):
+            scale_profiles(case, factors)
+    every = scale_profiles(case, {"electric": 1.05, "gas": 0.95, "heat": 1.1, "wind": 0.9})
+    assert case_hash(every) != case_hash(case)

@@ -56,7 +56,7 @@ def fingerprint(model, with_lp: bool = False) -> str:
         h.update(arr.tobytes())
     h.update("\n".join(relations).encode())
     h.update("\n".join(con.name for con in model.constraints).encode())
-    h.update("\n".join(v.name for v in model.variables).encode())
+    h.update("\n".join(model.column_names).encode())
     if with_lp:
         h.update(write_lp(model).encode())
     return h.hexdigest()

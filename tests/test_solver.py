@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from highs_spy import per_run
-from milp_oracles import brute_force_milp, check_solution, random_milp, scipy_csc, vertex_milp
+from milp_oracles import brute_force_milp, check_solution, objective, random_milp, scipy_csc, variables, vertex_milp
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver import branch_bound
@@ -347,7 +347,7 @@ def test_scipy_core_matches_reference_simplex():
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(300):
         m = _random_lp(rng, lbs=(0.0, -2.0, -INF), ubs=(1.0, 5.0, INF))
-        m.set_objective(m.objective._replace(constant=rng.uniform(-1, 1)))
+        m.set_objective(objective(m)._replace(constant=rng.uniform(-1, 1)))
         res = _ScipyCore(m).solve(m, MilpOptions())
         ref = solve_lp(m)
         assert res.status == ref.status
@@ -580,7 +580,7 @@ def test_core_keeps_the_compiled_matrix_object():
     assert _ScipyCore(model).A is model.to_sparse()[2]
     assert solve_milp(model, options).status == "optimal"
     core = branch_bound._cores[model]
-    model.set_objective(model.objective._replace(coeffs=1.5 * model.objective.coeffs))
+    model.set_objective(objective(model).scaled(1.5))
     model.set_rhs([0], [model.to_sparse()[4][0]])
     assert solve_milp(model, options).status == "optimal"
     assert branch_bound._cores[model] is core and core.A is model.to_sparse()[2]
@@ -602,7 +602,7 @@ def test_core_restarts_hot_only_after_an_optimal_run(highs_calls, monkeypatch):
         return core._highs.getOptionValue("simplex_strategy")[1]
 
     # an optimal run, then a re-price: the next run is hot, passing HiGHS no basis
-    model.set_objective(model.objective._replace(coeffs=1.5 * model.objective.coeffs))
+    model.set_objective(objective(model).scaled(1.5))
     hot = solve_milp(model, options)
     run = per_run(highs_calls)[-1]
     assert hot.status == "optimal" and branch_bound._cores[model] is core and strategy() == 0
@@ -678,23 +678,30 @@ def test_cold_solves_keep_the_dual_simplex():
         assert iterations == COLD_ITERATIONS[label]
 
 
-def _dense_reference(model: MilpModel):
-    """The compile as a plain loop over the row dictionaries."""
+def _dense_reference(model: MilpModel, forms):
+    """The compile as a plain loop over the objective's forms and the row dictionaries.
+
+    The columns have no record form of their own, so lb, ub and is_binary
+    are read back from the compile and only the costs and rows are checked.
+    """
     n, m = model.num_variables, model.num_constraints
-    c = np.zeros(n)
-    for vid, coef in zip(model.objective.ids.tolist(), model.objective.coeffs.tolist()):
-        c[vid] = coef
+    c, c0 = np.zeros(n), 0.0
+    for form in forms:
+        for vid, coef in zip(form.ids.tolist(), form.coeffs.tolist()):
+            c[vid] += coef
+        c0 += form.constant
     A = np.zeros((m, n))
     rhs = np.zeros(m)
     for i, con in enumerate(model.constraints):
         for vid, coef in con.coeffs.items():
             A[i, vid] = coef
         rhs[i] = con.rhs
-    lb = np.array([v.lower for v in model.variables], dtype=float)
-    ub = np.array([v.upper for v in model.variables], dtype=float)
-    is_binary = np.array([v.kind == "binary" for v in model.variables], dtype=bool)
+    columns = variables(model)
+    lb = np.array([v.lower for v in columns], dtype=float)
+    ub = np.array([v.upper for v in columns], dtype=float)
+    is_binary = np.array([v.kind == "binary" for v in columns], dtype=bool)
     relations = [con.relation for con in model.constraints]
-    return c, model.objective.constant, A, relations, rhs, lb, ub, is_binary
+    return c, c0, A, relations, rhs, lb, ub, is_binary
 
 
 def _bit_equal(a, b) -> bool:
@@ -702,21 +709,29 @@ def _bit_equal(a, b) -> bool:
 
 
 def _compiled_models():
-    from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, build_model
+    """(model, the forms its objective was set from) pairs."""
+    from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, _objective, build_model
     from iesdispatch.model_core import default_case_path, load_case, reduce_case
 
     case = load_case(default_case_path())
     for data, segments in ((case, 8), (reduce_case(case, 2), 4)):
         for sid in SCENARIO_IDS:
-            yield build_model(data, sid, DispatchOptions(pwl_segments=segments))[0]
+            model, vm = build_model(data, sid, DispatchOptions(pwl_segments=segments))
+            yield model, _objective(vm)
     rng = random.Random(99)
     for _ in range(200):
-        yield _random_lp(rng, lbs=(0.0, -2.0, -INF), ubs=(1.0, 5.0, INF))
+        model = _random_lp(rng, lbs=(0.0, -2.0, -INF), ubs=(1.0, 5.0, INF))
+        # repeated ids and terms that cancel
+        ids = [rng.randrange(model.num_variables) for _ in range(8)]
+        coeffs = [rng.choice([-1.5, 0.1, 0.2, 1.0, 3.0]) for _ in ids]
+        forms = (linear_form(ids, coeffs, rng.uniform(-1, 1)), linear_form(ids[::2], [-w for w in coeffs[::2]]))
+        model.set_objective(*forms)
+        yield model, forms
 
 
 def test_sparse_compile_matches_dense_loop():
-    for model in _compiled_models():
-        ref = _dense_reference(model)
+    for model, forms in _compiled_models():
+        ref = _dense_reference(model, forms)
         sparse, dense = model.to_sparse(), model.to_dense()
         A = sparse[2]
         assert scipy_csc(A).has_sorted_indices and np.all(A.data != 0.0) and A.nnz == A.data.size
