@@ -286,6 +286,14 @@ def _options_from_args(args) -> DispatchOptions:
     return replace(options, pwl_segments=REDUCED_SEGMENTS) if args.reduced else options
 
 
+def _make_out_dir(path: str) -> None:
+    """Make the output directory; a path that cannot be one is a usage error naming --out."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {path!r}: cannot make the output directory: {exc.strerror or exc}") from None
+
+
 def _load(args):
     path = _resolve_case(args.case)
     case = load_case(path)
@@ -327,7 +335,7 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     path, case = _load(args)
     options = _options_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     report = run_all_scenarios(case, options, scenario_ids=(args.scenario,))
     sol = report.solutions.get(args.scenario)
     if sol is None:
@@ -348,7 +356,7 @@ def _cmd_solve(args) -> int:
 def _cmd_scenarios(args) -> int:
     path, case = _load(args)
     options = _options_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     report = run_all_scenarios(case, options, jobs=args.jobs)
     header, rows = _scenario_csv(report)
     _write_csv(os.path.join(args.out, "scenarios.csv"), header, rows)
@@ -372,7 +380,7 @@ def _cmd_sweep(args) -> int:
     options = _options_from_args(args)
     grid = _parse_grid(args.grid)
     runner = SWEEP_PARAMS[args.param]
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     points = runner(case, args.scenario, grid, options, jobs=args.jobs)
     header = [args.param, "status", "carbon_trading_cost", "actual_emissions_kg",
               "total_cost", "dr_compensation", "objective", "gap"]

@@ -21,19 +21,25 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def sanitized_names(model: MilpModel) -> list[str]:
-    """LP-safe unique names, one per variable id."""
-    names = []
+def _legal_unique(names, prefix: str) -> list[str]:
+    """LP-legal distinct names: ``[^A-Za-z0-9_]`` becomes ``_``, an empty name or a leading digit takes
+    ``prefix``, and a name already given takes the suffix ``_i<index>`` until it is new."""
+    out = []
     seen = set()
-    for j, name in enumerate(model.column_names):
+    for j, name in enumerate(names):
         name = _NAME_OK.sub("_", name)
         if not name or name[0].isdigit():
-            name = "v_" + name
-        if name in seen:
+            name = prefix + name
+        while name in seen:
             name = f"{name}_i{j}"
         seen.add(name)
-        names.append(name)
-    return names
+        out.append(name)
+    return out
+
+
+def sanitized_names(model: MilpModel) -> list[str]:
+    """LP-legal unique names, one per variable id."""
+    return _legal_unique(model.column_names, "v_")
 
 
 def _terms(coeffs: dict[int, float], names: list[str]) -> str:
@@ -58,8 +64,8 @@ def write_lp(model: MilpModel) -> str:
         obj += f" {'-' if k < 0 else '+'} {_fmt(abs(k))}"
     out.append(f" obj: {obj}")
     out.append("Subject To")
-    for con in model.constraints:
-        con_name = _NAME_OK.sub("_", con.name) or f"c{con.id}"
+    constraints = model.constraints
+    for con, con_name in zip(constraints, _legal_unique([con.name for con in constraints], "c_")):
         out.append(f" {con_name}: {_terms(con.coeffs, names)} {con.relation} {_fmt(con.rhs)}")
     out.append("Bounds")
     for name, lower, upper in zip(names, lb.tolist(), ub.tolist()):

@@ -9,14 +9,15 @@ for the reference simplex and tests.
 
 Columns are stored as array chunks (bounds, binary flags) beside their
 names, and rows as one CSR store: per-row nonzero counts, column ids,
-coefficients, right-hand sides and relations, beside their names.  Columns
+coefficients, right-hand sides and side codes, beside their names.  Columns
 enter the model only through :meth:`MilpModel.add_variables`, a family at
 a time, and rows only through :meth:`MilpModel.add_rows`, a block at a
 time, given as an (m, k) array of column ids and coefficients
 (:func:`stack_rows` joins blocks into one).  ``to_sparse`` concatenates
-the stored arrays and gathers the CSC matrix from the CSR store with one
-stable sort, ``row_bounds`` gives the rows as HiGHS takes them, and
-``constraints`` builds a list of records from the row store on each call.
+the stored arrays, gathers the CSC matrix from the CSR store with one
+stable sort and gives the rows as HiGHS takes them, ``row_lower <= A x <=
+row_upper``; ``constraints`` builds a list of records from the row store on
+each call, with each relation read from its row's side code.
 
 A linear form is a :class:`LinearForm` ``(ids, coeffs, constant)``, built
 with numpy by the model code; :func:`combine` adds forms.  The objective
@@ -250,8 +251,8 @@ class MilpModel:
     Columns are kept as array chunks of bounds and binary flags, one per
     :meth:`add_variables` call, beside a list of names.  Rows are kept in
     CSR form: per-row nonzero counts, column ids, coefficients and
-    right-hand sides as one array chunk per :meth:`add_rows` call, joined
-    on first use, beside lists of relations and names.  The objective is
+    right-hand sides and side codes as one array chunk per :meth:`add_rows`
+    call, joined on first use, beside a list of names.  The objective is
     kept as a read-only cost per column and a constant.  ``constraints``
     builds records from the row store on each call.
     """
@@ -269,15 +270,13 @@ class MilpModel:
         self._row_vals = [np.zeros(0)]
         self._rhs = [np.zeros(0)]
         self._sides = [np.zeros(0, dtype=np.int8)]  # the _SIDES code of each row
-        self._relations: list[str] = []
         self._row_names: list[str] = []
         self._col_name_set: set[str] = set()
         self._row_name_set: set[str] = set()
         self._csr = None
         self._csc = None
         self._col_arrays = None  # (lb, ub, is_binary), compiled
-        self._rhs_array = None
-        self._row_bounds = None
+        self._row_ranges = None  # (row_lower, row_upper), compiled
 
     # -- construction ------------------------------------------------------
 
@@ -350,9 +349,8 @@ class MilpModel:
         self._rhs.append(rhs)
         self._sides.append(np.full(m, _SIDES[relation], dtype=np.int8) if isinstance(relation, str)
                            else np.fromiter(map(_SIDES.__getitem__, rels), np.int8, m))
-        self._relations += rels
         self._row_names += names
-        self._csr = self._csc = self._rhs_array = self._row_bounds = None
+        self._csr = self._csc = self._row_ranges = None
         return range(start, start + m)
 
     def _checked_entries(self, cols, coeffs, rels, rhs, names):
@@ -384,8 +382,8 @@ class MilpModel:
 
         The rows must exist and the values be finite, as in
         :meth:`add_rows`; a failed check changes nothing.  The matrix is
-        untouched, so a compiled ``A`` stays valid, and a compiled ``rhs``
-        keeps its values: the store takes a new array.
+        untouched, so a compiled ``A`` stays valid, and compiled row bounds
+        keep their values: the model compiles new ones.
         """
         rows = np.asarray(rows, dtype=np.int64)
         values = _filled(values, rows.shape)
@@ -398,7 +396,7 @@ class MilpModel:
         rhs = np.concatenate(self._rhs)
         rhs[rows] = values
         self._rhs[:] = [rhs]
-        self._rhs_array = self._row_bounds = None
+        self._row_ranges = None
 
     def set_objective(self, *forms: LinearForm) -> None:
         """Set the minimization objective to the sum of the forms.
@@ -446,8 +444,9 @@ class MilpModel:
         indptr, cols, vals = (a.tolist() for a in self._joined()[:3])
         pairs = zip(cols, vals)
         coeffs = [dict(islice(pairs, b - a)) for a, b in zip(indptr, indptr[1:])]
+        relations = map(_RELATIONS.__getitem__, (np.concatenate(self._sides) + 1).tolist())
         rhs = np.concatenate(self._rhs).tolist()
-        rows = zip(range(len(coeffs)), coeffs, self._relations, rhs, self._row_names)
+        rows = zip(range(len(coeffs)), coeffs, relations, rhs, self._row_names)
         return list(map(Constraint._make, rows))
 
     def _joined(self):
@@ -481,20 +480,21 @@ class MilpModel:
         return np.flatnonzero(np.concatenate(self._binary)).tolist()
 
     def to_sparse(self):
-        """Arrays (c, c0, A, relations, rhs, lb, ub, is_binary) with A as a :class:`CscMatrix`.
+        """Arrays (c, c0, A, row_lower, row_upper, lb, ub, is_binary) with A as a :class:`CscMatrix`.
 
-        A has one row per constraint in registration order, sorted row
-        indices and no stored zeros.  This is the form the solvers consume;
-        it is gathered straight from the row store, without a dense
-        intermediate.  The model keeps the compiled arrays until the part
-        they come from changes: ``A`` until a column or row is added, ``lb``,
-        ``ub`` and ``is_binary`` until a column is added, ``rhs`` until a
+        The rows are given as HiGHS takes them, ``row_lower <= A x <=
+        row_upper``: a ``<=`` row has lower bound -inf, a ``>=`` row upper
+        bound +inf, and the other bounds are the right-hand side.  A has one
+        row per constraint in registration order, sorted row indices and no
+        stored zeros.  This is the form the solvers consume; it is gathered
+        straight from the row store, without a dense intermediate.  The
+        model keeps each compiled entry, read-only, until the part it comes
+        from changes: ``A`` until a column or row is added, ``lb``, ``ub``
+        and ``is_binary`` until a column is added, the row bounds until a
         row is added or :meth:`set_rhs` is called.  So a model whose costs
         or right-hand sides change in between compiles to the same ``A``
         object.  ``c`` and ``c0`` are the ones :meth:`set_objective` keeps,
         ``c`` until the next ``set_objective`` or :meth:`add_variables`.
-        The kept arrays are read-only; the list of relations is built anew
-        on each call.
         """
         n, m = self.num_variables, self.num_constraints
         if self._csc is None:
@@ -504,30 +504,11 @@ class MilpModel:
             self._csc = CscMatrix(_frozen(vals[order]), _frozen(rows), _frozen(indptr), (m, n))
         if self._col_arrays is None:
             self._col_arrays = tuple(map(_joined_frozen, (self._lower, self._upper, self._binary)))
-        return (self._c, self._c0, self._csc, list(self._relations), self._compiled_rhs(),
-                *self._col_arrays)
-
-    def _compiled_rhs(self) -> np.ndarray:
-        """The right-hand sides as one read-only array, kept until they change."""
-        if self._rhs_array is None:
-            self._rhs_array = _joined_frozen(self._rhs)
-        return self._rhs_array
-
-    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) bounds of the rows as HiGHS takes them.
-
-        A row ``a x <= rhs`` has lower bound -inf, ``a x >= rhs`` upper
-        bound +inf, and the other bounds are the right-hand side.  Kept,
-        read-only, as the compiled ``rhs`` is: until a row is added or
-        :meth:`set_rhs` is called.
-        """
-        if self._row_bounds is None:
-            rhs = self._compiled_rhs()
-            self._sides[:] = [np.concatenate(self._sides)]
-            sides = self._sides[0]
-            self._row_bounds = tuple(_frozen(np.where(sides == side, bound, rhs))
+        if self._row_ranges is None:
+            rhs, sides = np.concatenate(self._rhs), np.concatenate(self._sides)
+            self._row_ranges = tuple(_frozen(np.where(sides == side, bound, rhs))
                                      for side, bound in ((-1, -np.inf), (1, np.inf)))
-        return self._row_bounds
+        return (self._c, self._c0, self._csc, *self._row_ranges, *self._col_arrays)
 
     def to_dense(self):
         """:meth:`to_sparse` with A as a dense ndarray.
@@ -535,10 +516,10 @@ class MilpModel:
         For the reference simplex and tests; the HiGHS LP core and
         branch-and-cut take the sparse form.
         """
-        c, c0, A, relations, rhs, lb, ub, is_binary = self.to_sparse()
+        c, c0, A, row_lower, row_upper, lb, ub, is_binary = self.to_sparse()
         dense = np.zeros(A.shape)
         dense[A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))] = A.data
-        return c, c0, dense, relations, rhs, lb, ub, is_binary
+        return c, c0, dense, row_lower, row_upper, lb, ub, is_binary
 
 
 # -- linearization toolkit ---------------------------------------------------

@@ -10,9 +10,9 @@ directly for the default backend "embedded".
   command comes from the IESDISPATCH_EXTERNAL_SOLVER environment variable and
   receives the LP path and the solution path as arguments.  It is split by
   shell rules (``shlex``), so a path with spaces works when quoted.  The
-  solution file is plain ``key=value`` lines: a ``status=`` line, an
-  ``objective=`` line, then one ``<variable>=<value>`` line per variable
-  (LP-sanitized names).
+  solution file is plain ``key=value`` lines: a ``status=`` line (one of
+  ``STATUSES``), an ``objective=`` line, then one ``<variable>=<value>``
+  line per variable (LP-sanitized names).
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ import numpy as np
 
 from ..lp_format import sanitized_names, write_lp
 from ..milp_ir import MilpModel
-from .branch_bound import FEASIBLE, OPTIMAL, MilpOptions, MilpSolution, highs_milp
+from .branch_bound import FEASIBLE, INFEASIBLE, LIMIT, OPTIMAL, UNBOUNDED, MilpOptions, MilpSolution, highs_milp
 
 ENV_EXTERNAL = "IESDISPATCH_EXTERNAL_SOLVER"
+STATUSES = (OPTIMAL, FEASIBLE, INFEASIBLE, UNBOUNDED, LIMIT)  # the values a solution file's status= may take
 
 
 class BackendUnavailableError(Exception):
@@ -89,10 +90,12 @@ class ExternalBackend:
 
     @staticmethod
     def _read_solution(path: str, names: list[str]):
-        """(status, objective, x) from a ``key=value`` solution file."""
+        """(status, objective, x) from a ``key=value`` solution file; a status outside ``STATUSES`` is a ValueError."""
         with open(path, encoding="utf-8") as fh:
             pairs = dict(line.strip().split("=", 1) for line in fh if "=" in line and line.strip())
-        status = pairs.pop("status", "limit")
+        status = pairs.pop("status", LIMIT)
+        if status not in STATUSES:
+            raise ValueError(f"status {status!r}: need one of {', '.join(STATUSES)}")
         objective = pairs.pop("objective", None)
         if status not in (OPTIMAL, FEASIBLE) or objective is None:
             return status, None, None

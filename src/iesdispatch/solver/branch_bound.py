@@ -1,15 +1,17 @@
 """The embedded backend: one LP on a HiGHS core, or HiGHS branch-and-cut.
 
-`solve_milp` compiles the model once with ``MilpModel.to_sparse``.  A model
-without binaries is one LP on `_ScipyCore`, which loads the model's compiled
-arrays and row bounds into one HiGHS instance with presolve off and alone
-holds its warm start.
-The dispatch models are such LPs first: their convex cost terms
-(demand-response deviation and the tiered carbon ladder) are exact LPs, and
-a storage gate is added only in a later round, where the gate-free schedule
-charges and discharges a store at once.  A model with binaries, such a
-gated round, goes to HiGHS branch-and-cut through `highs_milp`, the function
-the "scipy-milp" backend calls too.
+Each solver step reads the model from one ``MilpModel.to_sparse`` call,
+whose arrays the model keeps until they change: costs, the matrix ``A``,
+the row bounds ``row_lower <= A x <= row_upper`` as HiGHS takes them, the
+column bounds and the binary flags.  A model without binaries is one LP
+on `_ScipyCore`, which loads those arrays into one HiGHS instance with
+presolve off and alone holds its warm start.  The dispatch models are
+such LPs first: their convex cost terms (demand-response deviation and the
+tiered carbon ladder) are exact LPs, and a storage gate is added only in a
+later round, where the gate-free schedule charges and discharges a store at
+once.  A model with binaries, such a gated round, goes to HiGHS
+branch-and-cut through `highs_milp`, the function the "scipy-milp" backend
+calls too.
 
 One core per model.  The core an LP was solved on is kept beside its model
 (`_cores`, weakly keyed by the model, as the model keeps its compiled
@@ -18,10 +20,10 @@ it when the model still compiles to the core's ``A`` object, and otherwise
 loads a new core.  Every solve after the load re-prices the core with the
 model's costs and row bounds, and each run gets its own time limit.  The
 identity test is exact: ``to_sparse`` hands back the same ``A`` until a
-column or row is added, only adding rows changes the relations, and no
-call changes the bounds of a column once added.  A solve takes the core
-out first and puts it back once it returns, so after a raise the next
-solve loads a new core.
+column or row is added, only adding rows changes which side of a row is
+infinite, and no call changes the bounds of a column once added.  A solve
+takes the core out first and puts it back once it returns, so after a
+raise the next solve loads a new core.
 A sweep re-prices one model from point to point: the carbon price moves
 costs only and the tier width the bounds of the knee rows.  After an
 optimal point the next restarts hot (Huangfu & Hall, Math. Prog. Comp.
@@ -121,9 +123,9 @@ class _ScipyCore:
         from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
         self._status = HighsModelStatus
-        c, _, A, _, _, lb, ub, _ = model.to_sparse()
+        c, _, A, row_lower, row_upper, lb, ub, _ = model.to_sparse()
         self.A = A  # solve_milp reuses the core while its model compiles to this very object
-        self._rows = model.row_bounds()
+        self._rows = row_lower, row_upper
         m, n = A.shape
         self._cols = np.arange(n, dtype=np.int32)
         self._highs = _Highs()
@@ -168,12 +170,12 @@ class _ScipyCore:
         """
         t0 = time.perf_counter()
         h = self._highs
-        c, c0 = model.to_sparse()[:2]
+        c, c0, _, lower, upper = model.to_sparse()[:5]
         if self._loaded:
             self._loaded = False
         else:
             h.changeColsCost(self._cols.size, self._cols, c)
-            (lower, upper), (held_lower, held_upper) = model.row_bounds(), self._rows
+            held_lower, held_upper = self._rows
             # scipy's binding has no changeRowsBounds: one call per changed row
             for i in np.flatnonzero((lower != held_lower) | (upper != held_upper)).tolist():
                 h.changeRowBounds(i, lower[i], upper[i])
@@ -212,8 +214,7 @@ def highs_milp(model: MilpModel, options: MilpOptions) -> MilpSolution:
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csc_array
 
-    c, c0, A, _, _, lb, ub, is_binary = model.to_sparse()
-    lo, hi = model.row_bounds()
+    c, c0, A, lo, hi, lb, ub, is_binary = model.to_sparse()
     kw = {"mip_rel_gap": options.gap_tol, "node_limit": options.node_limit}
     if options.time_limit is not None:
         kw["time_limit"] = options.time_limit

@@ -9,9 +9,10 @@ it is slower and serves as a cross-check of the vertex oracle.
 reference that gates on demand are compared against,
 ``compiled_differences`` compares two models' compiled arrays bit for bit,
 ``scipy_csc`` wraps a compiled ``A`` as a scipy sparse array for the
-tests that compute with it, ``row_bounds`` gives the row bounds of a
-hand-written LP, and ``variables`` and ``objective`` give a model's
-columns and objective as records for the tests that read them.
+tests that compute with it, ``relations_and_rhs`` gives the compiled row
+bounds as the relations and right-hand sides that the relation-form
+oracles take, and ``variables`` and ``objective`` give a model's columns
+and objective as records for the tests that read them.
 """
 
 import itertools
@@ -56,10 +57,16 @@ def every_gate_model(case, scenario, options=None):
     return model, vm
 
 
-def row_bounds(relations, rhs) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) bounds of the rows ``a x <relation> rhs`` of a hand-written LP, as HiGHS takes them."""
-    rel = np.array(relations, dtype=object)
-    return np.where(rel == LE, -np.inf, rhs), np.where(rel == GE, np.inf, rhs)
+def relations_and_rhs(row_lower, row_upper) -> tuple[list[str], np.ndarray]:
+    """The rows ``row_lower <= a x <= row_upper`` of a compile as ``a x <relation> rhs``.
+
+    A row whose lower bound is -inf is a ``<=`` row, one whose upper bound
+    is +inf a ``>=`` row and any other an ``=`` row; its right-hand side is
+    its finite bound, bit for bit.
+    """
+    below = row_lower == -np.inf
+    relations = np.where(below, LE, np.where(row_upper == np.inf, GE, EQ)).tolist()
+    return relations, np.where(below, row_upper, row_lower)
 
 
 def scipy_csc(A) -> csc_array:
@@ -67,7 +74,7 @@ def scipy_csc(A) -> csc_array:
     return csc_array((A.data, A.indices, A.indptr), shape=A.shape)
 
 
-COMPILED_FIELDS = ("c", "c0", "A", "relations", "rhs", "lb", "ub", "is_binary")
+COMPILED_FIELDS = ("c", "c0", "A", "row_lower", "row_upper", "lb", "ub", "is_binary")
 
 
 def _bits(value) -> list:
@@ -117,7 +124,8 @@ def check_solution(model: MilpModel, x, tol: float = 1e-6) -> list[str]:
 def brute_force_milp(model: MilpModel):
     """(status, objective) via exhaustive binary enumeration + LP per leaf."""
     bids = model.binary_ids()
-    c, c0, A, relations, rhs, lb, ub, _ = model.to_dense()
+    c, c0, A, row_lower, row_upper, lb, ub, _ = model.to_dense()
+    relations, rhs = relations_and_rhs(row_lower, row_upper)
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for row, rel, b in zip(A, relations, rhs):
         if rel == LE:
@@ -170,12 +178,13 @@ def vertex_milp(model: MilpModel, tol: float = 1e-9):
     active set does not depend on the binary assignment, only its right-hand
     side does, so one solve per active set serves all 2^nb assignments.
     """
-    c, c0, A, relations, rhs, lb, ub, is_binary = model.to_dense()
+    c, c0, A, row_lower, row_upper, lb, ub, is_binary = model.to_dense()
+    rhs = relations_and_rhs(row_lower, row_upper)[1]
     bins, cont = np.flatnonzero(is_binary), np.flatnonzero(~is_binary)
     lb_c, ub_c = lb[cont][:, None], ub[cont][:, None]
     if not (np.isfinite(lb_c).all() and np.isfinite(ub_c).all()):
         raise ValueError("vertex_milp needs finite bounds on every continuous column")
-    lo, hi = (bound[:, None] for bound in row_bounds(relations, rhs))
+    lo, hi = row_lower[:, None], row_upper[:, None]
     bits = np.array(list(itertools.product((0.0, 1.0), repeat=len(bins))), dtype=float).T
     n, k = len(cont), bits.shape[1]
     A_c = A[:, cont]

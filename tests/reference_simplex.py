@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from milp_oracles import relations_and_rhs
+
 from iesdispatch.milp_ir import EQ, GE, LE, MilpModel
 from iesdispatch.solver.branch_bound import INFEASIBLE, OPTIMAL, UNBOUNDED, NumericalFailure
 
@@ -308,7 +310,8 @@ class _Simplex:
 
 def solve_lp(model: MilpModel) -> LpSolution:
     """Solve the LP relaxation of a model (binaries relaxed to their bounds)."""
-    c, c0, A, relations, rhs, lb, ub, _ = model.to_dense()
+    c, c0, A, row_lower, row_upper, lb, ub, _ = model.to_dense()
+    relations, rhs = relations_and_rhs(row_lower, row_upper)
     if A.shape[0] == 0:
         # pure box problem: each variable sits at its cost-minimizing bound
         x = np.empty_like(c)

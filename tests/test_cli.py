@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -438,6 +439,33 @@ def test_unavailable_backend_exit_1(command, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "backend error:" in err
     assert "IESDISPATCH_EXTERNAL_SOLVER is not set" in err
+
+
+def test_unknown_external_status_exit_1(tmp_path, monkeypatch, capsys):
+    # a stand-in solver that exits 0 with a status outside the five the file format allows
+    stub = tmp_path / "stub.py"
+    stub.write_text('import sys\n\nopen(sys.argv[2], "w").write("status=banana\\n")\n', encoding="utf-8")
+    monkeypatch.setenv("IESDISPATCH_EXTERNAL_SOLVER", " ".join(map(shlex.quote, (sys.executable, str(stub)))))
+    out = tmp_path / "out"
+    rc = run_cli("solve", "--reduced", "--backend", "external", "--out", str(out))
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "backend error:" in err and "unreadable solution file: status 'banana'" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "scenarios", "sweep"])
+def test_out_naming_a_file_exit_1(command, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
+    argv = [command, "--reduced", "--out", str(taken)]
+    if command == "sweep":
+        argv += ["--param", "lambda", "--grid", "0.3"]
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage error: --out {str(taken)!r}: cannot make the output directory" in err
+    assert "Traceback" not in err
+    assert taken.read_text(encoding="utf-8") == "keep"
 
 
 SEGMENT_ERRORS = {"0": "need at least 1 segment", "100000000": f"need at most {MAX_PWL_SEGMENTS} segments"}

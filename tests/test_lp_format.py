@@ -35,11 +35,11 @@ def _random_model(rng: random.Random, tag: str) -> MilpModel:
 
 
 def _dense_equal(a, b):
-    ca, ka, Aa, rela, ra, la, ua, ba = a.to_dense()
-    cb, kb, Ab, relb, rb, lb, ub, bb = b.to_dense()
+    ca, ka, Aa, loa, upa, la, ua, ba = a.to_dense()
+    cb, kb, Ab, lob, upb, lb, ub, bb = b.to_dense()
     assert np.allclose(ca, cb) and ka == pytest.approx(kb)
     assert Aa.shape == Ab.shape and np.allclose(Aa, Ab)
-    assert rela == relb and np.allclose(ra, rb)
+    assert np.allclose(loa, lob) and np.allclose(upa, upb)
     assert np.allclose(la, lb) and np.allclose(ua, ub)
     assert list(ba) == list(bb)
 
@@ -72,14 +72,29 @@ def test_round_trip_preserves_optimum():
     assert checked >= 5  # the rest of the zoo is legitimately unbounded/infeasible
 
 
-def test_sanitized_names_unique_and_safe():
+def _is_legal(name: str) -> bool:
+    return bool(name) and not name[0].isdigit() and all(ch.isalnum() or ch == "_" for ch in name)
+
+
+# the second list: a suffixed name must not take a name already given
+@pytest.mark.parametrize("given", [["p[e,buy]", "p_e_buy_", "2nd"], ["a_b_i2", "a-b", "a.b"]])
+def test_sanitized_names_unique_and_safe(given):
     m = MilpModel()
-    m.add_variables(CONTINUOUS, 0.0, 1.0, ["p[e,buy]", "p_e_buy_", "2nd"])
+    m.add_variables(CONTINUOUS, 0.0, 1.0, given)
     names = sanitized_names(m)
-    assert len(set(names)) == 3
-    for name in names:
-        assert not name[0].isdigit()
-        assert all(ch.isalnum() or ch == "_" for ch in name)
+    assert len(set(names)) == 3 and all(map(_is_legal, names))
+
+
+def test_row_names_are_made_legal_and_unique_as_column_names_are():
+    m = MilpModel()
+    x = m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
+    m.add_rows([x, x, x, x], 1.0, LE, 1.0, ["r-1", "r.1", "1st", "r_1_i1"])
+    text = write_lp(m)
+    body = text.split("Subject To\n")[1].split("Bounds\n")[0]
+    names = [line.split(":")[0].strip() for line in body.splitlines()]
+    assert names[0] == "r_1" and names[2] == "c_1st"
+    assert len(set(names)) == 4 and all(map(_is_legal, names))
+    assert [con.name for con in read_lp(text).constraints] == names
 
 
 def test_free_and_semi_infinite_bounds_round_trip():

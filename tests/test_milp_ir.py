@@ -272,12 +272,11 @@ def test_to_dense_shapes():
     xy = m.add_variables([CONTINUOUS, BINARY], 0.0, [4.0, 1.0], ["x", "y"])
     m.add_rows([xy], 1.0, LE, 3.0, ["row"])
     m.set_objective(linear_form(xy, [1.0, 2.0], 5.0))
-    c, c0, A, relations, rhs, lb, ub, is_binary = m.to_dense()
+    c, c0, A, row_lower, row_upper, lb, ub, is_binary = m.to_dense()
     assert A.shape == (1, 2)
     assert list(c) == [1.0, 2.0]
     assert c0 == 5.0
-    assert relations == [LE]
-    assert list(rhs) == [3.0]
+    assert list(row_lower) == [-INF] and list(row_upper) == [3.0]
     assert list(lb) == [0.0, 0.0] and list(ub) == [4.0, 1.0]
     assert list(is_binary) == [False, True]
 
@@ -289,9 +288,9 @@ def test_set_rhs_keeps_the_compiled_matrix():
     A = m.to_sparse()[2]
     m.set_rhs([rows[1]], [-2.5])
     m.set_objective(linear_form(xy, [1.0, 2.0]))
-    c, _, again, _, rhs, *_ = m.to_sparse()
+    c, _, again, row_lower, row_upper, *_ = m.to_sparse()
     assert again is A
-    assert list(rhs) == [3.0, -2.5] and list(c) == [1.0, 2.0]
+    assert list(row_upper) == [3.0, INF] and list(row_lower) == [-INF, -2.5] and list(c) == [1.0, 2.0]
     assert [con.rhs for con in m.constraints] == [3.0, -2.5]
     m.add_variables(CONTINUOUS, 0.0, 1.0, ["z"])
     assert m.to_sparse()[2].shape == (2, 3)
@@ -330,16 +329,7 @@ def test_compiled_arrays_are_kept_until_their_part_changes():
     m = MilpModel()
     for step in _STEPS[:5]:
         step(m)
-    c, _, A, relations, rhs, lb, ub, is_binary = m.to_sparse()
-    again = m.to_sparse()
-    assert again[3] is not relations
-    assert all(a is b for a, b in zip(again[4:], (rhs, lb, ub, is_binary))) and again[2] is A and again[0] is c
-    bounds = m.row_bounds()
-    assert m.row_bounds() is bounds
-    m.set_rhs([0], [2.0])
-    assert m.to_sparse()[4] is not rhs and m.to_sparse()[2] is A and m.to_sparse()[5] is lb
-    assert m.to_sparse()[0] is c
-    assert m.row_bounds() is not bounds and bounds[1][0] == 3.0 and m.row_bounds()[1][0] == 2.0
+    c, _, A, _, _, lb, _, _ = m.to_sparse()
     m.add_rows([[0]], 1.0, LE, 4.0, ["x_cap"])
     assert m.to_sparse()[0] is c
     m.set_objective(linear_form([1], 2.0))
@@ -352,15 +342,37 @@ def test_compiled_arrays_are_kept_until_their_part_changes():
     assert after[0].tolist() == [0.0, 2.0, 0.0, 0.0] and priced[0].tolist() == [0.0, 2.0, 0.0]
 
 
+def test_two_compiles_in_a_row_return_the_same_objects():
+    m = MilpModel()
+    for step in _STEPS:
+        step(m)
+    first, second = m.to_sparse(), m.to_sparse()
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_set_rhs_replaces_only_the_row_bounds():
+    m = MilpModel()
+    for step in _STEPS[:5]:
+        step(m)
+    before = m.to_sparse()
+    m.set_rhs([1], [-3.0])
+    after = m.to_sparse()
+    assert after[3] is not before[3] and after[4] is not before[4]
+    assert all(a is b for a, b in zip(after[:3] + after[5:], before[:3] + before[5:]))
+    assert after[3].tolist() == [-INF, -3.0, 1.0] and before[3].tolist() == [-INF, -1.0, 1.0]
+
+
 def test_row_bounds_follow_the_relations():
     m = MilpModel()
     for step in _STEPS[:6]:
         step(m)
-    lower, upper = m.row_bounds()
+    lower, upper = m.to_sparse()[3:5]
     # cap: x + 2b <= 2.5, lo: x - y >= -1, tie: b + y = 0
     assert lower.tolist() == [-INF, -1.0, 0.0] and upper.tolist() == [2.5, INF, 0.0]
+    assert [con.relation for con in m.constraints] == [LE, GE, EQ]
     m.add_rows([[0]], 1.0, LE, 4.0, ["x_cap"])
-    assert m.row_bounds()[0].tolist() == [-INF, -1.0, 0.0, -INF]
+    assert m.to_sparse()[3].tolist() == [-INF, -1.0, 0.0, -INF]
+    assert m.to_sparse()[4].tolist() == [2.5, INF, 0.0, 4.0]
 
 
 def test_compiled_matrix_matches_scipy_conversion():
@@ -396,16 +408,12 @@ def test_compiled_arrays_are_read_only():
     m = MilpModel()
     for step in _STEPS:
         step(m)
-    c, _, A, relations, rhs, lb, ub, is_binary = m.to_sparse()
-    kept = ((c, 9.0), (rhs, 9.0), (lb, 9.0), (ub, 9.0), (is_binary, True), (A.data, 9.0), (A.indices, 1),
-            (A.indptr, 1), *((bound, 9.0) for bound in m.row_bounds()))
+    c, _, A, row_lower, row_upper, lb, ub, is_binary = m.to_sparse()
+    kept = ((c, 9.0), (row_lower, 9.0), (row_upper, 9.0), (lb, 9.0), (ub, 9.0), (is_binary, True),
+            (A.data, 9.0), (A.indices, 1), (A.indptr, 1))
     for array, value in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = value
-    # the relations are built on each call, so writing into them changes
-    # nothing kept
-    relations[0] = GE
-    assert m.to_sparse()[0].tolist() == [0.0, 0.0, 3.0] and m.to_sparse()[3][0] == LE
 
 
 @pytest.mark.parametrize("field, grid", [
@@ -541,7 +549,8 @@ def test_bulk_path_rejects_what_the_single_path_rejects_and_adds_nothing(fault):
     # the failed block left the model as it was
     assert (m.num_variables, m.num_constraints) == (2, 1)
     after = m.to_sparse()
-    assert after[3] == before[3] and (scipy_csc(after[2]) != scipy_csc(before[2])).nnz == 0
+    assert [a.tolist() for a in after[3:5]] == [b.tolist() for b in before[3:5]]
+    assert (scipy_csc(after[2]) != scipy_csc(before[2])).nnz == 0
 
 
 def test_a_refused_block_leaves_its_names_as_they_were():

@@ -1,8 +1,9 @@
 """Bit-level fingerprints of the dispatch models the package builds.
 
 Each fingerprint is a sha256 over every array ``MilpModel.to_sparse()``
-returns (dtype, shape and bytes), the objective constant, the relation
-codes and the row and column names.  Each variant is pinned twice: built
+returns (dtype, shape and bytes), the row bounds taken as the right-hand
+sides and relations they encode, the objective constant and the row and
+column names.  Each variant is pinned twice: built
 gate-free, as ``run_scenario`` first solves it, and with a gate appended
 on every store-period, the paper's model.  The full S5 fingerprints also cover
 ``write_lp``.  The digests pin every model bit for bit, so a change to how
@@ -20,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from milp_oracles import every_gate_model
+from milp_oracles import every_gate_model, relations_and_rhs
 
 from iesdispatch.dispatch import SCENARIO_IDS, build_model
 from iesdispatch.lp_format import write_lp
@@ -48,7 +49,9 @@ def _variants():
 
 def fingerprint(model, with_lp: bool = False) -> str:
     h = hashlib.sha256()
-    c, c0, A, relations, rhs, lb, ub, is_binary = model.to_sparse()
+    c, c0, A, row_lower, row_upper, lb, ub, is_binary = model.to_sparse()
+    # the relation-and-rhs form the digests were first taken over
+    relations, rhs = relations_and_rhs(row_lower, row_upper)
     arrays = (c, np.float64(c0), A.data, A.indices, A.indptr, np.asarray(A.shape), rhs, lb, ub, is_binary)
     for arr in arrays:
         arr = np.asarray(arr)

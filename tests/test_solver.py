@@ -16,7 +16,8 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from highs_spy import per_run
-from milp_oracles import brute_force_milp, check_solution, objective, random_milp, scipy_csc, variables, vertex_milp
+from milp_oracles import (brute_force_milp, check_solution, objective, random_milp, relations_and_rhs, scipy_csc,
+                          variables, vertex_milp)
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver import branch_bound
@@ -91,7 +92,8 @@ def _random_lp(rng: random.Random, lbs=(0.0, -2.0), ubs=(1.0, 5.0, 20.0)):
 
 
 def _scipy_solve(model: MilpModel):
-    c, c0, A, relations, rhs, lb, ub, _ = model.to_dense()
+    c, c0, A, row_lower, row_upper, lb, ub, _ = model.to_dense()
+    relations, rhs = relations_and_rhs(row_lower, row_upper)
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for row, rel, b in zip(A, relations, rhs):
         if rel == LE:
@@ -147,8 +149,8 @@ def test_lp_duality_gap():
         if res.status != "optimal":
             continue
         # dual objective: sum of duals*rhs plus reduced-cost contribution at bounds
-        c, c0, A, relations, rhs, lb, ub, _ = m.to_dense()
-        dual = float(res.duals @ rhs)
+        c, c0, A, row_lower, row_upper, lb, ub, _ = m.to_dense()
+        dual = float(res.duals @ relations_and_rhs(row_lower, row_upper)[1])
         for i, rc in enumerate(res.reduced_costs):
             if rc > 0:
                 dual += rc * lb[i]
@@ -554,9 +556,10 @@ def _iterations(core) -> int:
 def test_repriced_core_matches_cold_solves():
     models, options = _sweep_models(), MilpOptions()
     # one matrix and one set of relations, entry for entry: only c and rhs move
-    _, _, A, relations, *_ = models[0].to_sparse()
-    assert all((scipy_csc(m.to_sparse()[2]) != scipy_csc(A)).nnz == 0 and m.to_sparse()[3] == relations
-               for m in models)
+    _, _, A, row_lower, row_upper, *_ = models[0].to_sparse()
+    relations = relations_and_rhs(row_lower, row_upper)[0]
+    assert all((scipy_csc(m.to_sparse()[2]) != scipy_csc(A)).nnz == 0
+               and relations_and_rhs(*m.to_sparse()[3:5])[0] == relations for m in models)
     core = _ScipyCore(models[0])
     assert core.solve(models[0], options).status == "optimal"
     warm_iterations = cold_iterations = 0
@@ -581,7 +584,7 @@ def test_core_keeps_the_compiled_matrix_object():
     assert solve_milp(model, options).status == "optimal"
     core = branch_bound._cores[model]
     model.set_objective(objective(model).scaled(1.5))
-    model.set_rhs([0], [model.to_sparse()[4][0]])
+    model.set_rhs([0], [relations_and_rhs(*model.to_sparse()[3:5])[1][0]])
     assert solve_milp(model, options).status == "optimal"
     assert branch_bound._cores[model] is core and core.A is model.to_sparse()[2]
 
@@ -610,7 +613,7 @@ def test_core_restarts_hot_only_after_an_optimal_run(highs_calls, monkeypatch):
     # an unattainable balance row, then restored: the next solve clears the
     # solver and runs the dual simplex
     row = [con.name for con in model.constraints].index("balance_electric_t00")
-    load = model.to_sparse()[4][row]
+    load = relations_and_rhs(*model.to_sparse()[3:5])[1][row]
     model.set_rhs([row], [1e9])
     assert solve_milp(model, options).status == "infeasible" and branch_bound._cores[model] is core
     model.set_rhs([row], [load])
@@ -640,7 +643,7 @@ def test_chain_after_a_solve_that_is_not_optimal_starts_cold(highs_calls):
     options = DispatchOptions(pwl_segments=4)
     model, _ = build_model(reduce_case(load_case(default_case_path()), 2), "S5", options)
     row = [con.name for con in model.constraints].index("balance_electric_t00")
-    load = model.to_sparse()[4][row]
+    load = relations_and_rhs(*model.to_sparse()[3:5])[1][row]
     statuses = []
     for rhs in (load, 1e9, load):
         model.set_rhs([row], [rhs])
@@ -691,17 +694,19 @@ def _dense_reference(model: MilpModel, forms):
             c[vid] += coef
         c0 += form.constant
     A = np.zeros((m, n))
-    rhs = np.zeros(m)
+    row_lower, row_upper = np.full(m, -INF), np.full(m, INF)
     for i, con in enumerate(model.constraints):
         for vid, coef in con.coeffs.items():
             A[i, vid] = coef
-        rhs[i] = con.rhs
+        if con.relation != LE:
+            row_lower[i] = con.rhs
+        if con.relation != GE:
+            row_upper[i] = con.rhs
     columns = variables(model)
     lb = np.array([v.lower for v in columns], dtype=float)
     ub = np.array([v.upper for v in columns], dtype=float)
     is_binary = np.array([v.kind == "binary" for v in columns], dtype=bool)
-    relations = [con.relation for con in model.constraints]
-    return c, c0, A, relations, rhs, lb, ub, is_binary
+    return c, c0, A, row_lower, row_upper, lb, ub, is_binary
 
 
 def _bit_equal(a, b) -> bool:
@@ -740,10 +745,9 @@ def test_sparse_compile_matches_dense_loop():
         expected = csc_array(ref[2])
         for part in ("indptr", "indices", "data"):
             assert _bit_equal(getattr(A, part), getattr(expected, part))
-        for k in (0, 4, 5, 6, 7):
+        for k in (0, 3, 4, 5, 6, 7):
             assert _bit_equal(sparse[k], ref[k]) and _bit_equal(dense[k], ref[k])
         assert sparse[1] == dense[1] == ref[1]
-        assert sparse[3] == dense[3] == ref[3]
 
 
 def test_backend_registry():
@@ -818,13 +822,19 @@ import sys
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     fh.write("status=optimal\\nobjective=abc\\n")
 '''
+STATUS_ONLY = '''\
+import sys
+
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    fh.write("status={}\\n")
+'''
 
 
 @pytest.mark.parametrize(
     "script, message",
     [(NO_SOLUTION, "unreadable solution file"), (BAD_OBJECTIVE, "unreadable solution file"),
-     (None, "did not start")],
-    ids=["no-solution-file", "bad-objective", "missing-command"],
+     (STATUS_ONLY.format("banana"), "unreadable solution file: status 'banana'"), (None, "did not start")],
+    ids=["no-solution-file", "bad-objective", "unknown-status", "missing-command"],
 )
 def test_external_backend_failure_is_unavailable(script, message, tmp_path, monkeypatch):
     from iesdispatch.solver import BackendUnavailableError
@@ -840,6 +850,18 @@ def test_external_backend_failure_is_unavailable(script, message, tmp_path, monk
     m.set_objective(linear_form([0]))
     with pytest.raises(BackendUnavailableError, match=message):
         get_backend("external").solve(m, MilpOptions())
+
+
+@pytest.mark.parametrize("status", ["infeasible", "unbounded", "limit"])
+def test_external_backend_reports_a_documented_status(status, tmp_path, monkeypatch):
+    path = tmp_path / "stub.py"
+    path.write_text(STATUS_ONLY.format(status), encoding="utf-8")
+    monkeypatch.setenv("IESDISPATCH_EXTERNAL_SOLVER", " ".join(map(shlex.quote, (sys.executable, str(path)))))
+    m = MilpModel()
+    m.add_variables(CONTINUOUS, 0.0, 1.0, ["v"])
+    m.set_objective(linear_form([0]))
+    res = get_backend("external").solve(m, MilpOptions())
+    assert res.status == status and res.objective is None and res.x is None
 
 
 def test_external_backend_unset_env(monkeypatch):
