@@ -96,6 +96,7 @@ from .milp_ir import (
     pwl_convex_error_bound,
     pwl_convex_value,
     quad_value,
+    stack_rows,
 )
 from .model_core import (
     CARRIERS,
@@ -389,7 +390,7 @@ class _Block:
 
     def rows(self, tags, *families) -> None:
         """Queue rows interleaved by period, one per family ``(name prefix, flows, relation, rhs)``."""
-        self.groups.append((tags, *families))
+        self.groups.append(_rows(tags, *families))
 
     def add(self) -> None:
         bounds = np.empty((2, len(self.names)))
@@ -402,7 +403,7 @@ class _Block:
             start = stop
         self.model.add_variables(CONTINUOUS, bounds[0], bounds[1], self.names)
         if self.groups:
-            self.model.add_rows(*_row_block(*self.groups))
+            self.model.add_rows(*stack_rows(*self.groups))
 
 
 def _flow_block(flow_lists, periods: int):
@@ -418,33 +419,19 @@ def _flow_block(flow_lists, periods: int):
     return cols.reshape(-1, width), coeffs.reshape(-1, width)
 
 
-def _row_block(*groups) -> tuple:
-    """The arguments of one :meth:`MilpModel.add_rows` call for groups of rows.
+def _rows(tags, *families) -> tuple:
+    """The arguments of one :meth:`MilpModel.add_rows` call for a group of rows.
 
-    A group is ``(tags, *families)``: its rows are interleaved by period,
-    one per tag and family ``(name prefix, flows, relation, rhs)``, with
-    rhs a scalar or one per tag.  The groups follow each other, and rows
-    with fewer flows pad with zero coefficients.
+    Its rows are interleaved by period, one per tag and family ``(name
+    prefix, flows, relation, rhs)``, with rhs a scalar or one per tag;
+    rows with fewer flows pad with zero coefficients.
     """
-    merged = [[_merged(*family[1]) for family in families] for _, *families in groups]
-    cols = np.zeros((sum(len(group[0]) * (len(group) - 1) for group in groups),
-                     max(len(flows) for flow_lists in merged for flows in flow_lists)), dtype=np.int64)
-    coeffs = np.zeros(cols.shape)
-    rhs = np.empty(len(cols))
-    relations, names = [], []
-    start = 0
-    for (tags, *families), flow_lists in zip(groups, merged):
-        stop = start + len(tags) * len(families)
-        for f, (family, flows) in enumerate(zip(families, flow_lists)):
-            rows = slice(start + f, stop, len(families))
-            for j, (ids, coeff) in enumerate(flows):
-                cols[rows, j] = ids
-                coeffs[rows, j] = coeff
-            rhs[rows] = family[3]
-        relations += [family[2] for family in families] * len(tags)
-        names += [family[0] + tag for tag in tags for family in families]
-        start = stop
-    return cols, coeffs, relations, rhs, names
+    cols, coeffs = _flow_block([family[1] for family in families], len(tags))
+    rhs = np.empty((len(tags), len(families)))
+    for f, family in enumerate(families):
+        rhs[:, f] = family[3]
+    return (cols, coeffs, [family[2] for family in families] * len(tags), rhs.ravel(),
+            [family[0] + tag for tag in tags for family in families])
 
 
 def build_model(case: CaseData, scenario, options: DispatchOptions | None = None):
@@ -554,13 +541,13 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         terms += [_scaled(flow, -1.0) for flow in _dr_flows(vm.dr, carrier)]
         return f"balance_{carrier}_", terms, EQ, case.loads[carrier].values
 
-    model.add_rows(*_row_block((
+    model.add_rows(*_rows(
         tags,
         balance(ELECTRIC, flows["p_e_buy"], flows["p_dg"], flows["p_gt_e"], _scaled(flows["p_p2g_e"], -1.0)),
         balance(GAS, flows["p_g_buy"], flows["p_p2g_g"], _scaled(flows["p_g_gt"], -1.0),
                 _scaled(flows["p_g_gb"], -1.0)),
         balance(HEAT, flows["p_gt_h"], flows["p_gb_h"]),
-    )))
+    ))
 
     vm.flows = flows
     tariffs = case.tariffs
@@ -632,11 +619,11 @@ def add_gates(case: CaseData, model: MilpModel, vm: VarMap, pairs) -> None:
         plim = sto.power_limit_fraction * sto.capacity_kwh
         tags = [f"t{t:02d}" for t in periods]
         gate = model.add_variables(BINARY, 0.0, 1.0, [f"st_{k}_gate_{tag}" for tag in tags])
-        model.add_rows(*_row_block((
+        model.add_rows(*_rows(
             tags,
             (f"storage_{k}_gate_ch_", [(blk.charge[periods], 1.0), (gate, -plim)], LE, 0.0),
             (f"storage_{k}_gate_dis_", [(blk.discharge[periods], 1.0), (gate, plim)], LE, plim),
-        )))
+        ))
         blk.gate.update(zip(periods, gate.tolist()))
 
 
