@@ -444,6 +444,16 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     demand response, the balances, the envelope cuts, the carbon rows), in
     the order a block per family would give.  An invalid case raises
     UnitError (``require_valid``), the one check the builders rely on.
+
+    In fixed-ratio CHP mode one gas column ``g`` carries both GT outputs,
+    so the corridor rows ``a_lo * g <= 0``, ``a_hi * g <= 0`` and the WHB
+    row ``eps_h * g <= whb_cap`` have one column each.  A one-column row
+    ``a * x <= b`` with ``a != 0`` is a bound on ``x``: ``a > 0`` in a
+    corridor row sets g's upper bound to 0 (the unit is off), ``a <= 0``
+    holds for every ``g >= 0``, and the WHB row caps g at ``whb_cap /
+    eps_h``.  The feasible set is the same, so the optimum is the same
+    (Andersen & Andersen, Math. Prog. 71, 1995, section 3).  A cap below
+    the GT's ``min_output_kw`` raises StaticInfeasibleError.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
@@ -481,27 +491,29 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
 
     gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
     if gt and gt_cap > 0:
-        g_gt = ("p_g_gt_", gt.min_output_kw, gt_cap)
-        chp = []
+        lo, hi = case.chp.ratio_min, case.chp.ratio_max
         if case.chp.extraction_mode:
-            g, pe, ph = block.columns(g_gt, ("p_gt_e_", 0.0, eps_e * gt_cap), ("p_gt_h_", 0.0, _heat_max(case)[0])).T
+            g, pe, ph = block.columns(("p_g_gt_", gt.min_output_kw, gt_cap), ("p_gt_e_", 0.0, eps_e * gt_cap),
+                                      ("p_gt_h_", 0.0, _heat_max(case)[0])).T
             flows["p_gt_e"], flows["p_gt_h"] = (pe, 1.0), (ph, 1.0)
-            chp += [("chp_e_fuel_", [(pe, 1.0), (g, -eps_e)], LE, 0.0),
-                    ("chp_h_fuel_", [(ph, 1.0), (g, -eps_h)], LE, 0.0)]
-        else:
-            (g,) = block.columns(g_gt).T
+            block.rows(tags, ("chp_e_fuel_", [(pe, 1.0), (g, -eps_e)], LE, 0.0),
+                       ("chp_h_fuel_", [(ph, 1.0), (g, -eps_h)], LE, 0.0),
+                       ("chp_ratio_lo_", [(pe, lo), (ph, -1.0)], LE, 0.0),
+                       ("chp_ratio_hi_", [(ph, 1.0), (pe, -hi)], LE, 0.0))
+        else:  # the corridor and WHB rows are bounds on g (docstring)
+            upper = gt_cap
+            if eps_e * lo + eps_h * -1.0 > 0 or eps_h + eps_e * -hi > 0:
+                upper, family = 0.0, "chp_ratio"
+                why = (f"the GT's heat-to-power ratio (heat {eps_h:g} and electric {eps_e:g} per kW of gas) is "
+                       f"outside the corridor [{lo:g}, {hi:g}], so it must stay off")
+            elif whb and eps_h * gt_cap > whb_cap:
+                upper, family = min(gt_cap, whb_cap / eps_h), "chp_whb_cap"
+                why = f"the WHB's {whb_cap:g} kW hold the GT to {upper:g} kW of gas"
+            if upper < gt.min_output_kw:
+                raise StaticInfeasibleError(family, f"{why}, but its min_output_kw is {gt.min_output_kw:g} kW")
+            (g,) = block.columns(("p_g_gt_", gt.min_output_kw, upper)).T
             flows["p_gt_e"], flows["p_gt_h"] = (g, float(eps_e)), (g, float(eps_h))
-            if whb and eps_h * gt_cap > whb_cap:
-                chp.append(("chp_whb_cap_", [flows["p_gt_h"]], LE, whb_cap))
         flows["p_g_gt"] = (g, 1.0)
-        # heat-to-power corridor; outside it the unit is forced off
-        e_flow, h_flow = flows["p_gt_e"], flows["p_gt_h"]
-        for name, terms in (("lo", _merged(_scaled(e_flow, case.chp.ratio_min), _scaled(h_flow, -1.0))),
-                            ("hi", _merged(h_flow, _scaled(e_flow, -case.chp.ratio_max)))):
-            if any(coeff != 0.0 for _, coeff in terms):
-                chp.append((f"chp_ratio_{name}_", terms, LE, 0.0))
-        if chp:
-            block.rows(tags, *chp)
         add_ramp("gt", g, gt_cap, gt.ramp_fraction)
 
     gb = case.converter("GB")

@@ -719,18 +719,12 @@ def validate_case(case: CaseData) -> ValidationReport:
         err("gas_kwh_per_m3: must be > 0")
     if not case.chp.ratio_min <= case.chp.ratio_max:
         err("chp: ratio_min > ratio_max")
-    # the coefficient each heat-to-power corridor row puts on the GT's
-    # electric output, as `dispatch.build_model` forms it
+    # the coefficient each extraction-mode corridor row puts on the GT's
+    # electric output; in fixed-ratio mode the corridor is a bound, not a
+    # matrix entry (`dispatch.build_model`)
     gt, whb = case.converter("GT"), case.converter("WHB")
-    if gt:
-        ratio_min, ratio_max = case.chp.ratio_min, case.chp.ratio_max
-        if case.chp.extraction_mode:  # the two outputs have columns of their own
-            corridor = (("ratio_min", ratio_min), ("ratio_max", -ratio_max))
-        else:  # one fuel column carries both outputs
-            eps_e = gt.efficiencies.get("electric", 0.0)
-            eps_h = gt.efficiencies.get("heat", 0.0) * (whb.efficiencies.get("heat", 0.0) if whb else 0.0)
-            corridor = (("ratio_min", eps_e * ratio_min + eps_h * -1.0), ("ratio_max", eps_h + eps_e * -ratio_max))
-        for name, coeff in corridor:
+    if gt and case.chp.extraction_mode:
+        for name, coeff in (("ratio_min", case.chp.ratio_min), ("ratio_max", -case.chp.ratio_max)):
             if not abs(coeff) < SOLVER_LARGE_MATRIX_VALUE:
                 err(f"chp.{name}: the heat-to-power corridor row takes the coefficient {coeff:g}, "
                     f"and HiGHS refuses one of {SOLVER_LARGE_MATRIX_VALUE:g} or more")

@@ -7,6 +7,8 @@ self-comparison.  ``brute_force_milp`` solves each leaf LP with scipy HiGHS;
 it is slower and serves as a cross-check of the vertex oracle.
 ``every_gate_model`` builds the paper's fully gated dispatch model, the
 reference that gates on demand are compared against,
+``fixed_ratio_rows_model`` the dispatch model with the fixed-ratio CHP
+rows that ``build_model`` turns into the GT's bounds,
 ``compiled_differences`` compares two models' compiled arrays bit for bit,
 ``scipy_csc`` wraps a compiled ``A`` as a scipy sparse array for the
 tests that compute with it, ``relations_and_rhs`` gives the compiled row
@@ -54,6 +56,35 @@ def every_gate_model(case, scenario, options=None):
     """(model, VarMap) of the paper's model: the gate-free build plus a gate on every store-period."""
     model, vm = build_model(case, scenario, options)
     add_gates(case, model, vm, [(sto.carrier, t) for sto in case.storages for t in range(case.horizon.periods)])
+    return model, vm
+
+
+def fixed_ratio_rows_model(case, scenario, options=None):
+    """(model, VarMap) of the fixed-ratio CHP formulation with one-column rows instead of bounds.
+
+    The GT's gas column gets its capacity back as its upper bound, and the
+    rows ``build_model`` once emitted are appended, interleaved by period:
+    ``chp_whb_cap_`` (``eps_h * g <= whb_cap``) where the WHB can bind and
+    ``chp_ratio_lo_``/``chp_ratio_hi_`` (``a * g <= 0``) for each nonzero
+    corridor coefficient, formed as the rows formed them.  An
+    extraction-mode model is returned as built.
+    """
+    model, vm = build_model(case, scenario, options)
+    gt, whb = case.converter("GT"), case.converter("WHB")
+    if case.chp.extraction_mode or not gt:
+        return model, vm
+    g, eps_e, eps_h = vm.flows["p_g_gt"][0], vm.flows["p_gt_e"][1], vm.flows["p_gt_h"][1]
+    rows = [("chp_whb_cap_", eps_h, whb.capacity_kw)] if whb and eps_h * gt.capacity_kw > whb.capacity_kw else []
+    corridor = (("lo", eps_e * case.chp.ratio_min + eps_h * -1.0), ("hi", eps_h + eps_e * -case.chp.ratio_max))
+    rows += [(f"chp_ratio_{name}_", a, 0.0) for name, a in corridor if a != 0.0]
+    # MilpModel has no bound setter: join its upper-bound chunks and restore the bound in place
+    upper = np.concatenate(model._upper)
+    upper[g] = gt.capacity_kw
+    model._upper[:], model._col_arrays = [upper], None
+    if rows:
+        names = [prefix + f"t{t:02d}" for t in range(len(g)) for prefix, _, _ in rows]
+        model.add_rows(np.repeat(g, len(rows))[:, None], np.tile([a for _, a, _ in rows], len(g))[:, None], LE,
+                       np.tile([b for _, _, b in rows], len(g)), names)
     return model, vm
 
 

@@ -243,6 +243,24 @@ def test_solve_infeasible_exit_3(tmp_path, bad_heat_case, capsys):
     assert "exceeds maximum heat supply" in captured.out + captured.err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc, gt: doc["chp"].update(ratio_min=1.0, ratio_max=2.0),
+    lambda doc, gt: gt["efficiencies"].pop("electric"),
+], ids=["corridor", "no-electric"])
+def test_gt_forced_off_below_its_minimum_output_exit_3(edit, tmp_path, capsys):
+    # a fixed heat-to-power ratio outside the corridor holds the GT at 0 kW of gas
+    doc = case_to_dict(load_case(default_case_path()))
+    gt = next(conv for conv in doc["converters"] if conv["name"] == "GT")
+    gt["min_output_kw"] = 100.0
+    edit(doc, gt)
+    path = tmp_path / "gt_off.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("solve", "--case", str(path), "--scenario", "S5", "--out", str(tmp_path / "x")) == cli.EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert "FAIL S5: chp_ratio: " in captured.err and "min_output_kw is 100 kW" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
 def test_solve_time_limit_exit_4(backend, tmp_path, capsys):
     rc = run_cli("solve", "--reduced", "--time-limit", "1e-9", "--backend", backend,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from highs_spy import per_run
-from milp_oracles import compiled_differences, every_gate_model
+from milp_oracles import compiled_differences, every_gate_model, fixed_ratio_rows_model
 
 from iesdispatch import dispatch
 from iesdispatch.dispatch import (
@@ -142,6 +142,104 @@ def test_ratio_bracket_outside_range_forces_chp_off():
     assert sol.p_gt_e[0] == pytest.approx(0.0, abs=1e-9)
     assert sol.p_gt_h[0] == pytest.approx(0.0, abs=1e-9)
     assert sol.p_gb_h[0] == pytest.approx(100.0 / 0.82 * 0.82, abs=1e-6)
+
+
+# -- fixed-ratio CHP: the one-column rows are the GT's bounds ------------------------
+
+
+def _converter(case, name, **fields):
+    """The case with the named converter's fields replaced."""
+    return replace(case, converters=tuple(replace(c, **fields) if c.name == name else c for c in case.converters))
+
+
+def _outside_corridor(case):
+    """The bundled GT's fixed ratio, 0.576 / 0.22 = 2.62, is above this corridor."""
+    return replace(case, chp=replace(case.chp, ratio_min=1.0, ratio_max=2.0))
+
+
+def _no_electric(case):
+    """eps_e = 0: the GT's efficiencies have no electric entry, so no ratio fits a finite corridor."""
+    return _converter(case, "GT", efficiencies={"heat": case.converter("GT").efficiencies["heat"]})
+
+
+def _whb_binds(case):
+    """A WHB smaller than the GT's 576 kW of heat, which holds the GT below its capacity."""
+    return _converter(case, "WHB", capacity_kw=400.0)
+
+
+@pytest.mark.parametrize("edit, upper", [
+    (lambda case: case, 1000.0),
+    (_whb_binds, 400.0 / (0.72 * 0.8)),
+    (_outside_corridor, 0.0),
+    (lambda case: replace(case, chp=replace(case.chp, ratio_min=3.0, ratio_max=4.0)), 0.0),
+    (_no_electric, 0.0),
+], ids=["bundled", "whb-binds", "corridor-below", "corridor-above", "no-electric"])
+def test_fixed_ratio_models_carry_no_chp_rows(bundled_case, edit, upper):
+    case = edit(bundled_case)
+    for sid in SCENARIO_IDS:
+        model, vm = build_model(case, sid)
+        assert not [con.name for con in model.constraints if con.name.startswith(("chp_ratio_", "chp_whb_cap_"))]
+        assert model.to_sparse()[6][vm.flows["p_g_gt"][0]].tolist() == [upper] * case.horizon.periods, sid
+
+
+@pytest.mark.parametrize("edit", [_outside_corridor, _no_electric], ids=["corridor", "no-electric"])
+def test_corridor_excluding_the_fixed_ratio_turns_the_gt_off(bundled_case, edit):
+    # the statuses the corridor rows gave: every scenario solves with the GT off
+    report = run_all_scenarios(edit(bundled_case))
+    assert [row.status for row in report.rows] == ["optimal"] * len(SCENARIO_IDS)
+    for sol in report.solutions.values():
+        assert sol.p_gt_e == sol.p_gt_h == (0.0,) * bundled_case.horizon.periods
+    # the rows left no feasible point with a minimum output; the bound says so before any solve
+    strict = _converter(edit(bundled_case), "GT", min_output_kw=100.0)
+    report = run_all_scenarios(strict)
+    assert [(row.status, row.error.partition(":")[0]) for row in report.rows] == [("infeasible", "chp_ratio")] * 5
+    assert "min_output_kw is 100 kW" in report.rows[0].error
+
+
+def test_whb_cap_below_the_minimum_output_is_infeasible(bundled_case):
+    case = _converter(_whb_binds(bundled_case), "GT", min_output_kw=800.0)
+    with pytest.raises(StaticInfeasibleError) as info:
+        build_model(case, "S1")
+    assert info.value.family == "chp_whb_cap" and "694.444 kW of gas" in str(info.value)
+    assert run_scenario(_converter(case, "GT", min_output_kw=600.0), "S1").verification.passed
+
+
+@pytest.fixture(scope="module")
+def chp_cases(bundled_case, binding_case):
+    """(label, case, options) on which the bounds are compared with the rows."""
+    full, reduced = DispatchOptions(), DispatchOptions(pwl_segments=4)
+    cases = [("full", bundled_case, full), ("reduced", reduce_case(bundled_case, 2), reduced)]
+    for seed in range(3):
+        rng = random.Random(seed)
+        factors = {k: rng.uniform(0.9, 1.1) for k in ("electric", "gas", "heat", "wind")}
+        cases.append((f"perturbed{seed}", scale_profiles(bundled_case, factors), full))
+    extraction = replace(bundled_case.chp, extraction_mode=True)
+    return cases + [
+        ("binding-gate", binding_case[0], reduced),
+        ("whb-binds", _whb_binds(bundled_case), full),
+        ("corridor", _outside_corridor(bundled_case), full),
+        ("extraction", replace(bundled_case, chp=extraction), full),
+        ("extraction-1e14", replace(bundled_case, chp=replace(extraction, ratio_max=1e14)), full),
+    ]
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+def test_chp_bounds_match_the_one_column_rows(chp_cases, monkeypatch, backend):
+    for label, case, options in chp_cases:
+        options = replace(options, backend=backend)
+        bounds = run_all_scenarios(case, options)
+        with monkeypatch.context() as patch:
+            patch.setattr(dispatch, "build_model", fixed_ratio_rows_model)
+            rows = run_all_scenarios(case, options)
+        statuses = [row.status for row in bounds.rows]
+        assert statuses == [row.status for row in rows.rows], label
+        # scipy.optimize.milp leaves S1 of this case 115 kW outside the extraction-mode
+        # corridor, which verify_solution refuses: a fault of that row, not of the bounds
+        assert set(statuses) == {"optimal"} or (label, backend, statuses[1:]) == (
+            "extraction-1e14", "scipy-milp", ["optimal"] * 4), (label, statuses)
+        for a, b in zip(bounds.rows, rows.rows):
+            if a.status == "optimal":
+                assert _agree(a.objective, b.objective, options.gap_tol), (label, a.scenario_id, a.objective, b.objective)
 
 
 def test_extraction_mode_relaxes_coupling():

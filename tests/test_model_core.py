@@ -236,12 +236,18 @@ def test_emission_curves_must_stay_below_the_solver_infinity(case):
 
 @pytest.mark.parametrize("extraction", [False, True], ids=["fixed-ratio", "extraction"])
 def test_chp_corridor_coefficient_must_stay_below_the_large_matrix_value(case, extraction):
-    # a corridor row carries a ratio times the GT's electric coefficient as a
-    # matrix entry, and HiGHS refuses to load one of 1e15 or more
+    # an extraction-mode corridor row carries a ratio as a matrix entry, and
+    # HiGHS refuses to load one of 1e15 or more; in fixed-ratio mode the
+    # corridor is a bound of the GT's gas column, so a huge ratio solves
     chp = replace(case.chp, extraction_mode=extraction)
     for field, value in (("ratio_max", 1e16), ("ratio_min", -1e16)):
+        wide = replace(case, chp=replace(chp, **{field: value}))
+        if not extraction:
+            report = run_all_scenarios(wide)
+            assert [row.status for row in report.rows] == ["optimal"] * len(SCENARIO_IDS)
+            continue
         with pytest.raises(UnitError, match="heat-to-power corridor") as info:
-            require_valid(replace(case, chp=replace(chp, **{field: value})))
+            require_valid(wide)
         assert info.value.locator == f"chp.{field}"
     report = run_all_scenarios(replace(case, chp=replace(chp, ratio_max=1e14)))
     assert [row.status for row in report.rows] == ["optimal"] * len(SCENARIO_IDS)

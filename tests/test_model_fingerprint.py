@@ -75,41 +75,41 @@ def fingerprints() -> dict[str, str]:
 
 
 EXPECTED = {
-    "full-S1": "5c8202ecf8c9ec6a23b8f6d0e471ccef4ca317a26c55e5518906e3d30112509d",
-    "full-S2": "cb9c875c14ad0a7ba7f4f4c572809ddd5a0120cef539de3c182221ca65e17c3d",
-    "full-S3": "5876de0ada398b8bdf1ede59871cf3f7eaf41948f617b605e41e067d6debb1d2",
-    "full-S4": "f73139ce29375f93bb86c714c49f5a00544972097dcef73847f2bbdf63ebfa73",
-    "full-S5": "c2f994b8fba9844ab3631d1041e076d6b8cea52bf84402542be9f80edb29f5d5",
-    "reduced-S1": "874e45e9ca61c0d80dc79ff5d8e4d5f6db233a1c5cc1cd43121fec0e03ded804",
-    "reduced-S2": "302b695bc75e21b7256faf0e143a64b5d68665e4aa579ed27254fd565e6f85c6",
-    "reduced-S3": "b19e74688c4e497a4249ed58d28030c0089b30411c37b873297b48ced96f7d2b",
-    "reduced-S4": "f0169c88921bfc060ae8e54b491d654016d48db51810fb1da2a68ab7062178da",
-    "reduced-S5": "e69770e5a4e5088eac25105a05f5a1a83e03fd3f6c2249480aae65eef76dfd31",
+    "full-S1": "7d220a85c823a939123598f45a5d6d49ce9981a718ceb6b5aa94db14d3d5996b",
+    "full-S2": "0683d466de308c15863437831b6a8883d98b06b455d8aebd5181586f5321cc6b",
+    "full-S3": "9aebbcaa3460729c5c6a62325fc03537e937b40911582543cf423de1c0df64c2",
+    "full-S4": "fd41d7d2551a76f0891c980661d727425dcee187a502e73d672dc937845d1fd4",
+    "full-S5": "cbe26a9379d307fbc6862f63fe1dc800d76653fa177dcfb9f6e75b09ac541834",
+    "reduced-S1": "4b1b155e7d38658d94062a53e6bb30c0bcdfcaca91e898a3c8a32d9389838066",
+    "reduced-S2": "cf0f8d9142f54575f5381ade6855a728dea08888b46ba9ccb306bda2fc9e3393",
+    "reduced-S3": "5a72f07c8e66acecf898e9caf9644b2f9609133f0b3ac76416f24364d5d777f9",
+    "reduced-S4": "ba9870f110cd544729905c4165bbecd5663bfd587a5992cdc4e97addaeebaa8b",
+    "reduced-S5": "dfc3500d679a4795ef442576dc3d7c401fa5a16e06c69e0ab168a92ff2a7b219",
     "extraction-S5": "9878f6ec8c5aecd45d0e4a1afbc6765bb6cd1a1817289836669335e825b703df",
-    "literal-eq2-S5": "1a8ea607a5831b974bcb58f19b88d4c502655dfa62f93bd5298fca48ae04fa91",
-    "shift-floor-S4": "0dc86af34c2d2206e955784545008e6dabe31d3dcc6e9c20d857c3408e4cc019",
-    "perturbed0-S3": "1a1d3ad6340e7ddfbe0724a8b90881cfa3e53c7259b867573339697ccc3ede4d",
-    "perturbed0-S5": "5d9b2cf378e4c3c76712489048ebf4ac257785cf9709b673233e652307297f45",
-    "perturbed1-S3": "feb0d46e60b2d4da8fa4324183f6611317a70f653272c8effe4af108cb7f0890",
-    "perturbed1-S5": "fe3ad2e97d8f506c39129b0addfe880f649435775fa6c1090141fd4afee528f0",
+    "literal-eq2-S5": "c25384ee722e7a6dcce9074e5a2ec0a4fd2f1a5b75d685ac46b6713febd4e7e3",
+    "shift-floor-S4": "142bad91100a5a395b100a48aeadc3809d9ea0d57dd110af4bc6b912db1cde08",
+    "perturbed0-S3": "95fa02dc68c99b480425e95f7cf54dbb20e1366dbc2064289cb76bb629651952",
+    "perturbed0-S5": "3b9cf89ccbf4eaec9f5e656dbea6d0f001477ab5a3584b975102b5696da8394d",
+    "perturbed1-S3": "1fbd05c7ab400c85b37b7f05efe5b93320e731681baf1e16744c2012ad735784",
+    "perturbed1-S5": "a794808210414cca26109e0c3afbd1535653ce8262fac23d133194f829ee3730",
     # the same variants without a storage gate
-    "full-S1/gate-free": "6099ad036040e962b51518bf7fd1634887b84d55dd2e75837cfbd1dd709c81d1",
-    "full-S2/gate-free": "5472da973361ee919ee0109e355cb249f806f407da18e791cee40cfffd9f3d65",
-    "full-S3/gate-free": "73e97b70acbf9b07e8d05949ca784648234b8821d501e42243934201d456c73c",
-    "full-S4/gate-free": "bad845df4d6a45c8d3d9fb0c8fb15ee6bd761f150153fe783f9929461f13f6f4",
-    "full-S5/gate-free": "c822493e5aef89810a57ba10e37d6f576d780b06b6f3672a0e09915b3329f051",
-    "reduced-S1/gate-free": "f32600b332ccc0202d8d960014fde8362c41d0f430d58da51b576ecf62299040",
-    "reduced-S2/gate-free": "194dd1c497c883c6fe50bd2128df3843e428ae05044cd8bb6efd70fea2694033",
-    "reduced-S3/gate-free": "fbcc8cbb88553f128c652853d9c74471bccbbebd22dec0d9a1b5bd1cb792ffbc",
-    "reduced-S4/gate-free": "df3f56cc11114c9924df3fd81526e78867b14c837749325bb445f3acd4794cec",
-    "reduced-S5/gate-free": "6e61e9eb10c9ade4b3213e7154359d8e42fbe415df2b0d0dfa204b4cd5bd7167",
+    "full-S1/gate-free": "0c9e03e1852ad29aca18b9fa42de1941b4d70ffd76a5c5488adb902db664d541",
+    "full-S2/gate-free": "31052a2bbe80ff4585ad7f56ced6925dd3d284aae8a44fdb74826f199d0f8bf5",
+    "full-S3/gate-free": "bad9f3bcbfa319623e0023a06841bf5d5f6d9e8d777f6218b6b3e8369ef07294",
+    "full-S4/gate-free": "250ada80e5c49ec4a69a010d50ca706084fb62106d1b40d64775bc4615d0a849",
+    "full-S5/gate-free": "309c3699492491c6d34366f9c868a8cf71f7fe1e19cb0a306ce3ea436fc5cffb",
+    "reduced-S1/gate-free": "2ff47a004842046f26730b396a58faf800f1fd8fbaa7ef23eb54415339c3bb48",
+    "reduced-S2/gate-free": "fea5b9a19003b3038047897cfa04f11a0616a1adcc52fbb91f2df204b11fe8d2",
+    "reduced-S3/gate-free": "6b2ec75af7fe6ae05e01a961ea16218da1c48649cdaf701d86f7ce72fcae14a5",
+    "reduced-S4/gate-free": "e9e291b8d9c4816f74cad73ea739736028c1689bbb4e576bd1b57457f9a550f6",
+    "reduced-S5/gate-free": "95a19971000dad80969ca9f3624d5ee6d4abc5c335415729c6ee4cf3cd97b28a",
     "extraction-S5/gate-free": "0987948ab5d45d715e33fc34b99e25ccdc0b0f245a7f1696d846a56431f21277",
-    "literal-eq2-S5/gate-free": "07d38e3f2cdb94f0a2fddf7033c80404675c3ba3faaf855b304f795ee6f7035f",
-    "shift-floor-S4/gate-free": "59fb6c432916dec50f339c14be16d3bbab5886d0c1d9bf6c5a1b24ee0ec19d53",
-    "perturbed0-S3/gate-free": "7502015f864c29913375ee6fd7edcb1466e283997914847fd1e49242bfc19d95",
-    "perturbed0-S5/gate-free": "03a92765a60a0facb38f4d0357f6e8f229225d1c28b5730240bccfd00004b8a0",
-    "perturbed1-S3/gate-free": "65007d85c6034ba1c6e4f764352b29ef4a03b6aafe820b82dd70ef5bba68c75e",
-    "perturbed1-S5/gate-free": "fe856151610537a2880343e9aea006c9323ecdfff7336c2ae4ba2f5a97b4186f",
+    "literal-eq2-S5/gate-free": "8a4f23dadc3c7527606770973cdbec679b17282c5f689aa7c9447561b467381f",
+    "shift-floor-S4/gate-free": "3d365dedbcc890cf4957188e2b9eb0802683350a3d443087df1e73d4e5e4470f",
+    "perturbed0-S3/gate-free": "cbf46d62e1038bdf7394ee96d1c7631c45966eb2153ed462871ae010d7b4292e",
+    "perturbed0-S5/gate-free": "5474a3ede4fb602f1701d726e5bb2795f742a8db177f2ae55b964ca6325e9f56",
+    "perturbed1-S3/gate-free": "607ef2c3cf358e8003a7fff26b7826aad5a8c2812b47be78fce7756a93373852",
+    "perturbed1-S5/gate-free": "a2b2b3608c9c20506e94392290928c6485541614ea74259b0030172795c8ba42",
 }
 
 

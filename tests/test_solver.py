@@ -657,7 +657,7 @@ def test_chain_after_a_solve_that_is_not_optimal_starts_cold(highs_calls):
 
 
 # Simplex iterations of a cold solve of each gate-free model, pinned
-COLD_ITERATIONS = {"full": [211, 328, 325, 357, 449], "reduced": [124, 163, 167, 177, 220]}
+COLD_ITERATIONS = {"full": [204, 323, 329, 352, 448], "reduced": [126, 174, 173, 180, 228]}
 
 
 def test_cold_solves_keep_the_dual_simplex():
