@@ -229,5 +229,9 @@ def price_ladder(ladder: CarbonLadder, policy) -> tuple[LinearForm, list[float]]
     lam, alpha, d = policy.lambda_base, policy.alpha_growth, policy.interval_d
     if policy.mechanism == "traditional":
         return ladder.share.scaled(lam), []
-    cost = combine(ladder.share.scaled(lam), linear_form(ladder.s, lam * alpha))
+    share, s = ladder.share.scaled(lam), linear_form(ladder.s, lam * alpha)
+    # joined as combine would sum them, since the share's ids are distinct and the s
+    # columns come after them; so a build's one np.unique call is the share's combine
+    cost = LinearForm(np.concatenate([share.ids, s.ids]), np.concatenate([share.coeffs, s.coeffs]),
+                      0.0 + share.constant + s.constant)
     return cost, _knee_rhs(ladder.share, len(ladder.s), d)
