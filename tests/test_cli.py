@@ -1,15 +1,21 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from highs_spy import per_run
 from iesdispatch import cli
@@ -535,3 +541,65 @@ def test_case_dir_env_lookup(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.CASE_DIR_ENV, str(tmp_path))
     assert run_cli("validate", "--case", "mycase.json") == cli.EXIT_OK
     assert "OK" in capsys.readouterr().out
+
+
+# -- the exit-code contract under case-file mutations ---------------------------------
+
+FUZZ_VALUES = (0, -1, 1e300, -1e300, 1e-300, "x", None, True, [], {}, 24.5)
+BUNDLED_DOC = case_to_dict(load_case(default_case_path()))
+
+
+def _leaf_paths(value, path=()):
+    """Each scalar of a JSON document, each list as a whole and the first entry of a list of scalars."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_paths(item, (*path, key))
+    elif isinstance(value, list):
+        yield path
+        for i, item in enumerate(value if value and isinstance(value[0], dict) else value[:1]):
+            yield from _leaf_paths(item, (*path, i))
+    else:
+        yield path
+
+
+LEAF_PATHS = list(_leaf_paths(BUNDLED_DOC))
+_GT = [conv["name"] for conv in BUNDLED_DOC["converters"]].index("GT")
+# the CHP corridor, the GT's efficiencies and its minimum output, which decide the GT's bounds
+CHP_PATHS = [p for p in LEAF_PATHS if p[0] == "chp" or p[:2] == ("converters", _GT)
+             and p[2] in ("efficiencies", "min_output_kw")]
+
+
+def _set(doc, path, value) -> None:
+    """Set the leaf at ``path``; an earlier edit may have replaced a container on it, which leaves it out."""
+    *parents, last = path
+    with contextlib.suppress(KeyError, IndexError, TypeError):
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# a corridor above the GT's fixed ratio holds it off, below its minimum output: exit 3
+@example(extraction=False, edits=[(("chp", "ratio_min"), 24.5), (("chp", "ratio_max"), 1e300),
+                                  (("converters", _GT, "min_output_kw"), 24.5)])
+# the same corridor as extraction-mode rows: HiGHS would refuse the 1e300 entry, exit 2
+@example(extraction=True, edits=[(("chp", "ratio_min"), 24.5), (("chp", "ratio_max"), 1e300)])
+@given(
+    extraction=st.booleans(),
+    edits=st.lists(st.tuples(st.one_of(st.sampled_from(CHP_PATHS), st.sampled_from(LEAF_PATHS)),
+                             st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=2),
+)
+def test_mutated_case_ends_in_a_documented_exit_code(extraction, edits):
+    doc = copy.deepcopy(BUNDLED_DOC)
+    doc["chp"]["extraction_mode"] = extraction
+    for path, value in edits:
+        _set(doc, path, value)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        case = os.path.join(tmp, "case.json")
+        with open(case, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["solve", "--case", case, "--scenario", "S5", "--reduced", "--out", os.path.join(tmp, "out")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VALIDATION, cli.EXIT_INFEASIBLE, cli.EXIT_LIMIT), (edits, rc)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), edits

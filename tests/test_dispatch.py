@@ -823,6 +823,34 @@ def test_chained_sweep_matches_fresh_solves(sweep_cases, reduced_options, sweep,
             assert _agree(p.objective, fresh.objective, gap_tol), (i, p.value, p.objective, fresh.objective)
 
 
+VALUE_GRIDS = {"lambda": [0.05 * k for k in range(1, 13)], "d": [500.0 * k for k in range(1, 9)]}
+
+
+def _bends(points, sign: float) -> list:
+    """Where the objective's slope between grid points turns the wrong way, beyond a relative 1e-9.
+
+    ``sign`` is -1 for a concave series (each slope at most the one
+    before) and +1 for a convex one (at least the one before).
+    """
+    slopes = [(b.objective - a.objective) / (b.value - a.value) for a, b in zip(points, points[1:])]
+    return [(points[i + 1].value, a, b) for i, (a, b) in enumerate(zip(slopes, slopes[1:]))
+            if sign * (b - a) < -1e-9 * max(abs(a), abs(b))]
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+@pytest.mark.parametrize("label, scenario", [("reduced", "S3"), ("reduced", "S5"), ("perturbed", "S5")])
+def test_sweep_objective_is_concave_in_lambda_and_convex_in_d(sweep_cases, label, scenario, backend):
+    # lambda scales only costs and d moves only right-hand sides of an LP, so
+    # the optimum is a minimum of affine functions of lambda (concave) and
+    # the value function of an LP in its right-hand side (convex in d)
+    case = sweep_cases[0 if label == "reduced" else 1]
+    options = DispatchOptions(pwl_segments=4, backend=backend)
+    for sweep, param, sign in ((sweep_lambda, "lambda", -1.0), (sweep_interval, "d", 1.0)):
+        points = sweep(case, scenario, VALUE_GRIDS[param], options)
+        assert [p.status for p in points] == ["optimal"] * len(points), param
+        assert _bends(points, sign) == [], param
+
+
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
 def test_bad_jobs_are_refused_before_any_solve(reduced_case, reduced_options, monkeypatch, jobs):
     # jobs 0 once gave a sweep no chunk and so no points; True is no count
