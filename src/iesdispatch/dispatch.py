@@ -103,6 +103,8 @@ from .model_core import (
     MECHANISM_TIERED,
     MECHANISM_TRADITIONAL,
     CaseData,
+    chp_params,
+    gt_gas_cap,
     require_valid,
 )
 from .solver import BACKENDS, MilpOptions, NumericalFailure, get_backend, solve_milp
@@ -267,21 +269,9 @@ class VarMap:
     pwl_bound_kg: float = 0.0
 
 
-def _chp_params(case: CaseData):
-    """Composite CHP figures: electric and useful-heat efficiency per unit gas."""
-    gt = case.converter("GT")
-    whb = case.converter("WHB")
-    eps_e = gt.efficiencies.get("electric", 0.0) if gt else 0.0
-    eps_h_raw = gt.efficiencies.get("heat", 0.0) if gt else 0.0
-    whb_eff = whb.efficiencies.get("heat", 0.0) if whb else 0.0
-    gt_cap = gt.capacity_kw if gt else 0.0
-    whb_cap = whb.capacity_kw if whb else 0.0
-    return gt, whb, eps_e, eps_h_raw * whb_eff, gt_cap, whb_cap
-
-
 def _heat_max(case: CaseData) -> tuple[float, float]:
     """Largest useful heat in one period of the GT/WHB pair and of the gas boiler."""
-    _, whb, _, eps_h, gt_cap, whb_cap = _chp_params(case)
+    _, whb, _, eps_h, gt_cap, whb_cap = chp_params(case)
     gb = case.converter("GB")
     gt_heat = min(eps_h * gt_cap, whb_cap) if whb else 0.0
     gb_heat = gb.efficiencies.get("heat", 0.0) * gb.capacity_kw if gb else 0.0
@@ -305,9 +295,11 @@ def _screen(case: CaseData, scenario: ScenarioSpec, dec):
     """Reject loads no combination of devices could ever serve.
 
     Every period and carrier is tested at once; the first failure in period
-    order, then carrier order, is reported.
+    order, then carrier order, is reported.  The GT counts up to the bound
+    on its gas column (`model_core.gt_gas_cap`), so nothing when held off.
     """
-    _, _, eps_e, _, gt_cap, _ = _chp_params(case)
+    _, _, eps_e, eps_h, _, _ = chp_params(case)
+    gt_gas_max = gt_gas_cap(case).upper
     gt_heat_max, gb_heat_max = _heat_max(case)
     p2g = case.converter("P2G")
     p2g_gas_max = p2g.efficiencies.get("gas", 0.0) * p2g.capacity_kw if p2g else 0.0
@@ -319,9 +311,9 @@ def _screen(case: CaseData, scenario: ScenarioSpec, dec):
     cap_e, cap_g = case.purchase_caps
     avail = np.minimum(case.wind_profile, case.wind_max_kw)
     supply = np.empty((len(CARRIERS), case.horizon.periods))
-    supply[0] = cap_e + avail + eps_e * gt_cap + dis_max(ELECTRIC)
+    supply[0] = cap_e + avail + eps_e * gt_gas_max + dis_max(ELECTRIC)
     supply[1] = cap_g + p2g_gas_max + dis_max(GAS)
-    supply[2] = gt_heat_max + gb_heat_max + dis_max(HEAT)
+    supply[2] = min(gt_heat_max, eps_h * gt_gas_max) + gb_heat_max + dis_max(HEAT)
     need = np.array([case.loads[carrier].values for carrier in CARRIERS]) - _dr_outflow(case, scenario, dec)
     failed = np.argwhere((need > supply + 1e-9).T)
     if failed.size:
@@ -362,48 +354,16 @@ def _flow_sum(flows, periods: int, scale: float, constant: float = 0.0) -> Linea
     return linear_form(cols, coeffs * scale, constant)
 
 
-class _Block:
-    """The columns and rows of one part of the model, gathered in model order.
+def _columns(model: MilpModel, tags, *families) -> np.ndarray:
+    """Add continuous columns interleaved by period, one per tag and family ``(name prefix, lower, upper)``.
 
-    `columns` returns the ids a group of columns will get and `rows` queues
-    a group of rows; `add` then adds the columns with one
-    :meth:`MilpModel.add_variables` call and the rows with one
-    :meth:`MilpModel.add_rows` call.  No other column may enter the model
-    in between.
+    Bounds are scalars or one per tag.  Returns the ids shaped (periods, families).
     """
-
-    def __init__(self, model: MilpModel, tags):
-        self.model, self.tags = model, tags
-        self.names: list[str] = []
-        self.families: list[tuple] = []  # of each group of columns
-        self.groups: list[tuple] = []  # of rows
-
-    def columns(self, *families) -> np.ndarray:
-        """Continuous columns interleaved by period, one per family ``(name prefix, lower, upper)``.
-
-        Bounds are scalars or per period.  Returns the ids shaped (periods, families).
-        """
-        periods, start = len(self.tags), self.model.num_variables + len(self.names)
-        self.names += [f[0] + tag for tag in self.tags for f in families]
-        self.families.append(families)
-        return np.arange(start, start + periods * len(families)).reshape(periods, len(families))
-
-    def rows(self, tags, *families) -> None:
-        """Queue rows interleaved by period, one per family ``(name prefix, flows, relation, rhs)``."""
-        self.groups.append(_rows(tags, *families))
-
-    def add(self) -> None:
-        bounds = np.empty((2, len(self.names)))
-        start = 0
-        for families in self.families:
-            stop = start + len(self.tags) * len(families)
-            for f, (_, lower, upper) in enumerate(families):
-                bounds[0, start + f:stop:len(families)] = lower
-                bounds[1, start + f:stop:len(families)] = upper
-            start = stop
-        self.model.add_variables(CONTINUOUS, bounds[0], bounds[1], self.names)
-        if self.groups:
-            self.model.add_rows(*stack_rows(*self.groups))
+    bounds = np.empty((2, len(tags), len(families)))
+    for f, (_, lower, upper) in enumerate(families):
+        bounds[0, :, f], bounds[1, :, f] = lower, upper
+    names = [f[0] + tag for tag in tags for f in families]
+    return model.add_variables(CONTINUOUS, bounds[0].ravel(), bounds[1].ravel(), names).reshape(len(tags), -1)
 
 
 def _flow_block(flow_lists, periods: int):
@@ -438,12 +398,12 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     """Assemble the gate-free model for one scenario; returns (model, VarMap).
 
     The model has no storage gate, so it is an LP; `add_gates` appends the
-    gates to it (see the module docstring).  The columns of one part of
-    the model (the devices, demand response, the emission envelopes, the
-    carbon ladder) enter it as one block, and so do its rows (the devices,
-    demand response, the balances, the envelope cuts, the carbon rows), in
-    the order a block per family would give.  An invalid case raises
-    UnitError (``require_valid``), the one check the builders rely on.
+    gates to it (see the module docstring).  Each group of device columns
+    enters where it is declared; the rows of one part of the model (the
+    devices, demand response, the balances, the envelope cuts, the carbon
+    rows) enter as one block, in the order a block per family would give.
+    An invalid case raises UnitError (``require_valid``), the one check the
+    builders rely on.
 
     In fixed-ratio CHP mode one gas column ``g`` carries both GT outputs,
     so the corridor rows ``a_lo * g <= 0``, ``a_hi * g <= 0`` and the WHB
@@ -452,8 +412,9 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     corridor row sets g's upper bound to 0 (the unit is off), ``a <= 0``
     holds for every ``g >= 0``, and the WHB row caps g at ``whb_cap /
     eps_h``.  The feasible set is the same, so the optimum is the same
-    (Andersen & Andersen, Math. Prog. 71, 1995, section 3).  A cap below
-    the GT's ``min_output_kw`` raises StaticInfeasibleError.
+    (Andersen & Andersen, Math. Prog. 71, 1995, section 3).  The bound is
+    `model_core.gt_gas_cap`'s; one below ``min_output_kw`` raises
+    StaticInfeasibleError.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
@@ -471,54 +432,47 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     flows = dict.fromkeys(("p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e",
                            "p_gt_h", "p_g_gb", "p_gb_h"))
 
-    # the devices' columns and rows, each added as one block
-    block = _Block(model, tags)
+    # the devices' columns, a group at a time, and their rows, added as one block
+    rows = []
     cap_e, cap_g = case.purchase_caps
-    e_buy, g_buy, dg = block.columns(("p_e_buy_", 0.0, cap_e), ("p_g_buy_", 0.0, cap_g), ("p_dg_", 0.0, avail)).T
+    e_buy, g_buy, dg = _columns(model, tags, ("p_e_buy_", 0.0, cap_e), ("p_g_buy_", 0.0, cap_g),
+                                ("p_dg_", 0.0, avail)).T
     flows["p_e_buy"], flows["p_g_buy"], flows["p_dg"] = (e_buy, 1.0), (g_buy, 1.0), (dg, 1.0)
 
     def add_ramp(name, ids, cap, frac):
         step = frac * cap
         now, before = ids[1:], ids[:-1]
-        block.rows(tags[1:], (f"ramp_{name}_up_", [(now, 1.0), (before, -1.0)], LE, step),
-                   (f"ramp_{name}_dn_", [(before, 1.0), (now, -1.0)], LE, step))
+        rows.append(_rows(tags[1:], (f"ramp_{name}_up_", [(now, 1.0), (before, -1.0)], LE, step),
+                          (f"ramp_{name}_dn_", [(before, 1.0), (now, -1.0)], LE, step)))
 
     p2g = case.converter("P2G")
     if p2g and p2g.capacity_kw > 0:
-        (v,) = block.columns(("p_p2g_e_", p2g.min_output_kw, p2g.capacity_kw)).T
+        (v,) = _columns(model, tags, ("p_p2g_e_", p2g.min_output_kw, p2g.capacity_kw)).T
         flows["p_p2g_e"], flows["p_p2g_g"] = (v, 1.0), (v, float(p2g.efficiencies.get("gas", 0.0)))
         add_ramp("p2g", v, p2g.capacity_kw, p2g.ramp_fraction)
 
-    gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
+    gt, _, eps_e, eps_h, gt_cap, _ = chp_params(case)
     if gt and gt_cap > 0:
-        lo, hi = case.chp.ratio_min, case.chp.ratio_max
         if case.chp.extraction_mode:
-            g, pe, ph = block.columns(("p_g_gt_", gt.min_output_kw, gt_cap), ("p_gt_e_", 0.0, eps_e * gt_cap),
-                                      ("p_gt_h_", 0.0, _heat_max(case)[0])).T
+            g, pe, ph = _columns(model, tags, ("p_g_gt_", gt.min_output_kw, gt_cap),
+                                 ("p_gt_e_", 0.0, eps_e * gt_cap), ("p_gt_h_", 0.0, _heat_max(case)[0])).T
             flows["p_gt_e"], flows["p_gt_h"] = (pe, 1.0), (ph, 1.0)
-            block.rows(tags, ("chp_e_fuel_", [(pe, 1.0), (g, -eps_e)], LE, 0.0),
-                       ("chp_h_fuel_", [(ph, 1.0), (g, -eps_h)], LE, 0.0),
-                       ("chp_ratio_lo_", [(pe, lo), (ph, -1.0)], LE, 0.0),
-                       ("chp_ratio_hi_", [(ph, 1.0), (pe, -hi)], LE, 0.0))
+            rows.append(_rows(tags, ("chp_e_fuel_", [(pe, 1.0), (g, -eps_e)], LE, 0.0),
+                              ("chp_h_fuel_", [(ph, 1.0), (g, -eps_h)], LE, 0.0),
+                              ("chp_ratio_lo_", [(pe, case.chp.ratio_min), (ph, -1.0)], LE, 0.0),
+                              ("chp_ratio_hi_", [(ph, 1.0), (pe, -case.chp.ratio_max)], LE, 0.0)))
         else:  # the corridor and WHB rows are bounds on g (docstring)
-            upper = gt_cap
-            if eps_e * lo + eps_h * -1.0 > 0 or eps_h + eps_e * -hi > 0:
-                upper, family = 0.0, "chp_ratio"
-                why = (f"the GT's heat-to-power ratio (heat {eps_h:g} and electric {eps_e:g} per kW of gas) is "
-                       f"outside the corridor [{lo:g}, {hi:g}], so it must stay off")
-            elif whb and eps_h * gt_cap > whb_cap:
-                upper, family = min(gt_cap, whb_cap / eps_h), "chp_whb_cap"
-                why = f"the WHB's {whb_cap:g} kW hold the GT to {upper:g} kW of gas"
-            if upper < gt.min_output_kw:
-                raise StaticInfeasibleError(family, f"{why}, but its min_output_kw is {gt.min_output_kw:g} kW")
-            (g,) = block.columns(("p_g_gt_", gt.min_output_kw, upper)).T
+            bound = gt_gas_cap(case)
+            if bound.infeasible:
+                raise StaticInfeasibleError(bound.family, bound.why)
+            (g,) = _columns(model, tags, ("p_g_gt_", gt.min_output_kw, bound.upper)).T
             flows["p_gt_e"], flows["p_gt_h"] = (g, float(eps_e)), (g, float(eps_h))
         flows["p_g_gt"] = (g, 1.0)
         add_ramp("gt", g, gt_cap, gt.ramp_fraction)
 
     gb = case.converter("GB")
     if gb and gb.capacity_kw > 0:
-        (g_gb,) = block.columns(("p_g_gb_", gb.min_output_kw, gb.capacity_kw)).T
+        (g_gb,) = _columns(model, tags, ("p_g_gb_", gb.min_output_kw, gb.capacity_kw)).T
         flows["p_g_gb"], flows["p_gb_h"] = (g_gb, 1.0), (g_gb, float(gb.efficiencies.get("heat", 0.0)))
         add_ramp("gb", g_gb, gb.capacity_kw, gb.ramp_fraction)
 
@@ -526,8 +480,8 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         cap = sto.capacity_kwh
         plim = sto.power_limit_fraction * cap
         k = sto.carrier
-        ch, dis, soc = block.columns(
-            (f"st_{k}_ch_", 0.0, plim), (f"st_{k}_dis_", 0.0, plim),
+        ch, dis, soc = _columns(
+            model, tags, (f"st_{k}_ch_", 0.0, plim), (f"st_{k}_dis_", 0.0, plim),
             (f"st_{k}_soc_", sto.soc_min_frac * cap, sto.soc_max_frac * cap),
         ).T
         initial = sto.soc_initial_frac * cap
@@ -538,10 +492,11 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         soc_rhs = np.zeros(periods)
         soc_rhs[0] = initial
         soc_flows = [(soc, 1.0), (ch, -(sto.charge_eff * dt)), (dis, dt / sto.discharge_eff), (soc[previous], prev_coeff)]
-        block.rows(tags, (f"storage_{k}_soc_", soc_flows, EQ, soc_rhs))
-        block.rows([""], (f"storage_{k}_terminal", [(soc[-1:], 1.0)], EQ, initial))
+        rows.append(_rows(tags, (f"storage_{k}_soc_", soc_flows, EQ, soc_rhs)))
+        rows.append(_rows([""], (f"storage_{k}_terminal", [(soc[-1:], 1.0)], EQ, initial)))
         vm.storage[k] = StorageBlock(ch, dis, soc)
-    block.add()
+    if rows:
+        model.add_rows(*stack_rows(*rows))
 
     vm.dr = build_dr_blocks(case, scenario, model, dec)
 
@@ -647,7 +602,7 @@ def _dr_flows(dr: DrVarMap, carrier: str) -> list:
 
 def _gas_unit_heat_rate_max(case: CaseData) -> float:
     """Largest combined useful output of the gas-fired units in one period."""
-    _, _, eps_e, _, gt_cap, _ = _chp_params(case)
+    _, _, eps_e, _, gt_cap, _ = chp_params(case)
     gt_heat_max, gb_heat_max = _heat_max(case)
     return eps_e * gt_cap + gt_heat_max + gb_heat_max
 
@@ -940,7 +895,7 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
         check(f"balance_{k}", _peak(np.abs(supply - adjusted[k])), 1e-6 * peak)
 
     # device couplings, limits, ramps
-    gt, whb, eps_e, eps_h, gt_cap, whb_cap = _chp_params(case)
+    gt, whb, eps_e, eps_h, gt_cap, whb_cap = chp_params(case)
     gb = case.converter("GB")
     p2g = case.converter("P2G")
 

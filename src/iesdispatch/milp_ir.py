@@ -23,7 +23,8 @@ A linear form is a :class:`LinearForm` ``(ids, coeffs, constant)``, built
 with numpy by the model code; :func:`combine` adds forms.  The objective
 is not kept as a form: :meth:`MilpModel.set_objective` sums its forms
 straight into the cost vector ``c``, one entry per column, and its
-constant, which ``to_sparse`` returns as they are.  Finiteness is checked
+constant; ``to_sparse`` pads ``c`` once with a zero for each column
+added since, so ``add_variables`` leaves it be.  Finiteness is checked
 where numbers enter the model: ``add_rows`` checks every coefficient and
 right-hand side of a block at once, ``set_rhs`` the new right-hand sides
 of existing rows, ``add_variables`` every bound, and ``set_objective`` the
@@ -209,15 +210,15 @@ def _filled(values, shape) -> np.ndarray:
     return out
 
 
-def _per_item(kind, n: int, allowed, what: str) -> list:
+def _per_item(value, n: int, allowed, what: str) -> list:
     """One entry per item from one value or a sequence, each in ``allowed``."""
-    kinds = [kind] * n if isinstance(kind, str) else list(kind)
-    unknown = ({kind} if isinstance(kind, str) else set(kinds)) - set(allowed)
+    values = [value] * n if isinstance(value, str) else list(value)
+    unknown = ({value} if isinstance(value, str) else set(values)) - set(allowed)
     if unknown:
         raise ModelError(f"unknown {what} {unknown.pop()!r}")
-    if len(kinds) != n:
-        raise ModelError(f"{len(kinds)} {what}s for {n} items")
-    return kinds
+    if len(values) != n:
+        raise ModelError(f"{len(values)} {what}s for {n} items")
+    return values
 
 
 def stack_rows(*blocks) -> tuple:
@@ -280,24 +281,24 @@ class MilpModel:
 
     # -- construction ------------------------------------------------------
 
-    def add_variables(self, kind, lower, upper, names) -> np.ndarray:
-        """Append one column per name and return their ids.
+    def add_variables(self, kind: str, lower, upper, names) -> np.ndarray:
+        """Append one column of ``kind`` per name and return their ids.
 
-        ``kind`` is one kind or one per name; ``lower`` and ``upper`` are
-        scalars or one per name.  Binary bounds are clamped into [0, 1].
-        The new columns cost nothing until :meth:`set_objective` prices
-        them.  Inverted or NaN bounds, an unknown kind or a repeated name add
-        nothing and raise.
+        ``lower`` and ``upper`` are scalars or one per name.  Binary bounds
+        are clamped into [0, 1].  The new columns cost nothing until
+        :meth:`set_objective` prices them.  Inverted or NaN bounds, an
+        unknown kind or a repeated name add nothing and raise.
         """
+        if kind not in (CONTINUOUS, BINARY):
+            raise ModelError(f"unknown variable kind {kind!r}")
         n = len(names)
-        kinds = _per_item(kind, n, (CONTINUOUS, BINARY), "variable kind")
         lower, upper = _filled(lower, n), _filled(upper, n)
         _claim(names, self._col_name_set, self._col_names, "variable")
         binary = np.zeros(n, dtype=bool)
-        if kind != CONTINUOUS:
-            binary[:] = [k == BINARY for k in kinds]
-            lower[binary] = np.maximum(lower[binary], 0.0)
-            upper[binary] = np.minimum(upper[binary], 1.0)
+        if kind == BINARY:
+            binary[:] = True
+            np.maximum(lower, 0.0, out=lower)
+            np.minimum(upper, 1.0, out=upper)
         ordered = lower <= upper
         if not _all(ordered):
             self._col_name_set.difference_update(names)
@@ -310,7 +311,6 @@ class MilpModel:
         self._upper.append(upper)
         self._binary.append(binary)
         self._col_names += names
-        self._c = _joined_frozen((self._c, np.zeros(n)))
         self._csc = self._col_arrays = None
         return np.arange(start, start + n)
 
@@ -494,7 +494,8 @@ class MilpModel:
         row is added or :meth:`set_rhs` is called.  So a model whose costs
         or right-hand sides change in between compiles to the same ``A``
         object.  ``c`` and ``c0`` are the ones :meth:`set_objective` keeps,
-        ``c`` until the next ``set_objective`` or :meth:`add_variables`.
+        ``c`` padded here once with a zero per column added since; it stays
+        the same object until a column is added or ``set_objective`` runs.
         """
         n, m = self.num_variables, self.num_constraints
         if self._csc is None:
@@ -502,6 +503,8 @@ class MilpModel:
             indptr = np.zeros(n + 1, dtype=np.int32)
             np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
             self._csc = CscMatrix(_frozen(vals[order]), _frozen(rows), _frozen(indptr), (m, n))
+        if self._c.size < n:  # the columns added since set_objective cost nothing
+            self._c = _joined_frozen((self._c, np.zeros(n - self._c.size)))
         if self._col_arrays is None:
             self._col_arrays = tuple(map(_joined_frozen, (self._lower, self._upper, self._binary)))
         if self._row_ranges is None:

@@ -27,14 +27,16 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import NamedTuple
 
 CARRIERS = ("electric", "gas", "heat")
 CONVERTER_NAMES = ("P2G", "GT", "WHB", "GB")
 
 # HiGHS reads a bound or right-hand side of this size as infinite
 SOLVER_INFINITY = 1e20
-# HiGHS refuses to load a matrix with an entry this large (its large_matrix_value)
-SOLVER_LARGE_MATRIX_VALUE = 1e15
+# the largest |ratio| an extraction-mode corridor row may carry: HiGHS
+# refuses 1e15, and from 6e10 on some bundled scenarios fail numerically
+CHP_RATIO_LIMIT = 1e9
 
 MECHANISM_NONE = "none"
 MECHANISM_TRADITIONAL = "traditional"
@@ -570,6 +572,55 @@ def _locator(path) -> str:
     return "".join(reversed(parts)).lstrip(".")
 
 
+def chp_params(case: CaseData):
+    """Composite CHP figures: electric and useful-heat efficiency per unit gas."""
+    gt = case.converter("GT")
+    whb = case.converter("WHB")
+    eps_e = gt.efficiencies.get("electric", 0.0) if gt else 0.0
+    eps_h_raw = gt.efficiencies.get("heat", 0.0) if gt else 0.0
+    whb_eff = whb.efficiencies.get("heat", 0.0) if whb else 0.0
+    gt_cap = gt.capacity_kw if gt else 0.0
+    whb_cap = whb.capacity_kw if whb else 0.0
+    return gt, whb, eps_e, eps_h_raw * whb_eff, gt_cap, whb_cap
+
+
+class GtCap(NamedTuple):
+    """`gt_gas_cap`'s bound in kW of gas, the rows it stands for ("chp_ratio", "chp_whb_cap" or "") and why."""
+
+    upper: float
+    family: str = ""
+    why: str = ""
+    infeasible: bool = False  # below the GT's min_output_kw
+
+
+def gt_gas_cap(case: CaseData) -> GtCap:
+    """The upper bound `dispatch.build_model` gives a valid case's GT gas column.
+
+    It is the GT's capacity (0 without a GT), except in fixed-ratio CHP
+    mode: there the corridor rows ``a_lo * g <= 0``, ``a_hi * g <= 0`` and
+    the WHB row ``eps_h * g <= whb_cap`` on the one gas column ``g`` are
+    bounds, formed with the rows' float expressions.  A positive corridor
+    coefficient holds g at 0, else a WHB too small for the GT's heat caps g
+    at ``whb_cap / eps_h``.  ``why`` says so without dividing by ``eps_e``,
+    which may be 0, and names ``min_output_kw`` when the bound is below it.
+    """
+    gt, whb, eps_e, eps_h, gt_cap, whb_cap = chp_params(case)
+    lo, hi = case.chp.ratio_min, case.chp.ratio_max
+    if not gt or case.chp.extraction_mode:
+        return GtCap(gt_cap)
+    if eps_e * lo + eps_h * -1.0 > 0 or eps_h + eps_e * -hi > 0:
+        cap = GtCap(0.0, "chp_ratio", f"the GT's heat-to-power ratio (heat {eps_h:g} and electric {eps_e:g} "
+                    f"per kW of gas) is outside the corridor [{lo:g}, {hi:g}], so it must stay off")
+    elif whb and eps_h * gt_cap > whb_cap:
+        upper = min(gt_cap, whb_cap / eps_h)
+        cap = GtCap(upper, "chp_whb_cap", f"the WHB's {whb_cap:g} kW hold the GT to {upper:g} kW of gas")
+    else:
+        return GtCap(gt_cap)
+    if cap.upper < gt.min_output_kw:
+        return cap._replace(why=f"{cap.why}, but its min_output_kw is {gt.min_output_kw:g} kW", infeasible=True)
+    return cap
+
+
 def validate_case(case: CaseData) -> ValidationReport:
     """Check every type invariant; returns a report instead of raising.
 
@@ -721,25 +772,16 @@ def validate_case(case: CaseData) -> ValidationReport:
         err("chp: ratio_min > ratio_max")
     # the coefficient each extraction-mode corridor row puts on the GT's
     # electric output; in fixed-ratio mode the corridor is a bound, not a
-    # matrix entry (`dispatch.build_model`)
-    gt, whb = case.converter("GT"), case.converter("WHB")
-    if gt and case.chp.extraction_mode:
+    # matrix entry (`gt_gas_cap`)
+    if case.converter("GT") and case.chp.extraction_mode:
         for name, coeff in (("ratio_min", case.chp.ratio_min), ("ratio_max", -case.chp.ratio_max)):
-            if not abs(coeff) < SOLVER_LARGE_MATRIX_VALUE:
+            if not abs(coeff) <= CHP_RATIO_LIMIT:
                 err(f"chp.{name}: the heat-to-power corridor row takes the coefficient {coeff:g}, "
-                    f"and HiGHS refuses one of {SOLVER_LARGE_MATRIX_VALUE:g} or more")
+                    f"and HiGHS solves such rows reliably only up to {CHP_RATIO_LIMIT:g}")
 
     # warnings: legal but suspicious
-    if gt and whb and not case.chp.extraction_mode:
-        eff_e = gt.efficiencies.get("electric", 0.0)
-        eff_h = gt.efficiencies.get("heat", 0.0) * whb.efficiencies.get("heat", 0.0)
-        if eff_e > 0:
-            ratio = eff_h / eff_e
-            if not case.chp.ratio_min <= ratio <= case.chp.ratio_max:
-                warn(
-                    f"chp: fixed heat-to-power ratio {ratio:.3f} outside "
-                    f"[{case.chp.ratio_min}, {case.chp.ratio_max}]; CHP will be forced off"
-                )
+    if not rep.errors and (cap := gt_gas_cap(case)).family == "chp_ratio":  # it decides valid cases only
+        warn(f"chp: {cap.why}; the GT is forced off")
     if case.loads.get("electric") and len(case.wind_profile) == T and T > 0:
         el = case.loads["electric"].values
         if len(el) == T and all(w >= l for w, l in zip(case.wind_profile, el)):

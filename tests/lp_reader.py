@@ -115,9 +115,8 @@ def read_lp(text: str) -> MilpModel:
     for name in sorted(binary_names - set(bounds)):
         bounds[name] = (0.0, 1.0)
     names = list(bounds)
-    kinds = [BINARY if name in binary_names else CONTINUOUS for name in names]
-    lower, upper = zip(*bounds.values()) if bounds else ((), ())
-    model.add_variables(kinds, list(lower), list(upper), names)
+    for name, (lower, upper) in bounds.items():
+        model.add_variables(BINARY if name in binary_names else CONTINUOUS, lower, upper, [name])
     name_to_id = {name: j for j, name in enumerate(names)}
 
     coeffs, constant = _parse_terms(obj_tokens, name_to_id)

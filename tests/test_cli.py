@@ -249,6 +249,22 @@ def test_solve_infeasible_exit_3(tmp_path, bad_heat_case, capsys):
     assert "exceeds maximum heat supply" in captured.out + captured.err
 
 
+def test_load_only_a_forced_off_gt_could_serve_exit_3(tmp_path, capsys):
+    # the corridor holds the GT at 0 kW of gas, so the screen counts none of its
+    # output and refuses a load above what the grid, wind and store can give
+    doc = case_to_dict(load_case(default_case_path()))
+    doc["chp"].update(ratio_min=1.0, ratio_max=2.0)
+    sto = next(sto for sto in doc["storages"] if sto["carrier"] == "electric")
+    others = doc["purchase_caps"][0] + min(doc["wind"]["profile"][0], doc["wind"]["max_kw"])
+    doc["loads"]["electric"][0] = others + sto["power_limit_fraction"] * sto["capacity_kwh"] + 50.0
+    path = tmp_path / "gt_off_load.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("solve", "--case", str(path), "--scenario", "S1", "--out", str(tmp_path / "x")) == cli.EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert "FAIL S1: electric_balance: period 0: load " in captured.err, captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc, gt: doc["chp"].update(ratio_min=1.0, ratio_max=2.0),
     lambda doc, gt: gt["efficiencies"].pop("electric"),

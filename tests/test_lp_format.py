@@ -24,7 +24,7 @@ def _random_model(rng: random.Random, tag: str) -> MilpModel:
             lo = rng.choice([0.0, -5.0, -INF])
             hi = rng.choice([1.0, 10.0, INF])
             columns.append((CONTINUOUS, lo, hi, f"x{i}"))
-    variables = m.add_variables(*map(list, zip(*columns))).tolist()
+    variables = [int(m.add_variables(kind, lo, hi, [name])[0]) for kind, lo, hi, name in columns]
     for j in range(rng.randint(1, 5)):
         ids = rng.sample(variables, rng.randint(1, n))
         coeffs = [rng.choice([-2.5, -1.0, 0.75, 3.0]) for _ in ids]

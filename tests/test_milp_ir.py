@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -269,7 +270,7 @@ def test_pwl_convex_rejects_concave():
 
 def test_to_dense_shapes():
     m = MilpModel()
-    xy = m.add_variables([CONTINUOUS, BINARY], 0.0, [4.0, 1.0], ["x", "y"])
+    xy = [*m.add_variables(CONTINUOUS, 0.0, 4.0, ["x"]), *m.add_variables(BINARY, 0.0, 1.0, ["y"])]
     m.add_rows([xy], 1.0, LE, 3.0, ["row"])
     m.set_objective(linear_form(xy, [1.0, 2.0], 5.0))
     c, c0, A, row_lower, row_upper, lb, ub, is_binary = m.to_dense()
@@ -303,7 +304,7 @@ def test_set_rhs_keeps_the_compiled_matrix():
 # each step changes the model in one way; a model built by the steps so far
 # without compiling in between is the reference
 _STEPS = [
-    lambda m: m.add_variables([CONTINUOUS, BINARY], [0.0, 0.0], [4.0, 1.0], ["x", "b"]),
+    lambda m: (m.add_variables(CONTINUOUS, 0.0, 4.0, ["x"]), m.add_variables(BINARY, 0.0, 1.0, ["b"])),
     lambda m: m.add_rows([[0, 1]], [[1.0, 2.0]], LE, 3.0, ["cap"]),
     lambda m: m.set_objective(linear_form([0, 1], [1.0, -1.0], 0.5)),
     lambda m: m.add_variables(CONTINUOUS, -1.0, 2.0, ["y"]),
@@ -340,6 +341,14 @@ def test_compiled_arrays_are_kept_until_their_part_changes():
     after = m.to_sparse()
     assert after[2] is not priced[2] and after[5] is not lb and after[0] is not priced[0]
     assert after[0].tolist() == [0.0, 2.0, 0.0, 0.0] and priced[0].tolist() == [0.0, 2.0, 0.0]
+    # the pad is made once and kept until a column is added or the objective is set
+    m.add_rows([[3]], 1.0, LE, 0.5, ["z_cap"])
+    assert m.to_sparse()[0] is after[0]
+    m.add_variables(BINARY, 0.0, 1.0, ["gate"])
+    gated = m.to_sparse()[0]
+    assert gated is not after[0] and gated.tolist() == [0.0, 2.0, 0.0, 0.0, 0.0] and m.to_sparse()[0] is gated
+    m.set_objective(linear_form([4], 3.0))
+    assert m.to_sparse()[0].tolist() == [0.0, 0.0, 0.0, 0.0, 3.0]
 
 
 def test_two_compiles_in_a_row_return_the_same_objects():
@@ -575,9 +584,11 @@ def test_a_refused_block_leaves_its_names_as_they_were():
 
 def test_binary_bounds_clamped_in_bulk():
     m = MilpModel()
-    m.add_variables(["binary", "continuous"], -1.0, 5.0, ["b", "x"])
-    assert [(v.kind, v.lower, v.upper) for v in variables(m)] == [("binary", 0.0, 1.0), ("continuous", -1.0, 5.0)]
-    assert m.binary_ids() == [0]
+    m.add_variables("binary", [-1.0, 0.25], 5.0, ["b", "c"])
+    m.add_variables("continuous", -1.0, 5.0, ["x"])
+    assert [(v.kind, v.lower, v.upper) for v in variables(m)] == [
+        ("binary", 0.0, 1.0), ("binary", 0.25, 1.0), ("continuous", -1.0, 5.0)]
+    assert m.binary_ids() == [0, 1]
 
 
 def test_a_row_that_repeats_a_column_is_refused_when_joined():
@@ -611,7 +622,9 @@ def test_bulk_rows_equal_rows_added_one_by_one(blocks, data):
     lower = data.draw(st.lists(st.floats(-5, 0), min_size=n, max_size=n))
     names = [f"x{j}" for j in range(n)]
     bulk, single = MilpModel(), MilpModel()
-    bulk.add_variables(kinds, lower, 5.0, names)
+    for kind, run in groupby(zip(kinds, lower, names), key=lambda column: column[0]):
+        _, run_lower, run_names = zip(*run)
+        bulk.add_variables(kind, list(run_lower), 5.0, list(run_names))
     for kind, lo, name in zip(kinds, lower, names):
         single.add_variables(kind, lo, 5.0, [name])
     for b, (m, k, relation, rng) in enumerate(blocks):

@@ -10,6 +10,7 @@ import pytest
 from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, build_model, run_all_scenarios
 from iesdispatch.model_core import (
     CARRIERS,
+    CHP_RATIO_LIMIT,
     CaseData,
     CarbonPolicy,
     CarrierProfile,
@@ -237,10 +238,11 @@ def test_emission_curves_must_stay_below_the_solver_infinity(case):
 @pytest.mark.parametrize("extraction", [False, True], ids=["fixed-ratio", "extraction"])
 def test_chp_corridor_coefficient_must_stay_below_the_large_matrix_value(case, extraction):
     # an extraction-mode corridor row carries a ratio as a matrix entry, and
-    # HiGHS refuses to load one of 1e15 or more; in fixed-ratio mode the
-    # corridor is a bound of the GT's gas column, so a huge ratio solves
+    # HiGHS solves such rows reliably only up to CHP_RATIO_LIMIT (it refuses
+    # one of 1e15 or more); in fixed-ratio mode the corridor is a bound of
+    # the GT's gas column, so a huge ratio solves
     chp = replace(case.chp, extraction_mode=extraction)
-    for field, value in (("ratio_max", 1e16), ("ratio_min", -1e16)):
+    for field, value in (("ratio_max", 1e16), ("ratio_min", -1e16), ("ratio_max", 1e14), ("ratio_min", -1e14)):
         wide = replace(case, chp=replace(chp, **{field: value}))
         if not extraction:
             report = run_all_scenarios(wide)
@@ -249,8 +251,12 @@ def test_chp_corridor_coefficient_must_stay_below_the_large_matrix_value(case, e
         with pytest.raises(UnitError, match="heat-to-power corridor") as info:
             require_valid(wide)
         assert info.value.locator == f"chp.{field}"
-    report = run_all_scenarios(replace(case, chp=replace(chp, ratio_max=1e14)))
-    assert [row.status for row in report.rows] == ["optimal"] * len(SCENARIO_IDS)
+    # the limit itself solves on both backends
+    for backend in ("embedded", "scipy-milp"):
+        for field, value in (("ratio_max", CHP_RATIO_LIMIT), ("ratio_min", -CHP_RATIO_LIMIT)):
+            at_limit = replace(case, chp=replace(chp, **{field: value}))
+            report = run_all_scenarios(at_limit, DispatchOptions(backend=backend))
+            assert [row.status for row in report.rows] == ["optimal"] * len(SCENARIO_IDS), (backend, field)
 
 
 def test_counts_must_be_ints(case):

@@ -171,7 +171,7 @@ def _random_milp(rng: random.Random, max_binaries: int = 8) -> MilpModel:
 def test_milp_example_pair():
     # min 2x + y, x + y >= 1.5, x binary: x=0 branch wins at y=1.5
     m = MilpModel()
-    x, y = m.add_variables([BINARY, CONTINUOUS], 0.0, [1.0, INF], ["x", "y"])
+    (x,), (y,) = m.add_variables(BINARY, 0.0, 1.0, ["x"]), m.add_variables(CONTINUOUS, 0.0, INF, ["y"])
     m.add_rows([[x, y]], 1.0, GE, 1.5, ["need"])
     m.set_objective(linear_form([x, y], [2.0, 1.0]))
     res = solve_milp(m)
@@ -298,7 +298,8 @@ def _rounding_case(blocked: bool) -> MilpModel:
     # y = 1, which y >= 0.9 cannot repair.  "blocked" relaxes y >= 0 and
     # adds y + 2 z >= 2.1, which z = 0 breaks, so neither rounding fits.
     m = MilpModel()
-    z, y = m.add_variables([BINARY, CONTINUOUS], [0.0, 0.0 if blocked else 0.9], 1.0, ["z", "y"])
+    (z,) = m.add_variables(BINARY, 0.0, 1.0, ["z"])
+    (y,) = m.add_variables(CONTINUOUS, 0.0 if blocked else 0.9, 1.0, ["y"])
     m.add_rows([[y, z]], 1.0, LE, 1.6, ["cap"])
     if blocked:
         m.add_rows([[y, z]], [[1.0, 2.0]], GE, 2.1, ["floor"])
@@ -361,8 +362,8 @@ def test_scipy_core_matches_reference_simplex():
 
 def _status_case(kind: str) -> MilpModel:
     m = MilpModel()
-    x, y = m.add_variables([BINARY, CONTINUOUS], 0.0, [1.0, INF if kind == "unbounded root" else 1.0],
-                           ["x", "y"])
+    (x,) = m.add_variables(BINARY, 0.0, 1.0, ["x"])
+    (y,) = m.add_variables(CONTINUOUS, 0.0, INF if kind == "unbounded root" else 1.0, ["y"])
     if kind == "infeasible node":  # root relaxation x = 0.5, both children fail
         m.add_rows([[x]], 2.0, EQ, 1.0, ["half"])
     elif kind == "infeasible root":
@@ -752,7 +753,7 @@ def test_sparse_compile_matches_dense_loop():
 
 def test_backend_registry():
     m = MilpModel()
-    xy = m.add_variables([BINARY, CONTINUOUS], 0.0, [1.0, 3.0], ["x", "y"])
+    xy = [*m.add_variables(BINARY, 0.0, 1.0, ["x"]), *m.add_variables(CONTINUOUS, 0.0, 3.0, ["y"])]
     m.add_rows([xy], 1.0, GE, 1.2, ["row"])
     m.set_objective(linear_form(xy))
     a = solve_milp(m, MilpOptions())
@@ -796,7 +797,7 @@ def _external_round_trip(monkeypatch, script_dir):
     monkeypatch.setenv("IESDISPATCH_EXTERNAL_SOLVER", command)
 
     m = MilpModel()
-    x, y = m.add_variables([BINARY, CONTINUOUS], 0.0, [1.0, INF], ["x", "y"])
+    (x,), (y,) = m.add_variables(BINARY, 0.0, 1.0, ["x"]), m.add_variables(CONTINUOUS, 0.0, INF, ["y"])
     m.add_rows([[x, y]], 1.0, GE, 1.5, ["need"])
     m.set_objective(linear_form([x, y], [2.0, 1.0]))
     res = get_backend("external").solve(m, MilpOptions())
