@@ -255,15 +255,6 @@ def test_warning_build_and_screen_agree_on_a_gt_held_at_zero(efficiencies, whb, 
         assert refused
 
 
-def test_gates_added_after_the_objective_cost_nothing(bundled_case):
-    c = build_model(bundled_case, "S5")[0].to_sparse()[0]
-    gated, _ = every_gate_model(bundled_case, "S5")
-    padded = gated.to_sparse()[0]
-    assert padded.size == gated.num_variables > c.size
-    assert padded[:c.size].tobytes() == c.tobytes() and not padded[c.size:].any()
-    assert gated.to_sparse()[0] is padded
-
-
 @pytest.fixture(scope="module")
 def chp_cases(bundled_case, binding_case):
     """(label, case, options) on which the bounds are compared with the rows."""
