@@ -610,7 +610,7 @@ def gt_gas_cap(case: CaseData) -> GtCap:
         return GtCap(gt_cap)
     if eps_e * lo + eps_h * -1.0 > 0 or eps_h + eps_e * -hi > 0:
         cap = GtCap(0.0, "chp_ratio", f"the GT's heat-to-power ratio (heat {eps_h:g} and electric {eps_e:g} "
-                    f"per kW of gas) is outside the corridor [{lo:g}, {hi:g}], so it must stay off")
+                    f"per kW of gas) is outside the corridor [{lo:g}, {hi:g}], so it is forced off")
     elif whb and eps_h * gt_cap > whb_cap:
         upper = min(gt_cap, whb_cap / eps_h)
         cap = GtCap(upper, "chp_whb_cap", f"the WHB's {whb_cap:g} kW hold the GT to {upper:g} kW of gas")
@@ -781,7 +781,7 @@ def validate_case(case: CaseData) -> ValidationReport:
 
     # warnings: legal but suspicious
     if not rep.errors and (cap := gt_gas_cap(case)).family == "chp_ratio":  # it decides valid cases only
-        warn(f"chp: {cap.why}; the GT is forced off")
+        warn(f"chp: {cap.why}")
     if case.loads.get("electric") and len(case.wind_profile) == T and T > 0:
         el = case.loads["electric"].values
         if len(el) == T and all(w >= l for w, l in zip(case.wind_profile, el)):
