@@ -16,6 +16,10 @@ demand-response levers are active:
 solves it and refuses to return a solution that fails independent
 verification; `run_all_scenarios` produces the five-row comparison table and
 `sweep_lambda` / `sweep_interval` the carbon-policy sensitivity series.
+The paper's one-column rows (the fixed-ratio CHP corridor and WHB rows,
+each store's end-of-day charge) enter the built model as bounds on their
+columns, so no row of it has fewer than two columns; `verify_solution`
+still checks them on the schedule.
 
 Storage gates on demand.  The paper's model gives each store one binary
 per period that stops it from charging and discharging at once.
@@ -269,13 +273,18 @@ class VarMap:
     pwl_bound_kg: float = 0.0
 
 
-def _heat_max(case: CaseData) -> tuple[float, float]:
-    """Largest useful heat in one period of the GT/WHB pair and of the gas boiler."""
-    _, whb, _, eps_h, gt_cap, whb_cap = chp_params(case)
+def _gas_unit_reach(case: CaseData) -> tuple[float, float, float]:
+    """Largest output in one period of the GT (electric, useful heat) and of the gas boiler (heat).
+
+    The GT reaches as far as the bound on its gas column
+    (`model_core.gt_gas_cap`) lets it, so nowhere when held off.
+    """
+    _, whb, eps_e, eps_h, _, whb_cap = chp_params(case)
+    upper = gt_gas_cap(case).upper
     gb = case.converter("GB")
-    gt_heat = min(eps_h * gt_cap, whb_cap) if whb else 0.0
+    gt_heat = min(eps_h * upper, whb_cap) if whb else 0.0
     gb_heat = gb.efficiencies.get("heat", 0.0) * gb.capacity_kw if gb else 0.0
-    return gt_heat, gb_heat
+    return eps_e * upper, gt_heat, gb_heat
 
 
 def _dr_outflow(case: CaseData, scenario: ScenarioSpec, dec) -> np.ndarray:
@@ -295,12 +304,9 @@ def _screen(case: CaseData, scenario: ScenarioSpec, dec):
     """Reject loads no combination of devices could ever serve.
 
     Every period and carrier is tested at once; the first failure in period
-    order, then carrier order, is reported.  The GT counts up to the bound
-    on its gas column (`model_core.gt_gas_cap`), so nothing when held off.
+    order, then carrier order, is reported.
     """
-    _, _, eps_e, eps_h, _, _ = chp_params(case)
-    gt_gas_max = gt_gas_cap(case).upper
-    gt_heat_max, gb_heat_max = _heat_max(case)
+    gt_e_max, gt_heat_max, gb_heat_max = _gas_unit_reach(case)
     p2g = case.converter("P2G")
     p2g_gas_max = p2g.efficiencies.get("gas", 0.0) * p2g.capacity_kw if p2g else 0.0
 
@@ -311,9 +317,9 @@ def _screen(case: CaseData, scenario: ScenarioSpec, dec):
     cap_e, cap_g = case.purchase_caps
     avail = np.minimum(case.wind_profile, case.wind_max_kw)
     supply = np.empty((len(CARRIERS), case.horizon.periods))
-    supply[0] = cap_e + avail + eps_e * gt_gas_max + dis_max(ELECTRIC)
+    supply[0] = cap_e + avail + gt_e_max + dis_max(ELECTRIC)
     supply[1] = cap_g + p2g_gas_max + dis_max(GAS)
-    supply[2] = min(gt_heat_max, eps_h * gt_gas_max) + gb_heat_max + dis_max(HEAT)
+    supply[2] = gt_heat_max + gb_heat_max + dis_max(HEAT)
     need = np.array([case.loads[carrier].values for carrier in CARRIERS]) - _dr_outflow(case, scenario, dec)
     failed = np.argwhere((need > supply + 1e-9).T)
     if failed.size:
@@ -405,16 +411,23 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     An invalid case raises UnitError (``require_valid``), the one check the
     builders rely on.
 
-    In fixed-ratio CHP mode one gas column ``g`` carries both GT outputs,
-    so the corridor rows ``a_lo * g <= 0``, ``a_hi * g <= 0`` and the WHB
-    row ``eps_h * g <= whb_cap`` have one column each.  A one-column row
-    ``a * x <= b`` with ``a != 0`` is a bound on ``x``: ``a > 0`` in a
-    corridor row sets g's upper bound to 0 (the unit is off), ``a <= 0``
-    holds for every ``g >= 0``, and the WHB row caps g at ``whb_cap /
-    eps_h``.  The feasible set is the same, so the optimum is the same
-    (Andersen & Andersen, Math. Prog. 71, 1995, section 3).  The bound is
-    `model_core.gt_gas_cap`'s; one below ``min_output_kw`` raises
-    StaticInfeasibleError.
+    No row has a single column: a one-column row ``a * x <= b`` with ``a !=
+    0`` is a bound on ``x``, so the model states it as one.  The feasible
+    set is the same, so the optimum is the same (Andersen & Andersen, Math.
+    Prog. 71, 1995, section 3).  Two families of the paper's rows are such
+    bounds:
+
+    - In fixed-ratio CHP mode one gas column ``g`` carries both GT outputs,
+      so the corridor rows ``a_lo * g <= 0``, ``a_hi * g <= 0`` and the WHB
+      row ``eps_h * g <= whb_cap`` have one column each.  ``a > 0`` in a
+      corridor row sets g's upper bound to 0 (the unit is off), ``a <= 0``
+      holds for every ``g >= 0``, and the WHB row caps g at ``whb_cap /
+      eps_h``.  The bound is `model_core.gt_gas_cap`'s; one below
+      ``min_output_kw`` raises StaticInfeasibleError.
+    - A store ends the day at its initial charge: the row ``soc[T-1] =
+      initial`` is the bounds ``[initial, initial]`` of its last state of
+      charge.  `validate_case` keeps ``initial`` inside ``[soc_min,
+      soc_max]``, the bounds they replace, so none is lost or inverted.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
@@ -455,7 +468,7 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     if gt and gt_cap > 0:
         if case.chp.extraction_mode:
             g, pe, ph = _columns(model, tags, ("p_g_gt_", gt.min_output_kw, gt_cap),
-                                 ("p_gt_e_", 0.0, eps_e * gt_cap), ("p_gt_h_", 0.0, _heat_max(case)[0])).T
+                                 ("p_gt_e_", 0.0, eps_e * gt_cap), ("p_gt_h_", 0.0, _gas_unit_reach(case)[1])).T
             flows["p_gt_e"], flows["p_gt_h"] = (pe, 1.0), (ph, 1.0)
             rows.append(_rows(tags, ("chp_e_fuel_", [(pe, 1.0), (g, -eps_e)], LE, 0.0),
                               ("chp_h_fuel_", [(ph, 1.0), (g, -eps_h)], LE, 0.0),
@@ -480,11 +493,13 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         cap = sto.capacity_kwh
         plim = sto.power_limit_fraction * cap
         k = sto.carrier
-        ch, dis, soc = _columns(
-            model, tags, (f"st_{k}_ch_", 0.0, plim), (f"st_{k}_dis_", 0.0, plim),
-            (f"st_{k}_soc_", sto.soc_min_frac * cap, sto.soc_max_frac * cap),
-        ).T
         initial = sto.soc_initial_frac * cap
+        # the last period's soc is fixed at the initial charge (docstring)
+        soc_lo, soc_hi = np.full(periods, sto.soc_min_frac * cap), np.full(periods, sto.soc_max_frac * cap)
+        soc_lo[-1] = soc_hi[-1] = initial
+        ch, dis, soc = _columns(
+            model, tags, (f"st_{k}_ch_", 0.0, plim), (f"st_{k}_dis_", 0.0, plim), (f"st_{k}_soc_", soc_lo, soc_hi),
+        ).T
         # soc[t] - soc[t-1] - charge + discharge = 0, with the initial charge for soc[-1]
         # (period 0's soc[t-1] slot holds soc[-1] with coefficient 0)
         prev_coeff = np.full(periods, -1.0)
@@ -493,7 +508,6 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         soc_rhs[0] = initial
         soc_flows = [(soc, 1.0), (ch, -(sto.charge_eff * dt)), (dis, dt / sto.discharge_eff), (soc[previous], prev_coeff)]
         rows.append(_rows(tags, (f"storage_{k}_soc_", soc_flows, EQ, soc_rhs)))
-        rows.append(_rows([""], (f"storage_{k}_terminal", [(soc[-1:], 1.0)], EQ, initial)))
         vm.storage[k] = StorageBlock(ch, dis, soc)
     if rows:
         model.add_rows(*stack_rows(*rows))
@@ -600,13 +614,6 @@ def _dr_flows(dr: DrVarMap, carrier: str) -> list:
             for flow in ((dr.p_in[carrier, dtype], 1.0), (dr.p_out[carrier, dtype], -1.0))]
 
 
-def _gas_unit_heat_rate_max(case: CaseData) -> float:
-    """Largest combined useful output of the gas-fired units in one period."""
-    _, _, eps_e, _, gt_cap, _ = chp_params(case)
-    gt_heat_max, gb_heat_max = _heat_max(case)
-    return eps_e * gt_cap + gt_heat_max + gb_heat_max
-
-
 def _encode_carbon(case, options, model, dr, policy, tags, flows):
     """Emission accounting forms plus the trading-cost encoding.
 
@@ -623,7 +630,7 @@ def _encode_carbon(case, options, model, dr, policy, tags, flows):
     periods = len(tags)
     dt = case.horizon.step_hours
     n = options.pwl_segments
-    q_max = _gas_unit_heat_rate_max(case)
+    q_max = sum(_gas_unit_reach(case))
     curves = [(name, x, quad, x_max) for name, x, quad, x_max in (
         ("em_coal", [flows["p_e_buy"]], policy.coal_quad, case.purchase_caps[0]),
         ("em_gas", [flows["p_gt_e"], flows["p_gt_h"], flows["p_gb_h"]], policy.gas_quad, q_max),
@@ -1031,7 +1038,7 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
     carbon_priced = sol.surrogate_actual_kg is not None
     if carbon_priced:
         cap_e = case.purchase_caps[0]
-        q_max = _gas_unit_heat_rate_max(case)
+        q_max = sum(_gas_unit_reach(case))
         n = sol.pwl_segments
         coal = (pwl_convex_value(policy.coal_quad, cap_e, n, e_buy)
                 if cap_e > 0 else quad_value(policy.coal_quad, 0.0))

@@ -9,6 +9,8 @@ it is slower and serves as a cross-check of the vertex oracle.
 reference that gates on demand are compared against,
 ``fixed_ratio_rows_model`` the dispatch model with the fixed-ratio CHP
 rows that ``build_model`` turns into the GT's bounds,
+``terminal_rows_model`` the one with the storage terminal rows that it
+turns into bounds on each store's last state of charge,
 ``compiled_differences`` compares two models' compiled arrays bit for bit,
 ``scipy_csc`` wraps a compiled ``A`` as a scipy sparse array for the
 tests that compute with it, ``relations_and_rhs`` gives the compiled row
@@ -77,15 +79,41 @@ def fixed_ratio_rows_model(case, scenario, options=None):
     rows = [("chp_whb_cap_", eps_h, whb.capacity_kw)] if whb and eps_h * gt.capacity_kw > whb.capacity_kw else []
     corridor = (("lo", eps_e * case.chp.ratio_min + eps_h * -1.0), ("hi", eps_h + eps_e * -case.chp.ratio_max))
     rows += [(f"chp_ratio_{name}_", a, 0.0) for name, a in corridor if a != 0.0]
-    # MilpModel has no bound setter: join its upper-bound chunks and restore the bound in place
-    upper = np.concatenate(model._upper)
-    upper[g] = gt.capacity_kw
-    model._upper[:], model._col_arrays = [upper], None
+    _set_bounds(model, g, model._upper, gt.capacity_kw)
     if rows:
         names = [prefix + f"t{t:02d}" for t in range(len(g)) for prefix, _, _ in rows]
         model.add_rows(np.repeat(g, len(rows))[:, None], np.tile([a for _, a, _ in rows], len(g))[:, None], LE,
                        np.tile([b for _, _, b in rows], len(g)), names)
     return model, vm
+
+
+def terminal_rows_model(case, scenario, options=None):
+    """(model, VarMap) of the storage formulation with terminal rows instead of bounds.
+
+    Each store's last ``st_{k}_soc_`` column gets ``[soc_min, soc_max]``
+    back as its bounds, and the rows ``build_model`` once emitted,
+    ``storage_{k}_terminal`` (``soc[T-1] = initial``), are appended in
+    store order.
+    """
+    model, vm = build_model(case, scenario, options)
+    stores = [case.storage(k) for k in vm.storage]
+    last = [blk.soc[-1] for blk in vm.storage.values()]
+    if last:
+        _set_bounds(model, last, model._lower, [sto.soc_min_frac * sto.capacity_kwh for sto in stores])
+        _set_bounds(model, last, model._upper, [sto.soc_max_frac * sto.capacity_kwh for sto in stores])
+        model.add_rows(np.array(last)[:, None], 1.0, EQ, [sto.soc_initial_frac * sto.capacity_kwh for sto in stores],
+                       [f"storage_{sto.carrier}_terminal" for sto in stores])
+    return model, vm
+
+
+def _set_bounds(model: MilpModel, ids, chunks: list, values) -> None:
+    """Set one side of some columns' bounds in place; ``chunks`` is ``model._lower`` or ``model._upper``.
+
+    MilpModel has no bound setter: join the side's chunks and drop the compiled column arrays.
+    """
+    side = np.concatenate(chunks)
+    side[ids] = values
+    chunks[:], model._col_arrays = [side], None
 
 
 def relations_and_rhs(row_lower, row_upper) -> tuple[list[str], np.ndarray]:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from highs_spy import per_run
-from milp_oracles import compiled_differences, every_gate_model, fixed_ratio_rows_model
+from milp_oracles import compiled_differences, every_gate_model, fixed_ratio_rows_model, terminal_rows_model
 
 from iesdispatch import dispatch
 from iesdispatch.dispatch import (
@@ -255,9 +255,14 @@ def test_warning_build_and_screen_agree_on_a_gt_held_at_zero(efficiencies, whb, 
         assert refused
 
 
+def _initial_soc(case, at: str):
+    """The case with every store starting, and so ending, at its ``soc_min_frac`` or ``soc_max_frac``."""
+    return replace(case, storages=tuple(replace(sto, soc_initial_frac=getattr(sto, at)) for sto in case.storages))
+
+
 @pytest.fixture(scope="module")
-def chp_cases(bundled_case, binding_case):
-    """(label, case, options) on which the bounds are compared with the rows."""
+def fold_cases(bundled_case, binding_case):
+    """(label, case, options) on which the bounds are compared with the one-column rows they replace."""
     full, reduced = DispatchOptions(), DispatchOptions(pwl_segments=4)
     cases = [("full", bundled_case, full), ("reduced", reduce_case(bundled_case, 2), reduced)]
     for seed in range(3):
@@ -271,23 +276,48 @@ def chp_cases(bundled_case, binding_case):
         ("corridor", _outside_corridor(bundled_case), full),
         ("extraction", replace(bundled_case, chp=extraction), full),
         ("extraction-at-limit", replace(bundled_case, chp=replace(extraction, ratio_max=CHP_RATIO_LIMIT)), full),
+        # the terminal bound at its edges: either end of the soc range, and the only period
+        ("soc-at-min", _initial_soc(bundled_case, "soc_min_frac"), full),
+        ("soc-at-max", _initial_soc(bundled_case, "soc_max_frac"), full),
+        ("one-period", reduce_case(bundled_case, 24), reduced),
     ]
 
 
-@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
-def test_chp_bounds_match_the_one_column_rows(chp_cases, monkeypatch, backend):
-    for label, case, options in chp_cases:
+def _bounds_match_rows(cases, rows_model, monkeypatch, backend):
+    """Every scenario of every case ends optimal, so verified, and at the same optimum with the rows."""
+    for label, case, options in cases:
         options = replace(options, backend=backend)
         bounds = run_all_scenarios(case, options)
         with monkeypatch.context() as patch:
-            patch.setattr(dispatch, "build_model", fixed_ratio_rows_model)
+            patch.setattr(dispatch, "build_model", rows_model)
             rows = run_all_scenarios(case, options)
         statuses = [row.status for row in bounds.rows]
         assert statuses == [row.status for row in rows.rows], label
         assert set(statuses) == {"optimal"}, (label, statuses)
         for a, b in zip(bounds.rows, rows.rows):
-            if a.status == "optimal":
-                assert _agree(a.objective, b.objective, options.gap_tol), (label, a.scenario_id)
+            assert _agree(a.objective, b.objective, options.gap_tol), (label, a.scenario_id)
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+def test_chp_bounds_match_the_one_column_rows(fold_cases, monkeypatch, backend):
+    _bounds_match_rows(fold_cases, fixed_ratio_rows_model, monkeypatch, backend)
+
+
+@pytest.mark.parametrize("backend", ["embedded", "scipy-milp"])
+def test_soc_bounds_match_the_terminal_rows(fold_cases, monkeypatch, backend):
+    _bounds_match_rows(fold_cases, terminal_rows_model, monkeypatch, backend)
+
+
+@pytest.mark.parametrize("edit, bound_kg", [
+    (_outside_corridor, 22.264629375),
+    (lambda case: _converter(case, "WHB", capacity_kw=300.0), 27.633224427),
+], ids=["corridor", "whb-300"])
+def test_gas_envelope_spans_only_what_the_gt_reaches(bundled_case, edit, bound_kg):
+    # the em_gas envelope ends where the gas units' output can reach with the
+    # GT at its gas column's bound, not at its capacity (34.85 kg of bound)
+    sol = run_scenario(edit(bundled_case), "S5")  # checks the pwl gap against this bound
+    assert sol.verification.passed
+    assert sol.pwl_bound_kg == pytest.approx(bound_kg, rel=1e-9)
 
 
 def test_extraction_mode_relaxes_coupling():
