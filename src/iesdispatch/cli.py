@@ -12,8 +12,8 @@ scenario, solver options, and code version.  Outputs are deterministic:
 fixed six-decimal formatting, UTF-8, LF line endings, no timestamps.
 
 Exit codes: 0 success, 1 usage error or unavailable backend, 2 validation
-failure, 3 infeasible, 4 solver limit, numerical failure of the LP core or
-unverifiable result.
+failure, 3 infeasible, 4 solver limit with no incumbent, numerical failure
+of a HiGHS run or unverifiable result.
 """
 
 from __future__ import annotations

@@ -104,6 +104,7 @@ from .milp_ir import (
 )
 from .model_core import (
     CARRIERS,
+    MECHANISM_NONE,
     MECHANISM_TIERED,
     MECHANISM_TRADITIONAL,
     CaseData,
@@ -126,7 +127,7 @@ class DispatchError(Exception):
 
     ``status`` is its row status: "infeasible" when screening rules the case
     out, the solver's status when it finds no incumbent, "numerical_failure"
-    when the LP core certifies no outcome, or "verification_failed".
+    when a HiGHS run certifies no outcome, or "verification_failed".
     """
 
     status: str
@@ -174,7 +175,8 @@ class ScenarioSpec:
 
     carbon_in_objective: whether the carbon trading cost is part of the
     minimized objective (it is always reported).  mechanism: how that cost
-    is computed ("traditional" single price or "tiered" escalating prices).
+    is computed ("none", "traditional" single price or "tiered" escalating
+    prices); any other raises ValueError.
     """
 
     id: str
@@ -182,6 +184,10 @@ class ScenarioSpec:
     mechanism: str
     dr_shift: bool
     dr_substitute: bool
+
+    def __post_init__(self):
+        if self.mechanism not in (MECHANISM_NONE, MECHANISM_TRADITIONAL, MECHANISM_TIERED):
+            raise ValueError(f"scenario {self.id}: unknown mechanism {self.mechanism!r}")
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
@@ -940,7 +946,8 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
         check("gb_capacity", _peak(_over(g_gb, gb.capacity_kw)), 1e-6 * scale)
         check("gb_ramp", ramp_residual(g_gb, gb.capacity_kw, gb.ramp_fraction), 1e-6 * scale)
 
-    check("wind_availability", _peak(_over(dg, sol.wind_available)), 1e-6 * max(case.wind_max_kw, 1.0))
+    avail = np.minimum(case.wind_profile, case.wind_max_kw)  # from the case, not the build's VarMap
+    check("wind_availability", _peak(_over(dg, avail)), 1e-6 * max(case.wind_max_kw, 1.0))
     check("purchase_cap_electric", _peak(_over(e_buy, case.purchase_caps[0])),
           1e-6 * max(case.purchase_caps[0], 1.0))
     check("purchase_cap_gas", _peak(_over(g_buy, case.purchase_caps[1])),
@@ -1103,7 +1110,7 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     Raises StaticInfeasibleError / SolveFailedError / VerificationError
     rather than returning a solution that cannot be trusted, and UnitError
     (from ``require_valid``) for an invalid case.  A numerical failure of
-    the LP core is a SolveFailedError with status "numerical_failure".
+    a HiGHS run is a SolveFailedError with status "numerical_failure".
 
     Inside a sweep chunk (`_sweep`) the model of the chunk's previous point
     is re-priced instead of built again when it can be (`_repriceable`).

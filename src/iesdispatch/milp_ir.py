@@ -62,8 +62,8 @@ class CscMatrix:
     ``data[indptr[j]:indptr[j + 1]]`` are the nonzeros of column j and
     ``indices`` the same slice of their rows, sorted, with no zero stored:
     the arrays and dtypes (float64 data, int32 indices and pointers) of a
-    ``scipy.sparse.csc_array``, which ``highs_milp`` wraps them in for
-    ``scipy.optimize.milp``.
+    scipy CSC array, which both HiGHS paths take as they are: the LP core's
+    ``passModel`` and ``highs_milp``'s call of scipy's HiGHS driver.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape")

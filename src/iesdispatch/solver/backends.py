@@ -3,9 +3,10 @@
 The embedded backend is not one of them: `run_scenario` calls `solve_milp`
 directly for the default backend "embedded".
 
-- "scipy-milp": scipy.optimize.milp (HiGHS branch-and-cut) on every model,
-  LP or not, used as a cross-check.  It shares `highs_milp` with the
-  embedded backend, which calls it only for a model with binaries.
+- "scipy-milp": HiGHS branch-and-cut through scipy's HiGHS driver, the one
+  ``scipy.optimize.milp`` calls, on every model, LP or not, used as a
+  cross-check of the embedded backend's LP core.  It shares `highs_milp`
+  with the embedded backend, which calls it only for a model with binaries.
 - "external": runs a user-supplied command on the LP-format export.  The
   command comes from the IESDISPATCH_EXTERNAL_SOLVER environment variable and
   receives the LP path and the solution path as arguments.  It is split by
@@ -77,16 +78,7 @@ class ExternalBackend:
                 raise BackendUnavailableError(self.name, f"unreadable solution file: {exc}") from None
         wall = time.perf_counter() - t0
         bound = obj if status == OPTIMAL and obj is not None else -np.inf
-        gap = 0.0 if status == OPTIMAL and obj is not None else np.inf
-        return MilpSolution(
-            status=status,
-            objective=obj,
-            x=x,
-            bound=bound,
-            gap=gap,
-            nodes=1,
-            wall_time=wall,
-        )
+        return MilpSolution(status=status, objective=obj, x=x, bound=bound, nodes=1, wall_time=wall)
 
     @staticmethod
     def _read_solution(path: str, names: list[str]):

@@ -11,7 +11,8 @@ tiered carbon ladder) are exact LPs, and a storage gate is added only in a
 later round, where the gate-free schedule charges and discharges a store at
 once.  A model with binaries, such a gated round, goes to HiGHS
 branch-and-cut through `highs_milp`, the function the "scipy-milp" backend
-calls too.
+calls too.  Both read HiGHS's own model status by one rule, `_verdict`: a
+run a limit stops is "feasible" with an incumbent, else "limit".
 
 One core per model.  The core an LP was solved on is kept beside its model
 (`_cores`, weakly keyed by the model, as the model keeps its compiled
@@ -44,7 +45,6 @@ import math
 import time
 import weakref
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -77,8 +77,8 @@ class MilpOptions:
 
 
 class NumericalFailure(RuntimeError):
-    """An LP solve that certifies no outcome: HiGHS rejects the model or ends
-    with a status `_ScipyCore` does not map."""
+    """A HiGHS run that certifies no outcome: HiGHS refuses the model or ends
+    with a status `_verdict` does not map."""
 
 
 @dataclass
@@ -88,21 +88,51 @@ class MilpSolution:
     status: "optimal" (gap <= gap_tol), "feasible" (incumbent found but gap
     not closed before a limit), "limit" (limit hit with no incumbent),
     "infeasible", or "unbounded".  `x`/`objective` always describe the
-    incumbent (None when there is none); `bound` is the proven lower bound.
+    incumbent (None when there is none); `bound` is the proven lower bound,
+    and `gap` is worked out from the two.
     """
 
     status: str
     objective: float | None
     x: np.ndarray | None
     bound: float
-    gap: float
     nodes: int
     wall_time: float
+
+    @property
+    def gap(self) -> float:
+        """The incumbent's relative distance above the bound, at least 0; inf without one."""
+        if self.objective is None:
+            return math.inf
+        return max((self.objective - self.bound) / max(1.0, abs(self.objective)), 0.0)
 
     @property
     def trace(self) -> list[tuple[int, float, float]]:
         """(nodes, bound, incumbent objective) at the end of the solve."""
         return [(self.nodes, self.bound, math.inf if self.objective is None else self.objective)]
+
+
+def _verdict(model_status, incumbent: bool, zero_cost_run, who: str) -> str:
+    """The status of a finished HiGHS run, for the LP core and branch-and-cut alike.
+
+    A run stopped by a time, iteration or solution limit (the last is
+    ``mip_max_nodes``) is "feasible" with an incumbent and "limit" without.
+    "Unbounded or infeasible" is decided by ``zero_cost_run()``, the status
+    of a re-run with a zero objective: a feasible point means unbounded.
+    Any other status, a model HiGHS refused among them, raises.
+    """
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    s = HighsModelStatus
+    if model_status == s.kUnboundedOrInfeasible and zero_cost_run is not None:
+        verdict = _verdict(zero_cost_run(), False, None, who)
+        return UNBOUNDED if verdict == OPTIMAL else verdict
+    if model_status in (s.kTimeLimit, s.kIterationLimit, s.kSolutionLimit):
+        return FEASIBLE if incumbent else LIMIT
+    verdict = {s.kOptimal: OPTIMAL, s.kInfeasible: INFEASIBLE, s.kUnbounded: UNBOUNDED}.get(model_status)
+    if verdict is None:
+        raise NumericalFailure(f"{who} failed: {_Highs().modelStatusToString(model_status)}")
+    return verdict
 
 
 # HiGHS simplex_strategy values: choose the variant, or the dual simplex
@@ -120,9 +150,8 @@ class _ScipyCore:
 
     def __init__(self, model: MilpModel):
         # deferred so that importing the package does not load scipy
-        from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+        from scipy.optimize._highspy._core import HighsStatus, _Highs
 
-        self._status = HighsModelStatus
         c, _, A, row_lower, row_upper, lb, ub, _ = model.to_sparse()
         self.A = A  # solve_milp reuses the core while its model compiles to this very object
         self._rows = row_lower, row_upper
@@ -141,24 +170,14 @@ class _ScipyCore:
         self._loaded = True  # the first run takes the costs and row bounds of the load
         self._hot = False  # whether the last run ended optimal, so the next restarts from it
 
-    def _verdict(self, model_status, optimal: str) -> str:
-        """The status of a finished run, ``optimal`` for an optimal one; raises on a status it does not map."""
-        s = self._status
-        verdict = {s.kOptimal: optimal, s.kInfeasible: INFEASIBLE, s.kUnbounded: UNBOUNDED,
-                   s.kTimeLimit: LIMIT}.get(model_status)
-        if verdict is None:
-            raise NumericalFailure(f"LP core failed: {self._highs.modelStatusToString(model_status)}")
-        return verdict
-
-    def _resolve_unbounded_or_infeasible(self) -> str:
-        """Decide feasibility by re-running with a zero objective; the next solve re-prices the costs."""
+    def _zero_cost_run(self):
+        """HiGHS's status for the model with a zero objective; the next solve re-prices the costs."""
         h, n = self._highs, len(self._cols)
         h.changeColsCost(n, self._cols, np.zeros(n))
         h.clearSolver()
         h.setOptionValue("simplex_strategy", _DUAL)
         h.run()
-        # the first run found the dual infeasible, so a feasible primal is unbounded
-        return self._verdict(h.getModelStatus(), UNBOUNDED)
+        return h.getModelStatus()
 
     def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
         """Solve ``model``, which compiles to the loaded ``A``, under ``options.time_limit``.
@@ -187,65 +206,46 @@ class _ScipyCore:
             h.clearSolver()
         h.setOptionValue("simplex_strategy", _CHOOSE if hot else _DUAL)
         h.run()
-        model_status = h.getModelStatus()
-        if model_status == self._status.kUnboundedOrInfeasible:
-            verdict = self._resolve_unbounded_or_infeasible()
-        else:
-            verdict = self._verdict(model_status, OPTIMAL)
+        verdict = _verdict(h.getModelStatus(), False, self._zero_cost_run, "LP core")
         if verdict != OPTIMAL:
-            return MilpSolution(status=verdict, objective=None, x=None, bound=-np.inf, gap=np.inf, nodes=1,
+            return MilpSolution(status=verdict, objective=None, x=None, bound=-np.inf, nodes=1,
                                 wall_time=time.perf_counter() - t0)
         self._hot = True
         objective = h.getInfo().objective_function_value + c0
         x = np.fromiter(h.getSolution().col_value, float, self._cols.size)
-        return MilpSolution(status=OPTIMAL, objective=objective, x=x, bound=objective, gap=0.0, nodes=1,
+        return MilpSolution(status=OPTIMAL, objective=objective, x=x, bound=objective, nodes=1,
                             wall_time=time.perf_counter() - t0)
 
 
 def highs_milp(model: MilpModel, options: MilpOptions) -> MilpSolution:
-    """HiGHS branch-and-cut (``scipy.optimize.milp``) on the compiled model.
+    """HiGHS branch-and-cut on the compiled model, through scipy's HiGHS driver.
 
-    The one place the package hands scipy a sparse matrix: the compiled
-    arrays are wrapped, not copied, in a ``scipy.sparse.csc_array``.  HiGHS
-    reports "unbounded or infeasible" as scipy status 4; that is decided as
-    `_ScipyCore` decides it for an LP, by a re-solve with a zero objective:
-    a feasible point means unbounded.
+    ``scipy.optimize.milp`` makes this call once it has checked and copied
+    its arguments; the model checked them where they entered it, so they go
+    as they are.  `_verdict` reads HiGHS's own model status, as for the LP core.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csc_array
+    from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
 
     c, c0, A, lo, hi, lb, ub, is_binary = model.to_sparse()
-    kw = {"mip_rel_gap": options.gap_tol, "node_limit": options.node_limit}
-    if options.time_limit is not None:
-        kw["time_limit"] = options.time_limit
-    matrix = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
-    cons = [LinearConstraint(matrix, lo, hi)] if A.shape[0] else []
-    run = partial(milp, constraints=cons, integrality=is_binary.astype(int),
-                  bounds=Bounds(lb, ub), options=kw)
+    kw = {"log_to_console": False, "mip_rel_gap": options.gap_tol, "mip_max_nodes": options.node_limit,
+          "time_limit": options.time_limit}  # a None option keeps HiGHS's default
+
+    def run(costs) -> dict:
+        return _highs_wrapper(costs, A.indptr, A.indices, A.data, lo, hi, lb, ub, is_binary.astype(np.uint8), kw)
+
     t0 = time.perf_counter()
     res = run(c)
-    status = {0: OPTIMAL, 1: LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, LIMIT)
-    if res.status == 4:
-        status = {0: UNBOUNDED, 2: INFEASIBLE}.get(run(np.zeros_like(c)).status, LIMIT)
+    x = res["x"]
+    status = _verdict(res["status"], x is not None, lambda: run(np.zeros_like(c))["status"], "branch-and-cut")
     wall = time.perf_counter() - t0
-    x = obj = None
-    bound, gap, nodes = -np.inf, np.inf, 0
-    if res.x is not None:
-        x = np.asarray(res.x, dtype=float)
+    obj, bound = None, -np.inf
+    if x is not None:
         x[is_binary] = np.round(x[is_binary])
         obj = float(c @ x) + c0
-        if status == LIMIT:
-            status = FEASIBLE
-    if getattr(res, "mip_dual_bound", None) is not None:
-        bound = float(res.mip_dual_bound) + c0
-    elif status == OPTIMAL and obj is not None:
-        bound = obj
-    if obj is not None:
-        gap = max((obj - bound) / max(1.0, abs(obj)), 0.0)
-    if getattr(res, "mip_node_count", None) is not None:
-        nodes = int(res.mip_node_count)
-    return MilpSolution(status=status, objective=obj, x=x, bound=bound, gap=gap,
-                        nodes=max(nodes, 1), wall_time=wall)
+        # an LP returns a point only when optimal, and no MIP bound
+        bound = float(res["mip_dual_bound"]) + c0 if "mip_dual_bound" in res else obj
+    return MilpSolution(status=status, objective=obj, x=x, bound=bound,
+                        nodes=max(int(res.get("mip_node_count", 0)), 1), wall_time=wall)
 
 
 # each model's LP core, kept beside the model and dropped with it (module docstring)

@@ -20,6 +20,7 @@ from iesdispatch.dispatch import (
     SCENARIO_IDS,
     SCENARIOS,
     DispatchOptions,
+    ScenarioSpec,
     SolveFailedError,
     StaticInfeasibleError,
     as_scenario,
@@ -468,6 +469,26 @@ def test_verification_catches_tampered_balance():
     report = verify_solution(toy, "S1", tampered)
     assert not report.passed
     assert any(f.startswith("balance_electric") for f in report.failures)
+
+
+def test_verification_reads_wind_availability_from_the_case():
+    # a solution that claims more wind than the case forecasts, and uses it
+    # in place of purchases, fails on the case's forecast, not its own claim
+    toy = tiny_case(1, [100.0], [0.0], [0.0], [40.0])
+    sol = run_scenario(toy, "S1")
+    assert sol.p_dg == sol.wind_available == (40.0,)
+    tampered = dataclasses.replace(sol, p_dg=(50.0,), wind_available=(50.0,), p_e_buy=(sol.p_e_buy[0] - 10.0,))
+    report = verify_solution(toy, "S1", tampered)
+    assert any(f.startswith("wind_availability") for f in report.failures), report.failures
+    assert not any(f.startswith("balance_electric") for f in report.failures), report.failures
+
+
+def test_scenario_spec_refuses_an_unknown_mechanism():
+    # a misspelt mechanism would otherwise price one ladder and verify another
+    with pytest.raises(ValueError, match="unknown mechanism 'Tiered'"):
+        ScenarioSpec("X", True, "Tiered", True, True)
+    for mechanism in ("none", "traditional", "tiered"):
+        assert ScenarioSpec("X", True, mechanism, True, True).mechanism == mechanism
 
 
 def test_verification_catches_storage_tamper(reduced_case, reduced_report):

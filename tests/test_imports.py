@@ -6,8 +6,9 @@ their imports are the package's re-exports.  ``from __future__`` imports
 are compiler directives, not names, and an import statement marked
 ``# noqa: F401`` is imported on purpose for its side effects or as a check.
 
-Importing the CLI loads no process pool, and only ``highs_milp`` imports
-``scipy.sparse``.
+Importing the CLI loads no process pool, and no package module imports
+``scipy.sparse`` or ``scipy.optimize.milp``: the compiled matrix is a numpy
+CSC record that both HiGHS paths take as it is.
 """
 
 import ast
@@ -92,8 +93,12 @@ def test_cli_import_leaves_out_the_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def _sparse_importers(source: str) -> list[str]:
-    """The functions of a module that import ``scipy.sparse``, "<module>" for an import outside any."""
+# scipy.sparse and its submodules, and milp with the argument classes it alone needs
+SCIPY_LEFT_OUT = ("scipy.sparse", "scipy.optimize.milp", "scipy.optimize.LinearConstraint", "scipy.optimize.Bounds")
+
+
+def _left_out_importers(source: str) -> list[str]:
+    """The functions of a module that import a name in ``SCIPY_LEFT_OUT``, "<module>" for an import outside any."""
     tree = ast.parse(source)
     scopes = {}
     for node in ast.walk(tree):
@@ -108,17 +113,16 @@ def _sparse_importers(source: str) -> list[str]:
             names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
         else:
             continue
-        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+        if any(name == left or name.startswith(f"{left}.") for name in names for left in SCIPY_LEFT_OUT):
             found.append(scopes.get(id(node), "<module>"))
     return found
 
 
-def test_only_highs_milp_imports_scipy_sparse():
-    # the compiled matrix is a numpy CSC record; scipy.optimize.milp alone
-    # takes a scipy sparse array
-    importers = {_module_id(p): _sparse_importers(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
-    assert {module: names for module, names in importers.items() if names} == {
-        "solver/branch_bound.py": ["highs_milp"]}
+def test_no_package_module_imports_scipy_sparse_or_milp():
+    importers = {_module_id(p): _left_out_importers(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
+    assert {module: names for module, names in importers.items() if names} == {}
     # the check itself
-    source = "import scipy.sparse\ndef f():\n    from scipy.sparse import csc_array\nimport scipy\n"
-    assert _sparse_importers(source) == ["<module>", "f"]
+    source = ("import scipy.sparse\ndef f():\n    from scipy.sparse import csc_array\nimport scipy\n"
+              "def g():\n    from scipy.optimize import linprog, milp\n"
+              "def h():\n    from scipy.optimize import Bounds\nfrom scipy.optimize._highspy import _core\n")
+    assert _left_out_importers(source) == ["<module>", "f", "g", "h"]

@@ -7,6 +7,7 @@ search of its own.
 
 import ast
 import importlib
+import inspect
 import itertools
 import random
 import shlex
@@ -17,16 +18,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csc_array
 
 from highs_spy import per_run
-from milp_oracles import (brute_force_milp, check_solution, objective, random_milp, relations_and_rhs, scipy_csc,
-                          variables, vertex_milp)
+from milp_oracles import (brute_force_milp, check_solution, every_gate_model, objective, random_milp,
+                          relations_and_rhs, scipy_csc, variables, vertex_milp)
 from reference_simplex import solve_lp
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, INF, MilpModel, linear_form
 from iesdispatch.solver import branch_bound
-from iesdispatch.solver.branch_bound import _ScipyCore
+from iesdispatch.solver.branch_bound import _ScipyCore, highs_milp
 from iesdispatch.solver import (
     MilpOptions,
     NumericalFailure,
@@ -250,14 +251,31 @@ def test_milp_determinism():
         assert np.array_equal(a.x, b.x)
 
 
-def test_milp_node_limit_reports_limit_or_feasible():
-    rng = random.Random(13)
-    m = _random_milp(rng, max_binaries=8)
-    res = solve_milp(m, MilpOptions(node_limit=1))
-    assert res.status in ("optimal", "feasible", "limit", "infeasible")
-    if res.status == "feasible":
-        assert res.x is not None
-        assert res.bound <= res.objective + 1e-9
+def _market_split() -> MilpModel:
+    """A seeded market-split instance: 4 rows a x + sp - sm = b over 30 binaries, minimise sum(sp + sm).
+
+    HiGHS cannot close it at the root, so a one-node limit stops the
+    search with an incumbent above the bound.
+    """
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 100, (4, 30))
+    m = MilpModel()
+    xs = m.add_variables(BINARY, 0.0, 1.0, [f"x{j}" for j in range(30)])
+    plus = m.add_variables(CONTINUOUS, 0.0, INF, [f"sp{i}" for i in range(4)])
+    minus = m.add_variables(CONTINUOUS, 0.0, INF, [f"sm{i}" for i in range(4)])
+    m.add_rows([[*xs, p, q] for p, q in zip(plus, minus)], [[*row, 1.0, -1.0] for row in a.tolist()], EQ,
+               (a.sum(axis=1) // 2).tolist(), [f"split{i}" for i in range(4)])
+    m.set_objective(linear_form([*plus, *minus]))
+    return m
+
+
+@pytest.mark.parametrize("solve", [solve_milp, get_backend("scipy-milp").solve], ids=["embedded", "scipy-milp"])
+def test_milp_node_limit_reports_limit_or_feasible(solve):
+    res = solve(_market_split(), MilpOptions(node_limit=1))
+    assert res.status == "feasible" and res.nodes == 1
+    assert res.x is not None
+    assert res.bound <= res.objective
+    assert res.gap > 1e-6
 
 
 @pytest.mark.parametrize("gap", [float("nan"), float("inf"), -1e-4])
@@ -367,12 +385,15 @@ def test_scipy_core_matches_reference_simplex():
 
 def _status_case(kind: str) -> MilpModel:
     m = MilpModel()
-    (x,) = m.add_variables(BINARY, 0.0, 1.0, ["x"])
+    # the refused model is an LP, so the embedded backend loads it on its core
+    (x,) = m.add_variables(CONTINUOUS if kind == "refused" else BINARY, 0.0, 1.0, ["x"])
     (y,) = m.add_variables(CONTINUOUS, 0.0, INF if kind == "unbounded root" else 1.0, ["y"])
     if kind == "infeasible node":  # root relaxation x = 0.5, both children fail
         m.add_rows([[x]], 2.0, EQ, 1.0, ["half"])
     elif kind == "infeasible root":
         m.add_rows([[x, y]], 1.0, GE, 3.0, ["too_much"])
+    elif kind == "refused":  # HiGHS refuses a matrix entry above its large_matrix_value, 1e15
+        m.add_rows([[x, y]], [[1e16, 1.0]], LE, 1.0, ["huge"])
     m.set_objective(linear_form([x, y], [1.0, -1.0]))
     return m
 
@@ -380,11 +401,57 @@ def _status_case(kind: str) -> MilpModel:
 @pytest.mark.parametrize("solve", [solve_milp, get_backend("scipy-milp").solve], ids=["embedded", "scipy-milp"])
 @pytest.mark.parametrize(
     "kind, status",
-    [("infeasible node", "infeasible"), ("infeasible root", "infeasible"), ("unbounded root", "unbounded")],
+    [("infeasible node", "infeasible"), ("infeasible root", "infeasible"), ("unbounded root", "unbounded"),
+     ("refused", NumericalFailure)],
 )
 def test_scipy_core_milp_statuses(kind, status, solve):
+    if status is NumericalFailure:
+        with pytest.raises(NumericalFailure, match="failed"):
+            solve(_status_case(kind), MilpOptions())
+        return
     res = solve(_status_case(kind), MilpOptions())
     assert (res.status, res.x) == (status, None)
+
+
+# The outcome of each HiGHS model status, without and with an incumbent:
+# a status, or NumericalFailure; "unbounded or infeasible" goes by the
+# zero-objective re-run, here one that finds a point
+VERDICTS = {
+    "kNotset": NumericalFailure, "kLoadError": NumericalFailure, "kModelError": NumericalFailure,
+    "kPresolveError": NumericalFailure, "kSolveError": NumericalFailure, "kPostsolveError": NumericalFailure,
+    "kModelEmpty": NumericalFailure, "kOptimal": ("optimal", "optimal"),
+    "kInfeasible": ("infeasible", "infeasible"), "kUnboundedOrInfeasible": ("unbounded", "unbounded"),
+    "kUnbounded": ("unbounded", "unbounded"), "kObjectiveBound": NumericalFailure,
+    "kObjectiveTarget": NumericalFailure, "kTimeLimit": ("limit", "feasible"),
+    "kIterationLimit": ("limit", "feasible"), "kUnknown": NumericalFailure,
+    "kSolutionLimit": ("limit", "feasible"), "kInterrupt": NumericalFailure,
+    "kMemoryLimit": NumericalFailure, "kHighsInterrupt": NumericalFailure,
+}
+
+
+def test_every_highs_model_status_has_a_pinned_verdict():
+    # a status a new scipy release adds fails here instead of landing in a bucket unseen
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    assert set(HighsModelStatus.__members__) == set(VERDICTS)
+    for name, member in HighsModelStatus.__members__.items():
+        def verdicts():
+            return tuple(branch_bound._verdict(member, incumbent, lambda: HighsModelStatus.kOptimal, "run")
+                         for incumbent in (False, True))
+
+        if VERDICTS[name] is NumericalFailure:
+            with pytest.raises(NumericalFailure, match="^run failed: "):
+                verdicts()
+        else:
+            assert verdicts() == VERDICTS[name], name
+    # the re-run decides "unbounded or infeasible"; a second such status raises
+    rerun = {"kInfeasible": "infeasible", "kTimeLimit": "limit", "kUnbounded": "unbounded"}
+    for name, verdict in rerun.items():
+        status = HighsModelStatus.__members__[name]
+        assert branch_bound._verdict(HighsModelStatus.kUnboundedOrInfeasible, True, lambda: status, "run") == verdict
+    with pytest.raises(NumericalFailure, match="Primal infeasible or unbounded"):
+        branch_bound._verdict(HighsModelStatus.kUnboundedOrInfeasible, False,
+                              lambda: HighsModelStatus.kUnboundedOrInfeasible, "run")
 
 
 @pytest.mark.parametrize(
@@ -412,18 +479,68 @@ def test_scipy_core_resolves_unbounded_or_infeasible(lp, status):
     assert core.solve(m, MilpOptions()).status == status  # the re-price restores the objective
 
 
+def _public_milp(model: MilpModel, options: MilpOptions) -> tuple:
+    """(status, objective, bound, nodes, x) from public ``scipy.optimize.milp``, as highs_milp reads them.
+
+    The oracle for `highs_milp`: scipy checks and copies the arguments and
+    maps HiGHS's status to its own codes, so only the solve itself is shared.
+    """
+    c, c0, A, row_lower, row_upper, lb, ub, is_binary = model.to_sparse()
+    res = milp(c, integrality=is_binary, bounds=Bounds(lb, ub),
+               constraints=LinearConstraint(scipy_csc(A), row_lower, row_upper),
+               options={"mip_rel_gap": options.gap_tol, "node_limit": options.node_limit})
+    assert res.status == 0, res.message
+    x = res.x
+    x[is_binary] = np.round(x[is_binary])
+    objective = float(c @ x) + c0
+    bound = objective if res.mip_dual_bound is None else res.mip_dual_bound + c0
+    return "optimal", objective, bound, res.mip_node_count or 1, x
+
+
+def _oracle_models():
+    """(label, model, options): reduced and binding-gate S1-S5, each gate-free and with every gate."""
+    from iesdispatch.dispatch import SCENARIO_IDS, DispatchOptions, build_model
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+
+    case = load_case(default_case_path())
+    binding = reduce_case(case, 4)  # test_dispatch's binding_case: gates bind in S2
+    binding = replace(binding, carbon=replace(binding.carbon, sigma_h=2.0, lambda_base=2.0))
+    for label, data, options in (("reduced", reduce_case(case), DispatchOptions()),
+                                 ("binding-gate", binding, DispatchOptions(pwl_segments=4))):
+        for sid in SCENARIO_IDS:
+            yield f"{label}-{sid}/gate-free", build_model(data, sid, options)[0], options
+            yield f"{label}-{sid}", every_gate_model(data, sid, options)[0], options
+
+
+def test_highs_milp_matches_public_milp_bit_for_bit():
+    checked = 0
+    for label, model, options in _oracle_models():
+        status, objective, bound, nodes, x = _public_milp(model, options)
+        res = highs_milp(model, options)
+        assert (res.status, res.objective.hex(), res.bound.hex(), res.nodes) == (
+            status, objective.hex(), bound.hex(), nodes), label
+        assert _bit_equal(res.x, x), label
+        checked += 1
+    assert checked == 20
+
+
 HIGHS_MODULE = "scipy.optimize._highspy._core"
-HIGHS_NAMES = ("_Highs", "HighsStatus", "HighsModelStatus")
+HIGHS_DRIVER = "scipy.optimize._highspy._highs_wrapper"  # the driver scipy.optimize.milp calls
+# every private HiGHS name the package imports, by module
+HIGHS_NAMES = {HIGHS_MODULE: ("_Highs", "HighsStatus", "HighsModelStatus"), HIGHS_DRIVER: ("_highs_wrapper",)}
 # every _Highs method the package calls
 HIGHS_METHODS = ("changeColsCost", "changeRowBounds", "clearSolver", "getInfo", "getModelStatus",
                  "getRunTime", "getSolution", "modelStatusToString", "passModel", "run", "setOptionValue")
 
 
 def test_highs_private_api_is_importable():
-    # _ScipyCore drives HiGHS through scipy's private bindings; a scipy
-    # release that moves or changes them must fail here, not deep inside a solve.
+    # _ScipyCore and highs_milp drive HiGHS through scipy's private bindings; a
+    # scipy release that moves or changes them must fail here, not deep inside a solve.
     _Highs, HighsStatus, HighsModelStatus = (getattr(importlib.import_module(HIGHS_MODULE), name)
-                                             for name in HIGHS_NAMES)
+                                             for name in HIGHS_NAMES[HIGHS_MODULE])
+    (driver,) = (getattr(importlib.import_module(HIGHS_DRIVER), name) for name in HIGHS_NAMES[HIGHS_DRIVER])
+    assert list(inspect.signature(driver).parameters) == ["c", "indptr", "indices", "data", "lhs", "rhs",
+                                                          "lb", "ub", "integrality", "options"]
     for method in HIGHS_METHODS:
         assert callable(getattr(_Highs, method))
     assert HighsModelStatus.kUnboundedOrInfeasible != HighsModelStatus.kUnbounded
@@ -446,11 +563,14 @@ def test_highs_private_api_is_importable():
 
 
 def _highs_private_imports(source: str) -> set[str]:
-    """Names a module imports from scipy's private HiGHS bindings; any other import of them is "*"."""
+    """``module.name`` of each name a module imports from scipy's private HiGHS bindings.
+
+    Any other import of them, such as a whole module, is "*".
+    """
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.module == HIGHS_MODULE:
-            names.update(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module in HIGHS_NAMES:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and "_highspy" in ast.unparse(node):
             names.add("*")
     return names
@@ -459,10 +579,11 @@ def _highs_private_imports(source: str) -> set[str]:
 def test_package_uses_only_the_checked_highs_names():
     package = Path(__file__).resolve().parents[1] / "src" / "iesdispatch"
     used = set().union(*(_highs_private_imports(p.read_text()) for p in package.rglob("*.py")))
-    assert used <= set(HIGHS_NAMES), sorted(used - set(HIGHS_NAMES))
+    checked = {f"{module}.{name}" for module, names in HIGHS_NAMES.items() for name in names}
+    assert used == checked, (sorted(used - checked), sorted(checked - used))
     # the check itself: a name list, and a whole-module import that would hide one
-    source = f"from {HIGHS_MODULE} import _Highs, HighsLp\nimport {HIGHS_MODULE} as core\n"
-    assert _highs_private_imports(source) == {"_Highs", "HighsLp", "*"}
+    source = f"from {HIGHS_DRIVER} import _highs_wrapper, hopt\nimport {HIGHS_MODULE} as core\n"
+    assert _highs_private_imports(source) == {f"{HIGHS_DRIVER}._highs_wrapper", f"{HIGHS_DRIVER}.hopt", "*"}
 
 
 def _highs_method_calls(source: str) -> set[str]:
