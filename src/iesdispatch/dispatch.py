@@ -96,11 +96,12 @@ from .milp_ir import (
     LinearForm,
     MilpModel,
     linear_form,
+    TangentEnvelope,
     pwl_convex,
     pwl_convex_error_bound,
-    pwl_convex_value,
     quad_value,
     stack_rows,
+    tangent_envelope,
 )
 from .model_core import (
     CARRIERS,
@@ -277,6 +278,7 @@ class VarMap:
     ladder: CarbonLadder | None = None
     actual: LinearForm | None = None
     pwl_bound_kg: float = 0.0
+    read: "_ReadLayout | None" = field(default=None, repr=False, compare=False)
 
 
 def _gas_unit_reach(case: CaseData) -> tuple[float, float, float]:
@@ -743,45 +745,81 @@ class DispatchSolution:
     verification: "VerificationReport | None" = None
 
 
-def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> DispatchSolution:
-    x = np.asarray(res.x, dtype=float)
-    periods = case.horizon.periods
-    dt = case.horizon.step_hours
-    # one gather for every per-period series: the flows and the storage
-    # powers (each 0.0 + coeff * x[ids[t]], snapped to 0 below 1e-9), then
-    # the states of charge and the demand-response magnitudes
+@dataclass(frozen=True)
+class _ReadLayout:
+    """What `_extract` reads of a VarMap, worked out once per VarMap.
+
+    ``ids`` holds one row of column ids per series, gathered from ``x`` at
+    once: the present flows (``present``, with their ``coeffs``), each
+    store's charge and discharge, each store's state of charge, and the
+    demand-response ``P_in`` then ``P_out`` of each key of ``keys``.
+    ``rounds`` is the order in which the adjustments reshape the loads:
+    per type in DR_TYPES order, the rows of the carriers that have it and
+    the index of their key.  ``loads`` are the case's loads, in CARRIERS
+    order.
+    """
+
+    ids: np.ndarray
+    coeffs: np.ndarray
+    present: list
+    keys: list
+    rounds: list
+    loads: np.ndarray
+
+
+def _read_layout(case: CaseData, vm: VarMap) -> _ReadLayout:
     present = [name for name, flow in vm.flows.items() if flow is not None]
     powered = [vm.flows[name] for name in present]
     powered += [(ids, 1.0) for blk in vm.storage.values() for ids in (blk.charge, blk.discharge)]
     keys = list(vm.dr.p_in)
     ids = [ids for ids, _ in powered] + [blk.soc for blk in vm.storage.values()]
     ids += [vm.dr.p_in[key] for key in keys] + [vm.dr.p_out[key] for key in keys]
-    rows = x[np.array(ids, dtype=np.int64).reshape(len(ids), periods)]
-    power = 0.0 + np.array([coeff for _, coeff in powered])[:, None] * rows[:len(powered)]
+    rounds = []
+    for dtype in DR_TYPES:
+        chosen = [(CARRIERS.index(key[0]), i) for i, key in enumerate(keys) if key[1] == dtype]
+        if chosen:
+            rounds.append(tuple(np.array(side) for side in zip(*chosen)))
+    return _ReadLayout(
+        ids=np.array(ids, dtype=np.int64).reshape(len(ids), case.horizon.periods),
+        coeffs=np.array([coeff for _, coeff in powered], dtype=float)[:, None],
+        present=present, keys=keys, rounds=rounds,
+        loads=np.array([case.loads[k].values for k in CARRIERS], dtype=float),
+    )
+
+
+def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> DispatchSolution:
+    read = vm.read
+    if read is None:
+        read = vm.read = _read_layout(case, vm)
+    x = np.asarray(res.x, dtype=float)
+    periods = case.horizon.periods
+    dt = case.horizon.step_hours
+    # one gather for every per-period series: the flows and the storage
+    # powers (each 0.0 + coeff * x[ids[t]], snapped to 0 below 1e-9), then
+    # the states of charge and the demand-response magnitudes
+    rows = x[read.ids]
+    n_powered, n_keys = len(read.coeffs), len(read.keys)
+    power = 0.0 + read.coeffs * rows[:n_powered]
     power[np.abs(power) < 1e-9] = 0.0
     power = list(map(tuple, power.tolist()))
-    first_in = len(powered) + len(vm.storage)
-    soc = list(map(tuple, (0.0 + rows[len(powered):first_in]).tolist()))
-    p_in, p_out = rows[first_in:first_in + len(keys)], rows[first_in + len(keys):]
+    first_in = n_powered + len(vm.storage)
+    soc = list(map(tuple, (0.0 + rows[n_powered:first_in]).tolist()))
+    p_in, p_out = rows[first_in:first_in + n_keys], rows[first_in + n_keys:]
     flows = dict.fromkeys(vm.flows, (0.0,) * periods)
-    flows.update(zip(present, power))
-    charges = iter(power[len(present):])
+    flows.update(zip(read.present, power))
+    charges = iter(power[len(read.present):])
     storage = {k: StorageSchedule(next(charges), next(charges), soc[i]) for i, k in enumerate(vm.storage)}
     # summed left to right, since the order fixes the reported bits: an
     # adjustment is 0.0 + x_in - x_out, a reshaped load the load plus
     # 0.0 + x_in - x_out + ... over its enabled types in DR_TYPES order
-    delta = dict(zip(keys, (0.0 + p_in) - p_out))
     dr_delta: dict[str, dict[str, tuple[float, ...]]] = {}
-    for (k, dtype), series in delta.items():
-        dr_delta.setdefault(k, {})[dtype] = tuple(series.tolist())
+    for (k, dtype), series in zip(read.keys, ((0.0 + p_in) - p_out).tolist()):
+        dr_delta.setdefault(k, {})[dtype] = tuple(series)
     change = np.zeros((len(CARRIERS), periods))
-    for dtype in DR_TYPES:
-        for i, key in enumerate(keys):
-            if key[1] == dtype:
-                k = CARRIERS.index(key[0])
-                change[k] = (change[k] + p_in[i]) - p_out[i]
-    loads = np.array([case.loads[k].values for k in CARRIERS], dtype=float)
-    adjusted = dict(zip(CARRIERS, map(tuple, (loads + change).tolist())))
+    for carriers, keys in read.rounds:
+        change[carriers] = (change[carriers] + p_in[keys]) - p_out[keys]
+    reshaped = read.loads + change
+    adjusted = dict(zip(CARRIERS, map(tuple, reshaped.tolist())))
     schedule = FlowSchedule(step_hours=dt, p_g_load=adjusted[GAS],
                             **{k: flows[k] for k in ("p_e_buy", "p_gt_e", "p_gt_h", "p_gb_h", "p_p2g_g")})
     policy = _policy(case, scenario)
@@ -794,7 +832,6 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
         purchase=buy, carbon=carbon_exact, dr=dr_cost, maintenance=maint,
         total=buy + carbon_exact + dr_cost + maint,
     )
-    original = {k: case.loads[k].values for k in CARRIERS}
     return DispatchSolution(
         scenario_id=scenario.id,
         periods=periods,
@@ -806,7 +843,7 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
         adjusted_loads=adjusted,
         costs=costs,
         emission=account,
-        satisfaction=satisfaction_index(original, adjusted),
+        satisfaction=satisfaction_index(dict(zip(CARRIERS, read.loads)), dict(zip(CARRIERS, reshaped))),
         surrogate_actual_kg=None if vm.actual is None else vm.actual.value(x),
         surrogate_carbon_cost=None if vm.carbon_cost is None else vm.carbon_cost.value(x),
         pwl_bound_kg=vm.pwl_bound_kg,
@@ -827,15 +864,16 @@ def _storage_overlaps(case: CaseData, storage: dict[str, StorageSchedule]) -> di
     """The (carrier, period) pairs where a store charges and discharges at once.
 
     A pair fails when ``min(charge, discharge) > 1e-6 * max(capacity, 1)``;
-    each failing pair maps to that overlap.
+    each failing pair maps to that overlap, store by store and period by
+    period.
     """
-    out = {}
-    for k, sched in storage.items():
-        tol = 1e-6 * max(case.storage(k).capacity_kwh, 1.0)
-        overlap = np.minimum(sched.charge, sched.discharge)
-        for t in np.flatnonzero(~(overlap <= tol)).tolist():
-            out[k, t] = float(overlap[t])
-    return out
+    if not storage:
+        return {}
+    keys = list(storage)
+    overlap = np.minimum([s.charge for s in storage.values()], [s.discharge for s in storage.values()])
+    tol = np.array([1e-6 * max(case.storage(k).capacity_kwh, 1.0) for k in keys])
+    rows, periods = np.nonzero(~(overlap <= tol[:, None]))
+    return {(keys[i], t): v for i, t, v in zip(rows.tolist(), periods.tolist(), overlap[rows, periods].tolist())}
 
 
 @dataclass
@@ -847,17 +885,217 @@ class VerificationReport:
     failures: list[str]
 
 
-def _over(value, limit) -> np.ndarray:
-    """How far each value exceeds its limit, 0 where it does not."""
-    return np.maximum(np.subtract(value, limit), 0.0)
-
-
 def _peak(values: np.ndarray) -> float:
     """The largest entry, 0 for none; NaN when an entry is NaN."""
     return float(values.max()) if values.size else 0.0
 
 
-def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=None) -> VerificationReport:
+# the per-period flows of a DispatchSolution, in the order a check plan stacks them
+_FLOWS = ("p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e", "p_gt_h", "p_g_gb", "p_gb_h")
+
+
+def _solution_shape(sol: DispatchSolution) -> tuple:
+    """What a check plan reads of a solution: its stores, its demand-response keys, segments, whether priced."""
+    return (tuple(sol.storage), tuple((k, tuple(per_type)) for k, per_type in sol.dr_delta.items()),
+            sol.pwl_segments, sol.surrogate_actual_kg is not None)
+
+
+class _CheckPlan:
+    """Everything `verify_solution` reads of a case, laid out for checks on whole schedules.
+
+    It is built from the case and the solution's shape (`_solution_shape`)
+    alone: tolerances, limits, coupling coefficients, demand-response
+    windows, tariffs and maintenance weights, and the tangents of the
+    emission envelopes.  It reads no carbon price: neither ``lambda_base``
+    nor ``interval_d`` enters it, so a sweep chunk's point whose case
+    differs from the plan's only in those two (`_repriceable`) reuses it.
+
+    A call stacks the solution's series as rows of a pool (``pool`` holds
+    the case's rows, a zero row and room for the rows a call works out:
+    the net storage output, the reshaped loads, the carrier supplies, the
+    expected states of charge, the ramps and the substitution balance).
+    Every per-period check is a row of one of two families, each
+    evaluated on all its rows at once with its scalar formula:
+    ``|u - cv * v|`` and ``max(over(ca * a, ch * h), over(l, cb * b))``,
+    ``over(x, y) = max(x - y, 0)``; a coefficient of 1.0 and a zero row
+    leave a value's bits as they are.  Both families reduce in one max
+    over the periods.  ``checks`` lists (name, index, tolerance) of the
+    checks up to the satisfaction floor, in report order; an index points
+    into the per-period residuals followed by the storage terminal, the
+    storage exclusivity and the demand-response net residuals.
+    """
+
+    def __init__(self, case: CaseData, sol: DispatchSolution):
+        self.shape = stores, dr_keys, segments, priced = _solution_shape(sol)
+        periods, dt = case.horizon.periods, case.horizon.step_hours
+        self.dt = dt
+        flow = {name: i for i, name in enumerate(_FLOWS)}
+        sto_rows = np.arange(len(_FLOWS), len(_FLOWS) + 3 * len(stores)).reshape(-1, 3)
+        self.dr_rows = np.arange(sto_rows.size + len(_FLOWS), sto_rows.size + len(_FLOWS)
+                                 + sum(len(types) for _, types in dr_keys))
+        dr_row = dict(zip(((k, dtype) for k, types in dr_keys for dtype in types), self.dr_rows.tolist()))
+        sol_adjusted = self.dr_rows.size + sto_rows.size + len(_FLOWS)
+        self.inputs = zero = sol_adjusted + len(CARRIERS)
+        net, adj, sup = zero + 1, zero + 1 + len(CARRIERS), zero + 1 + 2 * len(CARRIERS)
+        gt, whb, eps_e, eps_h, gt_cap, whb_cap = chp_params(case)
+        gb, p2g = case.converter("GB"), case.converter("P2G")
+        ramps = [(flow[name], unit.ramp_fraction * cap) for name, unit, cap in (
+            ("p_p2g_e", p2g, p2g.capacity_kw if p2g else 0.0), ("p_g_gt", gt, gt_cap),
+            ("p_g_gb", gb, gb.capacity_kw if gb else 0.0)) if unit] if periods > 1 else []
+        exp = sup + len(CARRIERS)
+        ramp = exp + len(stores)
+        subst = [k for k, types in dr_keys if SUBSTITUTE in types] if not case.dr.literal_eq2 else []
+        self.sub = ramp + len(ramps)
+        consts = []
+        first_const = self.sub + bool(subst)
+
+        def const(values) -> int:
+            consts.append(values)
+            return first_const + len(consts) - 1
+
+        self.loads = np.array([const(case.loads[k].values) for k in CARRIERS])
+        self.net, self.adj, self.sup = (np.arange(i, i + len(CARRIERS)) for i in (net, adj, sup))
+        store_row = {k: rows for k, rows in zip(stores, sto_rows.tolist())}
+        self.net_dis = np.array([store_row[k][1] if k in store_row else zero for k in CARRIERS])
+        self.net_ch = np.array([store_row[k][0] if k in store_row else zero for k in CARRIERS])
+        # each carrier's adjustments, added up in the solution's order of its types
+        depth = max([len(types) for _, types in dr_keys], default=0)
+        types = {k: [dr_row[k, dtype] for dtype in per_type] for k, per_type in dr_keys}
+        self.dr_added = [np.array([(types.get(k, []) + [zero] * (depth + 1))[i] for k in CARRIERS])
+                         for i in range(max(depth, 1))]
+        # the carrier supplies (((s0 + s1) + s2) + s3) - s4 - s5 (a zero row changes no residual)
+        e_net, g_net, h_net = (net + i for i in range(len(CARRIERS)))
+        self.supply = np.array([
+            [flow["p_e_buy"], flow["p_dg"], flow["p_gt_e"], e_net, flow["p_p2g_e"], zero],
+            [flow["p_g_buy"], flow["p_p2g_g"], g_net, zero, flow["p_g_gt"], flow["p_g_gb"]],
+            [flow["p_gt_h"], flow["p_gb_h"], h_net, zero, zero, zero],
+        ]).T
+        store_params = [case.storage(k) for k in stores]
+        self.initial = np.array([sto.soc_initial_frac * sto.capacity_kwh for sto in store_params])
+        self.sto_ch, self.sto_dis, self.sto_soc = (sto_rows[:, i] for i in range(3))
+        self.exp = np.arange(exp, exp + len(stores))
+        self.soc_prev = (self.sto_soc[:, None], np.maximum(np.arange(periods) - 1, 0)[None, :])
+        self.charge_dt = np.array([sto.charge_eff * dt for sto in store_params])[:, None]
+        self.dt_discharge = np.array([dt / sto.discharge_eff for sto in store_params])[:, None]
+        self.ramp = np.arange(ramp, ramp + len(ramps))
+        steps = np.arange(1, periods)
+        # column 0 repeats column 1, the step into period 1
+        self.ramp_next = (np.array([r for r, _ in ramps], dtype=np.int64)[:, None], np.concatenate(([1], steps))[None, :])
+        self.ramp_prev = (self.ramp_next[0], np.concatenate(([0], steps - 1))[None, :])
+        self.subst_rows = np.array([dr_row[k, SUBSTITUTE] for k in subst], dtype=np.int64)
+        self.subst_conversion = np.array([case.dr.subst_conversion.get(k, 1.0) for k in subst])[:, None]
+
+        absolute, over, scalar, checks = [], [], [], []
+
+        def add_abs(name, u, v, tol, cv=1.0):
+            checks.append((name, ("abs", len(absolute)), tol))
+            absolute.append((u, v, cv))
+
+        def add_over(name, a, h, tol, l=zero, b=zero, ca=1.0, ch=1.0, cb=1.0):
+            checks.append((name, ("over", len(over)), tol))
+            over.append((a, h, l, b, ca, ch, cb))
+
+        for i, k in enumerate(CARRIERS):
+            peak = max(max(case.loads[k].values), 1.0)
+            add_abs(f"adjusted_load_{k}", adj + i, sol_adjusted + i, 1e-6 * peak)
+        for i, k in enumerate(CARRIERS):
+            peak = max(max(case.loads[k].values), 1.0)
+            add_abs(f"balance_{k}", sup + i, adj + i, 1e-6 * peak)
+        ramp_of = {r: (ramp + i, step) for i, (r, step) in enumerate(ramps)}
+
+        def add_ramp(name, r, tol):
+            # one period has no step: over(0, 0) is 0
+            source, step = ramp_of.get(r, (zero, 0.0))
+            add_over(name, source, const(step), tol)
+
+        if p2g:
+            scale = max(p2g.capacity_kw, 1.0)
+            add_abs("p2g_coupling", flow["p_p2g_g"], flow["p_p2g_e"], 1e-6 * scale, p2g.efficiencies.get("gas", 0.0))
+            add_over("p2g_capacity", flow["p_p2g_e"], const(p2g.capacity_kw), 1e-6 * scale)
+            add_ramp("p2g_ramp", flow["p_p2g_e"], 1e-6 * scale)
+        if gt:
+            scale = max(gt_cap, 1.0)
+            if case.chp.extraction_mode:
+                add_over("chp_e_fuel", flow["p_gt_e"], flow["p_g_gt"], 1e-6 * scale, ch=eps_e)
+                add_over("chp_h_fuel", flow["p_gt_h"], flow["p_g_gt"], 1e-6 * scale, ch=eps_h)
+            else:
+                add_abs("chp_e_coupling", flow["p_gt_e"], flow["p_g_gt"], 1e-6 * scale, eps_e)
+                add_abs("chp_h_coupling", flow["p_gt_h"], flow["p_g_gt"], 1e-6 * scale, eps_h)
+            add_over("chp_ratio", flow["p_gt_e"], flow["p_gt_h"], 1e-6 * scale, l=flow["p_gt_h"], b=flow["p_gt_e"],
+                     ca=case.chp.ratio_min, cb=case.chp.ratio_max)
+            add_over("chp_fuel_capacity", flow["p_g_gt"], const(gt_cap), 1e-6 * scale)
+            if whb:
+                add_over("chp_whb_capacity", flow["p_gt_h"], const(whb_cap), 1e-6 * scale)
+            add_ramp("chp_ramp", flow["p_g_gt"], 1e-6 * scale)
+        if gb:
+            scale = max(gb.capacity_kw, 1.0)
+            add_abs("gb_coupling", flow["p_gb_h"], flow["p_g_gb"], 1e-6 * scale, gb.efficiencies.get("heat", 0.0))
+            add_over("gb_capacity", flow["p_g_gb"], const(gb.capacity_kw), 1e-6 * scale)
+            add_ramp("gb_ramp", flow["p_g_gb"], 1e-6 * scale)
+        add_over("wind_availability", flow["p_dg"], const(np.minimum(case.wind_profile, case.wind_max_kw)),
+                 1e-6 * max(case.wind_max_kw, 1.0))
+        for k, name, cap in zip((ELECTRIC, GAS), ("p_e_buy", "p_g_buy"), case.purchase_caps):
+            add_over(f"purchase_cap_{k}", flow[name], const(cap), 1e-6 * max(cap, 1.0))
+
+        for j, (k, sto) in enumerate(zip(stores, store_params)):
+            cap = sto.capacity_kwh
+            plim, tol = const(sto.power_limit_fraction * cap), 1e-6 * max(cap, 1.0)
+            ch, dis, soc = sto_rows[j].tolist()
+            add_abs(f"storage_{k}_recursion", soc, exp + j, tol)
+            checks.append((f"storage_{k}_terminal", ("terminal", j), tol))
+            add_over(f"storage_{k}_soc_bounds", soc, const(sto.soc_max_frac * cap), tol,
+                     l=const(sto.soc_min_frac * cap), b=soc)
+            add_over(f"storage_{k}_power", ch, plim, tol, l=dis, b=plim)
+            checks.append((f"storage_{k}_exclusive", ("exclusive", j), tol))
+
+        dec = decompose_loads(case)
+        for k, per_type in dr_keys:
+            load_sum = max(sum(case.loads[k].values), 1.0)
+            for dtype in per_type:
+                base = np.asarray(dec.shiftable_base[k] if dtype == SHIFT else dec.substitutable_base[k])
+                override = case.dr.shift_bounds.get(k) if dtype == SHIFT else None
+                lo, hi = (-base, base) if override is None else override
+                series = dr_row[k, dtype]
+                add_over(f"dr_window_{dtype}_{k}", series, const(hi), 1e-6 * load_sum, l=const(lo), b=series)
+                if dtype == SHIFT or case.dr.literal_eq2:
+                    checks.append((f"dr_net_{dtype}_{k}", ("net", len(scalar)), 1e-6 * load_sum))
+                    scalar.append(series)
+        if subst:
+            scale = max(sum(max(case.loads[k].values) for k in subst), 1.0)
+            add_abs("dr_subst_coupling", self.sub, zero, 1e-6 * scale)
+        self.dr_net = np.array(scalar, dtype=np.int64)
+
+        self.u, self.v, cv = (np.array(side) for side in zip(*absolute))
+        self.cv = cv[:, None]
+        self.a, self.h, self.l, self.b, *coeffs = (np.array(side) for side in zip(*over))
+        self.ca, self.ch, self.cb = (c[:, None] for c in coeffs)
+        start = {"abs": 0, "over": len(absolute), "terminal": len(absolute) + len(over)}
+        start["exclusive"] = start["terminal"] + len(stores)
+        start["net"] = start["exclusive"] + len(stores)
+        self.checks = [(name, start[family] + i, tol) for name, (family, i), tol in checks]
+        self.stores = stores
+        self.pool = np.zeros((first_const + len(consts), periods))
+        for i, values in enumerate(consts, first_const):
+            self.pool[i] = values
+
+        self.satisfaction_min = case.dr.satisfaction_min
+        self.prices = np.array([case.tariffs.electricity_price, case.tariffs.gas_price], dtype=float)
+        self.mu_dt = [(case.dr.mu_shift if dtype == SHIFT else case.dr.mu_subst) * dt
+                      for _, per_type in dr_keys for dtype in per_type]
+        omega = case.maintenance
+        self.maint_rows = np.array([flow[name] for name in ("p_dg", "p_p2g_g", "p_gt_e", "p_gt_h", "p_gb_h")])
+        self.maint_weights = np.array([omega.get(unit, 0.0) for unit in ("wind", "P2G", "GT", "WHB", "GB")])[:, None]
+        self.store_weights = np.array([omega.get(f"storage_{k}", 0.0) for k in stores])[:, None]
+        self.envelopes = None
+        if priced:
+            carbon = case.carbon  # its quadratics are every mechanism's (`_policy`)
+            self.envelopes = [
+                tangent_envelope(quad, x_max, segments) if x_max > 0 else quad_value(quad, 0.0)
+                for quad, x_max in ((carbon.coal_quad, case.purchase_caps[0]),
+                                    (carbon.gas_quad, sum(_gas_unit_reach(case))))]
+
+
+def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=None, plan=None) -> VerificationReport:
     """Recompute every model identity from the schedules and case data.
 
     Covers carrier balances, device couplings and limits, ramps, storage
@@ -867,163 +1105,85 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
     within tolerance.  A residual is the largest violation over the periods,
     computed on whole schedules at once; each per-period value is the
     floating-point result of the scalar formula, and the cost and emission
-    sums add the periods left to right.  ``overlaps`` is
+    sums add the periods left to right.  A NaN anywhere in a check's
+    values makes its residual NaN, so the check fails.
+
+    What the checks read of the case is laid out once in a check plan
+    (`_CheckPlan`); ``plan`` is one built for this case, or for one that
+    differs from it only in ``carbon.lambda_base`` and
+    ``carbon.interval_d``, which no plan reads (a sweep chunk hands its
+    points the plan of the first).  Without one, or with one laid out for
+    another shape of solution, the call builds its own.  ``overlaps`` is
     ``_storage_overlaps(case, sol.storage)`` when the caller has it already.
     """
     scenario = as_scenario(scenario)
-    dt = case.horizon.step_hours
-    checks: list[tuple[str, float, float]] = []
-    failures: list[str] = []
+    if plan is None or plan.shape != _solution_shape(sol):
+        plan = _CheckPlan(case, sol)
+    dt = plan.dt
+    pool = plan.pool.copy()
+    pool[:plan.inputs] = [*(getattr(sol, name) for name in _FLOWS),
+                          *(series for s in sol.storage.values() for series in (s.charge, s.discharge, s.soc)),
+                          *(series for per_type in sol.dr_delta.values() for series in per_type.values()),
+                          *(sol.adjusted_loads[k] for k in CARRIERS)]
+    e_buy, g_buy, _, _, p2g_g, _, gt_e, gt_h, _, gb_h = pool[:len(_FLOWS)]
+    # the rows worked out per call: net storage output, reshaped loads, supplies,
+    # expected states of charge, ramps and the substitution balance
+    pool[plan.net] = pool[plan.net_dis] - pool[plan.net_ch]
+    added = 0.0 + pool[plan.dr_added[0]]
+    for rows in plan.dr_added[1:]:
+        added = added + pool[rows]
+    adjusted = pool[plan.adj] = pool[plan.loads] + added
+    gas_load = adjusted[CARRIERS.index(GAS)]
+    s = pool[plan.supply]
+    pool[plan.sup] = ((((s[0] + s[1]) + s[2]) + s[3]) - s[4]) - s[5]
+    if plan.stores:
+        soc_prev = pool[plan.soc_prev]
+        soc_prev[:, 0] = plan.initial
+        pool[plan.exp] = (soc_prev + plan.charge_dt * pool[plan.sto_ch]) - plan.dt_discharge * pool[plan.sto_dis]
+    if plan.ramp.size:
+        pool[plan.ramp] = np.abs(pool[plan.ramp_next] - pool[plan.ramp_prev])
+    if plan.subst_rows.size:
+        terms = plan.subst_conversion * pool[plan.subst_rows]
+        net = 0.0 + terms[0]
+        for term in terms[1:]:
+            net = net + term
+        pool[plan.sub] = net
 
-    def check(name: str, residual: float, tol: float):
-        residual = float(residual)
-        checks.append((name, residual, tol))
-        if not (residual <= tol):
-            failures.append(f"{name}: residual {residual:.3e} exceeds {tol:.3e}")
-
-    e_buy, g_buy, dg, p2g_e, p2g_g, g_gt, gt_e, gt_h, g_gb, gb_h = (np.asarray(getattr(sol, name), dtype=float) for name in (
-        "p_e_buy", "p_g_buy", "p_dg", "p_p2g_e", "p_p2g_g", "p_g_gt", "p_gt_e", "p_gt_h", "p_g_gb", "p_gb_h"))
-    storage = {k: tuple(np.asarray(v, dtype=float) for v in (sched.charge, sched.discharge, sched.soc))
-               for k, sched in sol.storage.items()}
-    dr_delta = {k: {dtype: np.asarray(series, dtype=float) for dtype, series in per_type.items()}
-                for k, per_type in sol.dr_delta.items()}
-    loads = {k: np.asarray(case.loads[k].values, dtype=float) for k in CARRIERS}
-
-    # demand-response deltas and reshaped loads
-    adjusted = {k: loads[k] + sum(dr_delta.get(k, {}).values()) for k in CARRIERS}
-    for k in CARRIERS:
-        peak = max(max(case.loads[k].values), 1.0)
-        check(f"adjusted_load_{k}", _peak(np.abs(adjusted[k] - sol.adjusted_loads[k])), 1e-6 * peak)
-
-    # carrier balances
-    def net_storage(k):
-        return storage[k][1] - storage[k][0] if k in storage else 0.0
-
-    for k, supply in (
-        (ELECTRIC, e_buy + dg + gt_e + net_storage(ELECTRIC) - p2g_e),
-        (GAS, g_buy + p2g_g + net_storage(GAS) - g_gt - g_gb),
-        (HEAT, gt_h + gb_h + net_storage(HEAT)),
-    ):
-        peak = max(max(case.loads[k].values), 1.0)
-        check(f"balance_{k}", _peak(np.abs(supply - adjusted[k])), 1e-6 * peak)
-
-    # device couplings, limits, ramps
-    gt, whb, eps_e, eps_h, gt_cap, whb_cap = chp_params(case)
-    gb = case.converter("GB")
-    p2g = case.converter("P2G")
-
-    def ramp_residual(series, cap, frac):
-        # the step from period t-1 to t, for t >= 1
-        return _peak(_over(np.abs(series[1:] - series[:-1]), frac * cap))
-
-    if p2g:
-        eta = p2g.efficiencies.get("gas", 0.0)
-        scale = max(p2g.capacity_kw, 1.0)
-        check("p2g_coupling", _peak(np.abs(p2g_g - eta * p2g_e)), 1e-6 * scale)
-        check("p2g_capacity", _peak(_over(p2g_e, p2g.capacity_kw)), 1e-6 * scale)
-        check("p2g_ramp", ramp_residual(p2g_e, p2g.capacity_kw, p2g.ramp_fraction), 1e-6 * scale)
-    if gt:
-        scale = max(gt_cap, 1.0)
-        if case.chp.extraction_mode:
-            check("chp_e_fuel", _peak(_over(gt_e, eps_e * g_gt)), 1e-6 * scale)
-            check("chp_h_fuel", _peak(_over(gt_h, eps_h * g_gt)), 1e-6 * scale)
-        else:
-            check("chp_e_coupling", _peak(np.abs(gt_e - eps_e * g_gt)), 1e-6 * scale)
-            check("chp_h_coupling", _peak(np.abs(gt_h - eps_h * g_gt)), 1e-6 * scale)
-        check(
-            "chp_ratio",
-            _peak(np.maximum(_over(case.chp.ratio_min * gt_e, gt_h), _over(gt_h, case.chp.ratio_max * gt_e))),
-            1e-6 * scale,
-        )
-        check("chp_fuel_capacity", _peak(_over(g_gt, gt_cap)), 1e-6 * scale)
-        if whb:
-            check("chp_whb_capacity", _peak(_over(gt_h, whb_cap)), 1e-6 * scale)
-        check("chp_ramp", ramp_residual(g_gt, gt_cap, gt.ramp_fraction), 1e-6 * scale)
-    if gb:
-        phi = gb.efficiencies.get("heat", 0.0)
-        scale = max(gb.capacity_kw, 1.0)
-        check("gb_coupling", _peak(np.abs(gb_h - phi * g_gb)), 1e-6 * scale)
-        check("gb_capacity", _peak(_over(g_gb, gb.capacity_kw)), 1e-6 * scale)
-        check("gb_ramp", ramp_residual(g_gb, gb.capacity_kw, gb.ramp_fraction), 1e-6 * scale)
-
-    avail = np.minimum(case.wind_profile, case.wind_max_kw)  # from the case, not the build's VarMap
-    check("wind_availability", _peak(_over(dg, avail)), 1e-6 * max(case.wind_max_kw, 1.0))
-    check("purchase_cap_electric", _peak(_over(e_buy, case.purchase_caps[0])),
-          1e-6 * max(case.purchase_caps[0], 1.0))
-    check("purchase_cap_gas", _peak(_over(g_buy, case.purchase_caps[1])),
-          1e-6 * max(case.purchase_caps[1], 1.0))
-
+    absolute = np.abs(pool[plan.u] - plan.cv * pool[plan.v])
+    over = np.maximum(np.maximum(plan.ca * pool[plan.a] - plan.ch * pool[plan.h], 0.0),
+                      np.maximum(pool[plan.l] - plan.cb * pool[plan.b], 0.0))
+    residuals = np.concatenate((absolute, over)).max(axis=1).tolist()
+    residuals += np.abs(pool[plan.sto_soc, -1] - plan.initial).tolist()
     if overlaps is None:
         overlaps = _storage_overlaps(case, sol.storage)
-    for k, (charge, discharge, soc) in storage.items():
-        sto = case.storage(k)
-        cap = sto.capacity_kwh
-        plim = sto.power_limit_fraction * cap
-        tol = 1e-6 * max(cap, 1.0)
-        initial = sto.soc_initial_frac * cap
-        # soc[t] against soc[t-1] + charge - discharge, soc[-1] the initial charge
-        soc_prev = np.concatenate(([initial], soc[:-1]))
-        expect = soc_prev + sto.charge_eff * dt * charge - dt / sto.discharge_eff * discharge
-        check(f"storage_{k}_recursion", _peak(np.abs(soc - expect)), tol)
-        check(f"storage_{k}_terminal", abs(soc[-1] - initial), tol)
-        check(f"storage_{k}_soc_bounds",
-              _peak(np.maximum(_over(soc, sto.soc_max_frac * cap), _over(sto.soc_min_frac * cap, soc))), tol)
-        check(f"storage_{k}_power", _peak(np.maximum(_over(charge, plim), _over(discharge, plim))), tol)
-        check(f"storage_{k}_exclusive", max((v for (c, _), v in overlaps.items() if c == k), default=0.0), tol)
+    overlapping = {k: [] for k in plan.stores}
+    for (k, _), value in overlaps.items():
+        overlapping.get(k, []).append(value)
+    residuals += [_peak(np.array(overlapping[k])) for k in plan.stores]
+    residuals += [abs(sum(series)) for series in pool[plan.dr_net].tolist()]
+    checks = [(name, residuals[i], tol) for name, i, tol in plan.checks]
 
-    # demand-response arithmetic
-    dec = decompose_loads(case)
-    for k, per_type in dr_delta.items():
-        load_sum = max(sum(case.loads[k].values), 1.0)
-        for dtype, series in per_type.items():
-            base = np.asarray(dec.shiftable_base[k] if dtype == SHIFT else dec.substitutable_base[k])
-            override = case.dr.shift_bounds.get(k) if dtype == SHIFT else None
-            lo, hi = (-base, base) if override is None else override
-            check(f"dr_window_{dtype}_{k}", _peak(np.maximum(_over(series, hi), _over(lo, series))),
-                  1e-6 * load_sum)
-            if dtype == SHIFT or case.dr.literal_eq2:
-                check(f"dr_net_{dtype}_{k}", abs(sum(series.tolist())), 1e-6 * load_sum)
-    if not case.dr.literal_eq2:
-        subst = {k: per_type[SUBSTITUTE] for k, per_type in dr_delta.items() if SUBSTITUTE in per_type}
-        if subst:
-            scale = max(sum(max(case.loads[k].values) for k in subst), 1.0)
-            net = sum(case.dr.subst_conversion.get(k, 1.0) * series for k, series in subst.items())
-            check("dr_subst_coupling", _peak(np.abs(net)), 1e-6 * scale)
-    original = {k: case.loads[k].values for k in CARRIERS}
-    adjusted = {k: tuple(v.tolist()) for k, v in adjusted.items()}
-    index = satisfaction_index(original, adjusted)
-    check("satisfaction_floor", max(0.0, case.dr.satisfaction_min - index), 1e-9)
+    def check(name: str, residual: float, tol: float):
+        checks.append((name, float(residual), tol))
+
+    index = satisfaction_index(dict(zip(CARRIERS, pool[plan.loads])), dict(zip(CARRIERS, adjusted)))
+    shortfall = plan.satisfaction_min - index
+    check("satisfaction_floor", shortfall if not shortfall <= 0.0 else 0.0, 1e-9)  # max(0, shortfall), NaN kept
     check("satisfaction_value", abs(index - sol.satisfaction), 1e-9)
 
     # cost breakdown
-    tariffs = case.tariffs
-    buy = dt * sum((np.multiply(tariffs.electricity_price, e_buy)
-                    + np.multiply(tariffs.gas_price, g_buy)).tolist())
+    buy = dt * sum((plan.prices[0] * e_buy + plan.prices[1] * g_buy).tolist())
     dr_cost = 0.0
-    for k, per_type in dr_delta.items():
-        for dtype, series in per_type.items():
-            mu = case.dr.mu_shift if dtype == SHIFT else case.dr.mu_subst
-            dr_cost += mu * dt * sum(np.abs(series).tolist())
-    omega = case.maintenance
-    maint = dt * sum((
-        omega.get("wind", 0.0) * dg
-        + omega.get("P2G", 0.0) * p2g_g
-        + omega.get("GT", 0.0) * gt_e
-        + omega.get("WHB", 0.0) * gt_h
-        + omega.get("GB", 0.0) * gb_h
-        + sum(omega.get(f"storage_{k}", 0.0) * (charge + discharge) for k, (charge, discharge, _) in storage.items())
-    ).tolist())
+    for mu_dt, series in zip(plan.mu_dt, np.abs(pool[plan.dr_rows]).tolist()):
+        dr_cost += mu_dt * sum(series)
+    m = plan.maint_weights * pool[plan.maint_rows]
+    stored = 0
+    for term in plan.store_weights * (pool[plan.sto_ch] + pool[plan.sto_dis]):
+        stored = stored + term
+    maint = dt * sum((m[0] + m[1] + m[2] + m[3] + m[4] + stored).tolist())
     policy = _policy(case, scenario)
-    schedule = FlowSchedule(
-        step_hours=dt,
-        p_e_buy=sol.p_e_buy,
-        p_gt_e=sol.p_gt_e,
-        p_gt_h=sol.p_gt_h,
-        p_gb_h=sol.p_gb_h,
-        p_g_load=adjusted[GAS],
-        p_p2g_g=sol.p_p2g_g,
-    )
-    account = emission_account(schedule, policy)
+    account = emission_account(FlowSchedule(step_hours=dt, p_e_buy=e_buy, p_gt_e=gt_e, p_gt_h=gt_h, p_gb_h=gb_h,
+                                            p_g_load=gas_load, p_p2g_g=p2g_g), policy)
     carbon_exact = carbon_mod.carbon_cost(account.trading_share, policy)
 
     def rel(name, got, want, scale=None):
@@ -1042,16 +1202,10 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
     )
 
     # linearized emission surrogate and objective identity
-    carbon_priced = sol.surrogate_actual_kg is not None
-    if carbon_priced:
-        cap_e = case.purchase_caps[0]
-        q_max = sum(_gas_unit_reach(case))
-        n = sol.pwl_segments
-        coal = (pwl_convex_value(policy.coal_quad, cap_e, n, e_buy)
-                if cap_e > 0 else quad_value(policy.coal_quad, 0.0))
-        gas = (pwl_convex_value(policy.gas_quad, q_max, n, gt_e + gt_h + gb_h)
-               if q_max > 0 else quad_value(policy.gas_quad, 0.0))
-        surrogate = sum((dt * (coal + gas + policy.delta_gasload * np.asarray(adjusted[GAS])
+    if plan.envelopes is not None:
+        coal, gas = (envelope.value(x) if isinstance(envelope, TangentEnvelope) else envelope
+                     for envelope, x in zip(plan.envelopes, (e_buy, gt_e + gt_h + gb_h)))
+        surrogate = sum((dt * (coal + gas + policy.delta_gasload * gas_load
                                - policy.theta_p2g * p2g_g)).tolist())
         rel("surrogate_actual", sol.surrogate_actual_kg, surrogate,
             scale=max(abs(surrogate), account.actual.total, 1.0))
@@ -1069,6 +1223,8 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
         expected_obj = buy + dr_cost + maint
     check("objective_identity", abs(sol.objective - expected_obj), 1e-6 * max(1.0, abs(expected_obj)))
 
+    failures = [f"{name}: residual {residual:.3e} exceeds {tol:.3e}" for name, residual, tol in checks
+                if not (residual <= tol)]
     return VerificationReport(passed=not failures, checks=checks, failures=failures)
 
 
@@ -1077,14 +1233,21 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
 
 @dataclass
 class _ModelSlot:
-    """A sweep chunk's model, kept from one point to the next.
+    """A sweep chunk's model and check plan, kept from one point to the next.
 
     ``held`` is (case, model, VarMap) of the last point that ended verified
-    with no gate added, or None.  The embedded backend keeps the model's
-    HiGHS core beside the model, so the core lives as long as it is held.
+    with no gate added, or None, and ``plan`` the check plan that point's
+    solution was verified with (`_CheckPlan`).  The embedded backend keeps
+    the model's HiGHS core beside the model, so the core lives as long as
+    it is held.  The plan is handed on with the model, so exactly when
+    `_repriceable` holds: the next point's case then differs from the
+    held one only in ``lambda_base`` and ``interval_d``, which the plan
+    does not read, and its re-priced model has the same VarMap, so its
+    solution has the shape the plan was laid out for.
     """
 
     held: tuple | None = None
+    plan: _CheckPlan | None = None
 
 
 _model_slot: ContextVar[_ModelSlot | None] = ContextVar("sweep_model", default=None)
@@ -1123,10 +1286,10 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
-    slot, held = _model_slot.get(), None
+    slot, held, plan = _model_slot.get(), None, None
     solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
     if slot is not None:
-        held, slot.held = slot.held, None
+        held, plan, slot.held, slot.plan = slot.held, slot.plan, None, None
     if held is not None and _repriceable(held, case, scenario, options):
         # not validated again: it is the held, validated case but for lambda_base and
         # interval_d, which _sweep's check_grid kept positive and finite, all validate_case asks
@@ -1134,6 +1297,7 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
         _reprice(case, model, vm)
     else:
         model, vm = build_model(case, scenario, options)
+        plan = None
     # gates on demand (module docstring): a round that leaves no ungated
     # pair overlapping is the last; verify_solution judges the gated ones
     nodes, wall_time = 0, 0.0
@@ -1152,12 +1316,14 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
             break
         add_gates(case, model, vm, failing)
     sol.nodes, sol.wall_time = nodes, wall_time
-    report = verify_solution(case, scenario, sol, overlaps)
+    if plan is None or plan.shape != _solution_shape(sol):
+        plan = _CheckPlan(case, sol)
+    report = verify_solution(case, scenario, sol, overlaps, plan)
     if not report.passed:
         raise VerificationError(scenario.id, report.failures)
     sol.verification = report
     if slot is not None and not any(blk.gate for blk in vm.storage.values()):
-        slot.held = case, model, vm
+        slot.held, slot.plan = (case, model, vm), plan
     return sol
 
 

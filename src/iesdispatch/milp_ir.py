@@ -539,18 +539,29 @@ def pwl_convex_error_bound(c: float, x_max: float, segments: int) -> float:
     return c * (x_max / segments) ** 2 / 4.0
 
 
-def pwl_convex_value(quad, x_max: float, segments: int, x):
-    """Value of the pwl_convex tangent envelope at a point, or at each point of an array.
+class TangentEnvelope(NamedTuple):
+    """The tangents of a pwl_convex envelope: breakpoints, the quadratic's values and slopes there."""
 
-    This is what the model variable equals under downward objective
-    pressure; verification recomputes it from a schedule without a model.
-    Each tangent is evaluated in the operation order of `quad_value`.
+    xi: np.ndarray
+    fi: np.ndarray
+    slope: np.ndarray
+
+    def value(self, x):
+        """The envelope at a point, or at each point of an array: the largest tangent there."""
+        best = np.max(self.fi + self.slope * (np.asarray(x, dtype=float)[..., None] - self.xi), axis=-1)
+        return float(best) if best.ndim == 0 else best
+
+
+def tangent_envelope(quad, x_max: float, segments: int) -> TangentEnvelope:
+    """The tangents `pwl_convex` cuts at for one quadratic, each value in the operation order of `quad_value`.
+
+    Its ``value`` is what the envelope variable equals under downward
+    objective pressure; verification recomputes it from a schedule without
+    a model.
     """
     a, b, c = (float(v) for v in quad)
     xi = x_max * np.arange(segments + 1) / segments
-    slope = b + 2.0 * c * xi
-    best = np.max(a + b * xi + c * xi * xi + slope * (np.asarray(x, dtype=float)[..., None] - xi), axis=-1)
-    return float(best) if best.ndim == 0 else best
+    return TangentEnvelope(xi, a + b * xi + c * xi * xi, b + 2.0 * c * xi)
 
 
 def pwl_convex(model: MilpModel, x_cols, x_coeffs, quads, x_max, segments: int, names) -> np.ndarray:

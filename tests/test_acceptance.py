@@ -21,7 +21,7 @@ from iesdispatch.dispatch import (
     sweep_lambda,
     verify_solution,
 )
-from iesdispatch.milp_ir import pwl_convex_error_bound, pwl_convex_value, quad_value
+from iesdispatch.milp_ir import pwl_convex_error_bound, quad_value, tangent_envelope
 from iesdispatch.model_core import (
     default_case_path,
     load_case,
@@ -29,6 +29,11 @@ from iesdispatch.model_core import (
     scale_profiles,
 )
 from iesdispatch.solver import solve_milp
+
+
+def pwl_convex_value(quad, x_max, segments, x):
+    """The tangent envelope of ``quad`` at ``x``, as verification evaluates it."""
+    return tangent_envelope(quad, x_max, segments).value(x)
 
 
 @pytest.fixture(scope="module")

@@ -30,9 +30,14 @@ from iesdispatch.milp_ir import (
     linear_form,
     pwl_convex,
     pwl_convex_error_bound,
-    pwl_convex_value,
     quad_value,
+    tangent_envelope,
 )
+
+
+def pwl_convex_value(quad, x_max, segments, x):
+    """The tangent envelope of ``quad`` at ``x``, as verification evaluates it."""
+    return tangent_envelope(quad, x_max, segments).value(x)
 
 
 def _form(ids, coeffs, constant=0.0) -> LinearForm:
