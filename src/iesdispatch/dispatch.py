@@ -65,7 +65,14 @@ compiled arrays, and the embedded backend keeps its HiGHS core beside it
 re-priced point pays for its costs, the knee rows it moves and the simplex
 iterations, not for what stayed.  A point passes the model on only if it
 ended verified with no gate added, so a gated or failed point makes the
-next one build afresh, and so load a new core.
+next one build afresh, and so load a new core.  The slot keeps the check
+plan that point's solution was verified with beside the model
+(`_CheckPlan`: what `verify_solution` reads of the case), and hands it on
+with the model.  The plan reads neither lambda nor d, and the re-priced
+model has the same VarMap, so the next point's solution has the shape it
+was laid out for: reusing it is exact.  Extraction reads the VarMap
+through a read layout kept on the VarMap (`_ReadLayout`), so a re-priced
+point works out neither the plan nor the layout again.
 
 Powers are kW, energies kWh, emissions kg, money in currency units.
 """
@@ -74,6 +81,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -263,6 +271,9 @@ class VarMap:
     period t, or to None for an absent device.  ``cost_buy``, ``cost_dr``,
     ``cost_maint`` and ``carbon_cost`` are the parts of the objective
     (`_objective`); a re-price replaces only ``carbon_cost``.
+    ``knees_d`` is the ``interval_d`` the ladder's knee rows were set for.
+    ``read`` is `_extract`'s layout of these handles, worked out at its
+    first call.
     """
 
     scenario: ScenarioSpec
@@ -278,6 +289,7 @@ class VarMap:
     ladder: CarbonLadder | None = None
     actual: LinearForm | None = None
     pwl_bound_kg: float = 0.0
+    knees_d: float | None = None
     read: "_ReadLayout | None" = field(default=None, repr=False, compare=False)
 
 
@@ -558,6 +570,7 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
             case, options, model, vm.dr, policy, tags, flows
         )
         vm.carbon_cost, _ = carbon_mod.price_ladder(vm.ladder, policy)
+        vm.knees_d = policy.interval_d
     model.set_objective(*_objective(vm))
     return model, vm
 
@@ -583,12 +596,17 @@ def _reprice(case: CaseData, model: MilpModel, vm: VarMap) -> None:
     ``lambda_base > 0``: those two enter only the ladder's costs and knee
     right-hand sides, which `carbon.price_ladder` computes here as in the
     build, and ``set_objective`` sums the forms of `_objective` as there.
+    The knee rows are set again only when ``interval_d`` moves, the one
+    field they read, so after a lambda step the model keeps its compiled
+    row bounds.
     """
     if vm.ladder is None:
         return
-    vm.carbon_cost, rhs = carbon_mod.price_ladder(
-        vm.ladder, _policy(case, vm.scenario))
-    model.set_rhs(vm.ladder.knees, rhs)
+    policy = _policy(case, vm.scenario)
+    vm.carbon_cost, rhs = carbon_mod.price_ladder(vm.ladder, policy)
+    if policy.interval_d != vm.knees_d:
+        model.set_rhs(vm.ladder.knees, rhs)
+        vm.knees_d = policy.interval_d
     model.set_objective(*_objective(vm))
 
 
@@ -906,7 +924,8 @@ class _CheckPlan:
     It is built from the case and the solution's shape (`_solution_shape`)
     alone: tolerances, limits, coupling coefficients, demand-response
     windows, tariffs and maintenance weights, and the tangents of the
-    emission envelopes.  It reads no carbon price: neither ``lambda_base``
+    emission envelopes (the two curves' tables stacked, so that one
+    evaluation covers both).  It reads no carbon price: neither ``lambda_base``
     nor ``interval_d`` enters it, so a sweep chunk's point whose case
     differs from the plan's only in those two (`_repriceable`) reuses it.
 
@@ -972,15 +991,16 @@ class _CheckPlan:
         ]).T
         store_params = [case.storage(k) for k in stores]
         self.initial = np.array([sto.soc_initial_frac * sto.capacity_kwh for sto in store_params])
-        self.sto_ch, self.sto_dis, self.sto_soc = (sto_rows[:, i] for i in range(3))
-        self.exp = np.arange(exp, exp + len(stores))
-        self.soc_prev = (self.sto_soc[:, None], np.maximum(np.arange(periods) - 1, 0)[None, :])
+        # each store's charge, discharge and state of charge rows, and its expected states of charge
+        self.sto = slice(len(_FLOWS), len(_FLOWS) + sto_rows.size)
+        self.exp = slice(exp, exp + len(stores))
         self.charge_dt = np.array([sto.charge_eff * dt for sto in store_params])[:, None]
         self.dt_discharge = np.array([dt / sto.discharge_eff for sto in store_params])[:, None]
         self.ramp = np.arange(ramp, ramp + len(ramps))
         steps = np.arange(1, periods)
         # column 0 repeats column 1, the step into period 1
-        self.ramp_next = (np.array([r for r, _ in ramps], dtype=np.int64)[:, None], np.concatenate(([1], steps))[None, :])
+        self.ramp_next = (np.array([r for r, _ in ramps], dtype=np.int64)[:, None],
+                          np.concatenate(([1], steps))[None, :])
         self.ramp_prev = (self.ramp_next[0], np.concatenate(([0], steps - 1))[None, :])
         self.subst_rows = np.array([dr_row[k, SUBSTITUTE] for k in subst], dtype=np.int64)
         self.subst_conversion = np.array([case.dr.subst_conversion.get(k, 1.0) for k in subst])[:, None]
@@ -1048,7 +1068,7 @@ class _CheckPlan:
             add_over(f"storage_{k}_power", ch, plim, tol, l=dis, b=plim)
             checks.append((f"storage_{k}_exclusive", ("exclusive", j), tol))
 
-        dec = decompose_loads(case)
+        dec = decompose_loads(case) if dr_keys else None
         for k, per_type in dr_keys:
             load_sum = max(sum(case.loads[k].values), 1.0)
             for dtype in per_type:
@@ -1065,10 +1085,12 @@ class _CheckPlan:
             add_abs("dr_subst_coupling", self.sub, zero, 1e-6 * scale)
         self.dr_net = np.array(scalar, dtype=np.int64)
 
-        self.u, self.v, cv = (np.array(side) for side in zip(*absolute))
-        self.cv = cv[:, None]
-        self.a, self.h, self.l, self.b, *coeffs = (np.array(side) for side in zip(*over))
-        self.ca, self.ch, self.cb = (c[:, None] for c in coeffs)
+        # each family's rows in one index array, so that a call gathers a family at once
+        u, v, cv = zip(*absolute)
+        self.uv, self.cv = np.array([u, v]), np.array(cv)[:, None]
+        *rows, ca, ch, cb = zip(*over)
+        self.ahlb = np.array(rows)
+        self.ca, self.ch, self.cb = (np.array(c)[:, None] for c in (ca, ch, cb))
         start = {"abs": 0, "over": len(absolute), "terminal": len(absolute) + len(over)}
         start["exclusive"] = start["terminal"] + len(stores)
         start["net"] = start["exclusive"] + len(stores)
@@ -1089,10 +1111,19 @@ class _CheckPlan:
         self.envelopes = None
         if priced:
             carbon = case.carbon  # its quadratics are every mechanism's (`_policy`)
-            self.envelopes = [
-                tangent_envelope(quad, x_max, segments) if x_max > 0 else quad_value(quad, 0.0)
-                for quad, x_max in ((carbon.coal_quad, case.purchase_caps[0]),
-                                    (carbon.gas_quad, sum(_gas_unit_reach(case))))]
+            quads, reach = (carbon.coal_quad, carbon.gas_quad), (case.purchase_caps[0], sum(_gas_unit_reach(case)))
+            if min(reach) > 0:
+                # both tangent tables at once, so that one evaluation covers both curves
+                tables = tangent_envelope(np.transpose(quads)[..., None], np.array(reach)[:, None], segments)
+                self.envelopes = TangentEnvelope(*(side[:, None] for side in tables))
+            else:
+                self.envelopes = [tangent_envelope(quad, x_max, segments) if x_max > 0 else quad_value(quad, 0.0)
+                                  for quad, x_max in zip(quads, reach)]
+
+
+def _plan_for(case: CaseData, sol: DispatchSolution, plan: _CheckPlan | None) -> _CheckPlan:
+    """``plan`` when it is laid out for the solution's shape, else a new plan of ``case``."""
+    return plan if plan is not None and plan.shape == _solution_shape(sol) else _CheckPlan(case, sol)
 
 
 def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=None, plan=None) -> VerificationReport:
@@ -1117,14 +1148,15 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
     ``_storage_overlaps(case, sol.storage)`` when the caller has it already.
     """
     scenario = as_scenario(scenario)
-    if plan is None or plan.shape != _solution_shape(sol):
-        plan = _CheckPlan(case, sol)
+    plan = _plan_for(case, sol, plan)
     dt = plan.dt
     pool = plan.pool.copy()
-    pool[:plan.inputs] = [*(getattr(sol, name) for name in _FLOWS),
-                          *(series for s in sol.storage.values() for series in (s.charge, s.discharge, s.soc)),
-                          *(series for per_type in sol.dr_delta.values() for series in per_type.values()),
-                          *(sol.adjusted_loads[k] for k in CARRIERS)]
+    inputs = [*(getattr(sol, name) for name in _FLOWS),
+              *(series for s in sol.storage.values() for series in (s.charge, s.discharge, s.soc)),
+              *(series for per_type in sol.dr_delta.values() for series in per_type.values()),
+              *(sol.adjusted_loads[k] for k in CARRIERS)]
+    pool[:plan.inputs] = np.fromiter(chain.from_iterable(inputs), float, plan.inputs * sol.periods).reshape(
+        plan.inputs, sol.periods)
     e_buy, g_buy, _, _, p2g_g, _, gt_e, gt_h, _, gb_h = pool[:len(_FLOWS)]
     # the rows worked out per call: net storage output, reshaped loads, supplies,
     # expected states of charge, ramps and the substitution balance
@@ -1136,10 +1168,13 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
     gas_load = adjusted[CARRIERS.index(GAS)]
     s = pool[plan.supply]
     pool[plan.sup] = ((((s[0] + s[1]) + s[2]) + s[3]) - s[4]) - s[5]
+    charge, discharge, soc = pool[plan.sto].reshape(-1, 3, sol.periods).transpose(1, 0, 2)
     if plan.stores:
-        soc_prev = pool[plan.soc_prev]
-        soc_prev[:, 0] = plan.initial
-        pool[plan.exp] = (soc_prev + plan.charge_dt * pool[plan.sto_ch]) - plan.dt_discharge * pool[plan.sto_dis]
+        expected = pool[plan.exp]  # the state of charge before each period, then the period's change
+        expected[:, 0] = plan.initial
+        expected[:, 1:] = soc[:, :-1]
+        expected += plan.charge_dt * charge
+        expected -= plan.dt_discharge * discharge
     if plan.ramp.size:
         pool[plan.ramp] = np.abs(pool[plan.ramp_next] - pool[plan.ramp_prev])
     if plan.subst_rows.size:
@@ -1149,11 +1184,13 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
             net = net + term
         pool[plan.sub] = net
 
-    absolute = np.abs(pool[plan.u] - plan.cv * pool[plan.v])
-    over = np.maximum(np.maximum(plan.ca * pool[plan.a] - plan.ch * pool[plan.h], 0.0),
-                      np.maximum(pool[plan.l] - plan.cb * pool[plan.b], 0.0))
-    residuals = np.concatenate((absolute, over)).max(axis=1).tolist()
-    residuals += np.abs(pool[plan.sto_soc, -1] - plan.initial).tolist()
+    u, v = pool[plan.uv]
+    a, h, l, b = pool[plan.ahlb]
+    family = np.empty((len(u) + len(a), sol.periods))
+    np.abs(u - plan.cv * v, out=family[:len(u)])
+    np.maximum(np.maximum(plan.ca * a - plan.ch * h, 0.0), np.maximum(l - plan.cb * b, 0.0), out=family[len(u):])
+    residuals = family.max(axis=1).tolist()
+    residuals += np.abs(soc[:, -1] - plan.initial).tolist()
     if overlaps is None:
         overlaps = _storage_overlaps(case, sol.storage)
     overlapping = {k: [] for k in plan.stores}
@@ -1178,7 +1215,7 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
         dr_cost += mu_dt * sum(series)
     m = plan.maint_weights * pool[plan.maint_rows]
     stored = 0
-    for term in plan.store_weights * (pool[plan.sto_ch] + pool[plan.sto_dis]):
+    for term in plan.store_weights * (charge + discharge):
         stored = stored + term
     maint = dt * sum((m[0] + m[1] + m[2] + m[3] + m[4] + stored).tolist())
     policy = _policy(case, scenario)
@@ -1203,8 +1240,12 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
 
     # linearized emission surrogate and objective identity
     if plan.envelopes is not None:
-        coal, gas = (envelope.value(x) if isinstance(envelope, TangentEnvelope) else envelope
-                     for envelope, x in zip(plan.envelopes, (e_buy, gt_e + gt_h + gb_h)))
+        curves = (e_buy, gt_e + gt_h + gb_h)
+        if isinstance(plan.envelopes, TangentEnvelope):
+            coal, gas = plan.envelopes.value(np.array(curves))
+        else:
+            coal, gas = (envelope.value(x) if isinstance(envelope, TangentEnvelope) else envelope
+                         for envelope, x in zip(plan.envelopes, curves))
         surrogate = sum((dt * (coal + gas + policy.delta_gasload * gas_load
                                - policy.theta_p2g * p2g_g)).tolist())
         rel("surrogate_actual", sol.surrogate_actual_kg, surrogate,
@@ -1261,10 +1302,19 @@ def _repriceable(held, case: CaseData, scenario: ScenarioSpec, options: Dispatch
     and ``carbon.interval_d``, with ``lambda_base > 0`` on both or on neither.
     """
     built, _, vm = held
-    carbon = replace(case.carbon, lambda_base=built.carbon.lambda_base, interval_d=built.carbon.interval_d)
     return (vm.scenario == scenario and vm.options == options
             and (case.carbon.lambda_base > 0) == (built.carbon.lambda_base > 0)
-            and replace(case, carbon=carbon) == built)
+            and _fields_but(case, "carbon") == _fields_but(built, "carbon")
+            and _fields_but(case.carbon, *_REPRICED) == _fields_but(built.carbon, *_REPRICED))
+
+
+# the carbon-policy fields a re-price sets (`_reprice`)
+_REPRICED = ("lambda_base", "interval_d")
+
+
+def _fields_but(record, *names) -> dict:
+    """A dataclass record's fields by name, ``names`` blanked: equal exactly when the records agree but in ``names``."""
+    return {**vars(record), **dict.fromkeys(names)}
 
 
 def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = None) -> DispatchSolution:
@@ -1282,7 +1332,9 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     adds gates the next one builds afresh.  The embedded backend solves a
     model's LPs on the core it keeps beside that model, so a re-priced
     point restarts on the core of the point before it and a built model
-    loads its own.
+    loads its own.  The check plan travels with the model: a re-priced
+    point verifies on the plan of the point before it, a built one on a
+    plan of its own, so no plan outlives its chunk.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
@@ -1316,8 +1368,7 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
             break
         add_gates(case, model, vm, failing)
     sol.nodes, sol.wall_time = nodes, wall_time
-    if plan is None or plan.shape != _solution_shape(sol):
-        plan = _CheckPlan(case, sol)
+    plan = _plan_for(case, sol, plan)
     report = verify_solution(case, scenario, sol, overlaps, plan)
     if not report.passed:
         raise VerificationError(scenario.id, report.failures)

@@ -548,7 +548,7 @@ class TangentEnvelope(NamedTuple):
 
     def value(self, x):
         """The envelope at a point, or at each point of an array: the largest tangent there."""
-        best = np.max(self.fi + self.slope * (np.asarray(x, dtype=float)[..., None] - self.xi), axis=-1)
+        best = (self.fi + self.slope * (np.asarray(x, dtype=float)[..., None] - self.xi)).max(axis=-1)
         return float(best) if best.ndim == 0 else best
 
 
@@ -557,9 +557,11 @@ def tangent_envelope(quad, x_max: float, segments: int) -> TangentEnvelope:
 
     Its ``value`` is what the envelope variable equals under downward
     objective pressure; verification recomputes it from a schedule without
-    a model.
+    a model.  The coefficients and ``x_max`` may be arrays, for one table
+    per entry: ``quad`` of shape (3, n, 1) and ``x_max`` of shape (n, 1)
+    give tables of shape (n, segments + 1).
     """
-    a, b, c = (float(v) for v in quad)
+    a, b, c = np.asarray(quad, dtype=float)
     xi = x_max * np.arange(segments + 1) / segments
     return TangentEnvelope(xi, a + b * xi + c * xi * xi, b + 2.0 * c * xi)
 
