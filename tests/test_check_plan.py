@@ -129,6 +129,12 @@ def test_every_tamper_verifies_as_before(reduced_s5, name):
     _assert_as_before(case, "S5", tampered)
 
 
+def test_a_curve_without_reach_verifies_as_before(reduced_s5):
+    # no electricity purchase: the coal curve's envelope is the constant f(0)
+    case, sol = reduced_s5
+    _assert_as_before(replace(case, purchase_caps=(0.0, case.purchase_caps[1])), "S5", sol)
+
+
 def _nan_checks(report) -> dict:
     return {name: residual for name, residual, _ in report.checks if math.isnan(residual)}
 

@@ -430,25 +430,44 @@ def test_compiled_arrays_are_read_only():
             array[0] = value
 
 
-@pytest.mark.parametrize("field, grid", [
-    ("lambda_base", [0.10 + 0.05 * i for i in range(11)]),
-    ("interval_d", [1000.0 + 250.0 * i for i in range(11)]),
-], ids=["lambda", "d"])
-def test_repriced_costs_are_the_fresh_build_bit_for_bit(field, grid):
+@pytest.mark.parametrize("steps", [
+    [{"lambda_base": 0.10 + 0.05 * i} for i in range(11)],
+    [{"interval_d": 1000.0 + 250.0 * i} for i in range(11)],
+    [{"lambda_base": 0.3, "interval_d": 1500.0}, {"lambda_base": 0.4}, {"interval_d": 2500.0},
+     {"lambda_base": 0.2}, {"lambda_base": 0.25, "interval_d": 1500.0}],
+], ids=["lambda", "d", "both"])
+def test_repriced_costs_are_the_fresh_build_bit_for_bit(steps):
     # one reduced-S5 model re-priced along a sweep's grid holds, at every
-    # point, the cost vector and constant a fresh build of that point has
+    # point, the cost vector, constant and row bounds a fresh build of that
+    # point has
     from iesdispatch import dispatch
     from iesdispatch.model_core import default_case_path, load_case, reduce_case
 
     case, options = reduce_case(load_case(default_case_path()), 2), dispatch.DispatchOptions(pwl_segments=4)
     model, vm = dispatch.build_model(case, "S5", options)
-    for value in grid:
-        point = replace(case, carbon=replace(case.carbon, **{field: value}))
+    point = case
+    for step in steps:
+        point = replace(point, carbon=replace(point.carbon, **step))
         dispatch._reprice(point, model, vm)
         fresh = dispatch.build_model(point, "S5", options)[0]
-        got, want = model.to_sparse()[:2], fresh.to_sparse()[:2]
-        assert got[0].tobytes() == want[0].tobytes(), value
-        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), value
+        got, want = model.to_sparse(), fresh.to_sparse()
+        for i in (0, 3, 4):
+            assert got[i].tobytes() == want[i].tobytes(), (step, i)
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), step
+
+
+def test_a_lambda_step_keeps_the_compiled_row_bounds():
+    # the knee rows read interval_d alone, so a lambda step leaves them set and compiled
+    from iesdispatch import dispatch
+    from iesdispatch.model_core import default_case_path, load_case, reduce_case
+
+    case, options = reduce_case(load_case(default_case_path()), 2), dispatch.DispatchOptions(pwl_segments=4)
+    model, vm = dispatch.build_model(case, "S5", options)
+    bounds = model.to_sparse()[3:5]
+    dispatch._reprice(replace(case, carbon=replace(case.carbon, lambda_base=0.4)), model, vm)
+    assert all(now is before for now, before in zip(model.to_sparse()[3:5], bounds))
+    dispatch._reprice(replace(case, carbon=replace(case.carbon, interval_d=900.0)), model, vm)
+    assert not any(now is before for now, before in zip(model.to_sparse()[3:5], bounds))
 
 
 @pytest.mark.parametrize("rows, values, message", [
