@@ -996,12 +996,7 @@ class _CheckPlan:
         self.exp = slice(exp, exp + len(stores))
         self.charge_dt = np.array([sto.charge_eff * dt for sto in store_params])[:, None]
         self.dt_discharge = np.array([dt / sto.discharge_eff for sto in store_params])[:, None]
-        self.ramp = np.arange(ramp, ramp + len(ramps))
-        steps = np.arange(1, periods)
-        # column 0 repeats column 1, the step into period 1
-        self.ramp_next = (np.array([r for r, _ in ramps], dtype=np.int64)[:, None],
-                          np.concatenate(([1], steps))[None, :])
-        self.ramp_prev = (self.ramp_next[0], np.concatenate(([0], steps - 1))[None, :])
+        self.ramp, self.ramped = slice(ramp, ramp + len(ramps)), np.array([r for r, _ in ramps], dtype=np.int64)
         self.subst_rows = np.array([dr_row[k, SUBSTITUTE] for k in subst], dtype=np.int64)
         self.subst_conversion = np.array([case.dr.subst_conversion.get(k, 1.0) for k in subst])[:, None]
 
@@ -1090,7 +1085,7 @@ class _CheckPlan:
         self.uv, self.cv = np.array([u, v]), np.array(cv)[:, None]
         *rows, ca, ch, cb = zip(*over)
         self.ahlb = np.array(rows)
-        self.ca, self.ch, self.cb = (np.array(c)[:, None] for c in (ca, ch, cb))
+        self.ca, self.ch, self.cb = np.array([ca, ch, cb])[:, :, None]
         start = {"abs": 0, "over": len(absolute), "terminal": len(absolute) + len(over)}
         start["exclusive"] = start["terminal"] + len(stores)
         start["net"] = start["exclusive"] + len(stores)
@@ -1113,9 +1108,9 @@ class _CheckPlan:
             carbon = case.carbon  # its quadratics are every mechanism's (`_policy`)
             quads, reach = (carbon.coal_quad, carbon.gas_quad), (case.purchase_caps[0], sum(_gas_unit_reach(case)))
             if min(reach) > 0:
-                # both tangent tables at once, so that one evaluation covers both curves
-                tables = tangent_envelope(np.transpose(quads)[..., None], np.array(reach)[:, None], segments)
-                self.envelopes = TangentEnvelope(*(side[:, None] for side in tables))
+                # both tangent tables stacked, so that one evaluation covers both curves
+                tables = np.array([tangent_envelope(quad, x_max, segments) for quad, x_max in zip(quads, reach)])
+                self.envelopes = TangentEnvelope(*tables.transpose(1, 0, 2)[:, :, None])
             else:
                 self.envelopes = [tangent_envelope(quad, x_max, segments) if x_max > 0 else quad_value(quad, 0.0)
                                   for quad, x_max in zip(quads, reach)]
@@ -1175,8 +1170,10 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
         expected[:, 1:] = soc[:, :-1]
         expected += plan.charge_dt * charge
         expected -= plan.dt_discharge * discharge
-    if plan.ramp.size:
-        pool[plan.ramp] = np.abs(pool[plan.ramp_next] - pool[plan.ramp_prev])
+    if plan.ramped.size:
+        ramped, steps = pool[plan.ramped], pool[plan.ramp]
+        np.abs(ramped[:, 1:] - ramped[:, :-1], out=steps[:, 1:])
+        steps[:, 0] = steps[:, 1]  # the step into period 1 again, which leaves the max as it is
     if plan.subst_rows.size:
         terms = plan.subst_conversion * pool[plan.subst_rows]
         net = 0.0 + terms[0]

@@ -557,13 +557,12 @@ def tangent_envelope(quad, x_max: float, segments: int) -> TangentEnvelope:
 
     Its ``value`` is what the envelope variable equals under downward
     objective pressure; verification recomputes it from a schedule without
-    a model.  The coefficients and ``x_max`` may be arrays, for one table
-    per entry: ``quad`` of shape (3, n, 1) and ``x_max`` of shape (n, 1)
-    give tables of shape (n, segments + 1).
+    a model.  The tangents are few, so they are worked out on floats:
+    the array formula's bits at less cost.
     """
-    a, b, c = np.asarray(quad, dtype=float)
-    xi = x_max * np.arange(segments + 1) / segments
-    return TangentEnvelope(xi, a + b * xi + c * xi * xi, b + 2.0 * c * xi)
+    a, b, c = (float(v) for v in quad)
+    xi = [x_max * i / segments for i in range(segments + 1)]
+    return TangentEnvelope(*map(np.array, (xi, [a + b * x + c * x * x for x in xi], [b + 2.0 * c * x for x in xi])))
 
 
 def pwl_convex(model: MilpModel, x_cols, x_coeffs, quads, x_max, segments: int, names) -> np.ndarray:
