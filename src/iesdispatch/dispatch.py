@@ -80,8 +80,9 @@ Powers are kW, energies kWh, emissions kg, money in currency units.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -116,6 +117,7 @@ from .model_core import (
     MECHANISM_NONE,
     MECHANISM_TIERED,
     MECHANISM_TRADITIONAL,
+    CarbonPolicy,
     CaseData,
     chp_params,
     gt_gas_cap,
@@ -1301,17 +1303,13 @@ def _repriceable(held, case: CaseData, scenario: ScenarioSpec, options: Dispatch
     built, _, vm = held
     return (vm.scenario == scenario and vm.options == options
             and (case.carbon.lambda_base > 0) == (built.carbon.lambda_base > 0)
-            and _fields_but(case, "carbon") == _fields_but(built, "carbon")
-            and _fields_but(case.carbon, *_REPRICED) == _fields_but(built.carbon, *_REPRICED))
+            and _kept_case(case) == _kept_case(built) and _kept_carbon(case.carbon) == _kept_carbon(built.carbon))
 
 
-# the carbon-policy fields a re-price sets (`_reprice`)
-_REPRICED = ("lambda_base", "interval_d")
-
-
-def _fields_but(record, *names) -> dict:
-    """A dataclass record's fields by name, ``names`` blanked: equal exactly when the records agree but in ``names``."""
-    return {**vars(record), **dict.fromkeys(names)}
+# every field of a case but those a re-price sets (`_reprice`), as a tuple that
+# compares as the dataclass does (reading ``vars`` instead would give each case a dict)
+_kept_case = attrgetter(*(f.name for f in fields(CaseData) if f.name != "carbon"))
+_kept_carbon = attrgetter(*(f.name for f in fields(CarbonPolicy) if f.name not in ("lambda_base", "interval_d")))
 
 
 def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = None) -> DispatchSolution:
