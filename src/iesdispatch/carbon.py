@@ -72,35 +72,35 @@ class EmissionAccount:
         return self.actual.total - self.quota.total
 
 
-def _period_sums(schedule: FlowSchedule, policy) -> list[float]:
-    """The per-period terms of the accounts, each summed over the periods.
+def quota_total(schedule: FlowSchedule, policy) -> QuotaAccount:
+    """Free allowance from purchases, CHP, boiler heat, and gas load (kg)."""
+    dt = schedule.step_hours
+    return QuotaAccount(
+        e_buy=policy.sigma_e * sum(schedule.p_e_buy) * dt,
+        gt=policy.sigma_h
+        * sum(policy.sigma_eh * pe + ph for pe, ph in zip(schedule.p_gt_e, schedule.p_gt_h))
+        * dt,
+        gb=policy.sigma_h * sum(schedule.p_gb_h) * dt,
+        g_load=policy.sigma_gload * sum(schedule.p_g_load) * dt,
+    )
 
-    In order: purchases, CHP output (sigma_eh * electric + heat), boiler
-    heat, gas load, the coal curve at the purchases, the gas curve at the
-    combined gas-unit output, power-to-gas output.  The terms are computed
-    for all periods at once, each the floating-point result of its scalar
-    formula, and each sum is Python's, left to right.
-    """
-    e_buy, gt_e, gt_h, gb_h, g_load, p2g_g = np.array(
-        [schedule.p_e_buy, schedule.p_gt_e, schedule.p_gt_h, schedule.p_gb_h, schedule.p_g_load, schedule.p_p2g_g],
-        dtype=float)
-    terms = np.array([e_buy, policy.sigma_eh * gt_e + gt_h, gb_h, g_load, quad_value(policy.coal_quad, e_buy),
-                      quad_value(policy.gas_quad, gt_e + gt_h + gb_h), p2g_g])
-    return [sum(row) for row in terms.tolist()]
+
+def actual_emissions(schedule: FlowSchedule, policy) -> ActualAccount:
+    """Exact quadratic emissions (kg); oracle for the PWL surrogate."""
+    dt = schedule.step_hours
+    e_buy = sum(quad_value(policy.coal_quad, p) for p in schedule.p_e_buy) * dt
+    q_out = [pe + ph + pb for pe, ph, pb in zip(schedule.p_gt_e, schedule.p_gt_h, schedule.p_gb_h)]
+    gtgb = sum(quad_value(policy.gas_quad, q) for q in q_out) * dt
+    return ActualAccount(
+        e_buy=e_buy,
+        gtgb=gtgb,
+        g_load=policy.delta_gasload * sum(schedule.p_g_load) * dt,
+        p2g=policy.theta_p2g * sum(schedule.p_p2g_g) * dt,
+    )
 
 
 def emission_account(schedule: FlowSchedule, policy) -> EmissionAccount:
-    """The free quota (purchases, CHP, boiler heat, gas load) and the exact quadratic emissions, in kg.
-
-    The actual side is the oracle for the PWL surrogate.
-    """
-    dt = schedule.step_hours
-    e_buy, chp, gb, g_load, coal, gas, p2g = _period_sums(schedule, policy)
-    quota = QuotaAccount(e_buy=policy.sigma_e * e_buy * dt, gt=policy.sigma_h * chp * dt,
-                         gb=policy.sigma_h * gb * dt, g_load=policy.sigma_gload * g_load * dt)
-    actual = ActualAccount(e_buy=coal * dt, gtgb=gas * dt, g_load=policy.delta_gasload * g_load * dt,
-                           p2g=policy.theta_p2g * p2g * dt)
-    return EmissionAccount(quota, actual)
+    return EmissionAccount(quota_total(schedule, policy), actual_emissions(schedule, policy))
 
 
 # -- trading cost ----------------------------------------------------------------

@@ -45,9 +45,8 @@ class LoadDecomposition:
 
 def decompose_loads(case: CaseData) -> LoadDecomposition:
     """Each period's shiftable and substitutable load: its configured fraction of that period's load."""
-    loads = {k: np.asarray(case.loads[k].values, dtype=float) for k in CARRIERS}
     return LoadDecomposition(*(
-        {k: tuple((fractions.get(k, 0.0) * loads[k]).tolist()) for k in CARRIERS}
+        {k: tuple(fractions.get(k, 0.0) * p for p in case.loads[k].values) for k in CARRIERS}
         for fractions in (case.dr.shiftable_fraction, case.dr.substitutable_fraction)
     ))
 
@@ -174,20 +173,18 @@ def satisfaction_index(
 
     A carrier with zero total load and zero deviation contributes a full
     term (no deviation was possible); zero load with nonzero deviation has
-    no defined relative deviation and raises DegenerateLoadError.  The
-    profiles may be sequences or arrays; each total is summed left to
-    right over the periods.
+    no defined relative deviation and raises DegenerateLoadError.
     """
     if sorted(original) != sorted(adjusted):
         raise ValueError("carrier sets differ between original and adjusted loads")
     terms = []
     for carrier in sorted(original):
-        orig = np.asarray(original[carrier], dtype=float)
-        adj = np.asarray(adjusted[carrier], dtype=float)
+        orig = original[carrier]
+        adj = adjusted[carrier]
         if len(orig) != len(adj):
             raise ValueError(f"{carrier}: horizon mismatch {len(orig)} vs {len(adj)}")
-        energy = float(sum(orig.tolist()))
-        dev = float(sum(np.abs(adj - orig).tolist()))
+        energy = float(sum(orig))
+        dev = float(sum(abs(a - o) for o, a in zip(orig, adj)))
         if energy == 0.0:
             if dev > 0.0:
                 raise DegenerateLoadError(

@@ -863,7 +863,7 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
         adjusted_loads=adjusted,
         costs=costs,
         emission=account,
-        satisfaction=satisfaction_index(dict(zip(CARRIERS, read.loads)), dict(zip(CARRIERS, reshaped))),
+        satisfaction=satisfaction_index({k: case.loads[k].values for k in CARRIERS}, adjusted),
         surrogate_actual_kg=None if vm.actual is None else vm.actual.value(x),
         surrogate_carbon_cost=None if vm.carbon_cost is None else vm.carbon_cost.value(x),
         pwl_bound_kg=vm.pwl_bound_kg,
@@ -926,10 +926,10 @@ class _CheckPlan:
     It is built from the case and the solution's shape (`_solution_shape`)
     alone: tolerances, limits, coupling coefficients, demand-response
     windows, tariffs and maintenance weights, and the tangents of the
-    emission envelopes (the two curves' tables stacked, so that one
-    evaluation covers both).  It reads no carbon price: neither ``lambda_base``
-    nor ``interval_d`` enters it, so a sweep chunk's point whose case
-    differs from the plan's only in those two (`_repriceable`) reuses it.
+    emission envelopes (a curve with no reach is the constant f(0)).  It
+    reads no carbon price: neither ``lambda_base`` nor ``interval_d``
+    enters it, so a sweep chunk's point whose case differs from the plan's
+    only in those two (`_repriceable`) reuses it.
 
     A call stacks the solution's series as rows of a pool (``pool`` holds
     the case's rows, a zero row and room for the rows a call works out:
@@ -1098,6 +1098,7 @@ class _CheckPlan:
             self.pool[i] = values
 
         self.satisfaction_min = case.dr.satisfaction_min
+        self.original = {k: case.loads[k].values for k in CARRIERS}
         self.prices = np.array([case.tariffs.electricity_price, case.tariffs.gas_price], dtype=float)
         self.mu_dt = [(case.dr.mu_shift if dtype == SHIFT else case.dr.mu_subst) * dt
                       for _, per_type in dr_keys for dtype in per_type]
@@ -1109,13 +1110,8 @@ class _CheckPlan:
         if priced:
             carbon = case.carbon  # its quadratics are every mechanism's (`_policy`)
             quads, reach = (carbon.coal_quad, carbon.gas_quad), (case.purchase_caps[0], sum(_gas_unit_reach(case)))
-            if min(reach) > 0:
-                # both tangent tables stacked, so that one evaluation covers both curves
-                tables = np.array([tangent_envelope(quad, x_max, segments) for quad, x_max in zip(quads, reach)])
-                self.envelopes = TangentEnvelope(*tables.transpose(1, 0, 2)[:, :, None])
-            else:
-                self.envelopes = [tangent_envelope(quad, x_max, segments) if x_max > 0 else quad_value(quad, 0.0)
-                                  for quad, x_max in zip(quads, reach)]
+            self.envelopes = [tangent_envelope(quad, x_max, segments) if x_max > 0 else quad_value(quad, 0.0)
+                              for quad, x_max in zip(quads, reach)]
 
 
 def _plan_for(case: CaseData, sol: DispatchSolution, plan: _CheckPlan | None) -> _CheckPlan:
@@ -1202,7 +1198,8 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
     def check(name: str, residual: float, tol: float):
         checks.append((name, float(residual), tol))
 
-    index = satisfaction_index(dict(zip(CARRIERS, pool[plan.loads])), dict(zip(CARRIERS, adjusted)))
+    adjusted = dict(zip(CARRIERS, adjusted.tolist()))
+    index = satisfaction_index(plan.original, adjusted)
     shortfall = plan.satisfaction_min - index
     check("satisfaction_floor", shortfall if not shortfall <= 0.0 else 0.0, 1e-9)  # max(0, shortfall), NaN kept
     check("satisfaction_value", abs(index - sol.satisfaction), 1e-9)
@@ -1218,8 +1215,8 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
         stored = stored + term
     maint = dt * sum((m[0] + m[1] + m[2] + m[3] + m[4] + stored).tolist())
     policy = _policy(case, scenario)
-    account = emission_account(FlowSchedule(step_hours=dt, p_e_buy=e_buy, p_gt_e=gt_e, p_gt_h=gt_h, p_gb_h=gb_h,
-                                            p_g_load=gas_load, p_p2g_g=p2g_g), policy)
+    account = emission_account(FlowSchedule(step_hours=dt, p_e_buy=sol.p_e_buy, p_gt_e=sol.p_gt_e, p_gt_h=sol.p_gt_h,
+                                            p_gb_h=sol.p_gb_h, p_g_load=adjusted[GAS], p_p2g_g=sol.p_p2g_g), policy)
     carbon_exact = carbon_mod.carbon_cost(account.trading_share, policy)
 
     def rel(name, got, want, scale=None):
@@ -1239,12 +1236,8 @@ def verify_solution(case: CaseData, scenario, sol: DispatchSolution, overlaps=No
 
     # linearized emission surrogate and objective identity
     if plan.envelopes is not None:
-        curves = (e_buy, gt_e + gt_h + gb_h)
-        if isinstance(plan.envelopes, TangentEnvelope):
-            coal, gas = plan.envelopes.value(np.array(curves))
-        else:
-            coal, gas = (envelope.value(x) if isinstance(envelope, TangentEnvelope) else envelope
-                         for envelope, x in zip(plan.envelopes, curves))
+        coal, gas = (envelope.value(x) if isinstance(envelope, TangentEnvelope) else envelope
+                     for envelope, x in zip(plan.envelopes, (e_buy, gt_e + gt_h + gb_h)))
         surrogate = sum((dt * (coal + gas + policy.delta_gasload * gas_load
                                - policy.theta_p2g * p2g_g)).tolist())
         rel("surrogate_actual", sol.surrogate_actual_kg, surrogate,

@@ -30,8 +30,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from iesdispatch.carbon import ActualAccount, EmissionAccount, FlowSchedule, QuotaAccount, carbon_cost
-from iesdispatch.demand_response import DR_TYPES, SHIFT, SUBSTITUTE, DegenerateLoadError, decompose_loads
+from iesdispatch.carbon import FlowSchedule, carbon_cost, emission_account
+from iesdispatch.demand_response import DR_TYPES, SHIFT, SUBSTITUTE, decompose_loads, satisfaction_index
 from iesdispatch.dispatch import (
     CostBreakdown,
     DispatchSolution,
@@ -292,49 +292,12 @@ def vertex_milp(model: MilpModel, tol: float = 1e-9):
 # ``previous_extract`` and ``previous_verify_solution`` are `dispatch._extract`
 # and `dispatch.verify_solution` as they were before the check plan and the
 # read layout: every check recomputed from the case on each call, one array
-# expression per check, and the emission account, the satisfaction index and
-# the tangent envelope summed and evaluated period by period in Python.  The
+# expression per check, and the tangent envelope's tangents worked out on
+# every call.  The
 # differential tests hold the product to them bit for bit; the two checks
 # whose NaN handling was mended (``satisfaction_floor`` and
 # ``storage_{k}_exclusive``) are the only ones allowed to differ, and only
 # on a NaN.
-
-
-def _scalar_emission_account(schedule: FlowSchedule, policy) -> EmissionAccount:
-    """`carbon.emission_account`, each total a Python sum over the periods."""
-    dt = schedule.step_hours
-    quota = QuotaAccount(
-        e_buy=policy.sigma_e * sum(schedule.p_e_buy) * dt,
-        gt=policy.sigma_h
-        * sum(policy.sigma_eh * pe + ph for pe, ph in zip(schedule.p_gt_e, schedule.p_gt_h))
-        * dt,
-        gb=policy.sigma_h * sum(schedule.p_gb_h) * dt,
-        g_load=policy.sigma_gload * sum(schedule.p_g_load) * dt,
-    )
-    q_out = [pe + ph + pb for pe, ph, pb in zip(schedule.p_gt_e, schedule.p_gt_h, schedule.p_gb_h)]
-    actual = ActualAccount(
-        e_buy=sum(quad_value(policy.coal_quad, p) for p in schedule.p_e_buy) * dt,
-        gtgb=sum(quad_value(policy.gas_quad, q) for q in q_out) * dt,
-        g_load=policy.delta_gasload * sum(schedule.p_g_load) * dt,
-        p2g=policy.theta_p2g * sum(schedule.p_p2g_g) * dt,
-    )
-    return EmissionAccount(quota, actual)
-
-
-def _scalar_satisfaction_index(original, adjusted) -> float:
-    """`demand_response.satisfaction_index`, each deviation a Python sum over the periods."""
-    terms = []
-    for carrier in sorted(original):
-        orig, adj = original[carrier], adjusted[carrier]
-        energy = float(sum(orig))
-        dev = float(sum(abs(a - o) for o, a in zip(orig, adj)))
-        if energy == 0.0:
-            if dev > 0.0:
-                raise DegenerateLoadError(f"{carrier}: deviation {dev} on a zero-energy profile")
-            terms.append(1.0)
-        else:
-            terms.append(1.0 - dev / energy)
-    return sum(terms) / len(terms)
 
 
 def _scalar_pwl_convex_value(quad, x_max: float, segments: int, x):
@@ -388,7 +351,7 @@ def previous_extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) ->
     schedule = FlowSchedule(step_hours=dt, p_g_load=adjusted[GAS],
                             **{k: flows[k] for k in ("p_e_buy", "p_gt_e", "p_gt_h", "p_gb_h", "p_p2g_g")})
     policy = _policy(case, scenario)
-    account = _scalar_emission_account(schedule, policy)
+    account = emission_account(schedule, policy)
     carbon_exact = carbon_cost(account.trading_share, policy)
     buy = vm.cost_buy.value(x)
     dr_cost = vm.cost_dr.value(x)
@@ -409,7 +372,7 @@ def previous_extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) ->
         adjusted_loads=adjusted,
         costs=costs,
         emission=account,
-        satisfaction=_scalar_satisfaction_index(original, adjusted),
+        satisfaction=satisfaction_index(original, adjusted),
         surrogate_actual_kg=None if vm.actual is None else vm.actual.value(x),
         surrogate_carbon_cost=None if vm.carbon_cost is None else vm.carbon_cost.value(x),
         pwl_bound_kg=vm.pwl_bound_kg,
@@ -582,7 +545,7 @@ def previous_verify_solution(case: CaseData, scenario, sol: DispatchSolution, ov
             check("dr_subst_coupling", _peak(np.abs(net)), 1e-6 * scale)
     original = {k: case.loads[k].values for k in CARRIERS}
     adjusted = {k: tuple(v.tolist()) for k, v in adjusted.items()}
-    index = _scalar_satisfaction_index(original, adjusted)
+    index = satisfaction_index(original, adjusted)
     check("satisfaction_floor", max(0.0, case.dr.satisfaction_min - index), 1e-9)
     check("satisfaction_value", abs(index - sol.satisfaction), 1e-9)
 
@@ -614,7 +577,7 @@ def previous_verify_solution(case: CaseData, scenario, sol: DispatchSolution, ov
         p_g_load=adjusted[GAS],
         p_p2g_g=sol.p_p2g_g,
     )
-    account = _scalar_emission_account(schedule, policy)
+    account = emission_account(schedule, policy)
     carbon_exact = carbon_cost(account.trading_share, policy)
 
     def rel(name, got, want, scale=None):

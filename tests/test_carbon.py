@@ -10,11 +10,13 @@ from milp_oracles import compiled_differences
 
 from iesdispatch.carbon import (
     FlowSchedule,
+    actual_emissions,
     carbon_cost,
     emission_account,
     encode_carbon_cost,
     n_tiers,
     price_ladder,
+    quota_total,
     tier_cost,
     tier_knee,
     tier_slope,
@@ -101,14 +103,6 @@ def test_tier_cost_monotone_in_share(a, b):
 
 
 # -- accounting ------------------------------------------------------------------
-
-
-def quota_total(schedule, policy):
-    return emission_account(schedule, policy).quota
-
-
-def actual_emissions(schedule, policy):
-    return emission_account(schedule, policy).actual
 
 
 def test_quota_purchased_power(policy):
