@@ -293,15 +293,14 @@ def vertex_milp(model: MilpModel, tol: float = 1e-9):
 # and `dispatch.verify_solution` as they were before the check plan and the
 # read layout: every check recomputed from the case on each call, one array
 # expression per check, and the tangent envelope's tangents worked out on
-# every call.  The
-# differential tests hold the product to them bit for bit; the two checks
-# whose NaN handling was mended (``satisfaction_floor`` and
+# every call.  The differential tests hold the product to them bit for bit;
+# the two checks whose NaN handling was mended (``satisfaction_floor`` and
 # ``storage_{k}_exclusive``) are the only ones allowed to differ, and only
 # on a NaN.
 
 
-def _scalar_pwl_convex_value(quad, x_max: float, segments: int, x):
-    """`milp_ir.pwl_convex_value`, the tangents worked out on every call."""
+def _previous_pwl_convex_value(quad, x_max: float, segments: int, x):
+    """The tangent envelope at ``x`` as the previous `milp_ir.pwl_convex_value` gave it, tangents worked out per call."""
     a, b, c = (float(v) for v in quad)
     xi = x_max * np.arange(segments + 1) / segments
     slope = b + 2.0 * c * xi
@@ -601,9 +600,9 @@ def previous_verify_solution(case: CaseData, scenario, sol: DispatchSolution, ov
         cap_e = case.purchase_caps[0]
         q_max = sum(_gas_unit_reach(case))
         n = sol.pwl_segments
-        coal = (_scalar_pwl_convex_value(policy.coal_quad, cap_e, n, e_buy)
+        coal = (_previous_pwl_convex_value(policy.coal_quad, cap_e, n, e_buy)
                 if cap_e > 0 else quad_value(policy.coal_quad, 0.0))
-        gas = (_scalar_pwl_convex_value(policy.gas_quad, q_max, n, gt_e + gt_h + gb_h)
+        gas = (_previous_pwl_convex_value(policy.gas_quad, q_max, n, gt_e + gt_h + gb_h)
                if q_max > 0 else quad_value(policy.gas_quad, 0.0))
         surrogate = sum((dt * (coal + gas + policy.delta_gasload * np.asarray(adjusted[GAS])
                                - policy.theta_p2g * p2g_g)).tolist())
