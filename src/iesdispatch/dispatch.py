@@ -838,8 +838,7 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
     change = np.zeros((len(CARRIERS), periods))
     for carriers, keys in read.rounds:
         change[carriers] = (change[carriers] + p_in[keys]) - p_out[keys]
-    reshaped = read.loads + change
-    adjusted = dict(zip(CARRIERS, map(tuple, reshaped.tolist())))
+    adjusted = dict(zip(CARRIERS, map(tuple, (read.loads + change).tolist())))
     schedule = FlowSchedule(step_hours=dt, p_g_load=adjusted[GAS],
                             **{k: flows[k] for k in ("p_e_buy", "p_gt_e", "p_gt_h", "p_gb_h", "p_p2g_g")})
     policy = _policy(case, scenario)
