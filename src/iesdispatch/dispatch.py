@@ -728,8 +728,8 @@ class DispatchSolution:
     from the objective).  `objective` is the solver objective, which covers
     purchase, maintenance, compensation, and (when priced) the surrogate
     carbon cost.  `nodes` and `wall_time` add up the solves of every gate
-    round; the other solver fields are the last round's.  An LP round's
-    time covers the re-price of its HiGHS core, not the load of a new one.
+    round; the other solver fields are the last round's.  Each round's time
+    covers its run (and the re-price of a kept LP core), not a HiGHS load.
     """
 
     scenario_id: str

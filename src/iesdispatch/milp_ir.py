@@ -62,8 +62,8 @@ class CscMatrix:
     ``data[indptr[j]:indptr[j + 1]]`` are the nonzeros of column j and
     ``indices`` the same slice of their rows, sorted, with no zero stored:
     the arrays and dtypes (float64 data, int32 indices and pointers) of a
-    scipy CSC array, which both HiGHS paths take as they are: the LP core's
-    ``passModel`` and ``highs_milp``'s call of scipy's HiGHS driver.
+    scipy CSC array, which every HiGHS instance the solver loads takes as
+    they are in one ``passModel`` call.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape")

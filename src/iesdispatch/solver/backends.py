@@ -3,10 +3,10 @@
 The embedded backend is not one of them: `run_scenario` calls `solve_milp`
 directly for the default backend "embedded".
 
-- "scipy-milp": HiGHS branch-and-cut through scipy's HiGHS driver, the one
-  ``scipy.optimize.milp`` calls, on every model, LP or not, used as a
-  cross-check of the embedded backend's LP core.  It shares `highs_milp`
-  with the embedded backend, which calls it only for a model with binaries.
+- "scipy-milp": HiGHS branch-and-cut on a one-off HiGHS instance with
+  HiGHS's defaults (`highs_milp`, the run ``scipy.optimize.milp`` makes) on
+  every model, LP or not: a cross-check of the embedded backend's kept LP
+  core, which hands `highs_milp` only a model with binaries.
 - "external": runs a user-supplied command on the LP-format export.  The
   command comes from the IESDISPATCH_EXTERNAL_SOLVER environment variable and
   receives the LP path and the solution path as arguments.  It is split by

@@ -3,19 +3,20 @@
 Each solver step reads the model from one ``MilpModel.to_sparse`` call,
 whose arrays the model keeps until they change: costs, the matrix ``A``,
 the row bounds ``row_lower <= A x <= row_upper`` as HiGHS takes them, the
-column bounds and the binary flags.  A model without binaries is one LP
-on `_ScipyCore`, which loads those arrays into one HiGHS instance with
-presolve off and alone holds its warm start.  The dispatch models are
-such LPs first: their convex cost terms (demand-response deviation and the
-tiered carbon ladder) are exact LPs, and a storage gate is added only in a
-later round, where the gate-free schedule charges and discharges a store at
-once.  A model with binaries, such a gated round, goes to HiGHS
-branch-and-cut through `highs_milp`, the function the "scipy-milp" backend
-calls too.  Both read HiGHS's own model status by one rule, `_verdict`: a
-run a limit stops is "feasible" with an incumbent, else "limit".
+column bounds and the binary flags.  Every run is on a `_ScipyCore`, which
+loads those arrays into one HiGHS instance.  A model without binaries is
+one LP on a kept core, loaded with presolve off, which alone holds its warm
+start.  The dispatch models are such LPs first: their convex cost terms
+(demand-response deviation and the tiered carbon ladder) are exact LPs,
+and a storage gate is added only in a later round, where the gate-free
+schedule charges and discharges a store at once.  A model with binaries,
+such a gated round, goes to HiGHS branch-and-cut through `highs_milp`, the
+function the "scipy-milp" backend calls too, on a one-off core.  Both read
+HiGHS's own model status by one rule, `_verdict`: a run a limit stops is
+"feasible" with an incumbent, else "limit".
 
-One core per model.  The core an LP was solved on is kept beside its model
-(`_cores`, weakly keyed by the model, as the model keeps its compiled
+One kept core per model.  The core an LP was solved on is kept beside its
+model (`_cores`, weakly keyed by the model, as the model keeps its compiled
 ``A``), so it goes when the model goes.  The next solve of the model reuses
 it when the model still compiles to the core's ``A`` object, and otherwise
 loads a new core.  Every solve after the load re-prices the core with the
@@ -89,7 +90,8 @@ class MilpSolution:
     not closed before a limit), "limit" (limit hit with no incumbent),
     "infeasible", or "unbounded".  `x`/`objective` always describe the
     incumbent (None when there is none); `bound` is the proven lower bound,
-    and `gap` is worked out from the two.
+    and `gap` is worked out from the two.  `wall_time` covers the run on a
+    HiGHS instance (after the re-price of a kept one), not its load.
     """
 
     status: str
@@ -142,31 +144,40 @@ _CHOOSE, _DUAL = 0, 1
 class _ScipyCore:
     """One HiGHS instance per compiled matrix; a solve re-prices it with its model.
 
-    The model's arrays and row bounds are loaded once with presolve off, so
-    the simplex basis lives on between runs.  A solve after a run that ended
-    optimal restarts hot from it with ``simplex_strategy`` 0 (module
-    docstring); any other solve clears the solver and runs the dual simplex.
+    A kept LP core (no ``options``) loads the model's arrays and row bounds
+    once with presolve off, so the simplex basis lives on between runs.  A
+    solve after a run that ended optimal restarts hot from it with
+    ``simplex_strategy`` 0 (module docstring); any other solve clears the
+    solver and runs the dual simplex.  A one-off core (`highs_milp`) is
+    loaded for the one run its ``options`` set the MIP gap and node limit
+    of; it keeps HiGHS's other defaults, presolve on among them.
     """
 
-    def __init__(self, model: MilpModel):
+    def __init__(self, model: MilpModel, options: MilpOptions | None = None):
         # deferred so that importing the package does not load scipy
         from scipy.optimize._highspy._core import HighsStatus, _Highs
 
-        c, _, A, row_lower, row_upper, lb, ub, _ = model.to_sparse()
+        c, _, A, row_lower, row_upper, lb, ub, is_binary = model.to_sparse()
         self.A = A  # solve_milp reuses the core while its model compiles to this very object
         self._rows = row_lower, row_upper
         m, n = A.shape
         self._cols = np.arange(n, dtype=np.int32)
+        self._one_off = options is not None
+        self._who = "branch-and-cut" if self._one_off else "LP core"
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
-        self._highs.setOptionValue("presolve", "off")
-        # column-wise CSC (format 1), minimise (sense 1), all columns
-        # continuous (an empty integrality is rejected)
+        if options is None:
+            self._highs.setOptionValue("presolve", "off")
+        else:
+            self._highs.setOptionValue("mip_rel_gap", options.gap_tol)
+            self._highs.setOptionValue("mip_max_nodes", options.node_limit)
+        # column-wise CSC (format 1), minimise (sense 1), the binaries as
+        # integers (an empty integrality is rejected)
         status = self._highs.passModel(
             n, m, A.nnz, 1, 1, 0.0, c, lb, ub, *self._rows,
-            A.indptr, A.indices, A.data, np.zeros(n, dtype=np.int32))
+            A.indptr, A.indices, A.data, is_binary.astype(np.int32))
         if status == HighsStatus.kError:
-            raise NumericalFailure("LP core failed: HiGHS rejected the model")
+            raise NumericalFailure(f"{self._who} failed: HiGHS rejected the model")
         self._loaded = True  # the first run takes the costs and row bounds of the load
         self._hot = False  # whether the last run ended optimal, so the next restarts from it
 
@@ -185,11 +196,13 @@ class _ScipyCore:
         A run after the first passes HiGHS the model's costs and only the
         row bounds that differ in value from the ones the core holds, so
         HiGHS keeps its basis.  HiGHS's run clock counts every run of the
-        instance, so the time limit is set from it for each run.
+        instance, so the time limit is set from it for each run.  A MIP
+        run's incumbent, node count and dual bound are HiGHS's; a one-off
+        core rounds the binaries of its point and prices it as ``c·x + c0``.
         """
         t0 = time.perf_counter()
         h = self._highs
-        c, c0, _, lower, upper = model.to_sparse()[:5]
+        c, c0, _, lower, upper, _, _, is_binary = model.to_sparse()
         if self._loaded:
             self._loaded = False
         else:
@@ -206,46 +219,32 @@ class _ScipyCore:
             h.clearSolver()
         h.setOptionValue("simplex_strategy", _CHOOSE if hot else _DUAL)
         h.run()
-        verdict = _verdict(h.getModelStatus(), False, self._zero_cost_run, "LP core")
-        if verdict != OPTIMAL:
-            return MilpSolution(status=verdict, objective=None, x=None, bound=-np.inf, nodes=1,
+        model_status, info, mip = h.getModelStatus(), h.getInfo(), is_binary.any()
+        nodes, bound = (max(info.mip_node_count, 1), info.mip_dual_bound + c0) if mip else (1, -np.inf)
+        incumbent = mip and info.objective_function_value < math.inf
+        verdict = _verdict(model_status, incumbent, self._zero_cost_run, self._who)
+        if verdict not in (OPTIMAL, FEASIBLE):
+            return MilpSolution(status=verdict, objective=None, x=None, bound=bound, nodes=nodes,
                                 wall_time=time.perf_counter() - t0)
         self._hot = True
-        objective = h.getInfo().objective_function_value + c0
         x = np.fromiter(h.getSolution().col_value, float, self._cols.size)
-        return MilpSolution(status=OPTIMAL, objective=objective, x=x, bound=objective, nodes=1,
-                            wall_time=time.perf_counter() - t0)
+        if self._one_off:
+            x[is_binary] = np.round(x[is_binary])
+            objective = float(c @ x) + c0
+        else:
+            objective = info.objective_function_value + c0
+        return MilpSolution(status=verdict, objective=objective, x=x, bound=bound if mip else objective,
+                            nodes=nodes, wall_time=time.perf_counter() - t0)
 
 
 def highs_milp(model: MilpModel, options: MilpOptions) -> MilpSolution:
-    """HiGHS branch-and-cut on the compiled model, through scipy's HiGHS driver.
+    """HiGHS branch-and-cut on the compiled model, on a one-off `_ScipyCore`.
 
-    ``scipy.optimize.milp`` makes this call once it has checked and copied
-    its arguments; the model checked them where they entered it, so they go
-    as they are.  `_verdict` reads HiGHS's own model status, as for the LP core.
+    The run is the one ``scipy.optimize.milp`` makes once it has checked
+    and copied its arguments; the model checked them where they entered it,
+    so they go as they are.  An LP is solved on such a core too.
     """
-    from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
-
-    c, c0, A, lo, hi, lb, ub, is_binary = model.to_sparse()
-    kw = {"log_to_console": False, "mip_rel_gap": options.gap_tol, "mip_max_nodes": options.node_limit,
-          "time_limit": options.time_limit}  # a None option keeps HiGHS's default
-
-    def run(costs) -> dict:
-        return _highs_wrapper(costs, A.indptr, A.indices, A.data, lo, hi, lb, ub, is_binary.astype(np.uint8), kw)
-
-    t0 = time.perf_counter()
-    res = run(c)
-    x = res["x"]
-    status = _verdict(res["status"], x is not None, lambda: run(np.zeros_like(c))["status"], "branch-and-cut")
-    wall = time.perf_counter() - t0
-    obj, bound = None, -np.inf
-    if x is not None:
-        x[is_binary] = np.round(x[is_binary])
-        obj = float(c @ x) + c0
-        # an LP returns a point only when optimal, and no MIP bound
-        bound = float(res["mip_dual_bound"]) + c0 if "mip_dual_bound" in res else obj
-    return MilpSolution(status=status, objective=obj, x=x, bound=bound,
-                        nodes=max(int(res.get("mip_node_count", 0)), 1), wall_time=wall)
+    return _ScipyCore(model, options).solve(model, options)
 
 
 # each model's LP core, kept beside the model and dropped with it (module docstring)

@@ -9,7 +9,7 @@ from iesdispatch.solver import branch_bound
 
 @pytest.fixture()
 def highs_calls(monkeypatch) -> list:
-    """The HiGHS methods that every LP core made from now on calls once it is loaded, in call order."""
+    """The HiGHS methods that every core made from now on, kept or one-off, calls once it is loaded, in call order."""
     calls, init = [], branch_bound._ScipyCore.__init__
 
     def spy(self, *args, **kwargs):

@@ -755,13 +755,13 @@ def sweep_cases(bundled_case):
 
 @pytest.fixture()
 def count_cores(monkeypatch):
-    """The number of HiGHS cores built so far, as a one-item list."""
+    """The number of kept LP cores built so far, as a one-item list; the one-off cores of highs_milp do not count."""
     built = [0]
     init = branch_bound._ScipyCore.__init__
 
-    def spy(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
+    def spy(self, model, options=None):
+        built[0] += options is None
+        init(self, model, options)
 
     monkeypatch.setattr(branch_bound._ScipyCore, "__init__", spy)
     return built
@@ -883,6 +883,16 @@ def test_sweep_points_restart_hot(reduced_case, reduced_options, highs_calls, sw
     assert SET_UP & set(runs[0]) == {"clearSolver"}
     for run in runs[1:]:
         assert "changeColsCost" in run and SET_UP & set(run) == moved, run
+
+
+def test_repriced_sweep_point_makes_the_pinned_highs_calls(reduced_case, reduced_options, highs_calls):
+    # the first point runs cold on the costs the core loaded; the second
+    # passes the costs, sets its time limit and simplex variant and runs hot;
+    # each then reads the status, the objective and the point
+    sweep_lambda(reduced_case, "S5", [0.1, 0.2], reduced_options)
+    read = ["getModelStatus", "getInfo", "getSolution"]
+    assert highs_calls == ["setOptionValue", "clearSolver", "setOptionValue", "run", *read,
+                           "changeColsCost", "setOptionValue", "setOptionValue", "run", *read]
 
 
 def test_point_after_a_raising_solve_starts_cold(reduced_case, reduced_options, highs_calls, monkeypatch):

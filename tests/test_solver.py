@@ -7,7 +7,6 @@ search of its own.
 
 import ast
 import importlib
-import inspect
 import itertools
 import random
 import shlex
@@ -251,18 +250,19 @@ def test_milp_determinism():
         assert np.array_equal(a.x, b.x)
 
 
-def _market_split() -> MilpModel:
+def _market_split(slack: float = INF) -> MilpModel:
     """A seeded market-split instance: 4 rows a x + sp - sm = b over 30 binaries, minimise sum(sp + sm).
 
     HiGHS cannot close it at the root, so a one-node limit stops the
-    search with an incumbent above the bound.
+    search with an incumbent above the bound.  ``slack`` bounds the sp and
+    sm columns; at 0 HiGHS finds no incumbent in its first nodes.
     """
     rng = np.random.default_rng(3)
     a = rng.integers(0, 100, (4, 30))
     m = MilpModel()
     xs = m.add_variables(BINARY, 0.0, 1.0, [f"x{j}" for j in range(30)])
-    plus = m.add_variables(CONTINUOUS, 0.0, INF, [f"sp{i}" for i in range(4)])
-    minus = m.add_variables(CONTINUOUS, 0.0, INF, [f"sm{i}" for i in range(4)])
+    plus = m.add_variables(CONTINUOUS, 0.0, slack, [f"sp{i}" for i in range(4)])
+    minus = m.add_variables(CONTINUOUS, 0.0, slack, [f"sm{i}" for i in range(4)])
     m.add_rows([[*xs, p, q] for p, q in zip(plus, minus)], [[*row, 1.0, -1.0] for row in a.tolist()], EQ,
                (a.sum(axis=1) // 2).tolist(), [f"split{i}" for i in range(4)])
     m.set_objective(linear_form([*plus, *minus]))
@@ -276,6 +276,14 @@ def test_milp_node_limit_reports_limit_or_feasible(solve):
     assert res.x is not None
     assert res.bound <= res.objective
     assert res.gap > 1e-6
+
+
+@pytest.mark.parametrize("solve", [solve_milp, get_backend("scipy-milp").solve], ids=["embedded", "scipy-milp"])
+def test_milp_node_limit_without_incumbent_reports_the_search(solve):
+    # a run a node limit stops before any incumbent still reports the nodes
+    # it searched and the bound it proved, as HiGHS counts them
+    res = solve(_market_split(slack=0.0), MilpOptions(node_limit=20))
+    assert (res.status, res.objective, res.x, res.nodes, res.bound) == ("limit", None, None, 20, 0.0)
 
 
 @pytest.mark.parametrize("gap", [float("nan"), float("inf"), -1e-4])
@@ -525,22 +533,18 @@ def test_highs_milp_matches_public_milp_bit_for_bit():
 
 
 HIGHS_MODULE = "scipy.optimize._highspy._core"
-HIGHS_DRIVER = "scipy.optimize._highspy._highs_wrapper"  # the driver scipy.optimize.milp calls
 # every private HiGHS name the package imports, by module
-HIGHS_NAMES = {HIGHS_MODULE: ("_Highs", "HighsStatus", "HighsModelStatus"), HIGHS_DRIVER: ("_highs_wrapper",)}
+HIGHS_NAMES = {HIGHS_MODULE: ("_Highs", "HighsStatus", "HighsModelStatus")}
 # every _Highs method the package calls
 HIGHS_METHODS = ("changeColsCost", "changeRowBounds", "clearSolver", "getInfo", "getModelStatus",
                  "getRunTime", "getSolution", "modelStatusToString", "passModel", "run", "setOptionValue")
 
 
 def test_highs_private_api_is_importable():
-    # _ScipyCore and highs_milp drive HiGHS through scipy's private bindings; a
-    # scipy release that moves or changes them must fail here, not deep inside a solve.
+    # _ScipyCore drives HiGHS through scipy's private bindings; a scipy release
+    # that moves or changes them must fail here, not deep inside a solve.
     _Highs, HighsStatus, HighsModelStatus = (getattr(importlib.import_module(HIGHS_MODULE), name)
                                              for name in HIGHS_NAMES[HIGHS_MODULE])
-    (driver,) = (getattr(importlib.import_module(HIGHS_DRIVER), name) for name in HIGHS_NAMES[HIGHS_DRIVER])
-    assert list(inspect.signature(driver).parameters) == ["c", "indptr", "indices", "data", "lhs", "rhs",
-                                                          "lb", "ub", "integrality", "options"]
     for method in HIGHS_METHODS:
         assert callable(getattr(_Highs, method))
     assert HighsModelStatus.kUnboundedOrInfeasible != HighsModelStatus.kUnbounded
@@ -554,7 +558,7 @@ def test_highs_private_api_is_importable():
     res = core.solve(m, MilpOptions())
     assert (res.status, res.objective, res.x.tolist()) == ("optimal", 1.5, [1.0, 0.0])
     assert core._highs.getModelStatus() == HighsModelStatus.kOptimal
-    # an empty integrality array is rejected, which is why the core passes zeros
+    # an empty integrality array is rejected, which is why the core passes one flag per column
     h, A = _Highs(), m.to_sparse()[2]
     h.setOptionValue("output_flag", False)
     status = h.passModel(2, 1, A.nnz, 1, 1, 0.0, np.array([1.0, 2.0]), np.zeros(2), np.ones(2), np.ones(1),
@@ -581,9 +585,12 @@ def test_package_uses_only_the_checked_highs_names():
     used = set().union(*(_highs_private_imports(p.read_text()) for p in package.rglob("*.py")))
     checked = {f"{module}.{name}" for module, names in HIGHS_NAMES.items() for name in names}
     assert used == checked, (sorted(used - checked), sorted(checked - used))
-    # the check itself: a name list, and a whole-module import that would hide one
-    source = f"from {HIGHS_DRIVER} import _highs_wrapper, hopt\nimport {HIGHS_MODULE} as core\n"
-    assert _highs_private_imports(source) == {f"{HIGHS_DRIVER}._highs_wrapper", f"{HIGHS_DRIVER}.hopt", "*"}
+    # the check itself: a name list, and a whole-module import or another
+    # module, such as the driver scipy.optimize.milp calls, that would hide one
+    for other in (f"import {HIGHS_MODULE} as core",
+                  "from scipy.optimize._highspy._highs_wrapper import _highs_wrapper"):
+        source = f"from {HIGHS_MODULE} import _Highs, HighsLp\n{other}\n"
+        assert _highs_private_imports(source) == {f"{HIGHS_MODULE}._Highs", f"{HIGHS_MODULE}.HighsLp", "*"}
 
 
 def _highs_method_calls(source: str) -> set[str]:
