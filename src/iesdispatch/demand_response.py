@@ -67,8 +67,7 @@ class DrVarMap:
     compensation: LinearForm = field(default_factory=lambda: linear_form([]))
 
 
-def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
-                    dec: LoadDecomposition | None = None) -> DrVarMap:
+def build_dr_blocks(case: CaseData, scenario, model: MilpModel) -> DrVarMap:
     """Add reshaping variables and constraints; return the handle map.
 
     Per enabled (carrier, type, period): continuous magnitudes P_in, P_out
@@ -85,7 +84,6 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
 
     The scenario only contributes its dr_shift / dr_substitute flags;
     carriers are filtered by the case's dr.shift_carriers / subst_carriers.
-    ``dec`` is the case's load split when the caller has it already.
 
     ``case`` is validated (``model_core.require_valid``): mu >= 0, and each
     shift window has max >= 0 and min <= max.  Nothing here checks them again.
@@ -102,7 +100,7 @@ def build_dr_blocks(case: CaseData, scenario, model: MilpModel,
     if not enabled:
         return DrVarMap()
 
-    dec = decompose_loads(case) if dec is None else dec
+    dec = decompose_loads(case)
     tags = [f"t{t:02d}" for t in range(periods)]
     # each pair's adjustment window, (low, high) per period
     windows = np.empty((len(enabled), periods, 2))

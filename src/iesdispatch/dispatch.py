@@ -111,6 +111,7 @@ from .milp_ir import (
     quad_value,
     stack_rows,
     tangent_envelope,
+    unreachable_row,
 )
 from .model_core import (
     CARRIERS,
@@ -136,8 +137,8 @@ MAX_PWL_SEGMENTS = 4096  # full S5 peaks at about 350 MB here; more ends as a Va
 class DispatchError(Exception):
     """A scenario run that ends without a solution it can trust.
 
-    ``status`` is its row status: "infeasible" when screening rules the case
-    out, the solver's status when it finds no incumbent, "numerical_failure"
+    ``status`` is its row status: "infeasible" when the build refuses the
+    model, the solver's status when it finds no incumbent, "numerical_failure"
     when a HiGHS run certifies no outcome, or "verification_failed".
     """
 
@@ -145,7 +146,11 @@ class DispatchError(Exception):
 
 
 class StaticInfeasibleError(DispatchError):
-    """A constraint family is unsatisfiable before any solve is attempted."""
+    """The built model is infeasible before any solve is attempted.
+
+    ``family`` is the row its columns' bounds cannot meet (``balance_heat_t12``)
+    or the `gt_gas_cap` family whose bound is below the GT's minimum output.
+    """
 
     status = "infeasible"
 
@@ -309,51 +314,6 @@ def _gas_unit_reach(case: CaseData) -> tuple[float, float, float]:
     return eps_e * upper, gt_heat, gb_heat
 
 
-def _dr_outflow(case: CaseData, scenario: ScenarioSpec, dec) -> np.ndarray:
-    """Largest load reduction demand response may deliver, per carrier (in CARRIERS order) and period."""
-    out = np.zeros((len(CARRIERS), case.horizon.periods))
-    for i, carrier in enumerate(CARRIERS):
-        if scenario.dr_shift and carrier in case.dr.shift_carriers:
-            override = case.dr.shift_bounds.get(carrier)
-            lo = -np.asarray(dec.shiftable_base[carrier]) if override is None else override[0]
-            out[i] += np.maximum(0.0, -lo)
-        if scenario.dr_substitute and carrier in case.dr.subst_carriers:
-            out[i] += dec.substitutable_base[carrier]
-    return out
-
-
-def _screen(case: CaseData, scenario: ScenarioSpec, dec):
-    """Reject loads no combination of devices could ever serve.
-
-    Every period and carrier is tested at once; the first failure in period
-    order, then carrier order, is reported.
-    """
-    gt_e_max, gt_heat_max, gb_heat_max = _gas_unit_reach(case)
-    p2g = case.converter("P2G")
-    p2g_gas_max = p2g.efficiencies.get("gas", 0.0) * p2g.capacity_kw if p2g else 0.0
-
-    def dis_max(carrier):
-        sto = case.storage(carrier)
-        return sto.power_limit_fraction * sto.capacity_kwh if sto else 0.0
-
-    cap_e, cap_g = case.purchase_caps
-    avail = np.minimum(case.wind_profile, case.wind_max_kw)
-    supply = np.empty((len(CARRIERS), case.horizon.periods))
-    supply[0] = cap_e + avail + gt_e_max + dis_max(ELECTRIC)
-    supply[1] = cap_g + p2g_gas_max + dis_max(GAS)
-    supply[2] = gt_heat_max + gb_heat_max + dis_max(HEAT)
-    need = np.array([case.loads[carrier].values for carrier in CARRIERS]) - _dr_outflow(case, scenario, dec)
-    failed = np.argwhere((need > supply + 1e-9).T)
-    if failed.size:
-        t, i = failed[0].tolist()
-        carrier = CARRIERS[i]
-        raise StaticInfeasibleError(
-            f"{carrier}_balance",
-            f"period {t}: load {need[i, t]:.1f} kW exceeds maximum "
-            f"{carrier} supply {supply[i, t]:.1f} kW",
-        )
-
-
 # A per-period flow is (ids, coeff): coeff * x[ids[t]] in period t, or None
 # for an absent device.  Flows on a shared column are added in list order.
 # The floating-point operation order of every coefficient is part of the
@@ -431,7 +391,9 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     devices, demand response, the balances, the envelope cuts, the carbon
     rows) enter as one block, in the order a block per family would give.
     An invalid case raises UnitError (``require_valid``), the one check the
-    builders rely on.
+    builders rely on.  The built model then screens itself: the first row
+    its columns' bounds cannot meet (`milp_ir.unreachable_row`), such as a
+    load's ``balance_{carrier}_tNN``, raises StaticInfeasibleError.
 
     No row has a single column: a one-column row ``a * x <= b`` with ``a !=
     0`` is a bound on ``x``, so the model states it as one.  The feasible
@@ -454,8 +416,6 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
     require_valid(case)
-    dec = decompose_loads(case)
-    _screen(case, scenario, dec)
     periods = case.horizon.periods
     dt = case.horizon.step_hours
     tags = [f"t{t:02d}" for t in range(periods)]
@@ -534,7 +494,7 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
     if rows:
         model.add_rows(*stack_rows(*rows))
 
-    vm.dr = build_dr_blocks(case, scenario, model, dec)
+    vm.dr = build_dr_blocks(case, scenario, model)
 
     def balance(carrier, *supply):
         terms = list(supply)
@@ -574,6 +534,8 @@ def build_model(case: CaseData, scenario, options: DispatchOptions | None = None
         vm.carbon_cost, _ = carbon_mod.price_ladder(vm.ladder, policy)
         vm.knees_d = policy.interval_d
     model.set_objective(*_objective(vm))
+    if (conflict := unreachable_row(model)) is not None:
+        raise StaticInfeasibleError(*conflict)
     return model, vm
 
 

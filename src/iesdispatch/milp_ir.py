@@ -28,7 +28,8 @@ added since, so ``add_variables`` leaves it be.  Finiteness is checked
 where numbers enter the model: ``add_rows`` checks every coefficient and
 right-hand side of a block at once, ``set_rhs`` the new right-hand sides
 of existing rows, ``add_variables`` every bound, and ``set_objective`` the
-summed costs.  A form checks nothing itself.
+summed costs.  A form checks nothing itself.  :func:`unreachable_row`
+finds a row that no point within the column bounds meets.
 
 The module also carries the linearization the dispatch model uses:
 epigraph (tangent) cuts for convex quadratics, added for a whole family of
@@ -439,6 +440,11 @@ class MilpModel:
         return tuple(self._col_names)
 
     @property
+    def row_names(self) -> tuple[str, ...]:
+        """The row names in id order."""
+        return tuple(self._row_names)
+
+    @property
     def constraints(self) -> list[Constraint]:
         """The rows as Constraint records, built from the row store."""
         indptr, cols, vals = (a.tolist() for a in self._joined()[:3])
@@ -523,6 +529,30 @@ class MilpModel:
         dense = np.zeros(A.shape)
         dense[A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))] = A.data
         return c, c0, dense, row_lower, row_upper, lb, ub, is_binary
+
+
+def unreachable_row(model: MilpModel) -> tuple[str, str] | None:
+    """The first row that no point within the column bounds meets, as ``(name, why)``, or None.
+
+    A row's activity ranges over the sums of its ``a_j lb_j`` and ``a_j
+    ub_j``, the lesser of each pair for its least and the greater for its
+    most.  A row bound beyond that range by more than 1e-9 proves the model
+    infeasible (Andersen & Andersen, Math. Prog. 71, 1995).  An infinite
+    row side, or a range that sums +inf and -inf (NaN), never fails.
+    """
+    _, _, A, row_lower, row_upper, lb, ub, _ = model.to_sparse()
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    ends = A.data * lb[cols], A.data * ub[cols]
+    low = np.bincount(A.indices, np.minimum(*ends), A.shape[0])
+    high = np.bincount(A.indices, np.maximum(*ends), A.shape[0])
+    short, over = row_lower > high + 1e-9, row_upper < low - 1e-9
+    failed = np.flatnonzero(short | over)
+    if not failed.size:
+        return None
+    i = failed[0]
+    why = (f"needs {row_lower[i]:.1f} but its columns reach {high[i]:.1f} at most" if short[i]
+           else f"allows at most {row_upper[i]:.1f} but its columns give {low[i]:.1f} at least")
+    return model.row_names[i], why
 
 
 # -- linearization toolkit ---------------------------------------------------

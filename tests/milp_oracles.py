@@ -19,7 +19,9 @@ oracles take, and ``variables`` and ``objective`` give a model's columns
 and objective as records for the tests that read them.
 ``previous_extract`` and ``previous_verify_solution`` are the extraction
 and verification that the check plan and the read layout replaced, the
-reference of the differential tests.
+reference of the differential tests.  ``supply_screen`` is the load screen
+that the built model's row-reach test (`milp_ir.unreachable_row`)
+replaced: it re-derives each carrier's largest supply from the case.
 """
 
 import itertools
@@ -36,6 +38,7 @@ from iesdispatch.dispatch import (
     CostBreakdown,
     DispatchSolution,
     ScenarioSpec,
+    StaticInfeasibleError,
     StorageSchedule,
     VarMap,
     VerificationReport,
@@ -623,3 +626,51 @@ def previous_verify_solution(case: CaseData, scenario, sol: DispatchSolution, ov
     check("objective_identity", abs(sol.objective - expected_obj), 1e-6 * max(1.0, abs(expected_obj)))
 
     return VerificationReport(passed=not failures, checks=checks, failures=failures)
+
+
+def _dr_outflow(case: CaseData, scenario: ScenarioSpec, dec) -> np.ndarray:
+    """Largest load reduction demand response may deliver, per carrier (in CARRIERS order) and period."""
+    out = np.zeros((len(CARRIERS), case.horizon.periods))
+    for i, carrier in enumerate(CARRIERS):
+        if scenario.dr_shift and carrier in case.dr.shift_carriers:
+            override = case.dr.shift_bounds.get(carrier)
+            lo = -np.asarray(dec.shiftable_base[carrier]) if override is None else override[0]
+            out[i] += np.maximum(0.0, -lo)
+        if scenario.dr_substitute and carrier in case.dr.subst_carriers:
+            out[i] += dec.substitutable_base[carrier]
+    return out
+
+
+def supply_screen(case: CaseData, scenario) -> None:
+    """Reject loads no combination of devices could ever serve, as `build_model` once did before building.
+
+    Every period and carrier is tested at once; the first failure in period
+    order, then carrier order, raises StaticInfeasibleError with the family
+    ``{carrier}_balance`` and a message that starts ``period {t}:``.
+    """
+    scenario = as_scenario(scenario)
+    dec = decompose_loads(case)
+    gt_e_max, gt_heat_max, gb_heat_max = _gas_unit_reach(case)
+    p2g = case.converter("P2G")
+    p2g_gas_max = p2g.efficiencies.get("gas", 0.0) * p2g.capacity_kw if p2g else 0.0
+
+    def dis_max(carrier):
+        sto = case.storage(carrier)
+        return sto.power_limit_fraction * sto.capacity_kwh if sto else 0.0
+
+    cap_e, cap_g = case.purchase_caps
+    avail = np.minimum(case.wind_profile, case.wind_max_kw)
+    supply = np.empty((len(CARRIERS), case.horizon.periods))
+    supply[0] = cap_e + avail + gt_e_max + dis_max(ELECTRIC)
+    supply[1] = cap_g + p2g_gas_max + dis_max(GAS)
+    supply[2] = gt_heat_max + gb_heat_max + dis_max(HEAT)
+    need = np.array([case.loads[carrier].values for carrier in CARRIERS]) - _dr_outflow(case, scenario, dec)
+    failed = np.argwhere((need > supply + 1e-9).T)
+    if failed.size:
+        t, i = failed[0].tolist()
+        carrier = CARRIERS[i]
+        raise StaticInfeasibleError(
+            f"{carrier}_balance",
+            f"period {t}: load {need[i, t]:.1f} kW exceeds maximum "
+            f"{carrier} supply {supply[i, t]:.1f} kW",
+        )

@@ -246,12 +246,12 @@ def test_solve_infeasible_exit_3(tmp_path, bad_heat_case, capsys):
     rc = run_cli("solve", "--case", bad_heat_case, "--reduced", "--out", str(tmp_path / "x"))
     assert rc == cli.EXIT_INFEASIBLE
     captured = capsys.readouterr()
-    assert "exceeds maximum heat supply" in captured.out + captured.err
+    assert "balance_heat_t00: needs 5000.0 but its columns reach" in captured.out + captured.err
 
 
 def test_load_only_a_forced_off_gt_could_serve_exit_3(tmp_path, capsys):
-    # the corridor holds the GT at 0 kW of gas, so the screen counts none of its
-    # output and refuses a load above what the grid, wind and store can give
+    # the corridor holds the GT at 0 kW of gas, so the electric balance row reaches none
+    # of its output and the build refuses a load above what the grid, wind and store can give
     doc = case_to_dict(load_case(default_case_path()))
     doc["chp"].update(ratio_min=1.0, ratio_max=2.0)
     sto = next(sto for sto in doc["storages"] if sto["carrier"] == "electric")
@@ -261,7 +261,7 @@ def test_load_only_a_forced_off_gt_could_serve_exit_3(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli("solve", "--case", str(path), "--scenario", "S1", "--out", str(tmp_path / "x")) == cli.EXIT_INFEASIBLE
     captured = capsys.readouterr()
-    assert "FAIL S1: electric_balance: period 0: load " in captured.err, captured.err
+    assert "FAIL S1: balance_electric_t00: needs " in captured.err, captured.err
     assert "Traceback" not in captured.out + captured.err
 
 
@@ -354,13 +354,13 @@ def test_sweep_interval_csv(tmp_path):
 
 
 def test_sweep_infeasible_exit_3(tmp_path, bad_heat_case, capsys):
-    # every point fails the static screen, as solve and scenarios do
+    # every point's build refuses its heat balance row, as solve and scenarios do
     rc = run_cli("sweep", "--param", "lambda", "--grid", "0.2,0.3", "--case", bad_heat_case,
                  "--reduced", "--out", str(tmp_path / "z"))
     assert rc == cli.EXIT_INFEASIBLE
     with (tmp_path / "z" / "sweep_lambda_S5.csv").open(encoding="utf-8") as fh:
         assert [r[1] for r in list(csv.reader(fh))[1:]] == ["infeasible", "infeasible"]
-    assert capsys.readouterr().err.count("exceeds maximum heat supply") == 2
+    assert capsys.readouterr().err.count("balance_heat_t00: needs 5000.0 but its columns reach") == 2
 
 
 SWEEP_ARGV = ("sweep", "--param", "lambda", "--grid", "0.2:0.5:0.1", "--reduced", "--scenario", "S5")

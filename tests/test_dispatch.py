@@ -13,7 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from highs_spy import per_run
-from milp_oracles import compiled_differences, every_gate_model, fixed_ratio_rows_model, terminal_rows_model
+from milp_oracles import (
+    compiled_differences,
+    every_gate_model,
+    fixed_ratio_rows_model,
+    supply_screen,
+    terminal_rows_model,
+)
 
 from iesdispatch import dispatch
 from iesdispatch.dispatch import (
@@ -32,6 +38,7 @@ from iesdispatch.dispatch import (
     verify_solution,
 )
 from iesdispatch.model_core import (
+    CARRIERS,
     CHP_RATIO_LIMIT,
     chp_params,
     default_case_path,
@@ -140,8 +147,60 @@ def test_screen_rejects_oversized_heat_load():
     big = tiny_case(1, [100.0], [0.0], [5000.0], [0.0])
     with pytest.raises(StaticInfeasibleError) as err:
         run_scenario(big, "S1")
-    assert err.value.family == "heat_balance"
-    assert "maximum heat supply" in str(err.value)
+    assert err.value.family == "balance_heat_t00"
+    assert "needs 5000.0 but its columns reach 1232.0 at most" in str(err.value)
+
+
+def _load_spikes(bundled_case, builds: int, seed: int):
+    """Seeded cases: the full or reduced case, one carrier's load times U(1.2, 5) at one or two periods, caps cut."""
+    rng = random.Random(seed)
+    bases = (bundled_case, reduce_case(bundled_case, 2))
+    for _ in range(builds):
+        case = rng.choice(bases)
+        carrier = rng.choice(CARRIERS)
+        values = list(case.loads[carrier].values)
+        for t in rng.sample(range(len(values)), rng.choice((1, 2))):
+            values[t] *= rng.uniform(1.2, 5.0)
+        caps = tuple(cap * rng.choice((0.3, 0.6, 1.0)) for cap in case.purchase_caps)
+        yield replace(case, loads={**case.loads, carrier: replace(case.loads[carrier], values=tuple(values))},
+                      purchase_caps=caps)
+
+
+def _refusal(build, *args):
+    """The StaticInfeasibleError that ``build(*args)`` raises, or None."""
+    try:
+        build(*args)
+    except StaticInfeasibleError as err:
+        return err
+    return None
+
+
+def test_row_reach_refuses_what_the_previous_screen_refused_at_its_balance_row(bundled_case):
+    # 50 cases x S1-S5: the previous screen names a carrier and a period, the build a row
+    old, new = [], []
+    for case in _load_spikes(bundled_case, 50, 35):
+        for sid in SCENARIO_IDS:
+            err = _refusal(supply_screen, case, sid)
+            if err is not None:
+                period = int(re.match(r"period (\d+):", str(err).partition(": ")[2])[1])
+                err = f"balance_{err.family.removesuffix('_balance')}_t{period:02d}"
+            old.append(err)
+            err = _refusal(build_model, case, sid)
+            new.append(err and err.family)
+    # the same rows, and no build that only the new test refuses: no device here has a
+    # minimum output, so no balance row fails on the side the screen never tested
+    assert new == old
+    assert (len(old), len(list(filter(None, old)))) == (250, 193)
+
+
+def test_minimum_output_over_filling_a_balance_is_refused_before_any_solve(bundled_case, highs_calls):
+    # the GB's 760 kW of gas give 623.2 kW of heat; the heat store charges at most 100 kW
+    case = _converter(bundled_case, "GB", min_output_kw=760.0)
+    with pytest.raises(StaticInfeasibleError) as info:
+        run_scenario(case, "S1")
+    assert info.value.family == "balance_heat_t09"
+    assert str(info.value).endswith("allows at most 515.0 but its columns give 523.2 at least")
+    assert "run" not in highs_calls
 
 
 def test_ratio_bracket_outside_range_forces_chp_off():
@@ -244,13 +303,13 @@ def test_warning_build_and_screen_agree_on_a_gt_held_at_zero(efficiencies, whb, 
     model, vm = build_model(case, "S1")
     (upper,) = model.to_sparse()[6][vm.flows["p_g_gt"][0]].tolist()
     assert any("forced off" in w for w in report.warnings) == (upper == 0.0)
-    # the screen counts the GT's electric output up to that bound, so none when it is 0
+    # the electric balance row reaches the GT's electric output up to that bound, so none when it is 0
     eps_e = chp_params(case)[2]
     try:
         build_model(_electric_load_just_above_all_but_the_gt(case), "S1")
         refused = False
     except StaticInfeasibleError as err:
-        refused = err.family == "electric_balance"
+        refused = err.family == "balance_electric_t00"
     assert refused == (eps_e * upper < 1.0)
     if upper == 0.0:
         assert refused

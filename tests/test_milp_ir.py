@@ -32,6 +32,7 @@ from iesdispatch.milp_ir import (
     pwl_convex_error_bound,
     quad_value,
     tangent_envelope,
+    unreachable_row,
 )
 
 
@@ -187,6 +188,44 @@ def test_constant_row_redundant_ok():
     m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
     m.add_rows(np.zeros((1, 0), dtype=np.int64), 1.0, LE, 2.0 - 1.0, ["slack"])  # 0 <= 1
     assert m.num_constraints == 1
+
+
+def _reach_model(lower, upper, coeffs, relation, rhs):
+    """Columns x and y with the given bounds under the row ``met``, ``x + y <= 10``, and the row ``last``."""
+    m = MilpModel()
+    m.add_variables(CONTINUOUS, lower, upper, ["x", "y"])
+    m.add_rows([[0, 1], [0, 1]], [[1.0, 1.0], coeffs], [LE, relation], [10.0, rhs], ["met", "last"])
+    return m
+
+
+def test_a_ge_row_its_columns_cannot_reach_is_refused():
+    # x in [0, 2] and y in [1, 3], so x - y reaches 1 at most
+    m = _reach_model([0.0, 1.0], [2.0, 3.0], [1.0, -1.0], GE, 1.5)
+    assert unreachable_row(m) == ("last", "needs 1.5 but its columns reach 1.0 at most")
+    assert unreachable_row(_reach_model([0.0, 1.0], [2.0, 3.0], [1.0, -1.0], GE, 1.0 + 1e-10)) is None
+
+
+def test_a_le_row_its_columns_always_exceed_is_refused():
+    # x + 2y is 2 at least
+    m = _reach_model([0.0, 1.0], [2.0, 3.0], [1.0, 2.0], LE, 1.5)
+    assert unreachable_row(m) == ("last", "allows at most 1.5 but its columns give 2.0 at least")
+    assert unreachable_row(_reach_model([0.0, 1.0], [2.0, 3.0], [1.0, 2.0], EQ, 2.0)) is None
+
+
+def test_a_row_with_an_infinite_side_is_never_refused():
+    # x has no upper bound and y no lower bound, so each row's reach is infinite on the side it tests
+    assert unreachable_row(_reach_model([0.0, 1.0], [INF, 3.0], [1.0, -1.0], GE, 1e12)) is None
+    assert unreachable_row(_reach_model([0.0, -INF], [2.0, 3.0], [1.0, 1.0], LE, -1e12)) is None
+
+
+def test_a_row_whose_reach_sums_both_infinities_is_never_refused():
+    # x is +inf at its lower bound and y -inf: the row's least activity sums to NaN
+    assert unreachable_row(_reach_model([INF, -INF], [INF, 0.0], [1.0, 1.0], LE, 0.0)) is None
+
+
+def test_row_names_are_a_tuple_of_the_names_given():
+    m = _reach_model([0.0, 1.0], [2.0, 3.0], [1.0, -1.0], GE, 0.0)
+    assert m.row_names == ("met", "last") and type(m.row_names) is tuple
 
 
 def test_check_solution_reports_violations():
