@@ -256,9 +256,11 @@ def _parse_grid(text: str) -> list[float]:
         if not (stop - start) / step + 1 <= MAX_GRID_POINTS:
             raise UsageError(f"grid {text!r}: more than {MAX_GRID_POINTS} points")
         count = int(round((stop - start) / step))
-        if abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
+        # relative to the grid's own scale, so a span of 1e-12 is held to the same test as one of 1
+        if abs(start + count * step - stop) > 1e-9 * max(abs(start), abs(stop)):
             raise UsageError(f"grid {text!r}: step does not divide the span")
-        values = [round(start + i * step, 10) for i in range(count + 1)]
+        # each value snapped to 12 significant digits: 0.1 + 4 * 0.05 gives 0.3, and 1e-11 stays 1e-11
+        values = [float(f"{start + i * step:.12g}") for i in range(count + 1)]
     else:
         try:
             values = [float(p) for p in text.split(",") if p.strip()]

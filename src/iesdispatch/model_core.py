@@ -1,4 +1,4 @@
-"""Domain data model, case-file ingestion, and validation.
+"""Domain data model, scenarios, case-file ingestion, validation and case arithmetic.
 
 A case is a single UTF-8 JSON document, and the dataclasses below are its
 schema: each section's keys are a dataclass's field names, and a key left
@@ -18,6 +18,9 @@ Reading refuses a non-finite number (`NaN`, `Infinity`, `1e999`); beyond
 that, construction never raises on bad numbers: `validate_case` returns a
 report so partially-wrong cases can be inspected.  `require_valid` (run by
 `load_case` and `dispatch.build_model`) raises `UnitError` on the first error.
+
+The bundled scenarios and the case arithmetic that the build and `verify`
+share (`chp_params`, `gt_gas_cap`, `gas_unit_reach`) live here, below both.
 """
 
 from __future__ import annotations
@@ -190,6 +193,59 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return not self.errors
+
+
+# -- scenarios -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """One pricing/demand-response configuration.
+
+    carbon_in_objective: whether the carbon trading cost is part of the
+    minimized objective (it is always reported).  mechanism: how that cost
+    is computed ("none", "traditional" single price or "tiered" escalating
+    prices); any other raises ValueError.
+    """
+
+    id: str
+    carbon_in_objective: bool
+    mechanism: str
+    dr_shift: bool
+    dr_substitute: bool
+
+    def __post_init__(self):
+        if self.mechanism not in (MECHANISM_NONE, MECHANISM_TRADITIONAL, MECHANISM_TIERED):
+            raise ValueError(f"scenario {self.id}: unknown mechanism {self.mechanism!r}")
+
+
+SCENARIOS: dict[str, ScenarioSpec] = {
+    "S1": ScenarioSpec("S1", False, MECHANISM_TIERED, False, False),
+    "S2": ScenarioSpec("S2", True, MECHANISM_TRADITIONAL, False, False),
+    "S3": ScenarioSpec("S3", True, MECHANISM_TIERED, False, False),
+    "S4": ScenarioSpec("S4", True, MECHANISM_TIERED, True, False),
+    "S5": ScenarioSpec("S5", True, MECHANISM_TIERED, True, True),
+}
+SCENARIO_IDS = tuple(SCENARIOS)
+
+
+def as_scenario(scenario) -> ScenarioSpec:
+    """Accept a ScenarioSpec or one of the bundled ids."""
+    if isinstance(scenario, ScenarioSpec):
+        return scenario
+    try:
+        return SCENARIOS[str(scenario)]
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {scenario!r} (bundled: {', '.join(SCENARIO_IDS)})"
+        ) from None
+
+
+def _policy(case: CaseData, scenario: ScenarioSpec):
+    """The case's carbon policy priced by the scenario's mechanism."""
+    if case.carbon.mechanism == scenario.mechanism:
+        return case.carbon
+    return replace(case.carbon, mechanism=scenario.mechanism)
 
 
 # -- defaults ------------------------------------------------------------------
@@ -619,6 +675,20 @@ def gt_gas_cap(case: CaseData) -> GtCap:
     if cap.upper < gt.min_output_kw:
         return cap._replace(why=f"{cap.why}, but its min_output_kw is {gt.min_output_kw:g} kW", infeasible=True)
     return cap
+
+
+def gas_unit_reach(case: CaseData) -> tuple[float, float, float]:
+    """Largest output in one period of the GT (electric, useful heat) and of the gas boiler (heat).
+
+    The GT reaches as far as the bound on its gas column (`gt_gas_cap`)
+    lets it, so nowhere when held off.
+    """
+    _, whb, eps_e, eps_h, _, whb_cap = chp_params(case)
+    upper = gt_gas_cap(case).upper
+    gb = case.converter("GB")
+    gt_heat = min(eps_h * upper, whb_cap) if whb else 0.0
+    gb_heat = gb.efficiencies.get("heat", 0.0) * gb.capacity_kw if gb else 0.0
+    return eps_e * upper, gt_heat, gb_heat
 
 
 def validate_case(case: CaseData) -> ValidationReport:

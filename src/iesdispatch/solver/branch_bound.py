@@ -29,8 +29,9 @@ raise the next solve loads a new core.
 A sweep re-prices one model from point to point: the carbon price moves
 costs only and the tier width the bounds of the knee rows.  After an
 optimal point the next restarts hot (Huangfu & Hall, Math. Prog. Comp.
-10(1), 2018): the core passes HiGHS no row bounds that did not change,
-so HiGHS keeps its basis, factorization and edge weights.  On a
+10(1), 2018): the core passes HiGHS no cost and no row bound that did
+not change, so HiGHS keeps its basis, factorization and edge weights,
+and ends up holding the very costs and bounds a full re-price gives it.  On a
 hot restart HiGHS chooses the simplex variant (``simplex_strategy`` 0): a
 cost change leaves the basis primal feasible, so the primal simplex goes
 on from it, and a move of the knee rows leaves it dual feasible, so the
@@ -42,6 +43,7 @@ face the vertex returned can differ from a cold start.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import weakref
@@ -114,6 +116,15 @@ class MilpSolution:
         return [(self.nodes, self.bound, math.inf if self.objective is None else self.objective)]
 
 
+@functools.cache
+def _statuses():
+    """HiGHS's limit statuses and the verdict of each status that ends a run with one, read once."""
+    from scipy.optimize._highspy._core import HighsModelStatus as s
+
+    limits = (s.kTimeLimit, s.kIterationLimit, s.kSolutionLimit)
+    return s.kUnboundedOrInfeasible, limits, {s.kOptimal: OPTIMAL, s.kInfeasible: INFEASIBLE, s.kUnbounded: UNBOUNDED}
+
+
 def _verdict(model_status, incumbent: bool, zero_cost_run, who: str) -> str:
     """The status of a finished HiGHS run, for the LP core and branch-and-cut alike.
 
@@ -123,16 +134,16 @@ def _verdict(model_status, incumbent: bool, zero_cost_run, who: str) -> str:
     of a re-run with a zero objective: a feasible point means unbounded.
     Any other status, a model HiGHS refused among them, raises.
     """
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-
-    s = HighsModelStatus
-    if model_status == s.kUnboundedOrInfeasible and zero_cost_run is not None:
+    either, limits, verdicts = _statuses()
+    if model_status == either and zero_cost_run is not None:
         verdict = _verdict(zero_cost_run(), False, None, who)
         return UNBOUNDED if verdict == OPTIMAL else verdict
-    if model_status in (s.kTimeLimit, s.kIterationLimit, s.kSolutionLimit):
+    if model_status in limits:
         return FEASIBLE if incumbent else LIMIT
-    verdict = {s.kOptimal: OPTIMAL, s.kInfeasible: INFEASIBLE, s.kUnbounded: UNBOUNDED}.get(model_status)
+    verdict = verdicts.get(model_status)
     if verdict is None:
+        from scipy.optimize._highspy._core import _Highs
+
         raise NumericalFailure(f"{who} failed: {_Highs().modelStatusToString(model_status)}")
     return verdict
 
@@ -159,7 +170,7 @@ class _ScipyCore:
 
         c, _, A, row_lower, row_upper, lb, ub, is_binary = model.to_sparse()
         self.A = A  # solve_milp reuses the core while its model compiles to this very object
-        self._rows = row_lower, row_upper
+        self._costs, self._rows = c, (row_lower, row_upper)  # what HiGHS holds
         m, n = A.shape
         self._cols = np.arange(n, dtype=np.int32)
         self._one_off = options is not None
@@ -184,7 +195,8 @@ class _ScipyCore:
     def _zero_cost_run(self):
         """HiGHS's status for the model with a zero objective; the next solve re-prices the costs."""
         h, n = self._highs, len(self._cols)
-        h.changeColsCost(n, self._cols, np.zeros(n))
+        self._costs = np.zeros(n)
+        h.changeColsCost(n, self._cols, self._costs)
         h.clearSolver()
         h.setOptionValue("simplex_strategy", _DUAL)
         h.run()
@@ -193,12 +205,14 @@ class _ScipyCore:
     def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
         """Solve ``model``, which compiles to the loaded ``A``, under ``options.time_limit``.
 
-        A run after the first passes HiGHS the model's costs and only the
-        row bounds that differ in value from the ones the core holds, so
-        HiGHS keeps its basis.  HiGHS's run clock counts every run of the
-        instance, so the time limit is set from it for each run.  A MIP
-        run's incumbent, node count and dual bound are HiGHS's; a one-off
-        core rounds the binaries of its point and prices it as ``c·x + c0``.
+        A run after the first passes HiGHS only the costs and row bounds
+        that differ in value from the ones the core holds, so HiGHS keeps
+        its basis.  Row bounds that are the very arrays the core holds are
+        not compared: ``to_sparse`` replaces them whenever a row moves.
+        HiGHS's run clock counts every run of the instance, so the time
+        limit is set from it for each run.  A MIP run's incumbent, node
+        count and dual bound are HiGHS's; a one-off core rounds the
+        binaries of its point and prices it as ``c·x + c0``.
         """
         t0 = time.perf_counter()
         h = self._highs
@@ -206,12 +220,16 @@ class _ScipyCore:
         if self._loaded:
             self._loaded = False
         else:
-            h.changeColsCost(self._cols.size, self._cols, c)
+            moved = self._cols[c != self._costs]
+            if moved.size:
+                h.changeColsCost(moved.size, moved, c[moved])
+            self._costs = c
             held_lower, held_upper = self._rows
-            # scipy's binding has no changeRowsBounds: one call per changed row
-            for i in np.flatnonzero((lower != held_lower) | (upper != held_upper)).tolist():
-                h.changeRowBounds(i, lower[i], upper[i])
-            self._rows = lower, upper
+            if lower is not held_lower or upper is not held_upper:
+                # scipy's binding has no changeRowsBounds: one call per changed row
+                for i in np.flatnonzero((lower != held_lower) | (upper != held_upper)).tolist():
+                    h.changeRowBounds(i, lower[i], upper[i])
+                self._rows = lower, upper
         limit = options.time_limit
         h.setOptionValue("time_limit", math.inf if limit is None else h.getRunTime() + limit)
         hot, self._hot = self._hot, False

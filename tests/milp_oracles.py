@@ -42,14 +42,13 @@ from iesdispatch.dispatch import (
     StorageSchedule,
     VarMap,
     VerificationReport,
-    _gas_unit_reach,
     _policy,
     add_gates,
     as_scenario,
     build_model,
 )
 from iesdispatch.milp_ir import BINARY, CONTINUOUS, EQ, GE, LE, LinearForm, MilpModel, linear_form, quad_value
-from iesdispatch.model_core import CARRIERS, CaseData, chp_params
+from iesdispatch.model_core import CARRIERS, CaseData, chp_params, gas_unit_reach
 
 ELECTRIC, GAS, HEAT = CARRIERS
 
@@ -601,7 +600,7 @@ def previous_verify_solution(case: CaseData, scenario, sol: DispatchSolution, ov
     carbon_priced = sol.surrogate_actual_kg is not None
     if carbon_priced:
         cap_e = case.purchase_caps[0]
-        q_max = sum(_gas_unit_reach(case))
+        q_max = sum(gas_unit_reach(case))
         n = sol.pwl_segments
         coal = (_previous_pwl_convex_value(policy.coal_quad, cap_e, n, e_buy)
                 if cap_e > 0 else quad_value(policy.coal_quad, 0.0))
@@ -650,7 +649,7 @@ def supply_screen(case: CaseData, scenario) -> None:
     """
     scenario = as_scenario(scenario)
     dec = decompose_loads(case)
-    gt_e_max, gt_heat_max, gb_heat_max = _gas_unit_reach(case)
+    gt_e_max, gt_heat_max, gb_heat_max = gas_unit_reach(case)
     p2g = case.converter("P2G")
     p2g_gas_max = p2g.efficiencies.get("gas", 0.0) * p2g.capacity_kw if p2g else 0.0
 

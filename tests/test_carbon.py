@@ -151,6 +151,30 @@ def test_step_hours_scales_energy(policy):
     assert two.e_buy == pytest.approx(2.0 * one.e_buy)
 
 
+def test_emission_account_by_hand(policy):
+    round_numbers = replace(policy, sigma_e=0.5, sigma_h=0.25, sigma_gload=0.1, sigma_eh=2.0,
+                            coal_quad=(1.0, 0.5, 0.01), gas_quad=(0.0, 0.2, 0.001),
+                            delta_gasload=0.2, theta_p2g=0.5)
+    schedule = FlowSchedule(step_hours=2.0, p_e_buy=(10.0, 20.0, 0.0), p_gt_e=(5.0, 0.0, 10.0),
+                            p_gt_h=(10.0, 0.0, 20.0), p_gb_h=(0.0, 10.0, 10.0),
+                            p_g_load=(50.0, 0.0, 30.0), p_p2g_g=(0.0, 4.0, 0.0))
+    acct = emission_account(schedule, round_numbers)
+    # quota, 2 h a period: 0.5 * 30; 0.25 * (2 * 15 + 30); 0.25 * 20; 0.1 * 80
+    assert acct.quota.e_buy == pytest.approx(30.0, rel=1e-12)
+    assert acct.quota.gt == pytest.approx(30.0, rel=1e-12)
+    assert acct.quota.gb == pytest.approx(10.0, rel=1e-12)
+    assert acct.quota.g_load == pytest.approx(16.0, rel=1e-12)
+    # actual: coal f(10) + f(20) + f(0) = 7 + 15 + 1; gas on GT + GB outputs
+    # 15, 10, 40: 3.225 + 2.1 + 9.6; 0.2 * 80 of gas load; 0.5 * 4 absorbed
+    assert acct.actual.e_buy == pytest.approx(46.0, rel=1e-12)
+    assert acct.actual.gtgb == pytest.approx(29.85, rel=1e-12)
+    assert acct.actual.g_load == pytest.approx(32.0, rel=1e-12)
+    assert acct.actual.p2g == pytest.approx(4.0, rel=1e-12)
+    assert acct.quota.total == pytest.approx(86.0, rel=1e-12)
+    assert acct.actual.total == pytest.approx(103.85, rel=1e-12)
+    assert acct.trading_share == pytest.approx(17.85, rel=1e-12)
+
+
 # -- MILP encoding ---------------------------------------------------------------
 
 

@@ -65,6 +65,21 @@ def test_parse_grid_range_inclusive():
     assert grid[-1] == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize(
+    "text,values",
+    [
+        ("0.1:0.6:0.05", [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6]),
+        ("1000:4000:250", [1000.0 + 250.0 * i for i in range(13)]),
+        # small values keep their digits instead of rounding to 0
+        ("1e-11:3e-11:1e-11", [1e-11, 2e-11, 3e-11]),
+        ("1e-300:1e-300:1", [1e-300]),
+    ],
+)
+def test_parse_grid_range_values(text, values):
+    # each value is the shortest decimal that the range's arithmetic rounds to, bit for bit
+    assert [v.hex() for v in cli._parse_grid(text)] == [v.hex() for v in values]
+
+
 def test_parse_grid_comma_list():
     assert cli._parse_grid("1,2,3.5") == [1.0, 2.0, 3.5]
 
@@ -79,6 +94,8 @@ def test_parse_grid_comma_list():
         ("0,0.1", "positive"),
         ("0.3,0.2", "strictly increasing"),
         ("0.1:0.6:1e-6", "more than 10000 points"),
+        # 4.5 steps: the divisibility test is relative to the grid's own scale
+        ("1e-12:5.5e-12:1e-12", "does not divide"),
     ],
 )
 def test_parse_grid_rejects(text, message):

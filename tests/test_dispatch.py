@@ -927,13 +927,13 @@ def test_deleted_model_leaves_the_cores(reduced_case, reduced_options):
 SET_UP = {"setBasis", "changeColsBounds", "clearSolver", "changeRowBounds"}
 
 
-@pytest.mark.parametrize("sweep, moved", [(sweep_lambda, set()), (sweep_interval, {"changeRowBounds"})],
-                         ids=["lambda", "d"])
-def test_sweep_points_restart_hot(reduced_case, reduced_options, highs_calls, sweep, moved):
+@pytest.mark.parametrize("sweep, priced, moved", [(sweep_lambda, True, set()),
+                                                  (sweep_interval, False, {"changeRowBounds"})], ids=["lambda", "d"])
+def test_sweep_points_restart_hot(reduced_case, reduced_options, highs_calls, sweep, priced, moved):
     # eleven points on one core: the first takes the costs and bounds the
-    # core loaded, so it sets none, and starts cold; every later one only
-    # re-prices, keeps the basis and bounds HiGHS holds, and (for d) moves
-    # the knee rows
+    # core loaded, so it sets none, and starts cold; every later one keeps
+    # the basis and bounds HiGHS holds, passes the costs that moved (lambda
+    # moves some, d none) and, for d, moves the knee rows
     grid = [0.10 + 0.05 * i for i in range(11)] if sweep is sweep_lambda else [1000.0 + 250.0 * i for i in range(11)]
     points = sweep(reduced_case, "S5", grid, reduced_options)
     assert [(p.status, p.error) for p in points] == [("optimal", None)] * 11
@@ -941,7 +941,7 @@ def test_sweep_points_restart_hot(reduced_case, reduced_options, highs_calls, sw
     assert len(runs) == 11
     assert SET_UP & set(runs[0]) == {"clearSolver"}
     for run in runs[1:]:
-        assert "changeColsCost" in run and SET_UP & set(run) == moved, run
+        assert ("changeColsCost" in run) == priced and SET_UP & set(run) == moved, run
 
 
 def test_repriced_sweep_point_makes_the_pinned_highs_calls(reduced_case, reduced_options, highs_calls):

@@ -524,6 +524,23 @@ def test_set_rhs_rejects_and_changes_nothing(rows, values, message):
     assert [con.rhs for con in m.constraints] == [3.0, 1.0]
 
 
+def test_tangent_envelope_by_hand():
+    # f(x) = 1 + 2x + 0.5x^2 on [0, 4] in 2 segments: tangents at 0, 2 and 4
+    # with values 1, 7, 17 and slopes 2, 4, 6
+    envelope = tangent_envelope((1.0, 2.0, 0.5), 4.0, 2)
+    assert envelope.xi.tolist() == [0.0, 2.0, 4.0]
+    assert envelope.fi.tolist() == [1.0, 7.0, 17.0]
+    assert envelope.slope.tolist() == [2.0, 4.0, 6.0]
+    # it equals the quadratic at its breakpoints
+    assert [envelope.value(x) for x in (0.0, 2.0, 4.0)] == [1.0, 7.0, 17.0]
+    # and lies below it between them, furthest at the midpoints, by c * (h / 2)^2 = 0.5
+    assert [envelope.value(x) for x in (1.0, 3.0)] == [3.0, 11.0]
+    assert [quad_value((1.0, 2.0, 0.5), x) for x in (1.0, 3.0)] == [3.5, 11.5]
+    xs = np.linspace(0.0, 4.0, 41)
+    below = np.array([quad_value((1.0, 2.0, 0.5), x) for x in xs]) - envelope.value(xs)
+    assert below.min() >= 0.0 and below.max() == 0.5
+
+
 def test_pwl_convex_value_of_an_array_is_the_scalar_formula_at_each_point():
     quad = a, b, c = (0.5, 1.5, 0.02)
     xs = [0.0, 3.7, 50.0, 99.9, 100.0]

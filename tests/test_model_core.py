@@ -27,7 +27,9 @@ from iesdispatch.model_core import (
     case_from_dict,
     case_hash,
     case_to_dict,
+    chp_params,
     default_case_path,
+    gas_unit_reach,
     load_case,
     reduce_case,
     require_valid,
@@ -803,3 +805,44 @@ def test_scale_profiles_refuses_an_unknown_key(case):
             scale_profiles(case, factors)
     every = scale_profiles(case, {"electric": 1.05, "gas": 0.95, "heat": 1.1, "wind": 0.9})
     assert case_hash(every) != case_hash(case)
+
+
+# -- case arithmetic shared by the build and verification ------------------------
+
+
+def _devices(case, *converters, **chp) -> CaseData:
+    """The case with only ``converters`` and the CHP options changed by ``chp``."""
+    return replace(case, converters=converters, chp=replace(case.chp, **chp))
+
+
+GB = ConverterParams("GB", 800.0, {"heat": 0.9})
+WHB = ConverterParams("WHB", 400.0, {"heat": 0.9})
+
+
+def test_chp_params_by_hand(case):
+    gt = ConverterParams("GT", 800.0, {"electric": 0.3, "heat": 0.5})
+    # useful heat per kW of gas is the GT's heat share after the WHB: 0.5 * 0.9
+    assert chp_params(_devices(case, gt, WHB, GB)) == (gt, WHB, 0.3, 0.45, 800.0, 400.0)
+    # no WHB recovers no heat; no GT has no efficiencies and no capacity
+    assert chp_params(_devices(case, gt, GB)) == (gt, None, 0.3, 0.0, 800.0, 0.0)
+    assert chp_params(_devices(case, WHB, GB)) == (None, WHB, 0.0, 0.0, 0.0, 400.0)
+
+
+def test_gas_unit_reach_by_hand(case):
+    # heat-to-power 0.45 / 0.3 = 1.5 lies below the corridor [2, 3]: in
+    # fixed-ratio mode the GT is held off and only the boiler's 0.9 * 800 reaches
+    off = ConverterParams("GT", 800.0, {"electric": 0.3, "heat": 0.5})
+    assert gas_unit_reach(_devices(case, off, WHB, GB, ratio_min=2.0, ratio_max=3.0)) == (0.0, 0.0, 720.0)
+    # in extraction mode the corridor is rows, not a bound: the GT reaches its capacity
+    assert gas_unit_reach(_devices(case, off, WHB, GB, extraction_mode=True)) == (240.0, 360.0, 720.0)
+    # 1000 kW of gas at 0.25 electric and 0.6 * 0.9 = 0.54 heat (ratio 2.16) would give
+    # 540 kW of heat, but the WHB takes 400: the heat stops there
+    gt = ConverterParams("GT", 1000.0, {"electric": 0.25, "heat": 0.6})
+    assert gas_unit_reach(_devices(case, gt, WHB, GB, extraction_mode=True)) == (250.0, 400.0, 720.0)
+    # in fixed-ratio mode the WHB caps the gas column at 400 / 0.54 kW, so the
+    # electric output stops at 0.25 of that too
+    electric, heat, boiler = gas_unit_reach(_devices(case, gt, WHB, GB, ratio_min=2.0, ratio_max=3.0))
+    assert (electric, heat, boiler) == (pytest.approx(250.0 * 400.0 / 540.0), pytest.approx(400.0), 720.0)
+    # no boiler and no GT reach nothing
+    assert gas_unit_reach(_devices(case, WHB)) == (0.0, 0.0, 0.0)
+

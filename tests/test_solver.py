@@ -708,6 +708,48 @@ def test_repriced_core_matches_cold_solves():
     assert warm_iterations < cold_iterations / 2
 
 
+def test_repriced_core_passes_only_the_costs_that_moved():
+    models, options = _sweep_models(), MilpOptions()
+    core = _ScipyCore(models[0])
+    highs, passed = core._highs, []
+
+    class CostSpy:
+        """Forwards to the core's HiGHS instance and records each changeColsCost call."""
+
+        def __getattr__(self, name):
+            return getattr(highs, name)
+
+        def changeColsCost(self, n, cols, costs):
+            passed.append((n, cols.tolist(), costs.tolist()))
+            return highs.changeColsCost(n, cols, costs)
+
+    core._highs = CostSpy()
+    assert core.solve(models[0], options).status == "optimal" and passed == []
+    # a lambda step (0.1 -> 0.3) moves the carbon ladder's costs: exactly
+    # those columns go to HiGHS, with the new costs
+    before, after = models[0].to_sparse()[0], models[1].to_sparse()[0]
+    moved = np.flatnonzero(after != before).tolist()
+    assert 0 < len(moved) < after.size
+    assert core.solve(models[1], options).status == "optimal"
+    assert passed == [(len(moved), moved, after[moved].tolist())]
+    # HiGHS then holds the model's costs bit for bit, as after passing them all
+    assert np.array_equal(np.array(highs.getLp().col_cost_), after)
+    # a d step (2000 -> 800 at lambda 0.6) moves no cost
+    assert core.solve(models[2], options).status == "optimal"
+    passed.clear()
+    assert core.solve(models[3], options).status == "optimal"
+    assert passed == []
+    c = models[3].to_sparse()[0]
+    assert np.array_equal(np.array(highs.getLp().col_cost_), c)
+    # a zero-cost run (the unbounded-or-infeasible test) leaves HiGHS zeros,
+    # so the next solve passes every nonzero cost back
+    core._zero_cost_run()
+    passed.clear()
+    assert core.solve(models[3], options).status == "optimal"
+    assert [cols for _, cols, _ in passed] == [np.flatnonzero(c).tolist()]
+    assert np.array_equal(np.array(highs.getLp().col_cost_), c)
+
+
 def test_core_keeps_the_compiled_matrix_object():
     # a model compiled again between re-pricings hands solve_milp the very A
     # its core holds, so the identity test reuses the core
