@@ -67,14 +67,9 @@ compiled arrays, and the embedded backend keeps its HiGHS core beside it
 re-priced point pays for its costs, the knee rows it moves and the simplex
 iterations, not for what stayed.  A point passes the model on only if it
 ended verified with no gate added, so a gated or failed point makes the
-next one build afresh, and so load a new core.  The slot keeps the check
-plan that point's solution was verified with beside the model
-(`verify._CheckPlan`: what `verify_solution` reads of the case), and
-hands it on with the model.  The plan reads neither lambda nor d, and the
-re-priced model has the same VarMap, so the next point's solution has the
-shape it was laid out for: reusing it is exact.  Extraction reads the VarMap
-through a read layout kept on the VarMap (`_ReadLayout`), so a re-priced
-point works out neither the plan nor the layout again.
+next one build afresh, and so load a new core.  What extraction and
+verification work out once per model hangs on its VarMap (`VarMap`), so
+it comes with the model.
 
 Powers are kW, energies kWh, emissions kg, money in currency units.
 """
@@ -119,7 +114,7 @@ from .model_core import (
     require_valid,
 )
 from .solver import BACKENDS, MilpOptions, NumericalFailure, get_backend, solve_milp
-from .verify import VerificationReport, _CheckPlan, _plan_for, _storage_overlaps, verify_solution
+from .verify import VerificationReport, _CheckPlan, _storage_overlaps, verify_solution
 
 ELECTRIC, GAS, HEAT = CARRIERS
 
@@ -229,7 +224,13 @@ class VarMap:
     (`_objective`); a re-price replaces only ``carbon_cost``.
     ``knees_d`` is the ``interval_d`` the ladder's knee rows were set for.
     ``read`` is `_extract`'s layout of these handles, worked out at its
-    first call.
+    first call, and ``plan`` the check plan of the model's solutions
+    (`verify._CheckPlan`), worked out at their first verification.  A
+    sweep re-prices a model in place (`_reprice`), so both come with it:
+    the layout reads these handles and the case's loads, the plan the case
+    and the solution's shape, which these handles fix, and neither reads
+    ``lambda_base`` or ``interval_d``, the only fields a re-priced point's
+    case may change (`_repriceable`), so reusing them is exact.
     """
 
     scenario: ScenarioSpec
@@ -247,6 +248,7 @@ class VarMap:
     pwl_bound_kg: float = 0.0
     knees_d: float | None = None
     read: "_ReadLayout | None" = field(default=None, repr=False, compare=False)
+    plan: _CheckPlan | None = field(default=None, repr=False, compare=False)
 
 
 # A per-period flow is (ids, coeff): coeff * x[ids[t]] in period t, or None
@@ -771,21 +773,14 @@ def _extract(case: CaseData, scenario: ScenarioSpec, vm: VarMap, res) -> Dispatc
 
 @dataclass
 class _ModelSlot:
-    """A sweep chunk's model and check plan, kept from one point to the next.
+    """A sweep chunk's model, kept from one point to the next.
 
     ``held`` is (case, model, VarMap) of the last point that ended verified
-    with no gate added, or None, and ``plan`` the check plan that point's
-    solution was verified with (`_CheckPlan`).  The embedded backend keeps
-    the model's HiGHS core beside the model, so the core lives as long as
-    it is held.  The plan is handed on with the model, so exactly when
-    `_repriceable` holds: the next point's case then differs from the
-    held one only in ``lambda_base`` and ``interval_d``, which the plan
-    does not read, and its re-priced model has the same VarMap, so its
-    solution has the shape the plan was laid out for.
+    with no gate added, or None.  The embedded backend keeps the model's
+    HiGHS core beside the model, so the core lives as long as it is held.
     """
 
     held: tuple | None = None
-    plan: _CheckPlan | None = None
 
 
 _model_slot: ContextVar[_ModelSlot | None] = ContextVar("sweep_model", default=None)
@@ -825,16 +820,14 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     adds gates the next one builds afresh.  The embedded backend solves a
     model's LPs on the core it keeps beside that model, so a re-priced
     point restarts on the core of the point before it and a built model
-    loads its own.  The check plan travels with the model: a re-priced
-    point verifies on the plan of the point before it, a built one on a
-    plan of its own, so no plan outlives its chunk.
+    loads its own.
     """
     scenario = as_scenario(scenario)
     options = options or DispatchOptions()
-    slot, held, plan = _model_slot.get(), None, None
+    slot, held = _model_slot.get(), None
     solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
     if slot is not None:
-        held, plan, slot.held, slot.plan = slot.held, slot.plan, None, None
+        held, slot.held = slot.held, None
     if held is not None and _repriceable(held, case, scenario, options):
         # not validated again: it is the held, validated case but for lambda_base and
         # interval_d, which _sweep's check_grid kept positive and finite, all validate_case asks
@@ -842,7 +835,6 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
         _reprice(case, model, vm)
     else:
         model, vm = build_model(case, scenario, options)
-        plan = None
     # gates on demand (module docstring): a round that leaves no ungated
     # pair overlapping is the last; verify_solution judges the gated ones
     nodes, wall_time = 0, 0.0
@@ -861,13 +853,14 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
             break
         add_gates(case, model, vm, failing)
     sol.nodes, sol.wall_time = nodes, wall_time
-    plan = _plan_for(case, sol, plan)
-    report = verify_solution(case, scenario, sol, overlaps, plan)
+    if vm.plan is None:
+        vm.plan = _CheckPlan(case, sol)
+    report = verify_solution(case, scenario, sol, overlaps, vm.plan)
     if not report.passed:
         raise VerificationError(scenario.id, report.failures)
     sol.verification = report
     if slot is not None and not any(blk.gate for blk in vm.storage.values()):
-        slot.held, slot.plan = (case, model, vm), plan
+        slot.held = case, model, vm
     return sol
 
 

@@ -19,11 +19,11 @@ One kept core per model.  The core an LP was solved on is kept beside its
 model (`_cores`, weakly keyed by the model, as the model keeps its compiled
 ``A``), so it goes when the model goes.  The next solve of the model reuses
 it when the model still compiles to the core's ``A`` object, and otherwise
-loads a new core.  Every solve after the load re-prices the core with the
-model's costs and row bounds, and each run gets its own time limit.  The
-identity test is exact: ``to_sparse`` hands back the same ``A`` until a
-column or row is added, only adding rows changes which side of a row is
-infinite, and no call changes the bounds of a column once added.  A solve
+loads a new core.  Every solve re-prices the core with the model's costs
+and row bounds, and each run gets its own time limit.  The identity test
+is exact: ``to_sparse`` hands back the same ``A`` until a column or row
+is added, only adding rows changes which side of a row is infinite, and
+no call changes the bounds of a column once added.  A solve
 takes the core out first and puts it back once it returns, so after a
 raise the next solve loads a new core.
 A sweep re-prices one model from point to point: the carbon price moves
@@ -155,9 +155,9 @@ _CHOOSE, _DUAL = 0, 1
 class _ScipyCore:
     """One HiGHS instance per compiled matrix; a solve re-prices it with its model.
 
-    A kept LP core (no ``options``) loads the model's arrays and row bounds
-    once with presolve off, so the simplex basis lives on between runs.  A
-    solve after a run that ended optimal restarts hot from it with
+    A kept LP core (no ``options``) loads the model's arrays once with
+    presolve off, so the simplex basis lives on between runs.  A solve
+    after a run that ended optimal restarts hot from it with
     ``simplex_strategy`` 0 (module docstring); any other solve clears the
     solver and runs the dual simplex.  A one-off core (`highs_milp`) is
     loaded for the one run its ``options`` set the MIP gap and node limit
@@ -189,7 +189,6 @@ class _ScipyCore:
             A.indptr, A.indices, A.data, is_binary.astype(np.int32))
         if status == HighsStatus.kError:
             raise NumericalFailure(f"{self._who} failed: HiGHS rejected the model")
-        self._loaded = True  # the first run takes the costs and row bounds of the load
         self._hot = False  # whether the last run ended optimal, so the next restarts from it
 
     def _zero_cost_run(self):
@@ -205,10 +204,11 @@ class _ScipyCore:
     def solve(self, model: MilpModel, options: MilpOptions) -> MilpSolution:
         """Solve ``model``, which compiles to the loaded ``A``, under ``options.time_limit``.
 
-        A run after the first passes HiGHS only the costs and row bounds
-        that differ in value from the ones the core holds, so HiGHS keeps
-        its basis.  Row bounds that are the very arrays the core holds are
-        not compared: ``to_sparse`` replaces them whenever a row moves.
+        A run passes HiGHS only the costs and row bounds of ``model`` that
+        differ in value from the ones the core holds, so HiGHS keeps its
+        basis; on the model the core was loaded from, the first run finds
+        none.  Row bounds that are the very arrays the core holds are not
+        compared: ``to_sparse`` replaces them whenever a row moves.
         HiGHS's run clock counts every run of the instance, so the time
         limit is set from it for each run.  A MIP run's incumbent, node
         count and dual bound are HiGHS's; a one-off core rounds the
@@ -217,19 +217,16 @@ class _ScipyCore:
         t0 = time.perf_counter()
         h = self._highs
         c, c0, _, lower, upper, _, _, is_binary = model.to_sparse()
-        if self._loaded:
-            self._loaded = False
-        else:
-            moved = self._cols[c != self._costs]
-            if moved.size:
-                h.changeColsCost(moved.size, moved, c[moved])
-            self._costs = c
-            held_lower, held_upper = self._rows
-            if lower is not held_lower or upper is not held_upper:
-                # scipy's binding has no changeRowsBounds: one call per changed row
-                for i in np.flatnonzero((lower != held_lower) | (upper != held_upper)).tolist():
-                    h.changeRowBounds(i, lower[i], upper[i])
-                self._rows = lower, upper
+        moved = self._cols[c != self._costs]
+        if moved.size:
+            h.changeColsCost(moved.size, moved, c[moved])
+        self._costs = c
+        held_lower, held_upper = self._rows
+        if lower is not held_lower or upper is not held_upper:
+            # scipy's binding has no changeRowsBounds: one call per changed row
+            for i in np.flatnonzero((lower != held_lower) | (upper != held_upper)).tolist():
+                h.changeRowBounds(i, lower[i], upper[i])
+            self._rows = lower, upper
         limit = options.time_limit
         h.setOptionValue("time_limit", math.inf if limit is None else h.getRunTime() + limit)
         hot, self._hot = self._hot, False

@@ -7,23 +7,22 @@ the satisfaction floor, the cost breakdown and the gap between the exact
 and the linearized emissions.  `dispatch.run_scenario` refuses to return a
 solution that fails it, and its gates on demand read `_storage_overlaps`,
 the storage exclusivity test.  What a check reads of the case is laid out
-once per case in a check plan (`_CheckPlan`), which a sweep chunk hands
-from point to point.
+once in a check plan (`_CheckPlan`), which a built model keeps.
 
 Verification reads the solution and the case, never the model: no
 VarMap, no row and no column.  What it takes as given from the build is
-what a solution reports of its emission envelope: the segment count, from
-which it works out the tangents again, and the error bound, the tolerance
-of its ``pwl_gap`` check.  This module imports nothing from `dispatch`,
+the segment count a solution reports of its emission envelope, from which
+it works out the tangents and their error bound, the tolerance of its
+``pwl_gap`` check, again.  This module imports nothing from `dispatch`,
 `solver` or `cli`, and a solution's types appear in its annotations only
 as strings.  What it does share with the build is a short list of case
 arithmetic, fixed name by name in ``tests/test_imports.py``:
 `model_core.chp_params` and `gas_unit_reach` (the devices' reach, which
-also sizes the gas emission envelope), `milp_ir.tangent_envelope` and
-`quad_value`, `demand_response.decompose_loads` and `satisfaction_index`,
-and `carbon.emission_account` and `carbon_cost`.  A fault in one of them
-would pass verification, so each has an oracle test of its own against
-hand-worked numbers.
+also sizes the gas emission envelope), `milp_ir.tangent_envelope`,
+`pwl_convex_error_bound` and `quad_value`, `demand_response.decompose_loads`
+and `satisfaction_index`, and `carbon.emission_account` and `carbon_cost`.
+A fault in one of them would pass verification, so each has an oracle
+test of its own against hand-worked numbers.
 
 Powers are kW, energies kWh, emissions kg, money in currency units.
 """
@@ -37,7 +36,7 @@ import numpy as np
 
 from .carbon import FlowSchedule, carbon_cost, emission_account
 from .demand_response import SHIFT, SUBSTITUTE, decompose_loads, satisfaction_index
-from .milp_ir import TangentEnvelope, quad_value, tangent_envelope
+from .milp_ir import TangentEnvelope, pwl_convex_error_bound, quad_value, tangent_envelope
 from .model_core import CARRIERS, CaseData, _policy, as_scenario, chp_params, gas_unit_reach
 
 ELECTRIC, GAS, _ = CARRIERS
@@ -91,8 +90,9 @@ class _CheckPlan:
     windows, tariffs and maintenance weights, and the tangents of the
     emission envelopes (a curve with no reach is the constant f(0)).  It
     reads no carbon price: neither ``lambda_base`` nor ``interval_d``
-    enters it, so a sweep chunk's point whose case differs from the plan's
-    only in those two (`dispatch._repriceable`) reuses it.
+    enters it.  ``pwl_bound`` is the envelopes' error bound in kg, summed
+    as the build sums it (`dispatch._encode_carbon`), so that its bits are
+    the ones the solution reports.
 
     A call stacks the solution's series as rows of a pool (``pool`` holds
     the case's rows, a zero row and room for the rows a call works out:
@@ -269,17 +269,17 @@ class _CheckPlan:
         self.maint_rows = np.array([flow[name] for name in ("p_dg", "p_p2g_g", "p_gt_e", "p_gt_h", "p_gb_h")])
         self.maint_weights = np.array([omega.get(unit, 0.0) for unit in ("wind", "P2G", "GT", "WHB", "GB")])[:, None]
         self.store_weights = np.array([omega.get(f"storage_{k}", 0.0) for k in stores])[:, None]
-        self.envelopes = None
+        self.envelopes, self.pwl_bound = None, 0.0
         if priced:
             carbon = case.carbon  # its quadratics are every mechanism's (`_policy`)
-            quads, reach = (carbon.coal_quad, carbon.gas_quad), (case.purchase_caps[0], sum(gas_unit_reach(case)))
+            curves = list(zip((carbon.coal_quad, carbon.gas_quad),
+                              (case.purchase_caps[0], sum(gas_unit_reach(case)))))
             self.envelopes = [tangent_envelope(quad, x_max, segments) if x_max > 0 else quad_value(quad, 0.0)
-                              for quad, x_max in zip(quads, reach)]
-
-
-def _plan_for(case: CaseData, sol: "DispatchSolution", plan: _CheckPlan | None) -> _CheckPlan:
-    """``plan`` when it is laid out for the solution's shape, else a new plan of ``case``."""
-    return plan if plan is not None and plan.shape == _solution_shape(sol) else _CheckPlan(case, sol)
+                              for quad, x_max in curves]
+            per_period = [pwl_convex_error_bound(quad[2], x_max, segments) * dt for quad, x_max in curves if x_max > 0]
+            for _ in range(periods):
+                for term in per_period:
+                    self.pwl_bound += term
 
 
 def verify_solution(case: CaseData, scenario, sol: "DispatchSolution", overlaps=None, plan=None) -> VerificationReport:
@@ -298,13 +298,14 @@ def verify_solution(case: CaseData, scenario, sol: "DispatchSolution", overlaps=
     What the checks read of the case is laid out once in a check plan
     (`_CheckPlan`); ``plan`` is one built for this case, or for one that
     differs from it only in ``carbon.lambda_base`` and
-    ``carbon.interval_d``, which no plan reads (a sweep chunk hands its
-    points the plan of the first).  Without one, or with one laid out for
-    another shape of solution, the call builds its own.  ``overlaps`` is
+    ``carbon.interval_d``, which no plan reads (a re-priced model keeps
+    its plan).  Without one, or with one laid out for another shape of
+    solution, the call builds its own.  ``overlaps`` is
     ``_storage_overlaps(case, sol.storage)`` when the caller has it already.
     """
     scenario = as_scenario(scenario)
-    plan = _plan_for(case, sol, plan)
+    if plan is None or plan.shape != _solution_shape(sol):
+        plan = _CheckPlan(case, sol)
     dt = plan.dt
     pool = plan.pool.copy()
     inputs = [*(getattr(sol, name) for name in _FLOWS),
@@ -408,7 +409,7 @@ def verify_solution(case: CaseData, scenario, sol: "DispatchSolution", overlaps=
         check(
             "pwl_gap",
             abs(account.actual.total - surrogate),
-            sol.pwl_bound_kg + 1e-9,
+            plan.pwl_bound + 1e-9,
         )
         surrogate_share = surrogate - account.quota.total
         surrogate_cost = carbon_cost(surrogate_share, policy)

@@ -298,7 +298,9 @@ def vertex_milp(model: MilpModel, tol: float = 1e-9):
 # every call.  The differential tests hold the product to them bit for bit;
 # the two checks whose NaN handling was mended (``satisfaction_floor`` and
 # ``storage_{k}_exclusive``) are the only ones allowed to differ, and only
-# on a NaN.
+# on a NaN.  The ``pwl_gap`` tolerance is the envelopes' error bound worked
+# out from the case and the segment count, as verification now does, not the
+# bound the solution reports.
 
 
 def _previous_pwl_convex_value(quad, x_max: float, segments: int, x):
@@ -610,11 +612,15 @@ def previous_verify_solution(case: CaseData, scenario, sol: DispatchSolution, ov
                                - policy.theta_p2g * p2g_g)).tolist())
         rel("surrogate_actual", sol.surrogate_actual_kg, surrogate,
             scale=max(abs(surrogate), account.actual.total, 1.0))
-        check(
-            "pwl_gap",
-            abs(account.actual.total - surrogate),
-            sol.pwl_bound_kg + 1e-9,
-        )
+        # the envelopes' error bound c * (x_max / n)^2 / 4 per period and curve with
+        # reach, from the case and the segment count, summed period by period
+        per_period = [quad[2] * (x_max / n) ** 2 / 4.0 * dt
+                      for quad, x_max in ((policy.coal_quad, cap_e), (policy.gas_quad, q_max)) if x_max > 0]
+        bound = 0.0
+        for _ in range(case.horizon.periods):
+            for term in per_period:
+                bound += term
+        check("pwl_gap", abs(account.actual.total - surrogate), bound + 1e-9)
         surrogate_share = surrogate - account.quota.total
         surrogate_cost = carbon_cost(surrogate_share, policy)
         rel("surrogate_carbon_cost", sol.surrogate_carbon_cost, surrogate_cost,

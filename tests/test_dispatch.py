@@ -765,6 +765,19 @@ def test_pwl_bound_scales_inverse_square(reduced_case):
     assert fine.verification.passed and coarse.verification.passed
 
 
+def test_pwl_gap_tolerance_is_worked_out_from_the_case(reduced_case, reduced_report):
+    # verification works out the envelopes' error bound from the case and the
+    # segment count, so a solution that overstates its bound is held to the same tolerance
+    sol = reduced_report.solutions["S5"]
+    overstated = replace(sol, pwl_bound_kg=1000.0 * sol.pwl_bound_kg)
+
+    def tolerance(s):
+        return {name: tol for name, _, tol in verify_solution(reduced_case, "S5", s).checks}["pwl_gap"]
+
+    assert sol.pwl_bound_kg > 0
+    assert tolerance(overstated) == tolerance(sol) == sol.pwl_bound_kg + 1e-9
+
+
 # -- sweeps ------------------------------------------------------------------------
 
 

@@ -3,8 +3,9 @@
 Every name a module imports is read somewhere in that module.  This covers
 the package modules and the test files.  ``__init__.py`` files are skipped:
 their imports are the package's re-exports.  ``from __future__`` imports
-are compiler directives, not names, and an import statement marked
-``# noqa: F401`` is imported on purpose for its side effects or as a check.
+are compiler directives, not names, and what a ``# noqa: F401`` marks is
+imported on purpose for its side effects or as a check: the whole statement
+when the mark is on its first line, else the names on the marked line.
 
 Importing the CLI loads no process pool, and no package module imports
 ``scipy.sparse`` or ``scipy.optimize.milp``: the compiled matrix is a numpy
@@ -42,14 +43,14 @@ def unused_imports(source: str) -> list[str]:
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+        if "# noqa: F401" in lines[node.lineno - 1]:
             continue
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            if "# noqa: F401" not in lines[alias.lineno - 1]:
+                name = alias.name.partition(".")[0] if isinstance(node, ast.Import) else alias.name
+                imported[alias.asname or name] = alias.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
 
@@ -61,8 +62,9 @@ def test_module_reads_every_name_it_imports(path):
 
 def test_checker_flags_an_unread_import():
     source = ("from __future__ import annotations\nimport math\nimport os.path\nfrom x import a, b as c\n"
-              "import json  # noqa: F401\nfrom y import (  # noqa: F401\n    d,\n)\nc(os)\n")
-    assert unused_imports(source) == ["line 2: math", "line 4: a"]
+              "import json  # noqa: F401\nfrom y import (  # noqa: F401\n    d,\n)\n"
+              "from z import (\n    e,\n    f,  # noqa: F401\n    g as h,\n)\nc(os)\n")
+    assert unused_imports(source) == ["line 2: math", "line 4: a", "line 10: e", "line 12: h"]
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -108,18 +110,19 @@ LAYERS = {
 # every name verify.py imports from the package.  Each helper on the list has
 # an oracle test of its own against hand-worked numbers: chp_params and
 # gas_unit_reach in test_model_core.py (test_chp_params_by_hand,
-# test_gas_unit_reach_by_hand), tangent_envelope and quad_value in
-# test_milp_ir.py (test_tangent_envelope_by_hand, test_quad_value),
-# emission_account and carbon_cost in test_carbon.py
-# (test_emission_account_by_hand, test_carbon_cost_dispatch and the tier-cost
-# spot values), decompose_loads and satisfaction_index in
-# test_demand_response.py (test_decompose_splits_by_fraction,
-# test_satisfaction_fixture_055).  as_scenario and _policy look the scenario
-# up; the rest are the case's data types and names.
+# test_gas_unit_reach_by_hand), tangent_envelope, pwl_convex_error_bound and
+# quad_value in test_milp_ir.py (test_tangent_envelope_by_hand,
+# test_pwl_convex_error_bound_values, test_quad_value), emission_account and
+# carbon_cost in test_carbon.py (test_emission_account_by_hand,
+# test_carbon_cost_dispatch and the tier-cost spot values), decompose_loads
+# and satisfaction_index in test_demand_response.py
+# (test_decompose_splits_by_fraction, test_satisfaction_fixture_055).
+# as_scenario and _policy look the scenario up; the rest are the case's data
+# types and names.
 VERIFY_IMPORTS = {
     "carbon": {"FlowSchedule", "carbon_cost", "emission_account"},
     "demand_response": {"SHIFT", "SUBSTITUTE", "decompose_loads", "satisfaction_index"},
-    "milp_ir": {"TangentEnvelope", "quad_value", "tangent_envelope"},
+    "milp_ir": {"TangentEnvelope", "pwl_convex_error_bound", "quad_value", "tangent_envelope"},
     "model_core": {"CARRIERS", "CaseData", "_policy", "as_scenario", "chp_params", "gas_unit_reach"},
 }
 

@@ -257,9 +257,14 @@ def _envelope_optimum(quad, x_max, segments, x_fix):
 
 
 def test_pwl_convex_error_bound_values():
+    # c * (h / 2)^2 for segments of width h = x_max / segments, by hand.
     # f = x^2 on [0, 10]: two segments err 6.25, ten segments err 0.25
-    assert pwl_convex_error_bound(1.0, 10.0, 2) == pytest.approx(6.25)
-    assert pwl_convex_error_bound(1.0, 10.0, 10) == pytest.approx(0.25)
+    assert pwl_convex_error_bound(1.0, 10.0, 2) == 6.25
+    assert pwl_convex_error_bound(1.0, 10.0, 10) == 0.25
+    # the envelope of test_tangent_envelope_by_hand (c = 0.5, h = 2) lies at most 0.5 below
+    assert pwl_convex_error_bound(0.5, 4.0, 2) == 0.5
+    # a straight line has no gap
+    assert pwl_convex_error_bound(0.0, 6.0, 3) == 0.0
 
 
 def test_pwl_convex_worst_case_midpoint():

@@ -750,6 +750,19 @@ def test_repriced_core_passes_only_the_costs_that_moved():
     assert np.array_equal(np.array(highs.getLp().col_cost_), c)
 
 
+def test_a_cores_first_run_solves_the_model_it_is_given():
+    # the first run re-prices the core like any other: loaded from one model,
+    # it solves another with the same A at another lambda and d as a cold core does
+    models, options = _sweep_models(), MilpOptions()
+    loaded, given = models[0].to_sparse(), models[3].to_sparse()
+    assert not np.array_equal(loaded[0], given[0])  # other costs
+    assert not (np.array_equal(loaded[3], given[3]) and np.array_equal(loaded[4], given[4]))  # other knee rows
+    first = _ScipyCore(models[0]).solve(models[3], options)
+    cold = _ScipyCore(models[3]).solve(models[3], options)
+    assert first.status == cold.status == "optimal"
+    assert first.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+
+
 def test_core_keeps_the_compiled_matrix_object():
     # a model compiled again between re-pricings hands solve_milp the very A
     # its core holds, so the identity test reuses the core
