@@ -92,11 +92,13 @@ from .milp_ir import (
     LE,
     LinearForm,
     MilpModel,
+    ModelError,
+    envelope_error,
     linear_form,
     pwl_convex,
-    pwl_convex_error_bound,
     quad_value,
     stack_rows,
+    tangent_envelope,
     unreachable_row,
 )
 from .model_core import SCENARIOS  # noqa: F401 (re-exported for callers of dispatch.SCENARIOS)
@@ -129,7 +131,9 @@ class DispatchError(Exception):
 
     ``status`` is its row status: "infeasible" when the build refuses the
     model, the solver's status when it finds no incumbent, "numerical_failure"
-    when a HiGHS run certifies no outcome, or "verification_failed".
+    when a HiGHS run certifies no outcome or the model's numbers overflow
+    (a carbon price or tier width near the float limit), or
+    "verification_failed".
     """
 
     status: str
@@ -538,38 +542,33 @@ def _encode_carbon(case, options, model, dr, policy, tags, flows):
     """Emission accounting forms plus the trading-cost encoding.
 
     Returns the ladder's handles (`carbon.CarbonLadder`), the actual
-    emission form and the envelope's error bound in kg.
+    emission form and the envelopes' error bound in kg.
 
     Actual emissions are quadratic in purchased power and in the combined
-    gas-unit output; each quadratic is replaced per period by its tangent
-    envelope (a guaranteed underestimator with a quadratic error law), so
-    the model stays linear.  The envelopes of all periods are one block,
-    coal and gas interleaved by period.  The quota and the remaining
-    emission terms are affine and exact.
+    gas-unit output; each quadratic with reach has one tangent envelope (a
+    guaranteed underestimator with a quadratic error law), cut in every
+    period, so the model stays linear.  The cuts of all periods are one
+    block, coal and gas interleaved by period.  The quota and the
+    remaining emission terms are affine and exact.
     """
     periods = len(tags)
     dt = case.horizon.step_hours
     n = options.pwl_segments
     q_max = sum(gas_unit_reach(case))
-    curves = [(name, x, quad, x_max) for name, x, quad, x_max in (
+    curves = [(name, x, tangent_envelope(quad, x_max, n)) for name, x, quad, x_max in (
         ("em_coal", [flows["p_e_buy"]], policy.coal_quad, case.purchase_caps[0]),
         ("em_gas", [flows["p_gt_e"], flows["p_gt_h"], flows["p_gb_h"]], policy.gas_quad, q_max),
     ) if x_max > 0]
+    envelopes = [c[2] for c in curves]
     # an absent curve is the constant f(0) in every period
     envelope = {"em_coal": None, "em_gas": None}
     if curves:
-        cols, coeffs = _flow_block([x for _, x, _, _ in curves], periods)
-        y = pwl_convex(model, cols, coeffs, np.tile(np.array([c[2] for c in curves], dtype=float), (periods, 1)),
-                       np.tile([c[3] for c in curves], periods), n,
+        cols, coeffs = _flow_block([x for _, x, _ in curves], periods)
+        y = pwl_convex(model, cols, coeffs, envelopes * periods,
                        [f"{c[0]}_{tag}" for tag in tags for c in curves]).reshape(periods, -1)
         envelope.update((c[0], (y[:, j], 1.0)) for j, c in enumerate(curves))
     f0 = 0.0 if envelope["em_coal"] else quad_value(policy.coal_quad, 0.0)
     f0 = f0 + (0.0 if envelope["em_gas"] else quad_value(policy.gas_quad, 0.0))
-    bound = 0.0
-    per_period = [pwl_convex_error_bound(quad[2], x_max, n) * dt for _, _, quad, x_max in curves]
-    for _ in range(periods):
-        for term in per_period:
-            bound += term
     # the sums over periods of the per-period terms; the constants are added
     # period by period
     gas_dr = _dr_flows(dr, GAS)
@@ -588,7 +587,7 @@ def _encode_carbon(case, options, model, dr, policy, tags, flows):
         quota_const += (0.0 + load * policy.sigma_gload) * dt
     actual = _flow_sum(actual_flows, periods, dt, actual_const)
     quota = _flow_sum(quota_flows, periods, dt, quota_const)
-    return carbon_mod.encode_carbon_cost(model, policy, actual, quota), actual, bound
+    return carbon_mod.encode_carbon_cost(model, policy, actual, quota), actual, envelope_error(envelopes, periods, dt)
 
 
 # -- solutions ---------------------------------------------------------------------
@@ -811,7 +810,10 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     Raises StaticInfeasibleError / SolveFailedError / VerificationError
     rather than returning a solution that cannot be trusted, and UnitError
     (from ``require_valid``) for an invalid case.  A numerical failure of
-    a HiGHS run is a SolveFailedError with status "numerical_failure".
+    a HiGHS run is a SolveFailedError with status "numerical_failure", and
+    so is a model whose numbers overflow: the ModelError that `build_model`
+    or `_reprice` raises for a cost or right-hand side that is not finite
+    (``lambda_base`` or ``interval_d`` of a valid case near 1e308).
 
     Inside a sweep chunk (`_sweep`) the model of the chunk's previous point
     is re-priced instead of built again when it can be (`_repriceable`).
@@ -828,13 +830,16 @@ def run_scenario(case: CaseData, scenario, options: DispatchOptions | None = Non
     solve = solve_milp if options.backend == "embedded" else get_backend(options.backend).solve
     if slot is not None:
         held, slot.held = slot.held, None
-    if held is not None and _repriceable(held, case, scenario, options):
-        # not validated again: it is the held, validated case but for lambda_base and
-        # interval_d, which _sweep's check_grid kept positive and finite, all validate_case asks
-        _, model, vm = held
-        _reprice(case, model, vm)
-    else:
-        model, vm = build_model(case, scenario, options)
+    try:
+        if held is not None and _repriceable(held, case, scenario, options):
+            # not validated again: it is the held, validated case but for lambda_base and
+            # interval_d, which _sweep's check_grid kept positive and finite, all validate_case asks
+            _, model, vm = held
+            _reprice(case, model, vm)
+        else:
+            model, vm = build_model(case, scenario, options)
+    except ModelError as exc:
+        raise SolveFailedError(scenario.id, "numerical_failure", str(exc)) from None
     # gates on demand (module docstring): a round that leaves no ungated
     # pair overlapping is the last; verify_solution judges the gated ones
     nodes, wall_time = 0, 0.0

@@ -32,8 +32,9 @@ summed costs.  A form checks nothing itself.  :func:`unreachable_row`
 finds a row that no point within the column bounds meets.
 
 The module also carries the linearization the dispatch model uses:
-epigraph (tangent) cuts for convex quadratics, added for a whole family of
-envelopes as one row block.
+a convex quadratic's tangent envelope (`tangent_envelope`, its one
+statement, which verification reads too), cut for a whole family of
+envelopes as one row block (`pwl_convex`).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class TriviallyInfeasibleError(ModelError):
 
 
 class ConvexityError(ModelError):
-    """pwl_convex was asked to linearize a concave quadratic."""
+    """tangent_envelope was asked for the envelope of a concave quadratic."""
 
 
 class LinearForm(NamedTuple):
@@ -570,11 +571,14 @@ def pwl_convex_error_bound(c: float, x_max: float, segments: int) -> float:
 
 
 class TangentEnvelope(NamedTuple):
-    """The tangents of a pwl_convex envelope: breakpoints, the quadratic's values and slopes there."""
+    """A quadratic's tangents (breakpoints, values and slopes there), its column's bounds and its error bound."""
 
     xi: np.ndarray
     fi: np.ndarray
     slope: np.ndarray
+    low: float
+    high: float
+    error: float
 
     def value(self, x):
         """The envelope at a point, or at each point of an array: the largest tangent there."""
@@ -583,57 +587,53 @@ class TangentEnvelope(NamedTuple):
 
 
 def tangent_envelope(quad, x_max: float, segments: int) -> TangentEnvelope:
-    """The tangents `pwl_convex` cuts at for one quadratic, each value in the operation order of `quad_value`.
+    """The envelope of a + b x + c x^2 on [0, x_max], the one statement `pwl_convex` and verification read.
 
-    Its ``value`` is what the envelope variable equals under downward
-    objective pressure; verification recomputes it from a schedule without
-    a model.  The tangents are few, so they are worked out on floats:
-    the array formula's bits at less cost.
+    Tangents at segments+1 uniform breakpoints, each value on floats in the
+    operation order of `quad_value`; its ``value`` is what the envelope
+    column equals under downward objective pressure.  The column lies in
+    [least of f on [0, x_max] - ``error``, greatest of f].  c < 0 raises
+    ConvexityError, segments < 1 or x_max <= 0 ModelError.
     """
-    a, b, c = (float(v) for v in quad)
-    xi = [x_max * i / segments for i in range(segments + 1)]
-    return TangentEnvelope(*map(np.array, (xi, [a + b * x + c * x * x for x in xi], [b + 2.0 * c * x for x in xi])))
-
-
-def pwl_convex(model: MilpModel, x_cols, x_coeffs, quads, x_max, segments: int, names) -> np.ndarray:
-    """Underestimators y_j of convex quadratics f_j(x) = a + b x + c x^2 on [0, x_max_j].
-
-    One envelope per name, with argument x_j = sum_k x_coeffs[j, k] *
-    x[x_cols[j, k]] (an (m, k) block as in :meth:`MilpModel.add_rows`)
-    bounded within [0, x_max_j]; ``quads`` holds one (a, b, c) per envelope
-    and ``x_max`` is a scalar or one per envelope.  Adds tangent (epigraph)
-    cuts at segments+1 uniform breakpoints, envelope by envelope, in one
-    row block.  Under downward objective pressure on y_j the optimum
-    satisfies |y_j - f_j(x_j)| <= c * (x_max_j/segments)^2 / 4.  No binaries
-    are introduced.  Returns the ids of the y columns.
-    """
-    quads = np.asarray(quads, dtype=float).reshape(-1, 3)
-    x_max = _filled(x_max, len(names))
-    if np.count_nonzero(quads[:, 2] < 0.0):
-        raise ConvexityError(f"pwl_convex requires c >= 0, got {quads[:, 2].min()}")
+    a, b, c, x_max = (float(v) for v in (*quad, x_max))
+    if c < 0.0:
+        raise ConvexityError(f"a tangent envelope requires c >= 0, got {c}")
     if segments < 1:
         raise ModelError("segments must be >= 1")
-    if not _all(x_max > 0.0):
+    if not x_max > 0.0:
         raise ModelError("x_max must be > 0")
-    # bounds of y per distinct curve; envelopes often share one
-    index: dict = {}
-    curve_of = [index.setdefault(key, len(index)) for key in map(tuple, np.column_stack([quads, x_max]).tolist())]
-    box = []
-    for a, b, c, xm in index:
-        quad = (a, b, c)
-        # c == 0 still works: every tangent is the same exact line y >= a + b*x
-        vertex = min(max(-b / (2.0 * c), 0.0), xm) if c > 0.0 else 0.0
-        f_lo = min(quad_value(quad, t) for t in (0.0, xm, vertex))
-        box.append((f_lo - pwl_convex_error_bound(c, xm, segments),
-                    max(quad_value(quad, 0.0), quad_value(quad, xm))))
-    bounds = np.array(box).reshape(-1, 2)[curve_of]
-    y = model.add_variables(CONTINUOUS, bounds[:, 0], bounds[:, 1], names)
-    # breakpoints, function values and slopes per (envelope, cut), in the
-    # operation order of quad_value so the rows match the scalar formulas
-    xi = x_max[:, None] * np.arange(segments + 1) / segments
-    a, b, c = quads.T[:, :, None]
-    fi = a + b * xi + c * xi * xi
-    slope = b + 2.0 * c * xi
+    xi = [x_max * i / segments for i in range(segments + 1)]
+    error = pwl_convex_error_bound(c, x_max, segments)
+    # c == 0 still works: every tangent is the same exact line y >= a + b*x
+    vertex = min(max(-b / (2.0 * c), 0.0), x_max) if c > 0.0 else 0.0
+    f0, f_max, f_vertex = (quad_value((a, b, c), t) for t in (0.0, x_max, vertex))
+    return TangentEnvelope(*map(np.array, (xi, [a + b * x + c * x * x for x in xi], [b + 2.0 * c * x for x in xi])),
+                           min(f0, f_max, f_vertex) - error, max(f0, f_max), error)
+
+
+def envelope_error(envelopes, periods: int, dt: float) -> float:
+    """The envelopes' error bound over the periods: each ``error * dt``, summed from 0.0 period by period."""
+    per_period = [envelope.error * dt for envelope in envelopes]
+    bound = 0.0
+    for _ in range(periods):
+        for term in per_period:
+            bound += term
+    return bound
+
+
+def pwl_convex(model: MilpModel, x_cols, x_coeffs, envelopes, names) -> np.ndarray:
+    """Underestimators y_j of convex quadratics, cut along their envelopes (`tangent_envelope`).
+
+    One envelope per name, all with one segment count, with argument x_j =
+    sum_k x_coeffs[j, k] * x[x_cols[j, k]] (an (m, k) block as in
+    :meth:`MilpModel.add_rows`).  Adds y_j within ``[low, high]`` and the
+    cuts y_j >= fi + slope * (x_j - xi), envelope by envelope, in one row
+    block.  Under downward objective pressure on y_j the optimum lies at
+    most ``error`` below the quadratic.  No binaries are introduced.
+    Returns the ids of the y columns.
+    """
+    y = model.add_variables(CONTINUOUS, [e.low for e in envelopes], [e.high for e in envelopes], names)
+    xi, fi, slope = (np.array(arrays) for arrays in zip(*(e[:3] for e in envelopes)))
     # y >= fi + slope*(x - xi)
     x_cols = np.asarray(x_cols)
     shape = (*xi.shape, 1 + x_cols.shape[1])
@@ -643,7 +643,7 @@ def pwl_convex(model: MilpModel, x_cols, x_coeffs, quads, x_max, segments: int, 
     coeffs = np.empty(shape)
     coeffs[..., 0] = 1.0
     coeffs[..., 1:] = -(slope[..., None] * _filled(x_coeffs, x_cols.shape)[:, None, :])
-    cuts = [f"_cut{i}" for i in range(segments + 1)]
+    cuts = [f"_cut{i}" for i in range(xi.shape[1])]
     cut_names = [name + cut for name in names for cut in cuts]
     model.add_rows(cols.reshape(-1, shape[-1]), coeffs.reshape(-1, shape[-1]), GE,
                    (fi - slope * xi).ravel(), cut_names)

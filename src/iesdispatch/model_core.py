@@ -40,6 +40,10 @@ SOLVER_INFINITY = 1e20
 # the largest |ratio| an extraction-mode corridor row may carry: HiGHS
 # refuses 1e15, and from 6e10 on some bundled scenarios fail numerically
 CHP_RATIO_LIMIT = 1e9
+# each extra carbon tier adds a column and a knee row as wide as the trading
+# share; a full-S5 solve peaks at about 80 MB with none, 110-120 MB with 1000
+# and 200-225 MB with 4000, so a count of 10^6 would need tens of GB
+MAX_EXTRA_TIERS = 4096
 
 MECHANISM_NONE = "none"
 MECHANISM_TRADITIONAL = "traditional"
@@ -798,6 +802,8 @@ def validate_case(case: CaseData) -> ValidationReport:
             err(f"carbon.{f}: must be >= 0")
     if not cb.extra_tiers >= 0:
         err("carbon.extra_tiers: must be >= 0")
+    elif not cb.extra_tiers <= MAX_EXTRA_TIERS:
+        err(f"carbon.extra_tiers: must be at most {MAX_EXTRA_TIERS} (got {cb.extra_tiers})")
     # tangent cuts linearise each emission curve up to the most its argument
     # can take: the electric purchase cap, and at most the summed capacities
     # of the gas-fired units; HiGHS would drop a cut whose right-hand side

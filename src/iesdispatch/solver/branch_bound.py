@@ -173,8 +173,7 @@ class _ScipyCore:
         self._costs, self._rows = c, (row_lower, row_upper)  # what HiGHS holds
         m, n = A.shape
         self._cols = np.arange(n, dtype=np.int32)
-        self._one_off = options is not None
-        self._who = "branch-and-cut" if self._one_off else "LP core"
+        self._who = "LP core" if options is None else "branch-and-cut"
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         if options is None:
@@ -211,8 +210,8 @@ class _ScipyCore:
         compared: ``to_sparse`` replaces them whenever a row moves.
         HiGHS's run clock counts every run of the instance, so the time
         limit is set from it for each run.  A MIP run's incumbent, node
-        count and dual bound are HiGHS's; a one-off core rounds the
-        binaries of its point and prices it as ``c·x + c0``.
+        count and dual bound are HiGHS's.  Every core rounds the binaries
+        of its point (an LP has none) and prices it as ``c·x + c0``.
         """
         t0 = time.perf_counter()
         h = self._highs
@@ -243,11 +242,8 @@ class _ScipyCore:
                                 wall_time=time.perf_counter() - t0)
         self._hot = True
         x = np.fromiter(h.getSolution().col_value, float, self._cols.size)
-        if self._one_off:
-            x[is_binary] = np.round(x[is_binary])
-            objective = float(c @ x) + c0
-        else:
-            objective = info.objective_function_value + c0
+        x[is_binary] = np.round(x[is_binary])
+        objective = float(c @ x) + c0
         return MilpSolution(status=verdict, objective=objective, x=x, bound=bound if mip else objective,
                             nodes=nodes, wall_time=time.perf_counter() - t0)
 

@@ -18,11 +18,12 @@ it works out the tangents and their error bound, the tolerance of its
 as strings.  What it does share with the build is a short list of case
 arithmetic, fixed name by name in ``tests/test_imports.py``:
 `model_core.chp_params` and `gas_unit_reach` (the devices' reach, which
-also sizes the gas emission envelope), `milp_ir.tangent_envelope`,
-`pwl_convex_error_bound` and `quad_value`, `demand_response.decompose_loads`
-and `satisfaction_index`, and `carbon.emission_account` and `carbon_cost`.
-A fault in one of them would pass verification, so each has an oracle
-test of its own against hand-worked numbers.
+also sizes the gas emission envelope), `milp_ir.tangent_envelope` (the
+build cuts along it too), `envelope_error` and `quad_value`,
+`demand_response.decompose_loads` and `satisfaction_index`, and
+`carbon.emission_account` and `carbon_cost`.  A fault in one of them
+would pass verification, so each has an oracle test of its own against
+hand-worked numbers.
 
 Powers are kW, energies kWh, emissions kg, money in currency units.
 """
@@ -36,7 +37,7 @@ import numpy as np
 
 from .carbon import FlowSchedule, carbon_cost, emission_account
 from .demand_response import SHIFT, SUBSTITUTE, decompose_loads, satisfaction_index
-from .milp_ir import TangentEnvelope, pwl_convex_error_bound, quad_value, tangent_envelope
+from .milp_ir import TangentEnvelope, envelope_error, quad_value, tangent_envelope
 from .model_core import CARRIERS, CaseData, _policy, as_scenario, chp_params, gas_unit_reach
 
 ELECTRIC, GAS, _ = CARRIERS
@@ -91,8 +92,8 @@ class _CheckPlan:
     emission envelopes (a curve with no reach is the constant f(0)).  It
     reads no carbon price: neither ``lambda_base`` nor ``interval_d``
     enters it.  ``pwl_bound`` is the envelopes' error bound in kg, summed
-    as the build sums it (`dispatch._encode_carbon`), so that its bits are
-    the ones the solution reports.
+    by `milp_ir.envelope_error`, as the build sums it, so that its bits
+    are the ones the solution reports.
 
     A call stacks the solution's series as rows of a pool (``pool`` holds
     the case's rows, a zero row and room for the rows a call works out:
@@ -276,10 +277,7 @@ class _CheckPlan:
                               (case.purchase_caps[0], sum(gas_unit_reach(case)))))
             self.envelopes = [tangent_envelope(quad, x_max, segments) if x_max > 0 else quad_value(quad, 0.0)
                               for quad, x_max in curves]
-            per_period = [pwl_convex_error_bound(quad[2], x_max, segments) * dt for quad, x_max in curves if x_max > 0]
-            for _ in range(periods):
-                for term in per_period:
-                    self.pwl_bound += term
+            self.pwl_bound = envelope_error([e for e in self.envelopes if isinstance(e, TangentEnvelope)], periods, dt)
 
 
 def verify_solution(case: CaseData, scenario, sol: "DispatchSolution", overlaps=None, plan=None) -> VerificationReport:

@@ -380,6 +380,18 @@ def test_sweep_infeasible_exit_3(tmp_path, bad_heat_case, capsys):
     assert capsys.readouterr().err.count("balance_heat_t00: needs 5000.0 but its columns reach") == 2
 
 
+def test_sweep_point_whose_price_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # the third point re-prices the second's model with a cost that is not finite
+    rc = run_cli("sweep", "--param", "lambda", "--grid", "0.2,0.3,1e308", "--reduced", "--scenario", "S5",
+                 "--out", str(tmp_path / "o"))
+    assert rc == cli.EXIT_LIMIT
+    with (tmp_path / "o" / "sweep_lambda_S5.csv").open(encoding="utf-8") as fh:
+        assert [r[1] for r in list(csv.reader(fh))[1:]] == ["optimal", "optimal", "numerical_failure"]
+    err = capsys.readouterr().err
+    assert "solver status 'numerical_failure' (objective constant not finite)" in err
+    assert "Traceback" not in err
+
+
 SWEEP_ARGV = ("sweep", "--param", "lambda", "--grid", "0.2:0.5:0.1", "--reduced", "--scenario", "S5")
 
 
@@ -617,6 +629,9 @@ def _set(doc, path, value) -> None:
                                   (("converters", _GT, "min_output_kw"), 24.5)])
 # the same corridor as extraction-mode rows: HiGHS would refuse the 1e300 entry, exit 2
 @example(extraction=True, edits=[(("chp", "ratio_min"), 24.5), (("chp", "ratio_max"), 1e300)])
+# a carbon price or tier width that validates but overflows the model's numbers: exit 4
+@example(extraction=False, edits=[(("carbon", "lambda_base"), 1e308)])
+@example(extraction=False, edits=[(("carbon", "interval_d"), 1e308)])
 @given(
     extraction=st.booleans(),
     edits=st.lists(st.tuples(st.one_of(st.sampled_from(CHP_PATHS), st.sampled_from(LEAF_PATHS)),

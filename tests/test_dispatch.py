@@ -1204,6 +1204,39 @@ def test_case_differing_in_another_field_builds_afresh(reduced_case, reduced_opt
     assert results[1][2].objective == pytest.approx(fresh.objective, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("field, statuses", [
+    # S1 leaves carbon out of its model, but its exact carbon cost overflows, which verification refuses
+    ("lambda_base", ["verification_failed"] + ["numerical_failure"] * 4),
+    # the tier width enters only the knee rows of the tiered scenarios
+    ("interval_d", ["optimal"] * 2 + ["numerical_failure"] * 3),
+])
+def test_an_overflowing_carbon_price_or_tier_width_is_a_numerical_failure(reduced_case, reduced_options, field,
+                                                                          statuses):
+    # the case validates, but its objective constant or knee right-hand sides are not finite
+    huge = replace(reduced_case, carbon=replace(reduced_case.carbon, **{field: 1e308}))
+    assert validate_case(huge).errors == []
+    report = run_all_scenarios(huge, reduced_options)
+    assert [row.status for row in report.rows] == statuses
+    with pytest.raises(SolveFailedError, match="not finite|non-finite") as info:
+        run_scenario(huge, "S5", reduced_options)
+    assert info.value.status == "numerical_failure"
+
+
+def test_an_overflowing_repriced_point_is_a_numerical_failure_and_the_next_builds_afresh(
+        reduced_case, reduced_options, sweep_spy):
+    points = sweep_lambda(reduced_case, "S5", [0.2, 0.3, 1e308], reduced_options)
+    assert [p.status for p in points] == ["optimal", "optimal", "numerical_failure"]
+    assert [p["built"] for p in sweep_spy] == [True, False, False]
+    # the failed re-price leaves nothing in the slot, so the point after it builds its own model
+    cases = [replace(reduced_case, carbon=replace(reduced_case.carbon, lambda_base=v)) for v in (0.2, 1e308, 0.3)]
+    sweep_spy.clear()
+    results = dispatch._chained_tasks([(case, "S5", reduced_options) for case in cases])
+    assert [row.status for _, row, _ in results] == ["optimal", "numerical_failure", "optimal"]
+    assert [p["built"] for p in sweep_spy] == [True, False, True]
+    fresh = run_scenario(cases[2], "S5", reduced_options)
+    assert results[2][2].objective == pytest.approx(fresh.objective, rel=1e-9, abs=0.0)
+
+
 # -- exact LP forms of the convex cost terms ------------------------------------------
 
 # Bundled full-case optima of the earlier formulation, which gated every

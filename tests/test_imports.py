@@ -110,9 +110,9 @@ LAYERS = {
 # every name verify.py imports from the package.  Each helper on the list has
 # an oracle test of its own against hand-worked numbers: chp_params and
 # gas_unit_reach in test_model_core.py (test_chp_params_by_hand,
-# test_gas_unit_reach_by_hand), tangent_envelope, pwl_convex_error_bound and
+# test_gas_unit_reach_by_hand), tangent_envelope, envelope_error and
 # quad_value in test_milp_ir.py (test_tangent_envelope_by_hand,
-# test_pwl_convex_error_bound_values, test_quad_value), emission_account and
+# test_envelope_error_by_hand, test_quad_value), emission_account and
 # carbon_cost in test_carbon.py (test_emission_account_by_hand,
 # test_carbon_cost_dispatch and the tier-cost spot values), decompose_loads
 # and satisfaction_index in test_demand_response.py
@@ -122,7 +122,7 @@ LAYERS = {
 VERIFY_IMPORTS = {
     "carbon": {"FlowSchedule", "carbon_cost", "emission_account"},
     "demand_response": {"SHIFT", "SUBSTITUTE", "decompose_loads", "satisfaction_index"},
-    "milp_ir": {"TangentEnvelope", "pwl_convex_error_bound", "quad_value", "tangent_envelope"},
+    "milp_ir": {"TangentEnvelope", "envelope_error", "quad_value", "tangent_envelope"},
     "model_core": {"CARRIERS", "CaseData", "_policy", "as_scenario", "chp_params", "gas_unit_reach"},
 }
 

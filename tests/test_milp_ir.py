@@ -27,6 +27,7 @@ from iesdispatch.milp_ir import (
     ModelError,
     TriviallyInfeasibleError,
     combine,
+    envelope_error,
     linear_form,
     pwl_convex,
     pwl_convex_error_bound,
@@ -248,7 +249,7 @@ def _envelope_optimum(quad, x_max, segments, x_fix):
     """Minimize the surrogate with x pinned; returns the solved y."""
     m = MilpModel()
     x = m.add_variables(CONTINUOUS, 0.0, x_max, ["x"])
-    y = pwl_convex(m, [x], 1.0, [quad], x_max, segments, ["y"])
+    y = pwl_convex(m, [x], 1.0, [tangent_envelope(quad, x_max, segments)], ["y"])
     m.add_rows([x], 1.0, EQ, x_fix, ["pin"])
     m.set_objective(linear_form(y))
     res = solve_lp(m)
@@ -310,11 +311,9 @@ def test_pwl_convex_error_within_bound(a, b, c, x_max, n, frac):
     assert f - y <= pwl_convex_error_bound(c, x_max, n) + 1e-9
 
 
-def test_pwl_convex_rejects_concave():
-    m = MilpModel()
-    x = m.add_variables(CONTINUOUS, 0.0, 1.0, ["x"])
+def test_tangent_envelope_rejects_concave():
     with pytest.raises(ConvexityError):
-        pwl_convex(m, [x], 1.0, [(0.0, 0.0, -1.0)], 1.0, 2, ["y"])
+        tangent_envelope((0.0, 0.0, -1.0), 1.0, 2)
 
 
 def test_to_dense_shapes():
@@ -544,6 +543,32 @@ def test_tangent_envelope_by_hand():
     xs = np.linspace(0.0, 4.0, 41)
     below = np.array([quad_value((1.0, 2.0, 0.5), x) for x in xs]) - envelope.value(xs)
     assert below.min() >= 0.0 and below.max() == 0.5
+    assert envelope.error == 0.5
+    # the column lies within f's least value on [0, 4], f(0) = 1 less the error, and its greatest, f(4)
+    assert (envelope.low, envelope.high) == (0.5, 17.0)
+
+
+def test_envelope_error_by_hand():
+    # errors 0.5 and 0.25 at dt = 0.5 give 0.25 + 0.125 per period, 1.125 over 3 periods
+    envelopes = [tangent_envelope((1.0, 2.0, 0.5), 4.0, 2), tangent_envelope((0.0, 0.0, 1.0), 2.0, 2)]
+    assert [e.error for e in envelopes] == [0.5, 0.25]
+    assert envelope_error(envelopes, 3, 0.5) == 1.125
+    assert envelope_error(envelopes, 0, 0.5) == 0.0
+    assert envelope_error([], 24, 1.0) == 0.0
+    # errors 0.1 and 0.2 summed period by period from 0.0 give 0.9000000000000001 over 3
+    # periods; curve by curve, 0.1 + 0.1 + 0.1 + 0.2 + 0.2 + 0.2, they give 0.8999999999999999
+    tenths = [tangent_envelope((0.0, 0.0, 0.4), 1.0, 1), tangent_envelope((0.0, 0.0, 0.8), 1.0, 1)]
+    assert envelope_error(tenths, 3, 1.0) == 0.9000000000000001
+
+
+@pytest.mark.parametrize("args, error", [
+    (((0.0, 0.0, 1.0), 1.0, 0), "segments must be >= 1"),
+    (((0.0, 0.0, 1.0), 0.0, 2), "x_max must be > 0"),
+    (((0.0, 0.0, 1.0), math.nan, 2), "x_max must be > 0"),
+])
+def test_tangent_envelope_refuses_an_empty_range(args, error):
+    with pytest.raises(ModelError, match=error):
+        tangent_envelope(*args)
 
 
 def test_pwl_convex_value_of_an_array_is_the_scalar_formula_at_each_point():

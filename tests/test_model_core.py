@@ -19,6 +19,7 @@ from iesdispatch.model_core import (
     DEFAULT_CONVERTERS,
     DrPolicy,
     Horizon,
+    MAX_EXTRA_TIERS,
     MECHANISM_TIERED,
     StorageParams,
     TariffProfile,
@@ -259,6 +260,16 @@ def test_chp_corridor_coefficient_must_stay_below_the_large_matrix_value(case, e
             at_limit = replace(case, chp=replace(chp, **{field: value}))
             report = run_all_scenarios(at_limit, DispatchOptions(backend=backend))
             assert [row.status for row in report.rows] == ["optimal"] * len(SCENARIO_IDS), (backend, field)
+
+
+def test_extra_tiers_are_capped_before_any_build(case):
+    # each tier adds a column and a row as wide as the trading share, so a
+    # count past the cap is refused at its locator before the model is built
+    over = replace(case, carbon=replace(case.carbon, extra_tiers=MAX_EXTRA_TIERS + 1))
+    assert validate_case(over).errors == ["carbon.extra_tiers: must be at most 4096 (got 4097)"]
+    with pytest.raises(UnitError) as info:
+        build_model(over, "S5")
+    assert info.value.locator == "carbon.extra_tiers"
 
 
 def test_counts_must_be_ints(case):
